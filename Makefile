@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet lint build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic cover fuzz-smoke ci bench bench-ingest bench-serve bench-plan bench-dynamic
+.PHONY: all fmt vet lint build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic cover fuzz-smoke bench-smoke loc ci bench bench-ingest bench-serve bench-plan bench-dynamic
 
 all: ci
 
@@ -102,9 +102,10 @@ cover:
 	done < COVERAGE_baseline.txt; \
 	rm -f $$out; exit $$rc
 
-# 10-second native-fuzzing smoke over the shared-memory codec, the
-# dense/overflow routing boundary, and the dataset-ingestion decoders
-# (full corpora live in each package's testdata/fuzz).
+# 10-second native-fuzzing smoke over the shared-memory codec, the dense
+# routing buffers against their plain-map reference, and the
+# dataset-ingestion decoders (full corpora live in each package's
+# testdata/fuzz).
 fuzz-smoke:
 	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime=10s
 	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzCodecDecodeNoPanic$$' -fuzztime=10s
@@ -115,7 +116,21 @@ fuzz-smoke:
 	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzEdgeListParse$$' -fuzztime=10s
 	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzBatchDecodeNoPanic$$' -fuzztime=10s
 
-ci: fmt lint build examples race race-boundedcache race-suite race-resume race-serve race-dynamic cover fuzz-smoke
+# The nested benchmark/ module imports gx and internal/* through its
+# replace directive, but the root `go build ./... && go test ./...` never
+# compiles it — exactly what a deletion can break silently. Vet and test
+# it from its own directory (~2 s).
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Non-test Go line counts per package (benchmark/ excluded), and the
+# total — what CHANGES.md LOC-before/after entries are measured with.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+
+ci: fmt lint build examples race race-boundedcache race-suite race-resume race-serve race-dynamic cover fuzz-smoke bench-smoke
 
 # Record the engine superstep microbenchmarks (latency + allocs) in
 # BENCH_engine.json.

@@ -88,6 +88,7 @@ func TestGXDEndToEnd(t *testing.T) {
 	}
 
 	client := serve.NewClient(addr)
+	defer client.Close()
 	render := func() (string, int64) {
 		reply, err := client.Submit(body)
 		if err != nil {
@@ -158,6 +159,7 @@ func TestGXDManifestFlag(t *testing.T) {
 
 	addr, _, stop, join := startGXD(t, "-manifest", manifest)
 	client := serve.NewClient(addr)
+	defer client.Close()
 	reply, err := client.Submit([]byte(`{"engine": "graphx", "algorithm": "cc", "dataset": "toy", "nodes": 1}`))
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +205,9 @@ func TestGXDCostAdmission(t *testing.T) {
 	}
 
 	// The thin client reports the same rejection as a 422 error.
-	if _, err := serve.NewClient(addr).Submit(body); err == nil || !strings.Contains(err.Error(), "422") {
+	client := serve.NewClient(addr)
+	defer client.Close()
+	if _, err := client.Submit(body); err == nil || !strings.Contains(err.Error(), "422") {
 		t.Fatalf("client submit over budget: %v", err)
 	}
 
@@ -223,6 +227,7 @@ func TestGXDStatsPersistence(t *testing.T) {
 
 	addr, _, stop, join := startGXD(t, "-stats", statsFile)
 	client := serve.NewClient(addr)
+	defer client.Close()
 	reply, err := client.Submit([]byte(`{"engine": "graphx", "algorithm": "cc", "dataset": "orkut", "scale": 500, "nodes": 2}`))
 	if err != nil {
 		t.Fatal(err)

@@ -51,6 +51,7 @@ func runRemote(addr, scenarioPath, suitePath string, manifest gx.Manifest, progr
 	}
 
 	client := serve.NewClient(addr)
+	defer client.Close()
 	reply, err := client.Submit(body)
 	if err != nil {
 		return err

@@ -38,6 +38,7 @@ func main() {
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	client := serve.NewClient(hs.URL)
+	defer client.Close()
 
 	submit := func() serve.JobResult {
 		reply, err := client.Submit([]byte(suite))

@@ -3,11 +3,8 @@ package gx
 import (
 	"fmt"
 	"math"
-	"os"
-	"strings"
 
 	"gxplug/internal/engine"
-	"gxplug/internal/gen/ingest"
 	"gxplug/internal/graph"
 )
 
@@ -66,65 +63,6 @@ const (
 // incremental reports whether boundaries replay traces (the default).
 func (b *BatchSpec) incremental() bool { return b.Mode != batchModeScratch }
 
-// batchRef is one parsed `file+batches:` stream reference.
-type batchRef struct {
-	path string
-	// sha256 is the pinned content digest, "" when the reference does
-	// not pin one.
-	sha256 string
-}
-
-// parseBatchRef recognizes the `file+batches:PATH[#sha256=HEX]` form.
-func parseBatchRef(name string) (batchRef, error) {
-	var ref batchRef
-	if !strings.HasPrefix(name, "file+batches:") {
-		return ref, fmt.Errorf("gx: batch stream %q: want file+batches:PATH", name)
-	}
-	ref.path = name[len("file+batches:"):]
-	if path, hex, found := strings.Cut(ref.path, "#sha256="); found {
-		hex = strings.ToLower(hex)
-		if !validSHA256Hex(hex) {
-			return ref, fmt.Errorf("gx: batch stream %q: malformed sha256 digest %q (want 64 hex digits)", name, hex)
-		}
-		ref.path, ref.sha256 = path, hex
-	}
-	if ref.path == "" {
-		return ref, fmt.Errorf("gx: batch stream %q: empty file path", name)
-	}
-	return ref, nil
-}
-
-// verify checks the stream file's content against a pinned digest.
-func (r batchRef) verify() error {
-	if r.sha256 == "" {
-		return nil
-	}
-	_, got, err := ingest.FileDigests(r.path)
-	if err != nil {
-		return err
-	}
-	if got != r.sha256 {
-		return &DigestMismatchError{Path: r.path, Want: r.sha256, Got: got}
-	}
-	return nil
-}
-
-// load reads the stream file, sniffing binary `.gxb` versus text delta
-// list, after verifying a pinned digest.
-func (r batchRef) load() ([]graph.EdgeBatch, error) {
-	if err := r.verify(); err != nil {
-		return nil, err
-	}
-	bin, err := ingest.IsBatchStream(r.path)
-	if err != nil {
-		return nil, err
-	}
-	if bin {
-		return ingest.LoadBatchStreamFile(r.path)
-	}
-	return ingest.ParseBatchListFile(r.path)
-}
-
 // validate appends batch-spec shape errors through the scenario
 // validator's fail hook.
 func (b *BatchSpec) validate(fail func(format string, args ...any)) {
@@ -138,13 +76,10 @@ func (b *BatchSpec) validate(fail func(format string, args ...any)) {
 		fail("batches: unknown mode %q (want %q or %q)", b.Mode, batchModeIncremental, batchModeScratch)
 	}
 	if b.Stream != "" {
-		ref, err := parseBatchRef(b.Stream)
-		if err != nil {
+		if ref, err := streamRef(b.Stream); err != nil {
 			fail("%v", err)
-		} else if st, err := os.Stat(ref.path); err != nil {
-			fail("batches: %v", err)
-		} else if !st.Mode().IsRegular() {
-			fail("batches: %s: not a regular file", ref.path)
+		} else if _, err := ref.stat(); err != nil {
+			fail("batches: stream %q: %w", b.Stream, err)
 		}
 	}
 	prev := int64(math.MinInt64)
@@ -176,14 +111,11 @@ func checkBatchEdge(e BatchEdge, add bool) error {
 	return nil
 }
 
-// loadBatches materializes the spec's stream as engine edge batches.
-func (b *BatchSpec) loadBatches() ([]graph.EdgeBatch, error) {
+// loadBatches materializes the spec's stream as engine edge batches;
+// stream files load through cache. Callers must not mutate the result.
+func (b *BatchSpec) loadBatches(cache *DatasetCache) ([]graph.EdgeBatch, error) {
 	if b.Stream != "" {
-		ref, err := parseBatchRef(b.Stream)
-		if err != nil {
-			return nil, err
-		}
-		return ref.load()
+		return cache.BatchStream(b.Stream)
 	}
 	batches := make([]graph.EdgeBatch, len(b.Inline))
 	for i, d := range b.Inline {
@@ -224,127 +156,6 @@ func (b *BatchSpec) normalized() *BatchSpec {
 		n.Inline = append([]BatchDelta(nil), b.Inline...)
 	}
 	return n
-}
-
-// SaveTrace atomically writes a recorded trajectory and the graph
-// version it belongs to as one version-2 snapshot file: the graph in
-// the CSR arrays, the trace in typed state sections. Like a checkpoint
-// file, the result is a valid graph snapshot — `file+snapshot:`
-// references read the CSR part of one unchanged.
-func SaveTrace(path string, g *Graph, tr *Trace) error {
-	if g == nil || tr == nil {
-		return fmt.Errorf("gx: save trace: nil graph or trace")
-	}
-	secs, err := encodeTrace(tr)
-	if err != nil {
-		return fmt.Errorf("gx: save trace: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := ingest.SaveV2File(tmp, g, secs); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("gx: save trace: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("gx: save trace: %w", err)
-	}
-	return nil
-}
-
-// LoadTrace reads a trace file back: the graph version, bit-identical
-// to the one saved, and the trajectory to replay against the next batch
-// boundary.
-func LoadTrace(path string) (*Graph, *Trace, error) {
-	g, secs, err := ingest.LoadSnapshotV2File(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("gx: load trace: %w", err)
-	}
-	tr, err := decodeTrace(secs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("gx: load trace %s: %w", path, err)
-	}
-	if tr.NumV != g.NumVertices() {
-		return nil, nil, fmt.Errorf("gx: load trace %s: trace for %d vertices does not fit graph with %d",
-			path, tr.NumV, g.NumVertices())
-	}
-	return g, tr, nil
-}
-
-// encodeTrace maps a trajectory onto snapshot-v2 sections: attribute
-// rows concatenated across supersteps, frontier flags likewise, and the
-// superstep count.
-func encodeTrace(tr *Trace) ([]ingest.Section, error) {
-	if tr.Iters <= 0 || tr.AttrWidth <= 0 || tr.NumV <= 0 {
-		return nil, fmt.Errorf("empty trace (%d supersteps, width %d, %d vertices)", tr.Iters, tr.AttrWidth, tr.NumV)
-	}
-	if len(tr.Attrs) != tr.Iters || len(tr.Changed) != tr.Iters {
-		return nil, fmt.Errorf("trace shape mismatch: %d supersteps, %d attr rows, %d frontier rows",
-			tr.Iters, len(tr.Attrs), len(tr.Changed))
-	}
-	attrs := make([]float64, 0, tr.Iters*tr.NumV*tr.AttrWidth)
-	active := make([]bool, 0, tr.Iters*tr.NumV)
-	for i := 0; i < tr.Iters; i++ {
-		if len(tr.Attrs[i]) != tr.NumV*tr.AttrWidth || len(tr.Changed[i]) != tr.NumV {
-			return nil, fmt.Errorf("trace superstep %d rows do not match %d vertices × width %d", i, tr.NumV, tr.AttrWidth)
-		}
-		attrs = append(attrs, tr.Attrs[i]...)
-		active = append(active, tr.Changed[i]...)
-	}
-	return []ingest.Section{
-		{Kind: ingest.SectionVertexAttrs, Data: ingest.EncodeVertexAttrs(tr.AttrWidth, attrs)},
-		{Kind: ingest.SectionActive, Data: ingest.EncodeBools(active)},
-		{Kind: ingest.SectionIteration, Data: ingest.EncodeUint64(uint64(tr.Iters))},
-	}, nil
-}
-
-// decodeTrace rebuilds a trajectory from a v2 snapshot's sections.
-func decodeTrace(secs []ingest.Section) (*Trace, error) {
-	var (
-		width               int
-		attrs               []float64
-		active              []bool
-		iters               uint64
-		haveA, haveF, haveI bool
-	)
-	for _, sec := range secs {
-		var err error
-		switch sec.Kind {
-		case ingest.SectionVertexAttrs:
-			width, attrs, err = ingest.DecodeVertexAttrs(sec.Data)
-			haveA = true
-		case ingest.SectionActive:
-			active, err = ingest.DecodeBools(sec.Data)
-			haveF = true
-		case ingest.SectionIteration:
-			iters, err = ingest.DecodeUint64(sec.Data)
-			haveI = true
-		default:
-			err = fmt.Errorf("unexpected %v section in a trace", sec.Kind)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !haveA || !haveF || !haveI {
-		return nil, fmt.Errorf("trace sections incomplete (attrs=%v frontier=%v supersteps=%v)", haveA, haveF, haveI)
-	}
-	if iters == 0 || iters > math.MaxInt32 {
-		return nil, fmt.Errorf("superstep count %d out of range", iters)
-	}
-	n := int(iters)
-	if len(active)%n != 0 || len(active) == 0 {
-		return nil, fmt.Errorf("%d frontier flags do not divide into %d supersteps", len(active), n)
-	}
-	numV := len(active) / n
-	if width <= 0 || len(attrs) != n*numV*width {
-		return nil, fmt.Errorf("%d attrs do not match %d supersteps × %d vertices × width %d", len(attrs), n, numV, width)
-	}
-	tr := &Trace{AttrWidth: width, NumV: numV, Iters: n}
-	for i := 0; i < n; i++ {
-		tr.Attrs = append(tr.Attrs, attrs[i*numV*width:(i+1)*numV*width])
-		tr.Changed = append(tr.Changed, active[i*numV:(i+1)*numV])
-	}
-	return tr, nil
 }
 
 // Engine-layer dynamic-graph types re-exported at the gx surface.

@@ -2,16 +2,16 @@ package gx
 
 import (
 	"fmt"
-	"os"
 
 	"gxplug/internal/gen/ingest"
 	"gxplug/internal/graph"
 	"gxplug/internal/memo"
 )
 
-// DatasetCache memoizes the two expensive, reusable inputs of a run:
-// graphs by (dataset, scale, seed) and partitionings by (graph, engine,
-// nodes). Both are immutable once built — graphs are CSR, partitionings
+// DatasetCache memoizes the expensive, reusable inputs of a run: graphs
+// by (dataset, scale, seed), referenced files by content, and
+// partitionings by (graph, engine, nodes). All are immutable once built
+// — graphs are CSR, batch streams are read-only slices, partitionings
 // are read-only assignments — so one cache can back any number of
 // concurrent runs; every method is safe for concurrent use and loads are
 // single-flight (concurrent requests for one missing key build once and
@@ -20,20 +20,22 @@ import (
 // RunSuite creates one per call by default; passing a cache explicitly
 // with [WithCache] extends the reuse across suites — a service executing
 // many suites over the same catalog loads each dataset once for its
-// whole lifetime. Entries are retained until [DatasetCache.Purge].
+// whole lifetime. Entries are retained until [DatasetCache.Purge]. A
+// solo [Run] or [LoadDataset] loads through a private, single-use cache:
+// there is one load path, cached or not.
 //
-// File-backed datasets (`file:` and friends) are cached too, keyed by
-// (path, content digest): every concurrent entry naming one file shares
-// a single digest pass and a single parse/load, while a file rewritten
-// between suites sharing one cache is re-digested and becomes a
-// distinct entry. The digest pass itself is memoized by the file's stat
-// identity (path, size, mtime) — cheap to check per request, recomputed
-// when the file visibly changes.
+// Referenced files — `file:` datasets and `file+batches:` streams alike
+// — are keyed by (path, content digest, kind): every concurrent entry
+// naming one file shares a single digest pass and a single parse, while
+// a file rewritten between suites sharing one cache is re-digested and
+// becomes a distinct entry. The digest pass itself is memoized by the
+// file's stat identity (path, size, mtime) — cheap to check per request,
+// recomputed when the file visibly changes.
 type DatasetCache struct {
-	graphs  *memo.Table[graphKey, loadedGraph]
-	digests *memo.Table[statKey, fileDigest]
-	files   *memo.Table[fileKey, loadedGraph]
-	streams *memo.Table[streamKey, loadedBatches]
+	graphs  *memo.Table[graphKey, loaded[*Graph]]
+	digests *memo.Table[statKey, loaded[fileDigest]]
+	files   *memo.Table[fileKey, loaded[*Graph]]
+	streams *memo.Table[fileKey, loaded[[]EdgeBatch]]
 	parts   *graph.PartitionCache
 }
 
@@ -42,15 +44,15 @@ type graphKey struct {
 	scale, seed int64
 }
 
-// fileKey identifies one file-backed graph by path, content digest and
-// resolved format. The format is part of the key because two dataset
-// names can address one file differently — `file:g.el` (sniffed) and
+// fileKey identifies one parsed file by path, content digest and
+// resolved kind. The kind is part of the key because two references can
+// address one file differently — `file:g.el` (sniffed) and
 // `file+snapshot:g.el` (declared) — and the declared-wrong form must
-// memoize its own error instead of sharing a slot with the correct one.
+// fail on its own instead of sharing a slot with the correct one.
 type fileKey struct {
 	path   string
 	digest uint64
-	format fileFormat
+	kind   fileKind
 }
 
 // statKey is the cheap identity the digest pass is memoized under.
@@ -61,27 +63,14 @@ type statKey struct {
 }
 
 type fileDigest struct {
-	digest uint64
+	crc    uint64
 	sha256 string
-	err    error
 }
 
-type loadedGraph struct {
-	g   *Graph
+// loaded is a memoized build outcome.
+type loaded[V any] struct {
+	v   V
 	err error
-}
-
-// streamKey identifies one batch-stream file by path and content digest,
-// so a stream rewritten between suites becomes a distinct entry exactly
-// like a rewritten `file:` dataset does.
-type streamKey struct {
-	path   string
-	digest uint64
-}
-
-type loadedBatches struct {
-	batches []EdgeBatch
-	err     error
 }
 
 // CacheStats snapshots a DatasetCache's activity.
@@ -99,10 +88,10 @@ type CacheStats struct {
 // NewDatasetCache returns an empty dataset/partition cache.
 func NewDatasetCache() *DatasetCache {
 	return &DatasetCache{
-		graphs:  memo.NewTable[graphKey, loadedGraph](),
-		digests: memo.NewTable[statKey, fileDigest](),
-		files:   memo.NewTable[fileKey, loadedGraph](),
-		streams: memo.NewTable[streamKey, loadedBatches](),
+		graphs:  memo.NewTable[graphKey, loaded[*Graph]](),
+		digests: memo.NewTable[statKey, loaded[fileDigest]](),
+		files:   memo.NewTable[fileKey, loaded[*Graph]](),
+		streams: memo.NewTable[fileKey, loaded[[]EdgeBatch]](),
 		parts:   graph.NewPartitionCache(),
 	}
 }
@@ -114,143 +103,104 @@ func NewDatasetCache() *DatasetCache {
 // with concurrent waiters of the same attempt but retried on later
 // requests, since file I/O can fail transiently.
 func (c *DatasetCache) Graph(dataset string, scale, seed int64) (*Graph, error) {
-	if fd, ok, err := parseFileDataset(dataset); ok {
+	if ref, ok, err := datasetRef(dataset); ok {
 		if err != nil {
 			return nil, err
 		}
-		return c.fileGraph(dataset, fd)
+		return loadFile(c, c.files, dataset, ref, fileRef.readGraph)
 	}
-	r := c.graphs.Get(graphKey{dataset: dataset, scale: scale, seed: seed}, func() loadedGraph {
+	r := c.graphs.Get(graphKey{dataset: dataset, scale: scale, seed: seed}, func() loaded[*Graph] {
 		g, err := LoadDataset(dataset, scale, seed)
-		return loadedGraph{g: g, err: err}
+		return loaded[*Graph]{v: g, err: err}
 	})
-	return r.g, r.err
+	return r.v, r.err
 }
 
-// fileGraph memoizes a file-backed load by (path, digest, resolved
-// format). The digest pass is memoized and single-flight under the
-// file's stat identity, so N concurrent entries naming one file read
-// and parse it exactly once, while a rewritten file (new size/mtime) is
-// re-digested. Failed digests and loads are returned to every waiter
-// that shared the attempt but not memoized beyond it (the key is
-// dropped), so a transient I/O error — EMFILE under a wide pool, a
-// permission fixed after the fact — does not poison the cache forever.
-func (c *DatasetCache) fileGraph(name string, fd fileDataset) (*Graph, error) {
-	fd, err := fd.resolve()
+// BatchStream returns the memoized parsed batches of a `file+batches:`
+// stream reference for the file's current content, loading it on first
+// request — the same by-content path file-backed graphs load through.
+// Callers must not mutate the returned batches.
+func (c *DatasetCache) BatchStream(name string) ([]EdgeBatch, error) {
+	ref, err := streamRef(name)
 	if err != nil {
-		return nil, fmt.Errorf("gx: dataset %q: %w", name, err)
+		return nil, err
 	}
-	d, err := c.fileDigests(fd.path)
+	return loadFile(c, c.streams, name, ref, fileRef.readBatches)
+}
+
+// loadFile is the one load path of every referenced file: digest the
+// content, resolve the kind, verify the pin, then parse once per (path,
+// digest, kind) into t. Both steps are single-flight, so N concurrent
+// entries naming one file read and parse it exactly once, while a
+// rewritten file (new size/mtime) is re-digested. Failures are returned
+// to every waiter that shared the attempt but not memoized beyond it
+// (the key is dropped), so a transient I/O error — EMFILE under a wide
+// pool, a permission fixed after the fact — does not poison the cache
+// forever.
+func loadFile[V any](c *DatasetCache, t *memo.Table[fileKey, loaded[V]],
+	name string, ref fileRef, read func(fileRef) (V, error)) (V, error) {
+	d, err := c.digest(ref)
+	if err == nil {
+		ref, err = ref.resolve()
+	}
+	var zero V
 	if err != nil {
-		return nil, fmt.Errorf("gx: dataset %q: %w", name, err)
+		return zero, fmt.Errorf("gx: %q: %w", name, err)
 	}
-	// A reference that pins a digest is verified against the memoized
-	// pass before the load is consulted; the digest entry itself stays
-	// (it is correct — the expectation is what failed).
-	if fd.sha256 != "" && d.sha256 != fd.sha256 {
-		return nil, &DigestMismatchError{Path: fd.path, Want: fd.sha256, Got: d.sha256}
+	// The digest entry stays on a pin mismatch (it is correct — the
+	// expectation is what failed).
+	if ref.sha256 != "" && d.sha256 != ref.sha256 {
+		return zero, &DigestMismatchError{Path: ref.path, Want: ref.sha256, Got: d.sha256}
 	}
-	fk := fileKey{path: fd.path, digest: d.digest, format: fd.format}
-	r := c.files.Get(fk, func() loadedGraph {
-		g, err := fd.load()
+	fk := fileKey{path: ref.path, digest: d.crc, kind: ref.kind}
+	r := t.Get(fk, func() loaded[V] {
+		v, err := read(ref)
 		if err != nil {
-			err = fmt.Errorf("gx: dataset %q: %w", name, err)
+			err = fmt.Errorf("gx: %q: %w", name, err)
 		}
-		return loadedGraph{g: g, err: err}
+		return loaded[V]{v: v, err: err}
 	})
 	if r.err != nil {
-		c.files.Drop(fk)
+		t.Drop(fk)
 	}
-	return r.g, r.err
+	return r.v, r.err
 }
 
-// contentSHA returns the memoized SHA-256 content digest of a `file:`
-// dataset's current bytes; ok is false when name is a registered
-// (generator) dataset, which needs no content pinning — its identity is
-// the (dataset, scale, seed) triple. The digest pass shares the
-// stat-identity memo with fileGraph, so computing a result-cache key
-// and then loading the file digests it once, and a rewritten file
-// (changed size/mtime) is re-digested exactly as loads are.
-func (c *DatasetCache) contentSHA(name string) (sha string, ok bool, err error) {
-	fd, ok, err := parseFileDataset(name)
-	if !ok || err != nil {
-		return "", ok, err
-	}
-	d, err := c.fileDigests(fd.path)
-	if err != nil {
-		return "", true, fmt.Errorf("gx: dataset %q: %w", name, err)
-	}
-	return d.sha256, true, nil
-}
-
-// fileDigests returns the memoized (CRC64, SHA-256) content digests of
-// the file at path, keyed by the file's stat identity — the shared
-// digest pass behind file-backed graph loads, result-cache keys and
-// batch streams. Failed passes are shared with concurrent waiters but
-// not memoized beyond the attempt.
-func (c *DatasetCache) fileDigests(path string) (fileDigest, error) {
-	st, err := os.Stat(path)
+// digest returns the (CRC64, SHA-256) content digests of the file ref
+// names. The pass is memoized under the file's stat identity and shared
+// by loads and cache keys alike, so computing a result-cache key and
+// then loading the file digests it once. Failed passes are shared with
+// concurrent waiters but not memoized beyond the attempt.
+func (c *DatasetCache) digest(ref fileRef) (fileDigest, error) {
+	st, err := ref.stat()
 	if err != nil {
 		return fileDigest{}, err
 	}
-	sk := statKey{path: path, size: st.Size(), mtimeNanos: st.ModTime().UnixNano()}
-	d := c.digests.Get(sk, func() fileDigest {
-		digest, sha, err := ingest.FileDigests(path)
-		return fileDigest{digest: digest, sha256: sha, err: err}
+	sk := statKey{path: ref.path, size: st.Size(), mtimeNanos: st.ModTime().UnixNano()}
+	d := c.digests.Get(sk, func() loaded[fileDigest] {
+		crc, sha, err := ingest.FileDigests(ref.path)
+		return loaded[fileDigest]{v: fileDigest{crc: crc, sha256: sha}, err: err}
 	})
 	if d.err != nil {
 		c.digests.Drop(sk)
 		return fileDigest{}, d.err
 	}
-	return d, nil
+	return d.v, nil
 }
 
-// BatchStream returns the memoized parsed batches of a `file+batches:`
-// stream reference for the file's current content, loading it on first
-// request. A pinned digest is verified against the memoized digest pass;
-// a rewritten stream file (changed size/mtime) is re-digested and parsed
-// as a distinct entry. Callers must not mutate the returned batches.
-func (c *DatasetCache) BatchStream(name string) ([]EdgeBatch, error) {
-	ref, err := parseBatchRef(name)
+// contentSHA returns the SHA-256 content digest of the file name
+// references — what [scenarioKey] folds into cache keys so a rewritten
+// file never hits stale state. ok is false when name is not a file
+// reference (a registered dataset needs no content pinning — its
+// identity is the (dataset, scale, seed) triple).
+func (c *DatasetCache) contentSHA(name string) (sha string, ok bool, err error) {
+	ref, ok, err := parseFileRef(name)
+	if !ok || err != nil {
+		return "", ok, err
+	}
+	d, err := c.digest(ref)
 	if err != nil {
-		return nil, err
-	}
-	d, err := c.fileDigests(ref.path)
-	if err != nil {
-		return nil, fmt.Errorf("gx: batch stream %q: %w", name, err)
-	}
-	if ref.sha256 != "" && d.sha256 != ref.sha256 {
-		return nil, &DigestMismatchError{Path: ref.path, Want: ref.sha256, Got: d.sha256}
-	}
-	sk := streamKey{path: ref.path, digest: d.digest}
-	r := c.streams.Get(sk, func() loadedBatches {
-		// The pinned digest was verified above; load without re-reading it.
-		b, err := batchRef{path: ref.path}.load()
-		if err != nil {
-			err = fmt.Errorf("gx: batch stream %q: %w", name, err)
-		}
-		return loadedBatches{batches: b, err: err}
-	})
-	if r.err != nil {
-		c.streams.Drop(sk)
-	}
-	return r.batches, r.err
-}
-
-// batchSHA returns the memoized SHA-256 content digest of the
-// scenario's batch-stream file; ok is false when the scenario has no
-// stream (inline batches are covered by the scenario digest itself).
-func (c *DatasetCache) batchSHA(s Scenario) (sha string, ok bool, err error) {
-	if s.Batches == nil || s.Batches.Stream == "" {
-		return "", false, nil
-	}
-	ref, err := parseBatchRef(s.Batches.Stream)
-	if err != nil {
-		return "", true, err
-	}
-	d, err := c.fileDigests(ref.path)
-	if err != nil {
-		return "", true, fmt.Errorf("gx: batch stream %q: %w", s.Batches.Stream, err)
+		return "", true, fmt.Errorf("gx: %q: %w", name, err)
 	}
 	return d.sha256, true, nil
 }

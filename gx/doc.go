@@ -38,7 +38,12 @@
 // and an order of magnitude faster to load, which is what suite
 // cold-starts pay. Any file form may pin the expected content with
 // "#sha256=HEX"; a swapped or bitrotted file then fails with a
-// [DigestMismatchError] instead of silently changing results.
+// [DigestMismatchError] instead of silently changing results. The same
+// reference grammar names batch streams ("file+batches:PATH", below),
+// and every referenced file — graph or stream, in a suite, a daemon or a
+// solo Run — loads through one path: a [DatasetCache] that digests the
+// content once per visible change, verifies the pin, and parses once
+// per distinct content.
 //
 // Functional options refine a scenario at the call site: [WithMaxIter],
 // [WithNet], [WithGraph], [WithAlgorithm], [WithPlug],
@@ -125,8 +130,8 @@
 // turns one run into a sequence over an evolving graph: a stream of
 // timestamped edge batches — inline [BatchDelta] values, or a
 // `file+batches:PATH` stream file (binary `.gxb` from `gxgen -batches`,
-// or a text delta list; gzip accepted, `#sha256=` pinnable like any
-// file reference) — applied one batch at a time, each producing a new
+// or a text delta list; gzip accepted, `#sha256=` pinnable and cached
+// by content like any file reference) — applied one batch at a time, each producing a new
 // immutable graph version and a fresh convergence. The default
 // "incremental" mode replays the previous boundary's recorded
 // trajectory over the dirty cone the batch touched; "scratch" mode

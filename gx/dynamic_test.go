@@ -199,18 +199,15 @@ func TestDynamicScenarioValidation(t *testing.T) {
 	}
 
 	bad := map[string]func(*Scenario){
-		"empty spec":     func(s *Scenario) { s.Batches = &BatchSpec{} },
-		"stream+inline":  func(s *Scenario) { s.Batches.Stream = "file+batches:x.gxb" },
-		"unknown mode":   func(s *Scenario) { s.Batches.Mode = "lazy" },
-		"missing stream": func(s *Scenario) { s.Batches = &BatchSpec{Stream: "file+batches:/does/not/exist.gxb"} },
-		"malformed ref":  func(s *Scenario) { s.Batches = &BatchSpec{Stream: "batches:x.gxb"} },
-		"bad sha":        func(s *Scenario) { s.Batches = &BatchSpec{Stream: "file+batches:x.gxb#sha256=zz"} },
-		"times not ++":   func(s *Scenario) { s.Batches.Inline[2].Time = 2 },
-		"vertex range":   func(s *Scenario) { s.Batches.Inline[0].Adds[0].Src = -1 },
-		"bad weight":     func(s *Scenario) { s.Batches.Inline[0].Adds[0].Weight = math.Inf(1) },
-		"accel":          func(s *Scenario) { s.Accel = "cpu" },
-		"mix":            func(s *Scenario) { s.Mix = []string{"cpu", "cpu", "cpu"} },
-		"faults":         func(s *Scenario) { s.Faults = []FaultSpec{{Kind: FaultMsgStall, Node: 0, Superstep: 1}} },
+		"empty spec":    func(s *Scenario) { s.Batches = &BatchSpec{} },
+		"stream+inline": func(s *Scenario) { s.Batches.Stream = "file+batches:x.gxb" },
+		"unknown mode":  func(s *Scenario) { s.Batches.Mode = "lazy" },
+		"times not ++":  func(s *Scenario) { s.Batches.Inline[2].Time = 2 },
+		"vertex range":  func(s *Scenario) { s.Batches.Inline[0].Adds[0].Src = -1 },
+		"bad weight":    func(s *Scenario) { s.Batches.Inline[0].Adds[0].Weight = math.Inf(1) },
+		"accel":         func(s *Scenario) { s.Accel = "cpu" },
+		"mix":           func(s *Scenario) { s.Mix = []string{"cpu", "cpu", "cpu"} },
+		"faults":        func(s *Scenario) { s.Faults = []FaultSpec{{Kind: FaultMsgStall, Node: 0, Superstep: 1}} },
 	}
 	for name, mutate := range bad {
 		s := dynamicScenario("graphx", "pagerank", "")
@@ -226,69 +223,6 @@ func TestDynamicScenarioValidation(t *testing.T) {
 	}
 	if _, err := Resume(ok, &CheckpointState{}); err == nil {
 		t.Error("batches with resume accepted, want error")
-	}
-}
-
-// TestTraceSaveLoad round-trips a recorded trajectory through its
-// snapshot-v2 persistence: the graph version bit-identical, the trace
-// rows bit-identical, malformed shapes rejected whole.
-func TestTraceSaveLoad(t *testing.T) {
-	g, err := LoadDataset("orkut", 20000, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.NumVertices()
-	tr := &Trace{AttrWidth: 2, NumV: n, Iters: 3}
-	for i := 0; i < tr.Iters; i++ {
-		attrs := make([]float64, n*2)
-		changed := make([]bool, n)
-		for v := 0; v < n; v++ {
-			attrs[2*v] = float64(v) / float64(i+1)
-			attrs[2*v+1] = -float64(i)
-			changed[v] = (v+i)%3 == 0
-		}
-		tr.Attrs = append(tr.Attrs, attrs)
-		tr.Changed = append(tr.Changed, changed)
-	}
-
-	path := filepath.Join(t.TempDir(), "trace.gxs")
-	if err := SaveTrace(path, g, tr); err != nil {
-		t.Fatal(err)
-	}
-	g2, tr2, err := LoadTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumVertices() != n || g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("reloaded graph %dv/%de, want %dv/%de", g2.NumVertices(), g2.NumEdges(), n, g.NumEdges())
-	}
-	if tr2.Iters != tr.Iters || tr2.NumV != tr.NumV || tr2.AttrWidth != tr.AttrWidth {
-		t.Fatalf("reloaded trace shape %+v", tr2)
-	}
-	for i := 0; i < tr.Iters; i++ {
-		for k := range tr.Attrs[i] {
-			if math.Float64bits(tr2.Attrs[i][k]) != math.Float64bits(tr.Attrs[i][k]) {
-				t.Fatalf("superstep %d attr %d differs", i, k)
-			}
-		}
-		for v := range tr.Changed[i] {
-			if tr2.Changed[i][v] != tr.Changed[i][v] {
-				t.Fatalf("superstep %d frontier flag %d differs", i, v)
-			}
-		}
-	}
-
-	// A trace saved against one graph must not load against a different
-	// vertex count, and empty traces are not persistable.
-	if err := SaveTrace(path, g, &Trace{}); err == nil {
-		t.Error("empty trace saved, want error")
-	}
-	small := &Trace{AttrWidth: 1, NumV: 3, Iters: 1, Attrs: [][]float64{{1, 2, 3}}, Changed: [][]bool{{true, false, true}}}
-	if err := SaveTrace(path, g, small); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadTrace(path); err == nil {
-		t.Error("cross-shaped trace loaded, want error")
 	}
 }
 

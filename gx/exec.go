@@ -161,7 +161,7 @@ func (x *executor) runEntry(e SuiteEntry, cbMu *sync.Mutex) (er EntryResult) {
 		er.Err = err
 		return er
 	}
-	er.Result, er.Err = Run(e.Scenario,
+	er.Result, er.Err = run(e.Scenario, x.cache, []Option{
 		WithGraph(g),
 		WithPartitioning(part),
 		WithObserver(func(st Superstep) {
@@ -172,7 +172,7 @@ func (x *executor) runEntry(e SuiteEntry, cbMu *sync.Mutex) (er EntryResult) {
 				cbMu.Unlock()
 			}
 		}),
-	)
+	})
 	if er.Err != nil {
 		return er
 	}

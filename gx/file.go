@@ -8,20 +8,25 @@ import (
 	"gxplug/internal/gen/ingest"
 )
 
-// This file implements the `file:` dataset kind: alongside registered
-// generator names, a scenario's Dataset field may point at a graph file
-// on disk. Three forms are accepted:
+// This file implements file references: alongside registered generator
+// names, a scenario's Dataset field may point at a graph file on disk,
+// and its batches.stream field at an edge-batch stream. One grammar
+// covers both:
 //
-//	file:PATH           format sniffed from the file (snapshot magic
-//	                    → binary CSR snapshot, otherwise text edge list)
+//	file:PATH           graph, format sniffed from the file (snapshot
+//	                    magic → binary CSR snapshot, otherwise text
+//	                    edge list)
 //	file+snapshot:PATH  binary CSR snapshot (gxgen -export / -convert)
 //	file+edgelist:PATH  SNAP-style edge list / weighted TSV
+//	file+batches:PATH   edge-batch stream (binary `.gxb` from gxgen
+//	                    -batches or a text delta list, sniffed; gzip
+//	                    accepted)
 //
-// File-backed datasets are loaded by internal/gen/ingest: edge lists
-// get deterministic vertex relabeling, snapshots reproduce the saved
-// graph bit for bit. The Scale and Seed fields do not apply to a file
-// (the file is the graph) and are ignored. Validation checks the form
-// and that the path names a readable regular file, so typos fail
+// Files are read by internal/gen/ingest: edge lists get deterministic
+// vertex relabeling, snapshots reproduce the saved graph bit for bit.
+// The Scale and Seed fields do not apply to a file (the file is the
+// graph) and are ignored. Validation checks the form, that the kind
+// fits the field, and that the path names a regular file, so typos fail
 // loudly at Validate time like unknown registry names do.
 //
 // Any form may append an expected content digest:
@@ -31,27 +36,32 @@ import (
 // with HEX the 64-hex-digit SHA-256 of the file's bytes. Loads verify
 // the digest before parsing and fail with a [DigestMismatchError] when
 // the file's content is not the one the scenario pinned — a swapped or
-// bitrotted dataset fails loudly instead of silently changing results.
+// bitrotted file fails loudly instead of silently changing results.
+//
+// Every load goes through a [DatasetCache] (see loadFile in cache.go);
+// nothing in this package reads a referenced file any other way.
 
-// fileFormat is the declared or sniffed encoding of a file dataset.
-type fileFormat string
+// fileKind is the declared (or, for kindAuto, yet to be sniffed)
+// encoding of a referenced file.
+type fileKind string
 
 const (
-	fileAuto     fileFormat = "auto"
-	fileSnapshot fileFormat = "snapshot"
-	fileEdgeList fileFormat = "edgelist"
+	kindAuto     fileKind = "auto"
+	kindSnapshot fileKind = "snapshot"
+	kindEdgeList fileKind = "edgelist"
+	kindBatches  fileKind = "batches"
 )
 
-// fileDataset is one parsed `file:` dataset reference.
-type fileDataset struct {
-	path   string
-	format fileFormat
+// fileRef is one parsed file reference.
+type fileRef struct {
+	kind fileKind
+	path string
 	// sha256 is the expected content digest (lowercase hex), "" when
 	// the reference does not pin one.
 	sha256 string
 }
 
-// DigestMismatchError reports a `file:` dataset whose content does not
+// DigestMismatchError reports a referenced file whose content does not
 // match the digest its reference pinned.
 type DigestMismatchError struct {
 	Path string
@@ -64,39 +74,60 @@ func (e *DigestMismatchError) Error() string {
 		e.Path, e.Got, e.Want)
 }
 
-// parseFileDataset recognizes the `file:` dataset forms. ok reports
-// whether name uses the file kind at all; err reports a malformed use
-// of it (unknown format tag, empty path).
-func parseFileDataset(name string) (fd fileDataset, ok bool, err error) {
+// parseFileRef recognizes the file reference forms. ok reports whether
+// name uses the file kind at all; err reports a malformed use of it
+// (unknown kind tag, malformed pin, empty path).
+func parseFileRef(name string) (ref fileRef, ok bool, err error) {
 	switch {
 	case strings.HasPrefix(name, "file:"):
-		fd = fileDataset{path: name[len("file:"):], format: fileAuto}
+		ref = fileRef{kind: kindAuto, path: name[len("file:"):]}
 	case strings.HasPrefix(name, "file+"):
 		tag, path, found := strings.Cut(name[len("file+"):], ":")
 		if !found {
-			return fd, true, fmt.Errorf("gx: dataset %q: want file+FORMAT:PATH", name)
+			return ref, true, fmt.Errorf("gx: file reference %q: want file+KIND:PATH", name)
 		}
-		switch fileFormat(tag) {
-		case fileSnapshot, fileEdgeList:
-			fd = fileDataset{path: path, format: fileFormat(tag)}
+		switch fileKind(tag) {
+		case kindSnapshot, kindEdgeList, kindBatches:
+			ref = fileRef{kind: fileKind(tag), path: path}
 		default:
-			return fd, true, fmt.Errorf("gx: dataset %q: unknown file format %q (want %q or %q)",
-				name, tag, fileSnapshot, fileEdgeList)
+			return ref, true, fmt.Errorf("gx: file reference %q: unknown file kind %q (want %q, %q or %q)",
+				name, tag, kindSnapshot, kindEdgeList, kindBatches)
 		}
 	default:
-		return fd, false, nil
+		return ref, false, nil
 	}
-	if path, hex, found := strings.Cut(fd.path, "#sha256="); found {
+	if path, hex, found := strings.Cut(ref.path, "#sha256="); found {
 		hex = strings.ToLower(hex)
 		if !validSHA256Hex(hex) {
-			return fd, true, fmt.Errorf("gx: dataset %q: malformed sha256 digest %q (want 64 hex digits)", name, hex)
+			return ref, true, fmt.Errorf("gx: file reference %q: malformed sha256 digest %q (want 64 hex digits)", name, hex)
 		}
-		fd.path, fd.sha256 = path, hex
+		ref.path, ref.sha256 = path, hex
 	}
-	if fd.path == "" {
-		return fd, true, fmt.Errorf("gx: dataset %q: empty file path", name)
+	if ref.path == "" {
+		return ref, true, fmt.Errorf("gx: file reference %q: empty file path", name)
 	}
-	return fd, true, nil
+	return ref, true, nil
+}
+
+// datasetRef parses name as a scenario's Dataset field: any file
+// reference that names a graph. ok is false for a registered
+// (generator) dataset name.
+func datasetRef(name string) (ref fileRef, ok bool, err error) {
+	ref, ok, err = parseFileRef(name)
+	if err == nil && ref.kind == kindBatches {
+		err = fmt.Errorf("gx: dataset %q: names a batch stream, not a graph", name)
+	}
+	return ref, ok, err
+}
+
+// streamRef parses name as a batches.stream field: a `file+batches:`
+// reference and nothing else (streams have no registry to fall back on).
+func streamRef(name string) (fileRef, error) {
+	ref, _, err := parseFileRef(name)
+	if err == nil && ref.kind != kindBatches {
+		err = fmt.Errorf("gx: batch stream %q: want file+batches:PATH", name)
+	}
+	return ref, err
 }
 
 // validSHA256Hex reports whether s is a 64-digit lowercase hex string.
@@ -112,75 +143,58 @@ func validSHA256Hex(s string) bool {
 	return true
 }
 
-// check validates that the path names a readable regular file.
-func (fd fileDataset) check() error {
-	st, err := os.Stat(fd.path)
+// stat checks that the path names a regular file and returns its stat
+// identity — what validation rejects typos with and what the cache
+// memoizes the digest pass under.
+func (r fileRef) stat() (os.FileInfo, error) {
+	st, err := os.Stat(r.path)
 	if err != nil {
-		return fmt.Errorf("gx: dataset file: %w", err)
+		return nil, err
 	}
 	if !st.Mode().IsRegular() {
-		return fmt.Errorf("gx: dataset file %s: not a regular file", fd.path)
+		return nil, fmt.Errorf("%s: not a regular file", r.path)
 	}
-	return nil
+	return st, nil
 }
 
-// resolve pins the auto format down by sniffing the file's magic.
-func (fd fileDataset) resolve() (fileDataset, error) {
-	if fd.format != fileAuto {
-		return fd, nil
+// resolve pins kindAuto down by sniffing the file's magic.
+func (r fileRef) resolve() (fileRef, error) {
+	if r.kind != kindAuto {
+		return r, nil
 	}
-	snap, err := ingest.IsSnapshot(fd.path)
+	snap, err := ingest.IsSnapshot(r.path)
 	if err != nil {
-		return fd, err
+		return r, err
 	}
 	if snap {
-		fd.format = fileSnapshot
+		r.kind = kindSnapshot
 	} else {
-		fd.format = fileEdgeList
+		r.kind = kindEdgeList
 	}
-	return fd, nil
+	return r, nil
 }
 
-// verify checks the file's content against the reference's pinned
-// digest, if any.
-func (fd fileDataset) verify() error {
-	if fd.sha256 == "" {
-		return nil
+// readGraph parses the file of a resolved graph reference.
+func (r fileRef) readGraph() (*Graph, error) {
+	if r.kind == kindSnapshot {
+		return ingest.LoadSnapshotFile(r.path)
 	}
-	_, got, err := ingest.FileDigests(fd.path)
-	if err != nil {
-		return err
-	}
-	if got != fd.sha256 {
-		return &DigestMismatchError{Path: fd.path, Want: fd.sha256, Got: got}
-	}
-	return nil
-}
-
-// load reads the graph from disk, verifying a pinned digest first.
-func (fd fileDataset) load() (*Graph, error) {
-	fd, err := fd.resolve()
+	p, err := ingest.ParseEdgeListFile(r.path)
 	if err != nil {
 		return nil, err
 	}
-	if err := fd.verify(); err != nil {
-		return nil, err
-	}
-	switch fd.format {
-	case fileSnapshot:
-		return ingest.LoadSnapshotFile(fd.path)
-	default:
-		p, err := ingest.ParseEdgeListFile(fd.path)
-		if err != nil {
-			return nil, err
-		}
-		return p.Graph, nil
-	}
+	return p.Graph, nil
 }
 
-// digests returns the content digests of the file in one read: the
-// CRC64 key the dataset cache memoizes loads by, and the SHA-256 that
-// pinned references are verified against.
-func (fd fileDataset) digests() (uint64, string, error) {
-	return ingest.FileDigests(fd.path)
+// readBatches parses the file of a stream reference, sniffing binary
+// `.gxb` versus text delta list.
+func (r fileRef) readBatches() ([]EdgeBatch, error) {
+	bin, err := ingest.IsBatchStream(r.path)
+	if err != nil {
+		return nil, err
+	}
+	if bin {
+		return ingest.LoadBatchStreamFile(r.path)
+	}
+	return ingest.ParseBatchListFile(r.path)
 }

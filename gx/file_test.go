@@ -159,37 +159,117 @@ func TestFileEdgeListEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFileDatasetValidation covers the malformed and missing-file
-// forms, which must fail at Validate time.
-func TestFileDatasetValidation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ok.el")
-	if err := os.WriteFile(path, []byte("0 1\n"), 0o644); err != nil {
+// TestFileRef pins the one reference grammar across its four kinds: for
+// each kind × condition the same error must surface from Validate, a
+// solo Run and RunSuite — at Validate time when the reference itself is
+// wrong (malformed, missing, not a regular file, wrong kind for the
+// field), at load time with the same FailureClass when only the content
+// is (a pin mismatch).
+func TestFileRef(t *testing.T) {
+	dir := t.TempDir()
+	el := filepath.Join(dir, "g.el")
+	if err := os.WriteFile(el, []byte("0 1\n1 2\n2 0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	base := Scenario{Engine: "graphx", Algorithm: "pagerank", Nodes: 1}
-	for name, wantErr := range map[string]string{
-		"file:" + path:               "",
-		"file+edgelist:" + path:      "",
-		"file:":                      "empty file path",
-		"file+snapshot:":             "empty file path",
-		"file+parquet:" + path:       "unknown file format",
-		"file+snapshot":              "want file+FORMAT:PATH",
-		"file:" + path + ".missing":  "no such file",
-		"file:" + filepath.Dir(path): "not a regular file",
-		"filesystem-graph":           "unknown dataset", // not the file kind: registry error
-	} {
-		s := base
-		s.Dataset = name
-		err := s.Validate()
-		if wantErr == "" {
-			if err != nil {
-				t.Errorf("%q: unexpected validation error %v", name, err)
+	gxb := filepath.Join(dir, "s.gxb")
+	if err := ingest.SaveBatchStreamFile(gxb, streamBatches()); err != nil {
+		t.Fatal(err)
+	}
+	kinds := []struct {
+		prefix, path string
+		stream       bool
+	}{
+		{"file:", el, false},
+		{"file+snapshot:", exportSnapshot(t, "orkut", 20000, 42), false},
+		{"file+edgelist:", el, false},
+		{"file+batches:", gxb, true},
+	}
+	// scenario puts ref in the dataset or the batches.stream field.
+	scenario := func(ref string, stream bool) Scenario {
+		if stream {
+			s := dynamicScenario("graphx", "cc", "")
+			s.Batches = &BatchSpec{Stream: ref}
+			return s
+		}
+		return Scenario{Engine: "graphx", Algorithm: "cc", Dataset: ref, Nodes: 2, MaxIter: 3}
+	}
+	type tcase struct {
+		name, ref string
+		stream    bool
+		wantErr   string // "" = the reference works end to end
+		class     string // ClassValidation: rejected up front; else the class of the load failure
+	}
+	var cases []tcase
+	for _, k := range kinds {
+		sha, err := fileSHA256(k.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrongField := "want file+batches:PATH"
+		if k.stream {
+			wrongField = "names a batch stream, not a graph"
+		}
+		for _, c := range []tcase{
+			{"ok", k.prefix + k.path, k.stream, "", ""},
+			{"pinned", k.prefix + k.path + "#sha256=" + sha, k.stream, "", ""},
+			{"missing file", k.prefix + k.path + ".missing", k.stream, "no such file", ClassValidation},
+			{"directory", k.prefix + dir, k.stream, "not a regular file", ClassValidation},
+			{"empty path", k.prefix, k.stream, "empty file path", ClassValidation},
+			{"malformed sha", k.prefix + k.path + "#sha256=zz", k.stream, "malformed sha256 digest", ClassValidation},
+			{"pin mismatch", k.prefix + k.path + "#sha256=" + flipHex(sha), k.stream, "does not match pinned", ClassIO},
+			{"wrong field", k.prefix + k.path, !k.stream, wrongField, ClassValidation},
+		} {
+			c.name = k.prefix + "/" + c.name
+			cases = append(cases, c)
+		}
+	}
+	cases = append(cases,
+		tcase{"unknown kind", "file+parquet:" + el, false, "unknown file kind", ClassValidation},
+		tcase{"no path separator", "file+snapshot", false, "want file+KIND:PATH", ClassValidation},
+		tcase{"wrong content for kind", "file+snapshot:" + el, false, "snapshot header", ClassIO},
+		tcase{"not the file kind", "filesystem-graph", false, "unknown dataset", ClassValidation}, // registry error
+		tcase{"stream not the file kind", "batches:" + gxb, true, "want file+batches:PATH", ClassValidation},
+	)
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := scenario(tc.ref, tc.stream)
+			suite := Suite{Entries: []SuiteEntry{{Name: "e", Scenario: s}}}
+			// fails asserts err carries the case's message and, where a
+			// class is given, its FailureClass.
+			fails := func(surface string, err error, class string) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("%s: error %v, want substring %q", surface, err, tc.wantErr)
+				} else if class != "" && FailureClass(err) != class {
+					t.Errorf("%s: error %v classified %q, want %q", surface, err, FailureClass(err), class)
+				}
 			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), wantErr) {
-			t.Errorf("%q: error %v, want substring %q", name, err, wantErr)
-		}
+			verr := s.Validate()
+			_, rerr := Run(s)
+			res, serr := RunSuite(suite)
+			if tc.class == ClassValidation {
+				fails("Validate", verr, "")
+				fails("Run", rerr, ClassValidation)
+				fails("RunSuite", serr, "")
+				return
+			}
+			if verr != nil || serr != nil {
+				t.Fatalf("valid reference rejected: Validate %v, RunSuite %v", verr, serr)
+			}
+			entry := res.Entries[0]
+			if tc.wantErr == "" {
+				if rerr != nil || entry.Err != nil {
+					t.Errorf("unexpected error: Run %v, RunSuite entry %v", rerr, entry.Err)
+				}
+				return
+			}
+			fails("Run", rerr, tc.class)
+			fails("RunSuite entry", entry.Err, tc.class)
+			if entry.Class != tc.class {
+				t.Errorf("RunSuite entry: class %q, want %q", entry.Class, tc.class)
+			}
+		})
 	}
 }
 
@@ -220,6 +300,56 @@ func TestSuiteSingleLoadPerDistinctFile(t *testing.T) {
 	}
 	if res.Cache.GraphHits != int64(len(entries)-1) {
 		t.Fatalf("GraphHits = %d, want %d", res.Cache.GraphHits, len(entries)-1)
+	}
+}
+
+// TestSuiteSingleParsePerDistinctStream is the same guarantee for batch
+// streams: N dynamic entries naming one `file+batches:` stream parse it
+// exactly once through the suite's shared cache — runs load their
+// batches where the planner does — and a rewritten stream is parsed
+// again as a distinct entry.
+func TestSuiteSingleParsePerDistinctStream(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream.gxb")
+	if err := ingest.SaveBatchStreamFile(path, streamBatches()); err != nil {
+		t.Fatal(err)
+	}
+	var entries []SuiteEntry
+	for i, engine := range []string{"graphx", "powergraph", "graphx", "powergraph"} {
+		s := dynamicScenario(engine, "cc", "")
+		s.Nodes = 1 + i/2
+		s.Batches = &BatchSpec{Stream: "file+batches:" + path}
+		entries = append(entries, SuiteEntry{Name: fmt.Sprintf("e%d", i), Scenario: s})
+	}
+	cache := NewDatasetCache()
+	run := func(wantBoundaries int) {
+		t.Helper()
+		res, err := RunSuite(Suite{Entries: entries}, WithPool(4), WithCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range res.Entries {
+			if len(e.Result.Batches) != wantBoundaries {
+				t.Fatalf("%s ran %d boundaries, want %d", e.Name, len(e.Result.Batches), wantBoundaries)
+			}
+		}
+	}
+	run(4)
+	if st := cache.streams.Stats(); st.Entries != 1 || st.Hits != int64(len(entries)-1) {
+		t.Fatalf("stream parsed %d times with %d hits, want 1 parse and %d hits", st.Entries, st.Hits, len(entries)-1)
+	}
+	if st := cache.Stats(); st.GraphLoads != 1 {
+		t.Fatalf("GraphLoads = %d, want 1 (stream loads are not graph loads)", st.GraphLoads)
+	}
+
+	if err := ingest.SaveBatchStreamFile(path, streamBatches()[:1]); err != nil {
+		t.Fatal(err)
+	}
+	run(2)
+	if st := cache.streams.Stats(); st.Entries != 2 {
+		t.Fatalf("rewritten stream: %d parsed entries, want 2 (old and new content)", st.Entries)
 	}
 }
 

@@ -84,11 +84,11 @@ func (m Manifest) Validate() error {
 			errs = append(errs, errors.New("manifest: empty logical dataset name"))
 			continue
 		}
-		if _, isFile, _ := parseFileDataset(name); isFile {
+		if _, isFile, _ := parseFileRef(name); isFile {
 			errs = append(errs, fmt.Errorf("manifest: logical name %q looks like a file reference; use a plain name", name))
 			continue
 		}
-		fd, isFile, err := parseFileDataset(ref)
+		fd, isFile, err := datasetRef(ref)
 		switch {
 		case !isFile:
 			errs = append(errs, fmt.Errorf("manifest: %q → %q: not a file: reference", name, ref))

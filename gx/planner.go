@@ -138,7 +138,7 @@ func (p *Planner) model(s Scenario) (CostEstimate, error) {
 	if err != nil {
 		return CostEstimate{}, err
 	}
-	cfg, err := prepare(s, []Option{WithGraph(g), WithPartitioning(part)})
+	cfg, err := prepare(s, p.cache, []Option{WithGraph(g), WithPartitioning(part)})
 	if err != nil {
 		return CostEstimate{}, err
 	}
@@ -168,9 +168,13 @@ func (p *Planner) model(s Scenario) (CostEstimate, error) {
 // a deliberately coarse prior that [PlannerStats] history replaces with
 // recorded actuals).
 func (p *Planner) scaleDynamic(s Scenario, est *CostEstimate) error {
-	extra, err := p.batchCount(s)
-	if err != nil {
-		return err
+	extra := len(s.Batches.Inline)
+	if s.Batches.Stream != "" {
+		batches, err := p.cache.BatchStream(s.Batches.Stream)
+		if err != nil {
+			return err
+		}
+		extra = len(batches)
 	}
 	est.Supersteps *= 1 + extra
 	if s.Batches.incremental() {
@@ -181,19 +185,6 @@ func (p *Planner) scaleDynamic(s Scenario, est *CostEstimate) error {
 		est.Makespan *= time.Duration(1 + extra)
 	}
 	return nil
-}
-
-// batchCount returns how many batches the scenario's stream holds,
-// loading stream files through the shared cache.
-func (p *Planner) batchCount(s Scenario) (int, error) {
-	if s.Batches.Stream == "" {
-		return len(s.Batches.Inline), nil
-	}
-	b, err := p.cache.BatchStream(s.Batches.Stream)
-	if err != nil {
-		return 0, err
-	}
-	return len(b), nil
 }
 
 // EntryEstimate is one suite entry's prediction inside a [SuitePlan].
@@ -299,22 +290,22 @@ func scenarioKey(cache *DatasetCache, s Scenario) (key string, ok bool) {
 	if err != nil {
 		return "", false
 	}
-	sha, haveSHA, err := cache.contentSHA(s.Dataset)
+	sha, isFile, err := cache.contentSHA(s.Dataset)
 	if err != nil {
 		return "", false
 	}
-	if haveSHA {
+	if isFile {
 		d += "+sha256:" + sha
 	}
 	// Batch-stream files fold in the same way: resubmitting a scenario
 	// over a rewritten stream must be a distinct key (inline batches are
 	// already covered by the scenario digest).
-	bsha, haveBatches, err := cache.batchSHA(s)
-	if err != nil {
-		return "", false
-	}
-	if haveBatches {
-		d += "+batches-sha256:" + bsha
+	if s.Batches != nil && s.Batches.Stream != "" {
+		sha, isFile, err := cache.contentSHA(s.Batches.Stream)
+		if err != nil || !isFile {
+			return "", false
+		}
+		d += "+batches-sha256:" + sha
 	}
 	return d, true
 }

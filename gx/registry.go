@@ -206,18 +206,11 @@ func NewAlgorithm(name string, p AlgoParams, numV int) (Algorithm, error) {
 
 // LoadDataset loads a registered dataset at 1/scale of its full size,
 // or — when name uses the `file:` kind (file:PATH, file+snapshot:PATH,
-// file+edgelist:PATH) — reads the graph from disk; scale and seed do
-// not apply to a file and are ignored.
+// file+edgelist:PATH) — reads the graph from disk through a single-use
+// [DatasetCache]; scale and seed do not apply to a file and are ignored.
 func LoadDataset(name string, scale, seed int64) (*Graph, error) {
-	if fd, ok, err := parseFileDataset(name); ok {
-		if err != nil {
-			return nil, err
-		}
-		g, err := fd.load()
-		if err != nil {
-			return nil, fmt.Errorf("gx: dataset %q: %w", name, err)
-		}
-		return g, nil
+	if _, ok, _ := parseFileRef(name); ok {
+		return NewDatasetCache().Graph(name, scale, seed)
 	}
 	def, err := datasetReg.lookup(name)
 	if err != nil {

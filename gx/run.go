@@ -85,12 +85,19 @@ func WithCheckpoint(every int, sink func(*CheckpointState) error) Option {
 // pieces; everything else flows from the scenario, so a JSON file and a
 // struct literal describe identical runs.
 func Run(s Scenario, opts ...Option) (*Result, error) {
-	cfg, err := prepare(s, opts)
+	return run(s, NewDatasetCache(), opts)
+}
+
+// run is Run loading the scenario's dataset and batch stream through
+// cache: the executor hands its shared one down, a solo Run a private
+// one, so there is one load path either way.
+func run(s Scenario, cache *DatasetCache, opts []Option) (*Result, error) {
+	cfg, err := prepare(s, cache, opts)
 	if err != nil {
 		return nil, err
 	}
 	if s.Batches != nil {
-		return runBatches(s.Batches, cfg)
+		return runBatches(s.Batches, cache, cfg)
 	}
 	return engine.Run(cfg)
 }
@@ -102,7 +109,7 @@ func Run(s Scenario, opts ...Option) (*Result, error) {
 // mode every boundary recomputes from nothing. Both modes charge the
 // identical batch-application cost and produce bit-identical attributes
 // at every boundary — they differ only in recomputation cost.
-func runBatches(spec *BatchSpec, cfg engine.Config) (*Result, error) {
+func runBatches(spec *BatchSpec, cache *DatasetCache, cfg engine.Config) (*Result, error) {
 	// The engine enforces these too, but per boundary with less context.
 	if len(cfg.Plug) > 0 {
 		return nil, &ValidationError{Err: fmt.Errorf("scenario: batches require native execution")}
@@ -110,7 +117,7 @@ func runBatches(spec *BatchSpec, cfg engine.Config) (*Result, error) {
 	if cfg.CheckpointEvery > 0 || cfg.CheckpointSink != nil {
 		return nil, &ValidationError{Err: fmt.Errorf("scenario: batches cannot be combined with checkpointing")}
 	}
-	batches, err := spec.loadBatches()
+	batches, err := spec.loadBatches(cache)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +206,7 @@ func Resume(s Scenario, st *CheckpointState, opts ...Option) (*Result, error) {
 	if s.Batches != nil {
 		return nil, &ValidationError{Err: fmt.Errorf("scenario: batches cannot resume from a checkpoint")}
 	}
-	cfg, err := prepare(s, opts)
+	cfg, err := prepare(s, NewDatasetCache(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -208,8 +215,9 @@ func Resume(s Scenario, st *CheckpointState, opts ...Option) (*Result, error) {
 
 // prepare validates the scenario (wrapping rejections in
 // [ValidationError]) and maps it plus the options onto the engine
-// configuration.
-func prepare(s Scenario, opts []Option) (engine.Config, error) {
+// configuration, loading the dataset (unless [WithGraph] supplies it)
+// through cache.
+func prepare(s Scenario, cache *DatasetCache, opts []Option) (engine.Config, error) {
 	var rc runConfig
 	for _, opt := range opts {
 		if opt != nil {
@@ -225,12 +233,12 @@ func prepare(s Scenario, opts []Option) (engine.Config, error) {
 	if err := s.validate(have); err != nil {
 		return engine.Config{}, &ValidationError{Err: err}
 	}
-	return buildConfig(s, &rc)
+	return buildConfig(s, cache, &rc)
 }
 
 // buildConfig maps a validated, defaults-applied scenario (plus option
 // overrides) onto the engine configuration.
-func buildConfig(s Scenario, rc *runConfig) (engine.Config, error) {
+func buildConfig(s Scenario, cache *DatasetCache, rc *runConfig) (engine.Config, error) {
 	eng, err := engineReg.lookup(s.Engine)
 	if err != nil {
 		return engine.Config{}, err
@@ -254,7 +262,7 @@ func buildConfig(s Scenario, rc *runConfig) (engine.Config, error) {
 
 	g := rc.graph
 	if g == nil {
-		if g, err = LoadDataset(s.Dataset, s.Scale, s.Seed); err != nil {
+		if g, err = cache.Graph(s.Dataset, s.Scale, s.Seed); err != nil {
 			return engine.Config{}, err
 		}
 	}

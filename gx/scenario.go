@@ -207,14 +207,12 @@ func (s Scenario) validate(have provided) error {
 		}
 	}
 	if !have.graph {
-		if fd, ok, err := parseFileDataset(s.Dataset); ok {
-			// The `file:` dataset kind: the reference must be well-formed
-			// and the path a readable regular file.
-			if err == nil {
-				err = fd.check()
-			}
-			if err != nil {
-				errs = append(errs, err)
+		if ref, ok, err := datasetRef(s.Dataset); err != nil {
+			errs = append(errs, err)
+		} else if ok {
+			// A file reference: well-formed, and the path a regular file.
+			if _, err := ref.stat(); err != nil {
+				fail("dataset %q: %w", s.Dataset, err)
 			}
 		} else if _, err := datasetReg.lookup(s.Dataset); err != nil {
 			errs = append(errs, err)

@@ -126,7 +126,7 @@ func Run(cfg Config) (*Result, error) {
 				s += time.Duration(remoteGPUs) * netLatency
 			}
 			if nodes > 1 {
-				s += time.Duration(log2ceil(nodes))*netLatency + 200*time.Microsecond // distributed barrier
+				s += time.Duration(simtime.Log2Ceil(nodes))*netLatency + 200*time.Microsecond // distributed barrier
 			} else {
 				s += 20 * time.Microsecond // same-node stream synchronization
 			}
@@ -137,19 +137,4 @@ func Run(cfg Config) (*Result, error) {
 		return cfg.MaxIter == 0 || st.Iteration+1 < cfg.MaxIter
 	})
 	return &Result{Attrs: attrs, Iterations: iters, Time: total, SyncTime: sync}, nil
-}
-
-// log2ceil returns ceil(log2(n)), 0 for n <= 1 — the same semantics as
-// internal/cluster's helper, so a future single-node caller cannot be
-// charged a phantom barrier hop (the call above is guarded by
-// nodes > 1, so today's costs are unchanged).
-func log2ceil(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	l := 0
-	for (1 << l) < n {
-		l++
-	}
-	return l
 }

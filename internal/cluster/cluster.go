@@ -145,7 +145,7 @@ func (c *Cluster) MaxTime() time.Duration {
 func (c *Cluster) Barrier(bucket string) {
 	c.barriers++
 	max := c.MaxTime()
-	overhead := c.Net.BarrierOverhead * time.Duration(log2ceil(len(c.nodes)))
+	overhead := c.Net.BarrierOverhead * time.Duration(simtime.Log2Ceil(len(c.nodes)))
 	target := max + overhead
 	for _, n := range c.nodes {
 		wait := target - n.Clock.Now()
@@ -207,12 +207,12 @@ func (c *Cluster) Exchange(bucket string, vol [][]int64) {
 // Broadcast sends n bytes from node `from` to every other node (tree
 // broadcast: the sender pays ceil(log2(m)) transmissions, receivers pay
 // one receive each), then barriers. On a single-node cluster there are
-// no receivers and the broadcast is free — log2ceil(1) is 0, so the
+// no receivers and the broadcast is free — Log2Ceil(1) is 0, so the
 // sender is charged for zero transmissions and the barrier adds no
 // overhead.
 func (c *Cluster) Broadcast(bucket string, from int, bytes int64) {
 	m := len(c.nodes)
-	hops := log2ceil(m)
+	hops := simtime.Log2Ceil(m)
 	sendCost := time.Duration(hops) * (c.Net.Latency + simtime.TimeFor(float64(bytes), c.Net.Bandwidth))
 	c.nodes[from].Charge(bucket, sendCost)
 	recvCost := c.Net.Latency + simtime.TimeFor(float64(bytes), c.Net.Bandwidth)
@@ -252,21 +252,4 @@ func (c *Cluster) TotalBucket(name string) time.Duration {
 		t += n.Bucket(name)
 	}
 	return t
-}
-
-// log2ceil returns ceil(log2(n)) — the tree depth of n participants.
-// One (or zero) participants need no coordination at all, so the result
-// is 0, not 1: this is what makes every communication primitive free on
-// a single-node cluster (a Broadcast has no receivers, an Exchange and
-// an AllGather move no remote bytes, and a Barrier synchronizes nobody)
-// instead of charging phantom latency and barrier overhead.
-func log2ceil(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	l := 0
-	for (1 << l) < n {
-		l++
-	}
-	return l
 }

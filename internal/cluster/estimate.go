@@ -18,7 +18,7 @@ import (
 // Barrier itself it is zero for m <= 1: single-node collectives are
 // free.
 func (n NetworkSpec) BarrierEstimate(m int) time.Duration {
-	return n.BarrierOverhead * time.Duration(log2ceil(m))
+	return n.BarrierOverhead * time.Duration(simtime.Log2Ceil(m))
 }
 
 // ExchangeEstimate returns the cost one all-to-all Exchange charges a

@@ -78,7 +78,7 @@ func EstimateCost(cfg Config) (CostEstimate, error) {
 		// Run-to-convergence: label-propagation-style algorithms converge
 		// in about the graph's diameter, which is O(log V) for the
 		// power-law graphs the generators produce.
-		steps = log2ceilInt(cfg.Graph.NumVertices()) + 2
+		steps = simtime.Log2Ceil(cfg.Graph.NumVertices()) + 2
 	}
 
 	// Activity factor: GenAll/ApplyAll algorithms touch every edge every
@@ -180,17 +180,4 @@ func estimatePlugFor(cfg Config, j int) (o gxplug.Options, plugged bool) {
 		o = cfg.Plug[j]
 	}
 	return o, true
-}
-
-// log2ceilInt is ceil(log2(n)), 0 for n <= 1 (cluster.log2ceil's twin;
-// the cluster package keeps its own unexported for its primitives).
-func log2ceilInt(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	l := 0
-	for (1 << l) < n {
-		l++
-	}
-	return l
 }

@@ -335,22 +335,6 @@ func IsSnapshot(path string) (bool, error) {
 	return string(magic[:]) == snapshotMagic, nil
 }
 
-// FileDigest returns the CRC64-ECMA digest of a file's contents. The
-// dataset cache keys file-backed graphs by (path, digest), so a
-// rewritten file is a different cache entry.
-func FileDigest(path string) (uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("ingest: %w", err)
-	}
-	defer f.Close()
-	h := crc64.New(ecma)
-	if _, err := io.Copy(h, f); err != nil {
-		return 0, fmt.Errorf("ingest: %s: %w", path, err)
-	}
-	return h.Sum64(), nil
-}
-
 // FileDigests computes the CRC64-ECMA cache key and the SHA-256 content
 // digest (lowercase hex) of a file in a single read. Dataset refs pin
 // expected content with the SHA-256; the CRC keys the in-process cache.

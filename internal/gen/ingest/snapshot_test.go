@@ -251,26 +251,26 @@ func TestFileDigestTracksContent(t *testing.T) {
 	if err := os.WriteFile(path, []byte("0 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d1, err := FileDigest(path)
+	crc1, sha1, err := FileDigests(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := FileDigest(path)
+	crc2, sha2, err := FileDigests(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1 != d2 {
-		t.Fatal("digest unstable for unchanged file")
+	if crc1 != crc2 || sha1 != sha2 {
+		t.Fatal("digests unstable for unchanged file")
 	}
 	if err := os.WriteFile(path, []byte("0 1\n1 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d3, err := FileDigest(path)
+	crc3, sha3, err := FileDigests(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d3 == d1 {
-		t.Fatal("digest did not change with content")
+	if crc3 == crc1 || sha3 == sha1 {
+		t.Fatal("digests did not change with content")
 	}
 }
 

@@ -2,7 +2,6 @@ package gxplug
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"gxplug/internal/graph"
@@ -19,20 +18,15 @@ import (
 
 // Outbox accumulates messages destined to vertices mastered on other
 // nodes. Messages for the same destination are pre-merged with MSGMerge as
-// they are added (combining), exactly as the map-based outbox did. Vertex
-// ids inside [0, numV) use the dense path; anything outside falls back to
-// a small overflow map so callers with partial id knowledge stay correct.
+// they are added (combining), exactly as the map-based outbox did. Every
+// destination must lie inside the dense range [0, numV): the engine sizes
+// the outbox over the global id range and routes by the same id, so an
+// out-of-range id is a bug and Add panics on it (index out of range).
 type Outbox struct {
 	mw   int
 	acc  []float64 // numV rows of mw, identity where untouched
 	recv []bool
 	ids  []graph.VertexID // touched ids in first-touch order
-
-	overflow map[graph.VertexID][]float64
-	// scratch is the reusable key buffer Each sorts overflow ids into;
-	// keeping it on the outbox preserves the "allocates nothing after
-	// warm-up" routing contract even when out-of-range ids are in play.
-	scratch []graph.VertexID
 }
 
 // NewOutbox creates an outbox over the dense id range [0, numV) with
@@ -58,54 +52,29 @@ func (ob *Outbox) Reset(alg template.Algorithm) {
 		ob.recv[id] = false
 	}
 	ob.ids = ob.ids[:0]
-	clear(ob.overflow)
 }
 
 // Add merges one message for a destination vertex.
 func (ob *Outbox) Add(alg template.Algorithm, id graph.VertexID, msg []float64) {
-	if i := int(id); i < len(ob.recv) {
-		if !ob.recv[i] {
-			ob.recv[i] = true
-			ob.ids = append(ob.ids, id)
-		}
-		alg.MSGMerge(ob.acc[i*ob.mw:(i+1)*ob.mw], msg)
-		return
+	i := int(id)
+	if !ob.recv[i] {
+		ob.recv[i] = true
+		ob.ids = append(ob.ids, id)
 	}
-	if ob.overflow == nil {
-		ob.overflow = make(map[graph.VertexID][]float64)
-	}
-	acc, ok := ob.overflow[id]
-	if !ok {
-		acc = make([]float64, ob.mw)
-		alg.MergeIdentity(acc)
-		ob.overflow[id] = acc
-	}
-	alg.MSGMerge(acc, msg)
+	alg.MSGMerge(ob.acc[i*ob.mw:(i+1)*ob.mw], msg)
 }
 
 // Len returns the number of distinct destination vertices held.
-func (ob *Outbox) Len() int { return len(ob.ids) + len(ob.overflow) }
+func (ob *Outbox) Len() int { return len(ob.ids) }
 
-// Each visits every destination with its merged message in a deterministic
-// order: dense ids in first-touch order, then overflow ids ascending. The
-// msg slice aliases the outbox; callers must not retain it past the call.
+// Each visits every destination with its merged message in first-touch
+// order. The msg slice aliases the outbox; callers must not retain it
+// past the call.
 func (ob *Outbox) Each(fn func(id graph.VertexID, msg []float64)) {
 	mw := ob.mw
 	for _, id := range ob.ids {
 		fn(id, ob.acc[int(id)*mw:(int(id)+1)*mw])
 	}
-	if len(ob.overflow) == 0 {
-		return
-	}
-	keys := ob.scratch[:0]
-	for id := range ob.overflow {
-		keys = append(keys, id)
-	}
-	slices.Sort(keys) // sort.Slice would allocate its reflect.Swapper every call
-	for _, id := range keys {
-		fn(id, ob.overflow[id])
-	}
-	ob.scratch = keys
 }
 
 // Inbox holds the messages routed to one node, dense over its master rows

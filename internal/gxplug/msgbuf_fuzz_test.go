@@ -1,21 +1,18 @@
 package gxplug
 
 import (
-	"math"
-	"sort"
 	"testing"
 
 	"gxplug/internal/algos"
 	"gxplug/internal/graph"
 )
 
-// FuzzOutboxRouting drives the dense/overflow routing boundary: the same
-// fuzz-derived message stream goes into a wide outbox (every id dense),
-// a narrow outbox (most ids overflow) and a plain map reference. All
-// three must agree bit for bit on the merged messages and on the
-// deterministic visit order, across Reset reuse.
+// FuzzOutboxRouting checks the dense outbox against a plain map
+// reference: the same fuzz-derived message stream goes into both, and
+// they must agree bit for bit on the merged messages and on the
+// first-touch visit order, across Reset reuse.
 func FuzzOutboxRouting(f *testing.F) {
-	f.Add([]byte("dense-and-overflow"))
+	f.Add([]byte("dense-routing"))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -23,15 +20,12 @@ func FuzzOutboxRouting(f *testing.F) {
 		mw := alg.MsgWidth()
 		r := &fzr{data: data}
 
-		const denseWide, denseNarrow, idSpace = 64, 8, 64
-		wide := NewOutbox(alg, denseWide, mw)     // every id on the dense path
-		narrow := NewOutbox(alg, denseNarrow, mw) // ids >= 8 overflow
+		const idSpace = 64
+		ob := NewOutbox(alg, idSpace, mw)
 
 		for round := 0; round < 2; round++ {
-			wide.Reset(alg)
-			narrow.Reset(alg)
-			ref := make(map[graph.VertexID][]float64)
-			refOrder := []graph.VertexID{}
+			ob.Reset(alg)
+			var ref mapOutbox
 
 			nOps := int(r.byte()) % 64
 			msg := make([]float64, mw)
@@ -39,70 +33,13 @@ func FuzzOutboxRouting(f *testing.F) {
 				id := graph.VertexID(int(r.byte()) % idSpace)
 				for k := range msg {
 					// Finite non-negative values: SSSP merges by min, so
-					// the reference merge below is order-independent and
-					// bit-exact.
+					// the reference merge is bit-exact.
 					msg[k] = float64(r.u32())
 				}
-				wide.Add(alg, id, msg)
-				narrow.Add(alg, id, msg)
-				acc, ok := ref[id]
-				if !ok {
-					acc = make([]float64, mw)
-					alg.MergeIdentity(acc)
-					ref[id] = acc
-					refOrder = append(refOrder, id)
-				}
-				alg.MSGMerge(acc, msg)
+				ob.Add(alg, id, msg)
+				ref.add(alg, id, msg)
 			}
-
-			if wide.Len() != len(ref) || narrow.Len() != len(ref) {
-				t.Fatalf("round %d: lengths %d/%d, reference %d", round, wide.Len(), narrow.Len(), len(ref))
-			}
-			collect := func(ob *Outbox) (ids []graph.VertexID, rows [][]float64) {
-				ob.Each(func(id graph.VertexID, m []float64) {
-					cp := make([]float64, len(m))
-					copy(cp, m)
-					ids = append(ids, id)
-					rows = append(rows, cp)
-				})
-				return
-			}
-			wIDs, wRows := collect(wide)
-			nIDs, nRows := collect(narrow)
-
-			// The wide outbox visits in first-touch order — exactly the
-			// reference insertion order.
-			for i, id := range wIDs {
-				if id != refOrder[i] {
-					t.Fatalf("round %d: dense visit order[%d] = %d, want %d", round, i, id, refOrder[i])
-				}
-			}
-			// The narrow outbox visits dense first-touch order, then
-			// overflow ascending: a permutation of the same set.
-			sortedCopy := func(ids []graph.VertexID) []graph.VertexID {
-				out := append([]graph.VertexID(nil), ids...)
-				sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-				return out
-			}
-			ws, ns := sortedCopy(wIDs), sortedCopy(nIDs)
-			for i := range ws {
-				if ws[i] != ns[i] {
-					t.Fatalf("round %d: destination sets differ at %d", round, i)
-				}
-			}
-			check := func(label string, ids []graph.VertexID, rows [][]float64) {
-				for i, id := range ids {
-					want := ref[id]
-					for k := range want {
-						if math.Float64bits(rows[i][k]) != math.Float64bits(want[k]) {
-							t.Fatalf("round %d: %s id %d slot %d = %v, reference %v",
-								round, label, id, k, rows[i][k], want[k])
-						}
-					}
-				}
-			}
-			check("dense", wIDs, wRows)
-			check("overflow", nIDs, nRows)
+			ref.check(t, ob)
 		}
 	})
 }

@@ -7,53 +7,72 @@ import (
 
 	"gxplug/internal/algos"
 	"gxplug/internal/graph"
+	"gxplug/internal/gxplug/template"
 )
 
-// The dense outbox and its overflow fallback must accumulate identical
-// merged messages: the dense range is an optimization, never a semantic.
-func TestOutboxOverflowMatchesDense(t *testing.T) {
+// mapOutbox is the plain-map reference the dense Outbox is checked
+// against: merged messages keyed by destination, plus first-touch order.
+type mapOutbox struct {
+	acc   map[graph.VertexID][]float64
+	order []graph.VertexID
+}
+
+func (m *mapOutbox) add(alg template.Algorithm, id graph.VertexID, msg []float64) {
+	acc, ok := m.acc[id]
+	if !ok {
+		acc = make([]float64, len(msg))
+		alg.MergeIdentity(acc)
+		if m.acc == nil {
+			m.acc = make(map[graph.VertexID][]float64)
+		}
+		m.acc[id] = acc
+		m.order = append(m.order, id)
+	}
+	alg.MSGMerge(acc, msg)
+}
+
+// check asserts ob holds exactly the reference's destinations, visited
+// in first-touch order with bit-identical merged messages.
+func (m *mapOutbox) check(t *testing.T, ob *Outbox) {
+	t.Helper()
+	if ob.Len() != len(m.acc) {
+		t.Fatalf("outbox holds %d destinations, reference %d", ob.Len(), len(m.acc))
+	}
+	i := 0
+	ob.Each(func(id graph.VertexID, msg []float64) {
+		if id != m.order[i] {
+			t.Fatalf("visit %d is id %d, want first-touch order id %d", i, id, m.order[i])
+		}
+		if !bitsEq(msg, m.acc[id]) {
+			t.Fatalf("id %d: outbox %v, reference %v", id, msg, m.acc[id])
+		}
+		i++
+	})
+}
+
+// The dense outbox must accumulate exactly what a plain map keyed by
+// destination would — same merged messages bit for bit, visited in
+// first-touch order — across Reset reuse: the dense range is an
+// optimization, never a semantic.
+func TestOutboxMatchesMapReference(t *testing.T) {
 	alg := algos.NewSSSPBF([]graph.VertexID{0, 1})
 	mw := alg.MsgWidth()
 	rng := rand.New(rand.NewSource(11))
 
-	full := NewOutbox(alg, 100, mw) // every id dense
-	tiny := NewOutbox(alg, 10, mw)  // ids >= 10 overflow
+	ob := NewOutbox(alg, 100, mw)
 	for round := 0; round < 3; round++ {
-		full.Reset(alg)
-		tiny.Reset(alg)
+		ob.Reset(alg)
+		var ref mapOutbox
 		for i := 0; i < 500; i++ {
 			id := graph.VertexID(rng.Intn(100))
 			msg := make([]float64, mw)
 			for k := range msg {
 				msg[k] = rng.Float64() * 10
 			}
-			full.Add(alg, id, msg)
-			tiny.Add(alg, id, msg)
+			ob.Add(alg, id, msg)
+			ref.add(alg, id, msg)
 		}
-		if full.Len() != tiny.Len() {
-			t.Fatalf("round %d: dense holds %d destinations, overflow %d", round, full.Len(), tiny.Len())
-		}
-		collect := func(ob *Outbox) map[graph.VertexID][]float64 {
-			out := make(map[graph.VertexID][]float64)
-			ob.Each(func(id graph.VertexID, msg []float64) {
-				cp := make([]float64, len(msg))
-				copy(cp, msg)
-				out[id] = cp
-			})
-			return out
-		}
-		a, b := collect(full), collect(tiny)
-		for id, msg := range a {
-			other, ok := b[id]
-			if !ok {
-				t.Fatalf("round %d: id %d missing from overflow outbox", round, id)
-			}
-			for k := range msg {
-				if math.Float64bits(msg[k]) != math.Float64bits(other[k]) {
-					t.Fatalf("round %d: id %d slot %d: dense %v overflow %v", round, id, k, msg[k], other[k])
-				}
-			}
-		}
+		ref.check(t, ob)
 	}
 }
 
@@ -127,37 +146,25 @@ func TestGenResultReset(t *testing.T) {
 	}
 }
 
-// Each with a warm overflow map must not allocate: the sort scratch
-// lives on the outbox and slices.Sort replaces the allocating
-// sort.Slice — this is the "allocates nothing after warm-up" routing
-// contract extended to out-of-range ids.
-func TestOutboxEachNoAllocAfterWarmup(t *testing.T) {
+// A warm outbox must not allocate: Reset, Add and Each reuse the dense
+// accumulator and the touched-id list — the "allocates nothing after
+// warm-up" routing contract.
+func TestOutboxNoAllocAfterWarmup(t *testing.T) {
 	alg := algos.NewPageRank()
 	mw := alg.MsgWidth()
-	ob := NewOutbox(alg, 8, mw)
+	ob := NewOutbox(alg, 32, mw)
 	msg := make([]float64, mw)
-	fill := func() {
+	var sink graph.VertexID
+	cycle := func() {
 		ob.Reset(alg)
 		for i := 0; i < 32; i++ {
-			ob.Add(alg, graph.VertexID(i), msg) // ids ≥ 8 overflow
+			ob.Add(alg, graph.VertexID(i), msg)
 		}
-	}
-	fill()
-	var sink graph.VertexID
-	ob.Each(func(id graph.VertexID, _ []float64) { sink = id }) // warm the scratch
-	allocs := testing.AllocsPerRun(50, func() {
 		ob.Each(func(id graph.VertexID, _ []float64) { sink = id })
-	})
+	}
+	cycle() // warm the touched-id list
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("warm Reset/Add/Each cycle allocates %.1f times, want 0", allocs)
+	}
 	_ = sink
-	if allocs != 0 {
-		t.Fatalf("warm Each allocates %.1f times per call, want 0", allocs)
-	}
-	// Refilling after a Reset keeps the scratch warm too.
-	fill()
-	allocs = testing.AllocsPerRun(50, func() {
-		ob.Each(func(id graph.VertexID, _ []float64) { sink = id })
-	})
-	if allocs != 0 {
-		t.Fatalf("warm Each after Reset allocates %.1f times per call, want 0", allocs)
-	}
 }

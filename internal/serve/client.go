@@ -48,6 +48,15 @@ func NewClient(addr string) *Client {
 	}
 }
 
+// Close releases the client's idle keep-alive connections on both
+// transports. A process that builds a client per job must call it, or
+// every finished client leaks its sockets until the process runs out of
+// file descriptors. The client remains usable; later calls reconnect.
+func (c *Client) Close() {
+	c.short.CloseIdleConnections()
+	c.long.CloseIdleConnections()
+}
+
 // Submit posts a raw scenario or suite JSON body and returns the
 // admitted job's id. Rejections (queue full, draining, invalid input)
 // come back as errors carrying the daemon's message.

@@ -198,6 +198,7 @@ func TestClientBoundedCalls(t *testing.T) {
 	}()
 
 	c := NewClient(ln.Addr().String())
+	defer c.Close()
 	c.short.Timeout = 100 * time.Millisecond
 
 	start := time.Now()
@@ -209,6 +210,73 @@ func TestClientBoundedCalls(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("bounded calls took %v", elapsed)
+	}
+}
+
+// TestClientCloseReleasesConnections is the regression test for the
+// client-per-job descriptor leak: a Client owns two transports with
+// keep-alive pools, so a lifetime that ends without Close strands its
+// sockets until "too many open files". N sequential lifetimes — each
+// exercising both the bounded and the open-ended transport — must leave
+// the server with no connection open once every client is closed.
+func TestClientCloseReleasesConnections(t *testing.T) {
+	srv, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	open := make(map[net.Conn]bool)
+	changed := make(chan struct{}, 1)
+	hs := httptest.NewUnstartedServer(srv)
+	hs.Config.ConnState = func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		switch st {
+		case http.StateNew:
+			open[c] = true
+		case http.StateClosed, http.StateHijacked:
+			delete(open, c)
+		}
+		mu.Unlock()
+		select {
+		case changed <- struct{}{}:
+		default:
+		}
+	}
+	hs.Start()
+	defer func() { srv.Drain(); hs.Close() }()
+
+	const lifetimes = 8
+	opened := 0
+	for i := 0; i < lifetimes; i++ {
+		c := NewClient(hs.URL)
+		reply, err := c.Submit([]byte(suiteBody)) // bounded transport
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Result(reply.ID, true); err != nil { // open-ended transport
+			t.Fatal(err)
+		}
+		mu.Lock()
+		opened = max(opened, len(open))
+		mu.Unlock()
+		c.Close()
+	}
+	if opened < 2 {
+		t.Fatalf("saw at most %d server connections; the test no longer exercises both transports", opened)
+	}
+	deadline := time.After(10 * time.Second)
+	for {
+		mu.Lock()
+		n := len(open)
+		mu.Unlock()
+		if n == 0 {
+			return
+		}
+		select {
+		case <-changed:
+		case <-deadline:
+			t.Fatalf("%d server connections still open after %d closed client lifetimes", n, lifetimes)
+		}
 	}
 }
 

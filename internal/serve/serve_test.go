@@ -36,8 +36,9 @@ func startServer(t *testing.T, opts Options) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	hs := httptest.NewServer(srv)
-	t.Cleanup(func() { srv.Drain(); hs.Close() })
-	return srv, NewClient(hs.URL)
+	client := NewClient(hs.URL)
+	t.Cleanup(func() { client.Close(); srv.Drain(); hs.Close() })
+	return srv, client
 }
 
 // TestServeEndToEnd drives the whole protocol over loopback HTTP:

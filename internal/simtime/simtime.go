@@ -11,6 +11,7 @@ package simtime
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -45,6 +46,19 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 // Reset rewinds the clock to zero. Only simulation harnesses reset clocks,
 // and only between independent runs.
 func (c *Clock) Reset() { c.now = 0 }
+
+// Log2Ceil returns ceil(log2(n)) — the tree depth of n participants in a
+// collective. One (or zero) participants need no coordination at all, so
+// the result is 0 for n ≤ 1 — single-node collectives are free: a
+// broadcast has no receivers, an exchange and an all-gather move no
+// remote bytes, and a barrier synchronizes nobody, instead of charging
+// phantom latency and barrier overhead.
+func Log2Ceil(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return bits.Len(uint(n - 1))
+}
 
 // TimeFor returns the virtual time to perform `work` units at `rate` units
 // per second. Zero or negative rate panics — a component with no

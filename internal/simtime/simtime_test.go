@@ -251,3 +251,11 @@ func TestSeconds(t *testing.T) {
 		t.Fatalf("Seconds = %v, want 1.5", got)
 	}
 }
+
+func TestLog2Ceil(t *testing.T) {
+	for n, want := range map[int]int{-1: 0, 0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10} {
+		if got := Log2Ceil(n); got != want {
+			t.Errorf("Log2Ceil(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
