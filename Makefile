@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet lint build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic cover fuzz-smoke bench-smoke loc ci bench bench-ingest bench-serve bench-plan bench-dynamic
+.PHONY: all fmt vet lint build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic cover fuzz-smoke bench-smoke loc ci bench-plan
 
 all: ci
 
@@ -131,28 +131,6 @@ loc:
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 ci: fmt lint build examples race race-boundedcache race-suite race-resume race-serve race-dynamic cover fuzz-smoke bench-smoke
-
-# Record the engine superstep microbenchmarks (latency + allocs) in
-# BENCH_engine.json.
-bench:
-	$(GO) test ./internal/engine -run '^$$' -bench BenchmarkEngineSuperstep -benchmem | $(GO) run ./cmd/benchjson > BENCH_engine.json
-
-# Record the snapshot-load vs regeneration comparison in
-# BENCH_ingest.json (the ≥10× cold-start speedup of file-backed suites).
-bench-ingest:
-	$(GO) test ./internal/gen/ingest -run '^$$' -bench BenchmarkSnapshotLoad -benchmem | $(GO) run ./cmd/benchjson > BENCH_ingest.json
-
-# Record the result-cache-hit vs full-recompute comparison in
-# BENCH_serve.json (what a gxd resubmission costs versus a cold run).
-bench-serve:
-	$(GO) test ./gx -run '^$$' -bench BenchmarkResultCacheHit -benchmem | $(GO) run ./cmd/benchjson > BENCH_serve.json
-
-# Record the incremental-vs-scratch comparison over a batch stream in
-# BENCH_dynamic.json: identical results at every boundary, but the
-# incremental replay re-runs supersteps only over the dirty cone, so its
-# virtual makespan (and wall time) stays strictly below from-scratch.
-bench-dynamic:
-	$(GO) test ./gx -run '^$$' -bench BenchmarkDynamic -benchmem | $(GO) run ./cmd/benchjson > BENCH_dynamic.json
 
 # Record the suite-planner comparison in BENCH_plan.json: predicted vs
 # actual makespans and LPT vs file-order dispatch over a skewed suite

@@ -101,6 +101,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -163,6 +164,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errFlagParse // the FlagSet already printed the details
 	}
 
+	// The flags the command line set, in Visit's lexical order: every
+	// conflict rule below is a question about this one set. setBesides
+	// lists the set flags outside allowed, as "-a, -b".
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	setBesides := func(allowed ...string) string {
+		var out []string
+		for _, name := range set {
+			if !slices.Contains(allowed, name) {
+				out = append(out, "-"+name)
+			}
+		}
+		return strings.Join(out, ", ")
+	}
+
 	// A zero gx.Manifest resolves nothing, so the no-flag path is free.
 	var manifest gx.Manifest
 	if *manifestPath != "" {
@@ -180,17 +196,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *suitePath == "" && *scenarioPath == "" {
 			return errors.New("gxrun: -remote requires -scenario or -suite (remote runs are described by files)")
 		}
-		var conflicts []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "remote", "suite", "scenario", "progress", "manifest":
-			default:
-				conflicts = append(conflicts, "-"+f.Name)
-			}
-		})
-		if len(conflicts) > 0 {
-			return fmt.Errorf("gxrun: -remote cannot be combined with %s (the daemon runs the file as written)",
-				strings.Join(conflicts, ", "))
+		if c := setBesides("remote", "suite", "scenario", "progress", "manifest"); c != "" {
+			return fmt.Errorf("gxrun: -remote cannot be combined with %s (the daemon runs the file as written)", c)
 		}
 		return runRemote(*remoteAddr, *scenarioPath, *suitePath, manifest, *progress, stdout)
 	}
@@ -199,38 +206,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// A suite file fully describes its runs: every per-run flag set
 		// alongside -suite would be silently dead, so all of them are
 		// loud errors (-pool and -progress configure the suite itself).
-		var conflicts []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "suite", "pool", "plan", "progress", "manifest":
-			default:
-				conflicts = append(conflicts, "-"+f.Name)
-			}
-		})
-		if len(conflicts) > 0 {
-			return fmt.Errorf("gxrun: -suite cannot be combined with %s (suite entries carry their own scenarios)",
-				strings.Join(conflicts, ", "))
+		if c := setBesides("suite", "pool", "plan", "progress", "manifest"); c != "" {
+			return fmt.Errorf("gxrun: -suite cannot be combined with %s (suite entries carry their own scenarios)", c)
 		}
 		return runSuite(*suitePath, *pool, gx.Plan(*planName), manifest, *progress, stdout)
 	}
 	// The mirror-image hole: -pool and -plan configure suite execution
 	// only, so setting either without -suite would be silently dead.
-	poolSet, planSet := false, false
-	fs.Visit(func(f *flag.Flag) {
-		poolSet = poolSet || f.Name == "pool"
-		planSet = planSet || f.Name == "plan"
-	})
-	if poolSet {
+	if slices.Contains(set, "pool") {
 		return errors.New("gxrun: -pool requires -suite (single runs have no entry concurrency)")
 	}
-	if planSet {
+	if slices.Contains(set, "plan") {
 		return errors.New("gxrun: -plan requires -suite (single runs have no dispatch order)")
 	}
 	// Likewise -every and -resume qualify -checkpoint and are dead without it.
 	if *ckptDir == "" {
-		everySet := false
-		fs.Visit(func(f *flag.Flag) { everySet = everySet || f.Name == "every" })
-		if everySet {
+		if slices.Contains(set, "every") {
 			return errors.New("gxrun: -every requires -checkpoint")
 		}
 		if *resume {

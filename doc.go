@@ -19,6 +19,7 @@
 // made for hardware this environment cannot reach, and examples/quickstart
 // for the smallest end-to-end program. The benchmark file bench_test.go in
 // this directory has one testing.B benchmark per table and figure;
-// BENCH_engine.json records the engine superstep microbenchmarks
-// (refresh with `make bench`).
+// performance is recorded by BENCHMARK.json (`bash benchmark/run.sh`:
+// four end-to-end workloads plus per-layer metrics such as
+// engine.native_superstep_ms).
 package gxplug

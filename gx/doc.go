@@ -138,7 +138,7 @@
 // recomputes every boundary from nothing. The two are bit-identical by
 // contract — same attributes, digests, and iteration counts at every
 // boundary — and differ only in virtual cost, with incremental never
-// slower (`make bench-dynamic` records the gap). Per-boundary reports
+// slower (BENCHMARK.json's engine.inc_* metrics record the gap). Per-boundary reports
 // accumulate in [Result].Batches ([BatchResult]: apply time, dirty-cone
 // size, iterations, attrs digest; `gxrun -batches` tabulates them), the
 // scenario digest covers the stream content so the result cache and gxd

@@ -231,6 +231,7 @@ func TestDynamicScenarioValidation(t *testing.T) {
 // mode must be strictly cheaper in both real work (ns/op) and virtual
 // makespan (virtual-ns/op) — the former because the cone bounds the
 // edges and vertices touched, the latter by the replay cost contract.
+// The recorded numbers are BENCHMARK.json's engine.inc_* metrics.
 func benchmarkDynamic(b *testing.B, mode string) {
 	s := dynamicScenario("graphx", "pagerank", mode)
 	var virtual int64

@@ -233,7 +233,7 @@ func TestRewrittenFileMissesResultCache(t *testing.T) {
 
 // BenchmarkResultCacheHit is the serving-layer speedup measurement: one
 // suite entry served from the result cache versus computed in full.
-// Recorded as BENCH_serve.json by `make bench-serve`.
+// The recorded number is BENCHMARK.json's gx.resultcache_get_ns.
 func BenchmarkResultCacheHit(b *testing.B) {
 	suite := Suite{Entries: []SuiteEntry{{
 		Name:     "pr",

@@ -123,48 +123,42 @@ func runBatches(spec *BatchSpec, cache *DatasetCache, cfg engine.Config) (*Resul
 	}
 	incMode := spec.incremental()
 
-	g, part := cfg.Graph, cfg.Partitioning
-	if part == nil {
-		part = cfg.Spec.Partition(g, cfg.Nodes)
-	}
-	obs := cfg.Observer
-
+	g, obs := cfg.Graph, cfg.Observer
 	total := &Result{}
-	var prevG *Graph
-	var prevPart *Partitioning
-	var prevTrace *Trace
+	// prev is the previous boundary's run: the partitioning it executed
+	// under and the trajectory it recorded seed the next boundary.
+	var prev *Result
 	for b := 0; b <= len(batches); b++ {
+		bcfg := cfg
+		bcfg.RecordTrace = incMode
 		var applyCost time.Duration
-		adds, removes := 0, 0
+		adds, removes, dirtyCount := 0, 0, 0
 		if b > 0 {
 			batch := batches[b-1]
 			ng, err := g.ApplyBatch(batch)
 			if err != nil {
 				return nil, fmt.Errorf("gx: batch %d: %w", b, err)
 			}
-			prevG, prevPart = g, part
-			g, part = ng, cfg.Spec.Partition(ng, cfg.Nodes)
+			part := cfg.Spec.Partition(ng, cfg.Nodes)
 			adds, removes = len(batch.Adds), len(batch.Removes)
 			applyCost = engine.BatchApplyCost(adds, removes)
-		}
-		bcfg := cfg
-		bcfg.Graph, bcfg.Partitioning = g, part
-		bcfg.RecordTrace = incMode
-		dirtyCount := 0
-		if b > 0 && incMode {
-			trace := prevTrace
-			if g.NumVertices() != prevG.NumVertices() {
-				// Vertex growth invalidates the memo entirely (Init reads
-				// NumVertices); the dirty seed is all-true anyway.
-				trace = nil
-			}
-			dirty := engine.DirtySeed(prevG, g, prevPart, part)
-			for _, d := range dirty {
-				if d {
-					dirtyCount++
+			if incMode {
+				trace := prev.Trace
+				if ng.NumVertices() != g.NumVertices() {
+					// Vertex growth invalidates the memo entirely (Init reads
+					// NumVertices); the dirty seed is all-true anyway.
+					trace = nil
 				}
+				dirty := engine.DirtySeed(g, ng, prev.Partitioning, part)
+				for _, d := range dirty {
+					if d {
+						dirtyCount++
+					}
+				}
+				bcfg.Incremental = &engine.IncrementalRun{Trace: trace, Dirty: dirty}
 			}
-			bcfg.Incremental = &engine.IncrementalRun{Trace: trace, Dirty: dirty}
+			g = ng
+			bcfg.Graph, bcfg.Partitioning = ng, part
 		}
 		if obs != nil {
 			seq := b
@@ -179,7 +173,7 @@ func runBatches(spec *BatchSpec, cache *DatasetCache, cfg engine.Config) (*Resul
 		}
 		// The run's totals accumulate across boundaries; the final
 		// attribute array and cluster are the last boundary's.
-		total.Attrs, total.Cluster = res.Attrs, res.Cluster
+		total.Attrs, total.Partitioning, total.Cluster = res.Attrs, res.Partitioning, res.Cluster
 		total.Iterations += res.Iterations
 		total.SkippedSyncs += res.SkippedSyncs
 		total.Time += res.Time + applyCost
@@ -190,7 +184,7 @@ func runBatches(spec *BatchSpec, cache *DatasetCache, cfg engine.Config) (*Resul
 			Adds: adds, Removes: removes, Dirty: dirtyCount,
 			AttrsDigest: AttrsDigest(res.Attrs),
 		})
-		prevTrace = res.Trace
+		prev = res
 	}
 	return total, nil
 }

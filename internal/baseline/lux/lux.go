@@ -14,6 +14,7 @@ import (
 
 	"gxplug/internal/device"
 	"gxplug/internal/graph"
+	"gxplug/internal/gxplug"
 	"gxplug/internal/gxplug/template"
 	"gxplug/internal/simtime"
 )
@@ -109,7 +110,7 @@ func Run(cfg Config) (*Result, error) {
 		// other GPU — NVLink inside a node, the wire across nodes — with
 		// no caching, no lazy upload, no skipping. Every iteration also
 		// pays the distributed barrier; Lux has no skipping to elide it.
-		rowBytes := int64(st.Changed) * int64(8*aw+4)
+		rowBytes := int64(st.Changed) * gxplug.RowBytes(aw)
 		if cfg.GPUs > 1 {
 			var s time.Duration
 			nvlinkPeers := GPUsPerNode - 1

@@ -84,15 +84,6 @@ func (n *Node) Restore(clock time.Duration, buckets map[string]time.Duration) {
 	}
 }
 
-// Buckets returns a copy of all accounting buckets.
-func (n *Node) Buckets() map[string]time.Duration {
-	out := make(map[string]time.Duration, len(n.buckets))
-	for k, v := range n.buckets {
-		out[k] = v
-	}
-	return out
-}
-
 // Cluster is a set of nodes plus the network joining them.
 type Cluster struct {
 	Net   NetworkSpec
@@ -139,14 +130,12 @@ func (c *Cluster) MaxTime() time.Duration {
 }
 
 // Barrier synchronizes all nodes: every clock advances to the slowest
-// node's time plus a coordination overhead that grows with log2(m)
-// (tree-structured barriers). Time spent waiting is charged to the given
-// bucket on each node (the waiting node is blocked, not computing).
+// node's time plus the coordination overhead (Net.BarrierEstimate). Time
+// spent waiting is charged to the given bucket on each node (the waiting
+// node is blocked, not computing).
 func (c *Cluster) Barrier(bucket string) {
 	c.barriers++
-	max := c.MaxTime()
-	overhead := c.Net.BarrierOverhead * time.Duration(simtime.Log2Ceil(len(c.nodes)))
-	target := max + overhead
+	target := c.MaxTime() + c.Net.BarrierEstimate(len(c.nodes))
 	for _, n := range c.nodes {
 		wait := target - n.Clock.Now()
 		if wait > 0 {
@@ -163,9 +152,9 @@ func (c *Cluster) Barriers() int { return c.barriers }
 func (c *Cluster) RestoreBarriers(n int) { c.barriers = n }
 
 // Exchange performs an all-to-all data exchange. vol[i][j] is the number
-// of bytes node i sends to node j. Each node pays latency per non-empty
-// peer plus its own send and receive volumes over its link (full-duplex),
-// then all nodes meet at a barrier — the BSP communication+synchronization
+// of bytes node i sends to node j. Each node pays Net.ExchangeEstimate of
+// its non-empty peers and its own send and receive volumes, then all
+// nodes meet at a barrier — the BSP communication+synchronization
 // superstep phases. Costs go to the given bucket.
 func (c *Cluster) Exchange(bucket string, vol [][]int64) {
 	m := len(c.nodes)
@@ -190,36 +179,7 @@ func (c *Cluster) Exchange(bucket string, vol [][]int64) {
 				recvB += vol[j][i]
 			}
 		}
-		var cost time.Duration
-		cost += time.Duration(peers) * c.Net.Latency
-		dom := sendB
-		if recvB > dom {
-			dom = recvB // full duplex: pay the dominating direction
-		}
-		if dom > 0 {
-			cost += simtime.TimeFor(float64(dom), c.Net.Bandwidth)
-		}
-		c.nodes[i].Charge(bucket, cost)
-	}
-	c.Barrier(bucket)
-}
-
-// Broadcast sends n bytes from node `from` to every other node (tree
-// broadcast: the sender pays ceil(log2(m)) transmissions, receivers pay
-// one receive each), then barriers. On a single-node cluster there are
-// no receivers and the broadcast is free — Log2Ceil(1) is 0, so the
-// sender is charged for zero transmissions and the barrier adds no
-// overhead.
-func (c *Cluster) Broadcast(bucket string, from int, bytes int64) {
-	m := len(c.nodes)
-	hops := simtime.Log2Ceil(m)
-	sendCost := time.Duration(hops) * (c.Net.Latency + simtime.TimeFor(float64(bytes), c.Net.Bandwidth))
-	c.nodes[from].Charge(bucket, sendCost)
-	recvCost := c.Net.Latency + simtime.TimeFor(float64(bytes), c.Net.Bandwidth)
-	for j, n := range c.nodes {
-		if j != from {
-			n.Charge(bucket, recvCost)
-		}
+		c.nodes[i].Charge(bucket, c.Net.ExchangeEstimate(peers, sendB, recvB))
 	}
 	c.Barrier(bucket)
 }
@@ -243,13 +203,4 @@ func (c *Cluster) AllGather(bucket string, bytes []int64) {
 		n.Charge(bucket, cost)
 	}
 	c.Barrier(bucket)
-}
-
-// TotalBucket sums a bucket across all nodes.
-func (c *Cluster) TotalBucket(name string) time.Duration {
-	var t time.Duration
-	for _, n := range c.nodes {
-		t += n.Bucket(name)
-	}
-	return t
 }

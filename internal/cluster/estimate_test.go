@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// TestBarrierEstimateMatchesBarrier pins the dry formula to the live
-// primitive: the overhead a Barrier adds to a cluster of idle nodes is
-// exactly BarrierEstimate.
+// TestBarrierEstimateMatchesBarrier pins Barrier's accounting: on a
+// cluster of idle nodes every clock advances by exactly BarrierEstimate
+// — the overhead is charged once, not per node or per level twice.
 func TestBarrierEstimateMatchesBarrier(t *testing.T) {
 	net := DatacenterNet()
 	for _, m := range []int{1, 2, 3, 4, 7, 8} {
@@ -19,9 +19,10 @@ func TestBarrierEstimateMatchesBarrier(t *testing.T) {
 	}
 }
 
-// TestExchangeEstimateMatchesExchange pins the per-node exchange formula:
-// a node's charge from a live Exchange (minus the closing barrier) equals
-// ExchangeEstimate of its send/receive volumes.
+// TestExchangeEstimateMatchesExchange pins Exchange's per-node
+// accounting: it feeds ExchangeEstimate the node's own non-empty peer
+// count and send/receive totals (row i and column i of the volume
+// matrix, diagonal excluded) and closes with one barrier.
 func TestExchangeEstimateMatchesExchange(t *testing.T) {
 	net := DatacenterNet()
 	c := New(3, net)
@@ -40,7 +41,8 @@ func TestExchangeEstimateMatchesExchange(t *testing.T) {
 	}
 }
 
-// TestExchangeEstimateZero: no traffic, no cost.
+// TestExchangeEstimateZero: no traffic, no cost — what keeps a node with
+// an all-zero row and a single-node cluster free in Exchange/Barrier.
 func TestExchangeEstimateZero(t *testing.T) {
 	net := DatacenterNet()
 	if d := net.ExchangeEstimate(0, 0, 0); d != 0 {
@@ -52,7 +54,7 @@ func TestExchangeEstimateZero(t *testing.T) {
 }
 
 // TestExchangeEstimateFullDuplex: the dominating direction is charged,
-// not the sum.
+// not the sum — the formula Exchange charges every node through.
 func TestExchangeEstimateFullDuplex(t *testing.T) {
 	net := NetworkSpec{Latency: time.Microsecond, Bandwidth: 1e6, BarrierOverhead: time.Microsecond}
 	symmetric := net.ExchangeEstimate(1, 1000, 1000)

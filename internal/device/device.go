@@ -277,8 +277,7 @@ func (d *Device) Launch(n int, bytesIn, bytesOut int64, opsPerItem float64, k Ke
 	return d.cost(n, bytesIn, bytesOut, opsPerItem), nil
 }
 
-// cost computes the virtual time of one launch without running anything;
-// Launch uses it, and the pipeline block-size estimator probes it.
+// cost computes the virtual time of one launch without running anything.
 func (d *Device) cost(n int, bytesIn, bytesOut int64, opsPerItem float64) time.Duration {
 	t := d.spec.LaunchLatency
 	if b := bytesIn + bytesOut; b > 0 {
@@ -288,12 +287,6 @@ func (d *Device) cost(n int, bytesIn, bytesOut int64, opsPerItem float64) time.D
 		t += simtime.TimeFor(float64(n)*opsPerItem, d.EffectiveRate(n))
 	}
 	return t
-}
-
-// EstimateCost exposes the cost model for planners (workload balancing
-// derives its computation-capacity factors 1/c_j from it).
-func (d *Device) EstimateCost(n int, bytesIn, bytesOut int64, opsPerItem float64) time.Duration {
-	return d.cost(n, bytesIn, bytesOut, opsPerItem)
 }
 
 // EffectiveRate returns the device's aggregate compute rate in ops/second

@@ -225,10 +225,10 @@ func TestCostMonotoneQuick(t *testing.T) {
 	d := New(V100())
 	d.Init()
 	f := func(n uint16, extra uint16, bytes uint32) bool {
-		base := d.EstimateCost(int(n), int64(bytes), 0, 8)
-		moreItems := d.EstimateCost(int(n)+int(extra), int64(bytes), 0, 8)
-		moreBytes := d.EstimateCost(int(n), int64(bytes)+int64(extra), 0, 8)
-		moreOps := d.EstimateCost(int(n), int64(bytes), 0, 8+float64(extra))
+		base := d.cost(int(n), int64(bytes), 0, 8)
+		moreItems := d.cost(int(n)+int(extra), int64(bytes), 0, 8)
+		moreBytes := d.cost(int(n), int64(bytes)+int64(extra), 0, 8)
+		moreOps := d.cost(int(n), int64(bytes), 0, 8+float64(extra))
 		return moreItems >= base && moreBytes >= base && moreOps >= base
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

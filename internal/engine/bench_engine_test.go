@@ -16,8 +16,9 @@ import (
 // where the engine's own routing and scheduling dominate. Each op is a
 // fixed number of supersteps on a pre-partitioned RMAT graph, so ns/op
 // tracks superstep latency and allocs/op tracks the message-routing
-// allocation behaviour. Run with -benchmem; the Makefile bench target
-// records the output in BENCH_engine.json.
+// allocation behaviour. Run with -benchmem. The recorded numbers are
+// BENCHMARK.json's engine.native_superstep_ms and
+// engine.native_allocs_per_superstep.
 func BenchmarkEngineSuperstep(b *testing.B) {
 	const supersteps = 10
 	g, err := gen.RMAT(gen.RMATConfig{

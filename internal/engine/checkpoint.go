@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 	"time"
-
-	"gxplug/internal/simtime"
 )
 
 // Checkpoint/restore on the superstep boundary. A checkpoint is a
@@ -17,13 +15,6 @@ import (
 // CheckpointSync, and restores the captured clocks — wiping the
 // reconstruction costs — so the continued run is bit-identical, in
 // final attributes and virtual makespan, to one that never stopped.
-
-// Simulated checkpoint storage: each node commits its masters' state
-// to node-local durable storage (NVMe-class), then all nodes barrier.
-const (
-	checkpointFixed     = 500 * time.Microsecond // per-node commit latency
-	checkpointBandwidth = 2e9                    // bytes/s sequential write
-)
 
 // NodeClock is one node's captured time accounting.
 type NodeClock struct {
@@ -70,8 +61,7 @@ func (r *runner) checkpoint(iter int, carry *gasCarry, changedAny bool) error {
 		a.CheckpointSync()
 	}
 	for j, nd := range r.cl.Nodes() {
-		bytes := int64(len(r.part.Parts[j].Masters)) * int64(8*r.aw+1)
-		nd.Charge(bucketUpper, checkpointFixed+simtime.TimeFor(float64(bytes), checkpointBandwidth))
+		nd.Charge(bucketUpper, checkpointCost(len(r.part.Parts[j].Masters), r.aw))
 	}
 	r.cl.Barrier(bucketUpper)
 	r.obsCkpt += r.cl.MaxTime() - before
@@ -98,32 +88,32 @@ func (r *runner) checkpoint(iter int, carry *gasCarry, changedAny bool) error {
 }
 
 // Resume continues a run from a checkpoint taken by an identical
-// Config. The fault plan is cleared — the crash the checkpoint
-// recovered from belongs to the previous incarnation — and the result
-// is bit-identical (final attributes, virtual makespan, per-bucket
-// times) to the uninterrupted run's.
+// Config. The fault plan is validated like Run's but not re-armed — the
+// crash the checkpoint recovered from belongs to the previous
+// incarnation — and the result is bit-identical (final attributes,
+// virtual makespan, per-bucket times) to the uninterrupted run's.
 func Resume(cfg Config, st *CheckpointState) (*Result, error) {
-	if st == nil {
-		return nil, fmt.Errorf("engine: resume from nil checkpoint")
-	}
-	cfg.Faults = nil
-	r, err := newRunner(cfg)
+	p, err := resolve(cfg)
 	if err != nil {
 		return nil, err
 	}
-	n := r.g.NumVertices()
+	n := cfg.Graph.NumVertices()
 	switch {
+	case st == nil:
+		return nil, fmt.Errorf("engine: resume from nil checkpoint")
 	case st.Iteration < 1:
 		return nil, fmt.Errorf("engine: checkpoint at %d completed supersteps (want ≥ 1)", st.Iteration)
-	case st.AttrWidth != r.aw:
-		return nil, fmt.Errorf("engine: checkpoint attr width %d, algorithm wants %d", st.AttrWidth, r.aw)
-	case len(st.Attrs) != n*r.aw:
-		return nil, fmt.Errorf("engine: checkpoint has %d attrs, graph wants %d", len(st.Attrs), n*r.aw)
+	case st.AttrWidth != p.aw:
+		return nil, fmt.Errorf("engine: checkpoint attr width %d, algorithm wants %d", st.AttrWidth, p.aw)
+	case len(st.Attrs) != n*p.aw:
+		return nil, fmt.Errorf("engine: checkpoint has %d attrs, graph wants %d", len(st.Attrs), n*p.aw)
 	case len(st.Active) != n:
 		return nil, fmt.Errorf("engine: checkpoint has %d active flags, graph wants %d", len(st.Active), n)
 	case len(st.Nodes) != cfg.Nodes:
 		return nil, fmt.Errorf("engine: checkpoint has %d node clocks, config %d nodes", len(st.Nodes), cfg.Nodes)
 	}
+	r := newRunner(p)
+	r.faultsAt = nil
 	// Preload the captured state before setup so agent priming ships
 	// checkpointed — not initial — attribute values.
 	r.pre = st

@@ -18,7 +18,6 @@ import (
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug"
 	"gxplug/internal/gxplug/template"
-	"gxplug/internal/simtime"
 )
 
 // Model selects the computation model, which fixes the API call order
@@ -198,6 +197,9 @@ type Result struct {
 	// engine itself never sets it — the orchestration layer that replays
 	// a batch stream accumulates one entry per boundary.
 	Batches []BatchResult
+	// Partitioning is what the run executed under: Config.Partitioning,
+	// or the engine default when that was nil.
+	Partitioning *graph.Partitioning
 	// Cluster exposes the underlying simulation for harness inspection.
 	Cluster *cluster.Cluster
 }
@@ -211,20 +213,44 @@ const (
 // are bit-compatible with the algorithm's sequential reference up to
 // floating-point merge order.
 func Run(cfg Config) (*Result, error) {
-	r, err := newRunner(cfg)
+	p, err := resolve(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return r.run()
+	return newRunner(p).run()
 }
 
-// newRunner validates the configuration and builds an idle runner.
-func newRunner(cfg Config) (*runner, error) {
+// plan is a Config resolved exactly once: validated, with every default
+// fixed. Run, Resume and EstimateCost all start from resolve's result, so
+// a Config is accepted by all three or by none, with one error text.
+type plan struct {
+	cfg  Config
+	part *graph.Partitioning // cfg.Partitioning, or the engine default
+	net  cluster.NetworkSpec // cfg.Net, or DatacenterNet
+	// plug is each node's middleware options in effect (nil on native
+	// runs): Config.Plug's one-for-all or per-node form expanded, with
+	// Config.CacheCapacity applied. skip reports that every node has
+	// synchronization skipping on (never on native runs — the
+	// optimization lives in the middleware).
+	plug []gxplug.Options
+	skip bool
+	// maxIter is the algorithm's own cap tightened by Config.MaxIter
+	// (0: run to convergence).
+	maxIter int
+	aw, mw  int
+}
+
+// resolve validates cfg and fixes everything it leaves to defaults. It
+// is the only Config validation in the package.
+func resolve(cfg Config) (*plan, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("engine: %d nodes", cfg.Nodes)
 	}
 	if cfg.Graph == nil || cfg.Alg == nil {
 		return nil, fmt.Errorf("engine: nil graph or algorithm")
+	}
+	if len(cfg.Plug) > 1 && len(cfg.Plug) != cfg.Nodes {
+		return nil, fmt.Errorf("engine: %d plug configs for %d nodes", len(cfg.Plug), cfg.Nodes)
 	}
 	if cfg.CacheCapacity < 0 {
 		return nil, fmt.Errorf("engine: cache capacity %d (want ≥ 0)", cfg.CacheCapacity)
@@ -290,28 +316,54 @@ func newRunner(cfg Config) (*runner, error) {
 			}
 		}
 	}
-	g, alg := cfg.Graph, cfg.Alg
 	part := cfg.Partitioning
 	if part == nil {
-		part = cfg.Spec.Partition(g, cfg.Nodes)
+		part = cfg.Spec.Partition(cfg.Graph, cfg.Nodes)
 	}
 	if part.NumNodes() != cfg.Nodes {
 		return nil, fmt.Errorf("engine: partitioning has %d nodes, config %d", part.NumNodes(), cfg.Nodes)
 	}
-	net := cfg.Net
-	if net.Bandwidth == 0 {
-		net = cluster.DatacenterNet()
+	p := &plan{
+		cfg: cfg, part: part, net: cfg.Net,
+		maxIter: cfg.Alg.Hints().MaxIterations,
+		aw:      cfg.Alg.AttrWidth(),
+		mw:      cfg.Alg.MsgWidth(),
 	}
+	if p.net.Bandwidth == 0 {
+		p.net = cluster.DatacenterNet()
+	}
+	if cfg.MaxIter > 0 && (p.maxIter == 0 || cfg.MaxIter < p.maxIter) {
+		p.maxIter = cfg.MaxIter
+	}
+	if len(cfg.Plug) > 0 {
+		p.plug = make([]gxplug.Options, cfg.Nodes)
+		p.skip = true
+		for j := range p.plug {
+			o := cfg.Plug[0]
+			if len(cfg.Plug) > 1 {
+				o = cfg.Plug[j]
+			}
+			if cfg.CacheCapacity > 0 {
+				o.CacheCapacity = cfg.CacheCapacity
+			}
+			p.plug[j] = o
+			p.skip = p.skip && o.Skipping
+		}
+	}
+	return p, nil
+}
+
+// newRunner builds an idle runner over a resolved plan.
+func newRunner(p *plan) *runner {
+	cfg, g := p.cfg, p.cfg.Graph
 	r := &runner{
-		cfg: cfg, g: g, alg: alg, part: part,
-		cl: cluster.New(cfg.Nodes, net),
+		plan: p, g: g, alg: cfg.Alg,
+		cl: cluster.New(cfg.Nodes, p.net),
 		ctx: &template.Context{
 			NumVertices: g.NumVertices(),
 			OutDeg:      func(v graph.VertexID) int { return g.OutDegree(v) },
 			InDeg:       func(v graph.VertexID) int { return g.InDegree(v) },
 		},
-		aw: alg.AttrWidth(),
-		mw: alg.MsgWidth(),
 	}
 	if len(cfg.Faults) > 0 {
 		r.faultsAt = make(map[int][]Fault)
@@ -325,18 +377,16 @@ func newRunner(cfg Config) (*runner, error) {
 	if cfg.RecordTrace {
 		r.traceRec = &Trace{AttrWidth: r.aw, NumV: g.NumVertices()}
 	}
-	return r, nil
+	return r
 }
 
 type runner struct {
-	cfg  Config
-	g    *graph.Graph
-	alg  template.Algorithm
-	part *graph.Partitioning
-	cl   *cluster.Cluster
-	ctx  *template.Context
+	*plan
+	g   *graph.Graph
+	alg template.Algorithm
+	cl  *cluster.Cluster
+	ctx *template.Context
 
-	aw, mw int
 	attrs  []float64 // authoritative state (the upper system's data plane)
 	active []bool
 
@@ -429,9 +479,7 @@ type upperSystem struct {
 func (u *upperSystem) Stride() int { return u.r.aw }
 
 func (u *upperSystem) BoundaryCost(bytes int64) time.Duration {
-	s := u.r.cfg.Spec
-	b := float64(bytes) * s.MsgByteFactor
-	return s.BoundaryFixed + simtime.TimeFor(b, s.BoundaryBandwidth)
+	return u.r.cfg.Spec.boundaryCost(float64(bytes))
 }
 
 func (u *upperSystem) FetchAttrs(ids []graph.VertexID, dst []float64) time.Duration {
@@ -439,7 +487,7 @@ func (u *upperSystem) FetchAttrs(ids []graph.VertexID, dst []float64) time.Durat
 	for i, id := range ids {
 		copy(dst[i*w:(i+1)*w], u.r.attrs[int(id)*w:(int(id)+1)*w])
 	}
-	return u.BoundaryCost(int64(len(ids)) * int64(8*w+4))
+	return u.BoundaryCost(int64(len(ids)) * gxplug.RowBytes(w))
 }
 
 func (u *upperSystem) PushAttrs(ids []graph.VertexID, rows []float64) time.Duration {
@@ -447,7 +495,7 @@ func (u *upperSystem) PushAttrs(ids []graph.VertexID, rows []float64) time.Durat
 	for i, id := range ids {
 		copy(u.r.attrs[int(id)*w:(int(id)+1)*w], rows[i*w:(i+1)*w])
 	}
-	return u.BoundaryCost(int64(len(ids)) * int64(8*w+4))
+	return u.BoundaryCost(int64(len(ids)) * gxplug.RowBytes(w))
 }
 
 func (u *upperSystem) PushMessages(count int, bytes int64) time.Duration {
@@ -456,22 +504,6 @@ func (u *upperSystem) PushMessages(count int, bytes int64) time.Duration {
 
 func (u *upperSystem) FetchMessages(count int, bytes int64) time.Duration {
 	return u.BoundaryCost(bytes)
-}
-
-func (r *runner) plugFor(node int) (gxplug.Options, bool) {
-	var o gxplug.Options
-	switch len(r.cfg.Plug) {
-	case 0:
-		return o, false
-	case 1:
-		o = r.cfg.Plug[0]
-	default:
-		o = r.cfg.Plug[node]
-	}
-	if r.cfg.CacheCapacity > 0 {
-		o.CacheCapacity = r.cfg.CacheCapacity
-	}
-	return o, true
 }
 
 func (r *runner) run() (*Result, error) {
@@ -493,6 +525,7 @@ func (r *runner) finish(iterations int) *Result {
 		Iterations:   iterations,
 		SkippedSyncs: r.skipped,
 		Trace:        r.traceRec,
+		Partitioning: r.part,
 		Cluster:      r.cl,
 	}
 	if r.agents != nil {
@@ -513,9 +546,6 @@ func (r *runner) finish(iterations int) *Result {
 // setup initializes authoritative state, routing indexes, reusable
 // buffers, and (when plugged) the per-node agents.
 func (r *runner) setup() error {
-	if len(r.cfg.Plug) > 1 && len(r.cfg.Plug) != r.cfg.Nodes {
-		return fmt.Errorf("engine: %d plug configs for %d nodes", len(r.cfg.Plug), r.cfg.Nodes)
-	}
 	// Initialize authoritative state.
 	n := r.g.NumVertices()
 	r.attrs = make([]float64, n*r.aw)
@@ -554,11 +584,10 @@ func (r *runner) setup() error {
 	r.inlineGen, _ = r.alg.(template.InlineGen)
 
 	// Stand up agents if the middleware is plugged in.
-	if len(r.cfg.Plug) > 0 {
+	if r.plug != nil {
 		r.agents = make([]*gxplug.Agent, r.cfg.Nodes)
 		r.uppers = make([]*upperSystem, r.cfg.Nodes)
-		for j := 0; j < r.cfg.Nodes; j++ {
-			opts, _ := r.plugFor(j)
+		for j, opts := range r.plug {
 			r.uppers[j] = &upperSystem{r: r, node: j}
 			r.agents[j] = gxplug.NewAgent(r.cl.Node(j), r.part.Parts[j], r.alg, r.ctx, r.uppers[j], opts)
 			if err := r.agents[j].Connect(); err != nil {
@@ -610,40 +639,16 @@ func (r *runner) frontierSize() int {
 	return n
 }
 
-func (r *runner) maxIterations() int {
-	cap := r.alg.Hints().MaxIterations
-	if r.cfg.MaxIter > 0 && (cap == 0 || r.cfg.MaxIter < cap) {
-		cap = r.cfg.MaxIter
-	}
-	return cap
-}
-
-// skipEnabled reports whether every plugged node has skipping on (native
-// runs never skip — the optimization lives in the middleware).
-func (r *runner) skipEnabled() bool {
-	if r.agents == nil {
-		return false
-	}
-	for j := range r.agents {
-		opts, _ := r.plugFor(j)
-		if !opts.Skipping {
-			return false
-		}
-	}
-	return true
-}
-
 // loopFrom drives iterations in the model's API order until
 // quiescence, starting at superstep `start` (0 for a fresh run; a
 // checkpoint's Iteration when resuming, with the rebuilt GAS carry).
 func (r *runner) loopFrom(start int, carry *gasCarry) (int, error) {
 	hints := r.alg.Hints()
-	maxIter := r.maxIterations()
 	iter := start
 	obs := r.cfg.Observer
 
 	for {
-		if maxIter > 0 && iter >= maxIter {
+		if r.maxIter > 0 && iter >= r.maxIter {
 			break
 		}
 		if iter == 0 && !r.anyActive() && !hints.GenAll && !hints.ApplyAll {

@@ -277,22 +277,6 @@ func TestEngineOOM(t *testing.T) {
 	}
 }
 
-func TestEngineConfigValidation(t *testing.T) {
-	g := testGraph(t)
-	if _, err := graphx.Run(engine.Config{Nodes: 0, Graph: g, Alg: algos.NewCC()}); err == nil {
-		t.Fatal("0 nodes accepted")
-	}
-	if _, err := graphx.Run(engine.Config{Nodes: 1}); err == nil {
-		t.Fatal("nil graph accepted")
-	}
-	if _, err := graphx.Run(engine.Config{
-		Nodes: 3, Graph: g, Alg: algos.NewCC(),
-		Plug: make([]gxplug.Options, 2),
-	}); err == nil {
-		t.Fatal("mismatched plug count accepted")
-	}
-}
-
 // MaxIter caps runs.
 func TestEngineMaxIter(t *testing.T) {
 	g := testGraph(t)

@@ -141,39 +141,6 @@ func TestEstimateConvergenceHeuristic(t *testing.T) {
 	}
 }
 
-// TestEstimateValidation pins the error paths: bad node counts, nil
-// inputs, mismatched plug lists and partitionings are rejected, not
-// silently priced.
-func TestEstimateValidation(t *testing.T) {
-	good := estimateConfig(t, powergraph.Spec())
-
-	bad := good
-	bad.Nodes = 0
-	if _, err := engine.EstimateCost(bad); err == nil {
-		t.Error("0 nodes accepted")
-	}
-	bad = good
-	bad.Graph = nil
-	if _, err := engine.EstimateCost(bad); err == nil {
-		t.Error("nil graph accepted")
-	}
-	bad = good
-	bad.Alg = nil
-	if _, err := engine.EstimateCost(bad); err == nil {
-		t.Error("nil algorithm accepted")
-	}
-	bad = good
-	bad.Plug = append(gpuPlug(), gpuPlug()...) // 2 configs for 4 nodes
-	if _, err := engine.EstimateCost(bad); err == nil {
-		t.Error("mismatched plug list accepted")
-	}
-	bad = good
-	bad.Partitioning = powergraph.Spec().Partition(bad.Graph, 3)
-	if _, err := engine.EstimateCost(bad); err == nil {
-		t.Error("mismatched partitioning accepted")
-	}
-}
-
 // TestEstimatePluggedDiffersFromNative: the device model prices plugged
 // and native executions differently (they charge different terms), and
 // plugged estimates reflect accelerator throughput.

@@ -64,7 +64,7 @@ func (e *FaultError) Error() string {
 func (e *FaultError) Unwrap() error { return e.Err }
 
 // armFault arms one scheduled fault on its node's agent. Validation in
-// newRunner guarantees the node is plugged and the kind known.
+// resolve guarantees the node is plugged and the kind known.
 func (r *runner) armFault(f Fault) {
 	a := r.agents[f.Node]
 	switch f.Kind {

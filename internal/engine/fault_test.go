@@ -120,58 +120,6 @@ func TestMsgStallExhaustsRetries(t *testing.T) {
 	}
 }
 
-// Config validation rejects malformed fault plans and checkpoint
-// configs up front.
-func TestFaultAndCheckpointValidation(t *testing.T) {
-	g := testGraph(t)
-	sink := func(*engine.CheckpointState) error { return nil }
-	base := func() engine.Config {
-		return engine.Config{
-			Spec: graphx.Spec(), Nodes: 2, Graph: g, Alg: algos.NewPageRank(), Plug: cpuPlug(),
-		}
-	}
-	cases := []struct {
-		name string
-		mut  func(*engine.Config)
-	}{
-		{"unknown kind", func(c *engine.Config) {
-			c.Faults = []engine.Fault{{Kind: "meteor-strike"}}
-		}},
-		{"node out of range", func(c *engine.Config) {
-			c.Faults = []engine.Fault{{Kind: engine.FaultMsgStall, Node: 2}}
-		}},
-		{"negative superstep", func(c *engine.Config) {
-			c.Faults = []engine.Fault{{Kind: engine.FaultMsgStall, Superstep: -1}}
-		}},
-		{"faults without plug", func(c *engine.Config) {
-			c.Plug = nil
-			c.Faults = []engine.Fault{{Kind: engine.FaultMsgStall}}
-		}},
-		{"every without sink", func(c *engine.Config) { c.CheckpointEvery = 1 }},
-		{"sink without every", func(c *engine.Config) { c.CheckpointSink = sink }},
-		{"negative every", func(c *engine.Config) { c.CheckpointEvery = -1; c.CheckpointSink = sink }},
-		{"checkpoint with bounded cache", func(c *engine.Config) {
-			c.CheckpointEvery = 1
-			c.CheckpointSink = sink
-			c.CacheCapacity = 8
-		}},
-		{"checkpoint with bounded plug cache", func(c *engine.Config) {
-			c.CheckpointEvery = 1
-			c.CheckpointSink = sink
-			c.Plug[0].CacheCapacity = 8
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := base()
-			tc.mut(&cfg)
-			if _, err := engine.Run(cfg); err == nil {
-				t.Fatal("config accepted")
-			}
-		})
-	}
-}
-
 // Resuming from every checkpoint of a run reproduces the uninterrupted
 // run bit for bit: final attributes, iteration count, virtual makespan
 // and per-bucket totals — on both engines, native and plugged.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gxplug/internal/graph"
-	"gxplug/internal/simtime"
 )
 
 // This file implements incremental recomputation over timestamped edge
@@ -76,29 +75,6 @@ type BatchResult struct {
 	Dirty int `json:"dirty"`
 	// AttrsDigest fingerprints the boundary's final attribute bits.
 	AttrsDigest string `json:"attrs_digest"`
-}
-
-// Batch application is charged as a fixed graph-mutation overhead plus a
-// per-edge rebuild cost, identically on incremental and from-scratch
-// runs — the contract compares recomputation, not ingestion.
-const (
-	batchApplyFixed        = 200 * time.Microsecond
-	batchApplyBandwidth    = 2e9 // bytes/second
-	batchApplyBytesPerEdge = 16
-	// replayOpsPerVertex caps the charged cost of copying one memoized
-	// row (a handful of moves — never more than a real apply).
-	replayOpsPerVertex = 4
-)
-
-// BatchApplyCost is the virtual time charged for applying one edge batch
-// of the given size. Both incremental and from-scratch dynamic runs are
-// charged the same cost, so makespan comparisons isolate recomputation.
-func BatchApplyCost(adds, removes int) time.Duration {
-	if adds+removes <= 0 {
-		return 0
-	}
-	bytes := float64((adds + removes) * batchApplyBytesPerEdge)
-	return batchApplyFixed + simtime.TimeFor(bytes, batchApplyBandwidth)
 }
 
 // incState is the runner's live incremental bookkeeping.

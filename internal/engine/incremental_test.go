@@ -7,7 +7,6 @@ import (
 	"gxplug/internal/algos"
 	"gxplug/internal/gen"
 	"gxplug/internal/graph"
-	"gxplug/internal/gxplug"
 	"gxplug/internal/gxplug/template"
 )
 
@@ -163,45 +162,6 @@ func TestIncrementalShortTrace(t *testing.T) {
 	}
 	if !attrsBitEqual(inc.Attrs, full.Attrs) || inc.Iterations != full.Iterations {
 		t.Fatal("short-trace incremental run diverges from scratch")
-	}
-}
-
-func TestIncrementalValidation(t *testing.T) {
-	g := graph.MustFromEdges(3, []graph.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 1}})
-	spec := bspTestSpec()
-	dirty := make([]bool, g.NumVertices())
-	base := Config{Spec: spec, Nodes: 1, Graph: g, Alg: algos.NewPageRank(),
-		Incremental: &IncrementalRun{Dirty: dirty}}
-
-	bad := map[string]func(*Config){
-		"plugged":     func(c *Config) { c.Plug = []gxplug.Options{{}} },
-		"faults":      func(c *Config) { c.Faults = []Fault{{Kind: FaultMsgStall, Node: 0, Superstep: 0}} },
-		"checkpoint":  func(c *Config) { c.CheckpointEvery = 1; c.CheckpointSink = func(*CheckpointState) error { return nil } },
-		"non-inc alg": func(c *Config) { c.Alg = algos.NewSSSPBF([]graph.VertexID{0}) },
-		"dirty len":   func(c *Config) { c.Incremental = &IncrementalRun{Dirty: make([]bool, 1)} },
-		"trace width": func(c *Config) {
-			c.Incremental = &IncrementalRun{Dirty: dirty,
-				Trace: &Trace{AttrWidth: 7, NumV: 3, Iters: 0}}
-		},
-		"trace numv": func(c *Config) {
-			c.Incremental = &IncrementalRun{Dirty: dirty,
-				Trace: &Trace{AttrWidth: 1, NumV: 99, Iters: 0}}
-		},
-		"trace shape": func(c *Config) {
-			c.Incremental = &IncrementalRun{Dirty: dirty,
-				Trace: &Trace{AttrWidth: 1, NumV: 3, Iters: 2, Attrs: make([][]float64, 1), Changed: make([][]bool, 1)}}
-		},
-	}
-	for name, mutate := range bad {
-		cfg := base
-		mutate(&cfg)
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("%s: run accepted, want error", name)
-		}
-	}
-	if _, err := Run(Config{Spec: spec, Nodes: 1, Graph: g, Alg: algos.NewPageRank(),
-		RecordTrace: true, Plug: []gxplug.Options{{}}}); err == nil {
-		t.Error("plugged trace recording accepted, want error")
 	}
 }
 

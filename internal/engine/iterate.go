@@ -7,7 +7,6 @@ import (
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug"
 	"gxplug/internal/gxplug/synccache"
-	"gxplug/internal/simtime"
 )
 
 // This file implements the two iteration shapes. Both compute the same
@@ -56,7 +55,7 @@ func (r *runner) genPhase() ([]*gxplug.GenResult, error) {
 // sender's messages in its deterministic outbox order, so merge order —
 // and therefore floating-point results — is machine-independent.
 func (r *runner) routeRemote(results []*gxplug.GenResult, inbox []*gxplug.Inbox, vol [][]int64) {
-	msgBytes := int64(float64(8*r.mw+4) * r.cfg.Spec.MsgByteFactor)
+	msgBytes := r.cfg.Spec.wireRowBytes(r.mw)
 	owner := r.part.Owner
 	observing := r.cfg.Observer != nil
 	for j, res := range results {
@@ -157,7 +156,7 @@ func (r *runner) distributeMirrors(mirrorUpdates []graph.VertexID, vol [][]int64
 	if r.cfg.Observer != nil {
 		r.obsMirrors += len(mirrorUpdates)
 	}
-	rowBytes := int64(float64(8*r.aw+4) * r.cfg.Spec.MsgByteFactor)
+	rowBytes := r.cfg.Spec.wireRowBytes(r.aw)
 	perNode := make([][]graph.VertexID, r.cfg.Nodes)
 	for _, id := range mirrorUpdates {
 		owner := int(r.part.Owner[id])
@@ -201,7 +200,7 @@ func (r *runner) syncPhase(vol [][]int64) {
 		}
 	}
 
-	if r.skipEnabled() && totalRemote == 0 {
+	if r.skip && totalRemote == 0 {
 		// Synchronization skipping: the upper system is bypassed; only
 		// the cheap global flag AND runs (one byte per node).
 		ones := make([]int64, r.cfg.Nodes)
@@ -223,14 +222,16 @@ func (r *runner) syncPhase(vol [][]int64) {
 	// Lazy uploading: build the global query queue — vertices any node
 	// reads next iteration but does not master — and let agents answer it
 	// (§III-B2b). The gather piggybacks on the superstep barrier: it only
-	// costs extra when something was actually uploaded.
+	// costs extra when something was actually uploaded. The global data
+	// queue holds rows in the middleware's compact layout, not serialized
+	// upper-system objects, so it is sized in raw bytes — no MsgByteFactor.
 	if r.agents != nil {
 		q := r.buildQueryQueue()
 		if q.Len() > 0 {
 			contributions := make([]int64, r.cfg.Nodes)
 			var total int64
 			for j, a := range r.agents {
-				contributions[j] = int64(a.UploadQueried(q)) * int64(8*r.aw+4)
+				contributions[j] = int64(a.UploadQueried(q)) * gxplug.RowBytes(r.aw)
 				total += contributions[j]
 			}
 			if total > 0 {
@@ -343,6 +344,11 @@ func zeroVol(m int) [][]int64 {
 
 // --- native executor -------------------------------------------------
 
+// chargeNative charges node j's clock for ops on the built-in executor.
+func (r *runner) chargeNative(j int, ops float64) {
+	r.cl.Node(j).Charge(bucketUpper, r.cfg.Spec.nativeTime(ops))
+}
+
 // nextNativeResult hands out node j's reusable GenResult for this phase
 // (double-buffered; genPhase flips once per phase so the GAS carry stays
 // intact while the next round's results are produced).
@@ -401,8 +407,7 @@ func (r *runner) nativeGen(j int) *gxplug.GenResult {
 		r.alg.MSGGen(r.ctx, src, e.Dst, e.Weight, srcAttr, deliver)
 	}
 	res.Entities = edges
-	cost := simtime.TimeFor(float64(edges)*r.alg.Hints().OpsPerEdge, r.cfg.Spec.NativeRate)
-	r.cl.Node(j).Charge(bucketUpper, cost)
+	r.chargeNative(j, genOps(float64(edges), r.alg.Hints()))
 	return res
 }
 
@@ -416,8 +421,7 @@ func (r *runner) nativeMerge(j int, res *gxplug.GenResult, inbox *gxplug.Inbox) 
 		r.alg.MSGMerge(res.LocalAcc[int(mi)*mw:(int(mi)+1)*mw], inbox.Row(mi))
 		res.LocalRecv[mi] = true
 	}
-	cost := simtime.TimeFor(float64(inbox.Len())*float64(mw), r.cfg.Spec.NativeRate)
-	r.cl.Node(j).Charge(bucketUpper, cost)
+	r.chargeNative(j, mergeOps(float64(inbox.Len()), mw))
 }
 
 // nativeApply applies merged messages to the node's masters, returning
@@ -504,8 +508,6 @@ func (r *runner) nativeApply(j int, res *gxplug.GenResult) (changed, wrote []boo
 	if replay {
 		r.inc.diffPer[j] = diff
 	}
-	ops := r.alg.Hints().OpsPerVertex
-	cost := simtime.TimeFor(float64(applied)*ops+float64(replayed)*min(replayOpsPerVertex, ops), r.cfg.Spec.NativeRate)
-	r.cl.Node(j).Charge(bucketUpper, cost)
+	r.chargeNative(j, applyOps(float64(applied), float64(replayed), r.alg.Hints()))
 	return changed, wrote
 }

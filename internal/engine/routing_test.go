@@ -114,10 +114,11 @@ func checkRouting(t *testing.T, r *runner, results []*gxplug.GenResult, vol [][]
 
 func routingRunner(t *testing.T, spec Spec, g *graph.Graph, nodes int, alg template.Algorithm) *runner {
 	t.Helper()
-	r, err := newRunner(Config{Spec: spec, Nodes: nodes, Graph: g, Alg: alg})
+	p, err := resolve(Config{Spec: spec, Nodes: nodes, Graph: g, Alg: alg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := newRunner(p)
 	if err := r.setup(); err != nil {
 		t.Fatal(err)
 	}

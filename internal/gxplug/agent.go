@@ -27,6 +27,13 @@ const memcpyRate = 10e9
 // in; engines charge everything else to "upper". Fig 14 is the ratio.
 const bucketMiddleware = "middleware"
 
+// RowBytes is the raw size of one routed row — an attribute row or a
+// message — as it crosses a runtime boundary or a link: a 4-byte vertex
+// id plus width float64 values. Every layer that sizes row traffic
+// (agent, engine, baselines) calls it, so the record layout is decided
+// here and nowhere else.
+func RowBytes(width int) int64 { return int64(8*width + 4) }
+
 // Upper is the interface an upper system exposes to its agent: batch data
 // transfer across the runtime boundary with engine-specific costs (for a
 // GraphX-class system this boundary is JNI plus the data packager; for a
@@ -598,7 +605,7 @@ func (a *Agent) InvalidateRemote(ids []graph.VertexID, rows []float64) {
 		return
 	}
 	w := a.alg.AttrWidth()
-	cost := a.upper.BoundaryCost(int64(len(ids)) * int64(8*w+4))
+	cost := a.upper.BoundaryCost(int64(len(ids)) * RowBytes(w))
 	a.stats.BoundaryTime += cost
 	for i, id := range ids {
 		if a.cache != nil {

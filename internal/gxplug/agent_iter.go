@@ -417,7 +417,7 @@ func (a *Agent) drainBlock(seg []byte, bp blockPlan, geo [2]int, res *GenResult,
 	}
 	resultBytes := int64(nV*mw*8 + nV)
 	cost := simtime.TimeFor(float64(resultBytes), memcpyRate)
-	msgBytes := func(n int) int64 { return int64(n) * int64(8*mw+4) }
+	msgBytes := func(n int) int64 { return int64(n) * RowBytes(mw) }
 	// Remote-bound messages always cross into the upper system for
 	// routing. Local messages round-trip only when caching is off (the
 	// naive integration pushes everything through the upper system).
@@ -460,7 +460,7 @@ func (a *Agent) RequestMerge(res *GenResult, incoming *Inbox) error {
 	mw := a.alg.MsgWidth()
 	count := incoming.Len()
 	// Fetch the routed messages across the boundary.
-	fc := a.upper.FetchMessages(count, int64(count)*int64(8*mw+4))
+	fc := a.upper.FetchMessages(count, int64(count)*RowBytes(mw))
 	a.stats.BoundaryTime += fc
 
 	for _, mi := range incoming.Touched() {
