@@ -79,9 +79,12 @@ race-serve:
 # batch stream is bit-identical to from-scratch at every batch boundary
 # (attrs digests, iteration counts) and never slower on the virtual
 # clock, on both engines, for pagerank and cc, at pool sizes 1/2/4 —
-# with the trajectory-replay machinery under the race detector.
+# with the trajectory-replay machinery under the race detector. The
+# boundary loop and the replay it drives live in the engine, so its own
+# incremental-vs-scratch pin (trajectory equality included) runs too.
 race-dynamic:
 	GOMAXPROCS=8 $(GO) test -race -run 'TestDynamicConformance' ./gx
+	GOMAXPROCS=8 $(GO) test -race -run 'TestIncrementalMatchesScratch' ./internal/engine
 
 # Per-package coverage summary, gated on the floors recorded in
 # COVERAGE_baseline.txt for the public API and the engine core. The test

@@ -73,7 +73,10 @@
 // edge deltas, inline or as a `file+batches:stream.gxb` reference — and
 // the run then re-executes the algorithm at every batch boundary,
 // incrementally by default (bit-identical to from-scratch, per the
-// conformance matrix) or from scratch with "mode": "scratch". The
+// conformance matrix) or from scratch with "mode": "scratch" — which
+// every algorithm supports; incremental replay needs the algorithm's
+// opt-in (pagerank, cc), and a scenario without it fails validation
+// before any superstep, naming the mode that works. The
 // summary reports the totals across boundaries; -batches adds a
 // per-boundary convergence table (delta size, dirty cone, supersteps,
 // charged apply cost, attrs digest). Batch streams are synthesized or
@@ -81,7 +84,7 @@
 //
 // -remote ADDR submits -scenario/-suite to a gxd daemon instead of
 // running locally: the file is POSTed to /v1/submit and the NDJSON
-// event stream rendered through the same formatting as a local run, so
+// event stream fed to the one suite renderer a local -suite run uses, so
 // against a fresh daemon the output is byte-identical. Because runs are
 // bit-deterministic, the daemon serves resubmitted scenarios from its
 // digest-keyed result cache with zero engine supersteps — and the
@@ -361,8 +364,7 @@ func (rt *robustnessTotals) add(st gx.Superstep) {
 // reports in suite order and closing with a summary table plus the
 // dataset-cache accounting. Everything printed is a deterministic
 // function of the suite file, so output is bit-identical at every pool
-// size. Rendering lives in internal/serve, shared with -remote, which is
-// what makes a remote run's report byte-identical to this local one.
+// size.
 func runSuite(path string, pool int, plan gx.Plan, manifest gx.Manifest, progress bool, stdout io.Writer) error {
 	suite, err := gx.LoadSuite(path)
 	if err != nil {
@@ -372,12 +374,6 @@ func runSuite(path string, pool int, plan gx.Plan, manifest gx.Manifest, progres
 	if err := suite.Validate(); err != nil {
 		return err
 	}
-
-	name := suite.Name
-	if name == "" {
-		name = path
-	}
-	n := len(suite.Entries)
 
 	// The plan block renders ahead of the suite header so the suite
 	// report proper stays a contiguous block, comparable line-for-line
@@ -401,35 +397,73 @@ func runSuite(path string, pool int, plan gx.Plan, manifest gx.Manifest, progres
 		planOpts = []gx.SuiteOption{gx.WithCache(cache), gx.WithPlanner(planner), gx.WithPlan(plan)}
 	}
 
-	fmt.Fprintf(stdout, "suite %s: %d entries\n", name, n)
+	return renderSuite(stdout, suite, path, progress, func(entry func(serve.EntryReport), step func(string, gx.Superstep)) ([]serve.EntryReport, gx.CacheStats, error) {
+		opts := append(planOpts, gx.WithEntryDone(func(er gx.EntryResult) { entry(serve.ReportOf(er)) }))
+		if pool != 0 { // 0 keeps RunSuite's GOMAXPROCS default; negatives surface its validation error
+			opts = append(opts, gx.WithPool(pool))
+		}
+		if step != nil {
+			opts = append(opts, gx.WithSuiteObserver(step))
+		}
+		res, err := gx.RunSuite(suite, opts...)
+		if err != nil {
+			return nil, gx.CacheStats{}, err
+		}
+		reps := make([]serve.EntryReport, len(res.Entries))
+		for i, er := range res.Entries {
+			reps[i] = serve.ReportOf(er)
+		}
+		return reps, res.Cache, nil
+	})
+}
+
+// suiteFeed executes a suite, handing each finished entry's report to
+// entry in suite order and — when step is non-nil — each superstep to
+// step, and returns the final per-entry reports and cache accounting.
+type suiteFeed func(entry func(serve.EntryReport), step func(string, gx.Superstep)) ([]serve.EntryReport, gx.CacheStats, error)
+
+// renderSuite prints a suite run's whole report — header, per-entry
+// reports in suite order as they finish, summary table, cache
+// accounting — and turns failed entries into the exit error. run
+// executes the suite and feeds it: gx callbacks locally, stream events
+// remotely (step is nil without -progress). One renderer for both is
+// what makes a remote run's report byte-identical to the local one.
+func renderSuite(w io.Writer, suite gx.Suite, path string, progress bool, run suiteFeed) error {
+	name := suite.Name
+	if name == "" {
+		name = path
+	}
+	n := len(suite.Entries)
+	fmt.Fprintf(w, "suite %s: %d entries\n", name, n)
 
 	printed := 0
-	opts := []gx.SuiteOption{
-		gx.WithEntryDone(func(er gx.EntryResult) {
-			printed++
-			serve.RenderEntry(stdout, printed, n, serve.ReportOf(er))
-		}),
+	entry := func(rep serve.EntryReport) {
+		printed++
+		serve.RenderEntry(w, printed, n, rep)
 	}
-	opts = append(opts, planOpts...)
-	if pool != 0 { // 0 keeps RunSuite's GOMAXPROCS default; negatives surface its validation error
-		opts = append(opts, gx.WithPool(pool))
-	}
+	var step func(string, gx.Superstep)
 	if progress {
-		opts = append(opts, gx.WithSuiteObserver(func(entry string, st gx.Superstep) {
-			renderProgress(stdout, entry, st)
-		}))
+		step = func(entry string, st gx.Superstep) {
+			mark := " "
+			if st.SkippedSync {
+				mark = "s"
+			}
+			fmt.Fprintf(w, "  %s [%4d]%s frontier=%-9d msgs=%-9d t=%v\n",
+				entry, st.Iteration, mark, st.Frontier, st.Messages, st.Makespan)
+		}
 	}
-
-	res, err := gx.RunSuite(suite, opts...)
+	reps, cache, err := run(entry, step)
 	if err != nil {
 		return err
 	}
-	reps := make([]serve.EntryReport, len(res.Entries))
-	for i, er := range res.Entries {
-		reps[i] = serve.ReportOf(er)
+	serve.RenderSuiteSummary(w, reps, cache)
+	failed := 0
+	for _, rep := range reps {
+		if rep.Err != "" {
+			failed++
+		}
 	}
-	serve.RenderSuiteSummary(stdout, reps, res.Cache)
-	if failed := res.Failed(); failed > 0 {
+	if failed > 0 {
 		return fmt.Errorf("gxrun: %d of %d suite entries failed", failed, n)
 	}
 	return nil
@@ -478,31 +512,8 @@ func renderBatches(w io.Writer, batches []gx.BatchResult) {
 	}
 }
 
-// renderProgress prints one suite -progress line; the remote stream path
-// prints the identical line from a decoded superstep event.
-func renderProgress(w io.Writer, entry string, st gx.Superstep) {
-	mark := " "
-	if st.SkippedSync {
-		mark = "s"
-	}
-	fmt.Fprintf(w, "  %s [%4d]%s frontier=%-9d msgs=%-9d t=%v\n",
-		entry, st.Iteration, mark, st.Frontier, st.Messages, st.Makespan)
-}
-
-// digest folds an attribute array into the comparable result line: the
-// count and sum of its finite values.
-func digest(attrs []float64) (finite int, sum float64) {
-	for _, v := range attrs {
-		if !isInf(v) {
-			sum += v
-			finite++
-		}
-	}
-	return finite, sum
-}
-
-// report prints the run summary, ending in a digest that makes two runs
-// comparable at a glance.
+// report prints the run summary, ending in the result line that makes
+// two runs comparable at a glance — the same one a suite entry reports.
 func report(w io.Writer, s gx.Scenario, g *gx.Graph, res *gx.Result) {
 	st := g.Stats()
 	fmt.Fprintf(w, "%s on %s (%dV/%dE) over %d nodes, accel=%s\n",
@@ -528,8 +539,6 @@ func report(w io.Writer, s gx.Scenario, g *gx.Graph, res *gx.Result) {
 				100*float64(hits)/float64(hits+misses), evictions, spills)
 		}
 	}
-	finite, sum := digest(res.Attrs)
-	fmt.Fprintf(w, "  result      : %d finite attribute values, sum %.4f\n", finite, sum)
+	sum := gx.Summarize(res, gx.EntryTotals{})
+	fmt.Fprintf(w, "  result      : %d finite attribute values, sum %.4f\n", sum.FiniteAttrs, sum.AttrsSum)
 }
-
-func isInf(v float64) bool { return v > 1e308 || v < -1e308 }

@@ -9,11 +9,11 @@ import (
 	"gxplug/internal/serve"
 )
 
-// runRemote submits a scenario or suite file to a gxd daemon and renders
-// its NDJSON event stream through the same internal/serve formatting the
-// local -suite path uses, so a remote run's report is byte-identical to
-// a local run of the same file (against a fresh daemon, whose
-// process-wide cache accounting starts at zero like a local run's).
+// runRemote submits a scenario or suite file to a gxd daemon and feeds
+// its NDJSON event stream to the renderer the local -suite path uses
+// (renderSuite), so a remote run's report is byte-identical to a local
+// run of the same file (against a fresh daemon, whose process-wide cache
+// accounting starts at zero like a local run's).
 //
 // The file is parsed locally first: the header needs the entry count, a
 // malformed file should fail before touching the wire, and -manifest
@@ -57,40 +57,29 @@ func runRemote(addr, scenarioPath, suitePath string, manifest gx.Manifest, progr
 		return err
 	}
 
-	name := suite.Name
-	if name == "" {
-		name = path
-	}
-	n := len(suite.Entries)
-	fmt.Fprintf(stdout, "suite %s: %d entries\n", name, n)
-
-	printed := 0
-	var final *serve.JobResult
-	err = client.Stream(reply.ID, func(ev serve.Event) error {
-		switch ev.Type {
-		case "superstep":
-			if progress && ev.Superstep != nil {
-				renderProgress(stdout, ev.Entry, *ev.Superstep)
+	return renderSuite(stdout, suite, path, progress, func(entry func(serve.EntryReport), step func(string, gx.Superstep)) ([]serve.EntryReport, gx.CacheStats, error) {
+		var final *serve.JobResult
+		err := client.Stream(reply.ID, func(ev serve.Event) error {
+			switch ev.Type {
+			case "superstep":
+				if step != nil && ev.Superstep != nil {
+					step(ev.Entry, *ev.Superstep)
+				}
+			case "entry":
+				if ev.Report != nil {
+					entry(*ev.Report)
+				}
+			case "done":
+				final = ev.Result
 			}
-		case "entry":
-			if ev.Report != nil {
-				printed++
-				serve.RenderEntry(stdout, printed, n, *ev.Report)
-			}
-		case "done":
-			final = ev.Result
+			return nil
+		})
+		if err != nil {
+			return nil, gx.CacheStats{}, err
 		}
-		return nil
+		if final == nil {
+			return nil, gx.CacheStats{}, fmt.Errorf("gxrun: remote job %s ended without a result", reply.ID)
+		}
+		return final.Entries, final.Cache, nil
 	})
-	if err != nil {
-		return err
-	}
-	if final == nil {
-		return fmt.Errorf("gxrun: remote job %s ended without a result", reply.ID)
-	}
-	serve.RenderSuiteSummary(stdout, final.Entries, final.Cache)
-	if final.Failed > 0 {
-		return fmt.Errorf("gxrun: %d of %d suite entries failed", final.Failed, n)
-	}
-	return nil
 }

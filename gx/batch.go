@@ -12,10 +12,12 @@ import (
 // carry a stream of timestamped edge batches, turning one run into a
 // sequence of batch boundaries over an evolving graph. The stream comes
 // either from a `.gxb` batch-stream file (gxgen -batches, or a text
-// delta list) or inline in the scenario JSON. At each boundary the
-// engine either recomputes from scratch or — the default — replays the
-// previous boundary's recorded trajectory incrementally; the two modes
-// are bit-identical by contract and differ only in virtual cost.
+// delta list) or inline in the scenario JSON. This package only
+// describes the stream and loads it; the boundary loop — and what each
+// mode costs — is the engine's (engine.BatchStream). At each boundary
+// the engine either recomputes from scratch or — the default — replays
+// the previous boundary's recorded trajectory incrementally; the two
+// modes are bit-identical by contract and differ only in virtual cost.
 
 // BatchSpec declares a scenario's edge-batch stream. Exactly one of
 // Stream and Inline must be set.
@@ -33,8 +35,11 @@ type BatchSpec struct {
 	Inline []BatchDelta `json:"inline,omitempty"`
 	// Mode selects the recomputation strategy at batch boundaries:
 	// "incremental" (the default when empty) replays the previous
-	// boundary's trace over the dirty cone; "scratch" recomputes every
-	// boundary from nothing. Results are bit-identical either way.
+	// boundary's trace over the dirty cone and needs the algorithm's
+	// Hints().Incremental opt-in (pagerank and cc have it; without it
+	// the run is rejected before any superstep); "scratch" recomputes
+	// every boundary from nothing and runs every algorithm. Results are
+	// bit-identical either way.
 	Mode string `json:"mode,omitempty"`
 }
 
@@ -59,9 +64,6 @@ const (
 	batchModeIncremental = "incremental"
 	batchModeScratch     = "scratch"
 )
-
-// incremental reports whether boundaries replay traces (the default).
-func (b *BatchSpec) incremental() bool { return b.Mode != batchModeScratch }
 
 // validate appends batch-spec shape errors through the scenario
 // validator's fail hook.
@@ -162,8 +164,6 @@ func (b *BatchSpec) normalized() *BatchSpec {
 type (
 	// EdgeBatch is one timestamped set of graph mutations.
 	EdgeBatch = graph.EdgeBatch
-	// Trace is a run's recorded trajectory, replayed at the next boundary.
-	Trace = engine.Trace
 	// BatchResult reports one batch boundary of a dynamic run.
 	BatchResult = engine.BatchResult
 )

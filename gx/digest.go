@@ -2,11 +2,11 @@ package gx
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
+
+	"gxplug/internal/engine"
 )
 
 // digestVersion prefixes every scenario digest. Bump it whenever the
@@ -68,13 +68,6 @@ func (s Scenario) Digest() (string, error) {
 // AttrsDigest returns the lowercase hex SHA-256 of a final attribute
 // array's exact bit pattern (each float64 little-endian). Equal digests
 // mean bit-identical results — the form cached and served summaries
-// carry in place of the full array.
-func AttrsDigest(attrs []float64) string {
-	h := sha256.New()
-	var buf [8]byte
-	for _, v := range attrs {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
+// carry in place of the full array, and what every [BatchResult] pins
+// its boundary with.
+func AttrsDigest(attrs []float64) string { return engine.AttrsDigest(attrs) }

@@ -138,8 +138,14 @@
 // recomputes every boundary from nothing. The two are bit-identical by
 // contract — same attributes, digests, and iteration counts at every
 // boundary — and differ only in virtual cost, with incremental never
-// slower (BENCHMARK.json's engine.inc_* metrics record the gap). Per-boundary reports
-// accumulate in [Result].Batches ([BatchResult]: apply time, dirty-cone
+// slower (BENCHMARK.json's engine.inc_* metrics record the gap).
+// Incremental replay needs the algorithm's [Hints].Incremental opt-in
+// (pagerank and cc have it); without it the scenario is rejected before
+// any superstep with a [ValidationError] naming "mode": "scratch", which
+// runs every algorithm. This package only describes the stream and
+// loads it: the boundary loop, its charges and its rejections are the
+// engine's, the same for [Run], suites and the [Planner]. Per-boundary
+// reports accumulate in [Result].Batches ([BatchResult]: apply time, dirty-cone
 // size, iterations, attrs digest; `gxrun -batches` tabulates them), the
 // scenario digest covers the stream content so the result cache and gxd
 // serve dynamic runs soundly, and the [Planner] prices batch boundaries

@@ -4,6 +4,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gxplug/internal/gen/ingest"
@@ -223,6 +224,89 @@ func TestDynamicScenarioValidation(t *testing.T) {
 	}
 	if _, err := Resume(ok, &CheckpointState{}); err == nil {
 		t.Error("batches with resume accepted, want error")
+	}
+}
+
+// TestDynamicModeMatrix pins every algorithm × mode × engine cell of the
+// dynamic axis as a decision: a cell either runs to completion or is
+// rejected before any superstep — by Run, a suite entry and the planner
+// alike, with one error text of class "validation" that names the mode
+// that does work. Incremental replay needs the algorithm's opt-in;
+// scratch mode runs everything.
+func TestDynamicModeMatrix(t *testing.T) {
+	for _, alg := range Algorithms() {
+		a, err := NewAlgorithm(alg, AlgoParams{}, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replays := a.Hints().Incremental
+		if (alg == "pagerank" || alg == "cc") && !replays {
+			t.Errorf("%s lost its Hints().Incremental opt-in", alg)
+		}
+		for _, engine := range Engines() {
+			for _, mode := range []string{"incremental", "scratch"} {
+				t.Run(alg+"/"+engine+"/"+mode, func(t *testing.T) {
+					s := dynamicScenario(engine, alg, mode)
+					s.Scale, s.MaxIter = 4000, 3 // the cells differ in admission, not in size
+					if err := s.Validate(); err != nil {
+						t.Fatal(err)
+					}
+					steps := 0
+					res, runErr := Run(s, WithObserver(func(Superstep) { steps++ }))
+					sr, err := RunSuite(Suite{Entries: []SuiteEntry{{Name: "cell", Scenario: s}}},
+						WithSuiteObserver(func(string, Superstep) { steps++ }))
+					if err != nil {
+						t.Fatal(err)
+					}
+					entry := sr.Entries[0]
+					_, estErr := NewPlanner(nil, nil).Estimate(s)
+
+					if replays || mode == "scratch" {
+						if runErr != nil || entry.Err != nil || estErr != nil {
+							t.Fatalf("rejected: run %v, suite entry %v, estimate %v", runErr, entry.Err, estErr)
+						}
+						if want := len(dynamicDeltas()) + 1; len(res.Batches) != want || len(entry.Summary.Batches) != want {
+							t.Errorf("ran %d and %d boundaries, want %d", len(res.Batches), len(entry.Summary.Batches), want)
+						}
+						return
+					}
+					if steps != 0 {
+						t.Errorf("%d supersteps ran before the rejection", steps)
+					}
+					for name, err := range map[string]error{"run": runErr, "suite entry": entry.Err, "estimate": estErr} {
+						if err == nil {
+							t.Fatalf("%s accepted", name)
+						}
+						if FailureClass(err) != ClassValidation || !strings.Contains(err.Error(), `"mode": "scratch"`) {
+							t.Errorf("%s: class %q, error %q; want validation naming \"mode\": \"scratch\"", name, FailureClass(err), err)
+						}
+						if err.Error() != runErr.Error() {
+							t.Errorf("%s error %q differs from run's %q", name, err, runErr)
+						}
+					}
+					if entry.Class != ClassValidation {
+						t.Errorf("suite entry class %q", entry.Class)
+					}
+				})
+			}
+		}
+	}
+
+	// The remaining stream combinations are rejections by decision, each
+	// made before any superstep: options that bypass the scenario's own
+	// field checks still meet the engine's rule.
+	ok := dynamicScenario("graphx", "pagerank", "")
+	sink := func(*CheckpointState) error { return nil }
+	for name, call := range map[string]func(Option) error{
+		"plug":       func(obs Option) error { _, err := Run(ok, WithPlug(CPUPlug()), obs); return err },
+		"checkpoint": func(obs Option) error { _, err := Run(ok, WithCheckpoint(1, sink), obs); return err },
+		"resume":     func(obs Option) error { _, err := Resume(ok, &CheckpointState{Iteration: 1}, obs); return err },
+	} {
+		steps := 0
+		err := call(WithObserver(func(Superstep) { steps++ }))
+		if FailureClass(err) != ClassValidation || steps != 0 {
+			t.Errorf("stream × %s: class %q after %d supersteps (%v), want validation before any", name, FailureClass(err), steps, err)
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"io"
 	"io/fs"
+
+	"gxplug/internal/engine"
 )
 
 // Failure classes [FailureClass] sorts errors into — the vocabulary
@@ -23,15 +25,11 @@ const (
 	ClassRun = "run"
 )
 
-// ValidationError wraps a scenario-validation failure so callers can
-// classify it without string matching; the message is the underlying
-// error's, unchanged.
-type ValidationError struct {
-	Err error
-}
-
-func (e *ValidationError) Error() string { return e.Err.Error() }
-func (e *ValidationError) Unwrap() error { return e.Err }
+// ValidationError wraps a rejection made before anything ran — by
+// scenario validation, or by the engine's one config resolution, which
+// produces this type itself — so callers can classify it without
+// string matching; the message is the underlying error's, unchanged.
+type ValidationError = engine.ConfigError
 
 // FailureClass classifies an entry or run error into one of the Class*
 // constants ("" for nil). Classification inspects the error chain, in

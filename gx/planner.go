@@ -127,8 +127,8 @@ func (p *Planner) Estimate(s Scenario) (CostEstimate, error) {
 }
 
 // model runs the dry pass: load graph and partitioning through the
-// shared cache, build the engine configuration exactly as Run would, and
-// price it with engine.EstimateCost.
+// shared cache, build the engine configuration exactly as Run would
+// (batch stream included), and price it with engine.EstimateCost.
 func (p *Planner) model(s Scenario) (CostEstimate, error) {
 	g, err := p.cache.Graph(s.Dataset, s.Scale, s.Seed)
 	if err != nil {
@@ -146,45 +146,12 @@ func (p *Planner) model(s Scenario) (CostEstimate, error) {
 	if err != nil {
 		return CostEstimate{}, err
 	}
-	est := CostEstimate{
+	return CostEstimate{
 		Supersteps: ce.Supersteps,
 		Entities:   ce.Entities,
 		Makespan:   ce.Makespan,
 		Source:     "model",
-	}
-	if s.Batches != nil {
-		if err := p.scaleDynamic(s, &est); err != nil {
-			return CostEstimate{}, err
-		}
-	}
-	return est, nil
-}
-
-// scaleDynamic extends a seed-boundary estimate over a dynamic
-// scenario's batch boundaries. Iteration counts per boundary match the
-// seed's by contract; recomputation cost per boundary is the full
-// seed-boundary cost on scratch mode and is modelled at a quarter of it
-// on incremental mode (the dirty cone covers a fraction of the graph —
-// a deliberately coarse prior that [PlannerStats] history replaces with
-// recorded actuals).
-func (p *Planner) scaleDynamic(s Scenario, est *CostEstimate) error {
-	extra := len(s.Batches.Inline)
-	if s.Batches.Stream != "" {
-		batches, err := p.cache.BatchStream(s.Batches.Stream)
-		if err != nil {
-			return err
-		}
-		extra = len(batches)
-	}
-	est.Supersteps *= 1 + extra
-	if s.Batches.incremental() {
-		est.Entities += float64(extra) * est.Entities / 4
-		est.Makespan += time.Duration(extra) * est.Makespan / 4
-	} else {
-		est.Entities *= float64(1 + extra)
-		est.Makespan *= time.Duration(1 + extra)
-	}
-	return nil
+	}, nil
 }
 
 // EntryEstimate is one suite entry's prediction inside a [SuitePlan].

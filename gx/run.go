@@ -1,11 +1,6 @@
 package gx
 
-import (
-	"fmt"
-	"time"
-
-	"gxplug/internal/engine"
-)
+import "gxplug/internal/engine"
 
 // runConfig collects what the functional options override.
 type runConfig struct {
@@ -90,103 +85,16 @@ func Run(s Scenario, opts ...Option) (*Result, error) {
 
 // run is Run loading the scenario's dataset and batch stream through
 // cache: the executor hands its shared one down, a solo Run a private
-// one, so there is one load path either way.
+// one, so there is one load path either way. Whatever the engine's one
+// config resolution rejects — a batch stream under middleware, an
+// algorithm that cannot replay incrementally — is a [ValidationError]
+// too: nothing ran.
 func run(s Scenario, cache *DatasetCache, opts []Option) (*Result, error) {
 	cfg, err := prepare(s, cache, opts)
 	if err != nil {
 		return nil, err
 	}
-	if s.Batches != nil {
-		return runBatches(s.Batches, cache, cfg)
-	}
 	return engine.Run(cfg)
-}
-
-// runBatches executes a dynamic-graph scenario: the seed boundary on the
-// initial graph version, then one boundary per edge batch on the evolved
-// version. In incremental mode (the default) each boundary records its
-// trajectory and the next replays it over the dirty cone; in scratch
-// mode every boundary recomputes from nothing. Both modes charge the
-// identical batch-application cost and produce bit-identical attributes
-// at every boundary — they differ only in recomputation cost.
-func runBatches(spec *BatchSpec, cache *DatasetCache, cfg engine.Config) (*Result, error) {
-	// The engine enforces these too, but per boundary with less context.
-	if len(cfg.Plug) > 0 {
-		return nil, &ValidationError{Err: fmt.Errorf("scenario: batches require native execution")}
-	}
-	if cfg.CheckpointEvery > 0 || cfg.CheckpointSink != nil {
-		return nil, &ValidationError{Err: fmt.Errorf("scenario: batches cannot be combined with checkpointing")}
-	}
-	batches, err := spec.loadBatches(cache)
-	if err != nil {
-		return nil, err
-	}
-	incMode := spec.incremental()
-
-	g, obs := cfg.Graph, cfg.Observer
-	total := &Result{}
-	// prev is the previous boundary's run: the partitioning it executed
-	// under and the trajectory it recorded seed the next boundary.
-	var prev *Result
-	for b := 0; b <= len(batches); b++ {
-		bcfg := cfg
-		bcfg.RecordTrace = incMode
-		var applyCost time.Duration
-		adds, removes, dirtyCount := 0, 0, 0
-		if b > 0 {
-			batch := batches[b-1]
-			ng, err := g.ApplyBatch(batch)
-			if err != nil {
-				return nil, fmt.Errorf("gx: batch %d: %w", b, err)
-			}
-			part := cfg.Spec.Partition(ng, cfg.Nodes)
-			adds, removes = len(batch.Adds), len(batch.Removes)
-			applyCost = engine.BatchApplyCost(adds, removes)
-			if incMode {
-				trace := prev.Trace
-				if ng.NumVertices() != g.NumVertices() {
-					// Vertex growth invalidates the memo entirely (Init reads
-					// NumVertices); the dirty seed is all-true anyway.
-					trace = nil
-				}
-				dirty := engine.DirtySeed(g, ng, prev.Partitioning, part)
-				for _, d := range dirty {
-					if d {
-						dirtyCount++
-					}
-				}
-				bcfg.Incremental = &engine.IncrementalRun{Trace: trace, Dirty: dirty}
-			}
-			g = ng
-			bcfg.Graph, bcfg.Partitioning = ng, part
-		}
-		if obs != nil {
-			seq := b
-			bcfg.Observer = func(st Superstep) {
-				st.Batch = seq
-				obs(st)
-			}
-		}
-		res, err := engine.Run(bcfg)
-		if err != nil {
-			return nil, fmt.Errorf("gx: batch boundary %d: %w", b, err)
-		}
-		// The run's totals accumulate across boundaries; the final
-		// attribute array and cluster are the last boundary's.
-		total.Attrs, total.Partitioning, total.Cluster = res.Attrs, res.Partitioning, res.Cluster
-		total.Iterations += res.Iterations
-		total.SkippedSyncs += res.SkippedSyncs
-		total.Time += res.Time + applyCost
-		total.UpperTime += res.UpperTime + applyCost
-		total.MiddlewareTime += res.MiddlewareTime
-		total.Batches = append(total.Batches, BatchResult{
-			Seq: b, Time: res.Time, ApplyTime: applyCost, Iterations: res.Iterations,
-			Adds: adds, Removes: removes, Dirty: dirtyCount,
-			AttrsDigest: AttrsDigest(res.Attrs),
-		})
-		prev = res
-	}
-	return total, nil
 }
 
 // Resume continues a run from a checkpoint taken by [WithCheckpoint]
@@ -197,9 +105,6 @@ func runBatches(spec *BatchSpec, cache *DatasetCache, cfg engine.Config) (*Resul
 // bit-identical, in final attributes and virtual makespan, to one that
 // never stopped.
 func Resume(s Scenario, st *CheckpointState, opts ...Option) (*Result, error) {
-	if s.Batches != nil {
-		return nil, &ValidationError{Err: fmt.Errorf("scenario: batches cannot resume from a checkpoint")}
-	}
 	cfg, err := prepare(s, NewDatasetCache(), opts)
 	if err != nil {
 		return nil, err
@@ -284,6 +189,14 @@ func buildConfig(s Scenario, cache *DatasetCache, rc *runConfig) (engine.Config,
 
 	if rc.maxIter != nil {
 		cfg.MaxIter = *rc.maxIter
+	}
+
+	if s.Batches != nil {
+		batches, err := s.Batches.loadBatches(cache)
+		if err != nil {
+			return engine.Config{}, err
+		}
+		cfg.Stream = &engine.BatchStream{Batches: batches, Scratch: s.Batches.Mode == batchModeScratch}
 	}
 	return cfg, nil
 }

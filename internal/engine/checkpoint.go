@@ -97,6 +97,11 @@ func Resume(cfg Config, st *CheckpointState) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Stream != nil {
+		// No stream run can have produced a checkpoint (resolve rejects
+		// stream × checkpointing), so there is nothing to resume into.
+		return nil, &ConfigError{Err: fmt.Errorf("engine: a batch stream cannot resume from a checkpoint")}
+	}
 	n := cfg.Graph.NumVertices()
 	switch {
 	case st == nil:

@@ -93,13 +93,37 @@ const (
 	batchApplyBytesPerEdge = 16
 )
 
-// BatchApplyCost is the virtual time charged for applying one edge batch
+// batchApplyCost is the virtual time charged for applying one edge batch
 // of the given size. Both incremental and from-scratch dynamic runs are
 // charged the same cost, so makespan comparisons isolate recomputation.
-func BatchApplyCost(adds, removes int) time.Duration {
+func batchApplyCost(adds, removes int) time.Duration {
 	if adds+removes <= 0 {
 		return 0
 	}
 	bytes := float64((adds + removes) * batchApplyBytesPerEdge)
 	return batchApplyFixed + simtime.TimeFor(bytes, batchApplyBandwidth)
+}
+
+// replayDivisor is the dry pass's prior for an incremental boundary: it
+// is modelled at 1/replayDivisor of a seed boundary's cost (the dirty
+// cone covers a fraction of the graph) — deliberately coarse, and
+// replaced by recorded actuals (the planner's history).
+const replayDivisor = 4
+
+// overStream extends a seed-boundary estimate over a stream's extra
+// boundaries. Iteration counts per boundary match the seed's by
+// contract; recomputation per boundary is the full seed-boundary cost
+// in scratch mode and 1/replayDivisor of it in incremental mode.
+// (Batch application is not priced: it is identical in both modes and
+// small beside any boundary.)
+func (e CostEstimate) overStream(extra int, scratch bool) CostEstimate {
+	e.Supersteps *= 1 + extra
+	if scratch {
+		e.Entities *= float64(1 + extra)
+		e.Makespan *= time.Duration(1 + extra)
+	} else {
+		e.Entities += float64(extra) * e.Entities / replayDivisor
+		e.Makespan += time.Duration(extra) * e.Makespan / replayDivisor
+	}
+	return e
 }

@@ -98,17 +98,14 @@ type Config struct {
 	// history, which a resumed run cannot reconstruct.
 	CheckpointEvery int
 	CheckpointSink  func(*CheckpointState) error
-	// RecordTrace records the full per-superstep trajectory (attributes
-	// and frontier after every superstep) into Result.Trace, the memo a
-	// later incremental run replays. Native-only: under middleware the
-	// authoritative array lags behind lazily-uploaded agent state.
-	RecordTrace bool
-	// Incremental, when non-nil, runs trajectory-replay incremental
-	// recomputation (see incremental.go): bit-identical to a from-scratch
-	// run on the same graph, computing only the dirty cone. Native-only,
-	// incompatible with faults and checkpointing, and requires the
-	// algorithm's Hints.Incremental opt-in.
-	Incremental *IncrementalRun
+	// Stream, when non-nil, makes the run dynamic (see incremental.go):
+	// Graph is the initial version, and Run re-executes the algorithm at
+	// every batch boundary on the evolved graph. Native-only (under
+	// middleware the authoritative array lags behind lazily-uploaded
+	// agent state, so there is no trajectory to replay), incompatible
+	// with faults and checkpointing, and its default incremental mode
+	// requires the algorithm's Hints.Incremental opt-in.
+	Stream *BatchStream
 	// Net overrides the cluster network (zero value: DatacenterNet).
 	Net cluster.NetworkSpec
 	// Observer, when non-nil, receives one SuperstepInfo after every
@@ -123,8 +120,7 @@ type SuperstepInfo struct {
 	// Iteration is the zero-based iteration the report describes.
 	Iteration int
 	// Batch is the batch-boundary index on dynamic-graph runs (0 for the
-	// seed run; the engine itself always reports 0 — the orchestration
-	// layer stamps it when it replays a batch stream).
+	// seed boundary, and on every static run).
 	Batch int
 	// Frontier is the number of active vertices entering the superstep.
 	Frontier int
@@ -191,15 +187,11 @@ type Result struct {
 	UpperTime      time.Duration
 	// AgentStats holds per-node middleware counters (nil when native).
 	AgentStats []gxplug.Stats
-	// Trace is the recorded trajectory (only with Config.RecordTrace).
-	Trace *Trace
-	// Batches holds per-boundary reports on dynamic-graph runs; the
-	// engine itself never sets it — the orchestration layer that replays
-	// a batch stream accumulates one entry per boundary.
+	// Batches holds one report per batch boundary on dynamic-graph runs
+	// (Config.Stream), seed boundary first; the run's counts and times
+	// above are then totals over all boundaries, and Attrs and Cluster
+	// the last boundary's. nil on static runs.
 	Batches []BatchResult
-	// Partitioning is what the run executed under: Config.Partitioning,
-	// or the engine default when that was nil.
-	Partitioning *graph.Partitioning
 	// Cluster exposes the underlying simulation for harness inspection.
 	Cluster *cluster.Cluster
 }
@@ -217,8 +209,20 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Stream != nil {
+		return runStream(p)
+	}
 	return newRunner(p).run()
 }
+
+// ConfigError is a Config that resolve rejected: nothing was set up and
+// no superstep ran. The message is the underlying error's, unchanged.
+type ConfigError struct {
+	Err error
+}
+
+func (e *ConfigError) Error() string { return e.Err.Error() }
+func (e *ConfigError) Unwrap() error { return e.Err }
 
 // plan is a Config resolved exactly once: validated, with every default
 // fixed. Run, Resume and EstimateCost all start from resolve's result, so
@@ -241,8 +245,14 @@ type plan struct {
 }
 
 // resolve validates cfg and fixes everything it leaves to defaults. It
-// is the only Config validation in the package.
-func resolve(cfg Config) (*plan, error) {
+// is the only Config validation in the package, and every rejection
+// leaves it as a *ConfigError.
+func resolve(cfg Config) (_ *plan, err error) {
+	defer func() {
+		if err != nil {
+			err = &ConfigError{Err: err}
+		}
+	}()
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("engine: %d nodes", cfg.Nodes)
 	}
@@ -254,6 +264,22 @@ func resolve(cfg Config) (*plan, error) {
 	}
 	if cfg.CacheCapacity < 0 {
 		return nil, fmt.Errorf("engine: cache capacity %d (want ≥ 0)", cfg.CacheCapacity)
+	}
+	if st := cfg.Stream; st != nil {
+		// Checked ahead of the fault plan's own rules: "add an
+		// accelerator" is the wrong advice for a stream.
+		if len(cfg.Faults) > 0 {
+			return nil, fmt.Errorf("engine: a batch stream cannot be combined with fault injection")
+		}
+		if len(cfg.Plug) > 0 {
+			return nil, fmt.Errorf("engine: a batch stream requires native execution")
+		}
+		if cfg.CheckpointEvery > 0 {
+			return nil, fmt.Errorf("engine: a batch stream cannot be combined with checkpointing")
+		}
+		if !st.Scratch && !cfg.Alg.Hints().Incremental {
+			return nil, fmt.Errorf("engine: algorithm %s does not support incremental recomputation; run its batch stream with \"mode\": \"scratch\"", cfg.Alg.Name())
+		}
 	}
 	if len(cfg.Faults) > 0 && len(cfg.Plug) == 0 {
 		return nil, fmt.Errorf("engine: fault plan requires plugged middleware")
@@ -282,37 +308,6 @@ func resolve(cfg Config) (*plan, error) {
 		for i, o := range cfg.Plug {
 			if o.CacheCapacity > 0 {
 				return nil, fmt.Errorf("engine: checkpointing is incompatible with a bounded cache (plug %d CacheCapacity %d)", i, o.CacheCapacity)
-			}
-		}
-	}
-	if cfg.RecordTrace && len(cfg.Plug) > 0 {
-		return nil, fmt.Errorf("engine: trace recording is native-only")
-	}
-	if inc := cfg.Incremental; inc != nil {
-		if len(cfg.Plug) > 0 {
-			return nil, fmt.Errorf("engine: incremental runs are native-only")
-		}
-		if len(cfg.Faults) > 0 {
-			return nil, fmt.Errorf("engine: incremental runs are incompatible with fault injection")
-		}
-		if cfg.CheckpointEvery > 0 {
-			return nil, fmt.Errorf("engine: incremental runs are incompatible with checkpointing")
-		}
-		if !cfg.Alg.Hints().Incremental {
-			return nil, fmt.Errorf("engine: algorithm %s does not support incremental recomputation", cfg.Alg.Name())
-		}
-		if len(inc.Dirty) != cfg.Graph.NumVertices() {
-			return nil, fmt.Errorf("engine: dirty seed over %d vertices, graph has %d", len(inc.Dirty), cfg.Graph.NumVertices())
-		}
-		if t := inc.Trace; t != nil {
-			if t.AttrWidth != cfg.Alg.AttrWidth() {
-				return nil, fmt.Errorf("engine: trace attr width %d, algorithm %d", t.AttrWidth, cfg.Alg.AttrWidth())
-			}
-			if t.NumV != cfg.Graph.NumVertices() {
-				return nil, fmt.Errorf("engine: trace over %d vertices, graph has %d", t.NumV, cfg.Graph.NumVertices())
-			}
-			if len(t.Attrs) != t.Iters || len(t.Changed) != t.Iters {
-				return nil, fmt.Errorf("engine: trace records %d/%d supersteps, header says %d", len(t.Attrs), len(t.Changed), t.Iters)
 			}
 		}
 	}
@@ -371,12 +366,6 @@ func newRunner(p *plan) *runner {
 			r.faultsAt[f.Superstep] = append(r.faultsAt[f.Superstep], f)
 		}
 	}
-	if cfg.Incremental != nil {
-		r.inc = newIncState(cfg.Incremental, g.NumVertices(), cfg.Nodes)
-	}
-	if cfg.RecordTrace {
-		r.traceRec = &Trace{AttrWidth: r.aw, NumV: g.NumVertices()}
-	}
 	return r
 }
 
@@ -423,10 +412,12 @@ type runner struct {
 
 	skipped int
 
-	// inc is the incremental-recomputation state (nil on plain runs);
-	// traceRec accumulates the recorded trajectory when RecordTrace is on.
+	// Set by runStream only: batch is the boundary this runner executes,
+	// traceRec (when non-nil) accumulates its trajectory, and inc (when
+	// non-nil) replays the previous boundary's.
+	batch    int
+	traceRec *trace
 	inc      *incState
-	traceRec *Trace
 
 	// faultsAt indexes the fault plan by superstep (nil without one).
 	faultsAt map[int][]Fault
@@ -524,8 +515,6 @@ func (r *runner) finish(iterations int) *Result {
 		Attrs:        r.attrs,
 		Iterations:   iterations,
 		SkippedSyncs: r.skipped,
-		Trace:        r.traceRec,
-		Partitioning: r.part,
 		Cluster:      r.cl,
 	}
 	if r.agents != nil {
@@ -713,6 +702,7 @@ func (r *runner) superstepInfo(iter, frontier, skippedBefore int, changed bool) 
 	cc := r.cacheCounters()
 	info := SuperstepInfo{
 		Iteration:        iter,
+		Batch:            r.batch,
 		Frontier:         frontier,
 		Messages:         r.obsMsgs,
 		MessageBytes:     r.obsBytes,

@@ -40,7 +40,8 @@ type CostEstimate struct {
 // executor, or pluggedComputeEstimate plus one runtime-boundary batch),
 // and its share of the message exchange; the slowest node sets the
 // step, and every step closes with SuperstepOverhead plus a barrier.
-// What stays approximate is the counts fed in, not the formulas.
+// What stays approximate is the counts fed in, not the formulas. A batch
+// stream is priced from its seed boundary (CostEstimate.overStream).
 func EstimateCost(cfg Config) (CostEstimate, error) {
 	p, err := resolve(cfg)
 	if err != nil {
@@ -118,9 +119,13 @@ func EstimateCost(cfg Config) (CostEstimate, error) {
 	}
 
 	stepCost := slowest + spec.SuperstepOverhead + p.net.BarrierEstimate(m)
-	return CostEstimate{
+	est := CostEstimate{
 		Supersteps: steps,
 		Entities:   float64(steps) * entitiesPerStep,
 		Makespan:   time.Duration(steps) * stepCost,
-	}, nil
+	}
+	if st := cfg.Stream; st != nil {
+		est = est.overStream(len(st.Batches), st.Scratch)
+	}
+	return est, nil
 }

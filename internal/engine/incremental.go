@@ -1,6 +1,10 @@
 package engine
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"time"
 
@@ -27,32 +31,27 @@ import (
 // its from-scratch superstep-i result equals the memoized one, and
 // copying the memo row is exact, not approximate.
 
-// Trace is the memoized trajectory of one native run: the full
-// attribute array and active frontier after every superstep. A run
-// records it when Config.RecordTrace is set; the next version's
-// incremental run replays it.
-type Trace struct {
-	// AttrWidth and NumV fix the row shape: each Attrs[i] is NumV×AttrWidth.
-	AttrWidth int
-	NumV      int
-	// Iters is the number of recorded supersteps (== len(Attrs) == len(Changed)).
-	Iters int
-	// Attrs[i] is the authoritative attribute array after superstep i.
-	Attrs [][]float64
-	// Changed[i] is the active frontier after superstep i (the per-vertex
-	// changed flags mergeApplyPhase installed).
-	Changed [][]bool
+// BatchStream makes a run dynamic: Config.Graph is the initial graph
+// version, and each batch opens a new boundary whose graph is the
+// previous one with the batch applied.
+type BatchStream struct {
+	// Batches are applied in order, one boundary each.
+	Batches []graph.EdgeBatch
+	// Scratch recomputes every boundary from nothing. The default
+	// (false) is incremental: each boundary records its trajectory and
+	// the next replays it over the dirty cone. Attributes are
+	// bit-identical either way; only the charged virtual cost differs.
+	Scratch bool
 }
 
-// IncrementalRun configures trajectory-replay recomputation for one run.
-type IncrementalRun struct {
-	// Trace is the previous version's memoized trajectory. nil runs the
-	// whole computation in the cone (exactly a from-scratch run driven
-	// through the incremental plumbing).
-	Trace *Trace
-	// Dirty is the static dirty seed over the new graph's vertices,
-	// normally DirtySeed's output.
-	Dirty []bool
+// trace is the memoized trajectory of one boundary's run: the full
+// attribute array and active frontier after every superstep.
+type trace struct {
+	// attrs[i] is the authoritative attribute array after superstep i.
+	attrs [][]float64
+	// changed[i] is the active frontier after superstep i (the
+	// per-vertex changed flags mergeApplyPhase installed).
+	changed [][]bool
 }
 
 // BatchResult reports one batch boundary of a dynamic-graph run:
@@ -77,9 +76,89 @@ type BatchResult struct {
 	AttrsDigest string `json:"attrs_digest"`
 }
 
+// AttrsDigest returns the lowercase hex SHA-256 of an attribute array's
+// exact bit pattern (each float64 little-endian). Equal digests mean
+// bit-identical results.
+func AttrsDigest(attrs []float64) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range attrs {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// runStream executes a resolved dynamic run: the seed boundary on the
+// initial graph, then per batch — apply it, re-partition with the
+// engine default, and run the boundary on the evolved graph, charging
+// the identical batch-application cost in both modes. In incremental
+// mode every boundary records its trajectory and the next replays it
+// over the dirty cone.
+func runStream(p *plan) (*Result, error) {
+	cfg, st := p.cfg, p.cfg.Stream
+	total := &Result{Batches: make([]BatchResult, 0, len(st.Batches)+1)}
+	g, part := cfg.Graph, p.part
+	var prev *trace
+	for seq := 0; seq <= len(st.Batches); seq++ {
+		br := BatchResult{Seq: seq}
+		var dirty []bool
+		if seq > 0 {
+			batch := st.Batches[seq-1]
+			ng, err := g.ApplyBatch(batch)
+			if err != nil {
+				return nil, fmt.Errorf("engine: batch %d: %w", seq, err)
+			}
+			npart := cfg.Spec.Partition(ng, cfg.Nodes)
+			br.Adds, br.Removes = len(batch.Adds), len(batch.Removes)
+			br.ApplyTime = batchApplyCost(br.Adds, br.Removes)
+			if !st.Scratch {
+				// The fold order the memo was computed under is the
+				// previous boundary's partitioning, not the new one.
+				dirty = DirtySeed(g, ng, part, npart)
+				for _, d := range dirty {
+					if d {
+						br.Dirty++
+					}
+				}
+				if ng.NumVertices() != g.NumVertices() {
+					// Vertex growth invalidates the memo entirely (Init
+					// reads NumVertices); the seed is all-dirty anyway.
+					prev = nil
+				}
+			}
+			g, part = ng, npart
+		}
+		bp := *p
+		bp.cfg.Graph, bp.part = g, part
+		r := newRunner(&bp)
+		r.batch = seq
+		if !st.Scratch {
+			r.traceRec = &trace{}
+			if seq > 0 {
+				r.inc = newIncState(prev, dirty, cfg.Nodes)
+			}
+		}
+		res, err := r.run()
+		if err != nil {
+			return nil, fmt.Errorf("engine: batch boundary %d: %w", seq, err)
+		}
+		prev = r.traceRec
+		br.Time, br.Iterations, br.AttrsDigest = res.Time, res.Iterations, AttrsDigest(res.Attrs)
+		total.Batches = append(total.Batches, br)
+		// Streams are native-only: no skipped syncs, middleware time or
+		// agent stats to total.
+		total.Attrs, total.Cluster = res.Attrs, res.Cluster
+		total.Iterations += res.Iterations
+		total.Time += res.Time + br.ApplyTime
+		total.UpperTime += res.UpperTime + br.ApplyTime
+	}
+	return total, nil
+}
+
 // incState is the runner's live incremental bookkeeping.
 type incState struct {
-	trace *Trace
+	trace *trace
 	dirty []bool
 	// cone is the current superstep's possibly-differing vertex set; it
 	// is read concurrently by the parallel gen/apply fan-out and mutated
@@ -93,14 +172,17 @@ type incState struct {
 	diffPer [][]graph.VertexID
 }
 
-func newIncState(run *IncrementalRun, numV, nodes int) *incState {
+// newIncState starts replaying prev (nil: nothing to replay, the whole
+// computation runs in the cone) from the static dirty seed over the new
+// graph's vertices.
+func newIncState(prev *trace, dirty []bool, nodes int) *incState {
 	s := &incState{
-		trace:   run.Trace,
-		dirty:   run.Dirty,
-		cone:    make([]bool, numV),
+		trace:   prev,
+		dirty:   dirty,
+		cone:    make([]bool, len(dirty)),
 		diffPer: make([][]graph.VertexID, nodes),
 	}
-	if s.trace == nil || s.trace.Iters == 0 {
+	if prev == nil || len(prev.attrs) == 0 {
 		s.full = true
 		return s
 	}
@@ -125,7 +207,7 @@ func (r *runner) updateCone() {
 	if inc == nil || inc.full {
 		return
 	}
-	if r.ctx.Iteration+1 >= inc.trace.Iters {
+	if r.ctx.Iteration+1 >= len(inc.trace.attrs) {
 		// The memo ends here: every later superstep computes everything.
 		inc.full = true
 		return
@@ -149,9 +231,8 @@ func (r *runner) recordTrace() {
 	copy(attrs, r.attrs)
 	changed := make([]bool, len(r.active))
 	copy(changed, r.active)
-	t.Attrs = append(t.Attrs, attrs)
-	t.Changed = append(t.Changed, changed)
-	t.Iters++
+	t.attrs = append(t.attrs, attrs)
+	t.changed = append(t.changed, changed)
 }
 
 // DirtySeed computes the static dirty seed between two graph versions
@@ -171,8 +252,7 @@ func (r *runner) recordTrace() {
 //     hashing, a collision would silently break bit-identity.
 //
 // A vertex-count change invalidates everything (Init may read
-// NumVertices): the seed is all-dirty and the caller should drop the
-// trace.
+// NumVertices): the seed is all-dirty and runStream drops the trace.
 func DirtySeed(oldG, newG *graph.Graph, oldPart, newPart *graph.Partitioning) []bool {
 	n := newG.NumVertices()
 	dirty := make([]bool, n)

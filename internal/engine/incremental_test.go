@@ -27,16 +27,16 @@ func attrsBitEqual(a, b []float64) bool {
 	return true
 }
 
-func tracesEqual(a, b *Trace) bool {
-	if a.Iters != b.Iters || a.NumV != b.NumV || a.AttrWidth != b.AttrWidth {
+func tracesEqual(a, b *trace) bool {
+	if len(a.attrs) != len(b.attrs) || len(a.changed) != len(b.changed) {
 		return false
 	}
-	for i := 0; i < a.Iters; i++ {
-		if !attrsBitEqual(a.Attrs[i], b.Attrs[i]) {
+	for i := range a.attrs {
+		if !attrsBitEqual(a.attrs[i], b.attrs[i]) {
 			return false
 		}
-		for v := range a.Changed[i] {
-			if a.Changed[i][v] != b.Changed[i][v] {
+		for v := range a.changed[i] {
+			if a.changed[i][v] != b.changed[i][v] {
 				return false
 			}
 		}
@@ -51,6 +51,27 @@ func incTestGraph(t *testing.T) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// runBoundary executes one boundary the way runStream wires it —
+// recording its trajectory, and replaying prev over the dirty seed when
+// one is given — and hands the recorded trajectory back.
+func runBoundary(t *testing.T, cfg Config, prev *trace, dirty []bool) (*Result, *trace) {
+	t.Helper()
+	p, err := resolve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRunner(p)
+	r.traceRec = &trace{}
+	if dirty != nil {
+		r.inc = newIncState(prev, dirty, cfg.Nodes)
+	}
+	res, err := r.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, r.traceRec
 }
 
 func TestIncrementalMatchesScratch(t *testing.T) {
@@ -69,29 +90,42 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		for algName, alg := range algs {
 			for _, nodes := range []int{1, 3} {
 				t.Run(specName+"/"+algName, func(t *testing.T) {
-					// Seed run on the initial version records the trace.
-					seed, err := Run(Config{Spec: spec, Nodes: nodes, Graph: g0, Alg: alg, RecordTrace: true})
+					cfg := Config{Spec: spec, Nodes: nodes, Graph: g0, Alg: alg}
+					// The stream through Run: what the boundary-by-boundary
+					// chain below must agree with (scratch mode is held to
+					// it in turn by gx's TestDynamicConformance).
+					cfg.Stream = &BatchStream{Batches: batches}
+					lastBatch := -1
+					cfg.Observer = func(st SuperstepInfo) {
+						if st.Batch < lastBatch || st.Batch > lastBatch+1 {
+							t.Errorf("superstep stamped batch %d after %d", st.Batch, lastBatch)
+						}
+						lastBatch = st.Batch
+					}
+					incRun, err := Run(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					prevG, prevTrace := g0, seed.Trace
+					if lastBatch != len(batches) {
+						t.Errorf("last superstep stamped batch %d, want %d", lastBatch, len(batches))
+					}
+					if len(incRun.Batches) != len(batches)+1 {
+						t.Fatalf("Run reports %d boundaries, want %d", len(incRun.Batches), len(batches)+1)
+					}
+					cfg.Stream, cfg.Observer = nil, nil
+
+					// Seed boundary on the initial version records the trace.
+					_, prevTrace := runBoundary(t, cfg, nil, nil)
+					prevG := g0
 					for bi, b := range batches {
 						nextG, err := prevG.ApplyBatch(b)
 						if err != nil {
 							t.Fatal(err)
 						}
-						scratch, err := Run(Config{Spec: spec, Nodes: nodes, Graph: nextG, Alg: alg, RecordTrace: true})
-						if err != nil {
-							t.Fatal(err)
-						}
+						cfg.Graph = nextG
+						scratch, scratchTrace := runBoundary(t, cfg, nil, nil)
 						dirty := DirtySeed(prevG, nextG, spec.Partition(prevG, nodes), spec.Partition(nextG, nodes))
-						inc, err := Run(Config{
-							Spec: spec, Nodes: nodes, Graph: nextG, Alg: alg, RecordTrace: true,
-							Incremental: &IncrementalRun{Trace: prevTrace, Dirty: dirty},
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
+						inc, incTrace := runBoundary(t, cfg, prevTrace, dirty)
 						if !attrsBitEqual(inc.Attrs, scratch.Attrs) {
 							t.Fatalf("batch %d: incremental attrs diverge from scratch", bi)
 						}
@@ -99,16 +133,29 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 							t.Fatalf("batch %d: incremental ran %d supersteps, scratch %d",
 								bi, inc.Iterations, scratch.Iterations)
 						}
-						if !tracesEqual(inc.Trace, scratch.Trace) {
+						if !tracesEqual(incTrace, scratchTrace) {
 							t.Fatalf("batch %d: incremental trajectory diverges from scratch", bi)
 						}
 						if inc.Time > scratch.Time {
 							t.Fatalf("batch %d: incremental makespan %v exceeds scratch %v",
 								bi, inc.Time, scratch.Time)
 						}
+						want := BatchResult{
+							Seq: bi + 1, Time: inc.Time, ApplyTime: batchApplyCost(len(b.Adds), len(b.Removes)),
+							Iterations: inc.Iterations, Adds: len(b.Adds), Removes: len(b.Removes),
+							AttrsDigest: AttrsDigest(inc.Attrs),
+						}
+						for _, d := range dirty {
+							if d {
+								want.Dirty++
+							}
+						}
+						if got := incRun.Batches[bi+1]; got != want {
+							t.Fatalf("batch %d: Run reports %+v, the boundary chain %+v", bi, got, want)
+						}
 						// Chain off the incremental run's own trace: boundary
-						// k+1 replays k's recording, as the serving path does.
-						prevG, prevTrace = nextG, inc.Trace
+						// k+1 replays k's recording, as runStream does.
+						prevG, prevTrace = nextG, incTrace
 					}
 				})
 			}
@@ -120,20 +167,12 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 // still bit-identical, by construction.
 func TestIncrementalNilTrace(t *testing.T) {
 	g := incTestGraph(t)
-	spec := bspTestSpec()
-	alg := algos.NewPageRank()
-	scratch, err := Run(Config{Spec: spec, Nodes: 2, Graph: g, Alg: alg})
+	cfg := Config{Spec: bspTestSpec(), Nodes: 2, Graph: g, Alg: algos.NewPageRank()}
+	scratch, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty := make([]bool, g.NumVertices())
-	inc, err := Run(Config{
-		Spec: spec, Nodes: 2, Graph: g, Alg: alg,
-		Incremental: &IncrementalRun{Dirty: dirty},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inc, _ := runBoundary(t, cfg, nil, make([]bool, g.NumVertices()))
 	if !attrsBitEqual(inc.Attrs, scratch.Attrs) || inc.Iterations != scratch.Iterations {
 		t.Fatal("nil-trace incremental run diverges from scratch")
 	}
@@ -143,23 +182,10 @@ func TestIncrementalNilTrace(t *testing.T) {
 // full recomputation once exhausted, not fail or diverge.
 func TestIncrementalShortTrace(t *testing.T) {
 	g := incTestGraph(t)
-	spec := gasTestSpec()
-	alg := algos.NewCC()
-	full, err := Run(Config{Spec: spec, Nodes: 2, Graph: g, Alg: alg, RecordTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	short := &Trace{
-		AttrWidth: full.Trace.AttrWidth, NumV: full.Trace.NumV,
-		Iters: 1, Attrs: full.Trace.Attrs[:1], Changed: full.Trace.Changed[:1],
-	}
-	inc, err := Run(Config{
-		Spec: spec, Nodes: 2, Graph: g, Alg: alg,
-		Incremental: &IncrementalRun{Trace: short, Dirty: make([]bool, g.NumVertices())},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Spec: gasTestSpec(), Nodes: 2, Graph: g, Alg: algos.NewCC()}
+	full, fullTrace := runBoundary(t, cfg, nil, nil)
+	short := &trace{attrs: fullTrace.attrs[:1], changed: fullTrace.changed[:1]}
+	inc, _ := runBoundary(t, cfg, short, make([]bool, g.NumVertices()))
 	if !attrsBitEqual(inc.Attrs, full.Attrs) || inc.Iterations != full.Iterations {
 		t.Fatal("short-trace incremental run diverges from scratch")
 	}

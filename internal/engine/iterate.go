@@ -442,8 +442,8 @@ func (r *runner) nativeApply(j int, res *gxplug.GenResult) (changed, wrote []boo
 	var diff []graph.VertexID
 	if replay {
 		it := r.ctx.Iteration
-		memoAttrs = r.inc.trace.Attrs[it]
-		memoChanged = r.inc.trace.Changed[it]
+		memoAttrs = r.inc.trace.attrs[it]
+		memoChanged = r.inc.trace.changed[it]
 		diff = r.inc.diffPer[j][:0]
 	}
 	// diverged reports whether a computed cone vertex left the memoized

@@ -1,12 +1,14 @@
 package engine_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"gxplug/internal/algos"
 	"gxplug/internal/engine"
 	"gxplug/internal/engine/graphx"
+	"gxplug/internal/graph"
 )
 
 // TestConfigResolvedOnce: a Config is resolved by one function, so Run,
@@ -22,16 +24,17 @@ func TestConfigResolvedOnce(t *testing.T) {
 		}
 	}
 	native := func(c *engine.Config) { c.Plug = nil }
-	incremental := func(c *engine.Config) {
+	stream := func(c *engine.Config) {
 		c.Plug = nil
-		c.Incremental = &engine.IncrementalRun{Dirty: make([]bool, g.NumVertices())}
+		c.Stream = &engine.BatchStream{Batches: []graph.EdgeBatch{
+			{Time: 1, Adds: []graph.Edge{{Src: 0, Dst: 5, Weight: 1}}},
+		}}
 	}
-	trace := func(tr engine.Trace) func(*engine.Config) {
-		return func(c *engine.Config) {
-			incremental(c)
-			c.Incremental.Trace = &tr
-		}
+	scratch := func(c *engine.Config) {
+		stream(c)
+		c.Stream.Scratch = true
 	}
+	sssp := func(c *engine.Config) { c.Alg = algos.NewSSSPBF(algos.DefaultSources(g.NumVertices())) }
 	stall := []engine.Fault{{Kind: engine.FaultMsgStall}}
 
 	invalid := []struct {
@@ -74,28 +77,26 @@ func TestConfigResolvedOnce(t *testing.T) {
 			c.CheckpointEvery, c.CheckpointSink = 1, sink
 			c.Plug[0].CacheCapacity = 8
 		}},
-		{"plugged trace recording", "trace recording is native-only", func(c *engine.Config) { c.RecordTrace = true }},
-		{"plugged incremental", "incremental runs are native-only", func(c *engine.Config) {
-			incremental(c)
+		{"plugged stream", "batch stream requires native execution", func(c *engine.Config) {
+			stream(c)
 			c.Plug = cpuPlug()
 		}},
-		{"incremental with checkpoint", "incompatible with checkpointing", func(c *engine.Config) {
-			incremental(c)
+		{"stream with faults", "batch stream cannot be combined with fault injection", func(c *engine.Config) {
+			stream(c)
+			c.Faults = stall
+		}},
+		{"plugged stream with faults", "batch stream cannot be combined with fault injection", func(c *engine.Config) {
+			stream(c)
+			c.Plug, c.Faults = cpuPlug(), stall
+		}},
+		{"stream with checkpoint", "batch stream cannot be combined with checkpointing", func(c *engine.Config) {
+			scratch(c)
 			c.CheckpointEvery, c.CheckpointSink = 1, sink
 		}},
-		{"incremental non-inc algorithm", "does not support incremental", func(c *engine.Config) {
-			incremental(c)
-			c.Alg = algos.NewSSSPBF(algos.DefaultSources(g.NumVertices()))
+		{"incremental stream over non-incremental algorithm", `does not support incremental recomputation; run its batch stream with "mode": "scratch"`, func(c *engine.Config) {
+			stream(c)
+			sssp(c)
 		}},
-		{"dirty seed length", "dirty seed over 1 vertices", func(c *engine.Config) {
-			incremental(c)
-			c.Incremental.Dirty = make([]bool, 1)
-		}},
-		{"trace attr width", "trace attr width 7", trace(engine.Trace{AttrWidth: 7, NumV: g.NumVertices()})},
-		{"trace vertex count", "trace over 99 vertices", trace(engine.Trace{AttrWidth: 1, NumV: 99})},
-		{"trace shape", "header says 2", trace(engine.Trace{
-			AttrWidth: 1, NumV: g.NumVertices(), Iters: 2, Attrs: make([][]float64, 1), Changed: make([][]bool, 1),
-		})},
 	}
 	for _, tc := range invalid {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,6 +114,12 @@ func TestConfigResolvedOnce(t *testing.T) {
 			if resErr.Error() != runErr.Error() || estErr.Error() != runErr.Error() {
 				t.Errorf("entry points disagree:\n run      %v\n resume   %v\n estimate %v", runErr, resErr, estErr)
 			}
+			for _, err := range []error{runErr, resErr, estErr} {
+				var ce *engine.ConfigError
+				if !errors.As(err, &ce) {
+					t.Errorf("rejection %q is not a *ConfigError", err)
+				}
+			}
 		})
 	}
 
@@ -126,7 +133,6 @@ func TestConfigResolvedOnce(t *testing.T) {
 		{"absorbed fault plan", func(c *engine.Config) {
 			c.Faults = []engine.Fault{{Kind: engine.FaultMsgStall, Node: 1, Superstep: 1, Param: 1}}
 		}},
-		{"native trace recording", func(c *engine.Config) { native(c); c.RecordTrace = true }},
 	}
 	for _, tc := range valid {
 		t.Run(tc.name, func(t *testing.T) {
@@ -152,6 +158,52 @@ func TestConfigResolvedOnce(t *testing.T) {
 			}
 			if _, err := engine.Resume(cfg, st); err != nil {
 				t.Errorf("resume: %v", err)
+			}
+		})
+	}
+
+	// A stream config Run accepts is priced by EstimateCost and always
+	// rejected by Resume: no stream run can have taken a checkpoint.
+	streams := []struct {
+		name string
+		mut  func(*engine.Config)
+	}{
+		{"incremental stream", stream},
+		{"scratch stream", scratch},
+		{"scratch stream over non-incremental algorithm", func(c *engine.Config) { scratch(c); sssp(c) }},
+		{"empty stream", func(c *engine.Config) { stream(c); c.Stream.Batches = nil }},
+	}
+	for _, tc := range streams {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base()
+			tc.mut(&cfg)
+			steps := 0
+			cfg.Observer = func(engine.SuperstepInfo) { steps++ }
+			res, err := engine.Run(cfg)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if want := len(cfg.Stream.Batches) + 1; len(res.Batches) != want {
+				t.Errorf("run reported %d boundaries, want %d", len(res.Batches), want)
+			}
+			static := cfg
+			static.Stream = nil
+			seed, err := engine.EstimateCost(static)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est, err := engine.EstimateCost(cfg)
+			if err != nil {
+				t.Fatalf("estimate: %v", err)
+			}
+			if want := seed.Supersteps * len(res.Batches); est.Supersteps != want {
+				t.Errorf("estimate prices %d supersteps, want %d (seed × boundaries)", est.Supersteps, want)
+			}
+			steps = 0
+			_, err = engine.Resume(cfg, &engine.CheckpointState{Iteration: 1})
+			var ce *engine.ConfigError
+			if !errors.As(err, &ce) || !strings.Contains(err.Error(), "cannot resume") || steps != 0 {
+				t.Errorf("resume: %v after %d supersteps, want a ConfigError before any", err, steps)
 			}
 		})
 	}

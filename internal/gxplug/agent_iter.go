@@ -87,13 +87,12 @@ func (a *Agent) RequestGen(active func(graph.VertexID) bool) (*GenResult, error)
 
 	// Split blocks across daemons proportionally to device capacity; the
 	// daemons run in parallel, so the node pays the slowest share.
-	shares := a.splitBlocks(blocks)
 	var worst time.Duration
-	for di, share := range shares {
-		if len(share) == 0 {
+	for di, sp := range a.splitByRate(len(blocks)) {
+		if sp.lo == sp.hi {
 			continue
 		}
-		makespan, err := a.runPipeline(di, share, res, reuseTopo)
+		makespan, err := a.runPipeline(di, blocks[sp.lo:sp.hi], res, reuseTopo)
 		if err != nil {
 			return nil, err
 		}
@@ -221,37 +220,38 @@ func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 	return out
 }
 
-// splitBlocks assigns contiguous block ranges to daemons proportionally
-// to device effective rate (within-node workload balancing across
-// heterogeneous accelerators — the Fig 9d mix & match).
-func (a *Agent) splitBlocks(blocks []blockPlan) [][]blockPlan {
-	nd := len(a.daemons)
-	shares := make([][]blockPlan, nd)
-	if nd == 1 {
-		shares[0] = blocks
-		return shares
+// span is the half-open index range [lo, hi).
+type span struct{ lo, hi int }
+
+// splitByRate cuts n contiguous items into one span per daemon,
+// proportionally to device effective rate (within-node workload
+// balancing across heterogeneous accelerators — the Fig 9d mix & match).
+func (a *Agent) splitByRate(n int) []span {
+	spans := make([]span, len(a.daemons))
+	if len(spans) == 1 {
+		spans[0] = span{0, n}
+		return spans
 	}
-	weights := make([]float64, nd)
+	weights := make([]float64, len(a.devices))
 	var total float64
 	for i, dv := range a.devices {
 		weights[i] = dv.EffectiveRate(1 << 20)
 		total += weights[i]
 	}
-	start := 0
-	var cum float64
-	for i := 0; i < nd; i++ {
+	start, cum := 0, 0.0
+	for i := range spans {
 		cum += weights[i]
-		end := int(cum / total * float64(len(blocks)))
-		if i == nd-1 {
-			end = len(blocks)
+		end := int(cum / total * float64(n))
+		if i == len(spans)-1 {
+			end = n
 		}
 		if end < start {
 			end = start
 		}
-		shares[i] = blocks[start:end]
+		spans[i] = span{start, end}
 		start = end
 	}
-	return shares
+	return spans
 }
 
 // sameRowSet reports whether the participating rows and block size match
@@ -283,6 +283,7 @@ func (a *Agent) runPipeline(di int, blocks []blockPlan, res *GenResult, reuseTop
 	k := len(blocks)
 	costs := make([]simtime.StageCosts, k)
 	for i := range costs {
+		// StageCosts is itself a slice: download, compute, upload.
 		costs[i] = simtime.StageCosts{0, 0, 0}
 	}
 	geo := make([][2]int, k) // (numVerts, resultOff) per block for draining
@@ -305,7 +306,7 @@ func (a *Agent) runPipeline(di int, blocks []blockPlan, res *GenResult, reuseTop
 		// Thread.Upload: drain the u-chunk (two rotations behind).
 		if step >= 2 {
 			uSeg := p.mem[physSeg(roleU, p.rot)]
-			tu := a.drainBlock(uSeg, blocks[step-2], geo[step-2], res, &costs[step-2])
+			tu := a.drainBlock(uSeg, blocks[step-2], geo[step-2], res)
 			costs[step-2][2] += tu
 		}
 		// Exchange finished: rotate n→c→u→n on both sides.
@@ -392,7 +393,7 @@ func (a *Agent) fillBlock(seg []byte, bp blockPlan, reuseTopo bool) (time.Durati
 
 // drainBlock reads one computed block's results out of the u-chunk and
 // merges them into the node-level result, returning the upload-stage cost.
-func (a *Agent) drainBlock(seg []byte, bp blockPlan, geo [2]int, res *GenResult, _ *simtime.StageCosts) time.Duration {
+func (a *Agent) drainBlock(seg []byte, bp blockPlan, geo [2]int, res *GenResult) time.Duration {
 	nV, resultOff := geo[0], geo[1]
 	mw := a.alg.MsgWidth()
 	acc := grow(&a.drainAcc, nV*mw)
@@ -554,33 +555,8 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 
 	// Split contiguous ranges over daemons by capacity; daemons run in
 	// parallel, pay the slowest.
-	type span struct{ lo, hi int }
-	spans := make([]span, len(a.daemons))
-	if len(a.daemons) == 1 {
-		spans[0] = span{0, len(sel)}
-	} else {
-		var total float64
-		w := make([]float64, len(a.devices))
-		for i, dv := range a.devices {
-			w[i] = dv.EffectiveRate(1 << 20)
-			total += w[i]
-		}
-		start, cum := 0, 0.0
-		for i := range spans {
-			cum += w[i]
-			end := int(cum / total * float64(len(sel)))
-			if i == len(spans)-1 {
-				end = len(sel)
-			}
-			if end < start {
-				end = start
-			}
-			spans[i] = span{start, end}
-			start = end
-		}
-	}
 	var worst time.Duration
-	for di, sp := range spans {
+	for di, sp := range a.splitByRate(len(sel)) {
 		if sp.lo == sp.hi {
 			continue
 		}
