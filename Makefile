@@ -105,19 +105,19 @@ cover:
 	done < COVERAGE_baseline.txt; \
 	rm -f $$out; exit $$rc
 
-# 10-second native-fuzzing smoke over the shared-memory codec, the dense
-# routing buffers against their plain-map reference, and the
-# dataset-ingestion decoders (full corpora live in each package's
-# testdata/fuzz).
+# 10-second native-fuzzing smoke over the shared-memory codec, the one
+# message buffer against its plain-map reference, the dataset-ingestion
+# decoders, and gxd's submission path (full corpora live in each
+# package's testdata/fuzz).
 fuzz-smoke:
 	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime=10s
 	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzCodecDecodeNoPanic$$' -fuzztime=10s
-	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzOutboxRouting$$' -fuzztime=10s
-	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzInboxFromMap$$' -fuzztime=10s
+	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzMsgBuf$$' -fuzztime=10s
 	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzSnapshotDecodeNoPanic$$' -fuzztime=10s
 	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzSnapshotV2DecodeNoPanic$$' -fuzztime=10s
 	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzEdgeListParse$$' -fuzztime=10s
 	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzBatchDecodeNoPanic$$' -fuzztime=10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzSubmitNoPanic$$' -fuzztime=10s
 
 # The nested benchmark/ module imports gx and internal/* through its
 # replace directive, but the root `go build ./... && go test ./...` never

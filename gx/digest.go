@@ -35,8 +35,8 @@ const digestVersion = "gx-scenario-v2"
 // file's *content* digest is folded in one level up, by the executor,
 // so a rewritten file can never hit a stale cached result.
 //
-// Scenarios that depend on functional options ([WithGraph],
-// [WithAlgorithm], [WithPlug], ...) have no canonical form: the options
+// Scenarios that depend on functional options ([WithGraph], [WithPlug],
+// [WithPartitioning], ...) have no canonical form: the options
 // are live objects with no JSON representation, which is why runs
 // carrying them bypass result caching by construction.
 func (s Scenario) Digest() (string, error) {

@@ -45,12 +45,14 @@
 // content once per visible change, verifies the pin, and parses once
 // per distinct content.
 //
-// Functional options refine a scenario at the call site: [WithMaxIter],
-// [WithNet], [WithGraph], [WithAlgorithm], [WithPlug],
-// [WithPartitioning], and [WithObserver], which attaches a per-superstep
+// Functional options hand a run what a scenario cannot spell in JSON —
+// live objects and hooks: [WithGraph], [WithPlug], [WithPartitioning],
+// [WithCheckpoint], and [WithObserver], which attaches a per-superstep
 // [Observer] — frontier size, routed messages, per-bucket virtual time,
 // synchronization-skip decisions — for metrics streaming and live
-// progress. A nil observer costs nothing.
+// progress. A nil observer costs nothing. Everything with a declarative
+// form (algorithm, iteration cap, network) is a scenario field only;
+// custom algorithms and networks join by name through the registries.
 //
 // The scenario's cache_capacity field bounds each agent's LRU
 // synchronization cache to a fixed number of attribute rows (0 sizes it

@@ -268,6 +268,20 @@ func TestFailureClass(t *testing.T) {
 	if _, err := Run(bad); FailureClass(err) != ClassValidation {
 		t.Fatalf("invalid scenario classified %q", FailureClass(err))
 	}
+	// A checkpoint Resume cannot continue from is a rejection, not a
+	// failed run: no superstep executes.
+	healthy := s
+	healthy.Faults = nil
+	steps := 0
+	count := WithObserver(func(Superstep) { steps++ })
+	for name, st := range map[string]*CheckpointState{
+		"nil":        nil,
+		"mis-shaped": {Iteration: 1, AttrWidth: 1},
+	} {
+		if _, err := Resume(healthy, st, count); FailureClass(err) != ClassValidation || steps != 0 {
+			t.Fatalf("resume from %s checkpoint classified %q after %d supersteps (%v)", name, FailureClass(err), steps, err)
+		}
+	}
 	if got := FailureClass(os.ErrNotExist); got != ClassIO {
 		t.Fatalf("fs.ErrNotExist classified %q", got)
 	}

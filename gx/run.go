@@ -1,48 +1,36 @@
 package gx
 
-import "gxplug/internal/engine"
+import (
+	"slices"
+
+	"gxplug/internal/engine"
+)
 
 // runConfig collects what the functional options override.
 type runConfig struct {
 	graph     *Graph
-	alg       Algorithm
 	plugs     []PlugOptions
 	havePlug  bool
 	part      *Partitioning
-	net       *Network
-	maxIter   *int
 	obs       Observer
 	ckptEvery int
 	ckptSink  func(*CheckpointState) error
 }
 
-func (rc *runConfig) provided() provided {
-	return provided{
-		graph: rc.graph != nil,
-		alg:   rc.alg != nil,
-		plug:  rc.havePlug,
-		net:   rc.net != nil,
-	}
-}
-
 // Option refines a Scenario at the call site with values that have no
-// declarative (JSON) form — live objects, hooks — or that override one
-// scenario field programmatically.
+// declarative (JSON) form: live objects and hooks.
 type Option func(*runConfig)
 
 // WithGraph runs over a pre-built graph instead of loading the
 // scenario's dataset (the Dataset/Scale/Seed fields are not consulted).
 func WithGraph(g *Graph) Option { return func(rc *runConfig) { rc.graph = g } }
 
-// WithAlgorithm runs a concrete algorithm instance instead of building
-// the scenario's registered one (Algorithm/Params are not consulted).
-func WithAlgorithm(a Algorithm) Option { return func(rc *runConfig) { rc.alg = a } }
-
 // WithPlug supplies explicit per-node middleware options instead of the
 // scenario's accelerator profile: one entry applies to every node, n
 // entries configure n nodes individually. The scenario's Accel, GPUs,
-// Mix and Opt fields are not consulted. WithPlug() with no arguments
-// forces native execution.
+// Mix and Opt fields are not consulted; its CacheCapacity, when set,
+// still bounds every entry's cache. WithPlug() with no arguments forces
+// native execution.
 func WithPlug(plugs ...PlugOptions) Option {
 	return func(rc *runConfig) { rc.plugs, rc.havePlug = plugs, true }
 }
@@ -50,13 +38,6 @@ func WithPlug(plugs ...PlugOptions) Option {
 // WithPartitioning overrides the engine's default partitioner (used by
 // the workload-balancing scenarios).
 func WithPartitioning(p *Partitioning) Option { return func(rc *runConfig) { rc.part = p } }
-
-// WithNet overrides the cluster interconnect with an explicit model
-// (the scenario's Network field is not consulted).
-func WithNet(n Network) Option { return func(rc *runConfig) { rc.net = &n } }
-
-// WithMaxIter overrides the scenario's iteration cap.
-func WithMaxIter(n int) Option { return func(rc *runConfig) { rc.maxIter = &n } }
 
 // WithObserver attaches a per-superstep observer: frontier size, routed
 // messages, per-bucket virtual time, synchronization-skip decisions. The
@@ -127,9 +108,7 @@ func prepare(s Scenario, cache *DatasetCache, opts []Option) (engine.Config, err
 	// Accelerator profiles are resolved (and their factories invoked)
 	// exactly once, in buildConfig; validation of everything else happens
 	// up front so unrelated problems surface together.
-	have := rc.provided()
-	have.plug = true
-	if err := s.validate(have); err != nil {
+	if err := s.validate(provided{graph: rc.graph != nil, plug: true}); err != nil {
 		return engine.Config{}, &ValidationError{Err: err}
 	}
 	return buildConfig(s, cache, &rc)
@@ -146,7 +125,6 @@ func buildConfig(s Scenario, cache *DatasetCache, rc *runConfig) (engine.Config,
 		Spec:            eng.Spec(),
 		Nodes:           s.Nodes,
 		MaxIter:         s.MaxIter,
-		CacheCapacity:   s.CacheCapacity,
 		Partitioning:    rc.part,
 		Observer:        rc.obs,
 		CheckpointEvery: rc.ckptEvery,
@@ -167,28 +145,28 @@ func buildConfig(s Scenario, cache *DatasetCache, rc *runConfig) (engine.Config,
 	}
 	cfg.Graph = g
 
-	alg := rc.alg
-	if alg == nil {
-		if alg, err = NewAlgorithm(s.Algorithm, s.Params, g.NumVertices()); err != nil {
+	if cfg.Alg, err = NewAlgorithm(s.Algorithm, s.Params, g.NumVertices()); err != nil {
+		return engine.Config{}, err
+	}
+
+	plugs := rc.plugs
+	if !rc.havePlug {
+		if plugs, err = s.plugs(); err != nil {
 			return engine.Config{}, err
 		}
 	}
-	cfg.Alg = alg
-
-	if rc.havePlug {
-		cfg.Plug = rc.plugs
-	} else if cfg.Plug, err = s.plugs(); err != nil {
-		return engine.Config{}, err
+	if s.CacheCapacity > 0 {
+		// The bound applies to whichever plug list is in effect; clone so
+		// a caller's WithPlug slice is never written.
+		plugs = slices.Clone(plugs)
+		for i := range plugs {
+			plugs[i].CacheCapacity = s.CacheCapacity
+		}
 	}
+	cfg.Plug = plugs
 
-	if rc.net != nil {
-		cfg.Net = *rc.net
-	} else if cfg.Net, err = networkReg.lookup(s.Network); err != nil {
+	if cfg.Net, err = networkReg.lookup(s.Network); err != nil {
 		return engine.Config{}, err
-	}
-
-	if rc.maxIter != nil {
-		cfg.MaxIter = *rc.maxIter
 	}
 
 	if s.Batches != nil {

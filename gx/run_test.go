@@ -158,31 +158,25 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 	}
 }
 
-// TestRunWithOptionsOverrides exercises WithGraph / WithAlgorithm /
-// WithPlug / WithMaxIter: scenario fields they replace are not consulted.
+// TestRunWithOptionsOverrides exercises WithGraph / WithPlug: scenario
+// fields they replace are not consulted.
 func TestRunWithOptionsOverrides(t *testing.T) {
 	g, err := LoadDataset("wiki-topcats", 20000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alg, err := NewAlgorithm("pagerank", AlgoParams{}, g.NumVertices())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Dataset/Algorithm/Accel fields left empty or invalid on purpose:
-	// the options supply them.
-	s := Scenario{Engine: "graphx", Nodes: 2}
+	// Dataset/Accel fields left empty or invalid on purpose: the options
+	// supply them.
+	s := Scenario{Engine: "graphx", Algorithm: "pagerank", Nodes: 2, MaxIter: 3}
 	res, err := Run(s,
 		WithGraph(g),
-		WithAlgorithm(alg),
 		WithPlug(CPUPlug()),
-		WithMaxIter(3),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Iterations != 3 {
-		t.Fatalf("WithMaxIter(3) ran %d iterations", res.Iterations)
+		t.Fatalf("maxiter 3 ran %d iterations", res.Iterations)
 	}
 	if res.AgentStats == nil {
 		t.Fatal("WithPlug did not plug the middleware in")

@@ -75,7 +75,8 @@ type Scenario struct {
 	// Nodes is the distributed cluster size.
 	Nodes int `json:"nodes"`
 	// Accel names a registered accelerator profile applied to every node
-	// ("" → "none"); GPUs is the daemon count for GPU profiles (0 → 1).
+	// ("" → "none"); GPUs is the daemon count for GPU profiles (0 → 1,
+	// at most maxGPUs).
 	Accel string `json:"accel,omitempty"`
 	GPUs  int    `json:"gpus,omitempty"`
 	// Mix lists one accelerator profile per node for heterogeneous
@@ -150,14 +151,18 @@ func (s Scenario) Validate() error {
 	return s.WithDefaults().validate(provided{})
 }
 
+// maxGPUs bounds Scenario.GPUs. Validation dry-runs the accelerator
+// profile, which builds one device model per daemon, so an unbounded
+// count in a submitted scenario would make validation itself the
+// expensive step.
+const maxGPUs = 64
+
 // provided records which scenario fields a Run call overrides with
 // functional options, so validation skips requirements the options
 // already satisfy.
 type provided struct {
 	graph bool // WithGraph: Dataset/Scale not consulted
-	alg   bool // WithAlgorithm: Algorithm/Params not consulted
 	plug  bool // WithPlug: Accel/GPUs/Mix not consulted
-	net   bool // WithNet: Network not consulted
 }
 
 // validate checks a defaults-applied scenario.
@@ -197,13 +202,11 @@ func (s Scenario) validate(have provided) error {
 	if _, err := engineReg.lookup(s.Engine); err != nil {
 		errs = append(errs, err)
 	}
-	if !have.alg {
-		if def, err := algoReg.lookup(s.Algorithm); err != nil {
-			errs = append(errs, err)
-		} else if def.Check != nil {
-			if err := def.Check(s.Params); err != nil {
-				fail("algorithm %q: %v", s.Algorithm, err)
-			}
+	if def, err := algoReg.lookup(s.Algorithm); err != nil {
+		errs = append(errs, err)
+	} else if def.Check != nil {
+		if err := def.Check(s.Params); err != nil {
+			fail("algorithm %q: %v", s.Algorithm, err)
 		}
 	}
 	if !have.graph {
@@ -219,10 +222,9 @@ func (s Scenario) validate(have provided) error {
 		}
 	}
 	if !have.plug {
-		if s.GPUs < 1 {
-			fail("gpus %d (want ≥ 1)", s.GPUs)
-		}
-		if len(s.Mix) > 0 && s.Nodes > 0 && len(s.Mix) != s.Nodes {
+		if s.GPUs < 1 || s.GPUs > maxGPUs {
+			fail("gpus %d (want 1..%d)", s.GPUs, maxGPUs)
+		} else if len(s.Mix) > 0 && s.Nodes > 0 && len(s.Mix) != s.Nodes {
 			fail("mix has %d entries for %d nodes", len(s.Mix), s.Nodes)
 		} else if ps, err := s.plugs(); err != nil {
 			errs = append(errs, err)
@@ -246,10 +248,8 @@ func (s Scenario) validate(have provided) error {
 			}
 		}
 	}
-	if !have.net {
-		if _, err := networkReg.lookup(s.Network); err != nil {
-			errs = append(errs, err)
-		}
+	if _, err := networkReg.lookup(s.Network); err != nil {
+		errs = append(errs, err)
 	}
 	if s.Batches != nil {
 		s.Batches.validate(fail)

@@ -62,6 +62,8 @@ func TestValidateErrors(t *testing.T) {
 			[]string{"hop bound -3"}},
 		{"negative source", func(s *Scenario) { s.Algorithm = "sssp"; s.Params.Sources = []int64{0, -7} },
 			[]string{"source -7"}},
+		{"absurd gpu count", func(s *Scenario) { s.GPUs = 20000000 },
+			[]string{"gpus 20000000 (want 1..64)"}},
 		{"negative cache capacity", func(s *Scenario) { s.CacheCapacity = -3 },
 			[]string{"cache_capacity -3"}},
 		{"cache capacity without accelerator", func(s *Scenario) { s.Accel = "none"; s.CacheCapacity = 64 },

@@ -55,9 +55,10 @@ func TestBoundedCacheDeterminism(t *testing.T) {
 			once := func(procs, capRows int) *engine.Result {
 				old := runtime.GOMAXPROCS(procs)
 				defer runtime.GOMAXPROCS(old)
+				plug := cpuPlug()
+				plug[0].CacheCapacity = capRows
 				res, err := tc.run(engine.Config{
-					Nodes: 8, Graph: g, Alg: tc.alg(), Plug: cpuPlug(),
-					CacheCapacity: capRows,
+					Nodes: 8, Graph: g, Alg: tc.alg(), Plug: plug,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -131,9 +132,11 @@ func TestBoundedCacheStatsObserved(t *testing.T) {
 	}
 	run := func(capRows int) (*engine.Result, []engine.SuperstepInfo) {
 		var steps []engine.SuperstepInfo
+		plug := cpuPlug()
+		plug[0].CacheCapacity = capRows
 		res, err := powergraph.Run(engine.Config{
-			Nodes: 4, Graph: g, Alg: algos.NewPageRank(), Plug: cpuPlug(),
-			MaxIter: 6, CacheCapacity: capRows,
+			Nodes: 4, Graph: g, Alg: algos.NewPageRank(), Plug: plug,
+			MaxIter:  6,
 			Observer: func(si engine.SuperstepInfo) { steps = append(steps, si) },
 		})
 		if err != nil {

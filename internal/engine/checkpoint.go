@@ -91,31 +91,37 @@ func (r *runner) checkpoint(iter int, carry *gasCarry, changedAny bool) error {
 // Config. The fault plan is validated like Run's but not re-armed — the
 // crash the checkpoint recovered from belongs to the previous
 // incarnation — and the result is bit-identical (final attributes,
-// virtual makespan, per-bucket times) to the uninterrupted run's.
+// virtual makespan, per-bucket times) to the uninterrupted run's. A nil
+// or mis-shaped checkpoint is a *ConfigError, like a rejected Config.
 func Resume(cfg Config, st *CheckpointState) (*Result, error) {
 	p, err := resolve(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Stream != nil {
+	// A checkpoint this config cannot continue from is rejected like any
+	// other config problem: before anything is set up.
+	n := cfg.Graph.NumVertices()
+	var bad error
+	switch {
+	case cfg.Stream != nil:
 		// No stream run can have produced a checkpoint (resolve rejects
 		// stream × checkpointing), so there is nothing to resume into.
-		return nil, &ConfigError{Err: fmt.Errorf("engine: a batch stream cannot resume from a checkpoint")}
-	}
-	n := cfg.Graph.NumVertices()
-	switch {
+		bad = fmt.Errorf("engine: a batch stream cannot resume from a checkpoint")
 	case st == nil:
-		return nil, fmt.Errorf("engine: resume from nil checkpoint")
+		bad = fmt.Errorf("engine: resume from nil checkpoint")
 	case st.Iteration < 1:
-		return nil, fmt.Errorf("engine: checkpoint at %d completed supersteps (want ≥ 1)", st.Iteration)
+		bad = fmt.Errorf("engine: checkpoint at %d completed supersteps (want ≥ 1)", st.Iteration)
 	case st.AttrWidth != p.aw:
-		return nil, fmt.Errorf("engine: checkpoint attr width %d, algorithm wants %d", st.AttrWidth, p.aw)
+		bad = fmt.Errorf("engine: checkpoint attr width %d, algorithm wants %d", st.AttrWidth, p.aw)
 	case len(st.Attrs) != n*p.aw:
-		return nil, fmt.Errorf("engine: checkpoint has %d attrs, graph wants %d", len(st.Attrs), n*p.aw)
+		bad = fmt.Errorf("engine: checkpoint has %d attrs, graph wants %d", len(st.Attrs), n*p.aw)
 	case len(st.Active) != n:
-		return nil, fmt.Errorf("engine: checkpoint has %d active flags, graph wants %d", len(st.Active), n)
+		bad = fmt.Errorf("engine: checkpoint has %d active flags, graph wants %d", len(st.Active), n)
 	case len(st.Nodes) != cfg.Nodes:
-		return nil, fmt.Errorf("engine: checkpoint has %d node clocks, config %d nodes", len(st.Nodes), cfg.Nodes)
+		bad = fmt.Errorf("engine: checkpoint has %d node clocks, config %d nodes", len(st.Nodes), cfg.Nodes)
+	}
+	if bad != nil {
+		return nil, &ConfigError{Err: bad}
 	}
 	r := newRunner(p)
 	r.faultsAt = nil

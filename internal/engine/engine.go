@@ -79,13 +79,6 @@ type Config struct {
 	Plug []gxplug.Options
 	// MaxIter caps iterations on top of the algorithm's own cap.
 	MaxIter int
-	// CacheCapacity, when > 0, bounds every plugged agent's
-	// synchronization cache to that many rows, overriding the per-node
-	// Plug option (0 leaves each option as written; an option's own zero
-	// sizes the cache to the node's vertex table). Dirty rows evicted by
-	// a bounded cache are spilled and uploaded at serialized phase
-	// boundaries, so results stay bit-identical to the unbounded run.
-	CacheCapacity int
 	// Faults is the deterministic fault-injection plan: each entry is
 	// armed on its node's agent at the top of its superstep. Requires
 	// Plug (faults live in the middleware layer). See fault.go.
@@ -93,8 +86,8 @@ type Config struct {
 	// CheckpointEvery, when > 0, takes a consistent-cut checkpoint
 	// after every CheckpointEvery completed supersteps and hands it to
 	// CheckpointSink. The two must be set together, and checkpointing
-	// is incompatible with bounded caches (CacheCapacity, here or in a
-	// Plug option): a bounded cache's contents depend on eviction
+	// is incompatible with bounded caches (a Plug option's
+	// CacheCapacity): a bounded cache's contents depend on eviction
 	// history, which a resumed run cannot reconstruct.
 	CheckpointEvery int
 	CheckpointSink  func(*CheckpointState) error
@@ -140,7 +133,7 @@ type SuperstepInfo struct {
 	// all agents (all zero on native runs). CacheEvictions counts every
 	// cache departure — remote invalidations included, so it is non-zero
 	// even for unbounded caches under vertex-cut partitioning; dirty
-	// spills occur only with bounded caches (see Config.CacheCapacity).
+	// spills occur only with bounded caches (gxplug.Options.CacheCapacity).
 	CacheHits        int64
 	CacheMisses      int64
 	CacheEvictions   int64
@@ -232,10 +225,9 @@ type plan struct {
 	part *graph.Partitioning // cfg.Partitioning, or the engine default
 	net  cluster.NetworkSpec // cfg.Net, or DatacenterNet
 	// plug is each node's middleware options in effect (nil on native
-	// runs): Config.Plug's one-for-all or per-node form expanded, with
-	// Config.CacheCapacity applied. skip reports that every node has
-	// synchronization skipping on (never on native runs — the
-	// optimization lives in the middleware).
+	// runs): Config.Plug's one-for-all or per-node form expanded. skip
+	// reports that every node has synchronization skipping on (never on
+	// native runs — the optimization lives in the middleware).
 	plug []gxplug.Options
 	skip bool
 	// maxIter is the algorithm's own cap tightened by Config.MaxIter
@@ -262,8 +254,10 @@ func resolve(cfg Config) (_ *plan, err error) {
 	if len(cfg.Plug) > 1 && len(cfg.Plug) != cfg.Nodes {
 		return nil, fmt.Errorf("engine: %d plug configs for %d nodes", len(cfg.Plug), cfg.Nodes)
 	}
-	if cfg.CacheCapacity < 0 {
-		return nil, fmt.Errorf("engine: cache capacity %d (want ≥ 0)", cfg.CacheCapacity)
+	for i, o := range cfg.Plug {
+		if o.CacheCapacity < 0 {
+			return nil, fmt.Errorf("engine: plug %d cache capacity %d (want ≥ 0)", i, o.CacheCapacity)
+		}
 	}
 	if st := cfg.Stream; st != nil {
 		// Checked ahead of the fault plan's own rules: "add an
@@ -302,9 +296,6 @@ func resolve(cfg Config) (_ *plan, err error) {
 		return nil, fmt.Errorf("engine: CheckpointEvery and CheckpointSink must be set together")
 	}
 	if cfg.CheckpointEvery > 0 {
-		if cfg.CacheCapacity > 0 {
-			return nil, fmt.Errorf("engine: checkpointing is incompatible with a bounded cache (CacheCapacity %d)", cfg.CacheCapacity)
-		}
 		for i, o := range cfg.Plug {
 			if o.CacheCapacity > 0 {
 				return nil, fmt.Errorf("engine: checkpointing is incompatible with a bounded cache (plug %d CacheCapacity %d)", i, o.CacheCapacity)
@@ -337,9 +328,6 @@ func resolve(cfg Config) (_ *plan, err error) {
 			o := cfg.Plug[0]
 			if len(cfg.Plug) > 1 {
 				o = cfg.Plug[j]
-			}
-			if cfg.CacheCapacity > 0 {
-				o.CacheCapacity = cfg.CacheCapacity
 			}
 			p.plug[j] = o
 			p.skip = p.skip && o.Skipping
@@ -383,16 +371,12 @@ type runner struct {
 	uppers  []*upperSystem
 	mirrors map[graph.VertexID][]int // vertex -> nodes referencing it as a source besides its owner
 
-	// masterRow[v] is v's dense index within its owner's master list —
-	// the precomputed id→row index that makes message routing a pair of
-	// array lookups instead of per-node map lookups.
-	masterRow []int32
-	activeFn  func(graph.VertexID) bool
+	activeFn func(graph.VertexID) bool
 
 	// Reusable per-superstep buffers. Inboxes are double-buffered because
 	// GAS carries one superstep's inbox into the next round while a new
 	// one is being filled.
-	inboxSets [2][]*gxplug.Inbox
+	inboxSets [2][]*gxplug.MsgBuf
 	inboxFlip int
 	volBuf    [][]int64
 
@@ -467,8 +451,6 @@ type upperSystem struct {
 	node int
 }
 
-func (u *upperSystem) Stride() int { return u.r.aw }
-
 func (u *upperSystem) BoundaryCost(bytes int64) time.Duration {
 	return u.r.cfg.Spec.boundaryCost(float64(bytes))
 }
@@ -532,8 +514,8 @@ func (r *runner) finish(iterations int) *Result {
 	return res
 }
 
-// setup initializes authoritative state, routing indexes, reusable
-// buffers, and (when plugged) the per-node agents.
+// setup initializes authoritative state, reusable buffers, and (when
+// plugged) the per-node agents.
 func (r *runner) setup() error {
 	// Initialize authoritative state.
 	n := r.g.NumVertices()
@@ -548,12 +530,6 @@ func (r *runner) setup() error {
 		copy(r.active, r.pre.Active)
 	}
 	r.buildMirrors()
-	r.masterRow = make([]int32, n)
-	for _, part := range r.part.Parts {
-		for mi, v := range part.Masters {
-			r.masterRow[v] = int32(mi)
-		}
-	}
 	m := r.cfg.Nodes
 	r.volBuf = zeroVol(m)
 	r.nativeRes = make([][2]*gxplug.GenResult, m)
@@ -578,7 +554,7 @@ func (r *runner) setup() error {
 		r.uppers = make([]*upperSystem, r.cfg.Nodes)
 		for j, opts := range r.plug {
 			r.uppers[j] = &upperSystem{r: r, node: j}
-			r.agents[j] = gxplug.NewAgent(r.cl.Node(j), r.part.Parts[j], r.alg, r.ctx, r.uppers[j], opts)
+			r.agents[j] = gxplug.NewAgent(r.cl.Node(j), r.part, r.alg, r.ctx, r.uppers[j], opts)
 			if err := r.agents[j].Connect(); err != nil {
 				for k := 0; k < j; k++ {
 					r.agents[k].Disconnect()
@@ -725,20 +701,20 @@ func (r *runner) superstepInfo(iter, frontier, skippedBefore int, changed bool) 
 	return info
 }
 
-// nextInbox hands out the next reusable dense inbox set (one Inbox per
-// node, rows over that node's masters). Two sets alternate so a GAS
-// scatter carry survives while the next round's inbox is filled.
-func (r *runner) nextInbox() []*gxplug.Inbox {
+// nextInbox hands out the next reusable inbox set (one MsgBuf per node,
+// rows over that node's masters). Two sets alternate so a GAS scatter
+// carry survives while the next round's inbox is filled.
+func (r *runner) nextInbox() []*gxplug.MsgBuf {
 	set := r.inboxSets[r.inboxFlip]
 	if set == nil {
-		set = make([]*gxplug.Inbox, r.cfg.Nodes)
+		set = make([]*gxplug.MsgBuf, r.cfg.Nodes)
 		for j := range set {
-			set[j] = gxplug.NewInbox(r.alg, len(r.part.Parts[j].Masters), r.mw)
+			set[j] = gxplug.NewMsgBuf(r.alg, len(r.part.Parts[j].Masters))
 		}
 		r.inboxSets[r.inboxFlip] = set
 	} else {
 		for _, in := range set {
-			in.Reset(r.alg)
+			in.Reset()
 		}
 	}
 	r.inboxFlip ^= 1

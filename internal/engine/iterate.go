@@ -49,30 +49,39 @@ func (r *runner) genPhase() ([]*gxplug.GenResult, error) {
 	return out, nil
 }
 
-// routeRemote folds per-node outboxes into the per-node dense inboxes,
-// merging messages from different senders, and accumulates the pairwise
-// byte volumes into vol. Senders are visited in node order and each
-// sender's messages in its deterministic outbox order, so merge order —
-// and therefore floating-point results — is machine-independent.
-func (r *runner) routeRemote(results []*gxplug.GenResult, inbox []*gxplug.Inbox, vol [][]int64) {
+// routeRemote folds every sender's buffer for destination o into inbox
+// o, and accumulates the pairwise byte volumes into vol. Destinations
+// are independent, so the fold fans out like the phases around it. Per
+// inbox row the MSGMerge sequence is fixed — senders in node order, each
+// contributing the one row it pre-combined in its own edge/block order —
+// so floating-point results are machine- and schedule-independent.
+func (r *runner) routeRemote(results []*gxplug.GenResult, inbox []*gxplug.MsgBuf, vol [][]int64) {
+	// The fold itself cannot fail, so parallelNodes has no error to report.
+	_ = parallelNodes(r.cfg.Nodes, func(o int) error {
+		for j, res := range results {
+			if j == o {
+				continue
+			}
+			out := res.To[o]
+			for _, row := range out.Touched() {
+				inbox[o].Merge(row, out.Row(row))
+			}
+		}
+		return nil
+	})
 	msgBytes := r.cfg.Spec.wireRowBytes(r.mw)
-	owner := r.part.Owner
-	observing := r.cfg.Observer != nil
 	for j, res := range results {
-		if res == nil {
-			continue
+		for o, out := range res.To {
+			if o == j {
+				continue
+			}
+			n := int64(out.Len())
+			vol[j][o] += n * msgBytes
+			if r.cfg.Observer != nil {
+				r.obsMsgs += n
+				r.obsBytes += n * msgBytes
+			}
 		}
-		if observing {
-			n := int64(res.Remote.Len())
-			r.obsMsgs += n
-			r.obsBytes += n * msgBytes
-		}
-		volJ := vol[j]
-		res.Remote.Each(func(id graph.VertexID, msg []float64) {
-			o := int(owner[id])
-			inbox[o].Merge(r.alg, r.masterRow[id], msg)
-			volJ[o] += msgBytes
-		})
 	}
 }
 
@@ -81,7 +90,7 @@ func (r *runner) routeRemote(results []*gxplug.GenResult, inbox []*gxplug.Inbox,
 // changed vertices that have mirrors (forcing attribute synchronization
 // under vertex-cut), ordered by owning node then master order — a
 // deterministic order, unlike the map the routing layer used to build.
-func (r *runner) mergeApplyPhase(results []*gxplug.GenResult, inbox []*gxplug.Inbox) (changedAny bool, mirrorUpdates []graph.VertexID, err error) {
+func (r *runner) mergeApplyPhase(results []*gxplug.GenResult, inbox []*gxplug.MsgBuf) (changedAny bool, mirrorUpdates []graph.VertexID, err error) {
 	err = parallelNodes(r.cfg.Nodes, func(j int) error {
 		masters := r.part.Parts[j].Masters
 		var changed, wrote []bool
@@ -289,7 +298,7 @@ func (r *runner) iterateBSP() (bool, error) {
 // the per-node Gen results (local accumulators) plus the routed inbox.
 type gasCarry struct {
 	results []*gxplug.GenResult
-	inbox   []*gxplug.Inbox
+	inbox   []*gxplug.MsgBuf
 }
 
 // iterateGAS is one GAS round in PowerGraph order — Merge (gather) →
@@ -355,34 +364,23 @@ func (r *runner) chargeNative(j int, ops float64) {
 func (r *runner) nextNativeResult(j int) *gxplug.GenResult {
 	res := r.nativeRes[j][r.nativeFlip]
 	if res == nil {
-		res = gxplug.NewGenResult(r.alg, len(r.part.Parts[j].Masters), r.g.NumVertices(), r.mw)
+		res = gxplug.NewGenResult(r.alg, r.part, j)
 		r.nativeRes[j][r.nativeFlip] = res
 	} else {
-		res.Reset(r.alg)
+		res.Reset()
 	}
 	return res
 }
 
 // nativeGen runs MSGGen+combine for one node on the engine's built-in
-// executor, charging upper-bucket compute time. Local messages merge
-// straight into the dense master accumulator; remote messages into the
-// dense outbox — both via the precomputed id→row index, with no per-edge
-// map traffic.
+// executor, charging upper-bucket compute time. Every message merges
+// into its destination owner's slot of the result through the
+// partitioning's routing index, with no per-edge map traffic.
 func (r *runner) nativeGen(j int) *gxplug.GenResult {
 	part := r.part.Parts[j]
-	mw := r.mw
 	res := r.nextNativeResult(j)
 	genAll := r.alg.Hints().GenAll
-	owner := r.part.Owner
-	deliver := func(dst graph.VertexID, msg []float64) {
-		if int(owner[dst]) == j {
-			mi := int(r.masterRow[dst])
-			r.alg.MSGMerge(res.LocalAcc[mi*mw:(mi+1)*mw], msg)
-			res.LocalRecv[mi] = true
-			return
-		}
-		res.Remote.Add(r.alg, dst, msg)
-	}
+	deliver := res.Add
 	msgBuf := r.natMsg[j]
 	// Incremental replay: only destinations in the cone can receive a
 	// result differing from the memo, so only their messages are needed.
@@ -400,7 +398,7 @@ func (r *runner) nativeGen(j int) *gxplug.GenResult {
 		srcAttr := r.attrs[int(src)*r.aw : (int(src)+1)*r.aw]
 		if r.inlineGen != nil {
 			if r.inlineGen.MSGGenInto(r.ctx, src, e.Dst, e.Weight, srcAttr, msgBuf) {
-				deliver(e.Dst, msgBuf)
+				res.Add(e.Dst, msgBuf)
 			}
 			continue
 		}
@@ -411,17 +409,16 @@ func (r *runner) nativeGen(j int) *gxplug.GenResult {
 	return res
 }
 
-// nativeMerge folds a dense inbox into the node's local accumulator.
-func (r *runner) nativeMerge(j int, res *gxplug.GenResult, inbox *gxplug.Inbox) {
-	if inbox == nil || inbox.Len() == 0 {
+// nativeMerge folds an inbox into the node's local accumulator.
+func (r *runner) nativeMerge(j int, res *gxplug.GenResult, inbox *gxplug.MsgBuf) {
+	if inbox.Len() == 0 {
 		return
 	}
-	mw := r.mw
+	local := res.Local()
 	for _, mi := range inbox.Touched() {
-		r.alg.MSGMerge(res.LocalAcc[int(mi)*mw:(int(mi)+1)*mw], inbox.Row(mi))
-		res.LocalRecv[mi] = true
+		local.Merge(mi, inbox.Row(mi))
 	}
-	r.chargeNative(j, mergeOps(float64(inbox.Len()), mw))
+	r.chargeNative(j, mergeOps(float64(inbox.Len()), r.mw))
 }
 
 // nativeApply applies merged messages to the node's masters, returning
@@ -429,6 +426,7 @@ func (r *runner) nativeMerge(j int, res *gxplug.GenResult, inbox *gxplug.Inbox) 
 // per-node runner scratch, valid until the node's next apply).
 func (r *runner) nativeApply(j int, res *gxplug.GenResult) (changed, wrote []bool) {
 	part := r.part.Parts[j]
+	local := res.Local()
 	applyAll := r.alg.Hints().ApplyAll
 	changed = r.natChanged[j]
 	wrote = r.natWrote[j]
@@ -482,7 +480,7 @@ func (r *runner) nativeApply(j int, res *gxplug.GenResult) (changed, wrote []boo
 			changed[mi] = memoChanged[id]
 			continue
 		}
-		if !applyAll && !res.LocalRecv[mi] {
+		if !applyAll && !local.Recv(int32(mi)) {
 			// Skipped by the from-scratch run too; a cone vertex whose
 			// value still differs from the memo stays in the diff so the
 			// cone keeps covering its out-neighbours.
@@ -494,7 +492,7 @@ func (r *runner) nativeApply(j int, res *gxplug.GenResult) (changed, wrote []boo
 		applied++
 		copy(before, row)
 		changed[mi] = r.alg.MSGApply(r.ctx, id, row,
-			res.LocalAcc[mi*r.mw:(mi+1)*r.mw], res.LocalRecv[mi])
+			local.Row(int32(mi)), local.Recv(int32(mi)))
 		for k := range row {
 			if row[k] != before[k] {
 				wrote[mi] = true

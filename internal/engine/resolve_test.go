@@ -51,7 +51,7 @@ func TestConfigResolvedOnce(t *testing.T) {
 		{"partitioning nodes", "partitioning has 3 nodes", func(c *engine.Config) {
 			c.Partitioning = c.Spec.Partition(g, 3)
 		}},
-		{"negative cache capacity", "cache capacity -1", func(c *engine.Config) { c.CacheCapacity = -1 }},
+		{"negative cache capacity", "plug 0 cache capacity -1", func(c *engine.Config) { c.Plug[0].CacheCapacity = -1 }},
 		{"faults without plug", "requires plugged middleware", func(c *engine.Config) {
 			c.Plug = nil
 			c.Faults = stall
@@ -70,10 +70,7 @@ func TestConfigResolvedOnce(t *testing.T) {
 		{"negative every", "checkpoint every -1", func(c *engine.Config) {
 			c.CheckpointEvery, c.CheckpointSink = -1, sink
 		}},
-		{"checkpoint with bounded cache", "bounded cache (CacheCapacity 8)", func(c *engine.Config) {
-			c.CheckpointEvery, c.CheckpointSink, c.CacheCapacity = 1, sink, 8
-		}},
-		{"checkpoint with bounded plug cache", "bounded cache (plug 0", func(c *engine.Config) {
+		{"checkpoint with bounded cache", "bounded cache (plug 0", func(c *engine.Config) {
 			c.CheckpointEvery, c.CheckpointSink = 1, sink
 			c.Plug[0].CacheCapacity = 8
 		}},
@@ -158,6 +155,46 @@ func TestConfigResolvedOnce(t *testing.T) {
 			}
 			if _, err := engine.Resume(cfg, st); err != nil {
 				t.Errorf("resume: %v", err)
+			}
+		})
+	}
+
+	// A checkpoint the config cannot continue from is rejected the same
+	// way — a *ConfigError before any superstep — so callers class it as
+	// a validation failure, not a failed run.
+	var good *engine.CheckpointState
+	ccfg := base()
+	ccfg.CheckpointEvery = 1
+	ccfg.CheckpointSink = func(s *engine.CheckpointState) error {
+		if good == nil {
+			good = s
+		}
+		return nil
+	}
+	if _, err := engine.Run(ccfg); err != nil {
+		t.Fatalf("checkpointed run: %v", err)
+	}
+	checkpoints := []struct {
+		name, want string
+		mut        func(*engine.CheckpointState) *engine.CheckpointState
+	}{
+		{"nil checkpoint", "nil checkpoint", func(*engine.CheckpointState) *engine.CheckpointState { return nil }},
+		{"no completed superstep", "0 completed supersteps", func(s *engine.CheckpointState) *engine.CheckpointState { s.Iteration = 0; return s }},
+		{"attr width", "attr width 3", func(s *engine.CheckpointState) *engine.CheckpointState { s.AttrWidth = 3; return s }},
+		{"attrs length", "attrs, graph wants", func(s *engine.CheckpointState) *engine.CheckpointState { s.Attrs = s.Attrs[1:]; return s }},
+		{"active length", "active flags", func(s *engine.CheckpointState) *engine.CheckpointState { s.Active = s.Active[1:]; return s }},
+		{"node clocks", "1 node clocks, config 2 nodes", func(s *engine.CheckpointState) *engine.CheckpointState { s.Nodes = s.Nodes[:1]; return s }},
+	}
+	for _, tc := range checkpoints {
+		t.Run("resume/"+tc.name, func(t *testing.T) {
+			cfg := base()
+			steps := 0
+			cfg.Observer = func(engine.SuperstepInfo) { steps++ }
+			st := *good
+			_, err := engine.Resume(cfg, tc.mut(&st))
+			var ce *engine.ConfigError
+			if !errors.As(err, &ce) || !strings.Contains(err.Error(), tc.want) || steps != 0 {
+				t.Errorf("resume: %v after %d supersteps, want a ConfigError mentioning %q before any", err, steps, tc.want)
 			}
 		})
 	}

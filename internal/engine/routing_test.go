@@ -12,11 +12,11 @@ import (
 	"gxplug/internal/gxplug/template"
 )
 
-// This white-box suite asserts that the dense routing layer is
-// observationally identical to the map-based routing it replaced: same
-// merged inbox contents (bitwise), same per-pair exchange volumes, same
-// final attributes — across BSP and GAS superstep shapes, edge-cut and
-// vertex-cut partitionings, and random graphs.
+// This white-box suite asserts that the per-destination fold over dense
+// message buffers is observationally identical to the map-based routing
+// it replaced: same merged inbox contents (bitwise), same per-pair
+// exchange volumes, same final attributes — across BSP and GAS superstep
+// shapes, edge-cut and vertex-cut partitionings, and random graphs.
 
 // bspTestSpec and gasTestSpec are minimal engine models (the graphx and
 // powergraph packages cannot be imported here without a cycle).
@@ -40,7 +40,8 @@ func gasTestSpec() Spec {
 
 // mapRoute is the legacy map-based routing path, preserved here as the
 // reference implementation: per-node vertex-keyed inbox maps, merged
-// across senders in node order.
+// across senders in node order, one message and one volume increment at
+// a time.
 func mapRoute(r *runner, results []*gxplug.GenResult) ([]map[graph.VertexID][]float64, [][]int64) {
 	inbox := make([]map[graph.VertexID][]float64, r.cfg.Nodes)
 	for j := range inbox {
@@ -49,28 +50,31 @@ func mapRoute(r *runner, results []*gxplug.GenResult) ([]map[graph.VertexID][]fl
 	vol := zeroVol(r.cfg.Nodes)
 	msgBytes := int64(float64(8*r.mw+4) * r.cfg.Spec.MsgByteFactor)
 	for j, res := range results {
-		if res == nil {
-			continue
-		}
-		res.Remote.Each(func(id graph.VertexID, msg []float64) {
-			o := int(r.part.Owner[id])
-			acc, ok := inbox[o][id]
-			if !ok {
-				acc = make([]float64, r.mw)
-				r.alg.MergeIdentity(acc)
-				inbox[o][id] = acc
+		for o, out := range res.To {
+			if o == j {
+				continue
 			}
-			r.alg.MSGMerge(acc, msg)
-			vol[j][o] += msgBytes
-		})
+			for _, row := range out.Touched() {
+				id := r.part.Parts[o].Masters[row]
+				acc, ok := inbox[o][id]
+				if !ok {
+					acc = make([]float64, r.mw)
+					r.alg.MergeIdentity(acc)
+					inbox[o][id] = acc
+				}
+				r.alg.MSGMerge(acc, out.Row(row))
+				vol[j][o] += msgBytes
+			}
+		}
 	}
 	return inbox, vol
 }
 
-// checkRouting routes results through the dense path and the map
-// reference and asserts bitwise-equal inboxes and equal volume matrices.
-// It returns the dense inbox for the caller to continue the superstep.
-func checkRouting(t *testing.T, r *runner, results []*gxplug.GenResult, vol [][]int64) []*gxplug.Inbox {
+// checkRouting routes results through the per-destination fold and the
+// map reference and asserts bitwise-equal inboxes and equal volume
+// matrices. It returns the dense inbox for the caller to continue the
+// superstep.
+func checkRouting(t *testing.T, r *runner, results []*gxplug.GenResult, vol [][]int64) []*gxplug.MsgBuf {
 	t.Helper()
 	inbox := r.nextInbox()
 	before := make([][]int64, len(vol))
@@ -91,17 +95,18 @@ func checkRouting(t *testing.T, r *runner, results []*gxplug.GenResult, vol [][]
 			t.Fatalf("node %d: dense inbox %d rows, map %d", o, inbox[o].Len(), len(refInbox[o]))
 		}
 		for id, msg := range refInbox[o] {
-			row := inbox[o].Row(r.masterRow[id])
+			row := inbox[o].Row(r.part.MasterRow[id])
 			for k := range msg {
 				if math.Float64bits(row[k]) != math.Float64bits(msg[k]) {
 					t.Fatalf("node %d vertex %d slot %d: dense %v, map %v", o, id, k, row[k], msg[k])
 				}
 			}
 		}
-		// The converter view must reproduce the dense accumulator exactly.
-		conv, err := gxplug.InboxFromMap(r.alg, r.part.Parts[o].Masters, r.mw, refInbox[o])
-		if err != nil {
-			t.Fatal(err)
+		// The reference's rows laid out densely must reproduce the whole
+		// accumulator, identity rows included.
+		conv := gxplug.NewMsgBuf(r.alg, len(r.part.Parts[o].Masters))
+		for id, msg := range refInbox[o] {
+			conv.Merge(r.part.MasterRow[id], msg)
 		}
 		for i, v := range inbox[o].Acc() {
 			if math.Float64bits(conv.Acc()[i]) != math.Float64bits(v) {

@@ -4,9 +4,9 @@ import "gxplug/internal/memo"
 
 // PartitionCache memoizes partition builds by (graph instance, strategy,
 // node count). A Partitioning is read-only once built — engines and
-// agents only ever read Masters/Edges/Internal and derive their own
-// indexes — so one instance can back any number of concurrent runs over
-// the same immutable graph. Suite execution uses it so a batch of runs
+// agents only ever read Masters/Edges/Internal and the routing index —
+// so one instance can back any number of concurrent runs over the same
+// immutable graph. Suite execution uses it so a batch of runs
 // over one dataset partitions it once per (engine, nodes) pair instead
 // of once per run. Builds are single-flight (see internal/memo).
 //

@@ -32,12 +32,29 @@ type Partition struct {
 	Mirrors int
 }
 
-// Partitioning is a complete assignment of a graph to m nodes.
+// Partitioning is a complete assignment of a graph to m nodes. Owner and
+// MasterRow together are the message routing index: a message for vertex
+// v belongs in row MasterRow[v] of node Owner[v]'s buffer. Both are built
+// once, here, and read by every run and agent over the partitioning.
 type Partitioning struct {
 	Graph *Graph
 	Parts []*Partition
 	// Owner[v] is the node mastering vertex v.
 	Owner []int32
+	// MasterRow[v] is v's index in Parts[Owner[v]].Masters.
+	MasterRow []int32
+}
+
+// newPartitioning assembles a partitioning from finished parts, deriving
+// the master-row half of the routing index.
+func newPartitioning(g *Graph, parts []*Partition, owner []int32) *Partitioning {
+	masterRow := make([]int32, len(owner))
+	for _, part := range parts {
+		for mi, v := range part.Masters {
+			masterRow[v] = int32(mi)
+		}
+	}
+	return &Partitioning{Graph: g, Parts: parts, Owner: owner, MasterRow: masterRow}
 }
 
 // NumNodes returns the node count.
@@ -57,14 +74,15 @@ func (p *Partitioning) ReplicationFactor() float64 {
 }
 
 // Validate checks the structural invariants every partitioning must obey:
-// each vertex mastered exactly once, each edge assigned exactly once,
-// edges grouped by source, Internal flags correct.
+// each vertex mastered exactly once and indexed by Owner/MasterRow, each
+// edge assigned exactly once, edges grouped by source, Internal flags
+// correct.
 func (p *Partitioning) Validate() error {
 	g := p.Graph
 	seenMaster := make([]bool, g.NumVertices())
 	var edgeCount int64
 	for _, part := range p.Parts {
-		for _, v := range part.Masters {
+		for mi, v := range part.Masters {
 			if seenMaster[v] {
 				return fmt.Errorf("partition: vertex %d mastered twice", v)
 			}
@@ -72,6 +90,10 @@ func (p *Partitioning) Validate() error {
 			if p.Owner[v] != int32(part.Node) {
 				return fmt.Errorf("partition: owner[%d]=%d but mastered by %d",
 					v, p.Owner[v], part.Node)
+			}
+			if p.MasterRow[v] != int32(mi) {
+				return fmt.Errorf("partition: masterRow[%d]=%d but master %d of node %d",
+					v, p.MasterRow[v], mi, part.Node)
 			}
 		}
 		lastSrc := VertexID(0)
@@ -143,7 +165,7 @@ func finishEdgeCut(g *Graph, owner []int32, m int) *Partitioning {
 		part.Mirrors = 0 // edge-cut ships messages, not replicas
 		_ = mirror
 	}
-	return &Partitioning{Graph: g, Parts: parts, Owner: owner}
+	return newPartitioning(g, parts, owner)
 }
 
 // EdgeCutByHash spreads vertices over m nodes by a multiplicative hash —
@@ -310,7 +332,7 @@ func GreedyVertexCut(g *Graph, m int) *Partitioning {
 		}
 		parts[j] = part
 	}
-	return &Partitioning{Graph: g, Parts: parts, Owner: owner}
+	return newPartitioning(g, parts, owner)
 }
 
 // PartitionBySizes assigns contiguous vertex ranges so that node j

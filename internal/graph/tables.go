@@ -17,9 +17,6 @@ type VertexTable struct {
 	ids    []VertexID
 	idx    map[VertexID]int32
 	attrs  []float64
-	// updated marks rows written since the last Upload; the caching layer
-	// and lazy uploader consume and clear it.
-	updated []bool
 }
 
 // NewVertexTable builds a table over the given global vertex IDs, all
@@ -29,11 +26,10 @@ func NewVertexTable(ids []VertexID, stride int) *VertexTable {
 		panic(fmt.Sprintf("graph: vertex table stride %d", stride))
 	}
 	t := &VertexTable{
-		stride:  stride,
-		ids:     ids,
-		idx:     make(map[VertexID]int32, len(ids)),
-		attrs:   make([]float64, len(ids)*stride),
-		updated: make([]bool, len(ids)),
+		stride: stride,
+		ids:    ids,
+		idx:    make(map[VertexID]int32, len(ids)),
+		attrs:  make([]float64, len(ids)*stride),
 	}
 	for i, id := range ids {
 		if _, dup := t.idx[id]; dup {
@@ -62,39 +58,6 @@ func (t *VertexTable) Row(i int) []float64 {
 func (t *VertexTable) Lookup(id VertexID) (int, bool) {
 	i, ok := t.idx[id]
 	return int(i), ok
-}
-
-// RowByID returns the attribute slice for a global ID.
-func (t *VertexTable) RowByID(id VertexID) ([]float64, bool) {
-	i, ok := t.idx[id]
-	if !ok {
-		return nil, false
-	}
-	return t.Row(int(i)), true
-}
-
-// MarkUpdated flags row i as written this iteration.
-func (t *VertexTable) MarkUpdated(i int) { t.updated[i] = true }
-
-// Updated reports whether row i is flagged.
-func (t *VertexTable) Updated(i int) bool { return t.updated[i] }
-
-// UpdatedRows returns the indices of all flagged rows.
-func (t *VertexTable) UpdatedRows() []int {
-	var out []int
-	for i, u := range t.updated {
-		if u {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// ClearUpdated resets all flags (after a synchronization).
-func (t *VertexTable) ClearUpdated() {
-	for i := range t.updated {
-		t.updated[i] = false
-	}
 }
 
 // Attrs exposes the backing attribute array (len = Len()*Stride()); block
@@ -190,83 +153,4 @@ type VertexBlock struct {
 // Row returns the attribute row of block-local vertex i.
 func (b *VertexBlock) Row(i int) []float64 {
 	return b.Attrs[i*b.Stride : (i+1)*b.Stride]
-}
-
-// BlockBuilder cuts a node's tables into paired vertex/edge blocks of a
-// given edge capacity, walking vertices through the mapping table.
-type BlockBuilder struct {
-	vt *VertexTable
-	et *EdgeTable
-	mt *MappingTable
-}
-
-// NewBlockBuilder wires a builder over one node's tables.
-func NewBlockBuilder(vt *VertexTable, et *EdgeTable, mt *MappingTable) *BlockBuilder {
-	return &BlockBuilder{vt: vt, et: et, mt: mt}
-}
-
-// Build cuts all edges into blocks of at most blockEdges triplets each and
-// returns the paired blocks. Every edge appears in exactly one block; a
-// block's vertex block contains each referenced vertex once.
-func (b *BlockBuilder) Build(blockEdges int) ([]*EdgeBlock, []*VertexBlock) {
-	if blockEdges <= 0 {
-		panic(fmt.Sprintf("graph: block size %d", blockEdges))
-	}
-	var eblocks []*EdgeBlock
-	var vblocks []*VertexBlock
-
-	var cur *EdgeBlock
-	var curV *VertexBlock
-	local := make(map[VertexID]int32)
-
-	flush := func() {
-		if cur == nil || len(cur.Triplets) == 0 {
-			return
-		}
-		eblocks = append(eblocks, cur)
-		vblocks = append(vblocks, curV)
-		cur, curV = nil, nil
-	}
-	ensure := func() {
-		if cur == nil {
-			cur = &EdgeBlock{Triplets: make([]Triplet, 0, blockEdges)}
-			curV = &VertexBlock{Stride: b.vt.Stride()}
-			local = make(map[VertexID]int32)
-		}
-	}
-	addVertex := func(id VertexID) int32 {
-		if row, ok := local[id]; ok {
-			return row
-		}
-		row := int32(len(curV.IDs))
-		local[id] = row
-		curV.IDs = append(curV.IDs, id)
-		if r, ok := b.vt.RowByID(id); ok {
-			curV.Attrs = append(curV.Attrs, r...)
-		} else {
-			// Vertex referenced but not in the node's table (a remote
-			// destination whose attributes the algorithm does not read);
-			// ship zeros.
-			curV.Attrs = append(curV.Attrs, make([]float64, b.vt.Stride())...)
-		}
-		return row
-	}
-
-	for v := 0; v < b.vt.Len(); v++ {
-		start, end := b.mt.EdgeRange(v)
-		for i := start; i < end; i++ {
-			ensure()
-			e := b.et.At(i)
-			t := Triplet{
-				Src: e.Src, Dst: e.Dst, W: e.Weight,
-				SrcRow: addVertex(e.Src), DstRow: addVertex(e.Dst),
-			}
-			cur.Triplets = append(cur.Triplets, t)
-			if len(cur.Triplets) >= blockEdges {
-				flush()
-			}
-		}
-	}
-	flush()
-	return eblocks, vblocks
 }

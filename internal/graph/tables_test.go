@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func mkTables(t *testing.T) (*VertexTable, *EdgeTable, *MappingTable) {
 	t.Helper()
@@ -26,13 +22,13 @@ func TestVertexTableBasics(t *testing.T) {
 	if vt.Len() != 2 || vt.Stride() != 3 {
 		t.Fatal("table meta wrong")
 	}
-	row, ok := vt.RowByID(9)
-	if !ok || len(row) != 3 {
-		t.Fatal("RowByID failed")
+	r, ok := vt.Lookup(9)
+	if !ok || r != 1 || len(vt.Row(r)) != 3 {
+		t.Fatal("Lookup(9) failed")
 	}
-	row[1] = 42
-	if vt.Row(1)[1] != 42 {
-		t.Fatal("RowByID does not alias storage")
+	vt.Row(r)[1] = 42
+	if vt.Attrs()[1*3+1] != 42 {
+		t.Fatal("Row does not alias storage")
 	}
 	if _, ok := vt.Lookup(7); ok {
 		t.Fatal("Lookup found a missing vertex")
@@ -58,23 +54,6 @@ func TestVertexTableBadStridePanics(t *testing.T) {
 		}
 	}()
 	NewVertexTable(nil, 0)
-}
-
-func TestUpdatedFlags(t *testing.T) {
-	vt := NewVertexTable([]VertexID{1, 2, 3}, 1)
-	vt.MarkUpdated(1)
-	vt.MarkUpdated(2)
-	rows := vt.UpdatedRows()
-	if len(rows) != 2 || rows[0] != 1 || rows[1] != 2 {
-		t.Fatalf("UpdatedRows = %v", rows)
-	}
-	if vt.Updated(0) || !vt.Updated(1) {
-		t.Fatal("Updated() wrong")
-	}
-	vt.ClearUpdated()
-	if len(vt.UpdatedRows()) != 0 {
-		t.Fatal("ClearUpdated left flags")
-	}
 }
 
 func TestBuildMapping(t *testing.T) {
@@ -103,99 +82,5 @@ func TestBuildMappingRejectsUngrouped(t *testing.T) {
 	et := NewEdgeTable([]Edge{{1, 2, 1}, {2, 1, 1}, {1, 2, 1}})
 	if _, err := BuildMapping(vt, et); err == nil {
 		t.Fatal("ungrouped edge table accepted")
-	}
-}
-
-func TestBlockBuilderCutsAndPairs(t *testing.T) {
-	vt, et, mt := mkTables(t)
-	// Give vertices distinguishable attributes.
-	for i := 0; i < vt.Len(); i++ {
-		vt.Row(i)[0] = float64(vt.ID(i))
-	}
-	bb := NewBlockBuilder(vt, et, mt)
-	eblocks, vblocks := bb.Build(2)
-	if len(eblocks) != 2 || len(vblocks) != 2 {
-		t.Fatalf("got %d/%d blocks, want 2/2", len(eblocks), len(vblocks))
-	}
-	var total int
-	for bi, eb := range eblocks {
-		vb := vblocks[bi]
-		total += len(eb.Triplets)
-		for _, tr := range eb.Triplets {
-			if vb.IDs[tr.SrcRow] != tr.Src || vb.IDs[tr.DstRow] != tr.Dst {
-				t.Fatalf("block %d: triplet rows do not resolve to endpoints", bi)
-			}
-			if got := vb.Row(int(tr.SrcRow))[0]; got != float64(tr.Src) {
-				t.Fatalf("block %d: src attr %v, want %v", bi, got, float64(tr.Src))
-			}
-		}
-	}
-	if total != et.Len() {
-		t.Fatalf("blocks carry %d triplets, want %d", total, et.Len())
-	}
-}
-
-func TestBlockBuilderBadSizePanics(t *testing.T) {
-	vt, et, mt := mkTables(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("block size 0 accepted")
-		}
-	}()
-	NewBlockBuilder(vt, et, mt).Build(0)
-}
-
-// Property: for random tables and block sizes, every edge lands in exactly
-// one block, no block exceeds its capacity, and vertex rows resolve.
-func TestBlockBuilderQuick(t *testing.T) {
-	f := func(seed int64, rawBlock uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		numV := 1 + rng.Intn(20)
-		ids := make([]VertexID, numV)
-		for i := range ids {
-			ids[i] = VertexID(i * 7) // sparse global IDs
-		}
-		vt := NewVertexTable(ids, 1)
-		var edges []Edge
-		for r := 0; r < numV; r++ {
-			deg := rng.Intn(5)
-			for k := 0; k < deg; k++ {
-				edges = append(edges, Edge{
-					Src: ids[r], Dst: ids[rng.Intn(numV)], Weight: 1,
-				})
-			}
-		}
-		et := NewEdgeTable(edges)
-		mt, err := BuildMapping(vt, et)
-		if err != nil {
-			return false
-		}
-		block := int(rawBlock)%7 + 1
-		eblocks, vblocks := NewBlockBuilder(vt, et, mt).Build(block)
-		var total int
-		for bi, eb := range eblocks {
-			if len(eb.Triplets) == 0 || len(eb.Triplets) > block {
-				return false
-			}
-			total += len(eb.Triplets)
-			vb := vblocks[bi]
-			for _, tr := range eb.Triplets {
-				if vb.IDs[tr.SrcRow] != tr.Src || vb.IDs[tr.DstRow] != tr.Dst {
-					return false
-				}
-			}
-			// Vertex block must not contain duplicates.
-			seen := make(map[VertexID]bool)
-			for _, id := range vb.IDs {
-				if seen[id] {
-					return false
-				}
-				seen[id] = true
-			}
-		}
-		return total == len(edges)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -40,10 +40,8 @@ func RowBytes(width int) int64 { return int64(8*width + 4) }
 // PowerGraph-class system it is a cheap in-process copy). All methods
 // return the virtual cost of the operation.
 type Upper interface {
-	// Stride is the attribute row width.
-	Stride() int
 	// FetchAttrs copies the authoritative rows for ids into dst
-	// (len(ids)*Stride) and returns the boundary cost.
+	// (len(ids)*AttrWidth) and returns the boundary cost.
 	FetchAttrs(ids []graph.VertexID, dst []float64) time.Duration
 	// PushAttrs writes rows back to the upper system.
 	PushAttrs(ids []graph.VertexID, rows []float64) time.Duration
@@ -151,66 +149,21 @@ type Stats struct {
 	LastBlocks    int
 }
 
-// GenResult is the outcome of one RequestGen: merged local messages for
-// this node's masters plus an outbox of messages for remote masters.
-// Results are reused across supersteps (NewGenResult + Reset), so the
-// routing hot path allocates nothing after warm-up.
-type GenResult struct {
-	// LocalAcc is dense over part.Masters (len = len(Masters)*MsgWidth).
-	LocalAcc []float64
-	// LocalRecv marks masters that received at least one message.
-	LocalRecv []bool
-	// Remote holds merged messages destined to vertices mastered on other
-	// nodes, dense over the global id range.
-	Remote *Outbox
-	// Entities is the number of triplets processed this iteration.
-	Entities int
-
-	mw int
-}
-
-// NewGenResult allocates a reusable result for a node with the given
-// master count over a graph of numV vertices.
-func NewGenResult(alg template.Algorithm, masters, numV, mw int) *GenResult {
-	res := &GenResult{
-		LocalAcc:  make([]float64, masters*mw),
-		LocalRecv: make([]bool, masters),
-		Remote:    NewOutbox(alg, numV, mw),
-		mw:        mw,
-	}
-	for i := 0; i < masters; i++ {
-		alg.MergeIdentity(res.LocalAcc[i*mw : (i+1)*mw])
-	}
-	return res
-}
-
-// Reset prepares the result for the next superstep, re-identifying only
-// the master rows that received messages.
-func (res *GenResult) Reset(alg template.Algorithm) {
-	for mi, r := range res.LocalRecv {
-		if r {
-			alg.MergeIdentity(res.LocalAcc[mi*res.mw : (mi+1)*res.mw])
-			res.LocalRecv[mi] = false
-		}
-	}
-	res.Remote.Reset(alg)
-	res.Entities = 0
-}
-
 // Agent is the per-node middleware endpoint.
 type Agent struct {
 	node  *cluster.Node
-	part  *graph.Partition
+	parts *graph.Partitioning // the routing index GenResults address by
+	part  *graph.Partition    // this node's share of parts
 	alg   template.Algorithm
 	ctx   *template.Context
 	upper Upper
 	opts  Options
 
-	vt        *graph.VertexTable
-	et        *graph.EdgeTable
-	mt        *graph.MappingTable
-	masterRow []int   // dense master index -> vertex table row
-	ownedRow  []int32 // global vertex id -> master index here, -1 otherwise
+	// vt lists the node's masters first, in Masters order: master index
+	// i is vertex-table row i.
+	vt *graph.VertexTable
+	et *graph.EdgeTable
+	mt *graph.MappingTable
 
 	daemons []*daemonProc
 	devices []*device.Device
@@ -279,9 +232,9 @@ type applyScratch struct {
 // ErrNotConnected reports use of an agent before Connect.
 var ErrNotConnected = errors.New("gxplug: agent not connected")
 
-// NewAgent wires an agent over one node's partition. ctx must expose the
-// global degree functions; upper is the engine-side boundary.
-func NewAgent(node *cluster.Node, part *graph.Partition, alg template.Algorithm,
+// NewAgent wires an agent over node's share of a partitioning. ctx must
+// expose the global degree functions; upper is the engine-side boundary.
+func NewAgent(node *cluster.Node, parts *graph.Partitioning, alg template.Algorithm,
 	ctx *template.Context, upper Upper, opts Options) *Agent {
 	if len(opts.Devices) == 0 {
 		panic("gxplug: agent with no devices")
@@ -289,36 +242,13 @@ func NewAgent(node *cluster.Node, part *graph.Partition, alg template.Algorithm,
 	if opts.FixedBlockCount <= 0 {
 		opts.FixedBlockCount = 32
 	}
+	part := parts.Parts[node.ID]
 	vt, et, mt := part.Tables(alg.AttrWidth())
-	a := &Agent{
-		node: node, part: part, alg: alg, ctx: ctx, upper: upper, opts: opts,
+	return &Agent{
+		node: node, parts: parts, part: part, alg: alg, ctx: ctx, upper: upper, opts: opts,
 		vt: vt, et: et, mt: mt,
 		fresh: make([]bool, vt.Len()),
 	}
-	a.masterRow = make([]int, len(part.Masters))
-	a.ownedRow = make([]int32, ctx.NumVertices)
-	for i := range a.ownedRow {
-		a.ownedRow[i] = -1
-	}
-	for i, v := range part.Masters {
-		row, ok := vt.Lookup(v)
-		if !ok {
-			panic(fmt.Sprintf("gxplug: master %d missing from vertex table", v))
-		}
-		a.masterRow[i] = row
-		if int(v) < len(a.ownedRow) {
-			a.ownedRow[v] = int32(i)
-		}
-	}
-	return a
-}
-
-// masterIdxOf returns the dense master index of id on this node, or -1.
-func (a *Agent) masterIdxOf(id graph.VertexID) int32 {
-	if int(id) >= len(a.ownedRow) {
-		return -1
-	}
-	return a.ownedRow[id]
 }
 
 // nextResult hands out the next reusable GenResult. Two buffers alternate
@@ -327,10 +257,10 @@ func (a *Agent) masterIdxOf(id graph.VertexID) int32 {
 func (a *Agent) nextResult() *GenResult {
 	res := a.resBufs[a.resFlip]
 	if res == nil {
-		res = NewGenResult(a.alg, len(a.part.Masters), a.ctx.NumVertices, a.alg.MsgWidth())
+		res = NewGenResult(a.alg, a.parts, a.node.ID)
 		a.resBufs[a.resFlip] = res
 	} else {
-		res.Reset(a.alg)
+		res.Reset()
 	}
 	a.resFlip ^= 1
 	return res

@@ -407,12 +407,10 @@ func (a *Agent) drainBlock(seg []byte, bp blockPlan, geo [2]int, res *GenResult)
 			continue
 		}
 		id := bp.vb.IDs[r]
-		if mi := a.masterIdxOf(id); mi >= 0 {
-			a.alg.MSGMerge(res.LocalAcc[int(mi)*mw:(int(mi)+1)*mw], acc[r*mw:(r+1)*mw])
-			res.LocalRecv[mi] = true
+		res.Add(id, acc[r*mw:(r+1)*mw])
+		if int(a.parts.Owner[id]) == a.node.ID {
 			localMsgs++
 		} else {
-			res.Remote.Add(a.alg, id, acc[r*mw:(r+1)*mw])
 			remoteMsgs++
 		}
 	}
@@ -444,18 +442,18 @@ func clearKind(seg []byte) {
 
 // RequestMerge folds messages arriving from other nodes into the local
 // accumulator on a daemon (MSGMerge as a device kernel). incoming is the
-// dense inbox routed to this node (rows over part.Masters, identity where
+// buffer routed to this node (rows over part.Masters, identity where
 // untouched).
-func (a *Agent) RequestMerge(res *GenResult, incoming *Inbox) error {
+func (a *Agent) RequestMerge(res *GenResult, incoming *MsgBuf) error {
 	if !a.connected {
 		return ErrNotConnected
 	}
 	if incoming == nil || incoming.Len() == 0 {
-		//gxlint:uncharged an empty inbox fetches and merges nothing
+		//gxlint:uncharged an empty buffer fetches and merges nothing
 		return nil
 	}
 	if incoming.Rows() != len(a.part.Masters) {
-		return fmt.Errorf("gxplug: inbox over %d rows for %d masters",
+		return fmt.Errorf("gxplug: incoming buffer over %d rows for %d masters",
 			incoming.Rows(), len(a.part.Masters))
 	}
 	mw := a.alg.MsgWidth()
@@ -464,13 +462,14 @@ func (a *Agent) RequestMerge(res *GenResult, incoming *Inbox) error {
 	fc := a.upper.FetchMessages(count, int64(count)*RowBytes(mw))
 	a.stats.BoundaryTime += fc
 
+	local := res.Local()
 	for _, mi := range incoming.Touched() {
-		res.LocalRecv[mi] = true
+		local.Touch(mi)
 	}
 
 	p := a.daemons[0] // merge is cheap; one daemon suffices
 	seg := p.mem[physSeg(roleC, p.rot)]
-	if _, err := encodeMergeBlock(seg, res.LocalAcc, incoming.Acc(), mw); err != nil {
+	if _, err := encodeMergeBlock(seg, local.Acc(), incoming.Acc(), mw); err != nil {
 		return err
 	}
 	typ, payload, err := a.requestDaemon(p, msgMerge, nil)
@@ -480,7 +479,7 @@ func (a *Agent) RequestMerge(res *GenResult, incoming *Inbox) error {
 	if typ != msgDone {
 		return fmt.Errorf("gxplug: merge: unexpected reply %d", typ)
 	}
-	readMergeResultInto(seg, res.LocalAcc)
+	readMergeResultInto(seg, local.Acc())
 	clearKind(seg)
 
 	dc := decodeCost(payload)
@@ -514,11 +513,12 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 	applyAll := a.alg.Hints().ApplyAll
 	aw, mw := a.alg.AttrWidth(), a.alg.MsgWidth()
 	sc := &a.apply
+	local := res.Local()
 
 	// Select target masters.
 	sel := sc.sel[:0] // master indices
 	for i := range a.part.Masters {
-		if applyAll || res.LocalRecv[i] {
+		if applyAll || local.Recv(int32(i)) {
 			sel = append(sel, i)
 		}
 	}
@@ -544,9 +544,9 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 	recv := grow(&sc.recv, len(sel))
 	for i, mi := range sel {
 		ids[i] = a.part.Masters[mi]
-		rows[i] = a.masterRow[mi]
-		recv[i] = res.LocalRecv[mi]
-		copy(msgs[i*mw:(i+1)*mw], res.LocalAcc[mi*mw:(mi+1)*mw])
+		rows[i] = mi
+		recv[i] = local.Recv(int32(mi))
+		copy(msgs[i*mw:(i+1)*mw], local.Row(int32(mi)))
 	}
 	cost := a.ensureRows(rows)
 	for i, r := range rows {
@@ -612,7 +612,6 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 		}
 		out.Wrote[mi] = true
 		copy(old, row)
-		a.vt.MarkUpdated(rows[i])
 		if out.Changed[mi] && !a.part.Internal[mi] {
 			out.LocalOnly = false
 		}

@@ -3,6 +3,7 @@ package gxplug
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -38,8 +39,6 @@ func newFakeUpper(g *graph.Graph, alg template.Algorithm, ctx *template.Context)
 	}
 	return u
 }
-
-func (u *fakeUpper) Stride() int { return u.stride }
 
 func (u *fakeUpper) BoundaryCost(bytes int64) time.Duration {
 	return u.fixed + time.Duration(float64(bytes)*u.perByte*float64(time.Second))
@@ -87,7 +86,7 @@ func driveAgents(t *testing.T, g *graph.Graph, m int, alg template.Algorithm, op
 
 	agents := make([]*Agent, m)
 	for j := 0; j < m; j++ {
-		agents[j] = NewAgent(cl.Node(j), part.Parts[j], alg, ctx, upper, opts)
+		agents[j] = NewAgent(cl.Node(j), part, alg, ctx, upper, opts)
 		if err := agents[j].Connect(); err != nil {
 			t.Fatalf("node %d connect: %v", j, err)
 		}
@@ -95,7 +94,6 @@ func driveAgents(t *testing.T, g *graph.Graph, m int, alg template.Algorithm, op
 
 	hints := alg.Hints()
 	active := template.InitialFrontier(alg, g.NumVertices())
-	mw := alg.MsgWidth()
 	for iter := 0; ; iter++ {
 		if hints.MaxIterations > 0 && iter >= hints.MaxIterations {
 			break
@@ -110,20 +108,18 @@ func driveAgents(t *testing.T, g *graph.Graph, m int, alg template.Algorithm, op
 			results[j] = res
 		}
 		// Route remote messages to owners, pre-merging across senders.
-		masterIdx := make([]int32, g.NumVertices())
-		for _, p := range part.Parts {
-			for mi, v := range p.Masters {
-				masterIdx[v] = int32(mi)
+		incoming := make([]*MsgBuf, m)
+		for o := range incoming {
+			incoming[o] = NewMsgBuf(alg, len(part.Parts[o].Masters))
+			for j := 0; j < m; j++ {
+				if j == o {
+					continue
+				}
+				out := results[j].To[o]
+				for _, row := range out.Touched() {
+					incoming[o].Merge(row, out.Row(row))
+				}
 			}
-		}
-		incoming := make([]*Inbox, m)
-		for j := range incoming {
-			incoming[j] = NewInbox(alg, len(part.Parts[j].Masters), mw)
-		}
-		for j := 0; j < m; j++ {
-			results[j].Remote.Each(func(id graph.VertexID, msg []float64) {
-				incoming[part.Owner[id]].Merge(alg, masterIdx[id], msg)
-			})
 		}
 		changedAny := false
 		for j := 0; j < m; j++ {
@@ -354,7 +350,7 @@ func TestAgentOOMSurfacesAtConnect(t *testing.T) {
 	tiny := device.V100()
 	tiny.MemBytes = 1024 // nothing fits
 	opts.Devices = []device.Spec{tiny}
-	a := NewAgent(cl.Node(0), part.Parts[0], pr, ctx, upper, opts)
+	a := NewAgent(cl.Node(0), part, pr, ctx, upper, opts)
 	err := a.Connect()
 	if !errors.Is(err, device.ErrOutOfMemory) {
 		t.Fatalf("connect err = %v, want ErrOutOfMemory", err)
@@ -367,7 +363,7 @@ func TestAgentUseBeforeConnect(t *testing.T) {
 	part := graph.EdgeCutByHash(g, 1)
 	cl := cluster.New(1, cluster.DatacenterNet())
 	ctx := testCtx(g)
-	a := NewAgent(cl.Node(0), part.Parts[0], pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
+	a := NewAgent(cl.Node(0), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
 	if _, err := a.RequestGen(nil); !errors.Is(err, ErrNotConnected) {
 		t.Fatalf("gen err = %v, want ErrNotConnected", err)
 	}
@@ -391,7 +387,7 @@ func TestApplyLocalOnlyFlag(t *testing.T) {
 	cl := cluster.New(2, cluster.DatacenterNet())
 	ctx := testCtx(g)
 	upper := newFakeUpper(g, alg, ctx)
-	a := NewAgent(cl.Node(0), part.Parts[0], alg, ctx, upper, fastOpts())
+	a := NewAgent(cl.Node(0), part, alg, ctx, upper, fastOpts())
 	if err := a.Connect(); err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +465,7 @@ func TestDrainSpillUploadsAtBoundary(t *testing.T) {
 	upper := newFakeUpper(g, pr, ctx)
 	opts := fastOpts()
 	opts.CacheCapacity = 8
-	a := NewAgent(cl.Node(0), part.Parts[0], pr, ctx, upper, opts)
+	a := NewAgent(cl.Node(0), part, pr, ctx, upper, opts)
 	if err := a.Connect(); err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +522,7 @@ func TestUploadQueriedDoesNotInflateHits(t *testing.T) {
 	part := graph.EdgeCutByHash(g, 1)
 	cl := cluster.New(1, cluster.DatacenterNet())
 	ctx := testCtx(g)
-	a := NewAgent(cl.Node(0), part.Parts[0], pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
+	a := NewAgent(cl.Node(0), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
 	if err := a.Connect(); err != nil {
 		t.Fatal(err)
 	}
@@ -562,12 +558,63 @@ func TestAgentDoubleConnect(t *testing.T) {
 	part := graph.EdgeCutByHash(g, 1)
 	cl := cluster.New(1, cluster.DatacenterNet())
 	ctx := testCtx(g)
-	a := NewAgent(cl.Node(0), part.Parts[0], pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
+	a := NewAgent(cl.Node(0), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
 	if err := a.Connect(); err != nil {
 		t.Fatal(err)
 	}
 	defer a.Disconnect()
 	if err := a.Connect(); err == nil {
 		t.Fatal("double connect accepted")
+	}
+}
+
+// Block cutting: for random graphs, row subsets and block sizes, every
+// selected edge lands in exactly one block, no block is empty or over
+// capacity, triplet rows resolve to their endpoints, and a vertex block
+// lists each referenced vertex once.
+func TestBuildBlocksCutsAndPairs(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g, err := gen.ER(gen.ERConfig{NumVertices: 2 + rng.Intn(30), NumEdges: int64(rng.Intn(120)), Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := algos.NewPageRank()
+		part := graph.EdgeCutByHash(g, 2)
+		ctx := testCtx(g)
+		a := NewAgent(cluster.New(2, cluster.DatacenterNet()).Node(1), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
+
+		var rows []int
+		want := 0
+		for r := 0; r < a.vt.Len(); r++ {
+			if rng.Intn(4) > 0 {
+				s, e := a.mt.EdgeRange(r)
+				rows = append(rows, r)
+				want += e - s
+			}
+		}
+		blockEdges := 1 + rng.Intn(7)
+		total := 0
+		for bi, bp := range a.buildBlocks(rows, blockEdges) {
+			if n := len(bp.eb.Triplets); n == 0 || n > blockEdges {
+				t.Fatalf("seed %d block %d: %d triplets, capacity %d", seed, bi, n, blockEdges)
+			}
+			total += len(bp.eb.Triplets)
+			for _, tr := range bp.eb.Triplets {
+				if bp.vb.IDs[tr.SrcRow] != tr.Src || bp.vb.IDs[tr.DstRow] != tr.Dst {
+					t.Fatalf("seed %d block %d: triplet rows do not resolve to endpoints", seed, bi)
+				}
+			}
+			seen := make(map[graph.VertexID]bool)
+			for _, id := range bp.vb.IDs {
+				if seen[id] {
+					t.Fatalf("seed %d block %d: vertex %d listed twice", seed, bi, id)
+				}
+				seen[id] = true
+			}
+		}
+		if total != want {
+			t.Fatalf("seed %d: blocks carry %d triplets, selected rows have %d", seed, total, want)
+		}
 	}
 }

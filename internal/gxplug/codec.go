@@ -232,18 +232,9 @@ func writeGenResult(seg []byte, resultOff int, acc []float64, recv []bool, costN
 	c.u64(costNanos)
 }
 
-// readGenResult extracts the daemon's results; the caller supplies the
-// block geometry it encoded.
-func readGenResult(seg []byte, resultOff, nVerts, msgW int) (acc []float64, recv []bool, costNanos uint64) {
-	acc = make([]float64, nVerts*msgW)
-	recv = make([]bool, nVerts)
-	costNanos = readGenResultInto(seg, resultOff, acc, recv)
-	return acc, recv, costNanos
-}
-
-// readGenResultInto is the allocation-free variant: acc and recv supply
-// the geometry (len(acc) = nVerts*msgW, len(recv) = nVerts) and receive
-// the daemon's results.
+// readGenResultInto extracts the daemon's results: acc and recv supply
+// the geometry the caller encoded (len(acc) = nVerts*msgW, len(recv) =
+// nVerts) and receive the results.
 func readGenResultInto(seg []byte, resultOff int, acc []float64, recv []bool) (costNanos uint64) {
 	c := &cursor{buf: seg, off: resultOff}
 	for i := range acc {
@@ -341,17 +332,9 @@ func writeApplyResult(seg []byte, attrOff int, attrs []float64, resultOff int, c
 	c.u64(costNanos)
 }
 
-// readApplyResult extracts updated attributes and changed flags on the
-// agent side. The layout mirrors encodeApplyBlock.
-func readApplyResult(seg []byte, n, attrW, msgW int) (attrs []float64, changed []bool, costNanos uint64) {
-	attrs = make([]float64, n*attrW)
-	changed = make([]bool, n)
-	costNanos = readApplyResultInto(seg, n, attrW, msgW, attrs, changed)
-	return attrs, changed, costNanos
-}
-
-// readApplyResultInto is the allocation-free variant: attrs (n*attrW) and
-// changed (n) receive the results.
+// readApplyResultInto extracts updated attributes and changed flags on
+// the agent side into attrs (n*attrW) and changed (n). The layout mirrors
+// encodeApplyBlock.
 func readApplyResultInto(seg []byte, n, attrW, msgW int, attrs []float64, changed []bool) (costNanos uint64) {
 	attrOff := 4*4 + n*4
 	c := &cursor{buf: seg, off: attrOff}
@@ -423,21 +406,12 @@ func writeMergeResult(seg []byte, merged []float64, costNanos uint64) {
 		c.f64(v)
 	}
 	// Cost goes at the reserved tail.
-	rows := len(merged)
-	_ = rows
 	tail := &cursor{buf: seg, off: 3*4 + 2*len(merged)*8}
 	tail.u64(costNanos)
 }
 
-// readMergeResult extracts the merged accumulator.
-func readMergeResult(seg []byte, rows, msgW int) (merged []float64, costNanos uint64) {
-	merged = make([]float64, rows*msgW)
-	costNanos = readMergeResultInto(seg, merged)
-	return merged, costNanos
-}
-
-// readMergeResultInto is the allocation-free variant: merged supplies the
-// geometry (rows*msgW) and receives the accumulator.
+// readMergeResultInto extracts the merged accumulator: merged supplies
+// the geometry (rows*msgW) and receives it.
 func readMergeResultInto(seg []byte, merged []float64) (costNanos uint64) {
 	c := &cursor{buf: seg, off: 3 * 4}
 	for i := range merged {

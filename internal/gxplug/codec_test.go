@@ -50,7 +50,8 @@ func TestGenResultRoundTrip(t *testing.T) {
 	acc := []float64{1, 2, 3, 4, 5, math.Inf(1)}
 	recv := []bool{true, false}
 	writeGenResult(seg, 10, acc, recv, 12345)
-	acc2, recv2, cost := readGenResult(seg, 10, 2, 3)
+	acc2, recv2 := make([]float64, 2*3), make([]bool, 2)
+	cost := readGenResultInto(seg, 10, acc2, recv2)
 	if !reflect.DeepEqual(acc, acc2) || !reflect.DeepEqual(recv, recv2) || cost != 12345 {
 		t.Fatalf("result round trip: %v %v %d", acc2, recv2, cost)
 	}
@@ -80,7 +81,8 @@ func TestApplyBlockRoundTrip(t *testing.T) {
 	newAttrs := []float64{10, 20, 30, 40}
 	changed := []bool{false, true}
 	writeApplyResult(seg, 4*4+2*4, newAttrs, resultOff, changed, 777)
-	gotAttrs, gotChanged, cost := readApplyResult(seg, 2, 2, 1)
+	gotAttrs, gotChanged := make([]float64, 2*2), make([]bool, 2)
+	cost := readApplyResultInto(seg, 2, 2, 1, gotAttrs, gotChanged)
 	if !reflect.DeepEqual(gotAttrs, newAttrs) || !reflect.DeepEqual(gotChanged, changed) || cost != 777 {
 		t.Fatalf("apply result round trip: %v %v %d", gotAttrs, gotChanged, cost)
 	}
@@ -102,7 +104,8 @@ func TestMergeBlockRoundTrip(t *testing.T) {
 	}
 	merged := []float64{6, 8, 10, 12}
 	writeMergeResult(seg, merged, 55)
-	got, cost := readMergeResult(seg, 2, 2)
+	got := make([]float64, 2*2)
+	cost := readMergeResultInto(seg, got)
 	if !reflect.DeepEqual(got, merged) || cost != 55 {
 		t.Fatalf("merge result: %v %d", got, cost)
 	}

@@ -20,7 +20,7 @@ func connectedAgent(t *testing.T) (*Agent, *cluster.Cluster) {
 	part := graph.EdgeCutByHash(g, 1)
 	cl := cluster.New(1, cluster.DatacenterNet())
 	ctx := testCtx(g)
-	a := NewAgent(cl.Node(0), part.Parts[0], pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
+	a := NewAgent(cl.Node(0), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
 	if err := a.Connect(); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestAgentReconnectReusesKeys(t *testing.T) {
 	upper := newFakeUpper(g, pr, ctx)
 
 	for round := 0; round < 3; round++ {
-		a := NewAgent(cl.Node(0), part.Parts[0], pr, ctx, upper, fastOpts())
+		a := NewAgent(cl.Node(0), part, pr, ctx, upper, fastOpts())
 		if err := a.Connect(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -119,7 +119,7 @@ func TestDisconnectIdempotent(t *testing.T) {
 	part := graph.EdgeCutByHash(g, 1)
 	cl := cluster.New(1, cluster.DatacenterNet())
 	ctx := testCtx(g)
-	a := NewAgent(cl.Node(0), part.Parts[0], pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
+	a := NewAgent(cl.Node(0), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
 	a.Disconnect() // never connected
 	if err := a.Connect(); err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestAgentEmptyPartition(t *testing.T) {
 	ctx := testCtx(g)
 	upper := newFakeUpper(g, pr, ctx)
 	for j := 0; j < 8; j++ {
-		a := NewAgent(cl.Node(j), part.Parts[j], pr, ctx, upper, fastOpts())
+		a := NewAgent(cl.Node(j), part, pr, ctx, upper, fastOpts())
 		if err := a.Connect(); err != nil {
 			t.Fatalf("node %d: %v", j, err)
 		}
@@ -155,24 +155,21 @@ func TestAgentEmptyPartition(t *testing.T) {
 	}
 }
 
-// Messages addressed to vertices a node does not master must be rejected
-// — silent misdelivery would corrupt results. The map→inbox converter
-// enforces this at routing time, and RequestMerge rejects an inbox whose
-// geometry does not match the node's master set.
-func TestRequestMergeRejectsForeignVertex(t *testing.T) {
+// Messages for vertices a node does not master must never be merged into
+// it — silent misdelivery would corrupt results. Routing files messages
+// by the partitioning's index, so the remaining hole is a buffer built
+// for some other node: RequestMerge rejects one whose geometry does not
+// match the node's master set.
+func TestRequestMergeRejectsForeignBuffer(t *testing.T) {
 	a, _ := connectedAgent(t)
 	defer a.Disconnect()
 	res, err := a.RequestGen(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bogus := map[graph.VertexID][]float64{graph.VertexID(1 << 30): {1}}
-	if _, err := InboxFromMap(a.alg, a.Masters(), a.alg.MsgWidth(), bogus); err == nil {
-		t.Fatal("inbox for foreign vertex accepted")
-	}
-	wrongGeometry := NewInbox(a.alg, len(a.Masters())+3, a.alg.MsgWidth())
-	wrongGeometry.Merge(a.alg, int32(len(a.Masters())+1), []float64{1})
+	wrongGeometry := NewMsgBuf(a.alg, len(a.Masters())+3)
+	wrongGeometry.Merge(int32(len(a.Masters())+1), []float64{1})
 	if err := a.RequestMerge(res, wrongGeometry); err == nil {
-		t.Fatal("merge with mismatched inbox geometry accepted")
+		t.Fatal("merge with mismatched buffer geometry accepted")
 	}
 }

@@ -1,164 +1,131 @@
 package gxplug
 
 import (
-	"fmt"
-	"sort"
-
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug/template"
 )
 
-// This file implements the dense message routing buffers that replace the
-// per-message map allocations on the superstep hot path. An Outbox holds a
-// sender's remote-bound messages densely over the global vertex-id range;
-// an Inbox holds a receiver's incoming messages densely over its master
-// rows. Both keep a touched-row list so resets and iteration cost O(live
-// messages), not O(vertices), and both reuse their buffers across
-// supersteps — after warm-up the routing path allocates nothing.
+// This file holds the one message buffer of the per-iteration interface:
+// what MSGGen produces, what the engine routes, and what MSGMerge and
+// MSGApply consume are all MsgBufs. Buffers are reused across supersteps
+// and keep a touched-row list, so resets and iteration cost O(live
+// messages), not O(vertices) — after warm-up the message path allocates
+// nothing.
 
-// Outbox accumulates messages destined to vertices mastered on other
-// nodes. Messages for the same destination are pre-merged with MSGMerge as
-// they are added (combining), exactly as the map-based outbox did. Every
-// destination must lie inside the dense range [0, numV): the engine sizes
-// the outbox over the global id range and routes by the same id, so an
-// out-of-range id is a bug and Add panics on it (index out of range).
-type Outbox struct {
-	mw   int
-	acc  []float64 // numV rows of mw, identity where untouched
-	recv []bool
-	ids  []graph.VertexID // touched ids in first-touch order
-}
-
-// NewOutbox creates an outbox over the dense id range [0, numV) with
-// message width mw. All rows start at the algorithm's merge identity.
-func NewOutbox(alg template.Algorithm, numV, mw int) *Outbox {
-	ob := &Outbox{
-		mw:   mw,
-		acc:  make([]float64, numV*mw),
-		recv: make([]bool, numV),
-	}
-	for v := 0; v < numV; v++ {
-		alg.MergeIdentity(ob.acc[v*mw : (v+1)*mw])
-	}
-	return ob
-}
-
-// Reset returns the outbox to its empty state, re-identifying only the
-// rows the previous superstep touched.
-func (ob *Outbox) Reset(alg template.Algorithm) {
-	mw := ob.mw
-	for _, id := range ob.ids {
-		alg.MergeIdentity(ob.acc[int(id)*mw : (int(id)+1)*mw])
-		ob.recv[id] = false
-	}
-	ob.ids = ob.ids[:0]
-}
-
-// Add merges one message for a destination vertex.
-func (ob *Outbox) Add(alg template.Algorithm, id graph.VertexID, msg []float64) {
-	i := int(id)
-	if !ob.recv[i] {
-		ob.recv[i] = true
-		ob.ids = append(ob.ids, id)
-	}
-	alg.MSGMerge(ob.acc[i*ob.mw:(i+1)*ob.mw], msg)
-}
-
-// Len returns the number of distinct destination vertices held.
-func (ob *Outbox) Len() int { return len(ob.ids) }
-
-// Each visits every destination with its merged message in first-touch
-// order. The msg slice aliases the outbox; callers must not retain it
-// past the call.
-func (ob *Outbox) Each(fn func(id graph.VertexID, msg []float64)) {
-	mw := ob.mw
-	for _, id := range ob.ids {
-		fn(id, ob.acc[int(id)*mw:(int(id)+1)*mw])
-	}
-}
-
-// Inbox holds the messages routed to one node, dense over its master rows
-// (index i corresponds to Partition.Masters[i]). Untouched rows hold the
-// merge identity, so the whole accumulator can be handed to a device-side
-// merge kernel directly.
-type Inbox struct {
+// MsgBuf holds merged messages for one node's masters, dense over its
+// master rows (row i corresponds to Partition.Masters[i]). Messages for
+// the same row are combined with MSGMerge as they arrive; untouched rows
+// hold the merge identity, so the whole accumulator can be handed to a
+// device-side merge kernel directly.
+type MsgBuf struct {
+	alg     template.Algorithm // supplies MergeIdentity, MSGMerge and the row width
 	mw      int
-	acc     []float64 // masters rows of mw, identity where untouched
+	acc     []float64 // rows of mw, identity where untouched
 	recv    []bool
-	touched []int32 // touched master rows in first-touch order
+	touched []int32 // rows with recv set, in first-touch order
 }
 
-// NewInbox creates an inbox for a node with the given master count and
-// message width. All rows start at the merge identity.
-func NewInbox(alg template.Algorithm, masters, mw int) *Inbox {
-	in := &Inbox{
+// NewMsgBuf creates a buffer of the given row count for alg's messages.
+// All rows start at the merge identity.
+func NewMsgBuf(alg template.Algorithm, rows int) *MsgBuf {
+	mw := alg.MsgWidth()
+	b := &MsgBuf{
+		alg:  alg,
 		mw:   mw,
-		acc:  make([]float64, masters*mw),
-		recv: make([]bool, masters),
+		acc:  make([]float64, rows*mw),
+		recv: make([]bool, rows),
 	}
-	for i := 0; i < masters; i++ {
-		alg.MergeIdentity(in.acc[i*mw : (i+1)*mw])
+	for i := 0; i < rows; i++ {
+		alg.MergeIdentity(b.acc[i*mw : (i+1)*mw])
 	}
-	return in
+	return b
 }
 
-// Reset empties the inbox, re-identifying only previously touched rows.
-func (in *Inbox) Reset(alg template.Algorithm) {
-	mw := in.mw
-	for _, mi := range in.touched {
-		alg.MergeIdentity(in.acc[int(mi)*mw : (int(mi)+1)*mw])
-		in.recv[mi] = false
+// Reset empties the buffer, re-identifying only the touched rows.
+func (b *MsgBuf) Reset() {
+	for _, row := range b.touched {
+		b.alg.MergeIdentity(b.Row(row))
+		b.recv[row] = false
 	}
-	in.touched = in.touched[:0]
+	b.touched = b.touched[:0]
 }
 
-// Merge folds one message into master row mi.
-func (in *Inbox) Merge(alg template.Algorithm, mi int32, msg []float64) {
-	if !in.recv[mi] {
-		in.recv[mi] = true
-		in.touched = append(in.touched, mi)
+// Touch marks a row as having received a message without merging one —
+// for callers that fold messages into Acc wholesale (RequestMerge's
+// device kernel).
+func (b *MsgBuf) Touch(row int32) {
+	if !b.recv[row] {
+		b.recv[row] = true
+		b.touched = append(b.touched, row)
 	}
-	alg.MSGMerge(in.acc[int(mi)*in.mw:(int(mi)+1)*in.mw], msg)
 }
 
-// Len returns the number of master rows that received a message.
-func (in *Inbox) Len() int { return len(in.touched) }
+// Merge folds one message into a row.
+func (b *MsgBuf) Merge(row int32, msg []float64) {
+	b.Touch(row)
+	b.alg.MSGMerge(b.Row(row), msg)
+}
 
-// Rows returns the inbox geometry (the node's master count).
-func (in *Inbox) Rows() int { return len(in.recv) }
+// Recv reports whether a row received a message.
+func (b *MsgBuf) Recv(row int32) bool { return b.recv[row] }
 
-// Touched returns the master rows with messages, in first-touch order.
-// The slice aliases the inbox; callers must not retain or mutate it.
-func (in *Inbox) Touched() []int32 { return in.touched }
+// Len returns the number of rows that received a message.
+func (b *MsgBuf) Len() int { return len(b.touched) }
 
-// Row returns master row mi's merged message (aliasing the inbox).
-func (in *Inbox) Row(mi int32) []float64 {
-	return in.acc[int(mi)*in.mw : (int(mi)+1)*in.mw]
+// Rows returns the buffer geometry (the node's master count).
+func (b *MsgBuf) Rows() int { return len(b.recv) }
+
+// Touched returns the rows with messages, in first-touch order. The
+// slice aliases the buffer; callers must not retain or mutate it.
+func (b *MsgBuf) Touched() []int32 { return b.touched }
+
+// Row returns a row's merged message (aliasing the buffer).
+func (b *MsgBuf) Row(row int32) []float64 {
+	return b.acc[int(row)*b.mw : (int(row)+1)*b.mw]
 }
 
 // Acc exposes the full dense accumulator (identity in untouched rows) for
 // device-side merges.
-func (in *Inbox) Acc() []float64 { return in.acc }
+func (b *MsgBuf) Acc() []float64 { return b.acc }
 
-// InboxFromMap builds an Inbox from a vertex-keyed message map against a
-// node's ascending master list — the legacy routing representation, kept
-// for tests that assert dense/map equivalence. Messages addressed to
-// vertices the node does not master are rejected: silent misdelivery
-// would corrupt results.
-func InboxFromMap(alg template.Algorithm, masters []graph.VertexID, mw int,
-	incoming map[graph.VertexID][]float64) (*Inbox, error) {
-	in := NewInbox(alg, len(masters), mw)
-	ids := make([]graph.VertexID, 0, len(incoming))
-	for id := range incoming {
-		ids = append(ids, id)
+// GenResult is the outcome of one RequestGen: one MsgBuf per destination
+// node, addressed through the partitioning's routing index. The sender's
+// own slot is its local accumulator, which RequestMerge and RequestApply
+// go on to use; the other slots are what the engine routes. Results are
+// reused across supersteps (NewGenResult + Reset).
+type GenResult struct {
+	// To[o] holds the messages for vertices mastered on node o.
+	To []*MsgBuf
+	// Entities is the number of triplets processed this iteration.
+	Entities int
+
+	part *graph.Partitioning
+	self int
+}
+
+// NewGenResult allocates a reusable result for node self of a partitioning.
+func NewGenResult(alg template.Algorithm, part *graph.Partitioning, self int) *GenResult {
+	res := &GenResult{To: make([]*MsgBuf, len(part.Parts)), part: part, self: self}
+	for o, p := range part.Parts {
+		res.To[o] = NewMsgBuf(alg, len(p.Masters))
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, id := range ids {
-		mi := sort.Search(len(masters), func(i int) bool { return masters[i] >= id })
-		if mi == len(masters) || masters[mi] != id {
-			return nil, fmt.Errorf("gxplug: incoming message for non-master %d", id)
-		}
-		in.Merge(alg, int32(mi), incoming[id])
+	return res
+}
+
+// Reset prepares the result for the next superstep.
+func (res *GenResult) Reset() {
+	for _, b := range res.To {
+		b.Reset()
 	}
-	return in, nil
+	res.Entities = 0
+}
+
+// Local returns the sender's own slot: the messages for its masters.
+func (res *GenResult) Local() *MsgBuf { return res.To[res.self] }
+
+// Add merges one message for vertex id into its owner's slot. id must
+// lie inside the partitioned graph; an out-of-range id is a bug and
+// panics.
+func (res *GenResult) Add(id graph.VertexID, msg []float64) {
+	res.To[res.part.Owner[id]].Merge(res.part.MasterRow[id], msg)
 }

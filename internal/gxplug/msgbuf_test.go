@@ -1,8 +1,9 @@
 package gxplug
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"gxplug/internal/algos"
@@ -10,161 +11,224 @@ import (
 	"gxplug/internal/gxplug/template"
 )
 
-// mapOutbox is the plain-map reference the dense Outbox is checked
-// against: merged messages keyed by destination, plus first-touch order.
-type mapOutbox struct {
-	acc   map[graph.VertexID][]float64
-	order []graph.VertexID
+// mapBuf is the plain-map reference the dense MsgBuf is checked against:
+// merged messages keyed by row, plus first-touch order.
+type mapBuf struct {
+	acc   map[int32][]float64
+	order []int32
 }
 
-func (m *mapOutbox) add(alg template.Algorithm, id graph.VertexID, msg []float64) {
-	acc, ok := m.acc[id]
+func (m *mapBuf) touch(alg template.Algorithm, row int32) []float64 {
+	acc, ok := m.acc[row]
 	if !ok {
-		acc = make([]float64, len(msg))
+		acc = make([]float64, alg.MsgWidth())
 		alg.MergeIdentity(acc)
 		if m.acc == nil {
-			m.acc = make(map[graph.VertexID][]float64)
+			m.acc = make(map[int32][]float64)
 		}
-		m.acc[id] = acc
-		m.order = append(m.order, id)
+		m.acc[row] = acc
+		m.order = append(m.order, row)
 	}
-	alg.MSGMerge(acc, msg)
+	return acc
 }
 
-// check asserts ob holds exactly the reference's destinations, visited
-// in first-touch order with bit-identical merged messages.
-func (m *mapOutbox) check(t *testing.T, ob *Outbox) {
+func (m *mapBuf) merge(alg template.Algorithm, row int32, msg []float64) {
+	alg.MSGMerge(m.touch(alg, row), msg)
+}
+
+// check asserts b holds exactly the reference's rows — touched in
+// first-touch order with bit-identical merged messages — and the merge
+// identity with a clear flag everywhere else.
+func (m *mapBuf) check(t *testing.T, alg template.Algorithm, b *MsgBuf) {
 	t.Helper()
-	if ob.Len() != len(m.acc) {
-		t.Fatalf("outbox holds %d destinations, reference %d", ob.Len(), len(m.acc))
+	if b.Len() != len(m.acc) {
+		t.Fatalf("buffer holds %d rows, reference %d", b.Len(), len(m.acc))
 	}
-	i := 0
-	ob.Each(func(id graph.VertexID, msg []float64) {
-		if id != m.order[i] {
-			t.Fatalf("visit %d is id %d, want first-touch order id %d", i, id, m.order[i])
+	for i, row := range b.Touched() {
+		if row != m.order[i] {
+			t.Fatalf("touched[%d] is row %d, want first-touch order row %d", i, row, m.order[i])
 		}
-		if !bitsEq(msg, m.acc[id]) {
-			t.Fatalf("id %d: outbox %v, reference %v", id, msg, m.acc[id])
+	}
+	identity := make([]float64, alg.MsgWidth())
+	alg.MergeIdentity(identity)
+	for row := int32(0); int(row) < b.Rows(); row++ {
+		want, touched := m.acc[row]
+		if !touched {
+			want = identity
 		}
-		i++
-	})
+		if b.Recv(row) != touched {
+			t.Fatalf("row %d: recv %v, reference %v", row, b.Recv(row), touched)
+		}
+		if !bitsEq(b.Row(row), want) {
+			t.Fatalf("row %d: buffer %v, reference %v", row, b.Row(row), want)
+		}
+	}
 }
 
-// The dense outbox must accumulate exactly what a plain map keyed by
-// destination would — same merged messages bit for bit, visited in
-// first-touch order — across Reset reuse: the dense range is an
-// optimization, never a semantic.
-func TestOutboxMatchesMapReference(t *testing.T) {
+// countingIdentity counts MergeIdentity calls, to pin Reset's cost.
+type countingIdentity struct {
+	template.Algorithm
+	calls int
+}
+
+func (c *countingIdentity) MergeIdentity(dst []float64) {
+	c.calls++
+	c.Algorithm.MergeIdentity(dst)
+}
+
+// The dense buffer must accumulate exactly what a plain map keyed by row
+// would — same merged messages bit for bit, same first-touch order —
+// across Reset reuse: the dense range is an optimization, never a
+// semantic. Touch (RequestMerge's touch-without-merge) marks a row and
+// leaves its identity value alone.
+func TestMsgBufMatchesMapReference(t *testing.T) {
 	alg := algos.NewSSSPBF([]graph.VertexID{0, 1})
 	mw := alg.MsgWidth()
 	rng := rand.New(rand.NewSource(11))
 
-	ob := NewOutbox(alg, 100, mw)
+	const rows = 100
+	b := NewMsgBuf(alg, rows)
 	for round := 0; round < 3; round++ {
-		ob.Reset(alg)
-		var ref mapOutbox
+		b.Reset()
+		var ref mapBuf
 		for i := 0; i < 500; i++ {
-			id := graph.VertexID(rng.Intn(100))
+			row := int32(rng.Intn(rows))
+			if rng.Intn(8) == 0 {
+				b.Touch(row)
+				ref.touch(alg, row)
+				continue
+			}
 			msg := make([]float64, mw)
 			for k := range msg {
 				msg[k] = rng.Float64() * 10
 			}
-			ob.Add(alg, id, msg)
-			ref.add(alg, id, msg)
+			b.Merge(row, msg)
+			ref.merge(alg, row, msg)
 		}
-		ref.check(t, ob)
+		ref.check(t, alg, b)
 	}
 }
 
 // Reset must restore merge identities in touched rows — stale values
-// leaking across supersteps would silently corrupt merges.
-func TestOutboxResetRestoresIdentity(t *testing.T) {
-	alg := algos.NewCC() // min-merge, identity +Inf
-	ob := NewOutbox(alg, 5, 1)
-	ob.Add(alg, 2, []float64{7})
-	ob.Reset(alg)
-	if ob.Len() != 0 {
-		t.Fatalf("len %d after reset", ob.Len())
+// leaking across supersteps would silently corrupt merges — and must
+// visit only those rows: its cost is O(touched), not O(rows).
+func TestMsgBufResetIsPerTouchedRow(t *testing.T) {
+	alg := &countingIdentity{Algorithm: algos.NewCC()} // min-merge, identity +Inf
+	b := NewMsgBuf(alg, 1000)
+	b.Merge(2, []float64{7})
+	b.Merge(2, []float64{5})
+	b.Touch(900)
+	alg.calls = 0
+	b.Reset()
+	if alg.calls != 2 {
+		t.Fatalf("reset of 2 touched rows re-identified %d rows", alg.calls)
 	}
-	ob.Add(alg, 2, []float64{9})
-	ob.Each(func(id graph.VertexID, msg []float64) {
-		if id != 2 || msg[0] != 9 {
-			t.Fatalf("got id=%d msg=%v after reset+add, want 2/[9]", id, msg)
-		}
-	})
-}
-
-// An inbox built through the legacy map converter must match one built by
-// dense merges, and reject messages for vertices outside the master set.
-func TestInboxFromMapMatchesDense(t *testing.T) {
-	alg := algos.NewPageRank()
-	masters := []graph.VertexID{3, 7, 20, 41}
-	incoming := map[graph.VertexID][]float64{
-		7:  {0.25},
-		41: {0.5},
-	}
-	fromMap, err := InboxFromMap(alg, masters, 1, incoming)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense := NewInbox(alg, len(masters), 1)
-	dense.Merge(alg, 1, []float64{0.25})
-	dense.Merge(alg, 3, []float64{0.5})
-	if fromMap.Len() != dense.Len() {
-		t.Fatalf("len %d vs %d", fromMap.Len(), dense.Len())
-	}
-	for i, v := range dense.Acc() {
-		if math.Float64bits(fromMap.Acc()[i]) != math.Float64bits(v) {
-			t.Fatalf("acc[%d]: %v vs %v", i, fromMap.Acc()[i], v)
-		}
-	}
-	if _, err := InboxFromMap(alg, masters, 1, map[graph.VertexID][]float64{8: {1}}); err == nil {
-		t.Fatal("foreign vertex accepted")
+	(&mapBuf{}).check(t, alg, b)
+	b.Merge(2, []float64{9})
+	if got := b.Row(2)[0]; got != 9 {
+		t.Fatalf("row 2 = %v after reset+merge, want 9", got)
 	}
 }
 
-// GenResult.Reset must clear local accumulators back to the merge
-// identity so a reused buffer behaves exactly like a fresh one.
-func TestGenResultReset(t *testing.T) {
-	alg := algos.NewCC()
-	res := NewGenResult(alg, 3, 10, 1)
-	res.LocalAcc[1] = 4
-	res.LocalRecv[1] = true
-	res.Remote.Add(alg, 9, []float64{2})
-	res.Entities = 17
-	res.Reset(alg)
-	if res.Entities != 0 || res.Remote.Len() != 0 {
-		t.Fatalf("reset left entities=%d remote=%d", res.Entities, res.Remote.Len())
-	}
-	for mi, r := range res.LocalRecv {
-		if r {
-			t.Fatalf("recv[%d] still set", mi)
+// genResultRef is the per-destination plain-map reference for a
+// GenResult: one mapBuf per node, addressed by a vertex's owner and its
+// position in the owner's master list (found by search, not through the
+// routing index under test).
+type genResultRef struct {
+	part *graph.Partitioning
+	to   []mapBuf
+}
+
+func newGenResultRef(part *graph.Partitioning) *genResultRef {
+	return &genResultRef{part: part, to: make([]mapBuf, len(part.Parts))}
+}
+
+// locate finds id's owner and master row by searching the master lists.
+func (g *genResultRef) locate(id graph.VertexID) (owner int, row int32) {
+	for o, p := range g.part.Parts {
+		mi := sort.Search(len(p.Masters), func(i int) bool { return p.Masters[i] >= id })
+		if mi < len(p.Masters) && p.Masters[mi] == id {
+			return o, int32(mi)
 		}
 	}
-	if !math.IsInf(res.LocalAcc[1], 1) {
-		t.Fatalf("acc[1] = %v, want merge identity +Inf", res.LocalAcc[1])
+	panic(fmt.Sprintf("vertex %d mastered nowhere", id))
+}
+
+func (g *genResultRef) add(alg template.Algorithm, id graph.VertexID, msg []float64) {
+	owner, row := g.locate(id)
+	g.to[owner].merge(alg, row, msg)
+}
+
+func (g *genResultRef) check(t *testing.T, alg template.Algorithm, res *GenResult) {
+	t.Helper()
+	for o := range g.to {
+		g.to[o].check(t, alg, res.To[o])
 	}
 }
 
-// A warm outbox must not allocate: Reset, Add and Each reuse the dense
-// accumulator and the touched-id list — the "allocates nothing after
-// warm-up" routing contract.
-func TestOutboxNoAllocAfterWarmup(t *testing.T) {
+// A GenResult files every message under its destination's owner, in the
+// owner's master row: per destination it must hold exactly what a map
+// per node would, and Reset must return every slot to a fresh buffer's
+// state.
+func TestGenResultAddsPerDestination(t *testing.T) {
+	alg := algos.NewSSSPBF([]graph.VertexID{0})
+	mw := alg.MsgWidth()
+	const numV, nodes, self = 97, 4, 2
+	part := graph.EdgeCutByHash(graph.MustFromEdges(numV, nil), nodes)
+	rng := rand.New(rand.NewSource(5))
+
+	res := NewGenResult(alg, part, self)
+	if res.Local() != res.To[self] {
+		t.Fatal("Local is not the sender's own slot")
+	}
+	for round := 0; round < 3; round++ {
+		res.Reset()
+		if res.Entities != 0 {
+			t.Fatalf("reset left entities=%d", res.Entities)
+		}
+		ref := newGenResultRef(part)
+		for i := 0; i < 400; i++ {
+			id := graph.VertexID(rng.Intn(numV))
+			msg := make([]float64, mw)
+			for k := range msg {
+				msg[k] = rng.Float64() * 10
+			}
+			res.Add(id, msg)
+			ref.add(alg, id, msg)
+		}
+		ref.check(t, alg, res)
+		res.Entities = 17
+	}
+	res.Reset()
+	newGenResultRef(part).check(t, alg, res)
+}
+
+// A warm result must not allocate: Reset, Add, Touch and walking the
+// touched rows reuse the dense accumulators and the touched lists — the
+// "allocates nothing after warm-up" message-path contract.
+func TestGenResultNoAllocAfterWarmup(t *testing.T) {
 	alg := algos.NewPageRank()
 	mw := alg.MsgWidth()
-	ob := NewOutbox(alg, 32, mw)
+	const numV = 32
+	part := graph.EdgeCutByHash(graph.MustFromEdges(numV, nil), 3)
+	res := NewGenResult(alg, part, 0)
 	msg := make([]float64, mw)
-	var sink graph.VertexID
+	var sink float64
 	cycle := func() {
-		ob.Reset(alg)
-		for i := 0; i < 32; i++ {
-			ob.Add(alg, graph.VertexID(i), msg)
+		res.Reset()
+		for v := 0; v < numV; v++ {
+			res.Add(graph.VertexID(v), msg)
 		}
-		ob.Each(func(id graph.VertexID, _ []float64) { sink = id })
+		for _, b := range res.To {
+			for _, row := range b.Touched() {
+				b.Touch(row)
+				sink += b.Row(row)[0]
+			}
+		}
 	}
-	cycle() // warm the touched-id list
+	cycle() // warm the touched lists
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-		t.Fatalf("warm Reset/Add/Each cycle allocates %.1f times, want 0", allocs)
+		t.Fatalf("warm Reset/Add/walk cycle allocates %.1f times, want 0", allocs)
 	}
 	_ = sink
 }

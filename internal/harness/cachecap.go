@@ -81,10 +81,11 @@ func CacheCapSweep(o Options) (*CacheCapResult, error) {
 			}
 		}
 		alg := algos.NewSSSPBF(algos.DefaultSources(g.NumVertices()))
+		plug := GPUPlug(o.Scale, 1)
+		plug.CacheCapacity = capRows
 		run, err := powergraph.Run(engine.Config{
 			Nodes: nodes, Graph: g, Alg: alg,
-			Plug:          []gxplug.Options{GPUPlug(o.Scale, 1)},
-			CacheCapacity: capRows,
+			Plug: []gxplug.Options{plug},
 		})
 		if err != nil {
 			return nil, err

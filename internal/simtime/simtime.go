@@ -10,9 +10,7 @@ package simtime
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
-	"sort"
 	"time"
 )
 
@@ -74,15 +72,6 @@ func TimeFor(work, rate float64) time.Duration {
 	return time.Duration(sec * float64(time.Second))
 }
 
-// TransferTime returns the virtual time to move n bytes over a link of
-// `bandwidth` bytes per second with fixed `latency` per transfer.
-func TransferTime(n int64, bandwidth float64, latency time.Duration) time.Duration {
-	if n <= 0 {
-		return latency
-	}
-	return latency + TimeFor(float64(n), bandwidth)
-}
-
 // StageCosts holds the per-stage virtual cost of processing one block in a
 // multi-stage pipeline. GX-Plug's pipeline shuffle has exactly three
 // stages (download, compute, upload), but the makespan recurrence is
@@ -138,59 +127,3 @@ func SequentialMakespan(costs []StageCosts) time.Duration {
 	}
 	return total
 }
-
-// Histogram summarises a set of durations; harness code uses it to report
-// distribution shape (e.g. per-node imbalance).
-type Histogram struct {
-	Count int
-	Min   time.Duration
-	Max   time.Duration
-	Sum   time.Duration
-	P50   time.Duration
-	P95   time.Duration
-}
-
-// Summarize builds a Histogram from samples. An empty input yields a zero
-// Histogram.
-func Summarize(samples []time.Duration) Histogram {
-	if len(samples) == 0 {
-		return Histogram{}
-	}
-	s := make([]time.Duration, len(samples))
-	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	h := Histogram{
-		Count: len(s),
-		Min:   s[0],
-		Max:   s[len(s)-1],
-		P50:   s[percentileIndex(len(s), 0.50)],
-		P95:   s[percentileIndex(len(s), 0.95)],
-	}
-	for _, v := range s {
-		h.Sum += v
-	}
-	return h
-}
-
-func percentileIndex(n int, p float64) int {
-	i := int(math.Ceil(p*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return i
-}
-
-// Mean returns the average duration, or zero for an empty histogram.
-func (h Histogram) Mean() time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / time.Duration(h.Count)
-}
-
-// Seconds renders a duration as fractional seconds, the unit used in every
-// figure of the paper.
-func Seconds(d time.Duration) float64 { return d.Seconds() }

@@ -75,18 +75,6 @@ func TestTimeForBadRatePanics(t *testing.T) {
 	TimeFor(1, 0)
 }
 
-func TestTransferTime(t *testing.T) {
-	lat := 50 * time.Microsecond
-	got := TransferTime(1<<20, float64(1<<20), lat) // 1 MiB over 1 MiB/s
-	want := lat + time.Second
-	if got != want {
-		t.Fatalf("TransferTime = %v, want %v", got, want)
-	}
-	if got := TransferTime(0, 1e9, lat); got != lat {
-		t.Fatalf("TransferTime(0) = %v, want latency %v", got, lat)
-	}
-}
-
 func TestPipelineMakespanEmpty(t *testing.T) {
 	if got := PipelineMakespan(nil); got != 0 {
 		t.Fatalf("empty makespan = %v, want 0", got)
@@ -216,40 +204,6 @@ func TestPipelineMakespanRaggedPanics(t *testing.T) {
 		}
 	}()
 	PipelineMakespan([]StageCosts{{1, 2, 3}, {1, 2}})
-}
-
-func TestSummarize(t *testing.T) {
-	h := Summarize([]time.Duration{3 * time.Second, time.Second, 2 * time.Second})
-	if h.Count != 3 || h.Min != time.Second || h.Max != 3*time.Second {
-		t.Fatalf("bad histogram: %+v", h)
-	}
-	if h.Sum != 6*time.Second || h.Mean() != 2*time.Second {
-		t.Fatalf("sum/mean wrong: %+v", h)
-	}
-	if h.P50 != 2*time.Second {
-		t.Fatalf("P50 = %v, want 2s", h.P50)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	h := Summarize(nil)
-	if h.Count != 0 || h.Mean() != 0 {
-		t.Fatalf("empty summary not zero: %+v", h)
-	}
-}
-
-func TestSummarizeDoesNotMutateInput(t *testing.T) {
-	in := []time.Duration{5, 1, 3}
-	Summarize(in)
-	if in[0] != 5 || in[1] != 1 || in[2] != 3 {
-		t.Fatalf("Summarize mutated its input: %v", in)
-	}
-}
-
-func TestSeconds(t *testing.T) {
-	if got := Seconds(1500 * time.Millisecond); got != 1.5 {
-		t.Fatalf("Seconds = %v, want 1.5", got)
-	}
 }
 
 func TestLog2Ceil(t *testing.T) {
