@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet lint build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic cover fuzz-smoke bench-smoke loc ci bench-plan
+.PHONY: all fmt vet lint build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic cover fuzz-smoke bench-smoke bench-pair loc ci bench-plan
 
 all: ci
 
@@ -125,6 +125,14 @@ fuzz-smoke:
 # it from its own directory (~2 s).
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Paired runs of one benchmark workload on BASE (checked out into a
+# temporary git worktree) and on this tree, alternating which goes first:
+# the benchmark's -agree per pair, then each side's median and quartiles.
+#   make bench-pair BASE=HEAD~1 WORKLOAD=plugged-warm [PAIRS=10]
+PAIRS ?= 10
+bench-pair:
+	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
 
 # Non-test Go line counts per package (benchmark/ excluded), and the
 # total — what CHANGES.md LOC-before/after entries are measured with.

@@ -10,6 +10,7 @@ import (
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug/synccache"
 	"gxplug/internal/gxplug/template"
+	"gxplug/internal/simtime"
 )
 
 // An Agent lives in a distributed node of an upper system and bridges it
@@ -43,7 +44,8 @@ type Upper interface {
 	// FetchAttrs copies the authoritative rows for ids into dst
 	// (len(ids)*AttrWidth) and returns the boundary cost.
 	FetchAttrs(ids []graph.VertexID, dst []float64) time.Duration
-	// PushAttrs writes rows back to the upper system.
+	// PushAttrs writes rows back to the upper system. ids and rows are the
+	// agent's scratch: the upper system copies what it keeps.
 	PushAttrs(ids []graph.VertexID, rows []float64) time.Duration
 	// PushMessages hands generated messages to the upper system for
 	// routing; only the cost is modelled here (contents flow through the
@@ -184,11 +186,22 @@ type Agent struct {
 	spillIdx  map[graph.VertexID]int
 
 	// prevRows and prevBlockEdges remember the previous iteration's block
-	// plan for topology-residency detection; prevBlocks caches the built
-	// block plans for that row set so a stable frontier re-encodes nothing.
+	// plan for topology-residency detection; blocks is that plan, reused
+	// as-is while the frontier is stable. Its blocks are windows of the
+	// three slabs, which buildBlocks refills in place on a frontier
+	// change; blockIdx is buildBlocks' vertex → block-local row index and
+	// vEnds its scratch.
 	prevRows       []int
 	prevBlockEdges int
-	prevBlocks     []blockPlan
+	blocks         []blockPlan
+	blockTrips     []graph.Triplet
+	blockIDs       []graph.VertexID
+	blockAttrs     []float64
+	blockIdx       []int32
+	vEnds          []int
+	// endpoints counts the distinct vertices the edge table references —
+	// the most a vertex block can list (segmentSize).
+	endpoints int
 
 	// Reusable per-superstep scratch. Results are double-buffered because
 	// GAS engines keep the previous superstep's result live (the scatter
@@ -203,6 +216,18 @@ type Agent struct {
 	missRows []int
 	fetchBuf []float64
 	apply    applyScratch
+	// One daemon's pipeline at a time (runPipeline): stage costs of all its
+	// blocks in one slab, stageCosts[i] the three of block i, and each
+	// block's drain geometry.
+	stageSlab  []time.Duration
+	stageCosts []simtime.StageCosts
+	geo        [][2]int
+	// spans is splitByRate's result.
+	spans []span
+	// pushIDs/pushRows stage one PushAttrs batch (RequestApply without
+	// the cache, UploadQueried, Flush).
+	pushIDs  []graph.VertexID
+	pushRows []float64
 
 	// Engine-armed fault state (fault.go): pending message stalls and
 	// an armed device OOM. Daemon crashes live on the daemonProc.
@@ -225,8 +250,7 @@ type applyScratch struct {
 	changed     []bool
 	wrote       []bool
 	spanChanged []bool
-	pushIDs     []graph.VertexID
-	pushRows    []float64
+	result      ApplyResult
 }
 
 // ErrNotConnected reports use of an agent before Connect.
@@ -244,11 +268,26 @@ func NewAgent(node *cluster.Node, parts *graph.Partitioning, alg template.Algori
 	}
 	part := parts.Parts[node.ID]
 	vt, et, mt := part.Tables(alg.AttrWidth())
-	return &Agent{
+	a := &Agent{
 		node: node, parts: parts, part: part, alg: alg, ctx: ctx, upper: upper, opts: opts,
 		vt: vt, et: et, mt: mt,
-		fresh: make([]bool, vt.Len()),
+		fresh:    make([]bool, vt.Len()),
+		blockIdx: make([]int32, len(parts.Owner)),
 	}
+	for i := 0; i < et.Len(); i++ {
+		e := et.At(i)
+		for _, id := range [2]graph.VertexID{e.Src, e.Dst} {
+			if a.blockIdx[id] == 0 {
+				a.blockIdx[id] = 1
+				a.endpoints++
+			}
+		}
+	}
+	for i := 0; i < et.Len(); i++ {
+		e := et.At(i)
+		a.blockIdx[e.Src], a.blockIdx[e.Dst] = 0, 0
+	}
+	return a
 }
 
 // nextResult hands out the next reusable GenResult. Two buffers alternate
@@ -291,12 +330,16 @@ func (a *Agent) Connect() error {
 	if a.connected {
 		return errors.New("gxplug: agent already connected")
 	}
+	// The devices come first: the block-size policy that bounds a segment
+	// (segmentSize) reads their rates.
+	for _, spec := range a.opts.Devices {
+		a.devices = append(a.devices, device.New(spec))
+	}
 	segSize := a.segmentSize()
 	var maxInit time.Duration
 	footprint := a.partitionFootprint()
 	perDaemon := footprint / int64(len(a.opts.Devices))
-	for i, spec := range a.opts.Devices {
-		dev := device.New(spec)
+	for i, dev := range a.devices {
 		proc, initCost, err := startDaemon(daemonConfig{
 			index: i, ipc: a.node.IPC, dev: dev, alg: a.alg, ctx: a.ctx,
 			segSize: segSize, rawCall: a.opts.RawCall,
@@ -306,14 +349,13 @@ func (a *Agent) Connect() error {
 			return err
 		}
 		a.daemons = append(a.daemons, proc)
-		a.devices = append(a.devices, dev)
 		if initCost > maxInit {
 			maxInit = initCost
 		}
 		if !a.opts.RawCall {
 			if err := dev.Alloc(perDaemon); err != nil {
 				a.teardown()
-				return fmt.Errorf("gxplug: partition does not fit device %s: %w", spec.Name, err)
+				return fmt.Errorf("gxplug: partition does not fit device %s: %w", dev.Spec().Name, err)
 			}
 		}
 	}
@@ -373,15 +415,17 @@ func (a *Agent) teardown() {
 
 func (a *Agent) charge(d time.Duration) { a.node.Charge(bucketMiddleware, d) }
 
-// segmentSize picks shared segment capacity: the largest block we would
-// ever ship plus slack.
+// segmentSize picks shared segment capacity: the largest block this agent
+// can ship plus slack. RequestGen cuts d <= et.Len() active edges into
+// blocks of chooseBlockSize(d) triplets, and chooseBlockSize is monotone
+// in d, so no Gen block outgrows chooseBlockSize(et.Len()) triplets; b
+// triplets reference at most 2b vertices, and never more than the edge
+// table has endpoints. Should a block ever exceed the bound, its encode
+// fails with "block needs N bytes, segment has M" — loud, not wrong.
 func (a *Agent) segmentSize() int {
-	maxEdges := a.et.Len()
-	if maxEdges < 1 {
-		maxEdges = 1
-	}
-	// A block of E edges references at most 2E vertices.
-	n := genBlockSize(maxEdges, 2*maxEdges, a.alg.AttrWidth(), a.alg.MsgWidth())
+	maxEdges := max(1, a.chooseBlockSize(a.et.Len()))
+	maxVerts := min(2*maxEdges, a.endpoints)
+	n := genBlockSize(maxEdges, maxVerts, a.alg.AttrWidth(), a.alg.MsgWidth())
 	if ap := applyBlockSize(a.vt.Len()+1, a.alg.AttrWidth(), a.alg.MsgWidth()); ap > n {
 		n = ap
 	}

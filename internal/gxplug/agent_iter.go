@@ -2,6 +2,7 @@ package gxplug
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"gxplug/internal/graph"
@@ -14,11 +15,12 @@ import (
 // requestGen, requestMerge, requestApply — including the pipeline-shuffle
 // rotation protocol against each daemon (Algorithms 1 and 2).
 
-// blockPlan is one block's geometry before encoding: the edge-table index
-// ranges it covers.
+// blockPlan is one block before encoding: its triplets, the vertices they
+// reference and room for those vertices' attributes, each a window of
+// the agent's slab of that kind (buildBlocks).
 type blockPlan struct {
-	eb *graph.EdgeBlock
-	vb *graph.VertexBlock
+	eb graph.EdgeBlock
+	vb graph.VertexBlock
 }
 
 // RequestGen runs MSGGen (+ combining MSGMerge) over this node's active
@@ -76,11 +78,10 @@ func (a *Agent) RequestGen(active func(graph.VertexID) bool) (*GenResult, error)
 	// block plans are reused as-is — attribute content is refreshed at
 	// download time (fillBlock), never at plan time.
 	reuseTopo := a.sameRowSet(rows, blockEdges)
-	blocks := a.prevBlocks
-	if !reuseTopo || blocks == nil {
-		blocks = a.buildBlocks(rows, blockEdges)
-		a.prevBlocks = blocks
+	if !reuseTopo {
+		a.blocks = a.buildBlocks(rows, blockEdges)
 	}
+	blocks := a.blocks
 	a.stats.Blocks += int64(len(blocks))
 	a.stats.LastBlockSize = blockEdges
 	a.stats.LastBlocks = len(blocks)
@@ -170,53 +171,68 @@ func (a *Agent) coefficients() pipeline.Coefficients {
 }
 
 // buildBlocks cuts the chosen rows' edges into paired vertex/edge blocks
-// of at most blockEdges triplets. Attribute content is filled at pipeline
-// download time (ensureRows), not here.
+// of at most blockEdges triplets, overwriting the previous plan: the
+// blocks are consecutive windows of the triplet, id and attribute slabs.
+// Attribute content is filled at pipeline download time (fillBlock), not
+// here; rows of vertices this node holds no copy of stay zero.
 func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
-	var out []blockPlan
-	var eb *graph.EdgeBlock
-	var vb *graph.VertexBlock
-	local := make(map[graph.VertexID]int32)
-	aw := a.alg.AttrWidth()
-
-	flush := func() {
-		if eb != nil && len(eb.Triplets) > 0 {
-			out = append(out, blockPlan{eb: eb, vb: vb})
-		}
-		eb, vb = nil, nil
+	// blockIdx[v] is 1 + the id-slab position of v's entry in the block
+	// being cut — anything at or below the block's first position is an
+	// older block's entry. Entries of the previous plan are forgotten here.
+	idx := a.blockIdx
+	for _, id := range a.blockIDs {
+		idx[id] = 0
 	}
-	ensure := func() {
-		if eb == nil {
-			eb = &graph.EdgeBlock{Triplets: make([]graph.Triplet, 0, blockEdges)}
-			vb = &graph.VertexBlock{Stride: aw}
-			local = make(map[graph.VertexID]int32)
-		}
+	d := 0
+	for _, row := range rows {
+		s, e := a.mt.EdgeRange(row)
+		d += e - s
 	}
-	addVertex := func(id graph.VertexID) int32 {
-		if r, ok := local[id]; ok {
-			return r
+	// slices.Grow rather than grow: a frontier that widens every superstep
+	// regrows the slab every superstep, so the growth has to be amortized.
+	trips := slices.Grow(a.blockTrips[:0], d)
+	ids, vEnds := a.blockIDs[:0], a.vEnds[:0]
+	vLo := 0
+	local := func(id graph.VertexID) int32 {
+		if p := int(idx[id]); p > vLo {
+			return int32(p - 1 - vLo)
 		}
-		r := int32(len(vb.IDs))
-		local[id] = r
-		vb.IDs = append(vb.IDs, id)
-		vb.Attrs = append(vb.Attrs, make([]float64, aw)...)
-		return r
+		ids = append(ids, id)
+		idx[id] = int32(len(ids))
+		return int32(len(ids) - 1 - vLo)
 	}
 	for _, row := range rows {
 		s, e := a.mt.EdgeRange(row)
 		for i := s; i < e; i++ {
-			ensure()
 			edge := a.et.At(i)
-			eb.Triplets = append(eb.Triplets, graph.Triplet{
+			srcRow := local(edge.Src)
+			trips = append(trips, graph.Triplet{
 				Src: edge.Src, Dst: edge.Dst, W: edge.Weight,
-				SrcRow: addVertex(edge.Src), DstRow: addVertex(edge.Dst),
+				SrcRow: srcRow, DstRow: local(edge.Dst),
 			})
-			if len(eb.Triplets) >= blockEdges {
-				flush()
+			if len(trips)%blockEdges == 0 {
+				vEnds = append(vEnds, len(ids))
+				vLo = len(ids)
 			}
 		}
 	}
-	flush()
+	if len(ids) > vLo {
+		vEnds = append(vEnds, len(ids))
+	}
+	a.blockTrips, a.blockIDs, a.vEnds = trips, ids, vEnds
+
+	aw := a.alg.AttrWidth()
+	attrs := grow(&a.blockAttrs, len(ids)*aw)
+	clear(attrs)
+	out := a.blocks[:0]
+	vLo = 0
+	for i, vHi := range vEnds {
+		out = append(out, blockPlan{
+			eb: graph.EdgeBlock{Triplets: trips[i*blockEdges : min((i+1)*blockEdges, len(trips))]},
+			vb: graph.VertexBlock{IDs: ids[vLo:vHi], Stride: aw, Attrs: attrs[vLo*aw : vHi*aw]},
+		})
+		vLo = vHi
+	}
 	return out
 }
 
@@ -226,21 +242,20 @@ type span struct{ lo, hi int }
 // splitByRate cuts n contiguous items into one span per daemon,
 // proportionally to device effective rate (within-node workload
 // balancing across heterogeneous accelerators — the Fig 9d mix & match).
+// The result is valid until the next call.
 func (a *Agent) splitByRate(n int) []span {
-	spans := make([]span, len(a.daemons))
+	spans := grow(&a.spans, len(a.daemons))
 	if len(spans) == 1 {
 		spans[0] = span{0, n}
 		return spans
 	}
-	weights := make([]float64, len(a.devices))
 	var total float64
-	for i, dv := range a.devices {
-		weights[i] = dv.EffectiveRate(1 << 20)
-		total += weights[i]
+	for _, dv := range a.devices {
+		total += dv.EffectiveRate(1 << 20)
 	}
 	start, cum := 0, 0.0
 	for i := range spans {
-		cum += weights[i]
+		cum += a.devices[i].EffectiveRate(1 << 20)
 		end := int(cum / total * float64(n))
 		if i == len(spans)-1 {
 			end = n
@@ -281,18 +296,21 @@ func (a *Agent) sameRowSet(rows []int, blockEdges int) bool {
 func (a *Agent) runPipeline(di int, blocks []blockPlan, res *GenResult, reuseTopo bool) (time.Duration, error) {
 	p := a.daemons[di]
 	k := len(blocks)
-	costs := make([]simtime.StageCosts, k)
+	// StageCosts is itself a slice — download, compute, upload — cut from
+	// one slab for all k blocks.
+	slab := grow(&a.stageSlab, 3*k)
+	clear(slab)
+	costs := grow(&a.stageCosts, k)
 	for i := range costs {
-		// StageCosts is itself a slice: download, compute, upload.
-		costs[i] = simtime.StageCosts{0, 0, 0}
+		costs[i] = slab[3*i : 3*i+3 : 3*i+3]
 	}
-	geo := make([][2]int, k) // (numVerts, resultOff) per block for draining
+	geo := grow(&a.geo, k) // (numVerts, resultOff) per block for draining
 
 	for step := 0; step <= k+1; step++ {
 		// Thread.Download: fill the n-chunk with the next block.
 		nSeg := p.mem[physSeg(roleN, p.rot)]
 		if step < k {
-			tn, vOff, err := a.fillBlock(nSeg, blocks[step], reuseTopo)
+			tn, vOff, err := a.fillBlock(nSeg, &blocks[step], reuseTopo)
 			if err != nil {
 				return 0, err
 			}
@@ -306,7 +324,7 @@ func (a *Agent) runPipeline(di int, blocks []blockPlan, res *GenResult, reuseTop
 		// Thread.Upload: drain the u-chunk (two rotations behind).
 		if step >= 2 {
 			uSeg := p.mem[physSeg(roleU, p.rot)]
-			tu := a.drainBlock(uSeg, blocks[step-2], geo[step-2], res)
+			tu := a.drainBlock(uSeg, &blocks[step-2], geo[step-2], res)
 			costs[step-2][2] += tu
 		}
 		// Exchange finished: rotate n→c→u→n on both sides.
@@ -361,7 +379,7 @@ func (a *Agent) runPipeline(di int, blocks []blockPlan, res *GenResult, reuseTop
 // With reuseTopo the triplet encoding still happens for real (segments
 // rotate), but only the attribute bytes are charged: the daemon already
 // holds this topology from the previous iteration.
-func (a *Agent) fillBlock(seg []byte, bp blockPlan, reuseTopo bool) (time.Duration, [2]int, error) {
+func (a *Agent) fillBlock(seg []byte, bp *blockPlan, reuseTopo bool) (time.Duration, [2]int, error) {
 	var cost time.Duration
 	// Rows to refresh: every vertex the block references that exists in
 	// our table (sources always do; destinations may be remote).
@@ -379,7 +397,7 @@ func (a *Agent) fillBlock(seg []byte, bp blockPlan, reuseTopo bool) (time.Durati
 			copy(bp.vb.Attrs[i*aw:(i+1)*aw], a.vt.Row(r))
 		}
 	}
-	payload, err := encodeGenBlock(seg, bp.eb, bp.vb, a.alg.MsgWidth(), reuseTopo)
+	payload, err := encodeGenBlock(seg, &bp.eb, &bp.vb, a.alg.MsgWidth(), reuseTopo)
 	if err != nil {
 		return 0, [2]int{}, err
 	}
@@ -393,7 +411,7 @@ func (a *Agent) fillBlock(seg []byte, bp blockPlan, reuseTopo bool) (time.Durati
 
 // drainBlock reads one computed block's results out of the u-chunk and
 // merges them into the node-level result, returning the upload-stage cost.
-func (a *Agent) drainBlock(seg []byte, bp blockPlan, geo [2]int, res *GenResult) time.Duration {
+func (a *Agent) drainBlock(seg []byte, bp *blockPlan, geo [2]int, res *GenResult) time.Duration {
 	nV, resultOff := geo[0], geo[1]
 	mw := a.alg.MsgWidth()
 	acc := grow(&a.drainAcc, nV*mw)
@@ -529,9 +547,10 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 	for i := 0; i < nM; i++ {
 		changed[i], wrote[i] = false, false
 	}
-	// Changed and Wrote alias agent-owned scratch: they are valid until
-	// the next RequestApply on this agent.
-	out := &ApplyResult{Changed: changed, Wrote: wrote, LocalOnly: true}
+	// The result and its Changed and Wrote alias agent-owned scratch: they
+	// are valid until the next RequestApply on this agent.
+	out := &sc.result
+	*out = ApplyResult{Changed: changed, Wrote: wrote, LocalOnly: true}
 	if len(sel) == 0 {
 		//gxlint:uncharged no masters selected: nothing is encoded, shipped, or applied
 		return out, nil
@@ -595,8 +614,8 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 	// counts as written if any bit moved — MSGApply's boolean only drives
 	// the activity frontier (e.g. PageRank keeps sub-tolerance rank drift
 	// without reactivating the vertex).
-	pushIDs := sc.pushIDs[:0]
-	pushRows := sc.pushRows[:0]
+	pushIDs := a.pushIDs[:0]
+	pushRows := a.pushRows[:0]
 	for i, mi := range sel {
 		row := attrs[i*aw : (i+1)*aw]
 		old := a.vt.Row(rows[i])
@@ -632,7 +651,7 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 			pushRows = append(pushRows, row...)
 		}
 	}
-	sc.pushIDs, sc.pushRows = pushIDs, pushRows
+	a.pushIDs, a.pushRows = pushIDs, pushRows
 	if len(pushIDs) > 0 {
 		c := a.upper.PushAttrs(pushIDs, pushRows)
 		a.stats.BoundaryTime += c
@@ -663,7 +682,7 @@ func (a *Agent) UploadQueried(q *synccache.QueryQueue) int {
 	}
 	aw := a.alg.AttrWidth()
 	ids := need[:0] // the ids actually resident; keeps len(ids)*aw == len(rows)
-	rows := make([]float64, 0, len(need)*aw)
+	rows := grow(&a.pushRows, len(need)*aw)[:0]
 	for _, id := range need {
 		cached, ok := a.cache.Peek(id)
 		if !ok {
@@ -706,8 +725,8 @@ func (a *Agent) Flush() time.Duration {
 		return cost
 	}
 	aw := a.alg.AttrWidth()
-	ids := make([]graph.VertexID, len(dirty))
-	rows := make([]float64, len(dirty)*aw)
+	ids := grow(&a.pushIDs, len(dirty))
+	rows := grow(&a.pushRows, len(dirty)*aw)
 	for i, ev := range dirty {
 		ids[i] = ev.ID
 		copy(rows[i*aw:(i+1)*aw], ev.Row)

@@ -584,37 +584,53 @@ func TestBuildBlocksCutsAndPairs(t *testing.T) {
 		ctx := testCtx(g)
 		a := NewAgent(cluster.New(2, cluster.DatacenterNet()).Node(1), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
 
-		var rows []int
-		want := 0
-		for r := 0; r < a.vt.Len(); r++ {
-			if rng.Intn(4) > 0 {
-				s, e := a.mt.EdgeRange(r)
-				rows = append(rows, r)
-				want += e - s
-			}
-		}
-		blockEdges := 1 + rng.Intn(7)
-		total := 0
-		for bi, bp := range a.buildBlocks(rows, blockEdges) {
-			if n := len(bp.eb.Triplets); n == 0 || n > blockEdges {
-				t.Fatalf("seed %d block %d: %d triplets, capacity %d", seed, bi, n, blockEdges)
-			}
-			total += len(bp.eb.Triplets)
-			for _, tr := range bp.eb.Triplets {
-				if bp.vb.IDs[tr.SrcRow] != tr.Src || bp.vb.IDs[tr.DstRow] != tr.Dst {
-					t.Fatalf("seed %d block %d: triplet rows do not resolve to endpoints", seed, bi)
+		// Several plans on one agent: each rebuild overwrites the slabs and
+		// the vertex index of the one before, and must not see any of it.
+		for round := 0; round < 3; round++ {
+			var rows []int
+			want := 0
+			for r := 0; r < a.vt.Len(); r++ {
+				if rng.Intn(4) > 0 {
+					s, e := a.mt.EdgeRange(r)
+					rows = append(rows, r)
+					want += e - s
 				}
 			}
-			seen := make(map[graph.VertexID]bool)
-			for _, id := range bp.vb.IDs {
-				if seen[id] {
-					t.Fatalf("seed %d block %d: vertex %d listed twice", seed, bi, id)
+			blockEdges := 1 + rng.Intn(7)
+			total := 0
+			for bi, bp := range a.buildBlocks(rows, blockEdges) {
+				if n := len(bp.eb.Triplets); n == 0 || n > blockEdges {
+					t.Fatalf("seed %d round %d block %d: %d triplets, capacity %d", seed, round, bi, n, blockEdges)
 				}
-				seen[id] = true
+				total += len(bp.eb.Triplets)
+				for _, tr := range bp.eb.Triplets {
+					if bp.vb.IDs[tr.SrcRow] != tr.Src || bp.vb.IDs[tr.DstRow] != tr.Dst {
+						t.Fatalf("seed %d round %d block %d: triplet rows do not resolve to endpoints", seed, round, bi)
+					}
+				}
+				seen := make(map[graph.VertexID]bool)
+				for _, id := range bp.vb.IDs {
+					if seen[id] {
+						t.Fatalf("seed %d round %d block %d: vertex %d listed twice", seed, round, bi, id)
+					}
+					seen[id] = true
+				}
+				if len(bp.vb.Attrs) != len(bp.vb.IDs)*bp.vb.Stride {
+					t.Fatalf("seed %d round %d block %d: %d attribute slots for %d vertices", seed, round, bi, len(bp.vb.Attrs), len(bp.vb.IDs))
+				}
+				for _, v := range bp.vb.Attrs {
+					if v != 0 {
+						t.Fatalf("seed %d round %d block %d: attribute window not zeroed", seed, round, bi)
+					}
+				}
+				// What fillBlock would leave behind for the next plan.
+				for i := range bp.vb.Attrs {
+					bp.vb.Attrs[i] = 7
+				}
 			}
-		}
-		if total != want {
-			t.Fatalf("seed %d: blocks carry %d triplets, selected rows have %d", seed, total, want)
+			if total != want {
+				t.Fatalf("seed %d round %d: blocks carry %d triplets, selected rows have %d", seed, round, total, want)
+			}
 		}
 	}
 }

@@ -93,6 +93,24 @@ func mergeBlockSize(rows, msgW int) int {
 	return int(mergeBlockSize64(int64(rows), int64(msgW)))
 }
 
+// blockScratch is the decode target of one daemon: the three decoders
+// copy a block's arrays out of the segment into it and return views of
+// it, so a daemon that has seen its largest block decodes without
+// allocating. The views are valid until the next decode into the same
+// scratch. A daemon handles one block at a time, so the kinds share
+// arrays: an apply batch's ids and attribute rows land in vb, a merge
+// block's two accumulators in vb.Attrs and msgs.
+//
+// The arrays are copies, not views of the segment: kernels take
+// []float64 rows, the attribute array is only 4-byte aligned in the
+// segment when nVerts is odd, and reinterpreting bytes needs unsafe.
+type blockScratch struct {
+	eb   graph.EdgeBlock
+	vb   graph.VertexBlock
+	msgs []float64
+	recv []bool
+}
+
 type cursor struct {
 	buf []byte
 	off int
@@ -175,8 +193,10 @@ func encodeGenBlock(seg []byte, eb *graph.EdgeBlock, vb *graph.VertexBlock, msgW
 	return c.off, nil
 }
 
-// decodeGenBlock reads the agent's payload back out of a segment.
-func decodeGenBlock(seg []byte) (eb *graph.EdgeBlock, vb *graph.VertexBlock, msgW int, resident bool, resultOff int, err error) {
+// decodeGenBlock reads the agent's payload back out of a segment into sc.
+// sc grows only after the header's geometry is known to be plausible and
+// to fit the segment, so a lying header cannot size an allocation.
+func decodeGenBlock(seg []byte, sc *blockScratch) (eb *graph.EdgeBlock, vb *graph.VertexBlock, msgW int, resident bool, resultOff int, err error) {
 	if len(seg) < 6*4 {
 		return nil, nil, 0, false, 0, fmt.Errorf("gxplug: gen block header truncated (%d bytes)", len(seg))
 	}
@@ -195,8 +215,8 @@ func decodeGenBlock(seg []byte) (eb *graph.EdgeBlock, vb *graph.VertexBlock, msg
 	if genBlockSize64(int64(nT), int64(nV), int64(attrW), int64(msgW)) > int64(len(seg)) {
 		return nil, nil, 0, false, 0, fmt.Errorf("gxplug: truncated gen block")
 	}
-	eb = &graph.EdgeBlock{Triplets: make([]graph.Triplet, nT)}
-	for i := range eb.Triplets {
+	eb, vb = &sc.eb, &sc.vb
+	for i := range grow(&eb.Triplets, nT) {
 		eb.Triplets[i] = graph.Triplet{
 			Src:    graph.VertexID(c.rdU32()),
 			Dst:    graph.VertexID(c.rdU32()),
@@ -205,11 +225,11 @@ func decodeGenBlock(seg []byte) (eb *graph.EdgeBlock, vb *graph.VertexBlock, msg
 			W:      c.rdF64(),
 		}
 	}
-	vb = &graph.VertexBlock{IDs: make([]graph.VertexID, nV), Stride: attrW, Attrs: make([]float64, nV*attrW)}
-	for i := range vb.IDs {
+	vb.Stride = attrW
+	for i := range grow(&vb.IDs, nV) {
 		vb.IDs[i] = graph.VertexID(c.rdU32())
 	}
-	for i := range vb.Attrs {
+	for i := range grow(&vb.Attrs, nV*attrW) {
 		vb.Attrs[i] = c.rdF64()
 	}
 	return eb, vb, msgW, resident, c.off, nil
@@ -277,8 +297,9 @@ func encodeApplyBlock(seg []byte, ids []graph.VertexID, attrs []float64, attrW i
 	return c.off, nil
 }
 
-// decodeApplyBlock reads an apply batch on the daemon side.
-func decodeApplyBlock(seg []byte) (ids []graph.VertexID, attrs []float64, attrW int, msgs []float64, msgW int, recv []bool, resultOff int, err error) {
+// decodeApplyBlock reads an apply batch on the daemon side into sc, under
+// the same grow-after-validation rule as decodeGenBlock.
+func decodeApplyBlock(seg []byte, sc *blockScratch) (ids []graph.VertexID, attrs []float64, attrW int, msgs []float64, msgW int, recv []bool, resultOff int, err error) {
 	if len(seg) < 4*4 {
 		return nil, nil, 0, nil, 0, nil, 0, fmt.Errorf("gxplug: apply block header truncated (%d bytes)", len(seg))
 	}
@@ -295,19 +316,19 @@ func decodeApplyBlock(seg []byte) (ids []graph.VertexID, attrs []float64, attrW 
 	if applyBlockSize64(int64(n), int64(attrW), int64(msgW)) > int64(len(seg)) {
 		return nil, nil, 0, nil, 0, nil, 0, fmt.Errorf("gxplug: truncated apply block")
 	}
-	ids = make([]graph.VertexID, n)
+	ids = grow(&sc.vb.IDs, n)
 	for i := range ids {
 		ids[i] = graph.VertexID(c.rdU32())
 	}
-	attrs = make([]float64, n*attrW)
+	attrs = grow(&sc.vb.Attrs, n*attrW)
 	for i := range attrs {
 		attrs[i] = c.rdF64()
 	}
-	msgs = make([]float64, n*msgW)
+	msgs = grow(&sc.msgs, n*msgW)
 	for i := range msgs {
 		msgs[i] = c.rdF64()
 	}
-	recv = make([]bool, n)
+	recv = grow(&sc.recv, n)
 	for i := range recv {
 		recv[i] = c.rdB() != 0
 	}
@@ -371,8 +392,9 @@ func encodeMergeBlock(seg []byte, accA, accB []float64, msgW int) (int, error) {
 	return c.off, nil
 }
 
-// decodeMergeBlock reads the two accumulators on the daemon side.
-func decodeMergeBlock(seg []byte) (accA, accB []float64, msgW, resultOff int, err error) {
+// decodeMergeBlock reads the two accumulators on the daemon side into sc,
+// under the same grow-after-validation rule as decodeGenBlock.
+func decodeMergeBlock(seg []byte, sc *blockScratch) (accA, accB []float64, msgW, resultOff int, err error) {
 	if len(seg) < 3*4 {
 		return nil, nil, 0, 0, fmt.Errorf("gxplug: merge block header truncated (%d bytes)", len(seg))
 	}
@@ -382,17 +404,17 @@ func decodeMergeBlock(seg []byte) (accA, accB []float64, msgW, resultOff int, er
 	}
 	rows := int(c.rdU32())
 	msgW = int(c.rdU32())
-	if !dimsOK(rows, msgW) {
+	if !dimsOK(rows, msgW) || msgW == 0 {
 		return nil, nil, 0, 0, fmt.Errorf("gxplug: implausible merge block geometry %d/%d", rows, msgW)
 	}
 	if mergeBlockSize64(int64(rows), int64(msgW)) > int64(len(seg)) {
 		return nil, nil, 0, 0, fmt.Errorf("gxplug: truncated merge block")
 	}
-	accA = make([]float64, rows*msgW)
+	accA = grow(&sc.vb.Attrs, rows*msgW)
 	for i := range accA {
 		accA[i] = c.rdF64()
 	}
-	accB = make([]float64, rows*msgW)
+	accB = grow(&sc.msgs, rows*msgW)
 	for i := range accB {
 		accB[i] = c.rdF64()
 	}

@@ -50,10 +50,74 @@ func bitsEq(a, b []float64) bool {
 	return true
 }
 
+// dirtyScratch returns a decode scratch that has seen a block larger than
+// any the round-trip fuzzers build, every array full of junk: what a
+// daemon's scratch looks like when a small block follows a big one.
+func dirtyScratch() *blockScratch {
+	sc := &blockScratch{
+		eb:   graph.EdgeBlock{Triplets: make([]graph.Triplet, 64)},
+		vb:   graph.VertexBlock{IDs: make([]graph.VertexID, 64), Stride: 9, Attrs: make([]float64, 512)},
+		msgs: make([]float64, 512),
+		recv: make([]bool, 64),
+	}
+	for i := range sc.eb.Triplets {
+		sc.eb.Triplets[i] = graph.Triplet{Src: 0xDEAD, Dst: 0xBEEF, W: math.NaN(), SrcRow: -7, DstRow: -9}
+	}
+	for i := range sc.vb.IDs {
+		sc.vb.IDs[i] = 0xFEEDFACE
+	}
+	for i := range sc.vb.Attrs {
+		sc.vb.Attrs[i], sc.msgs[i] = math.Inf(-1), math.NaN()
+	}
+	for i := range sc.recv {
+		sc.recv[i] = i%2 == 0
+	}
+	return sc
+}
+
+func sameIDs(a, b []graph.VertexID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func sameFlags(a, b []bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func sameTriplets(a, b []graph.Triplet) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Src != b[i].Src || a[i].Dst != b[i].Dst || a[i].SrcRow != b[i].SrcRow || a[i].DstRow != b[i].DstRow ||
+			math.Float64bits(a[i].W) != math.Float64bits(b[i].W) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzCodecRoundTrip drives all three block codecs (gen, apply, merge)
 // with fuzz-derived geometry and payloads: encode into an exactly-sized
 // segment, decode, and require the bit-exact originals back, result
-// areas included.
+// areas included. Each block is decoded twice — into a zero scratch and
+// into a dirty, previously larger one — and the two must agree: nothing
+// of an earlier block may show through a reused scratch.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte("gen-block-seed"))
 	f.Add([]byte("apply-block-seed"))
@@ -102,9 +166,14 @@ func fuzzGenRoundTrip(t *testing.T, r *fzr) {
 	if err != nil {
 		t.Fatalf("encode rejected exactly-sized segment: %v", err)
 	}
-	gotEB, gotVB, gotMsgW, gotRes, resultOff, err := decodeGenBlock(seg)
+	gotEB, gotVB, gotMsgW, gotRes, resultOff, err := decodeGenBlock(seg, &blockScratch{})
 	if err != nil {
 		t.Fatalf("decode of valid block failed: %v", err)
+	}
+	dEB, dVB, dMsgW, dRes, dOff, err := decodeGenBlock(seg, dirtyScratch())
+	if err != nil || dMsgW != gotMsgW || dRes != gotRes || dOff != resultOff || dVB.Stride != gotVB.Stride ||
+		!sameTriplets(dEB.Triplets, gotEB.Triplets) || !sameIDs(dVB.IDs, gotVB.IDs) || !bitsEq(dVB.Attrs, gotVB.Attrs) {
+		t.Fatalf("gen decode through a dirty scratch differs from a fresh one (err %v)", err)
 	}
 	if resultOff != payload {
 		t.Fatalf("result offset %d, payload ended at %d", resultOff, payload)
@@ -112,17 +181,11 @@ func fuzzGenRoundTrip(t *testing.T, r *fzr) {
 	if gotMsgW != msgW || gotRes != resident || len(gotEB.Triplets) != nT || len(gotVB.IDs) != nV || gotVB.Stride != attrW {
 		t.Fatal("geometry changed in round trip")
 	}
-	for i, tr := range eb.Triplets {
-		g := gotEB.Triplets[i]
-		if g.Src != tr.Src || g.Dst != tr.Dst || g.SrcRow != tr.SrcRow || g.DstRow != tr.DstRow ||
-			math.Float64bits(g.W) != math.Float64bits(tr.W) {
-			t.Fatalf("triplet %d changed: %+v -> %+v", i, tr, g)
-		}
+	if !sameTriplets(gotEB.Triplets, eb.Triplets) {
+		t.Fatal("triplets changed in round trip")
 	}
-	for i := range vb.IDs {
-		if gotVB.IDs[i] != vb.IDs[i] {
-			t.Fatalf("vertex id %d changed", i)
-		}
+	if !sameIDs(gotVB.IDs, vb.IDs) {
+		t.Fatal("vertex ids changed in round trip")
 	}
 	if !bitsEq(gotVB.Attrs, vb.Attrs) {
 		t.Fatal("attrs changed in round trip")
@@ -180,9 +243,14 @@ func fuzzApplyRoundTrip(t *testing.T, r *fzr) {
 	if err != nil {
 		t.Fatalf("encode rejected exactly-sized segment: %v", err)
 	}
-	gotIDs, gotAttrs, gotAttrW, gotMsgs, gotMsgW, gotRecv, resultOff, err := decodeApplyBlock(seg)
+	gotIDs, gotAttrs, gotAttrW, gotMsgs, gotMsgW, gotRecv, resultOff, err := decodeApplyBlock(seg, &blockScratch{})
 	if err != nil {
 		t.Fatalf("decode of valid block failed: %v", err)
+	}
+	dIDs, dAttrs, dAttrW, dMsgs, dMsgW, dRecv, dOff, err := decodeApplyBlock(seg, dirtyScratch())
+	if err != nil || dAttrW != gotAttrW || dMsgW != gotMsgW || dOff != resultOff || !sameIDs(dIDs, gotIDs) ||
+		!bitsEq(dAttrs, gotAttrs) || !bitsEq(dMsgs, gotMsgs) || !sameFlags(dRecv, gotRecv) {
+		t.Fatalf("apply decode through a dirty scratch differs from a fresh one (err %v)", err)
 	}
 	if resultOff != payload || gotAttrW != attrW || gotMsgW != msgW || len(gotIDs) != n {
 		t.Fatal("geometry changed in round trip")
@@ -237,9 +305,13 @@ func fuzzMergeRoundTrip(t *testing.T, r *fzr) {
 	if _, err := encodeMergeBlock(seg, accA, accB, msgW); err != nil {
 		t.Fatalf("encode rejected exactly-sized segment: %v", err)
 	}
-	gotA, gotB, gotMsgW, _, err := decodeMergeBlock(seg)
+	gotA, gotB, gotMsgW, resultOff, err := decodeMergeBlock(seg, &blockScratch{})
 	if err != nil {
 		t.Fatalf("decode of valid block failed: %v", err)
+	}
+	dA, dB, dMsgW, dOff, err := decodeMergeBlock(seg, dirtyScratch())
+	if err != nil || dMsgW != gotMsgW || dOff != resultOff || !bitsEq(dA, gotA) || !bitsEq(dB, gotB) {
+		t.Fatalf("merge decode through a dirty scratch differs from a fresh one (err %v)", err)
 	}
 	if gotMsgW != msgW || !bitsEq(gotA, accA) || !bitsEq(gotB, accB) {
 		t.Fatal("merge block changed in round trip")
@@ -260,9 +332,17 @@ func fuzzMergeRoundTrip(t *testing.T, r *fzr) {
 	}
 }
 
+// scratchBytes is the memory a decode scratch holds.
+func scratchBytes(sc *blockScratch) int {
+	return cap(sc.eb.Triplets)*tripletBytes + cap(sc.vb.IDs)*4 + cap(sc.vb.Attrs)*8 + cap(sc.msgs)*8 + cap(sc.recv)
+}
+
 // FuzzCodecDecodeNoPanic throws arbitrary bytes at all three decoders:
 // truncated headers, implausible geometry and short payloads must come
-// back as errors, never as panics or out-of-range reads.
+// back as errors, never as panics or out-of-range reads. It is also the
+// guard on what sizes the daemon's scratch (the wiresize lint cannot see
+// through grow): a rejected block grows nothing, and an accepted one
+// nothing beyond the bytes it really occupies in the segment.
 func FuzzCodecDecodeNoPanic(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("short"))
@@ -276,8 +356,19 @@ func FuzzCodecDecodeNoPanic(f *testing.F) {
 		f.Add(append([]byte(nil), hdr...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, _, _, _, _ = decodeGenBlock(data)
-		_, _, _, _, _, _, _, _ = decodeApplyBlock(data)
-		_, _, _, _, _ = decodeMergeBlock(data)
+		check := func(kind string, sc *blockScratch, err error) {
+			if n := scratchBytes(sc); err != nil && n != 0 {
+				t.Fatalf("rejected %s block grew the scratch to %d bytes", kind, n)
+			} else if n > len(data) {
+				t.Fatalf("%s block of %d bytes grew the scratch to %d", kind, len(data), n)
+			}
+		}
+		var g, a, m blockScratch
+		_, _, _, _, _, err := decodeGenBlock(data, &g)
+		check("gen", &g, err)
+		_, _, _, _, _, _, _, err = decodeApplyBlock(data, &a)
+		check("apply", &a, err)
+		_, _, _, _, err = decodeMergeBlock(data, &m)
+		check("merge", &m, err)
 	})
 }

@@ -3,7 +3,9 @@ package gxplug
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gxplug/internal/device"
@@ -47,6 +49,9 @@ type daemonProc struct {
 	// crashed marks a daemon killed by an injected fault (fault.go):
 	// its request queue is gone and its goroutine has exited.
 	crashed bool
+	// reply is the last response's payload, handed back to the queue as
+	// the next receive buffer.
+	reply []byte
 }
 
 // phys maps a segment role (roleN/roleC/roleU) to a physical chunk index
@@ -56,10 +61,16 @@ func physSeg(role, rot int) int { return (role + rot) % 3 }
 // startDaemon creates the daemon's queues and segments in the node's IPC
 // namespace and spawns the daemon goroutine. The returned init cost is
 // the device bring-up the daemon paid (zero in rawCall mode — it pays per
-// call instead).
-func startDaemon(cfg daemonConfig) (*daemonProc, time.Duration, error) {
+// call instead). On error nothing it created stays in the namespace.
+func startDaemon(cfg daemonConfig) (_ *daemonProc, _ time.Duration, err error) {
 	p := &daemonProc{cfg: cfg}
-	var err error
+	d := &daemonState{cfg: cfg}
+	defer func() {
+		if err != nil {
+			d.detach()
+			p.release()
+		}
+	}()
 	if p.reqQ, err = cfg.ipc.Msgget(daemonReqKey(cfg.index), shm.CreateExclusive); err != nil {
 		return nil, 0, fmt.Errorf("gxplug: daemon %d request queue: %w", cfg.index, err)
 	}
@@ -71,23 +82,20 @@ func startDaemon(cfg daemonConfig) (*daemonProc, time.Duration, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("gxplug: daemon %d segment %d: %w", cfg.index, role, err)
 		}
-		p.segs[role] = seg
+		p.segs[role], d.segs[role] = seg, seg
 		if p.mem[role], err = seg.Attach(); err != nil {
 			return nil, 0, fmt.Errorf("gxplug: daemon %d attach %d: %w", cfg.index, role, err)
 		}
+		if d.mem[role], err = seg.Attach(); err != nil {
+			return nil, 0, fmt.Errorf("gxplug: daemon %d self-attach %d: %w", cfg.index, role, err)
+		}
 	}
+	d.reqQ, d.respQ = p.reqQ, p.respQ
 	var initCost time.Duration
 	if !cfg.rawCall {
 		initCost = cfg.dev.Init()
 	}
-	d := &daemonState{cfg: cfg, reqQ: p.reqQ, respQ: p.respQ}
-	for role := 0; role < 3; role++ {
-		mem, err := p.segs[role].Attach()
-		if err != nil {
-			return nil, 0, fmt.Errorf("gxplug: daemon %d self-attach %d: %w", cfg.index, role, err)
-		}
-		d.mem[role] = mem
-	}
+	d.startWorkers(&p.done)
 	p.done.Add(1)
 	go func() {
 		defer p.done.Done()
@@ -101,24 +109,44 @@ func (p *daemonProc) shutdown() {
 	// Best effort: the daemon may already be gone if the queue was removed.
 	_ = p.reqQ.Msgsnd(msgShutdown, nil)
 	p.done.Wait()
-	p.reqQ.Remove()
-	p.respQ.Remove()
-	for role := 0; role < 3; role++ {
-		_ = p.segs[role].Detach() // agent's attachment
-		p.segs[role].Remove()
+	p.release()
+}
+
+// release drops the agent's attachments and removes every IPC object the
+// daemon was given, whichever of them exist. The daemon goroutine detaches
+// its own side when it exits, so each segment's memory is destroyed here
+// (System V deferred destruction: removed and no attachment left).
+func (p *daemonProc) release() {
+	if p.reqQ != nil {
+		p.reqQ.Remove()
+	}
+	if p.respQ != nil {
+		p.respQ.Remove()
+	}
+	for role, seg := range p.segs {
+		if seg == nil {
+			continue
+		}
+		if p.mem[role] != nil {
+			_ = seg.Detach() // attached in startDaemon: cannot fail
+			p.mem[role] = nil
+		}
+		seg.Remove()
 	}
 }
 
 // request sends one control message and waits for the daemon's reply,
-// converting protocol errors. It returns the reply type and payload.
+// converting protocol errors. It returns the reply type and payload; the
+// payload is valid until the next request.
 func (p *daemonProc) request(mtype int64, payload []byte) (int64, []byte, error) {
 	if err := p.reqQ.Msgsnd(mtype, payload); err != nil {
 		return 0, nil, fmt.Errorf("gxplug: daemon %d request: %w", p.cfg.index, err)
 	}
-	m, err := p.respQ.Msgrcv(0, true)
+	m, err := p.respQ.MsgrcvInto(p.reply, 0, true)
 	if err != nil {
 		return 0, nil, fmt.Errorf("gxplug: daemon %d response: %w", p.cfg.index, err)
 	}
+	p.reply = m.Payload
 	if m.Type == msgError {
 		return 0, nil, fmt.Errorf("gxplug: daemon %d: %s", p.cfg.index, m.Payload)
 	}
@@ -126,18 +154,42 @@ func (p *daemonProc) request(mtype int64, payload []byte) (int64, []byte, error)
 }
 
 // daemonState is the daemon-side state; it lives entirely inside the
-// daemon goroutine.
+// daemon goroutine (and, for gen, the chunk workers that goroutine wakes).
+// Everything a block needs beyond the segment itself — the decoded
+// arrays, the MSGGen accumulators, MSGApply's changed flags, the cost
+// reply — is owned here, grown to the largest block seen and reused, so
+// a warmed-up daemon computes a block without allocating.
 type daemonState struct {
 	cfg   daemonConfig
 	reqQ  *shm.Queue
 	respQ *shm.Queue
+	segs  [3]*shm.Segment
 	mem   [3][]byte
 	rot   int
+
+	dec     blockScratch
+	gen     genKernel
+	changed []bool
+	costBuf [8]byte
+}
+
+// detach drops the daemon's own segment attachments — on every exit path
+// of the daemon goroutine, so that the agent's Remove can destroy the
+// memory.
+func (d *daemonState) detach() {
+	for role, seg := range d.segs {
+		if d.mem[role] != nil {
+			_ = seg.Detach() // attached in startDaemon: cannot fail
+			d.mem[role] = nil
+		}
+	}
 }
 
 // run is the daemon main loop — Algorithm 1 of the paper plus the
 // apply/merge operations the agent requests outside the Gen pipeline.
 func (d *daemonState) run() {
+	defer d.detach()
+	defer close(d.gen.wake)
 	for {
 		m, err := d.reqQ.Msgrcv(0, true)
 		if err != nil {
@@ -161,26 +213,11 @@ func (d *daemonState) run() {
 				d.reply(msgComputeAllFinished, nil)
 				continue
 			}
-			cost, err := d.computeGen(seg)
-			if err != nil {
-				d.reply(msgError, []byte(err.Error()))
-				continue
-			}
-			d.reply(msgComputeFinished, encodeCost(cost))
+			d.replyCost(msgComputeFinished, d.computeGen, seg)
 		case msgApply:
-			cost, err := d.computeApply(d.mem[physSeg(roleC, d.rot)])
-			if err != nil {
-				d.reply(msgError, []byte(err.Error()))
-				continue
-			}
-			d.reply(msgDone, encodeCost(cost))
+			d.replyCost(msgDone, d.computeApply, d.mem[physSeg(roleC, d.rot)])
 		case msgMerge:
-			cost, err := d.computeMerge(d.mem[physSeg(roleC, d.rot)])
-			if err != nil {
-				d.reply(msgError, []byte(err.Error()))
-				continue
-			}
-			d.reply(msgDone, encodeCost(cost))
+			d.replyCost(msgDone, d.computeMerge, d.mem[physSeg(roleC, d.rot)])
 		default:
 			d.reply(msgError, []byte(fmt.Sprintf("unknown request %d", m.Type)))
 		}
@@ -191,20 +228,25 @@ func (d *daemonState) reply(mtype int64, payload []byte) {
 	_ = d.respQ.Msgsnd(mtype, payload)
 }
 
-// withDevice brackets an operation with the runtime lifecycle: persistent
-// daemons initialized at startup pay nothing here; rawCall mode pays the
-// full bring-up and tear-down around every operation — the effect Fig 13
-// quantifies.
-func (d *daemonState) withDevice(op func() (time.Duration, error)) (time.Duration, error) {
+// replyCost runs one block operation with the runtime lifecycle around it
+// and answers with its virtual cost (or the error text). Persistent
+// daemons initialized at startup pay nothing for the lifecycle; rawCall
+// mode pays the full bring-up and tear-down around every operation — the
+// effect Fig 13 quantifies.
+func (d *daemonState) replyCost(mtype int64, op func(seg []byte) (time.Duration, error), seg []byte) {
 	var initCost time.Duration
 	if d.cfg.rawCall {
 		initCost = d.cfg.dev.Init()
 	}
-	cost, err := op()
+	cost, err := op(seg)
 	if d.cfg.rawCall {
 		d.cfg.dev.Shutdown()
 	}
-	return initCost + cost, err
+	if err != nil {
+		d.reply(msgError, []byte(err.Error()))
+		return
+	}
+	d.reply(mtype, encodeCost(&d.costBuf, initCost+cost))
 }
 
 // genChunk is the deterministic parallel grain of MSGGen execution: each
@@ -212,135 +254,216 @@ func (d *daemonState) withDevice(op func() (time.Duration, error)) (time.Duratio
 // order so floating-point merge order is machine-independent.
 const genChunk = 2048
 
-func (d *daemonState) computeGen(seg []byte) (time.Duration, error) {
-	return d.withDevice(func() (time.Duration, error) {
-		eb, vb, msgW, resident, resultOff, err := decodeGenBlock(seg)
-		if err != nil {
-			return 0, err
-		}
-		alg, ctx := d.cfg.alg, d.cfg.ctx
-		nT := len(eb.Triplets)
-		nV := len(vb.IDs)
+// genKernel is the MSGGen launch of one Gen block: the decoded block, one
+// partial accumulator per chunk, and the merged result. It is daemon
+// state rather than a per-block value so that its arrays and its worker
+// goroutines outlive the block.
+type genKernel struct {
+	alg  template.Algorithm
+	ctx  *template.Context
+	eb   *graph.EdgeBlock
+	vb   *graph.VertexBlock
+	msgW int
 
-		inline, _ := alg.(template.InlineGen)
-		nChunks := (nT + genChunk - 1) / genChunk
-		partAcc := make([][]float64, nChunks)
-		partRecv := make([][]bool, nChunks)
-		var wg sync.WaitGroup
-		for c := 0; c < nChunks; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				acc := make([]float64, nV*msgW)
-				recv := make([]bool, nV)
-				msgBuf := make([]float64, msgW)
-				for r := 0; r < nV; r++ {
-					alg.MergeIdentity(acc[r*msgW : (r+1)*msgW])
-				}
-				lo, hi := c*genChunk, (c+1)*genChunk
-				if hi > nT {
-					hi = nT
-				}
-				for i := lo; i < hi; i++ {
-					t := &eb.Triplets[i]
-					row := int(t.DstRow)
-					if inline != nil {
-						if inline.MSGGenInto(ctx, t.Src, t.Dst, t.W, vb.Row(int(t.SrcRow)), msgBuf) {
-							alg.MSGMerge(acc[row*msgW:(row+1)*msgW], msgBuf)
-							recv[row] = true
-						}
-						continue
-					}
-					alg.MSGGen(ctx, t.Src, t.Dst, t.W, vb.Row(int(t.SrcRow)),
-						func(_ graph.VertexID, msg []float64) {
-							alg.MSGMerge(acc[row*msgW:(row+1)*msgW], msg)
-							recv[row] = true
-						})
-				}
-				partAcc[c] = acc
-				partRecv[c] = recv
-			}(c)
-		}
-		wg.Wait()
+	// Chunk c accumulates into rows [c*(nV+1), (c+1)*(nV+1)) of partAcc —
+	// nV accumulator rows, then its MSGGenInto message buffer — and into
+	// partRecv[c*nV:(c+1)*nV].
+	partAcc  []float64
+	partRecv []bool
+	acc      []float64
+	recv     []bool
 
-		acc := make([]float64, nV*msgW)
-		recv := make([]bool, nV)
+	// Chunks are claimed through next by the daemon goroutine and the
+	// workers it woke; which goroutine ran a chunk never shows in the
+	// result.
+	nChunks int
+	next    atomic.Int64
+	workers int
+	wake    chan struct{}
+	busy    sync.WaitGroup
+}
+
+// startWorkers parks one chunk worker per spare host CPU; they exit when
+// run closes wake, and done counts them like the daemon goroutine itself.
+func (d *daemonState) startWorkers(done *sync.WaitGroup) {
+	k := &d.gen
+	k.alg, k.ctx = d.cfg.alg, d.cfg.ctx
+	k.workers = runtime.GOMAXPROCS(0) - 1
+	k.wake = make(chan struct{})
+	done.Add(k.workers)
+	for w := 0; w < k.workers; w++ {
+		go func() {
+			defer done.Done()
+			for range k.wake {
+				k.claim()
+				k.busy.Done()
+			}
+		}()
+	}
+}
+
+// launch runs every chunk of the block and merges the partials, leaving
+// the block's result in k.acc / k.recv.
+func (k *genKernel) launch(eb *graph.EdgeBlock, vb *graph.VertexBlock, msgW int) {
+	nV := len(vb.IDs)
+	k.eb, k.vb, k.msgW = eb, vb, msgW
+	k.nChunks = (len(eb.Triplets) + genChunk - 1) / genChunk
+	grow(&k.partAcc, k.nChunks*(nV+1)*msgW)
+	grow(&k.partRecv, k.nChunks*nV)
+	k.next.Store(0)
+	for w := 0; w < k.workers && w < k.nChunks-1; w++ {
+		k.busy.Add(1)
+		select {
+		case k.wake <- struct{}{}:
+		default:
+			// No worker is parked yet (one may still be on its way back
+			// from the previous block); the chunks go to whoever claims.
+			k.busy.Done()
+		}
+	}
+	k.claim()
+	k.busy.Wait()
+
+	alg := k.alg
+	acc := grow(&k.acc, nV*msgW)
+	recv := grow(&k.recv, nV)
+	for r := 0; r < nV; r++ {
+		alg.MergeIdentity(acc[r*msgW : (r+1)*msgW])
+		recv[r] = false
+	}
+	for c := 0; c < k.nChunks; c++ {
+		partAcc := k.partAcc[c*(nV+1)*msgW:]
+		partRecv := k.partRecv[c*nV:]
 		for r := 0; r < nV; r++ {
-			alg.MergeIdentity(acc[r*msgW : (r+1)*msgW])
-		}
-		for c := 0; c < nChunks; c++ {
-			for r := 0; r < nV; r++ {
-				if partRecv[c][r] {
-					alg.MSGMerge(acc[r*msgW:(r+1)*msgW], partAcc[c][r*msgW:(r+1)*msgW])
-					recv[r] = true
-				}
+			if partRecv[r] {
+				alg.MSGMerge(acc[r*msgW:(r+1)*msgW], partAcc[r*msgW:(r+1)*msgW])
+				recv[r] = true
 			}
 		}
+	}
+}
 
-		bytesIn := int64(resultOff)
-		if resident {
-			// Topology already on the device: only attributes cross the link.
-			bytesIn = int64(nV * (4 + 8*vb.Stride))
+// claim computes unclaimed chunks until none is left.
+func (k *genKernel) claim() {
+	for {
+		c := int(k.next.Add(1)) - 1
+		if c >= k.nChunks {
+			return
 		}
-		bytesOut := int64(nV*msgW*8 + nV)
-		cost, err := d.cfg.dev.Launch(nT, bytesIn, bytesOut, alg.Hints().OpsPerEdge, nil)
-		if err != nil {
-			return 0, err
+		k.chunk(c)
+	}
+}
+
+func (k *genKernel) chunk(c int) {
+	alg, ctx, eb, vb, msgW := k.alg, k.ctx, k.eb, k.vb, k.msgW
+	nV := len(vb.IDs)
+	// Capped windows: whatever rows a block names, a chunk cannot reach
+	// into another chunk's partials.
+	acc := k.partAcc[c*(nV+1)*msgW : (c+1)*(nV+1)*msgW : (c+1)*(nV+1)*msgW]
+	recv := k.partRecv[c*nV : (c+1)*nV : (c+1)*nV]
+	msgBuf := acc[nV*msgW:]
+	for r := 0; r < nV; r++ {
+		alg.MergeIdentity(acc[r*msgW : (r+1)*msgW])
+		recv[r] = false
+	}
+	lo, hi := c*genChunk, min((c+1)*genChunk, len(eb.Triplets))
+	if inline, ok := alg.(template.InlineGen); ok {
+		for i := lo; i < hi; i++ {
+			t := &eb.Triplets[i]
+			if inline.MSGGenInto(ctx, t.Src, t.Dst, t.W, vb.Row(int(t.SrcRow)), msgBuf) {
+				row := int(t.DstRow)
+				alg.MSGMerge(acc[row*msgW:(row+1)*msgW], msgBuf)
+				recv[row] = true
+			}
 		}
-		writeGenResult(seg, resultOff, acc, recv, uint64(cost))
-		return cost, nil
-	})
+		return
+	}
+	var row int // of the triplet being generated; one closure serves the chunk
+	emit := func(_ graph.VertexID, msg []float64) {
+		alg.MSGMerge(acc[row*msgW:(row+1)*msgW], msg)
+		recv[row] = true
+	}
+	for i := lo; i < hi; i++ {
+		t := &eb.Triplets[i]
+		row = int(t.DstRow)
+		alg.MSGGen(ctx, t.Src, t.Dst, t.W, vb.Row(int(t.SrcRow)), emit)
+	}
+}
+
+func (d *daemonState) computeGen(seg []byte) (time.Duration, error) {
+	eb, vb, msgW, resident, resultOff, err := decodeGenBlock(seg, &d.dec)
+	if err != nil {
+		return 0, err
+	}
+	nT, nV := len(eb.Triplets), len(vb.IDs)
+	for i := range eb.Triplets {
+		// The kernel indexes the block's rows with these, and in a reused
+		// scratch a row past the block could land in stale capacity
+		// instead of panicking.
+		if t := &eb.Triplets[i]; uint32(t.SrcRow) >= uint32(nV) || uint32(t.DstRow) >= uint32(nV) {
+			return 0, fmt.Errorf("gxplug: triplet %d names rows %d/%d of a %d-vertex block", i, t.SrcRow, t.DstRow, nV)
+		}
+	}
+	d.gen.launch(eb, vb, msgW)
+	bytesIn := int64(resultOff)
+	if resident {
+		// Topology already on the device: only attributes cross the link.
+		bytesIn = int64(nV * (4 + 8*vb.Stride))
+	}
+	bytesOut := int64(nV*msgW*8 + nV)
+	cost, err := d.cfg.dev.Launch(nT, bytesIn, bytesOut, d.cfg.alg.Hints().OpsPerEdge, nil)
+	if err != nil {
+		return 0, err
+	}
+	writeGenResult(seg, resultOff, d.gen.acc, d.gen.recv, uint64(cost))
+	return cost, nil
 }
 
 func (d *daemonState) computeApply(seg []byte) (time.Duration, error) {
-	return d.withDevice(func() (time.Duration, error) {
-		ids, attrs, attrW, msgs, msgW, recv, resultOff, err := decodeApplyBlock(seg)
-		if err != nil {
-			return 0, err
-		}
-		alg, ctx := d.cfg.alg, d.cfg.ctx
-		n := len(ids)
-		changed := make([]bool, n)
-		// Vertices are disjoint: the kernel runs directly on the device
-		// worker pool.
-		cost, err := d.cfg.dev.Launch(n,
-			int64(resultOff), int64(n*attrW*8+n+8),
-			alg.Hints().OpsPerVertex,
-			func(start, end int) {
-				for i := start; i < end; i++ {
-					changed[i] = alg.MSGApply(ctx, ids[i],
-						attrs[i*attrW:(i+1)*attrW],
-						msgs[i*msgW:(i+1)*msgW], recv[i])
-				}
-			})
-		if err != nil {
-			return 0, err
-		}
-		writeApplyResult(seg, 4*4+n*4, attrs, resultOff, changed, uint64(cost))
-		return cost, nil
-	})
+	ids, attrs, attrW, msgs, msgW, recv, resultOff, err := decodeApplyBlock(seg, &d.dec)
+	if err != nil {
+		return 0, err
+	}
+	alg, ctx := d.cfg.alg, d.cfg.ctx
+	n := len(ids)
+	changed := grow(&d.changed, n) // the kernel writes every element
+	// Vertices are disjoint: the kernel runs directly on the device
+	// worker pool.
+	cost, err := d.cfg.dev.Launch(n,
+		int64(resultOff), int64(n*attrW*8+n+8),
+		alg.Hints().OpsPerVertex,
+		func(start, end int) {
+			for i := start; i < end; i++ {
+				changed[i] = alg.MSGApply(ctx, ids[i],
+					attrs[i*attrW:(i+1)*attrW],
+					msgs[i*msgW:(i+1)*msgW], recv[i])
+			}
+		})
+	if err != nil {
+		return 0, err
+	}
+	writeApplyResult(seg, 4*4+n*4, attrs, resultOff, changed, uint64(cost))
+	return cost, nil
 }
 
 func (d *daemonState) computeMerge(seg []byte) (time.Duration, error) {
-	return d.withDevice(func() (time.Duration, error) {
-		accA, accB, msgW, _, err := decodeMergeBlock(seg)
-		if err != nil {
-			return 0, err
-		}
-		alg := d.cfg.alg
-		rows := len(accA) / msgW
-		cost, err := d.cfg.dev.Launch(rows,
-			int64(len(accA)+len(accB))*8, int64(len(accA))*8,
-			float64(msgW),
-			func(start, end int) {
-				for r := start; r < end; r++ {
-					alg.MSGMerge(accA[r*msgW:(r+1)*msgW], accB[r*msgW:(r+1)*msgW])
-				}
-			})
-		if err != nil {
-			return 0, err
-		}
-		writeMergeResult(seg, accA, uint64(cost))
-		return cost, nil
-	})
+	accA, accB, msgW, _, err := decodeMergeBlock(seg, &d.dec)
+	if err != nil {
+		return 0, err
+	}
+	alg := d.cfg.alg
+	rows := len(accA) / msgW
+	cost, err := d.cfg.dev.Launch(rows,
+		int64(len(accA)+len(accB))*8, int64(len(accA))*8,
+		float64(msgW),
+		func(start, end int) {
+			for r := start; r < end; r++ {
+				alg.MSGMerge(accA[r*msgW:(r+1)*msgW], accB[r*msgW:(r+1)*msgW])
+			}
+		})
+	if err != nil {
+		return 0, err
+	}
+	writeMergeResult(seg, accA, uint64(cost))
+	return cost, nil
 }

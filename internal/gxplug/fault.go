@@ -165,5 +165,4 @@ func (a *Agent) CheckpointSync() {
 func (a *Agent) DropResidency() {
 	a.prevRows = a.prevRows[:0]
 	a.prevBlockEdges = 0
-	a.prevBlocks = nil
 }

@@ -53,11 +53,11 @@ const (
 	roleU = 2 // holding results for Thread.Upload
 )
 
-// encodeCost packs a duration for a response payload.
-func encodeCost(d time.Duration) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(d))
-	return b[:]
+// encodeCost packs a duration into buf for a response payload (the queue
+// copies it on send, so the daemon reuses one buffer).
+func encodeCost(buf *[8]byte, d time.Duration) []byte {
+	binary.LittleEndian.PutUint64(buf[:], uint64(d))
+	return buf[:]
 }
 
 // decodeCost unpacks a response payload.

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Key identifies a segment or queue, like a System V IPC key.
@@ -66,8 +67,13 @@ type IPC struct {
 	queues map[Key]*Queue
 	nextID int
 
-	// Stats are cumulative counters used by tests and the harness.
-	stats Stats
+	// Cumulative counters behind Stats. Creations are counted under mu,
+	// which Shmget and Msgget hold anyway; message traffic is counted
+	// atomically so that Msgsnd and Msgrcv never take the namespace lock.
+	segmentsCreated int
+	queuesCreated   int
+	messagesSent    atomic.Int64
+	bytesCopied     atomic.Int64
 }
 
 // Stats counts IPC activity; the harness charges virtual transfer time for
@@ -93,7 +99,12 @@ func NewIPC(lim Limits) *IPC {
 func (ipc *IPC) Stats() Stats {
 	ipc.mu.Lock()
 	defer ipc.mu.Unlock()
-	return ipc.stats
+	return Stats{
+		SegmentsCreated: ipc.segmentsCreated,
+		QueuesCreated:   ipc.queuesCreated,
+		MessagesSent:    int(ipc.messagesSent.Load()),
+		BytesCopied:     ipc.bytesCopied.Load(),
+	}
 }
 
 // Segment is a shared memory segment. The backing slice is handed out by
@@ -153,7 +164,7 @@ func (ipc *IPC) Shmget(key Key, size int, flag GetFlag) (*Segment, error) {
 	ipc.nextID++
 	seg := &Segment{ipc: ipc, key: key, id: ipc.nextID, data: make([]byte, size)}
 	ipc.segs[key] = seg
-	ipc.stats.SegmentsCreated++
+	ipc.segmentsCreated++
 	return seg, nil
 }
 
@@ -224,9 +235,10 @@ func (s *Segment) destroyLocked() {
 }
 
 // Msg is one queued message: a positive type plus an opaque payload, as in
-// msgbuf. Payloads are copied on send and on receive, so queue traffic —
-// unlike segment traffic — has a per-byte cost, which is why GX-Plug puts
-// bulk graph data in segments and only flags in queues.
+// msgbuf. Payloads are copied on send (into the queue) and on receive (out
+// of it), so queue traffic — unlike segment traffic — has a per-byte cost,
+// which is why GX-Plug puts bulk graph data in segments and only flags in
+// queues.
 type Msg struct {
 	Type    int64
 	Payload []byte
@@ -243,6 +255,9 @@ type Queue struct {
 	msgs    []Msg
 	bytes   int
 	removed bool
+	// free holds the queue-side payload copies of received messages, for
+	// the next sends to fill.
+	free [][]byte
 }
 
 // Msgget opens or creates the message queue for key.
@@ -262,7 +277,7 @@ func (ipc *IPC) Msgget(key Key, flag GetFlag) (*Queue, error) {
 	q.notFull = sync.NewCond(&q.mu)
 	q.arrived = sync.NewCond(&q.mu)
 	ipc.queues[key] = q
-	ipc.stats.QueuesCreated++
+	ipc.queuesCreated++
 	return q, nil
 }
 
@@ -290,15 +305,16 @@ func (q *Queue) Msgsnd(mtype int64, payload []byte) error {
 	if q.removed {
 		return fmt.Errorf("msgsnd key %d: %w", q.key, ErrRemoved)
 	}
-	p := make([]byte, len(payload))
-	copy(p, payload)
+	var p []byte
+	if n := len(q.free); n > 0 {
+		p, q.free = q.free[n-1], q.free[:n-1]
+	}
+	p = append(p, payload...)
 	q.msgs = append(q.msgs, Msg{Type: mtype, Payload: p})
 	q.bytes += len(p)
 
-	q.ipc.mu.Lock()
-	q.ipc.stats.MessagesSent++
-	q.ipc.stats.BytesCopied += int64(len(p))
-	q.ipc.mu.Unlock()
+	q.ipc.messagesSent.Add(1)
+	q.ipc.bytesCopied.Add(int64(len(p)))
 
 	q.arrived.Broadcast()
 	return nil
@@ -307,8 +323,15 @@ func (q *Queue) Msgsnd(mtype int64, payload []byte) error {
 // Msgrcv dequeues a message. mtype == 0 takes the first message in FIFO
 // order; mtype > 0 takes the first message of exactly that type (System V
 // semantics). If block is false and no matching message is queued, it
-// returns ErrNoMsg; otherwise it waits.
+// returns ErrNoMsg; otherwise it waits. The payload is a fresh copy.
 func (q *Queue) Msgrcv(mtype int64, block bool) (Msg, error) {
+	return q.MsgrcvInto(nil, mtype, block)
+}
+
+// MsgrcvInto is Msgrcv receiving into the caller's buffer, as msgrcv(2)
+// copies into msgp: the payload is appended to buf[:0], so a receiver that
+// passes the previous message's payload back receives without allocating.
+func (q *Queue) MsgrcvInto(buf []byte, mtype int64, block bool) (Msg, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
@@ -321,9 +344,11 @@ func (q *Queue) Msgrcv(mtype int64, block bool) (Msg, error) {
 			q.bytes -= len(m.Payload)
 			q.notFull.Broadcast()
 
-			q.ipc.mu.Lock()
-			q.ipc.stats.BytesCopied += int64(len(m.Payload))
-			q.ipc.mu.Unlock()
+			q.ipc.bytesCopied.Add(int64(len(m.Payload)))
+			if cap(m.Payload) > 0 {
+				q.free = append(q.free, m.Payload[:0])
+			}
+			m.Payload = append(buf[:0], m.Payload...)
 			return m, nil
 		}
 		if !block {
@@ -353,7 +378,7 @@ func (q *Queue) matchLocked(mtype int64) int {
 func (q *Queue) Remove() {
 	q.mu.Lock()
 	q.removed = true
-	q.msgs = nil
+	q.msgs, q.free = nil, nil
 	q.bytes = 0
 	q.arrived.Broadcast()
 	q.notFull.Broadcast()

@@ -197,6 +197,52 @@ func TestMsgPayloadCopied(t *testing.T) {
 	}
 }
 
+// The queue reuses its own copy of a received payload for later sends;
+// what a receiver holds must not change under it — neither a Msgrcv
+// payload nor a buffer it passed to MsgrcvInto.
+func TestMsgReceivedPayloadNotAliased(t *testing.T) {
+	ipc := newIPC()
+	q, _ := ipc.Msgget(5, Create)
+	q.Msgsnd(1, []byte{1, 2, 3})
+	first, _ := q.Msgrcv(0, true)
+	q.Msgsnd(1, []byte{7, 8, 9})
+	buf := make([]byte, 0, 16)
+	second, err := q.MsgrcvInto(buf, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Msgsnd(1, []byte{4, 5, 6})
+	if string(first.Payload) != "\x01\x02\x03" {
+		t.Fatalf("first payload became %v after later traffic", first.Payload)
+	}
+	if string(second.Payload) != "\x07\x08\x09" || &second.Payload[0] != &buf[:1][0] {
+		t.Fatalf("MsgrcvInto payload %v, in the caller's buffer: %v", second.Payload, &second.Payload[0] == &buf[:1][0])
+	}
+}
+
+// A send/receive round trip that hands the previous payload back as the
+// receive buffer allocates nothing once the queue holds a spare copy.
+func TestMsgrcvIntoSteadyStateNoAlloc(t *testing.T) {
+	ipc := newIPC()
+	q, _ := ipc.Msgget(6, Create)
+	payload := []byte("12345678")
+	var buf []byte
+	roundTrip := func() {
+		if err := q.Msgsnd(1, payload); err != nil {
+			t.Fatal(err)
+		}
+		m, err := q.MsgrcvInto(buf, 0, true)
+		if err != nil || string(m.Payload) != "12345678" {
+			t.Fatalf("round trip: %q, %v", m.Payload, err)
+		}
+		buf = m.Payload
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Fatalf("steady-state round trip allocates %.1f times, want 0", allocs)
+	}
+}
+
 func TestMsgBlockingReceiveWakesUp(t *testing.T) {
 	ipc := newIPC()
 	q, _ := ipc.Msgget(5, Create)
