@@ -50,6 +50,7 @@ race:
 # the broader race target is ever narrowed.
 race-boundedcache:
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestBoundedCache' ./internal/engine
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestAgentBoundedCacheMatchesUnbounded|TestDrainSpillUploadsAtBoundary' ./internal/gxplug
 
 # Concurrent suite execution shares immutable graphs/partitionings across
 # runs; the determinism pin (pool 1 == pool N, bit for bit) stays under
@@ -106,13 +107,15 @@ cover:
 	rm -f $$out; exit $$rc
 
 # 10-second native-fuzzing smoke over the shared-memory codec, the one
-# message buffer against its plain-map reference, the dataset-ingestion
+# message buffer against its plain-map reference, the vertex store
+# against the map + list cache it replaced, the dataset-ingestion
 # decoders, and gxd's submission path (full corpora live in each
 # package's testdata/fuzz).
 fuzz-smoke:
 	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime=10s
 	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzCodecDecodeNoPanic$$' -fuzztime=10s
 	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzMsgBuf$$' -fuzztime=10s
+	$(GO) test ./internal/gxplug/synccache -run '^$$' -fuzz '^FuzzVertexStore$$' -fuzztime=10s
 	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzSnapshotDecodeNoPanic$$' -fuzztime=10s
 	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzSnapshotV2DecodeNoPanic$$' -fuzztime=10s
 	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzEdgeListParse$$' -fuzztime=10s

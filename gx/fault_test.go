@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,70 +18,77 @@ import (
 // layer: a run killed by an injected daemon crash at every superstep k,
 // checkpointed to disk through the snapshot-v2 persistence path and
 // resumed from the reloaded file, must converge to the final attributes
-// and virtual makespan of a run that never stopped — on both engines.
+// and virtual makespan of a run that never stopped — on both engines,
+// with and without a cache_capacity that makes every agent's cache evict.
 // (`make race-resume` runs it under the race detector.)
 func TestResumeBitIdentical(t *testing.T) {
 	discard := func(*CheckpointState) error { return nil }
 	for _, eng := range Engines() {
 		t.Run(eng, func(t *testing.T) {
-			base := Scenario{
-				Engine: eng, Algorithm: "pagerank",
-				Dataset: "orkut", Scale: 20000, Seed: 7,
-				Nodes: 3, Accel: "cpu", MaxIter: 5,
-			}
-			g, err := LoadDataset(base.Dataset, base.Scale, base.Seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The uninterrupted reference run charges the same checkpoint
-			// schedule, it just discards the states.
-			want, err := Run(base, WithGraph(g), WithCheckpoint(1, discard))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.Iterations < 3 {
-				t.Fatalf("reference run too short to kill mid-way: %d iterations", want.Iterations)
-			}
-			for k := 1; k < want.Iterations; k++ {
-				path := filepath.Join(t.TempDir(), "checkpoint.gxsnap")
-				crash := base
-				crash.Faults = []FaultSpec{{Kind: FaultDaemonCrash, Node: 1, Superstep: k}}
-				_, err := Run(crash, WithGraph(g), WithCheckpoint(1, func(st *CheckpointState) error {
-					return SaveCheckpoint(path, g, st)
-				}))
-				var fe *FaultError
-				if !errors.As(err, &fe) || fe.Kind != FaultDaemonCrash || fe.Superstep != k {
-					t.Fatalf("kill at %d: error %v, want daemon-crash FaultError at superstep %d", k, err, k)
-				}
-				if FailureClass(err) != ClassFault {
-					t.Fatalf("kill at %d: classified %q, want %q", k, FailureClass(err), ClassFault)
-				}
+			// 0: every cache holds its node's vertex table; 24: every cache
+			// evicts, so each cut empties it in both incarnations.
+			for _, capacity := range []int{0, 24} {
+				t.Run(fmt.Sprintf("cache_capacity=%d", capacity), func(t *testing.T) {
+					base := Scenario{
+						Engine: eng, Algorithm: "pagerank",
+						Dataset: "orkut", Scale: 20000, Seed: 7,
+						Nodes: 3, Accel: "cpu", MaxIter: 5, CacheCapacity: capacity,
+					}
+					g, err := LoadDataset(base.Dataset, base.Scale, base.Seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The uninterrupted reference run charges the same checkpoint
+					// schedule, it just discards the states.
+					want, err := Run(base, WithGraph(g), WithCheckpoint(1, discard))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want.Iterations < 3 {
+						t.Fatalf("reference run too short to kill mid-way: %d iterations", want.Iterations)
+					}
+					for k := 1; k < want.Iterations; k++ {
+						path := filepath.Join(t.TempDir(), "checkpoint.gxsnap")
+						crash := base
+						crash.Faults = []FaultSpec{{Kind: FaultDaemonCrash, Node: 1, Superstep: k}}
+						_, err := Run(crash, WithGraph(g), WithCheckpoint(1, func(st *CheckpointState) error {
+							return SaveCheckpoint(path, g, st)
+						}))
+						var fe *FaultError
+						if !errors.As(err, &fe) || fe.Kind != FaultDaemonCrash || fe.Superstep != k {
+							t.Fatalf("kill at %d: error %v, want daemon-crash FaultError at superstep %d", k, err, k)
+						}
+						if FailureClass(err) != ClassFault {
+							t.Fatalf("kill at %d: classified %q, want %q", k, FailureClass(err), ClassFault)
+						}
 
-				g2, st, err := LoadCheckpoint(path)
-				if err != nil {
-					t.Fatalf("kill at %d: %v", k, err)
-				}
-				if st.Iteration != k {
-					t.Fatalf("kill at %d: latest checkpoint is iteration %d", k, st.Iteration)
-				}
-				// Resume under the same scenario: the fault plan belongs to
-				// the crashed incarnation and is not re-armed.
-				got, err := Resume(crash, st, WithGraph(g2), WithCheckpoint(1, discard))
-				if err != nil {
-					t.Fatalf("resume from %d: %v", k, err)
-				}
-				if got.Iterations != want.Iterations || got.SkippedSyncs != want.SkippedSyncs {
-					t.Fatalf("resume from %d: %d iterations (%d skipped), want %d (%d)",
-						k, got.Iterations, got.SkippedSyncs, want.Iterations, want.SkippedSyncs)
-				}
-				if !attrsBitEqual(got.Attrs, want.Attrs) {
-					t.Fatalf("resume from %d: final attributes differ from uninterrupted run", k)
-				}
-				if got.Time != want.Time || got.UpperTime != want.UpperTime || got.MiddlewareTime != want.MiddlewareTime {
-					t.Fatalf("resume from %d: clocks %v/%v/%v, want %v/%v/%v", k,
-						got.Time, got.UpperTime, got.MiddlewareTime,
-						want.Time, want.UpperTime, want.MiddlewareTime)
-				}
+						g2, st, err := LoadCheckpoint(path)
+						if err != nil {
+							t.Fatalf("kill at %d: %v", k, err)
+						}
+						if st.Iteration != k {
+							t.Fatalf("kill at %d: latest checkpoint is iteration %d", k, st.Iteration)
+						}
+						// Resume under the same scenario: the fault plan belongs to
+						// the crashed incarnation and is not re-armed.
+						got, err := Resume(crash, st, WithGraph(g2), WithCheckpoint(1, discard))
+						if err != nil {
+							t.Fatalf("resume from %d: %v", k, err)
+						}
+						if got.Iterations != want.Iterations || got.SkippedSyncs != want.SkippedSyncs {
+							t.Fatalf("resume from %d: %d iterations (%d skipped), want %d (%d)",
+								k, got.Iterations, got.SkippedSyncs, want.Iterations, want.SkippedSyncs)
+						}
+						if !attrsBitEqual(got.Attrs, want.Attrs) {
+							t.Fatalf("resume from %d: final attributes differ from uninterrupted run", k)
+						}
+						if got.Time != want.Time || got.UpperTime != want.UpperTime || got.MiddlewareTime != want.MiddlewareTime {
+							t.Fatalf("resume from %d: clocks %v/%v/%v, want %v/%v/%v", k,
+								got.Time, got.UpperTime, got.MiddlewareTime,
+								want.Time, want.UpperTime, want.MiddlewareTime)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -50,8 +50,9 @@ func WithObserver(obs Observer) Option { return func(rc *runConfig) { rc.obs = o
 // [SaveCheckpoint], which persists it next to the graph as a
 // snapshot-v2 file. The cut's simulated storage cost is charged to the
 // virtual clock, identically in the original and any resumed run, so
-// [Resume] reproduces the uninterrupted run bit for bit. Incompatible
-// with bounded synchronization caches (see Scenario.CacheCapacity).
+// [Resume] reproduces the uninterrupted run bit for bit — bounded
+// synchronization caches included: a cut empties every cache that
+// evicts (see Scenario.CacheCapacity).
 func WithCheckpoint(every int, sink func(*CheckpointState) error) Option {
 	return func(rc *runConfig) { rc.ckptEvery, rc.ckptSink = every, sink }
 }

@@ -91,9 +91,12 @@ type Scenario struct {
 	// table, the common deployment). The cache is LRU; dirty evictions
 	// are spilled and uploaded at serialized phase boundaries, so a
 	// bounded run produces results bit-identical to the unbounded one
-	// while trading boundary traffic for memory. Only meaningful with
-	// caching enabled: it requires an accelerator profile and rejects
-	// Opt.Caching == false.
+	// while trading boundary traffic for memory. A capacity above a
+	// node's vertex table is that table: nothing is sized by this number.
+	// Under [WithCheckpoint] each cut flushes and then empties a cache
+	// that evicts, which is what lets [Resume] reproduce the run. Only
+	// meaningful with caching enabled: it requires an accelerator profile
+	// and rejects Opt.Caching == false.
 	CacheCapacity int `json:"cache_capacity,omitempty"`
 	// Network names a registered interconnect ("" → "datacenter").
 	Network string `json:"network,omitempty"`

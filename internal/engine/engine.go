@@ -17,6 +17,7 @@ import (
 	"gxplug/internal/cluster"
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug"
+	"gxplug/internal/gxplug/synccache"
 	"gxplug/internal/gxplug/template"
 )
 
@@ -85,10 +86,11 @@ type Config struct {
 	Faults []Fault
 	// CheckpointEvery, when > 0, takes a consistent-cut checkpoint
 	// after every CheckpointEvery completed supersteps and hands it to
-	// CheckpointSink. The two must be set together, and checkpointing
-	// is incompatible with bounded caches (a Plug option's
-	// CacheCapacity): a bounded cache's contents depend on eviction
-	// history, which a resumed run cannot reconstruct.
+	// CheckpointSink. The two must be set together. A cut empties every
+	// synchronization cache too small for its node's vertex table (a Plug
+	// option's CacheCapacity) after flushing it: what such a cache holds
+	// depends on eviction history, which a resumed run cannot
+	// reconstruct, so live and resumed runs both continue from empty.
 	CheckpointEvery int
 	CheckpointSink  func(*CheckpointState) error
 	// Stream, when non-nil, makes the run dynamic (see incremental.go):
@@ -295,13 +297,6 @@ func resolve(cfg Config) (_ *plan, err error) {
 	if (cfg.CheckpointEvery > 0) != (cfg.CheckpointSink != nil) {
 		return nil, fmt.Errorf("engine: CheckpointEvery and CheckpointSink must be set together")
 	}
-	if cfg.CheckpointEvery > 0 {
-		for i, o := range cfg.Plug {
-			if o.CacheCapacity > 0 {
-				return nil, fmt.Errorf("engine: checkpointing is incompatible with a bounded cache (plug %d CacheCapacity %d)", i, o.CacheCapacity)
-			}
-		}
-	}
 	part := cfg.Partitioning
 	if part == nil {
 		part = cfg.Spec.Partition(cfg.Graph, cfg.Nodes)
@@ -393,6 +388,13 @@ type runner struct {
 	// Per-node reduction scratch for the parallel merge/apply phase.
 	changedPer []bool
 	mirrorPer  [][]graph.VertexID
+	// distributeMirrors' staging — the updated ids each replica holder is
+	// sent, and one holder's rows at a time — and the global query queue
+	// with the scratch buildQueryQueue fills it from, all reused.
+	mirrorStage [][]graph.VertexID
+	mirrorRows  []float64
+	query       *synccache.QueryQueue
+	queryIDs    []graph.VertexID
 
 	skipped int
 
@@ -538,6 +540,7 @@ func (r *runner) setup() error {
 	r.natBefore = make([][]float64, m)
 	r.changedPer = make([]bool, m)
 	r.mirrorPer = make([][]graph.VertexID, m)
+	r.mirrorStage = make([][]graph.VertexID, m)
 	r.natMsg = make([][]float64, m)
 	for j := 0; j < m; j++ {
 		nM := len(r.part.Parts[j].Masters)
@@ -552,6 +555,7 @@ func (r *runner) setup() error {
 	if r.plug != nil {
 		r.agents = make([]*gxplug.Agent, r.cfg.Nodes)
 		r.uppers = make([]*upperSystem, r.cfg.Nodes)
+		r.query = synccache.NewQueryQueue()
 		for j, opts := range r.plug {
 			r.uppers[j] = &upperSystem{r: r, node: j}
 			r.agents[j] = gxplug.NewAgent(r.cl.Node(j), r.part, r.alg, r.ctx, r.uppers[j], opts)

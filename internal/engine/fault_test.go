@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"gxplug/internal/algos"
@@ -122,60 +123,64 @@ func TestMsgStallExhaustsRetries(t *testing.T) {
 
 // Resuming from every checkpoint of a run reproduces the uninterrupted
 // run bit for bit: final attributes, iteration count, virtual makespan
-// and per-bucket totals — on both engines, native and plugged.
+// and per-bucket totals — on both engines, native and plugged, and
+// plugged with synchronization caches from one row to far more than any
+// node's vertex table (a cut empties the ones that evict).
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	g := testGraph(t)
 	for _, spec := range bothSpecs() {
-		for _, plugged := range []bool{false, true} {
-			name := spec.Name
-			if plugged {
-				name += "+CPU"
-			}
-			t.Run(name, func(t *testing.T) {
-				base := engine.Config{
-					Spec: spec, Nodes: 3, Graph: g, Alg: algos.NewPageRank(), MaxIter: 5,
-				}
-				if plugged {
+		base := engine.Config{
+			Spec: spec, Nodes: 3, Graph: g, Alg: algos.NewPageRank(), MaxIter: 5,
+		}
+		t.Run(spec.Name, func(t *testing.T) { checkResumeBitIdentical(t, base) })
+		t.Run(spec.Name+"+CPU", func(t *testing.T) {
+			for _, capacity := range []int{0, 1, 7, 40, 100000} {
+				t.Run(fmt.Sprintf("cache=%d", capacity), func(t *testing.T) {
 					base.Plug = cpuPlug()
-				}
-				var states []*engine.CheckpointState
-				cfg := base
-				cfg.CheckpointEvery = 1
-				cfg.CheckpointSink = func(st *engine.CheckpointState) error {
-					states = append(states, st)
-					return nil
-				}
-				want, err := engine.Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(states) != want.Iterations {
-					t.Fatalf("%d checkpoints for %d supersteps", len(states), want.Iterations)
-				}
-				rcfg := base
-				rcfg.CheckpointEvery = 1
-				rcfg.CheckpointSink = func(*engine.CheckpointState) error { return nil }
-				for _, st := range states {
-					got, err := engine.Resume(rcfg, st)
-					if err != nil {
-						t.Fatalf("resume from superstep %d: %v", st.Iteration, err)
-					}
-					if got.Iterations != want.Iterations || got.SkippedSyncs != want.SkippedSyncs {
-						t.Fatalf("resume@%d: %d iters %d skips, want %d/%d",
-							st.Iteration, got.Iterations, got.SkippedSyncs, want.Iterations, want.SkippedSyncs)
-					}
-					for i := range want.Attrs {
-						if got.Attrs[i] != want.Attrs[i] {
-							t.Fatalf("resume@%d: attr %d not bit-identical", st.Iteration, i)
-						}
-					}
-					if got.Time != want.Time || got.UpperTime != want.UpperTime || got.MiddlewareTime != want.MiddlewareTime {
-						t.Fatalf("resume@%d: times %v/%v/%v, want %v/%v/%v", st.Iteration,
-							got.Time, got.UpperTime, got.MiddlewareTime,
-							want.Time, want.UpperTime, want.MiddlewareTime)
-					}
-				}
-			})
+					base.Plug[0].CacheCapacity = capacity
+					checkResumeBitIdentical(t, base)
+				})
+			}
+		})
+	}
+}
+
+func checkResumeBitIdentical(t *testing.T, base engine.Config) {
+	var states []*engine.CheckpointState
+	cfg := base
+	cfg.CheckpointEvery = 1
+	cfg.CheckpointSink = func(st *engine.CheckpointState) error {
+		states = append(states, st)
+		return nil
+	}
+	want, err := engine.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(states) != want.Iterations {
+		t.Fatalf("%d checkpoints for %d supersteps", len(states), want.Iterations)
+	}
+	rcfg := base
+	rcfg.CheckpointEvery = 1
+	rcfg.CheckpointSink = func(*engine.CheckpointState) error { return nil }
+	for _, st := range states {
+		got, err := engine.Resume(rcfg, st)
+		if err != nil {
+			t.Fatalf("resume from superstep %d: %v", st.Iteration, err)
+		}
+		if got.Iterations != want.Iterations || got.SkippedSyncs != want.SkippedSyncs {
+			t.Fatalf("resume@%d: %d iters %d skips, want %d/%d",
+				st.Iteration, got.Iterations, got.SkippedSyncs, want.Iterations, want.SkippedSyncs)
+		}
+		for i := range want.Attrs {
+			if got.Attrs[i] != want.Attrs[i] {
+				t.Fatalf("resume@%d: attr %d not bit-identical", st.Iteration, i)
+			}
+		}
+		if got.Time != want.Time || got.UpperTime != want.UpperTime || got.MiddlewareTime != want.MiddlewareTime {
+			t.Fatalf("resume@%d: times %v/%v/%v, want %v/%v/%v", st.Iteration,
+				got.Time, got.UpperTime, got.MiddlewareTime,
+				want.Time, want.UpperTime, want.MiddlewareTime)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"slices"
 
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug"
@@ -166,7 +165,10 @@ func (r *runner) distributeMirrors(mirrorUpdates []graph.VertexID, vol [][]int64
 		r.obsMirrors += len(mirrorUpdates)
 	}
 	rowBytes := r.cfg.Spec.wireRowBytes(r.aw)
-	perNode := make([][]graph.VertexID, r.cfg.Nodes)
+	perNode := r.mirrorStage
+	for j := range perNode {
+		perNode[j] = perNode[j][:0]
+	}
 	for _, id := range mirrorUpdates {
 		owner := int(r.part.Owner[id])
 		for _, j := range r.mirrors[id] {
@@ -181,19 +183,20 @@ func (r *runner) distributeMirrors(mirrorUpdates []graph.VertexID, vol [][]int64
 	// dirty in the owners' caches under lazy uploading): the broadcast is
 	// exactly the moment these vertices become "involved in the
 	// computation of other distributed nodes" (§III-B2b).
-	q := synccache.NewQueryQueue()
-	q.Push(mirrorUpdates)
+	r.query.Reset()
+	r.query.Push(mirrorUpdates)
 	for _, a := range r.agents {
-		a.UploadQueried(q)
+		a.UploadQueried(r.query)
 	}
 	for j, ids := range perNode {
 		if len(ids) == 0 {
 			continue
 		}
-		rows := make([]float64, len(ids)*r.aw)
-		for i, id := range ids {
-			copy(rows[i*r.aw:(i+1)*r.aw], r.attrs[int(id)*r.aw:(int(id)+1)*r.aw])
+		rows := r.mirrorRows[:0]
+		for _, id := range ids {
+			rows = append(rows, r.attrs[int(id)*r.aw:(int(id)+1)*r.aw]...)
 		}
+		r.mirrorRows = rows
 		r.agents[j].InvalidateRemote(ids, rows)
 	}
 }
@@ -252,13 +255,11 @@ func (r *runner) syncPhase(vol [][]int64) {
 
 // buildQueryQueue collects the vertices each node reads next iteration
 // but does not master: mirror sources under vertex-cut. (Under edge-cut
-// the queue is empty — influence flows through messages alone.) The IDs
-// are pushed in sorted order so the queue's contents never depend on
-// map iteration order.
+// the queue is empty — influence flows through messages alone.)
 func (r *runner) buildQueryQueue() *synccache.QueryQueue {
-	q := synccache.NewQueryQueue()
 	genAll := r.alg.Hints().GenAll
-	ids := make([]graph.VertexID, 0, len(r.mirrors))
+	ids := r.queryIDs[:0]
+	//gxlint:ordered the query queue sorts whatever it is pushed
 	for id, nodes := range r.mirrors {
 		if len(nodes) == 0 {
 			continue
@@ -267,9 +268,10 @@ func (r *runner) buildQueryQueue() *synccache.QueryQueue {
 			ids = append(ids, id)
 		}
 	}
-	slices.Sort(ids)
-	q.Push(ids)
-	return q
+	r.queryIDs = ids
+	r.query.Reset()
+	r.query.Push(ids)
+	return r.query
 }
 
 // iterateBSP is one bulk-synchronous superstep: Gen → exchange → Merge →

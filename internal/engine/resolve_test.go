@@ -70,10 +70,6 @@ func TestConfigResolvedOnce(t *testing.T) {
 		{"negative every", "checkpoint every -1", func(c *engine.Config) {
 			c.CheckpointEvery, c.CheckpointSink = -1, sink
 		}},
-		{"checkpoint with bounded cache", "bounded cache (plug 0", func(c *engine.Config) {
-			c.CheckpointEvery, c.CheckpointSink = 1, sink
-			c.Plug[0].CacheCapacity = 8
-		}},
 		{"plugged stream", "batch stream requires native execution", func(c *engine.Config) {
 			stream(c)
 			c.Plug = cpuPlug()
@@ -129,6 +125,10 @@ func TestConfigResolvedOnce(t *testing.T) {
 		{"per-node plugs", func(c *engine.Config) { c.Plug = append(cpuPlug(), gpuPlug()...) }},
 		{"absorbed fault plan", func(c *engine.Config) {
 			c.Faults = []engine.Fault{{Kind: engine.FaultMsgStall, Node: 1, Superstep: 1, Param: 1}}
+		}},
+		{"checkpoint with bounded cache", func(c *engine.Config) {
+			c.CheckpointEvery, c.CheckpointSink = 1, sink
+			c.Plug[0].CacheCapacity = 8
 		}},
 	}
 	for _, tc := range valid {

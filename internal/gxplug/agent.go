@@ -81,8 +81,9 @@ type Options struct {
 	// (§III-B2). When off, every fetch hits the upper system and every
 	// update is pushed back immediately.
 	Caching bool
-	// CacheCapacity bounds the cache in rows; 0 sizes it to the node's
-	// vertex table (everything fits — the common deployment).
+	// CacheCapacity bounds the cache in rows; 0, like anything above the
+	// node's vertex table, sizes it to the table (everything fits — the
+	// common deployment).
 	CacheCapacity int
 	// Skipping enables synchronization skipping (§III-B3). The agent only
 	// reports locality; engines make the global decision.
@@ -169,26 +170,30 @@ type Agent struct {
 
 	daemons []*daemonProc
 	devices []*device.Device
-	cache   *synccache.Cache
-	// fresh[row] marks vertex-table rows whose value matches the
-	// authoritative state (used when caching is off to avoid refetching
-	// within an iteration, and reset on remote updates).
-	fresh []bool
+	// store says which rows of vt hold authoritative values, which of
+	// those are dirty, and which was used least recently: vt's rows are
+	// the synchronization cache's values, there is no second copy. With
+	// caching off it holds the whole table and only marks the rows already
+	// fetched this iteration.
+	store *synccache.Store
 
 	// The dirty-eviction spill queue: rows a bounded cache evicted while
 	// still dirty, waiting to be uploaded at the next serialized phase
-	// boundary (DrainSpill). Uploading from inside cachePut would write
-	// the upper system's shared state mid-phase while the engine's worker
-	// pool runs nodes concurrently. spillIdx dedups by vertex so a
-	// re-evicted row keeps only its latest value.
+	// boundary (DrainSpill). Uploading from inside admit would write the
+	// upper system's shared state mid-phase while the engine's worker pool
+	// runs nodes concurrently. The queue copies the row out of vt at
+	// eviction time because vt moves on — the next fetch or apply of that
+	// vertex overwrites it before the drain. spillSlot[row] is 1 + the
+	// row's queue position (0: not queued), so a re-evicted row keeps only
+	// its latest value; allocated only for a store that can evict.
 	spillIDs  []graph.VertexID
 	spillRows []float64 // dense, len(spillIDs)*AttrWidth
-	spillIdx  map[graph.VertexID]int
+	spillSlot []int32
 
 	// prevRows and prevBlockEdges remember the previous iteration's block
 	// plan for topology-residency detection; blocks is that plan, reused
 	// as-is while the frontier is stable. Its blocks are windows of the
-	// three slabs, which buildBlocks refills in place on a frontier
+	// four slabs, which buildBlocks refills in place on a frontier
 	// change; blockIdx is buildBlocks' vertex → block-local row index and
 	// vEnds its scratch.
 	prevRows       []int
@@ -196,6 +201,7 @@ type Agent struct {
 	blocks         []blockPlan
 	blockTrips     []graph.Triplet
 	blockIDs       []graph.VertexID
+	blockRows      []int32
 	blockAttrs     []float64
 	blockIdx       []int32
 	vEnds          []int
@@ -271,8 +277,15 @@ func NewAgent(node *cluster.Node, parts *graph.Partitioning, alg template.Algori
 	a := &Agent{
 		node: node, parts: parts, part: part, alg: alg, ctx: ctx, upper: upper, opts: opts,
 		vt: vt, et: et, mt: mt,
-		fresh:    make([]bool, vt.Len()),
 		blockIdx: make([]int32, len(parts.Owner)),
+	}
+	capacity := 0 // without caching: a mark per row, never an eviction
+	if opts.Caching {
+		capacity = opts.CacheCapacity
+	}
+	a.store = synccache.New(vt.Len(), capacity)
+	if a.store.Bounded() {
+		a.spillSlot = make([]int32, vt.Len())
 	}
 	for i := 0; i < et.Len(); i++ {
 		e := et.At(i)
@@ -307,14 +320,14 @@ func (a *Agent) nextResult() *GenResult {
 
 // Stats returns a snapshot of the agent's counters.
 func (a *Agent) Stats() Stats {
-	if a.cache != nil {
-		cs := a.cache.Stats()
-		a.stats.CacheHits = cs.Hits
-		a.stats.CacheMisses = cs.Misses
-		a.stats.CacheEvictions = cs.Evictions
-		a.stats.CacheDirtyEvictions = cs.DirtyEvictions
-		a.stats.CacheInvalidations = cs.Invalidations
-	}
+	// Without caching the store only ever sees Resident, Put and Clear,
+	// which count nothing: these stay zero.
+	cs := a.store.Stats()
+	a.stats.CacheHits = cs.Hits
+	a.stats.CacheMisses = cs.Misses
+	a.stats.CacheEvictions = cs.Evictions
+	a.stats.CacheDirtyEvictions = cs.DirtyEvictions
+	a.stats.CacheInvalidations = cs.Invalidations
 	return a.stats
 }
 
@@ -366,16 +379,6 @@ func (a *Agent) Connect() error {
 	// where RawCall pays it on every operation).
 	a.stats.DeviceInit = maxInit
 
-	if a.opts.Caching {
-		capRows := a.opts.CacheCapacity
-		if capRows <= 0 {
-			capRows = a.vt.Len()
-		}
-		if capRows < 1 {
-			capRows = 1 // empty partitions still get a well-formed cache
-		}
-		a.cache = synccache.New(capRows, a.alg.AttrWidth())
-	}
 	a.connected = true
 
 	// Initial download: the whole vertex table, once.
@@ -386,11 +389,8 @@ func (a *Agent) Connect() error {
 	cost := a.upper.FetchAttrs(ids, a.vt.Attrs())
 	a.stats.BoundaryTime += cost
 	a.charge(cost)
-	for i, id := range ids {
-		a.fresh[i] = true
-		if a.cache != nil {
-			a.cachePut(id, a.vt.Row(i))
-		}
+	for r := range ids {
+		a.admit(r)
 	}
 	return nil
 }
@@ -441,48 +441,42 @@ func (a *Agent) partitionFootprint() int64 {
 	return int64(a.et.Len())*tripletBytes + int64(a.vt.Len())*int64(4+8*a.alg.AttrWidth())
 }
 
-// cachePut inserts an authoritative row into the cache. A dirty eviction
-// (the §III-B2a rule: "if the chosen vertices were updated in previous
-// iterations, corresponding information will be uploaded") is queued on
-// the spill queue instead of being pushed to the upper system here:
-// cachePut runs inside the parallel gen/apply phases, where a mid-phase
-// PushAttrs would race with other nodes' reads of the shared
-// authoritative state. DrainSpill performs the upload at the next
+// admit records that vertex-table row r now holds an authoritative value.
+// A dirty eviction (the §III-B2a rule: "if the chosen vertices were
+// updated in previous iterations, corresponding information will be
+// uploaded") is queued on the spill queue instead of being pushed to the
+// upper system here: admit runs inside the parallel gen/apply phases,
+// where a mid-phase PushAttrs would race with other nodes' reads of the
+// shared authoritative state. DrainSpill performs the upload at the next
 // serialized phase boundary.
-func (a *Agent) cachePut(id graph.VertexID, row []float64) {
-	pr := a.cache.Put(id, row)
-	if pr.DidEvict && pr.Evicted.Dirty {
-		a.spill(pr.Evicted.ID, pr.Evicted.Row)
+func (a *Agent) admit(r int) {
+	if victim, dirty := a.store.Put(r); dirty {
+		a.spill(victim)
 	}
 }
 
-// spill queues one dirty evicted row for upload at the phase boundary,
+// spill queues the evicted dirty row r for upload at the phase boundary,
 // keeping only the latest value per vertex.
-func (a *Agent) spill(id graph.VertexID, row []float64) {
-	aw := a.alg.AttrWidth()
+func (a *Agent) spill(r int) {
 	a.stats.DirtySpills++
-	if i, ok := a.spillIdx[id]; ok {
-		copy(a.spillRows[i*aw:(i+1)*aw], row)
+	if sp, ok := a.spillRow(r); ok {
+		copy(sp, a.vt.Row(r))
 		return
 	}
-	if a.spillIdx == nil {
-		a.spillIdx = make(map[graph.VertexID]int)
-	}
-	a.spillIdx[id] = len(a.spillIDs)
-	a.spillIDs = append(a.spillIDs, id)
-	a.spillRows = append(a.spillRows, row...)
+	a.spillIDs = append(a.spillIDs, a.vt.ID(r))
+	a.spillRows = append(a.spillRows, a.vt.Row(r)...)
+	a.spillSlot[r] = int32(len(a.spillIDs))
 }
 
-// spillRow returns the pending spilled value for id, if any. Until the
+// spillRow returns the pending spilled value of row r, if any. Until the
 // queue drains, the spilled row — not the upper system's copy — is the
 // authoritative value of the vertex: an eagerly-uploading implementation
 // would already have pushed it.
-func (a *Agent) spillRow(id graph.VertexID) ([]float64, bool) {
-	i, ok := a.spillIdx[id]
-	if !ok {
+func (a *Agent) spillRow(r int) ([]float64, bool) {
+	if len(a.spillIDs) == 0 || a.spillSlot[r] == 0 {
 		return nil, false
 	}
-	aw := a.alg.AttrWidth()
+	aw, i := a.alg.AttrWidth(), int(a.spillSlot[r])-1
 	return a.spillRows[i*aw : (i+1)*aw], true
 }
 
@@ -497,66 +491,62 @@ func (a *Agent) DrainSpill() int {
 		return 0
 	}
 	n := len(a.spillIDs)
-	cost := a.upper.PushAttrs(a.spillIDs, a.spillRows)
-	a.stats.BoundaryTime += cost
-	a.stats.PushedRows += int64(n)
-	a.charge(cost)
+	a.charge(a.pushAttrs(a.spillIDs, a.spillRows))
 	a.clearSpill()
 	return n
+}
+
+// pushAttrs uploads one batch of rows to the upper system, counts it and
+// returns its cost for the caller to charge.
+func (a *Agent) pushAttrs(ids []graph.VertexID, rows []float64) time.Duration {
+	cost := a.upper.PushAttrs(ids, rows)
+	a.stats.BoundaryTime += cost
+	a.stats.PushedRows += int64(len(ids))
+	return cost
 }
 
 func (a *Agent) clearSpill() {
 	a.spillIDs = a.spillIDs[:0]
 	a.spillRows = a.spillRows[:0]
-	clear(a.spillIdx)
+	clear(a.spillSlot)
 }
 
 // ensureRows makes the vertex-table rows for the given row indices match
-// authoritative state, returning the virtual cost. With caching, hits are
-// free and misses batch-fetch; without, any non-fresh row is fetched.
+// authoritative state, returning the virtual cost. With caching, a
+// resident row is a free hit and the misses batch-fetch; without, any row
+// not yet fetched this iteration is fetched.
 func (a *Agent) ensureRows(rows []int) time.Duration {
-	var cost time.Duration
 	missIDs := a.missIDs[:0]
 	missRows := a.missRows[:0]
 	for _, r := range rows {
-		id := a.vt.ID(r)
-		if a.cache != nil {
-			if cached, ok := a.cache.Get(id); ok {
-				copy(a.vt.Row(r), cached)
-				a.fresh[r] = true
-				continue
-			}
-		} else if a.fresh[r] {
-			continue
+		held := a.store.Resident(r)
+		if a.opts.Caching {
+			held = a.store.Get(r) // counted, and the row's recency moves
 		}
-		missIDs = append(missIDs, id)
-		missRows = append(missRows, r)
+		if !held {
+			missIDs = append(missIDs, a.vt.ID(r))
+			missRows = append(missRows, r)
+		}
 	}
 	a.missIDs, a.missRows = missIDs, missRows
 	if len(missIDs) == 0 {
 		return 0
 	}
-	buf := grow(&a.fetchBuf, len(missIDs)*a.alg.AttrWidth())
-	c := a.upper.FetchAttrs(missIDs, buf)
-	a.stats.BoundaryTime += c
-	cost += c
 	w := a.alg.AttrWidth()
+	buf := grow(&a.fetchBuf, len(missIDs)*w)
+	cost := a.upper.FetchAttrs(missIDs, buf)
+	a.stats.BoundaryTime += cost
 	for i, r := range missRows {
 		val := buf[i*w : (i+1)*w]
-		if a.cache != nil {
-			// A pending spill means the upper system's copy is stale until
-			// the phase boundary; the spilled row is the value an eager
-			// per-eviction upload would have returned. The fetch cost was
-			// paid above either way.
-			if sp, ok := a.spillRow(missIDs[i]); ok {
-				val = sp
-			}
+		// A pending spill means the upper system's copy is stale until the
+		// phase boundary; the spilled row is the value an eager
+		// per-eviction upload would have returned. The fetch cost was paid
+		// above either way.
+		if sp, ok := a.spillRow(r); ok {
+			val = sp
 		}
 		copy(a.vt.Row(r), val)
-		a.fresh[r] = true
-		if a.cache != nil {
-			a.cachePut(missIDs[i], val)
-		}
+		a.admit(r)
 	}
 	return cost
 }
@@ -572,8 +562,8 @@ func grow[T any](buf *[]T, n int) []T {
 }
 
 // InvalidateRemote tells the agent that the given vertices were updated
-// by other nodes: cached copies are stale and the new values arrive with
-// rows (dense, Stride-wide), charged as one boundary fetch.
+// by other nodes: the rows it holds of them are stale and the new values
+// arrive with rows (dense, Stride-wide), charged as one boundary fetch.
 func (a *Agent) InvalidateRemote(ids []graph.VertexID, rows []float64) {
 	if len(ids) == 0 {
 		return
@@ -582,8 +572,13 @@ func (a *Agent) InvalidateRemote(ids []graph.VertexID, rows []float64) {
 	cost := a.upper.BoundaryCost(int64(len(ids)) * RowBytes(w))
 	a.stats.BoundaryTime += cost
 	for i, id := range ids {
-		if a.cache != nil {
-			a.cache.Invalidate(id)
+		r, ok := a.vt.Lookup(id)
+		if !ok {
+			continue
+		}
+		val := rows[i*w : (i+1)*w]
+		if a.opts.Caching {
+			a.store.Invalidate(r)
 			// A pending spill of this vertex is superseded by the remote
 			// value: refresh it in place so the eventual drain re-uploads
 			// the value the upper system already holds instead of
@@ -591,17 +586,12 @@ func (a *Agent) InvalidateRemote(ids []graph.VertexID, rows []float64) {
 			// engine today — spills hold only this node's masters, and
 			// remote invalidations never target them — but cheap insurance
 			// for other callers.)
-			if sp, ok := a.spillRow(id); ok {
-				copy(sp, rows[i*w:(i+1)*w])
+			if sp, ok := a.spillRow(r); ok {
+				copy(sp, val)
 			}
 		}
-		if r, ok := a.vt.Lookup(id); ok {
-			copy(a.vt.Row(r), rows[i*w:(i+1)*w])
-			a.fresh[r] = true
-			if a.cache != nil {
-				a.cachePut(id, rows[i*w:(i+1)*w])
-			}
-		}
+		copy(a.vt.Row(r), val)
+		a.admit(r)
 	}
 	a.charge(cost)
 }

@@ -16,11 +16,14 @@ import (
 // rotation protocol against each daemon (Algorithms 1 and 2).
 
 // blockPlan is one block before encoding: its triplets, the vertices they
-// reference and room for those vertices' attributes, each a window of
-// the agent's slab of that kind (buildBlocks).
+// reference, room for those vertices' attributes and each vertex's row in
+// the agent's vertex table (-1 where this node holds no copy: a remote
+// destination), each a window of the agent's slab of that kind
+// (buildBlocks).
 type blockPlan struct {
-	eb graph.EdgeBlock
-	vb graph.VertexBlock
+	eb   graph.EdgeBlock
+	vb   graph.VertexBlock
+	rows []int32
 }
 
 // RequestGen runs MSGGen (+ combining MSGMerge) over this node's active
@@ -39,9 +42,7 @@ func (a *Agent) RequestGen(active func(graph.VertexID) bool) (*GenResult, error)
 		// The naive integration trusts nothing across iterations: every
 		// vertex is re-downloaded from the upper system — exactly the
 		// traffic the synchronization cache exists to kill (§III-B2a).
-		for i := range a.fresh {
-			a.fresh[i] = false
-		}
+		a.store.Clear()
 	}
 	res := a.nextResult()
 
@@ -191,7 +192,7 @@ func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 	// slices.Grow rather than grow: a frontier that widens every superstep
 	// regrows the slab every superstep, so the growth has to be amortized.
 	trips := slices.Grow(a.blockTrips[:0], d)
-	ids, vEnds := a.blockIDs[:0], a.vEnds[:0]
+	ids, vtRows, vEnds := a.blockIDs[:0], a.blockRows[:0], a.vEnds[:0]
 	vLo := 0
 	local := func(id graph.VertexID) int32 {
 		if p := int(idx[id]); p > vLo {
@@ -199,6 +200,11 @@ func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 		}
 		ids = append(ids, id)
 		idx[id] = int32(len(ids))
+		vtRow := int32(-1)
+		if r, ok := a.vt.Lookup(id); ok {
+			vtRow = int32(r)
+		}
+		vtRows = append(vtRows, vtRow)
 		return int32(len(ids) - 1 - vLo)
 	}
 	for _, row := range rows {
@@ -219,7 +225,7 @@ func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 	if len(ids) > vLo {
 		vEnds = append(vEnds, len(ids))
 	}
-	a.blockTrips, a.blockIDs, a.vEnds = trips, ids, vEnds
+	a.blockTrips, a.blockIDs, a.blockRows, a.vEnds = trips, ids, vtRows, vEnds
 
 	aw := a.alg.AttrWidth()
 	attrs := grow(&a.blockAttrs, len(ids)*aw)
@@ -228,8 +234,9 @@ func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 	vLo = 0
 	for i, vHi := range vEnds {
 		out = append(out, blockPlan{
-			eb: graph.EdgeBlock{Triplets: trips[i*blockEdges : min((i+1)*blockEdges, len(trips))]},
-			vb: graph.VertexBlock{IDs: ids[vLo:vHi], Stride: aw, Attrs: attrs[vLo*aw : vHi*aw]},
+			eb:   graph.EdgeBlock{Triplets: trips[i*blockEdges : min((i+1)*blockEdges, len(trips))]},
+			vb:   graph.VertexBlock{IDs: ids[vLo:vHi], Stride: aw, Attrs: attrs[vLo*aw : vHi*aw]},
+			rows: vtRows[vLo:vHi],
 		})
 		vLo = vHi
 	}
@@ -384,17 +391,17 @@ func (a *Agent) fillBlock(seg []byte, bp *blockPlan, reuseTopo bool) (time.Durat
 	// Rows to refresh: every vertex the block references that exists in
 	// our table (sources always do; destinations may be remote).
 	rows := a.fillRows[:0]
-	for _, id := range bp.vb.IDs {
-		if r, ok := a.vt.Lookup(id); ok {
-			rows = append(rows, r)
+	for _, r := range bp.rows {
+		if r >= 0 {
+			rows = append(rows, int(r))
 		}
 	}
 	a.fillRows = rows
 	cost += a.ensureRows(rows)
 	aw := a.alg.AttrWidth()
-	for i, id := range bp.vb.IDs {
-		if r, ok := a.vt.Lookup(id); ok {
-			copy(bp.vb.Attrs[i*aw:(i+1)*aw], a.vt.Row(r))
+	for i, r := range bp.rows {
+		if r >= 0 {
+			copy(bp.vb.Attrs[i*aw:(i+1)*aw], a.vt.Row(int(r)))
 		}
 	}
 	payload, err := encodeGenBlock(seg, &bp.eb, &bp.vb, a.alg.MsgWidth(), reuseTopo)
@@ -634,8 +641,8 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 		if out.Changed[mi] && !a.part.Internal[mi] {
 			out.LocalOnly = false
 		}
-		if a.cache != nil {
-			if a.cache.Update(ids[i], row) {
+		if a.opts.Caching {
+			if a.store.Update(rows[i]) {
 				// The row stayed resident: its upload really was deferred.
 				a.stats.LazySkipped++
 			} else {
@@ -643,8 +650,8 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 				// Not counted as lazily skipped — the insertion can evict
 				// (and spill) another dirty row, i.e. this write-back paid
 				// cache traffic instead of deferring an upload.
-				a.cachePut(ids[i], row)
-				a.cache.Update(ids[i], row)
+				a.admit(rows[i])
+				a.store.Update(rows[i])
 			}
 		} else {
 			pushIDs = append(pushIDs, ids[i])
@@ -653,10 +660,7 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 	}
 	a.pushIDs, a.pushRows = pushIDs, pushRows
 	if len(pushIDs) > 0 {
-		c := a.upper.PushAttrs(pushIDs, pushRows)
-		a.stats.BoundaryTime += c
-		a.stats.PushedRows += int64(len(pushIDs))
-		cost += c
+		cost += a.pushAttrs(pushIDs, pushRows)
 	}
 	cost += simtime.TimeFor(float64(len(sel)*(aw+mw)*8), memcpyRate)
 	a.charge(cost)
@@ -664,75 +668,50 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 }
 
 // UploadQueried implements the agent side of lazy uploading (§III-B2b):
-// push only the dirty vertices that appear in the global query queue.
-// Returns the number of rows uploaded.
+// push only the dirty vertices that appear in the global query queue, in
+// ascending vertex id order — dirty rows are masters, and the vertex table
+// lists the masters first, ascending. Returns the number of rows uploaded.
 //
-// The reads here are bookkeeping, not computation: they go through the
-// cache's non-counting Peek so they neither inflate the Hits counter the
-// Fig 11a statistics are built from nor promote entries in the LRU order.
+// The reads here are bookkeeping, not computation: they neither count as
+// hits in the Fig 11a statistics nor move a row in the LRU order.
 func (a *Agent) UploadQueried(q *synccache.QueryQueue) int {
-	if a.cache == nil {
-		//gxlint:uncharged without caching every row was already pushed (and charged) eagerly at apply time
-		return 0
-	}
-	need := q.Filter(a.cache.Dirty())
-	if len(need) == 0 {
-		//gxlint:uncharged nothing this node owns is both dirty and queried: no upload happens
-		return 0
-	}
-	aw := a.alg.AttrWidth()
-	ids := need[:0] // the ids actually resident; keeps len(ids)*aw == len(rows)
-	rows := grow(&a.pushRows, len(need)*aw)[:0]
-	for _, id := range need {
-		cached, ok := a.cache.Peek(id)
-		if !ok {
-			continue // evicted since Dirty(); its value travels via the spill queue
+	ids, rows := a.pushIDs[:0], a.pushRows[:0]
+	for r := range a.store.Dirty() {
+		if id := a.vt.ID(r); q.Has(id) {
+			ids = append(ids, id)
+			rows = append(rows, a.vt.Row(r)...)
+			a.store.MarkClean(r)
 		}
-		ids = append(ids, id)
-		rows = append(rows, cached...)
-		a.cache.MarkClean(id)
 	}
+	a.pushIDs, a.pushRows = ids, rows
 	if len(ids) == 0 {
-		//gxlint:uncharged every queried row was evicted since Dirty(): its upload travels — and is charged — on the spill path
+		//gxlint:uncharged nothing this node holds is both dirty and queried (without caching nothing is ever dirty: every row was pushed, and charged, eagerly at apply time)
 		return 0
 	}
-	cost := a.upper.PushAttrs(ids, rows)
-	a.stats.BoundaryTime += cost
-	a.stats.PushedRows += int64(len(ids))
-	a.charge(cost)
+	a.charge(a.pushAttrs(ids, rows))
 	return len(ids)
 }
 
 // Flush pushes every remaining dirty vertex — pending spills first, then
-// the cache's dirty residents — to the upper system (end of run, or
-// before a full synchronization). Returns the cost, which the caller
-// charges.
+// the dirty resident rows in ascending vertex id order — to the upper
+// system (end of run, or before a full synchronization). Returns the
+// cost, which the caller charges; without caching there is never
+// anything to push.
 func (a *Agent) Flush() time.Duration {
-	if a.cache == nil {
-		//gxlint:uncharged without a cache there is nothing dirty to flush
-		return 0
-	}
 	var cost time.Duration
 	if len(a.spillIDs) > 0 {
-		c := a.upper.PushAttrs(a.spillIDs, a.spillRows)
-		a.stats.BoundaryTime += c
-		a.stats.PushedRows += int64(len(a.spillIDs))
-		cost += c
+		cost += a.pushAttrs(a.spillIDs, a.spillRows)
 		a.clearSpill()
 	}
-	dirty := a.cache.FlushDirty()
-	if len(dirty) == 0 {
-		return cost
+	ids, rows := a.pushIDs[:0], a.pushRows[:0]
+	for r := range a.store.Dirty() {
+		ids = append(ids, a.vt.ID(r))
+		rows = append(rows, a.vt.Row(r)...)
+		a.store.MarkClean(r)
 	}
-	aw := a.alg.AttrWidth()
-	ids := grow(&a.pushIDs, len(dirty))
-	rows := grow(&a.pushRows, len(dirty)*aw)
-	for i, ev := range dirty {
-		ids[i] = ev.ID
-		copy(rows[i*aw:(i+1)*aw], ev.Row)
+	a.pushIDs, a.pushRows = ids, rows
+	if len(ids) > 0 {
+		cost += a.pushAttrs(ids, rows)
 	}
-	c := a.upper.PushAttrs(ids, rows)
-	a.stats.BoundaryTime += c
-	a.stats.PushedRows += int64(len(ids))
-	return cost + c
+	return cost
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -505,7 +506,7 @@ func TestDrainSpillUploadsAtBoundary(t *testing.T) {
 	if cl.Node(0).Clock.Now() <= clock {
 		t.Fatal("drain did not charge the node's virtual clock")
 	}
-	if len(a.spillIDs) != 0 || len(a.spillIdx) != 0 {
+	if len(a.spillIDs) != 0 || slices.ContainsFunc(a.spillSlot, func(slot int32) bool { return slot != 0 }) {
 		t.Fatal("drain left the queue non-empty")
 	}
 	if n := a.DrainSpill(); n != 0 {
@@ -573,6 +574,7 @@ func TestAgentDoubleConnect(t *testing.T) {
 // capacity, triplet rows resolve to their endpoints, and a vertex block
 // lists each referenced vertex once.
 func TestBuildBlocksCutsAndPairs(t *testing.T) {
+	held, remote := 0, 0 // block vertices with and without a table row
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g, err := gen.ER(gen.ERConfig{NumVertices: 2 + rng.Intn(30), NumEdges: int64(rng.Intn(120)), Seed: seed})
@@ -609,11 +611,24 @@ func TestBuildBlocksCutsAndPairs(t *testing.T) {
 					}
 				}
 				seen := make(map[graph.VertexID]bool)
-				for _, id := range bp.vb.IDs {
+				if len(bp.rows) != len(bp.vb.IDs) {
+					t.Fatalf("seed %d round %d block %d: %d table rows for %d vertices", seed, round, bi, len(bp.rows), len(bp.vb.IDs))
+				}
+				for i, id := range bp.vb.IDs {
 					if seen[id] {
 						t.Fatalf("seed %d round %d block %d: vertex %d listed twice", seed, round, bi, id)
 					}
 					seen[id] = true
+					want := -1 // this node holds no copy of a remote destination
+					if r, ok := a.vt.Lookup(id); ok {
+						want = r
+						held++
+					} else {
+						remote++
+					}
+					if int(bp.rows[i]) != want {
+						t.Fatalf("seed %d round %d block %d: vertex %d planned at table row %d, want %d", seed, round, bi, id, bp.rows[i], want)
+					}
 				}
 				if len(bp.vb.Attrs) != len(bp.vb.IDs)*bp.vb.Stride {
 					t.Fatalf("seed %d round %d block %d: %d attribute slots for %d vertices", seed, round, bi, len(bp.vb.Attrs), len(bp.vb.IDs))
@@ -632,5 +647,8 @@ func TestBuildBlocksCutsAndPairs(t *testing.T) {
 				t.Fatalf("seed %d round %d: blocks carry %d triplets, selected rows have %d", seed, round, total, want)
 			}
 		}
+	}
+	if held == 0 || remote == 0 {
+		t.Fatalf("plans covered %d held and %d remote block vertices, want both", held, remote)
 	}
 }

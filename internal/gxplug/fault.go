@@ -140,21 +140,23 @@ func (a *Agent) fireOOM() error {
 
 // CheckpointSync brings the agent to the canonical checkpoint-boundary
 // state: every dirty row is flushed to the upper system (charged to the
-// node's clock), device-resident topology is forgotten, and — without
-// the cache — freshness marks are cleared. A freshly connected agent
-// normalized by the same call is indistinguishable from this one in
-// every cost-relevant way, which is what makes a resumed run's virtual
-// time bit-identical to the uninterrupted run's.
+// node's clock), device-resident topology is forgotten, and a store whose
+// contents depend on history a resumed run cannot replay — this
+// iteration's fetch marks without the cache, the eviction order of a
+// cache that cannot hold the whole table — is emptied. (A cache that
+// holds the whole table holds all of it, clean, after the flush, exactly
+// as after a fresh Connect.) A freshly connected agent normalized by the
+// same call is indistinguishable from this one in every cost-relevant
+// way, which is what makes a resumed run's virtual time bit-identical to
+// the uninterrupted run's.
 func (a *Agent) CheckpointSync() {
 	if !a.connected {
 		//gxlint:uncharged a disconnected agent has no dirty state to synchronize
 		return
 	}
 	a.charge(a.Flush())
-	if !a.opts.Caching {
-		for i := range a.fresh {
-			a.fresh[i] = false
-		}
+	if !a.opts.Caching || a.store.Bounded() {
+		a.store.Clear()
 	}
 	a.DropResidency()
 }

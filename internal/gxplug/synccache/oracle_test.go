@@ -1,15 +1,7 @@
-// Package synccache implements the inter-iteration synchronization
-// caching of §III-B2: an agent-local vertex cache that avoids
-// re-downloading unchanged vertices from the upper system every
-// iteration, plus the dirty-tracking that drives lazy uploading through
-// the global query/data queues.
-//
-// The paper describes the cache as "organized in a least recently used
-// manner"; its prose about weights is self-contradictory (weights both
-// increase on use and the highest-weight entry is evicted), so this
-// implementation normalizes to standard LRU semantics — evict the least
-// recently used entry — which matches the section title and the stated
-// intent.
+// The map + container/list cache the row-indexed Store replaced, kept as
+// the reference implementation the model test and FuzzVertexStore check
+// the Store against: same hits, misses, victims, dirty sets and spills
+// for any operation sequence.
 package synccache
 
 import (
@@ -21,9 +13,9 @@ import (
 	"gxplug/internal/graph"
 )
 
-// Stats counts cache activity; the Fig 11a harness and the engine's
-// per-superstep observer read it.
-type Stats struct {
+// oracleStats is the old cache's counters (Stats plus DirtyOverwrites,
+// which nothing outside tests ever read).
+type oracleStats struct {
 	Hits   int64
 	Misses int64
 	// Evictions counts every entry dropped from the cache before the
@@ -58,11 +50,11 @@ type Cache struct {
 	stride int
 	m      map[graph.VertexID]*entry
 	lru    *list.List // front = most recent
-	stats  Stats
+	stats  oracleStats
 }
 
-// New creates a cache holding at most capacity rows of the given stride.
-func New(capacity, stride int) *Cache {
+// newOracle creates a cache holding at most capacity rows of the given stride.
+func newOracle(capacity, stride int) *Cache {
 	if capacity <= 0 || stride <= 0 {
 		panic(fmt.Sprintf("synccache: capacity %d stride %d", capacity, stride))
 	}
@@ -78,7 +70,7 @@ func New(capacity, stride int) *Cache {
 func (c *Cache) Len() int { return len(c.m) }
 
 // Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats { return c.stats }
+func (c *Cache) Stats() oracleStats { return c.stats }
 
 // Get returns the cached row for id, counting a hit or miss. The returned
 // slice aliases cache storage and stays valid until the entry is evicted.
@@ -240,43 +232,5 @@ func (c *Cache) FlushDirty() []Evicted {
 		}
 	}
 	slices.SortFunc(out, func(a, b Evicted) int { return cmp.Compare(a.ID, b.ID) })
-	return out
-}
-
-// QueryQueue is the global query queue of lazy uploading (§III-B2b):
-// every agent pushes the vertex IDs it will need next iteration; the
-// union is broadcast; each agent answers with the dirty vertices it owns
-// that appear in the union.
-type QueryQueue struct {
-	need map[graph.VertexID]bool
-}
-
-// NewQueryQueue creates an empty queue.
-func NewQueryQueue() *QueryQueue {
-	return &QueryQueue{need: make(map[graph.VertexID]bool)}
-}
-
-// Push adds one agent's needed vertices.
-func (q *QueryQueue) Push(ids []graph.VertexID) {
-	for _, id := range ids {
-		q.need[id] = true
-	}
-}
-
-// Len returns the number of distinct queried vertices.
-func (q *QueryQueue) Len() int { return len(q.need) }
-
-// Needed reports whether a vertex is queried.
-func (q *QueryQueue) Needed(id graph.VertexID) bool { return q.need[id] }
-
-// Filter returns the subset of ids that are queried — the vertices an
-// agent must actually upload to the global data queue.
-func (q *QueryQueue) Filter(ids []graph.VertexID) []graph.VertexID {
-	var out []graph.VertexID
-	for _, id := range ids {
-		if q.need[id] {
-			out = append(out, id)
-		}
-	}
 	return out
 }
