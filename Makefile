@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet lint build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic cover fuzz-smoke bench-smoke bench-pair loc ci bench-plan
+.PHONY: all fmt vet lint deadcode build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic cover fuzz-smoke bench-smoke bench-pair loc ci bench-plan
 
 all: ci
 
@@ -27,6 +27,13 @@ lint:
 	@mkdir -p bin
 	$(GO) build -o bin/gxlint ./cmd/gxlint
 	$(GO) vet -vettool=$(CURDIR)/bin/gxlint ./...
+
+# The one whole-tree check (vet sees a package at a time): no exported
+# identifier under internal/ that only tests use, unless
+# internal/lint/deadcode.allow lists it with a reason. It is a test, so
+# `go test ./...` runs it too.
+deadcode:
+	$(GO) test -run '^TestDeadcode$$' ./internal/lint
 
 build:
 	$(GO) build ./...
@@ -144,7 +151,7 @@ loc:
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
-ci: fmt lint build examples race race-boundedcache race-suite race-resume race-serve race-dynamic cover fuzz-smoke bench-smoke
+ci: fmt lint deadcode build examples race race-boundedcache race-suite race-resume race-serve race-dynamic cover fuzz-smoke bench-smoke
 
 # Record the suite-planner comparison in BENCH_plan.json: predicted vs
 # actual makespans and LPT vs file-order dispatch over a skewed suite

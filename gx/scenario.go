@@ -72,7 +72,7 @@ type Scenario struct {
 	Dataset string `json:"dataset"`
 	Scale   int64  `json:"scale,omitempty"`
 	Seed    int64  `json:"seed,omitempty"`
-	// Nodes is the distributed cluster size.
+	// Nodes is the distributed cluster size (at most maxNodes).
 	Nodes int `json:"nodes"`
 	// Accel names a registered accelerator profile applied to every node
 	// ("" → "none"); GPUs is the daemon count for GPU profiles (0 → 1,
@@ -160,6 +160,13 @@ func (s Scenario) Validate() error {
 // expensive step.
 const maxGPUs = 64
 
+// maxNodes bounds Scenario.Nodes. A run sizes m×m state from it before
+// the first superstep (the pairwise exchange-volume matrix, m buffers per
+// node's GenResult): unbounded, a submitted scenario runs the process —
+// a daemon and every job queued on it — out of memory, which is a fatal
+// error, not a recoverable panic. 1024 keeps the volume matrix at 8 MB.
+const maxNodes = 1024
+
 // provided records which scenario fields a Run call overrides with
 // functional options, so validation skips requirements the options
 // already satisfy.
@@ -175,8 +182,8 @@ func (s Scenario) validate(have provided) error {
 		errs = append(errs, fmt.Errorf("scenario: "+format, args...))
 	}
 
-	if s.Nodes <= 0 {
-		fail("nodes %d (want ≥ 1)", s.Nodes)
+	if s.Nodes < 1 || s.Nodes > maxNodes {
+		fail("nodes %d (want 1..%d)", s.Nodes, maxNodes)
 	}
 	if s.Scale < 1 {
 		fail("scale %d (want ≥ 1)", s.Scale)

@@ -64,6 +64,8 @@ func TestValidateErrors(t *testing.T) {
 			[]string{"source -7"}},
 		{"absurd gpu count", func(s *Scenario) { s.GPUs = 20000000 },
 			[]string{"gpus 20000000 (want 1..64)"}},
+		{"absurd node count", func(s *Scenario) { s.Nodes = 40000 },
+			[]string{"nodes 40000 (want 1..1024)"}},
 		{"negative cache capacity", func(s *Scenario) { s.CacheCapacity = -3 },
 			[]string{"cache_capacity -3"}},
 		{"cache capacity without accelerator", func(s *Scenario) { s.Accel = "none"; s.CacheCapacity = 64 },
@@ -85,6 +87,37 @@ func TestValidateErrors(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The node count sizes m×m state before the first superstep, so it is
+// bounded like gpus: Validate, Run and a suite all reject it with one
+// text, as a validation failure, before any graph is loaded (gxd's
+// submit path is pinned in internal/serve's TestServeRejections).
+func TestNodesBoundEveryEntryPoint(t *testing.T) {
+	s := valid()
+	s.Nodes = 40000
+	const want = "scenario: nodes 40000 (want 1..1024)"
+
+	if err := s.Validate(); err == nil || err.Error() != want {
+		t.Errorf("Validate: %v, want %q", err, want)
+	}
+	steps := 0
+	_, err := Run(s, WithObserver(func(Superstep) { steps++ }))
+	if FailureClass(err) != ClassValidation || err.Error() != want || steps != 0 {
+		t.Errorf("Run: class %q after %d supersteps, error %q; want validation %q", FailureClass(err), steps, err, want)
+	}
+	cache := NewDatasetCache()
+	_, err = RunSuite(Suite{Entries: []SuiteEntry{{Name: "wide", Scenario: s}}}, WithCache(cache))
+	if err == nil || err.Error() != `suite entry "wide": `+want {
+		t.Errorf("RunSuite: %v, want the entry named with %q", err, want)
+	}
+	if st := cache.Stats(); st.GraphLoads != 0 || st.PartitionBuilds != 0 {
+		t.Errorf("the rejected suite loaded %d graphs and built %d partitionings", st.GraphLoads, st.PartitionBuilds)
+	}
+	s.Nodes = 1024
+	if err := s.Validate(); err != nil {
+		t.Errorf("nodes at the bound rejected: %v", err)
 	}
 }
 

@@ -362,9 +362,8 @@ type runner struct {
 	attrs  []float64 // authoritative state (the upper system's data plane)
 	active []bool
 
-	agents  []*gxplug.Agent
-	uppers  []*upperSystem
-	mirrors map[graph.VertexID][]int // vertex -> nodes referencing it as a source besides its owner
+	agents []*gxplug.Agent
+	uppers []*upperSystem
 
 	activeFn func(graph.VertexID) bool
 
@@ -531,7 +530,6 @@ func (r *runner) setup() error {
 		copy(r.attrs, r.pre.Attrs)
 		copy(r.active, r.pre.Active)
 	}
-	r.buildMirrors()
 	m := r.cfg.Nodes
 	r.volBuf = zeroVol(m)
 	r.nativeRes = make([][2]*gxplug.GenResult, m)
@@ -568,23 +566,6 @@ func (r *runner) setup() error {
 		}
 	}
 	return nil
-}
-
-// buildMirrors records, for every vertex, the non-owner nodes whose
-// partitions reference it as an edge source — the replicas that must see
-// attribute updates (non-empty only under vertex-cut).
-func (r *runner) buildMirrors() {
-	r.mirrors = make(map[graph.VertexID][]int)
-	for j, part := range r.part.Parts {
-		seen := make(map[graph.VertexID]bool)
-		for _, e := range part.Edges {
-			if seen[e.Src] || int(r.part.Owner[e.Src]) == j {
-				continue
-			}
-			seen[e.Src] = true
-			r.mirrors[e.Src] = append(r.mirrors[e.Src], j)
-		}
-	}
 }
 
 // anyActive reports whether any vertex is active.

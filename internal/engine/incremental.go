@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"gxplug/internal/graph"
@@ -293,13 +294,10 @@ func DirtySeed(oldG, newG *graph.Graph, oldPart, newPart *graph.Partitioning) []
 		}
 	}
 
-	oldSig := mergeSignature(n, oldPart)
-	newSig := mergeSignature(n, newPart)
+	oldSig, newSig := mergeSignature(oldPart), mergeSignature(newPart)
 	for v := 0; v < n; v++ {
-		if dirty[v] {
-			continue
-		}
-		if oldPart.Owner[v] != newPart.Owner[v] || !sigEqual(oldSig[v], newSig[v]) {
+		if !dirty[v] && (oldPart.Owner[v] != newPart.Owner[v] ||
+			!slices.Equal(oldSig[oInOff[v]:oInOff[v+1]], newSig[nInOff[v]:nInOff[v+1]])) {
 			dirty[v] = true
 		}
 	}
@@ -314,30 +312,22 @@ type sigEntry struct {
 	w    uint64
 }
 
-// mergeSignature builds, per destination vertex, the ordered sequence of
+// mergeSignature lists, per destination vertex, the ordered sequence of
 // partition edges that feed its merge — nodes ascending, each node's
 // edges in partition order, exactly the order routeRemote and nativeGen
-// fold messages in.
-func mergeSignature(n int, part *graph.Partitioning) [][]sigEntry {
-	sig := make([][]sigEntry, n)
+// fold messages in. It is a counting sort of every part's edges by
+// destination: every graph edge is in exactly one part, so the counts are
+// the graph's in-degrees and vertex v's sequence is [inOff[v], inOff[v+1])
+// of the result, inOff being the graph's in-CSR offsets.
+func mergeSignature(part *graph.Partitioning) []sigEntry {
+	_, _, _, inOff, _, _ := part.Graph.CSR()
+	next := slices.Clone(inOff[:len(inOff)-1])
+	sig := make([]sigEntry, part.Graph.NumEdges())
 	for j, p := range part.Parts {
 		for _, e := range p.Edges {
-			sig[e.Dst] = append(sig[e.Dst], sigEntry{
-				node: int32(j), src: e.Src, w: math.Float64bits(e.Weight),
-			})
+			sig[next[e.Dst]] = sigEntry{node: int32(j), src: e.Src, w: math.Float64bits(e.Weight)}
+			next[e.Dst]++
 		}
 	}
 	return sig
-}
-
-func sigEqual(a, b []sigEntry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -117,7 +117,7 @@ func (r *runner) mergeApplyPhase(results []*gxplug.GenResult, inbox []*gxplug.Ms
 			// Any written row must reach its replicas, including
 			// sub-threshold drift (PageRank keeps converging mass without
 			// reactivating vertices).
-			if wrote[mi] && len(r.mirrors[id]) > 0 {
+			if wrote[mi] && len(r.part.MirrorsOf(id)) > 0 {
 				mirrored = append(mirrored, id)
 			}
 		}
@@ -171,7 +171,7 @@ func (r *runner) distributeMirrors(mirrorUpdates []graph.VertexID, vol [][]int64
 	}
 	for _, id := range mirrorUpdates {
 		owner := int(r.part.Owner[id])
-		for _, j := range r.mirrors[id] {
+		for _, j := range r.part.MirrorsOf(id) {
 			vol[owner][j] += rowBytes
 			perNode[j] = append(perNode[j], id)
 		}
@@ -259,13 +259,11 @@ func (r *runner) syncPhase(vol [][]int64) {
 func (r *runner) buildQueryQueue() *synccache.QueryQueue {
 	genAll := r.alg.Hints().GenAll
 	ids := r.queryIDs[:0]
-	//gxlint:ordered the query queue sorts whatever it is pushed
-	for id, nodes := range r.mirrors {
-		if len(nodes) == 0 {
-			continue
-		}
-		if genAll || r.active[id] {
-			ids = append(ids, id)
+	if len(r.part.MirrorNodes) > 0 {
+		for v, active := range r.active {
+			if (genAll || active) && len(r.part.MirrorsOf(graph.VertexID(v))) > 0 {
+				ids = append(ids, graph.VertexID(v))
+			}
 		}
 	}
 	r.queryIDs = ids

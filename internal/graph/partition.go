@@ -3,7 +3,8 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // This file implements the graph partitioners the upper systems use.
@@ -14,12 +15,16 @@ import (
 // be more clusters of dense partitions, leading to better partitioning
 // results that triggers synchronization skipping").
 
-// Partition is the share of a graph assigned to one distributed node.
+// Partition is the share of a graph assigned to one distributed node. The
+// partitioner fills Masters, Edges, Internal and Mirrors; newPartitioning
+// derives the rest — the agent-side table layout of §II-B — from them.
 type Partition struct {
 	Node int
 	// Masters are the vertices this node owns, ascending.
 	Masters []VertexID
-	// Edges are the edges assigned to this node, grouped by source.
+	// Edges are the edges assigned to this node, grouped by source. It is
+	// the node's edge table as-is, and its order is the order the node
+	// folds messages in: floating-point results depend on it.
 	Edges []Edge
 	// Internal[i] reports whether master i's entire out-neighbourhood is
 	// owned by this node — the §III-B3 skipping condition ("an agent
@@ -30,12 +35,26 @@ type Partition struct {
 	// elsewhere (vertex-cut replication; zero for edge-cut by
 	// construction of message routing).
 	Mirrors int
+	// Sources are the vertices mastered elsewhere that this node's edges
+	// leave from, in order of first appearance in Edges (empty under
+	// edge-cut). The node's vertex table lists Masters, then Sources.
+	Sources []VertexID
+	// RowEdges is the vertex-edge mapping table: vertex-table row r's
+	// outer edges are Edges[RowEdges[r][0]:RowEdges[r][1]].
+	RowEdges [][2]int32
+	// Endpoints counts the distinct vertices Edges references.
+	Endpoints int
+
+	in *Partitioning
 }
 
-// Partitioning is a complete assignment of a graph to m nodes. Owner and
-// MasterRow together are the message routing index: a message for vertex
-// v belongs in row MasterRow[v] of node Owner[v]'s buffer. Both are built
-// once, here, and read by every run and agent over the partitioning.
+// Partitioning is a complete assignment of a graph to m nodes, with
+// everything a run derives from the assignment alone. Owner and MasterRow
+// together are the message routing index: a message for vertex v belongs
+// in row MasterRow[v] of node Owner[v]'s buffer. MirrorOff and MirrorNodes
+// are the replica index. All of it is built once, by newPartitioning, and
+// only read afterwards — by every run, agent and estimate over the
+// partitioning, concurrently.
 type Partitioning struct {
 	Graph *Graph
 	Parts []*Partition
@@ -43,22 +62,99 @@ type Partitioning struct {
 	Owner []int32
 	// MasterRow[v] is v's index in Parts[Owner[v]].Masters.
 	MasterRow []int32
+	// MirrorNodes[MirrorOff[v]:MirrorOff[v+1]] are the nodes, ascending,
+	// that list v in Sources: the replicas that must see v's attribute
+	// updates (non-empty only under vertex-cut).
+	MirrorOff   []int32
+	MirrorNodes []int32
+	// mirrorRow[k] is v's vertex-table row on node MirrorNodes[k].
+	mirrorRow []int32
 }
 
-// newPartitioning assembles a partitioning from finished parts, deriving
-// the master-row half of the routing index.
+// newPartitioning assembles a partitioning from finished parts — Masters,
+// Edges (grouped by source), Internal and Mirrors set — deriving the
+// routing index, the replica index and each part's table layout.
 func newPartitioning(g *Graph, parts []*Partition, owner []int32) *Partitioning {
-	masterRow := make([]int32, len(owner))
-	for _, part := range parts {
+	n := len(owner)
+	p := &Partitioning{
+		Graph: g, Parts: parts, Owner: owner,
+		MasterRow: make([]int32, n),
+		MirrorOff: make([]int32, n+1),
+	}
+	// Edges are grouped by source, so a part's edges leave a source in one
+	// run: a replica is counted, and later filled in, where its run starts.
+	sources := make([]int, len(parts))
+	for j, part := range parts {
 		for mi, v := range part.Masters {
-			masterRow[v] = int32(mi)
+			p.MasterRow[v] = int32(mi)
+		}
+		for i, e := range part.Edges {
+			if owner[e.Src] != int32(j) && (i == 0 || part.Edges[i-1].Src != e.Src) {
+				sources[j]++
+				p.MirrorOff[e.Src+1]++
+			}
 		}
 	}
-	return &Partitioning{Graph: g, Parts: parts, Owner: owner, MasterRow: masterRow}
+	for v := 0; v < n; v++ {
+		p.MirrorOff[v+1] += p.MirrorOff[v]
+	}
+	p.MirrorNodes = make([]int32, p.MirrorOff[n])
+	p.mirrorRow = make([]int32, p.MirrorOff[n])
+	fill := slices.Clone(p.MirrorOff[:n]) // next free replica slot per vertex
+	seenOn := make([]int32, n)            // 1 + the last node whose edges referenced the vertex
+	for j, part := range parts {
+		part.in = p
+		part.Sources = make([]VertexID, 0, sources[j])
+		part.RowEdges = make([][2]int32, len(part.Masters)+sources[j])
+		for i, e := range part.Edges {
+			start := i == 0 || part.Edges[i-1].Src != e.Src
+			row := int(p.MasterRow[e.Src])
+			if owner[e.Src] != int32(j) {
+				if start {
+					part.Sources = append(part.Sources, e.Src)
+				}
+				row = len(part.Masters) + len(part.Sources) - 1 // the latest source's
+				if start {
+					p.MirrorNodes[fill[e.Src]], p.mirrorRow[fill[e.Src]] = int32(j), int32(row)
+					fill[e.Src]++
+				}
+			}
+			if start {
+				part.RowEdges[row][0] = int32(i)
+			}
+			part.RowEdges[row][1] = int32(i + 1)
+			for _, v := range [2]VertexID{e.Src, e.Dst} {
+				if seenOn[v] != int32(j+1) {
+					seenOn[v] = int32(j + 1)
+					part.Endpoints++
+				}
+			}
+		}
+	}
+	return p
 }
 
 // NumNodes returns the node count.
 func (p *Partitioning) NumNodes() int { return len(p.Parts) }
+
+// MirrorsOf returns the nodes, ascending, holding v as a non-master source.
+func (p *Partitioning) MirrorsOf(v VertexID) []int32 {
+	return p.MirrorNodes[p.MirrorOff[v]:p.MirrorOff[v+1]]
+}
+
+// row returns v's row in node j's vertex table, if the node holds one: a
+// master's through the routing index, a source's through the replica index.
+func (p *Partitioning) row(j int, v VertexID) (int, bool) {
+	if int(p.Owner[v]) == j {
+		return int(p.MasterRow[v]), true
+	}
+	for k := p.MirrorOff[v]; k < p.MirrorOff[v+1]; k++ {
+		if int(p.MirrorNodes[k]) == j {
+			return int(p.mirrorRow[k]), true
+		}
+	}
+	return 0, false
+}
 
 // ReplicationFactor returns the average number of nodes a vertex appears
 // on (1.0 for a pure edge-cut; >1 under vertex-cut).
@@ -75,12 +171,14 @@ func (p *Partitioning) ReplicationFactor() float64 {
 
 // Validate checks the structural invariants every partitioning must obey:
 // each vertex mastered exactly once and indexed by Owner/MasterRow, each
-// edge assigned exactly once, edges grouped by source, Internal flags
-// correct.
+// edge assigned exactly once, Internal flags correct, and the derived
+// layout consistent with all of it (validateLayout) — which includes the
+// edges being grouped by source.
 func (p *Partitioning) Validate() error {
 	g := p.Graph
 	seenMaster := make([]bool, g.NumVertices())
 	var edgeCount int64
+	replicas := 0
 	for _, part := range p.Parts {
 		for mi, v := range part.Masters {
 			if seenMaster[v] {
@@ -96,17 +194,10 @@ func (p *Partitioning) Validate() error {
 					v, p.MasterRow[v], mi, part.Node)
 			}
 		}
-		lastSrc := VertexID(0)
-		seenSrc := make(map[VertexID]bool)
-		for i, e := range part.Edges {
-			if i > 0 && e.Src != lastSrc {
-				if seenSrc[e.Src] {
-					return fmt.Errorf("partition %d: edges not grouped by source", part.Node)
-				}
-			}
-			seenSrc[e.Src] = true
-			lastSrc = e.Src
+		if err := p.validateLayout(part); err != nil {
+			return err
 		}
+		replicas += len(part.Sources)
 		edgeCount += int64(len(part.Edges))
 		if len(part.Internal) != len(part.Masters) {
 			return fmt.Errorf("partition %d: internal flags %d != masters %d",
@@ -129,9 +220,59 @@ func (p *Partitioning) Validate() error {
 		if !ok {
 			return fmt.Errorf("partition: vertex %d mastered nowhere", v)
 		}
+		for ms := p.MirrorsOf(VertexID(v)); len(ms) > 1; ms = ms[1:] {
+			if ms[0] >= ms[1] {
+				return fmt.Errorf("partition: replica nodes of vertex %d not ascending", v)
+			}
+		}
 	}
 	if edgeCount != g.NumEdges() {
 		return fmt.Errorf("partition: %d edges assigned, graph has %d", edgeCount, g.NumEdges())
+	}
+	if replicas != len(p.MirrorNodes) {
+		return fmt.Errorf("partition: replica index lists %d replicas, parts hold %d sources",
+			len(p.MirrorNodes), replicas)
+	}
+	return nil
+}
+
+// validateLayout checks one part's table layout against its Masters and
+// Edges and against the replica index: every source a distinct row, every
+// edge inside its source's row range and the ranges covering nothing else
+// — so a source's edges are contiguous — and the endpoint count right.
+func (p *Partitioning) validateLayout(part *Partition) error {
+	if len(part.RowEdges) != len(part.Masters)+len(part.Sources) {
+		return fmt.Errorf("partition %d: %d mapping rows for %d masters + %d sources",
+			part.Node, len(part.RowEdges), len(part.Masters), len(part.Sources))
+	}
+	for i, v := range part.Sources {
+		if row, ok := p.row(part.Node, v); int(p.Owner[v]) == part.Node || !ok || row != len(part.Masters)+i {
+			return fmt.Errorf("partition %d: source %d (vertex %d) is not replica row %d",
+				part.Node, i, v, len(part.Masters)+i)
+		}
+	}
+	covered := 0
+	for _, r := range part.RowEdges {
+		covered += int(r[1] - r[0])
+	}
+	endpoint := make([]bool, len(p.Owner))
+	endpoints := 0
+	for i, e := range part.Edges {
+		row, ok := p.row(part.Node, e.Src)
+		if !ok || row >= len(part.RowEdges) || i < int(part.RowEdges[row][0]) || i >= int(part.RowEdges[row][1]) {
+			return fmt.Errorf("partition %d: edge %d outside the mapping range of source %d (edges not grouped by source?)",
+				part.Node, i, e.Src)
+		}
+		for _, v := range [2]VertexID{e.Src, e.Dst} {
+			if !endpoint[v] {
+				endpoint[v] = true
+				endpoints++
+			}
+		}
+	}
+	if covered != len(part.Edges) || endpoints != part.Endpoints {
+		return fmt.Errorf("partition %d: mapping table covers %d of %d edges, %d endpoints recorded of %d",
+			part.Node, covered, len(part.Edges), part.Endpoints, endpoints)
 	}
 	return nil
 }
@@ -140,30 +281,32 @@ func (p *Partitioning) Validate() error {
 // which node owners are already chosen and each node receives exactly the
 // out-edges of its masters.
 func finishEdgeCut(g *Graph, owner []int32, m int) *Partitioning {
+	masters, edges := make([]int, m), make([]int, m)
+	for v, j := range owner {
+		masters[j]++
+		edges[j] += g.OutDegree(VertexID(v))
+	}
 	parts := make([]*Partition, m)
 	for j := range parts {
-		parts[j] = &Partition{Node: j}
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		j := owner[v]
-		parts[j].Masters = append(parts[j].Masters, VertexID(v))
-	}
-	for j, part := range parts {
-		part.Internal = make([]bool, len(part.Masters))
-		mirror := make(map[VertexID]bool)
-		for i, v := range part.Masters {
-			allLocal := true
-			g.OutEdges(v, func(dst VertexID, w float64) {
-				part.Edges = append(part.Edges, Edge{Src: v, Dst: dst, Weight: w})
-				if owner[dst] != int32(j) {
-					allLocal = false
-					mirror[dst] = true
-				}
-			})
-			part.Internal[i] = allLocal
+		parts[j] = &Partition{
+			Node:     j,
+			Masters:  make([]VertexID, 0, masters[j]),
+			Edges:    make([]Edge, 0, edges[j]),
+			Internal: make([]bool, masters[j]),
+			// Mirrors stays 0: an edge-cut ships messages, not replicas.
 		}
-		part.Mirrors = 0 // edge-cut ships messages, not replicas
-		_ = mirror
+	}
+	for v, j := range owner {
+		part := parts[j]
+		allLocal := true
+		g.OutEdges(VertexID(v), func(dst VertexID, w float64) {
+			part.Edges = append(part.Edges, Edge{Src: VertexID(v), Dst: dst, Weight: w})
+			if owner[dst] != j {
+				allLocal = false
+			}
+		})
+		part.Internal[len(part.Masters)] = allLocal
+		part.Masters = append(part.Masters, VertexID(v))
 	}
 	return newPartitioning(g, parts, owner)
 }
@@ -217,120 +360,101 @@ func GreedyVertexCut(g *Graph, m int) *Partitioning {
 	if m <= 0 {
 		panic(fmt.Sprintf("graph: %d partitions", m))
 	}
-	type vplace struct{ nodes map[int32]bool }
-	places := make([]vplace, g.NumVertices())
-	for v := range places {
-		places[v].nodes = make(map[int32]bool, 2)
+	n := g.NumVertices()
+	// A vertex's replica set is a node bitset: words uint64s per vertex.
+	words := (m + 63) / 64
+	places := make([]uint64, n*words)
+	all := make([]uint64, words)
+	for j := 0; j < m; j++ {
+		all[j/64] |= 1 << (j % 64)
 	}
-	load := make([]int64, m)
-	edgesPer := make([][]Edge, m)
-
-	assign := func(e Edge, j int32) {
-		edgesPer[j] = append(edgesPer[j], e)
-		load[j]++
-		places[e.Src].nodes[j] = true
-		places[e.Dst].nodes[j] = true
-	}
-	leastLoaded := func(cands map[int32]bool) int32 {
+	// leastLoaded scans the set in ascending node order and moves only on a
+	// strictly smaller load, so ties go to the smallest id; -1 if empty.
+	leastLoaded := func(set []uint64, load []int64) int32 {
 		best := int32(-1)
-		//gxlint:ordered the (load, smallest id) tie-break picks a unique winner under any visit order
-		for j := range cands {
-			if best < 0 || load[j] < load[best] || (load[j] == load[best] && j < best) {
-				best = j
+		for wi, word := range set {
+			for ; word != 0; word &= word - 1 {
+				j := int32(wi*64 + bits.TrailingZeros64(word))
+				if best < 0 || load[j] < load[best] {
+					best = j
+				}
 			}
 		}
 		return best
 	}
 
-	for _, e := range g.Edges() {
-		sp, dp := places[e.Src].nodes, places[e.Dst].nodes
-		// Greedy rules (PowerGraph §5.1): prefer a node holding both
-		// endpoints, then one holding either, then the least-loaded.
-		var both map[int32]bool
-		//gxlint:ordered builds an order-free set intersection; selection happens later under a deterministic tie-break
-		for j := range sp {
-			if dp[j] {
-				if both == nil {
-					both = make(map[int32]bool)
+	// Place the edges in source order (the out-CSR's), remembering each
+	// one's node: a node's edges are then that order's subsequence, grouped
+	// by source already.
+	outOff, outDst, outW, _, _, _ := g.CSR()
+	node := make([]int32, len(outDst))
+	load := make([]int64, m)
+	cands := make([]uint64, words)
+	for src := 0; src < n; src++ {
+		sp := places[src*words : (src+1)*words]
+		for i := outOff[src]; i < outOff[src+1]; i++ {
+			dp := places[int(outDst[i])*words : (int(outDst[i])+1)*words]
+			// Greedy rules (PowerGraph §5.1): prefer a node holding both
+			// endpoints, then one holding either, then the least-loaded.
+			for w := range cands {
+				cands[w] = sp[w] & dp[w]
+			}
+			j := leastLoaded(cands, load)
+			if j < 0 {
+				for w := range cands {
+					cands[w] = sp[w] | dp[w]
 				}
-				both[j] = true
+				if j = leastLoaded(cands, load); j < 0 {
+					j = leastLoaded(all, load)
+				}
 			}
-		}
-		switch {
-		case len(both) > 0:
-			assign(e, leastLoaded(both))
-		case len(sp) > 0 || len(dp) > 0:
-			cands := make(map[int32]bool, len(sp)+len(dp))
-			for j := range sp {
-				cands[j] = true
-			}
-			for j := range dp {
-				cands[j] = true
-			}
-			assign(e, leastLoaded(cands))
-		default:
-			all := make(map[int32]bool, m)
-			for j := 0; j < m; j++ {
-				all[int32(j)] = true
-			}
-			assign(e, leastLoaded(all))
+			node[i] = j
+			load[j]++
+			sp[j/64] |= 1 << (j % 64)
+			dp[j/64] |= 1 << (j % 64)
 		}
 	}
 
 	// Master each vertex on the least-loaded node that holds a replica
 	// (isolated vertices go to the globally least-loaded node).
-	owner := make([]int32, g.NumVertices())
+	owner := make([]int32, n)
 	masterLoad := make([]int64, m)
-	for v := 0; v < g.NumVertices(); v++ {
-		cands := places[v].nodes
-		var best int32 = -1
-		if len(cands) > 0 {
-			//gxlint:ordered the (load, smallest id) tie-break picks a unique winner under any visit order
-			for j := range cands {
-				if best < 0 || masterLoad[j] < masterLoad[best] || (masterLoad[j] == masterLoad[best] && j < best) {
-					best = j
-				}
-			}
-		} else {
-			for j := int32(0); j < int32(m); j++ {
-				if best < 0 || masterLoad[j] < masterLoad[best] {
-					best = j
-				}
-			}
+	for v := range owner {
+		if owner[v] = leastLoaded(places[v*words:(v+1)*words], masterLoad); owner[v] < 0 {
+			owner[v] = leastLoaded(all, masterLoad)
 		}
-		owner[v] = best
-		masterLoad[best]++
+		masterLoad[owner[v]]++
 	}
 
 	parts := make([]*Partition, m)
-	for j := 0; j < m; j++ {
-		part := &Partition{Node: j}
-		for v := 0; v < g.NumVertices(); v++ {
-			if owner[v] == int32(j) {
-				part.Masters = append(part.Masters, VertexID(v))
+	for j := range parts {
+		parts[j] = &Partition{
+			Node:     j,
+			Masters:  make([]VertexID, 0, masterLoad[j]),
+			Edges:    make([]Edge, 0, load[j]),
+			Internal: make([]bool, masterLoad[j]),
+		}
+	}
+	for v, j := range owner {
+		part := parts[j]
+		allLocal := true
+		for i := outOff[v]; i < outOff[v+1]; i++ {
+			e := Edge{Src: VertexID(v), Dst: outDst[i], Weight: outW[i]}
+			parts[node[i]].Edges = append(parts[node[i]].Edges, e)
+			if owner[e.Dst] != j {
+				allLocal = false
 			}
 		}
-		// Group this node's edges by source.
-		es := edgesPer[j]
-		sort.SliceStable(es, func(a, b int) bool { return es[a].Src < es[b].Src })
-		part.Edges = es
-		// Mirrors: replicas on this node mastered elsewhere.
-		for v := 0; v < g.NumVertices(); v++ {
-			if places[v].nodes[int32(j)] && owner[v] != int32(j) {
-				part.Mirrors++
-			}
-		}
-		part.Internal = make([]bool, len(part.Masters))
-		for i, v := range part.Masters {
-			allLocal := true
-			g.OutEdges(v, func(dst VertexID, _ float64) {
-				if owner[dst] != int32(j) {
-					allLocal = false
+		part.Internal[len(part.Masters)] = allLocal
+		part.Masters = append(part.Masters, VertexID(v))
+		// Mirrors: this vertex's replicas on the nodes that do not master it.
+		for wi, word := range places[v*words : (v+1)*words] {
+			for ; word != 0; word &= word - 1 {
+				if k := wi*64 + bits.TrailingZeros64(word); k != int(j) {
+					parts[k].Mirrors++
 				}
-			})
-			part.Internal[i] = allLocal
+			}
 		}
-		parts[j] = part
 	}
 	return newPartitioning(g, parts, owner)
 }
@@ -382,43 +506,14 @@ func PartitionBySizes(g *Graph, fractions []float64) *Partitioning {
 	return finishEdgeCut(g, owner, m)
 }
 
-// Tables materializes the agent-side data structures of §II-B for a
-// partition: the vertex table (masters first, then any referenced
-// non-masters), the edge table grouped by source, and the vertex-edge
-// mapping table.
-func (part *Partition) Tables(stride int) (*VertexTable, *EdgeTable, *MappingTable) {
-	ids := make([]VertexID, len(part.Masters))
-	copy(ids, part.Masters)
-	seen := make(map[VertexID]bool, len(ids))
-	for _, v := range ids {
-		seen[v] = true
+// Tables returns the agent-side data structures of §II-B for a partition:
+// a zeroed vertex table (masters first, then Sources), and the edge table
+// and vertex-edge mapping table, which are views of the partition itself
+// shared by every agent over it.
+func (part *Partition) Tables(stride int) (*VertexTable, EdgeTable, MappingTable) {
+	if stride <= 0 {
+		panic(fmt.Sprintf("graph: vertex table stride %d", stride))
 	}
-	// Sources must be rows of the vertex table for the mapping table to
-	// address them; under vertex-cut a source may be mastered elsewhere.
-	for _, e := range part.Edges {
-		if !seen[e.Src] {
-			seen[e.Src] = true
-			ids = append(ids, e.Src)
-		}
-	}
-	vt := NewVertexTable(ids, stride)
-	et := NewEdgeTable(regroupBySource(part.Edges, vt))
-	mt, err := BuildMapping(vt, et)
-	if err != nil {
-		panic(fmt.Sprintf("graph: partition %d tables: %v", part.Node, err))
-	}
-	return vt, et, mt
-}
-
-// regroupBySource orders edges by their source's row in the vertex table,
-// preserving relative order within a source.
-func regroupBySource(edges []Edge, vt *VertexTable) []Edge {
-	out := make([]Edge, len(edges))
-	copy(out, edges)
-	sort.SliceStable(out, func(a, b int) bool {
-		ra, _ := vt.Lookup(out[a].Src)
-		rb, _ := vt.Lookup(out[b].Src)
-		return ra < rb
-	})
-	return out
+	vt := &VertexTable{part: part, stride: stride, attrs: make([]float64, len(part.RowEdges)*stride)}
+	return vt, EdgeTable(part.Edges), MappingTable(part.RowEdges)
 }

@@ -163,10 +163,11 @@ type Agent struct {
 	opts  Options
 
 	// vt lists the node's masters first, in Masters order: master index
-	// i is vertex-table row i.
+	// i is vertex-table row i. et and mt are views of part, shared with
+	// every other agent over it.
 	vt *graph.VertexTable
-	et *graph.EdgeTable
-	mt *graph.MappingTable
+	et graph.EdgeTable
+	mt graph.MappingTable
 
 	daemons []*daemonProc
 	devices []*device.Device
@@ -205,9 +206,6 @@ type Agent struct {
 	blockAttrs     []float64
 	blockIdx       []int32
 	vEnds          []int
-	// endpoints counts the distinct vertices the edge table references —
-	// the most a vertex block can list (segmentSize).
-	endpoints int
 
 	// Reusable per-superstep scratch. Results are double-buffered because
 	// GAS engines keep the previous superstep's result live (the scatter
@@ -286,19 +284,6 @@ func NewAgent(node *cluster.Node, parts *graph.Partitioning, alg template.Algori
 	a.store = synccache.New(vt.Len(), capacity)
 	if a.store.Bounded() {
 		a.spillSlot = make([]int32, vt.Len())
-	}
-	for i := 0; i < et.Len(); i++ {
-		e := et.At(i)
-		for _, id := range [2]graph.VertexID{e.Src, e.Dst} {
-			if a.blockIdx[id] == 0 {
-				a.blockIdx[id] = 1
-				a.endpoints++
-			}
-		}
-	}
-	for i := 0; i < et.Len(); i++ {
-		e := et.At(i)
-		a.blockIdx[e.Src], a.blockIdx[e.Dst] = 0, 0
 	}
 	return a
 }
@@ -424,7 +409,7 @@ func (a *Agent) charge(d time.Duration) { a.node.Charge(bucketMiddleware, d) }
 // fails with "block needs N bytes, segment has M" — loud, not wrong.
 func (a *Agent) segmentSize() int {
 	maxEdges := max(1, a.chooseBlockSize(a.et.Len()))
-	maxVerts := min(2*maxEdges, a.endpoints)
+	maxVerts := min(2*maxEdges, a.part.Endpoints)
 	n := genBlockSize(maxEdges, maxVerts, a.alg.AttrWidth(), a.alg.MsgWidth())
 	if ap := applyBlockSize(a.vt.Len()+1, a.alg.AttrWidth(), a.alg.MsgWidth()); ap > n {
 		n = ap

@@ -212,3 +212,39 @@ func TestCacheCapacityDoesNotSizeAllocation(t *testing.T) {
 		}
 	}
 }
+
+// Agents over one partitioning read its layout, they do not rebuild it:
+// the edge and mapping tables alias the partition's storage, and NewAgent
+// allocates per row (attributes, the store) and per vertex (blockIdx) but
+// nothing per edge.
+func TestAgentSetupSharesLayout(t *testing.T) {
+	g, err := gen.RMAT(gen.RMATConfig{NumVertices: 300, NumEdges: 30_000, A: 0.57, B: 0.19, C: 0.19, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := algos.NewPageRank()
+	ctx := testCtx(g)
+	for name, part := range map[string]*graph.Partitioning{
+		"edge-cut": graph.EdgeCutByHash(g, 2), "vertex-cut": graph.GreedyVertexCut(g, 2),
+	} {
+		newAgent := func() *Agent {
+			return NewAgent(cluster.New(2, cluster.DatacenterNet()).Node(0), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
+		}
+		a, b := newAgent(), newAgent()
+		if a.et.Len() == 0 || &a.et[0] != &b.et[0] || &a.et[0] != &part.Parts[0].Edges[0] {
+			t.Errorf("%s: agents hold private copies of the edge table", name)
+		}
+		if &a.mt[0] != &b.mt[0] {
+			t.Errorf("%s: agents hold private copies of the mapping table", name)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := newAgent()
+		runtime.ReadMemStats(&after)
+		edgeBytes := uint64(c.et.Len()) * 16
+		if got := after.TotalAlloc - before.TotalAlloc; got > edgeBytes/4 {
+			t.Errorf("%s: NewAgent allocated %d bytes over %d rows and %d edges (%d bytes of edges)",
+				name, got, c.vt.Len(), c.et.Len(), edgeBytes)
+		}
+	}
+}

@@ -29,16 +29,6 @@ var cacheCapPoints = []struct {
 	Den   int
 }{{"1/8", 8}, {"1/4", 4}, {"1/2", 2}, {"1", 1}}
 
-// CacheCapFractions lists the swept capacity fraction labels, smallest
-// first.
-func CacheCapFractions() []string {
-	out := make([]string, len(cacheCapPoints))
-	for i, p := range cacheCapPoints {
-		out[i] = p.Label
-	}
-	return out
-}
-
 // CacheCapResult holds one row per capacity fraction.
 type CacheCapResult struct {
 	Entries []CacheCapEntry

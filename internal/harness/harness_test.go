@@ -225,7 +225,7 @@ func TestCacheCapSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(res.Entries), len(CacheCapFractions()); got != want {
+	if got, want := len(res.Entries), len(cacheCapPoints); got != want {
 		t.Fatalf("%d sweep points, want %d", got, want)
 	}
 	for i := 1; i < len(res.Entries); i++ {

@@ -172,6 +172,11 @@ func TestServeScenarioSubmission(t *testing.T) {
 	}
 }
 
+// absurdNodesBody sized a 12.8 GB exchange-volume matrix — a fatal
+// out-of-memory, not a panic, so it took the daemon down — before nodes
+// was bounded.
+const absurdNodesBody = `{"engine": "graphx", "algorithm": "pagerank", "dataset": "orkut", "scale": 4000, "nodes": 40000}`
+
 // TestServeRejections pins the HTTP error contract: malformed bodies,
 // invalid scenarios, unknown jobs, wrong methods, not-done results.
 func TestServeRejections(t *testing.T) {
@@ -185,6 +190,7 @@ func TestServeRejections(t *testing.T) {
 		"empty suite":     {`{"entries": []}`, "400"},
 		"unknown engine":  {`{"engine": "giraph", "algorithm": "pagerank", "dataset": "orkut", "nodes": 1}`, "422"},
 		"unknown dataset": {`{"engine": "graphx", "algorithm": "pagerank", "dataset": "nope", "nodes": 1}`, "422"},
+		"absurd nodes":    {absurdNodesBody, `422 Unprocessable Entity: suite entry "scenario": scenario: nodes 40000 (want 1..1024)`},
 	} {
 		_, err := client.Submit([]byte(tc.body))
 		if err == nil || !strings.Contains(err.Error(), tc.code) {
