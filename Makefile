@@ -89,10 +89,14 @@ race-serve:
 # clock, on both engines, for pagerank and cc, at pool sizes 1/2/4 —
 # with the trajectory-replay machinery under the race detector. The
 # boundary loop and the replay it drives live in the engine, so its own
-# incremental-vs-scratch pin (trajectory equality included) runs too.
+# incremental-vs-scratch pin (trajectory equality included) runs too, and
+# so does TestStreamBoundaryAllocs' stream — the signature buffer and the
+# two traces runStream carries from boundary to boundary, written over
+# while node workers read the replayed one (its byte budget is only
+# asserted without the race detector, which skews it).
 race-dynamic:
 	GOMAXPROCS=8 $(GO) test -race -run 'TestDynamicConformance' ./gx
-	GOMAXPROCS=8 $(GO) test -race -run 'TestIncrementalMatchesScratch' ./internal/engine
+	GOMAXPROCS=8 $(GO) test -race -run 'TestIncrementalMatchesScratch|TestStreamBoundaryAllocs' ./internal/engine
 
 # Per-package coverage summary, gated on the floors recorded in
 # COVERAGE_baseline.txt for the public API and the engine core. The test
@@ -115,10 +119,12 @@ cover:
 
 # 10-second native-fuzzing smoke over the shared-memory codec, the one
 # message buffer against its plain-map reference, the vertex store
-# against the map + list cache it replaced, the dataset-ingestion
+# against the map + list cache it replaced, ApplyBatch's CSR merge
+# against the edge-list rebuild it replaced, the dataset-ingestion
 # decoders, and gxd's submission path (full corpora live in each
 # package's testdata/fuzz).
 fuzz-smoke:
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzApplyBatch$$' -fuzztime=10s
 	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime=10s
 	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzCodecDecodeNoPanic$$' -fuzztime=10s
 	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzMsgBuf$$' -fuzztime=10s

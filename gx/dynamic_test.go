@@ -227,6 +227,44 @@ func TestDynamicScenarioValidation(t *testing.T) {
 	}
 }
 
+// TestDynamicVertexGrowthBound: a batch may grow the vertex range by two
+// ids per add and no further. One far id — anywhere in the stream, in
+// either mode — is rejected by Run and by a suite entry before the seed
+// boundary runs (class validation, no superstep observed), not after an
+// offset array has been sized for it.
+func TestDynamicVertexGrowthBound(t *testing.T) {
+	for _, mode := range []string{"", "scratch"} {
+		s := dynamicScenario("graphx", "pagerank", mode)
+		s.Batches.Inline[2].Adds[0].Dst = 4000000000
+		if err := s.Validate(); err != nil {
+			t.Fatalf("ids are bounded against the graph, not by Validate: %v", err)
+		}
+		supersteps := 0
+		_, err := Run(s, WithObserver(func(Superstep) { supersteps++ }))
+		const want = "engine: batch 3: graph: batch add 0 (2->4000000000) beyond vertex growth bound"
+		if FailureClass(err) != ClassValidation || !strings.Contains(err.Error(), want) || supersteps != 0 {
+			t.Errorf("mode %q: Run: class %q after %d supersteps, err %v", mode, FailureClass(err), supersteps, err)
+		}
+		res, rerr := RunSuite(Suite{Entries: []SuiteEntry{{Name: "far", Scenario: s}}})
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if e := res.Entries[0]; e.Class != ClassValidation || e.Err == nil || e.Err.Error() != err.Error() || e.Totals.Supersteps != 0 {
+			t.Errorf("mode %q: suite entry: class %q, %d supersteps, err %v", mode, e.Class, e.Totals.Supersteps, e.Err)
+		}
+	}
+	// Growth inside the bound still runs: the last id a one-add batch may name.
+	s := dynamicScenario("graphx", "pagerank", "")
+	g, err := LoadDataset(s.Dataset, s.Scale, s.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Batches.Inline = []BatchDelta{{Time: 1, Adds: []BatchEdge{{Src: 0, Dst: int64(g.NumVertices()) + 1}}}}
+	if _, err := Run(s); err != nil {
+		t.Errorf("growth by two vertices rejected: %v", err)
+	}
+}
+
 // TestDynamicModeMatrix pins every algorithm × mode × engine cell of the
 // dynamic axis as a decision: a cell either runs to completion or is
 // rejected before any superstep — by Run, a suite entry and the planner

@@ -1,6 +1,8 @@
 package gx
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,8 +143,19 @@ func (x *executor) observe(s Scenario, predicted time.Duration, er EntryResult) 
 // entry comes back with its cached summary, a nil Result, and CacheHit
 // set. cbMu is the executor-wide callback lock shared with entry-done
 // emission.
+//
+// An entry runs user code — registered algorithms, dataset loaders, the
+// suite observer — on this pool worker's goroutine. A panic there fails
+// the entry (class run, the value and stack in the error) and leaves the
+// worker, the other entries and the process alive.
 func (x *executor) runEntry(e SuiteEntry, cbMu *sync.Mutex) (er EntryResult) {
 	defer func() { er.Class = FailureClass(er.Err) }()
+	defer func() {
+		if v := recover(); v != nil {
+			er.Result, er.Summary = nil, ResultSummary{}
+			er.Err = fmt.Errorf("gx: entry %q panicked: %v\n%s", e.Name, v, debug.Stack())
+		}
+	}()
 	er = EntryResult{Name: e.Name, Scenario: e.Scenario}
 	key, cacheable := x.resultKey(e.Scenario)
 	if cacheable {
@@ -167,9 +180,11 @@ func (x *executor) runEntry(e SuiteEntry, cbMu *sync.Mutex) (er EntryResult) {
 		WithObserver(func(st Superstep) {
 			er.Totals.add(st)
 			if x.obs != nil {
+				// Unlocked by defer: a panicking observer fails its own
+				// entry and must not leave the others waiting on the lock.
 				cbMu.Lock()
+				defer cbMu.Unlock()
 				x.obs(e.Name, st)
-				cbMu.Unlock()
 			}
 		}),
 	})

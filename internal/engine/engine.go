@@ -276,6 +276,14 @@ func resolve(cfg Config) (_ *plan, err error) {
 		if !st.Scratch && !cfg.Alg.Hints().Incremental {
 			return nil, fmt.Errorf("engine: algorithm %s does not support incremental recomputation; run its batch stream with \"mode\": \"scratch\"", cfg.Alg.Name())
 		}
+		// Vertex growth depends on the adds alone, so the whole stream is
+		// held to ApplyBatch's growth bound before the seed boundary runs.
+		numV := cfg.Graph.NumVertices()
+		for i, b := range st.Batches {
+			if numV, err = b.GrowVertices(numV); err != nil {
+				return nil, fmt.Errorf("engine: batch %d: %w", i+1, err)
+			}
+		}
 	}
 	if len(cfg.Faults) > 0 && len(cfg.Plug) == 0 {
 		return nil, fmt.Errorf("engine: fault plan requires plugged middleware")
@@ -639,7 +647,7 @@ func (r *runner) loopFrom(start int, carry *gasCarry) (int, error) {
 			return iter, err
 		}
 		if r.traceRec != nil {
-			r.recordTrace()
+			r.traceRec.record(r.attrs, r.active)
 		}
 		iter++
 		if r.cfg.CheckpointEvery > 0 && iter%r.cfg.CheckpointEvery == 0 {

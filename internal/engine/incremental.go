@@ -55,6 +55,32 @@ type trace struct {
 	changed [][]bool
 }
 
+// recycle empties the trace for a new recording that writes over the
+// frames it holds: truncated, not dropped, so record finds them again.
+func (t *trace) recycle() {
+	t.attrs, t.changed = t.attrs[:0], t.changed[:0]
+}
+
+// record appends the state after one superstep.
+func (t *trace) record(attrs []float64, active []bool) {
+	t.attrs = appendFrame(t.attrs, attrs)
+	t.changed = appendFrame(t.changed, active)
+}
+
+// appendFrame appends a copy of src to frames. The copy goes into the
+// frame a recycled trace still holds at that index when there is one —
+// append reallocates it if the vertex count outgrew it.
+func appendFrame[T any](frames [][]T, src []T) [][]T {
+	i := len(frames)
+	if i < cap(frames) {
+		frames = frames[:i+1]
+	} else {
+		frames = append(frames, nil)
+	}
+	frames[i] = append(frames[i][:0], src...)
+	return frames
+}
+
 // BatchResult reports one batch boundary of a dynamic-graph run:
 // boundary 0 is the seed run on the initial graph, boundary k the run
 // after applying batch k. All times are virtual.
@@ -96,14 +122,32 @@ func AttrsDigest(attrs []float64) string {
 // the identical batch-application cost in both modes. In incremental
 // mode every boundary records its trajectory and the next replays it
 // over the dirty cone.
+//
+// What a boundary builds is its graph version, its partitioning and its
+// dirty seed. Everything else is carried across the stream: the seeder's
+// signature buffer (sized once, for the most edges any version can hold)
+// and two traces that trade places — a boundary records over the frames
+// of the trace the previous boundary finished replaying.
 func runStream(p *plan) (*Result, error) {
 	cfg, st := p.cfg, p.cfg.Stream
 	total := &Result{Batches: make([]BatchResult, 0, len(st.Batches)+1)}
 	g, part := cfg.Graph, p.part
-	var prev *trace
+	var seeder dirtySeeder
+	// memo is the trajectory the previous boundary recorded; rec is the
+	// one it replayed, free to be recorded over.
+	var memo, rec *trace
+	if !st.Scratch {
+		maxEdges := g.NumEdges()
+		for _, b := range st.Batches {
+			maxEdges += int64(len(b.Adds))
+		}
+		seeder.sig = make([]sigEntry, 0, maxEdges)
+		memo, rec = &trace{}, &trace{}
+	}
 	for seq := 0; seq <= len(st.Batches); seq++ {
 		br := BatchResult{Seq: seq}
 		var dirty []bool
+		replay := memo
 		if seq > 0 {
 			batch := st.Batches[seq-1]
 			ng, err := g.ApplyBatch(batch)
@@ -116,7 +160,7 @@ func runStream(p *plan) (*Result, error) {
 			if !st.Scratch {
 				// The fold order the memo was computed under is the
 				// previous boundary's partitioning, not the new one.
-				dirty = DirtySeed(g, ng, part, npart)
+				dirty = seeder.seed(g, ng, part, npart)
 				for _, d := range dirty {
 					if d {
 						br.Dirty++
@@ -125,7 +169,7 @@ func runStream(p *plan) (*Result, error) {
 				if ng.NumVertices() != g.NumVertices() {
 					// Vertex growth invalidates the memo entirely (Init
 					// reads NumVertices); the seed is all-dirty anyway.
-					prev = nil
+					replay = nil
 				}
 			}
 			g, part = ng, npart
@@ -135,16 +179,17 @@ func runStream(p *plan) (*Result, error) {
 		r := newRunner(&bp)
 		r.batch = seq
 		if !st.Scratch {
-			r.traceRec = &trace{}
+			rec.recycle()
+			r.traceRec = rec
 			if seq > 0 {
-				r.inc = newIncState(prev, dirty, cfg.Nodes)
+				r.inc = newIncState(replay, dirty, cfg.Nodes)
 			}
 		}
 		res, err := r.run()
 		if err != nil {
 			return nil, fmt.Errorf("engine: batch boundary %d: %w", seq, err)
 		}
-		prev = r.traceRec
+		memo, rec = rec, memo
 		br.Time, br.Iterations, br.AttrsDigest = res.Time, res.Iterations, AttrsDigest(res.Attrs)
 		total.Batches = append(total.Batches, br)
 		// Streams are native-only: no skipped syncs, middleware time or
@@ -224,18 +269,6 @@ func (r *runner) updateCone() {
 	}
 }
 
-// recordTrace appends the current authoritative state to the recorded
-// trajectory after a superstep completes.
-func (r *runner) recordTrace() {
-	t := r.traceRec
-	attrs := make([]float64, len(r.attrs))
-	copy(attrs, r.attrs)
-	changed := make([]bool, len(r.active))
-	copy(changed, r.active)
-	t.attrs = append(t.attrs, attrs)
-	t.changed = append(t.changed, changed)
-}
-
 // DirtySeed computes the static dirty seed between two graph versions
 // under their (engine-default, deterministic) partitionings: the
 // vertices whose superstep results could differ even with identical
@@ -254,7 +287,22 @@ func (r *runner) recordTrace() {
 //
 // A vertex-count change invalidates everything (Init may read
 // NumVertices): the seed is all-dirty and runStream drops the trace.
+//
+// It is the one-shot form of the seeder runStream carries across a
+// stream's boundaries.
 func DirtySeed(oldG, newG *graph.Graph, oldPart, newPart *graph.Partitioning) []bool {
+	return new(dirtySeeder).seed(oldG, newG, oldPart, newPart)
+}
+
+// dirtySeeder computes dirty seeds, keeping its scratch between calls:
+// the new partitioning's fold signature and one cursor per destination.
+// The zero value is ready; the seed a call returns is the caller's.
+type dirtySeeder struct {
+	sig  []sigEntry
+	next []int64
+}
+
+func (s *dirtySeeder) seed(oldG, newG *graph.Graph, oldPart, newPart *graph.Partitioning) []bool {
 	n := newG.NumVertices()
 	dirty := make([]bool, n)
 	if oldG == nil || oldPart == nil ||
@@ -294,10 +342,29 @@ func DirtySeed(oldG, newG *graph.Graph, oldPart, newPart *graph.Partitioning) []
 		}
 	}
 
-	oldSig, newSig := mergeSignature(oldPart), mergeSignature(newPart)
+	// Fold order: only the new partitioning's signature is materialized.
+	// The old one is streamed against it — the old parts in fold order,
+	// each edge compared with the entry its destination's cursor stands
+	// on — which is the element-for-element comparison of the two
+	// signatures without building the second. The cursor bounds (one
+	// sequence a strict prefix of the other) make it complete on its own,
+	// though the degree pass above has dirtied every such vertex already.
+	s.sign(newPart)
+	for j, p := range oldPart.Parts {
+		for _, e := range p.Edges {
+			if dirty[e.Dst] {
+				continue
+			}
+			k := s.next[e.Dst]
+			if k == nInOff[e.Dst+1] || s.sig[k] != (sigEntry{node: int32(j), src: e.Src, w: math.Float64bits(e.Weight)}) {
+				dirty[e.Dst] = true
+				continue
+			}
+			s.next[e.Dst] = k + 1
+		}
+	}
 	for v := 0; v < n; v++ {
-		if !dirty[v] && (oldPart.Owner[v] != newPart.Owner[v] ||
-			!slices.Equal(oldSig[oInOff[v]:oInOff[v+1]], newSig[nInOff[v]:nInOff[v+1]])) {
+		if !dirty[v] && (oldPart.Owner[v] != newPart.Owner[v] || s.next[v] != nInOff[v+1]) {
 			dirty[v] = true
 		}
 	}
@@ -312,22 +379,25 @@ type sigEntry struct {
 	w    uint64
 }
 
-// mergeSignature lists, per destination vertex, the ordered sequence of
-// partition edges that feed its merge — nodes ascending, each node's
-// edges in partition order, exactly the order routeRemote and nativeGen
-// fold messages in. It is a counting sort of every part's edges by
-// destination: every graph edge is in exactly one part, so the counts are
-// the graph's in-degrees and vertex v's sequence is [inOff[v], inOff[v+1])
-// of the result, inOff being the graph's in-CSR offsets.
-func mergeSignature(part *graph.Partitioning) []sigEntry {
+// sign materializes part's merge signature in s.sig and leaves every
+// cursor s.next[v] on the first entry of v's sequence. The signature
+// lists, per destination vertex, the ordered sequence of partition edges
+// that feed its merge — nodes ascending, each node's edges in partition
+// order, exactly the order routeRemote and nativeGen fold messages in. It
+// is a counting sort of every part's edges by destination: every graph
+// edge is in exactly one part, so the counts are the graph's in-degrees
+// and vertex v's sequence is [inOff[v], inOff[v+1]) of s.sig, inOff being
+// the graph's in-CSR offsets.
+func (s *dirtySeeder) sign(part *graph.Partitioning) {
 	_, _, _, inOff, _, _ := part.Graph.CSR()
-	next := slices.Clone(inOff[:len(inOff)-1])
-	sig := make([]sigEntry, part.Graph.NumEdges())
+	starts := inOff[:len(inOff)-1]
+	s.next = append(s.next[:0], starts...)
+	s.sig = slices.Grow(s.sig[:0], int(part.Graph.NumEdges()))[:part.Graph.NumEdges()]
 	for j, p := range part.Parts {
 		for _, e := range p.Edges {
-			sig[next[e.Dst]] = sigEntry{node: int32(j), src: e.Src, w: math.Float64bits(e.Weight)}
-			next[e.Dst]++
+			s.sig[s.next[e.Dst]] = sigEntry{node: int32(j), src: e.Src, w: math.Float64bits(e.Weight)}
+			s.next[e.Dst]++
 		}
 	}
-	return sig
+	copy(s.next, starts)
 }

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"gxplug/internal/algos"
@@ -226,5 +228,125 @@ func TestDirtySeed(t *testing.T) {
 		if !d {
 			t.Fatalf("vertex %d clean after vertex-count change", v)
 		}
+	}
+}
+
+// The seeder materializes one signature and streams the other against
+// it; the oracle materializes both. They must agree vertex for vertex,
+// under every partitioner an engine uses, for localized and for uniform
+// churn — and a seeder carried down a stream (runStream's use: its
+// signature buffer and cursors written over at every boundary, across a
+// vertex-count change too) must agree exactly as the one-shot form does.
+func TestDirtySeedMatchesOracle(t *testing.T) {
+	g0 := incTestGraph(t)
+	partitioners := map[string]func(*graph.Graph, int) *graph.Partitioning{
+		"range":  func(g *graph.Graph, m int) *graph.Partitioning { return graph.EdgeCutByRange(g, m) },
+		"hash":   bspTestSpec().Partition,
+		"greedy": gasTestSpec().Partition,
+	}
+	streams := map[string]gen.BatchesConfig{
+		"small": {Batches: 3, Adds: 6, Removes: 3, Window: 100, Seed: 5},
+		"large": {Batches: 3, Adds: 300, Removes: 150, Window: g0.NumVertices(), Seed: 6},
+	}
+	for pname, partition := range partitioners {
+		for sname, sc := range streams {
+			t.Run(pname+"/"+sname, func(t *testing.T) {
+				batches, err := gen.SynthesizeBatches(g0, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A fourth boundary grows the vertex range (all-dirty, no
+				// signature), a fifth runs the grown cursors again.
+				n := graph.VertexID(g0.NumVertices())
+				batches = append(batches,
+					graph.EdgeBatch{Time: 10, Adds: []graph.Edge{{Src: 0, Dst: n, Weight: 1}}},
+					graph.EdgeBatch{Time: 11, Adds: []graph.Edge{{Src: n, Dst: 1, Weight: 1}}, Removes: batches[0].Adds[:1]})
+				var carried dirtySeeder
+				g, part := g0, partition(g0, 3)
+				for bi, b := range batches {
+					ng, err := g.ApplyBatch(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					npart := partition(ng, 3)
+					want := dirtySeedOracle(g, ng, part, npart)
+					if got := carried.seed(g, ng, part, npart); !slices.Equal(got, want) {
+						t.Fatalf("batch %d: carried seeder diverges from the oracle", bi)
+					}
+					if got := DirtySeed(g, ng, part, npart); !slices.Equal(got, want) {
+						t.Fatalf("batch %d: DirtySeed diverges from the oracle", bi)
+					}
+					clean := 0
+					for _, d := range want {
+						if !d {
+							clean++
+						}
+					}
+					if bi < 3 && (clean == 0 || clean == len(want)) {
+						t.Fatalf("batch %d: %d of %d vertices clean — the comparison is not exercised", bi, clean, len(want))
+					}
+					g, part = ng, npart
+				}
+				// A different node count is all-dirty either way.
+				if got, want := DirtySeed(g0, g0, partition(g0, 2), partition(g0, 3)), dirtySeedOracle(g0, g0, partition(g0, 2), partition(g0, 3)); !slices.Equal(got, want) {
+					t.Fatal("node-count change: DirtySeed diverges from the oracle")
+				}
+			})
+		}
+	}
+}
+
+// allocStream runs a three-batch incremental PageRank stream over orkut
+// (adds per batch as given, half as many removes) and returns the run
+// with the heap bytes it allocated.
+func allocStream(t *testing.T, g *graph.Graph, adds int) (*Result, uint64) {
+	t.Helper()
+	batches, err := gen.SynthesizeBatches(g, gen.BatchesConfig{Batches: 3, Adds: adds, Removes: adds / 2, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Spec: bspTestSpec(), Nodes: 4, Graph: g, Alg: algos.NewPageRank(), MaxIter: 16,
+		Stream: &BatchStream{Batches: batches},
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, after.TotalAlloc - before.TotalAlloc
+}
+
+// What a boundary of an incremental stream allocates is the new graph
+// version (24 B/edge), its partitioning (16 B/edge of part edges) and
+// per-vertex state — not a second copy of the graph on the way there, not
+// a signature per partitioning, not a fresh trace: the stream carries one
+// signature buffer and two traces from its first boundary to its last.
+// The budget is 64 B/edge plus a per-vertex, per-superstep allowance, and
+// the size of the batch does not move it. (Before the direct merge a
+// boundary allocated ~85 B/edge.)
+func TestStreamBoundaryAllocs(t *testing.T) {
+	g, err := gen.Load(gen.Orkut, 2000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perBoundary := func(adds int) float64 {
+		res, bytes := allocStream(t, g, adds)
+		boundaries := float64(len(res.Batches))
+		budget := 64*float64(g.NumEdges()) + 16*float64(g.NumVertices())*float64(res.Iterations)/boundaries
+		got := float64(bytes) / boundaries
+		t.Logf("%d adds/batch: %.0f B/boundary = %.1f B/edge (budget %.0f, %d supersteps)",
+			adds, got, got/float64(g.NumEdges()), budget, res.Iterations)
+		if !raceEnabled && got > budget {
+			t.Errorf("%d adds/batch: a boundary allocates %.0f B, budget %.0f", adds, got, budget)
+		}
+		return got
+	}
+	small, large := perBoundary(12), perBoundary(400)
+	if !raceEnabled && math.Abs(large-small) > 0.05*small {
+		t.Errorf("a boundary allocates %.0f B under 18-mutation batches and %.0f B under 600-mutation ones; want within 5%%", small, large)
 	}
 }

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -13,6 +15,12 @@ import (
 // node and the lowest-index error is returned, keeping failure reporting
 // deterministic regardless of scheduling. With a single worker the loop
 // degenerates to plain sequential execution.
+//
+// A panic in fn — an algorithm's MSGGen or MSGApply is user code — is
+// recovered where it happens and becomes that node's error, under the
+// same lowest-index rule: on a worker goroutine nothing above could
+// recover it, and it would take the process and every other run in it
+// down.
 func parallelNodes(n int, fn func(j int) error) error {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -20,7 +28,7 @@ func parallelNodes(n int, fn func(j int) error) error {
 	}
 	if workers <= 1 {
 		for j := 0; j < n; j++ {
-			if err := fn(j); err != nil {
+			if err := runNode(fn, j); err != nil {
 				return err
 			}
 		}
@@ -39,7 +47,7 @@ func parallelNodes(n int, fn func(j int) error) error {
 				if j >= n {
 					return
 				}
-				errs[j] = fn(j)
+				errs[j] = runNode(fn, j)
 			}
 		}()
 	}
@@ -50,4 +58,15 @@ func parallelNodes(n int, fn func(j int) error) error {
 		}
 	}
 	return nil
+}
+
+// runNode is fn(j) with a panic turned into an error carrying the
+// panic value and the stack it was raised on.
+func runNode(fn func(j int) error, j int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("engine: node %d panicked: %v\n%s", j, v, debug.Stack())
+		}
+	}()
+	return fn(j)
 }

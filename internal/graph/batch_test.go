@@ -62,18 +62,56 @@ func TestApplyBatchAddRemove(t *testing.T) {
 
 func TestApplyBatchGrowsVertexRange(t *testing.T) {
 	g := batchBase(t)
-	ng, err := g.ApplyBatch(EdgeBatch{Adds: []Edge{{2, 6, 1}}})
+	ng, err := g.ApplyBatch(EdgeBatch{Adds: []Edge{{2, 5, 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ng.NumVertices() != 7 {
-		t.Fatalf("NumVertices = %d, want 7", ng.NumVertices())
+	if ng.NumVertices() != 6 {
+		t.Fatalf("NumVertices = %d, want 6", ng.NumVertices())
 	}
-	if ng.OutDegree(5) != 0 || ng.InDegree(5) != 0 {
-		t.Fatal("new vertex 5 should start isolated")
+	if ng.OutDegree(4) != 0 || ng.InDegree(4) != 0 {
+		t.Fatal("new vertex 4 should start isolated")
 	}
-	if ng.InDegree(6) != 1 {
-		t.Fatalf("InDegree(6) = %d, want 1", ng.InDegree(6))
+	if ng.InDegree(5) != 1 {
+		t.Fatalf("InDegree(5) = %d, want 1", ng.InDegree(5))
+	}
+}
+
+// Vertex growth is bounded by the batch's own size: k adds may name ids
+// below numV + 2k and nothing beyond, whatever else the batch holds.
+func TestApplyBatchGrowthBound(t *testing.T) {
+	g := batchBase(t) // 4 vertices
+	cases := []struct {
+		name    string
+		b       EdgeBatch
+		wantV   int
+		wantErr string
+	}{
+		{name: "last id inside the bound", b: EdgeBatch{Adds: []Edge{{2, 5, 1}}}, wantV: 6},
+		{name: "first id beyond it", b: EdgeBatch{Adds: []Edge{{2, 6, 1}}},
+			wantErr: "graph: batch add 0 (2->6) beyond vertex growth bound 6 (4 vertices + 2 per add)"},
+		{name: "source beyond it", b: EdgeBatch{Adds: []Edge{{6, 2, 1}}},
+			wantErr: "graph: batch add 0 (6->2) beyond vertex growth bound 6 (4 vertices + 2 per add)"},
+		{name: "two adds, two new vertices each", b: EdgeBatch{Adds: []Edge{{4, 5, 1}, {6, 7, 1}}}, wantV: 8},
+		{name: "two adds, one id too far", b: EdgeBatch{Adds: []Edge{{4, 5, 1}, {6, 8, 1}}},
+			wantErr: "graph: batch add 1 (6->8) beyond vertex growth bound 8 (4 vertices + 2 per add)"},
+		{name: "removes do not widen it", b: EdgeBatch{Adds: []Edge{{2, 6, 1}}, Removes: []Edge{{0, 1, 0}, {0, 2, 0}}},
+			wantErr: "graph: batch add 0 (2->6) beyond vertex growth bound 6 (4 vertices + 2 per add)"},
+		{name: "the id that took gxd down", b: EdgeBatch{Adds: []Edge{{0, 4000000000, 1}}},
+			wantErr: "graph: batch add 0 (0->4000000000) beyond vertex growth bound 6 (4 vertices + 2 per add)"},
+	}
+	for _, c := range cases {
+		ng, err := g.ApplyBatch(c.b)
+		switch {
+		case c.wantErr != "":
+			if err == nil || err.Error() != c.wantErr {
+				t.Errorf("%s: error %v, want %q", c.name, err, c.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case ng.NumVertices() != c.wantV:
+			t.Errorf("%s: %d vertices, want %d", c.name, ng.NumVertices(), c.wantV)
+		}
 	}
 }
 

@@ -71,20 +71,30 @@ func FromEdges(numV int, edges []Edge) (*Graph, error) {
 		g.outOff[v+1] += g.outOff[v]
 		g.inOff[v+1] += g.inOff[v]
 	}
-	outNext := make([]int64, numV)
-	inNext := make([]int64, numV)
+	// The offset arrays are their own fill cursors: off[v] advances through
+	// v's range, and shiftBack restores it.
 	for _, e := range edges {
-		o := g.outOff[e.Src] + outNext[e.Src]
+		o := g.outOff[e.Src]
 		g.outDst[o] = e.Dst
 		g.outW[o] = e.Weight
-		outNext[e.Src]++
+		g.outOff[e.Src]++
 
-		i := g.inOff[e.Dst] + inNext[e.Dst]
+		i := g.inOff[e.Dst]
 		g.inSrc[i] = e.Src
 		g.inW[i] = e.Weight
-		inNext[e.Dst]++
+		g.inOff[e.Dst]++
 	}
+	shiftBack(g.outOff)
+	shiftBack(g.inOff)
 	return g, nil
+}
+
+// shiftBack restores a CSR offset array that was used as its own fill
+// cursors: once every range is full, off[v] has advanced to what off[v+1]
+// was, so the original is the same values one slot to the right.
+func shiftBack(off []int64) {
+	copy(off[1:], off)
+	off[0] = 0
 }
 
 // MustFromEdges is FromEdges for known-good constant inputs in tests and
@@ -230,8 +240,7 @@ func (g *Graph) Edges() []Edge {
 }
 
 // EdgeRange calls fn for every edge with index in [start, end) in the
-// global source-sorted order. It is the zero-allocation path that block
-// builders use.
+// global source-sorted order, without allocating. Only tests call it.
 func (g *Graph) EdgeRange(start, end int64, fn func(src, dst VertexID, w float64)) {
 	if start < 0 {
 		start = 0

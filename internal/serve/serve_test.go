@@ -177,6 +177,37 @@ func TestServeScenarioSubmission(t *testing.T) {
 // was bounded.
 const absurdNodesBody = `{"engine": "graphx", "algorithm": "pagerank", "dataset": "orkut", "scale": 4000, "nodes": 40000}`
 
+// hostileGrowthBody passes Validate (ids are only bounded by uint32) and
+// used to size a 32 GB offset array in ApplyBatch: a fatal out-of-memory
+// that took the daemon and every queued job with it.
+const hostileGrowthBody = `{"engine":"graphx","algorithm":"pagerank","dataset":"orkut","scale":16000,"nodes":2,"maxiter":2,"batches":{"inline":[{"time":1,"adds":[{"src":0,"dst":4000000000}]}]}}`
+
+// TestServeHostileBatchFailsTheJob: a batch that names a vertex id far
+// beyond the graph is one failed entry — rejected before any boundary
+// runs, so class validation — and the daemon keeps serving.
+func TestServeHostileBatchFailsTheJob(t *testing.T) {
+	_, client := startServer(t, Options{})
+	reply, err := client.Submit([]byte(hostileGrowthBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := client.Result(reply.ID, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed != 1 || res.Supersteps != 0 || res.Entries[0].Class != gx.ClassValidation ||
+		!strings.Contains(res.Entries[0].Err, "batch add 0 (0->4000000000) beyond vertex growth bound") {
+		t.Fatalf("hostile batch: %d failed, %d supersteps, entry %+v", res.Failed, res.Supersteps, res.Entries[0])
+	}
+	reply, err = client.Submit([]byte(suiteBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = client.Result(reply.ID, true); err != nil || res.Failed != 0 {
+		t.Fatalf("job after the hostile one: %v, %+v", err, res)
+	}
+}
+
 // TestServeRejections pins the HTTP error contract: malformed bodies,
 // invalid scenarios, unknown jobs, wrong methods, not-done results.
 func TestServeRejections(t *testing.T) {

@@ -30,6 +30,7 @@ func FuzzSubmitNoPanic(f *testing.F) {
 	f.Add([]byte(`{"engine":"graphx","algorithm":"sssp","dataset":"pinned","nodes":2,"batches":{"stream":"file+batches:/x.gxb"}}`))
 	f.Add([]byte(`{"entries":[]}`))
 	f.Add([]byte(absurdNodesBody))
+	f.Add([]byte(hostileGrowthBody))
 
 	mf := gx.Manifest{Datasets: map[string]string{
 		"pinned": "file+snapshot:/nonexistent.gxsnap#sha256=" + strings.Repeat("ab", 32),
