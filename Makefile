@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet lint deadcode build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic cover fuzz-smoke bench-smoke bench-pair loc ci bench-plan
+.PHONY: all fmt vet lint deadcode build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen cover fuzz-smoke bench-smoke bench-pair loc ci bench-plan
 
 all: ci
 
@@ -98,6 +98,16 @@ race-dynamic:
 	GOMAXPROCS=8 $(GO) test -race -run 'TestDynamicConformance' ./gx
 	GOMAXPROCS=8 $(GO) test -race -run 'TestIncrementalMatchesScratch|TestStreamBoundaryAllocs' ./internal/engine
 
+# The gen kernels generate once per source run on the strength of a
+# declaration (Hints.SourceOnly): both are held bit for bit to the
+# per-edge loops they replaced, and every declaration to its contract.
+# genKernel.chunk is the one place daemon workers share a slab, so its
+# oracle test runs several times with the workers really concurrent.
+race-gen:
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestNativeGenMatchesOracle' ./internal/engine
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenChunkMatchesOracle' -count=10 ./internal/gxplug
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestSourceOnlyDeclarationsHold' ./gx
+
 # Per-package coverage summary, gated on the floors recorded in
 # COVERAGE_baseline.txt for the public API and the engine core. The test
 # run's own status is checked before the floors: a failing suite fails
@@ -142,13 +152,15 @@ fuzz-smoke:
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Paired runs of one benchmark workload on BASE (checked out into a
-# temporary git worktree) and on this tree, alternating which goes first:
+# Paired runs of one benchmark workload on BASE (its committed files
+# unpacked with git archive into a temporary directory) and on this tree,
+# alternating which goes first:
 # the benchmark's -agree per pair, then each side's median and quartiles.
-#   make bench-pair BASE=HEAD~1 WORKLOAD=plugged-warm [PAIRS=10]
+#   make bench-pair BASE=HEAD~1 WORKLOAD=plugged-warm [PAIRS=10] [SEED=42]
 PAIRS ?= 10
+SEED ?= 42
 bench-pair:
-	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
+	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
 
 # Non-test Go line counts per package (benchmark/ excluded), and the
 # total — what CHANGES.md LOC-before/after entries are measured with.
@@ -157,7 +169,7 @@ loc:
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
-ci: fmt lint deadcode build examples race race-boundedcache race-suite race-resume race-serve race-dynamic cover fuzz-smoke bench-smoke
+ci: fmt lint deadcode build examples race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen cover fuzz-smoke bench-smoke
 
 # Record the suite-planner comparison in BENCH_plan.json: predicted vs
 # actual makespans and LPT vs file-order dispatch over a skewed suite

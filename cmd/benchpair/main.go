@@ -1,6 +1,8 @@
 // Command benchpair measures one benchmark workload on a base revision
-// and on the working tree, in pairs (choosing-metrics §8): the base is
-// checked out into a temporary git worktree, both trees run
+// and on the working tree, in pairs (choosing-metrics §8): the base's
+// committed files are unpacked into a temporary directory (git archive
+// piped into tar — nothing is registered in .git, so it works wherever
+// the repository can be read), both trees run
 // benchmark/run.sh --workload W --trace 0 -out, alternating which goes
 // first, each pair is judged by the benchmark's own -agree, and at the
 // end every end-to-end metric is summarized per side — median, quartiles
@@ -54,7 +56,7 @@ func main() {
 	}
 }
 
-func run(base, workload string, pairs int, seed int64) (err error) {
+func run(base, workload string, pairs int, seed int64) error {
 	out, err := exec.Command("git", "rev-parse", "--show-toplevel").Output()
 	if err != nil {
 		return fmt.Errorf("git rev-parse: %w", err)
@@ -66,14 +68,9 @@ func run(base, workload string, pairs int, seed int64) (err error) {
 	}
 	defer os.RemoveAll(tmp)
 	baseTree := filepath.Join(tmp, "base")
-	if err := sh(head, nil, "git", "worktree", "add", "--detach", baseTree, base); err != nil {
+	if err := unpack(head, base, baseTree); err != nil {
 		return err
 	}
-	defer func() {
-		if rmErr := sh(head, nil, "git", "worktree", "remove", "--force", baseTree); err == nil {
-			err = rmErr
-		}
-	}()
 
 	// -agree wants every workload of the descriptor in both reports; the
 	// reports here hold one, so it is given a descriptor that lists one.
@@ -124,6 +121,35 @@ func run(base, workload string, pairs int, seed int64) (err error) {
 			}
 		}
 		fmt.Printf("%-22s A %s  B %s  %s, B better in %d/%d\n", m.Name, quartiles(a), quartiles(b), m.Unit, wins, pairs)
+	}
+	return nil
+}
+
+// unpack extracts revision rev of the repository at repo into dir: git
+// archive rev | tar -x -C dir.
+func unpack(repo, rev, dir string) error {
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		return err
+	}
+	archive := exec.Command("git", "archive", "--format=tar", rev)
+	archive.Dir, archive.Stderr = repo, os.Stderr
+	tar := exec.Command("tar", "-x", "-C", dir)
+	tar.Stderr = os.Stderr
+	pipe, err := archive.StdoutPipe()
+	if err != nil {
+		return err
+	}
+	tar.Stdin = pipe
+	if err := tar.Start(); err != nil {
+		return fmt.Errorf("tar: %w", err)
+	}
+	archiveErr := archive.Run()
+	tarErr := tar.Wait()
+	if archiveErr != nil {
+		return fmt.Errorf("git archive %s: %w", rev, archiveErr)
+	}
+	if tarErr != nil {
+		return fmt.Errorf("tar -x: %w", tarErr)
 	}
 	return nil
 }

@@ -47,12 +47,25 @@ func (f *influence) Init(_ *gx.Context, id gx.VertexID, attr []float64) {
 	}
 }
 
-func (f *influence) MSGGen(ctx *gx.Context, src, dst gx.VertexID, _ float64, srcAttr []float64, emit gx.Emit) {
+func (f *influence) MSGGen(ctx *gx.Context, src, dst gx.VertexID, w float64, srcAttr []float64, emit gx.Emit) {
+	var msg [1]float64
+	if f.MSGGenInto(ctx, src, dst, w, srcAttr, msg[:]) {
+		emit(dst, msg[:])
+	}
+}
+
+// MSGGenInto implements the optional gx.InlineGen fast path: the one
+// message of an edge written into the executor's scratch, no allocation.
+// The contribution is damping·score/outdegree — nothing of dst or w —
+// which is what Hints.SourceOnly below declares, so executors generate
+// it once per source and merge it into each of the source's edges.
+func (f *influence) MSGGenInto(ctx *gx.Context, src, _ gx.VertexID, _ float64, srcAttr, msg []float64) bool {
 	deg := ctx.OutDeg(src)
 	if deg == 0 || srcAttr[0] == 0 {
-		return
+		return false
 	}
-	emit(dst, []float64{f.damping * srcAttr[0] / float64(deg)})
+	msg[0] = f.damping * srcAttr[0] / float64(deg)
+	return true
 }
 
 func (f *influence) MergeIdentity(msg []float64) { msg[0] = 0 }
@@ -78,6 +91,7 @@ func (f *influence) Hints() gx.Hints {
 		ApplyAll:     true,
 		OpsPerEdge:   60,
 		OpsPerVertex: 30,
+		SourceOnly:   true,
 	}
 }
 

@@ -1,10 +1,13 @@
 package gx
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"gxplug/internal/algos"
+	"gxplug/internal/graph"
 )
 
 // exactMerge classifies the built-in algorithms by merge operator. Exact
@@ -161,4 +164,118 @@ func TestConformanceMatrix(t *testing.T) {
 // infinities as equal (unreached SSSP/BFS distances are +Inf).
 func bitEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// sourceOnlyDeclared is what each built-in states in Hints.SourceOnly.
+// SSSP's message carries d+w, so it must never declare the property.
+var sourceOnlyDeclared = map[string]bool{
+	"pagerank": true,
+	"sssp":     false,
+	"lp":       true,
+	"cc":       true,
+	"kcore":    true,
+	"bfs":      true,
+}
+
+// checkSourceOnly is the checker of the Hints.SourceOnly contract for an
+// InlineGen algorithm: over random sources and attribute rows (±0, ±Inf
+// and NaN among them), MSGGenInto must report the same ok and write a
+// bit-identical message whatever dst and w it is handed, and MSGMerge
+// must leave the message it folds untouched — executors generate once per
+// source run and merge that one message into every destination.
+func checkSourceOnly(alg Algorithm, rng *rand.Rand) error {
+	inline, ok := alg.(InlineGen)
+	if !ok {
+		return nil // executors only generate per run through MSGGenInto
+	}
+	const numV = 1000
+	ctx := &Context{
+		NumVertices: numV,
+		OutDeg:      func(v VertexID) int { return int(v) % 5 },
+		InDeg:       func(v VertexID) int { return int(v) % 3 },
+	}
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1, 2, 3}
+	value := func() float64 {
+		if rng.Intn(2) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64() * 100
+	}
+	aw, mw := alg.AttrWidth(), alg.MsgWidth()
+	srcAttr := make([]float64, aw)
+	first, msg, acc := make([]float64, mw), make([]float64, mw), make([]float64, mw)
+	for trial := 0; trial < 400; trial++ {
+		ctx.Iteration = rng.Intn(6)
+		src := VertexID(rng.Intn(numV))
+		for i := range srcAttr {
+			srcAttr[i] = value()
+		}
+		var firstOK bool
+		for edge := 0; edge < 6; edge++ {
+			// The scratch arrives dirty, differently each call: a slot the
+			// algorithm leaves unwritten shows up as a difference.
+			for i := range msg {
+				msg[i] = value()
+			}
+			produced := inline.MSGGenInto(ctx, src, VertexID(rng.Intn(numV)), value(), srcAttr, msg)
+			if edge == 0 {
+				firstOK = produced
+				copy(first, msg)
+				continue
+			}
+			if produced != firstOK {
+				return fmt.Errorf("source %d, attributes %v: MSGGenInto reported %v for one edge and %v for another", src, srcAttr, firstOK, produced)
+			}
+			if produced && !attrsBitEqual(msg, first) {
+				return fmt.Errorf("source %d, attributes %v: message %v for one edge, %v for another", src, srcAttr, first, msg)
+			}
+		}
+		if firstOK {
+			copy(msg, first)
+			alg.MergeIdentity(acc)
+			alg.MSGMerge(acc, msg) // into the identity, then into a row that holds something
+			alg.MSGMerge(acc, msg)
+			if !attrsBitEqual(msg, first) {
+				return fmt.Errorf("source %d, attributes %v: MSGMerge rewrote the message it folded: %v became %v", src, srcAttr, first, msg)
+			}
+		}
+	}
+	return nil
+}
+
+// eagerSSSP is SSSP with a false SourceOnly declaration.
+type eagerSSSP struct{ *algos.SSSPBF }
+
+func (s eagerSSSP) Hints() Hints {
+	h := s.SSSPBF.Hints()
+	h.SourceOnly = true
+	return h
+}
+
+// TestSourceOnlyDeclarationsHold holds every registered algorithm that
+// declares Hints.SourceOnly to the contract, pins which built-ins declare
+// it, and shows the checker catches a false declaration. The end-to-end
+// half of the proof is TestConformanceMatrix: executors trust the
+// declaration while algos.Sequential stays per-edge.
+func TestSourceOnlyDeclarationsHold(t *testing.T) {
+	for _, name := range Algorithms() {
+		alg, err := NewAlgorithm(name, AlgoParams{}, 1000)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		declared := alg.Hints().SourceOnly
+		if want, builtin := sourceOnlyDeclared[name]; builtin && declared != want {
+			t.Errorf("%s: SourceOnly = %v, want %v", name, declared, want)
+		}
+		if !declared {
+			continue
+		}
+		if err := checkSourceOnly(alg, rand.New(rand.NewSource(9))); err != nil {
+			t.Errorf("%s declares SourceOnly: %v", name, err)
+		}
+	}
+	lying := eagerSSSP{algos.NewSSSPBF([]graph.VertexID{0, 1})}
+	if err := checkSourceOnly(lying, rand.New(rand.NewSource(9))); err == nil {
+		t.Error("SSSP declaring SourceOnly passed the checker")
+	}
 }

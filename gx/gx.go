@@ -33,7 +33,10 @@ type (
 	Context = template.Context
 	// Emit delivers one message during MSGGen.
 	Emit = template.Emit
-	// Hints tell engines how to drive and cost an algorithm.
+	// Hints tell engines how to drive and cost an algorithm, and carry
+	// its declared properties: Incremental (safe for trajectory replay)
+	// and SourceOnly (the message depends on the source alone, so
+	// executors generate it once per source).
 	Hints = template.Hints
 	// InlineGen is the optional allocation-free MSGGen fast path.
 	InlineGen = template.InlineGen

@@ -96,7 +96,7 @@ func (b *KHopBFS) MSGApply(_ *template.Context, _ graph.VertexID, attr, msg []fl
 
 // Hints implements template.Algorithm.
 func (b *KHopBFS) Hints() template.Hints {
-	return template.Hints{OpsPerEdge: 20, OpsPerVertex: 10}
+	return template.Hints{OpsPerEdge: 20, OpsPerVertex: 10, SourceOnly: true}
 }
 
 // RefKHopBFS runs the identical bounded BFS sequentially.

@@ -66,7 +66,7 @@ func (c *CC) MSGApply(_ *template.Context, _ graph.VertexID, attr, msg []float64
 
 // Hints implements template.Algorithm.
 func (c *CC) Hints() template.Hints {
-	return template.Hints{OpsPerEdge: 40, OpsPerVertex: 20, Incremental: true}
+	return template.Hints{OpsPerEdge: 40, OpsPerVertex: 20, Incremental: true, SourceOnly: true}
 }
 
 // RefCC runs the identical fixpoint sequentially.

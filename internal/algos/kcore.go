@@ -88,6 +88,7 @@ func (kc *KCore) Hints() template.Hints {
 		ApplyAll:     true,
 		OpsPerEdge:   50,
 		OpsPerVertex: 30,
+		SourceOnly:   true,
 	}
 }
 

@@ -142,6 +142,7 @@ func (l *LP) Hints() template.Hints {
 		MaxIterations: l.MaxIter,
 		OpsPerEdge:    200, // histogram maintenance
 		OpsPerVertex:  60,
+		SourceOnly:    true, // the source's label with count 1
 	}
 }
 

@@ -84,6 +84,7 @@ func (p *PageRank) Hints() template.Hints {
 		OpsPerEdge:   80,
 		OpsPerVertex: 40,
 		Incremental:  true,
+		SourceOnly:   true, // rank/outdeg: the destination and weight never enter
 	}
 }
 

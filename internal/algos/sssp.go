@@ -141,7 +141,8 @@ func (s *SSSPBF) MSGApply(_ *template.Context, _ graph.VertexID, attr, msg []flo
 	return changed
 }
 
-// Hints implements template.Algorithm.
+// Hints implements template.Algorithm. Not SourceOnly: the message is the
+// source's distance plus the edge's weight.
 func (s *SSSPBF) Hints() template.Hints {
 	return template.Hints{
 		OpsPerEdge:   40 * float64(len(s.sources)),

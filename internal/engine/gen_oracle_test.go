@@ -1,0 +1,193 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"gxplug/internal/algos"
+	"gxplug/internal/gen"
+	"gxplug/internal/graph"
+	"gxplug/internal/gxplug"
+	"gxplug/internal/gxplug/template"
+)
+
+// nativeGenOracle is the per-edge nativeGen the source-run walk replaced,
+// verbatim apart from the name: every edge tests the cone and the
+// frontier, slices its source's row and generates its own message. It is
+// the oracle TestNativeGenMatchesOracle holds nativeGen to; nothing
+// outside the tests runs it.
+func (r *runner) nativeGenOracle(j int) *gxplug.GenResult {
+	part := r.part.Parts[j]
+	res := r.nextNativeResult(j)
+	genAll := r.alg.Hints().GenAll
+	deliver := res.Add
+	msgBuf := r.natMsg[j]
+	// Incremental replay: only destinations in the cone can receive a
+	// result differing from the memo, so only their messages are needed.
+	cone := r.inc.coneFilter()
+	edges := 0
+	for _, e := range part.Edges {
+		if cone != nil && !cone[e.Dst] {
+			continue
+		}
+		if !genAll && !r.active[e.Src] {
+			continue
+		}
+		edges++
+		src := e.Src
+		srcAttr := r.attrs[int(src)*r.aw : (int(src)+1)*r.aw]
+		if r.inlineGen != nil {
+			if r.inlineGen.MSGGenInto(r.ctx, src, e.Dst, e.Weight, srcAttr, msgBuf) {
+				res.Add(e.Dst, msgBuf)
+			}
+			continue
+		}
+		r.alg.MSGGen(r.ctx, src, e.Dst, e.Weight, srcAttr, deliver)
+	}
+	res.Entities = edges
+	r.chargeNative(j, genOps(float64(edges), r.alg.Hints()))
+	return res
+}
+
+// genericOnly hides an algorithm's InlineGen (and Sourced) methods, so
+// the executor takes the MSGGen+emit path.
+type genericOnly struct{ template.Algorithm }
+
+// randomFlags returns n flags, each set with probability p; exactlyOne
+// sets a single random flag instead.
+func randomFlags(rng *rand.Rand, n int, p float64, exactlyOne bool) []bool {
+	f := make([]bool, n)
+	if exactlyOne {
+		f[rng.Intn(n)] = true
+		return f
+	}
+	for i := range f {
+		f[i] = rng.Float64() < p
+	}
+	return f
+}
+
+// TestNativeGenMatchesOracle compares the source-run nativeGen with the
+// per-edge loop it replaced on both engine shapes (edge-cut BSP as
+// graphx, vertex-cut GAS as powergraph), for every built-in algorithm
+// plus one forced onto the generic MSGGen path, over frontier densities
+// {empty, one vertex, ~1 %, ~50 %, full} × cone filters {none, sparse,
+// dense}, from attribute state two supersteps into a run. One graph
+// leaves most parts without a single edge. Per destination buffer the
+// accumulator bits, the received flags, the first-touch order and the
+// entity count must all be equal.
+func TestNativeGenMatchesOracle(t *testing.T) {
+	rmat, err := gen.RMAT(gen.RMATConfig{NumVertices: 400, NumEdges: 3000, A: 0.57, B: 0.19, C: 0.19, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Edges leave three vertices only: under an edge-cut most of the
+	// eight parts own no edge at all.
+	var hub []graph.Edge
+	for i := 0; i < 240; i++ {
+		hub = append(hub, graph.Edge{Src: graph.VertexID(i % 3), Dst: graph.VertexID(3 + i%77), Weight: float64(1 + i%5)})
+	}
+	graphs := []struct {
+		name  string
+		g     *graph.Graph
+		nodes int
+	}{
+		{"rmat", rmat, 4},
+		{"hub", graph.MustFromEdges(80, hub), 8},
+	}
+	specs := []struct {
+		name string
+		spec Spec
+	}{{"graphx", bspTestSpec()}, {"powergraph", gasTestSpec()}}
+	frontiers := []struct {
+		name string
+		p    float64
+		one  bool
+	}{{"empty", 0, false}, {"one", 0, true}, {"1pct", 0.01, false}, {"50pct", 0.5, false}, {"full", 1, false}}
+	cones := []struct {
+		name string
+		p    float64 // < 0: no filter
+	}{{"none", -1}, {"sparse", 0.03}, {"dense", 0.7}}
+
+	for _, gc := range graphs {
+		srcs := algos.DefaultSources(gc.g.NumVertices())
+		algsUnderTest := []struct {
+			name string
+			mk   func() template.Algorithm
+		}{
+			{"pagerank", func() template.Algorithm { return algos.NewPageRank() }},
+			{"cc", func() template.Algorithm { return algos.NewCC() }},
+			{"lp", func() template.Algorithm { return algos.NewLP() }},
+			{"bfs", func() template.Algorithm { return algos.NewKHopBFS(srcs, 0) }},
+			{"kcore", func() template.Algorithm { return algos.NewKCore(3) }},
+			{"sssp", func() template.Algorithm { return algos.NewSSSPBF(srcs) }},
+			{"generic-pagerank", func() template.Algorithm { return genericOnly{algos.NewPageRank()} }},
+		}
+		for _, sc := range specs {
+			for _, ac := range algsUnderTest {
+				t.Run(gc.name+"/"+sc.name+"/"+ac.name, func(t *testing.T) {
+					r := routingRunner(t, sc.spec, gc.g, gc.nodes, ac.mk())
+					if gc.name == "hub" && sc.name == "graphx" &&
+						!slices.ContainsFunc(r.part.Parts, func(p *graph.Partition) bool { return len(p.Edges) == 0 }) {
+						t.Fatal("the hub graph was meant to leave a part without edges")
+					}
+					// Two supersteps in, attributes are no longer the initial
+					// ones: hop counts, peeled vertices, labels and ranks vary.
+					for iter := 0; iter < 2; iter++ {
+						r.ctx.Iteration = iter
+						if _, err := r.iterateBSP(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					r.ctx.Iteration = 2
+					rng := rand.New(rand.NewSource(77))
+					n := gc.g.NumVertices()
+					for _, fc := range frontiers {
+						for _, cc := range cones {
+							copy(r.active, randomFlags(rng, n, fc.p, fc.one))
+							r.inc = nil
+							if cc.p >= 0 {
+								r.inc = &incState{cone: randomFlags(rng, n, cc.p, false)}
+							}
+							for j := range r.part.Parts {
+								r.nativeFlip = 0
+								got := r.nativeGen(j)
+								r.nativeFlip = 1
+								want := r.nativeGenOracle(j)
+								if err := sameGenResult(got, want); err != nil {
+									t.Fatalf("frontier %s, cone %s, node %d: %v", fc.name, cc.name, j, err)
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// sameGenResult reports the first difference between two results: entity
+// count, then per destination the first-touch order, the received flags
+// and the whole accumulator, bit for bit.
+func sameGenResult(got, want *gxplug.GenResult) error {
+	if got.Entities != want.Entities {
+		return fmt.Errorf("Entities %d, oracle %d", got.Entities, want.Entities)
+	}
+	for o := range want.To {
+		g, w := got.To[o], want.To[o]
+		if !slices.Equal(g.Touched(), w.Touched()) {
+			return fmt.Errorf("To[%d] first-touch order %v, oracle %v", o, g.Touched(), w.Touched())
+		}
+		for row := 0; row < w.Rows(); row++ {
+			if g.Recv(int32(row)) != w.Recv(int32(row)) {
+				return fmt.Errorf("To[%d] recv[%d] = %v, oracle %v", o, row, g.Recv(int32(row)), w.Recv(int32(row)))
+			}
+		}
+		if !attrsBitEqual(g.Acc(), w.Acc()) {
+			return fmt.Errorf("To[%d] accumulator %v, oracle %v", o, g.Acc(), w.Acc())
+		}
+	}
+	return nil
+}

@@ -373,39 +373,63 @@ func (r *runner) nextNativeResult(j int) *gxplug.GenResult {
 }
 
 // nativeGen runs MSGGen+combine for one node on the engine's built-in
-// executor, charging upper-bucket compute time. Every message merges
-// into its destination owner's slot of the result through the
-// partitioning's routing index, with no per-edge map traffic.
+// executor, charging upper-bucket compute time. part.Edges is grouped by
+// source, so the walk is over source runs, in table order: the frontier
+// is tested and the attribute row sliced once per run, and an InlineGen
+// algorithm that declares Hints.SourceOnly generates once per run — at
+// its first edge that passes the cone filter, so a source with no edge
+// into the cone costs nothing — and that one message merges into every
+// passing destination. Edges are still visited in table order and every
+// message still merges into its owner's slot through the partitioning's
+// routing index, so per row the MSGMerge sequence, and per buffer the
+// first-touch order, are those of a per-edge loop.
 func (r *runner) nativeGen(j int) *gxplug.GenResult {
 	part := r.part.Parts[j]
 	res := r.nextNativeResult(j)
-	genAll := r.alg.Hints().GenAll
+	hints := r.alg.Hints()
+	inline := r.inlineGen
+	perRun := inline != nil && hints.SourceOnly
+	to, owner, masterRow := res.To, r.part.Owner, r.part.MasterRow
 	deliver := res.Add
-	msgBuf := r.natMsg[j]
+	msg := r.natMsg[j]
 	// Incremental replay: only destinations in the cone can receive a
 	// result differing from the memo, so only their messages are needed.
 	cone := r.inc.coneFilter()
 	edges := 0
-	for _, e := range part.Edges {
-		if cone != nil && !cone[e.Dst] {
+	for rest := part.Edges; len(rest) > 0; {
+		src := rest[0].Src
+		n := 1
+		for n < len(rest) && rest[n].Src == src {
+			n++
+		}
+		run := rest[:n]
+		rest = rest[n:]
+		if !hints.GenAll && !r.active[src] {
 			continue
 		}
-		if !genAll && !r.active[e.Src] {
-			continue
-		}
-		edges++
-		src := e.Src
 		srcAttr := r.attrs[int(src)*r.aw : (int(src)+1)*r.aw]
-		if r.inlineGen != nil {
-			if r.inlineGen.MSGGenInto(r.ctx, src, e.Dst, e.Weight, srcAttr, msgBuf) {
-				res.Add(e.Dst, msgBuf)
+		generate, ok := true, false // generate: the next passing edge calls MSGGenInto
+		for i := range run {
+			e := &run[i]
+			if cone != nil && !cone[e.Dst] {
+				continue
 			}
-			continue
+			edges++
+			if inline == nil {
+				r.alg.MSGGen(r.ctx, src, e.Dst, e.Weight, srcAttr, deliver)
+				continue
+			}
+			if generate {
+				ok = inline.MSGGenInto(r.ctx, src, e.Dst, e.Weight, srcAttr, msg)
+				generate = !perRun
+			}
+			if ok {
+				to[owner[e.Dst]].Merge(masterRow[e.Dst], msg)
+			}
 		}
-		r.alg.MSGGen(r.ctx, src, e.Dst, e.Weight, srcAttr, deliver)
 	}
 	res.Entities = edges
-	r.chargeNative(j, genOps(float64(edges), r.alg.Hints()))
+	r.chargeNative(j, genOps(float64(edges), hints))
 	return res
 }
 

@@ -354,6 +354,13 @@ func (k *genKernel) claim() {
 	}
 }
 
+// chunk computes one chunk's partial. Blocks are cut from the
+// source-grouped edge table, so the triplets of one SrcRow form a run: the
+// source's row is looked up once per run, and an InlineGen algorithm that
+// declares Hints.SourceOnly generates once per run and merges that one
+// message into every destination — the value, and the order it is merged
+// in, of a per-triplet loop. A run split by the chunk boundary simply
+// generates again at the start of the next chunk.
 func (k *genKernel) chunk(c int) {
 	alg, ctx, eb, vb, msgW := k.alg, k.ctx, k.eb, k.vb, k.msgW
 	nV := len(vb.IDs)
@@ -366,14 +373,29 @@ func (k *genKernel) chunk(c int) {
 		alg.MergeIdentity(acc[r*msgW : (r+1)*msgW])
 		recv[r] = false
 	}
-	lo, hi := c*genChunk, min((c+1)*genChunk, len(eb.Triplets))
+	ts := eb.Triplets[c*genChunk : min((c+1)*genChunk, len(eb.Triplets))]
 	if inline, ok := alg.(template.InlineGen); ok {
-		for i := lo; i < hi; i++ {
-			t := &eb.Triplets[i]
-			if inline.MSGGenInto(ctx, t.Src, t.Dst, t.W, vb.Row(int(t.SrcRow)), msgBuf) {
-				row := int(t.DstRow)
-				alg.MSGMerge(acc[row*msgW:(row+1)*msgW], msgBuf)
-				recv[row] = true
+		perRun := alg.Hints().SourceOnly
+		for rest := ts; len(rest) > 0; {
+			srcRow := rest[0].SrcRow
+			n := 1
+			for n < len(rest) && rest[n].SrcRow == srcRow {
+				n++
+			}
+			run := rest[:n]
+			rest = rest[n:]
+			srcAttr := vb.Row(int(srcRow))
+			produced := false
+			for i := range run {
+				t := &run[i]
+				if !perRun || i == 0 {
+					produced = inline.MSGGenInto(ctx, t.Src, t.Dst, t.W, srcAttr, msgBuf)
+				}
+				if produced {
+					row := int(t.DstRow)
+					alg.MSGMerge(acc[row*msgW:(row+1)*msgW], msgBuf)
+					recv[row] = true
+				}
 			}
 		}
 		return
@@ -383,8 +405,8 @@ func (k *genKernel) chunk(c int) {
 		alg.MSGMerge(acc[row*msgW:(row+1)*msgW], msg)
 		recv[row] = true
 	}
-	for i := lo; i < hi; i++ {
-		t := &eb.Triplets[i]
+	for i := range ts {
+		t := &ts[i]
 		row = int(t.DstRow)
 		alg.MSGGen(ctx, t.Src, t.Dst, t.W, vb.Row(int(t.SrcRow)), emit)
 	}

@@ -29,16 +29,21 @@ type MsgBuf struct {
 // All rows start at the merge identity.
 func NewMsgBuf(alg template.Algorithm, rows int) *MsgBuf {
 	mw := alg.MsgWidth()
-	b := &MsgBuf{
-		alg:  alg,
-		mw:   mw,
-		acc:  make([]float64, rows*mw),
-		recv: make([]bool, rows),
-	}
-	for i := 0; i < rows; i++ {
-		alg.MergeIdentity(b.acc[i*mw : (i+1)*mw])
-	}
+	b := &MsgBuf{alg: alg, mw: mw, acc: make([]float64, rows*mw), recv: make([]bool, rows)}
+	fillIdentity(alg, b.acc, mw)
 	return b
+}
+
+// fillIdentity sets every mw-wide row of acc to alg's merge identity: one
+// MergeIdentity call, then doubling copies of what is already filled.
+func fillIdentity(alg template.Algorithm, acc []float64, mw int) {
+	if len(acc) == 0 {
+		return
+	}
+	alg.MergeIdentity(acc[:mw])
+	for filled := mw; filled < len(acc); filled *= 2 {
+		copy(acc[filled:], acc[:filled])
+	}
 }
 
 // Reset empties the buffer, re-identifying only the touched rows.
@@ -103,11 +108,25 @@ type GenResult struct {
 	self int
 }
 
-// NewGenResult allocates a reusable result for node self of a partitioning.
+// NewGenResult allocates a reusable result for node self of a
+// partitioning. Its buffers are windows of one accumulator slab and one
+// flag slab (a row per master of every node), capped so that no buffer can
+// reach into its neighbour.
 func NewGenResult(alg template.Algorithm, part *graph.Partitioning, self int) *GenResult {
+	mw := alg.MsgWidth()
+	rows := 0
+	for _, p := range part.Parts {
+		rows += len(p.Masters)
+	}
+	acc, recv := make([]float64, rows*mw), make([]bool, rows)
+	fillIdentity(alg, acc, mw)
+	bufs := make([]MsgBuf, len(part.Parts))
 	res := &GenResult{To: make([]*MsgBuf, len(part.Parts)), part: part, self: self}
 	for o, p := range part.Parts {
-		res.To[o] = NewMsgBuf(alg, len(p.Masters))
+		n := len(p.Masters)
+		bufs[o] = MsgBuf{alg: alg, mw: mw, acc: acc[: n*mw : n*mw], recv: recv[:n:n]}
+		acc, recv = acc[n*mw:], recv[n:]
+		res.To[o] = &bufs[o]
 	}
 	return res
 }

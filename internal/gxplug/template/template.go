@@ -89,6 +89,17 @@ type Hints struct {
 	// state. All template algorithms satisfy this structurally; the flag
 	// is an explicit opt-in so new algorithms state the property.
 	Incremental bool
+	// SourceOnly declares that the message an edge carries depends only on
+	// the source — its id, its attribute row and the Context — never on
+	// dst or w, and that MSGMerge leaves the msg it folds untouched. Edge
+	// tables are grouped by source, so executors call an InlineGen
+	// implementation once per source run and merge that one message into
+	// every destination of the run, instead of regenerating the same
+	// value per edge. SSSP, whose message is d+w, must not declare it.
+	// The sequential reference (Drive, algos.Sequential) ignores the flag
+	// and stays per-edge: agreeing with it bit for bit is what proves a
+	// declaration.
+	SourceOnly bool
 }
 
 // InitialFrontier returns the initially active vertices for an algorithm.
