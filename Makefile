@@ -1,11 +1,11 @@
 # Developer entry points. `make ci` is what the repository considers its
 # gate: gofmt, vet, build (including every example), and the short test
-# suite under the race detector (GOMAXPROCS is raised so the parallel
-# superstep fan-out really runs concurrently even on small machines).
+# suite under the race detector (GOMAXPROCS is raised so the host
+# fan-out really runs concurrently even on small machines).
 
 GO ?= go
 
-.PHONY: all fmt vet lint deadcode build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen cover fuzz-smoke bench-smoke bench-pair loc ci bench-plan
+.PHONY: all fmt vet lint deadcode build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke bench-pair loc ci bench-plan
 
 all: ci
 
@@ -101,12 +101,25 @@ race-dynamic:
 # The gen kernels generate once per source run on the strength of a
 # declaration (Hints.SourceOnly): both are held bit for bit to the
 # per-edge loops they replaced, and every declaration to its contract.
-# genKernel.chunk is the one place daemon workers share a slab, so its
-# oracle test runs several times with the workers really concurrent.
+# genKernel.chunk is the one place concurrent kernel calls share a slab
+# (a launch's chunks run on the host helpers, each in its own window of
+# the partials), so its oracle test runs several times at GOMAXPROCS 8.
 race-gen:
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestNativeGenMatchesOracle' ./internal/engine
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenChunkMatchesOracle' -count=10 ./internal/gxplug
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestSourceOnlyDeclarationsHold' ./gx
+
+# The one host fan-out and the panic boundary it carries: par.Do's own
+# contract (every index once, the serial loop's error, nested Dos, the
+# back-to-back hand-off, no steady allocation), the device launch that
+# runs every kernel through it, the suite cells whose MSGGen, MSGApply and
+# MSGMerge panic natively and on a plugged daemon, and the failed runs
+# that must leave no daemon behind — helpers really concurrent.
+race-par:
+	GOMAXPROCS=8 $(GO) test -race ./internal/par ./internal/device
+	GOMAXPROCS=8 $(GO) test -race -run 'TestSuitePanickingAlgorithmFailsOneEntry|TestFailedPluggedRunReleasesDaemons' ./gx
+	GOMAXPROCS=8 $(GO) test -race -run 'TestFailedRunReleasesIPC' ./internal/engine
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenChunkMatchesOracle' -count=10 ./internal/gxplug
 
 # Per-package coverage summary, gated on the floors recorded in
 # COVERAGE_baseline.txt for the public API and the engine core. The test
@@ -169,7 +182,7 @@ loc:
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
-ci: fmt lint deadcode build examples race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen cover fuzz-smoke bench-smoke
+ci: fmt lint deadcode build examples race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke
 
 # Record the suite-planner comparison in BENCH_plan.json: predicted vs
 # actual makespans and LPT vs file-order dispatch over a skewed suite

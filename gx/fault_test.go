@@ -495,3 +495,43 @@ func flipHex(sum string) string {
 	}
 	return r + sum[1:]
 }
+
+// TestFailedPluggedRunReleasesDaemons: a plugged run that fails after its
+// agents connected — every fatal fault kind, and a kernel panic —
+// disconnects them on the way out. A daemon left behind is a goroutine
+// blocked in Msgrcv for the life of the process (and its three segments
+// and two queues with it), so after a warm-up round further failing runs
+// must leave the goroutine count where it was.
+func TestFailedPluggedRunReleasesDaemons(t *testing.T) {
+	if err := registerPanickingAlgorithms(); err != nil {
+		t.Fatal(err)
+	}
+	base := Scenario{Engine: "graphx", Algorithm: "cc", Dataset: "orkut", Scale: 20000, Nodes: 4, Accel: "gpu"}
+	var failing []Scenario
+	for _, f := range []FaultSpec{
+		{Kind: FaultAccelOOM, Node: 1, Superstep: 1},
+		{Kind: FaultDaemonCrash, Node: 2, Superstep: 1},
+		{Kind: FaultMsgStall, Node: 3, Superstep: 0, Param: 1000}, // past the retry budget
+	} {
+		s := base
+		s.Faults = []FaultSpec{f}
+		failing = append(failing, s)
+	}
+	panicking := base
+	panicking.Algorithm = "test-apply-panics"
+	failing = append(failing, panicking)
+
+	round := func() {
+		for _, s := range failing {
+			if res, err := Run(s); err == nil {
+				t.Fatalf("%s with faults %v ran to completion in %d supersteps", s.Algorithm, s.Faults, res.Iterations)
+			}
+		}
+	}
+	round()
+	before := settledGoroutines()
+	for i := 0; i < 3; i++ {
+		round()
+	}
+	checkGoroutines(t, before, "after 12 failed plugged runs")
+}

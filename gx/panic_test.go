@@ -1,19 +1,25 @@
 package gx
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"gxplug/internal/algos"
 	"gxplug/internal/graph"
+	"gxplug/internal/par"
 )
 
 // A job runs user code — registered algorithms on the engine's node
-// workers, the suite observer on the pool worker — and a panic in it
-// must fail that job alone: one failed entry of class run carrying the
-// panic value, the suite's other entries finished with the digests they
-// have without it, the process alive.
+// workers and, plugged, as the daemons' device kernels; the suite observer
+// on the pool worker — and a panic in it must fail that job alone: one
+// failed entry of class run carrying the panic value, the suite's other
+// entries finished with the digests they have without it, the process
+// alive, and no daemon of the failed job left behind.
 
 // genPanicsAt is CC whose MSGGen panics on edges out of one vertex.
 type genPanicsAt struct {
@@ -27,6 +33,95 @@ func (a genPanicsAt) MSGGen(ctx *Context, src, dst graph.VertexID, w float64, sr
 	}
 	a.Algorithm.MSGGen(ctx, src, dst, w, srcAttr, emit)
 }
+
+// applyPanicsAt is CC whose MSGApply panics on one vertex.
+type applyPanicsAt struct {
+	Algorithm
+	id graph.VertexID
+}
+
+func (a applyPanicsAt) MSGApply(ctx *Context, id graph.VertexID, attr, msg []float64, received bool) bool {
+	if id == a.id {
+		panic("synthetic MSGApply panic")
+	}
+	return a.Algorithm.MSGApply(ctx, id, attr, msg, received)
+}
+
+// mergePanicsOn is CC whose MSGMerge panics on one vertex's label — the
+// message that vertex sends in superstep 0.
+type mergePanicsOn struct {
+	Algorithm
+	label float64
+}
+
+func (a mergePanicsOn) MSGMerge(acc, msg []float64) {
+	if msg[0] == a.label {
+		panic("synthetic MSGMerge panic")
+	}
+	a.Algorithm.MSGMerge(acc, msg)
+}
+
+// settledGoroutines makes the host helper pool spawn every helper it will
+// ever have at this GOMAXPROCS — each item waits for all the others to
+// have started — and returns the goroutine count, which from then on only
+// a leak can raise.
+func settledGoroutines() int {
+	n := runtime.GOMAXPROCS(0)
+	var started sync.WaitGroup
+	started.Add(n)
+	_ = par.Do(n, func(int) error {
+		started.Done()
+		started.Wait()
+		return nil
+	})
+	return runtime.NumGoroutine()
+}
+
+// checkGoroutines fails the test if more goroutines are alive than before.
+// A goroutine that has released its WaitGroup is still counted until it
+// has returned, so the count is given a moment to come down.
+func checkGoroutines(t *testing.T, before int, what string) {
+	t.Helper()
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
+		t.Errorf("%s: %d goroutines alive, %d before", what, after, before)
+	}
+}
+
+// registerPanickingAlgorithms registers, once per process, CC variants
+// whose MSGGen, MSGApply and MSGMerge panic at one vertex with out-edges
+// that graphx's range cut masters on node 2 of 4: only that node meets
+// the panic.
+var registerPanickingAlgorithms = sync.OnceValue(func() error {
+	g, err := LoadDataset("orkut", 20000, 0)
+	if err != nil {
+		return err
+	}
+	part := graph.EdgeCutByRange(g, 4)
+	src := -1
+	for v := 0; v < g.NumVertices() && src < 0; v++ {
+		if part.Owner[v] == 2 && g.OutDegree(graph.VertexID(v)) > 0 {
+			src = v
+		}
+	}
+	if src < 0 {
+		return errors.New("node 2 masters no vertex with out-edges")
+	}
+	for name, alg := range map[string]Algorithm{
+		"test-gen-panics":   genPanicsAt{Algorithm: algos.NewCC(), src: graph.VertexID(src)},
+		"test-apply-panics": applyPanicsAt{Algorithm: algos.NewCC(), id: graph.VertexID(src)},
+		"test-merge-panics": mergePanicsOn{Algorithm: algos.NewCC(), label: float64(src)},
+	} {
+		RegisterAlgorithm(AlgorithmDef{
+			Name: name,
+			New:  func(AlgoParams, int) (Algorithm, error) { return alg, nil },
+		})
+	}
+	return nil
+})
 
 func panicSuite() Suite {
 	return Suite{Entries: []SuiteEntry{
@@ -64,38 +159,31 @@ func TestSuitePanickingAlgorithmFailsOneEntry(t *testing.T) {
 	if err != nil || clean.Failed() != 0 {
 		t.Fatal(err, clean.Err())
 	}
-	// A vertex with out-edges that graphx's range cut masters on node 2 of
-	// 4: only that node's gen worker meets the panic.
-	g, err := LoadDataset("orkut", 20000, 0)
-	if err != nil {
+	if err := registerPanickingAlgorithms(); err != nil {
 		t.Fatal(err)
 	}
-	part := graph.EdgeCutByRange(g, 4)
-	src := -1
-	for v := 0; v < g.NumVertices() && src < 0; v++ {
-		if part.Owner[v] == 2 && g.OutDegree(graph.VertexID(v)) > 0 {
-			src = v
-		}
-	}
-	if src < 0 {
-		t.Fatal("node 2 masters no vertex with out-edges")
-	}
-	RegisterAlgorithm(AlgorithmDef{
-		Name: "test-gen-panics",
-		New: func(AlgoParams, int) (Algorithm, error) {
-			return genPanicsAt{Algorithm: algos.NewCC(), src: graph.VertexID(src)}, nil
-		},
-	})
-	suite := panicSuite()
-	suite.Entries[1].Algorithm = "test-gen-panics"
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		res, err := RunSuite(suite, WithPool(2))
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatal(err)
+		before := settledGoroutines()
+		for _, cell := range []struct{ algorithm, accel, want string }{
+			{"test-gen-panics", "none", "engine: node 2 panicked: synthetic MSGGen panic"},
+			// Plugged, the kernels run on the daemons' devices: the panic
+			// comes back through the device, the daemon's reply and the
+			// agent as node 2's error.
+			{"test-gen-panics", "gpu", "device V100: kernel: par: item 0 panicked: synthetic MSGGen panic"},
+			{"test-apply-panics", "gpu", "device V100: kernel: par: item 0 panicked: synthetic MSGApply panic"},
+			{"test-merge-panics", "gpu", "device V100: kernel: par: item 0 panicked: synthetic MSGMerge panic"},
+		} {
+			suite := panicSuite()
+			suite.Entries[1].Algorithm, suite.Entries[1].Accel = cell.algorithm, cell.accel
+			res, err := RunSuite(suite, WithPool(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkOneFailed(t, res, clean, cell.want)
+			checkGoroutines(t, before, fmt.Sprintf("GOMAXPROCS %d, %s on %s", procs, cell.algorithm, cell.accel))
 		}
-		checkOneFailed(t, res, clean, "engine: node 2 panicked: synthetic MSGGen panic")
+		runtime.GOMAXPROCS(prev)
 	}
 }
 

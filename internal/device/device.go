@@ -2,10 +2,10 @@
 // many-core CPUs and GPUs (§V-A treats a 20-thread CPU and a 1024-thread
 // V100 GPU as the two accelerator classes).
 //
-// A Device executes kernels for real — the kernel body runs on a bounded
-// host worker pool over the actual data, so results are exact — while the
-// time it reports comes from a calibrated virtual cost model with the
-// three components the paper's pipeline analysis identifies (§III-A3):
+// A Device executes kernels for real — the kernel body runs on the host
+// helper pool (internal/par) over the actual data, so results are exact —
+// while the time it reports comes from a calibrated virtual cost model with
+// the three components the paper's pipeline analysis identifies (§III-A3):
 //
 //	T_c(b) = T_call + T_copy(b) + T_comp(b)
 //
@@ -21,10 +21,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
+	"gxplug/internal/par"
 	"gxplug/internal/simtime"
 )
 
@@ -171,7 +171,13 @@ type Device struct {
 	allocated   int64
 	initCount   int // how many times Init paid the bring-up cost
 
-	pool *workerPool
+	// A device runs one kernel at a time: k and n are the running launch's,
+	// under running. grain is runGrain, bound once, so that launching a
+	// kernel itself bound once (gen: a launch per block) allocates nothing.
+	running sync.Mutex
+	k       Kernel
+	n       int
+	grain   func(g int) error
 }
 
 // New creates a device from a validated spec. It panics on an invalid
@@ -180,7 +186,9 @@ func New(spec Spec) *Device {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	return &Device{spec: spec, pool: sharedPool()}
+	d := &Device{spec: spec}
+	d.grain = d.runGrain
+	return d
 }
 
 // Spec returns the device's model parameters.
@@ -210,13 +218,6 @@ func (d *Device) Shutdown() {
 	d.allocated = 0
 }
 
-// InitCount reports how many times the bring-up cost has been paid.
-func (d *Device) InitCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.initCount
-}
-
 // Alloc reserves n bytes of device memory, failing with ErrOutOfMemory if
 // the capacity would be exceeded.
 func (d *Device) Alloc(n int64) error {
@@ -236,31 +237,20 @@ func (d *Device) Alloc(n int64) error {
 	return nil
 }
 
-// Free releases n bytes of device memory.
-func (d *Device) Free(n int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.allocated -= n
-	if d.allocated < 0 {
-		d.allocated = 0
-	}
-}
-
-// Allocated reports current device memory use.
-func (d *Device) Allocated() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.allocated
-}
-
 // Kernel is a data-parallel kernel body: it must process items [start,end)
 // and be safe to run concurrently on disjoint ranges.
 type Kernel func(start, end int)
 
+// Grain is the number of items one kernel call covers: Launch splits
+// [0, n) at multiples of it whatever the host, so what a kernel accumulates
+// per call does not depend on GOMAXPROCS.
+const Grain = 2048
+
 // Launch executes a kernel over n items and returns the virtual time
 // charged: launch latency + copy of bytesIn+bytesOut over the device link
 // + opsPerItem*n over the device's effective compute rate. The kernel body
-// runs for real on the host worker pool.
+// runs for real, one call per grain, on the host helper pool; a panic in
+// it is the launch's error. A nil kernel charges without running anything.
 func (d *Device) Launch(n int, bytesIn, bytesOut int64, opsPerItem float64, k Kernel) (time.Duration, error) {
 	d.mu.Lock()
 	if !d.initialized {
@@ -272,9 +262,22 @@ func (d *Device) Launch(n int, bytesIn, bytesOut int64, opsPerItem float64, k Ke
 		return 0, fmt.Errorf("device %s: launch with n=%d", d.spec.Name, n)
 	}
 	if n > 0 && k != nil {
-		d.pool.run(n, k)
+		d.running.Lock()
+		d.k, d.n = k, n
+		err := par.Do((n+Grain-1)/Grain, d.grain)
+		d.k = nil
+		d.running.Unlock()
+		if err != nil { // its recovered panic; %v, as the grain it names is no caller's index
+			return 0, fmt.Errorf("device %s: kernel: %v", d.spec.Name, err)
+		}
 	}
 	return d.cost(n, bytesIn, bytesOut, opsPerItem), nil
+}
+
+// runGrain is the running kernel's call for grain g.
+func (d *Device) runGrain(g int) error {
+	d.k(g*Grain, min((g+1)*Grain, d.n))
+	return nil
 }
 
 // cost computes the virtual time of one launch without running anything.
@@ -312,49 +315,4 @@ func (d *Device) busyThreads(n int) int {
 		p = 1
 	}
 	return p
-}
-
-// workerPool executes kernels on real host CPUs. It is shared by all
-// simulated devices: simulated parallelism (Spec.Threads) is an accounting
-// concept, host parallelism is bounded by GOMAXPROCS.
-type workerPool struct {
-	workers int
-}
-
-var (
-	poolOnce sync.Once
-	pool     *workerPool
-)
-
-func sharedPool() *workerPool {
-	poolOnce.Do(func() {
-		pool = &workerPool{workers: runtime.GOMAXPROCS(0)}
-	})
-	return pool
-}
-
-// run splits [0,n) into contiguous chunks and runs them concurrently.
-func (wp *workerPool) run(n int, k Kernel) {
-	w := wp.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		k(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			k(s, e)
-		}(start, end)
-	}
-	wg.Wait()
 }

@@ -2,6 +2,8 @@ package device
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -59,8 +61,8 @@ func TestInitOncePaysOnce(t *testing.T) {
 	if again := d.Init(); again != 0 {
 		t.Fatalf("second init cost = %v, want 0", again)
 	}
-	if d.InitCount() != 1 {
-		t.Fatalf("init count = %d, want 1", d.InitCount())
+	if d.initCount != 1 {
+		t.Fatalf("init count = %d, want 1", d.initCount)
 	}
 }
 
@@ -71,8 +73,8 @@ func TestShutdownForcesReinit(t *testing.T) {
 	if c := d.Init(); c != V100().InitCost {
 		t.Fatalf("re-init after shutdown cost = %v, want full cost", c)
 	}
-	if d.InitCount() != 2 {
-		t.Fatalf("init count = %d, want 2", d.InitCount())
+	if d.initCount != 2 {
+		t.Fatalf("init count = %d, want 2", d.initCount)
 	}
 }
 
@@ -94,12 +96,17 @@ func TestAllocOOM(t *testing.T) {
 	if err := d.Alloc(41); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("over-alloc err = %v, want ErrOutOfMemory", err)
 	}
-	d.Free(60)
-	if err := d.Alloc(100); err != nil {
-		t.Fatalf("alloc after free: %v", err)
+	if d.allocated != 60 {
+		t.Fatalf("allocated = %d after a refused alloc, want 60", d.allocated)
 	}
-	if d.Allocated() != 100 {
-		t.Fatalf("allocated = %d, want 100", d.Allocated())
+	// Shutdown is what releases device memory.
+	d.Shutdown()
+	d.Init()
+	if err := d.Alloc(100); err != nil {
+		t.Fatalf("alloc after shutdown: %v", err)
+	}
+	if d.allocated != 100 {
+		t.Fatalf("allocated = %d, want 100", d.allocated)
 	}
 }
 
@@ -118,32 +125,55 @@ func TestAllocNegative(t *testing.T) {
 	}
 }
 
-func TestFreeClampsAtZero(t *testing.T) {
-	d := New(V100())
-	d.Init()
-	d.Free(1 << 40)
-	if d.Allocated() != 0 {
-		t.Fatalf("allocated went negative: %d", d.Allocated())
-	}
-}
-
-// The kernel must actually execute over every item exactly once.
+// The kernel must actually execute over every item exactly once, one call
+// per grain whatever the host parallelism.
 func TestLaunchRunsKernelExactly(t *testing.T) {
 	d := New(Xeon20())
 	d.Init()
 	const n = 100_000
-	counts := make([]int32, n)
-	_, err := d.Launch(n, 0, 0, 1, func(s, e int) {
-		for i := s; i < e; i++ {
-			atomic.AddInt32(&counts[i], 1)
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		counts := make([]int32, n)
+		_, err := d.Launch(n, 0, 0, 1, func(s, e int) {
+			if s%Grain != 0 || e != min(s+Grain, n) {
+				t.Errorf("GOMAXPROCS %d: kernel call [%d,%d) is not a grain", procs, s, e)
+			}
+			for i := s; i < e; i++ {
+				atomic.AddInt32(&counts[i], 1)
+			}
+		})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("GOMAXPROCS %d: item %d processed %d times", procs, i, c)
+			}
+		}
 	}
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("item %d processed %d times", i, c)
+}
+
+// A kernel is user code (the template's MSGGen/MSGApply/MSGMerge): its
+// panic is the launch's error, with the stack, and the device lives on.
+func TestLaunchKernelPanicIsError(t *testing.T) {
+	d := New(Xeon20())
+	d.Init()
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		_, err := d.Launch(3*Grain, 0, 0, 1, func(s, e int) {
+			if s >= Grain {
+				panic("synthetic kernel panic")
+			}
+		})
+		runtime.GOMAXPROCS(prev)
+		for _, want := range []string{"device Xeon-E5-2698v4: kernel:", "item 1 panicked: synthetic kernel panic", "goroutine "} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("GOMAXPROCS %d: error lacks %q:\n%v", procs, want, err)
+			}
+		}
+		if _, err := d.Launch(10, 0, 0, 1, func(s, e int) {}); err != nil {
+			t.Fatalf("launch after a kernel panic: %v", err)
 		}
 	}
 }

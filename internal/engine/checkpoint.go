@@ -123,11 +123,16 @@ func Resume(cfg Config, st *CheckpointState) (*Result, error) {
 	if bad != nil {
 		return nil, &ConfigError{Err: bad}
 	}
-	r := newRunner(p)
+	return newRunner(p).resume(st)
+}
+
+// resume is run for a runner that starts from the boundary st was cut at.
+func (r *runner) resume(st *CheckpointState) (*Result, error) {
 	r.faultsAt = nil
 	// Preload the captured state before setup so agent priming ships
 	// checkpointed — not initial — attribute values.
 	r.pre = st
+	defer r.disconnect()
 	if err := r.setup(); err != nil {
 		return nil, err
 	}
@@ -137,15 +142,12 @@ func Resume(cfg Config, st *CheckpointState) (*Result, error) {
 	// replay's charges (and the agents' post-replay drift) are wiped by
 	// the normalization and clock restore below.
 	var carry *gasCarry
-	if st.HasCarry && cfg.Spec.Model == GAS {
+	if st.HasCarry && r.cfg.Spec.Model == GAS {
 		r.ctx.Iteration = st.Iteration - 1
-		results, err := r.genPhase()
+		results, inbox, err := r.scatter(r.resetVol())
 		if err != nil {
 			return nil, err
 		}
-		r.drainSpills()
-		inbox := r.nextInbox()
-		r.routeRemote(results, inbox, r.resetVol())
 		carry = &gasCarry{results: results, inbox: inbox}
 	}
 	for _, a := range r.agents {
@@ -163,8 +165,8 @@ func Resume(cfg Config, st *CheckpointState) (*Result, error) {
 
 	iterations := st.Iteration
 	if !st.Done {
-		iterations, err = r.loopFrom(st.Iteration, carry)
-		if err != nil {
+		var err error
+		if iterations, err = r.loopFrom(st.Iteration, carry); err != nil {
 			return nil, err
 		}
 	}

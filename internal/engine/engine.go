@@ -489,6 +489,7 @@ func (u *upperSystem) FetchMessages(count int, bytes int64) time.Duration {
 }
 
 func (r *runner) run() (*Result, error) {
+	defer r.disconnect()
 	if err := r.setup(); err != nil {
 		return nil, err
 	}
@@ -500,6 +501,18 @@ func (r *runner) run() (*Result, error) {
 	return r.finish(iterations), nil
 }
 
+// disconnect stops every agent's daemons. run and resume defer it around
+// setup and everything after, so it happens however the run ends — a later
+// agent failing to connect, converged, failed or panicking (an observer is
+// user code): a daemon left behind stays blocked in Msgrcv, holding its
+// segments and queues. Disconnect is a no-op on an agent that is not
+// connected; finish's goes first, to flush.
+func (r *runner) disconnect() {
+	for _, a := range r.agents {
+		a.Disconnect()
+	}
+}
+
 // finish disconnects agents and assembles the Result.
 func (r *runner) finish(iterations int) *Result {
 	res := &Result{
@@ -509,9 +522,9 @@ func (r *runner) finish(iterations int) *Result {
 		Cluster:      r.cl,
 	}
 	if r.agents != nil {
+		r.disconnect() // flushes dirty state into r.attrs
 		res.AgentStats = make([]gxplug.Stats, len(r.agents))
 		for j, a := range r.agents {
-			a.Disconnect() // flushes dirty state into r.attrs
 			res.AgentStats[j] = a.Stats()
 		}
 	}
@@ -559,16 +572,13 @@ func (r *runner) setup() error {
 
 	// Stand up agents if the middleware is plugged in.
 	if r.plug != nil {
-		r.agents = make([]*gxplug.Agent, r.cfg.Nodes)
+		r.agents = make([]*gxplug.Agent, 0, r.cfg.Nodes)
 		r.uppers = make([]*upperSystem, r.cfg.Nodes)
 		r.query = synccache.NewQueryQueue()
 		for j, opts := range r.plug {
 			r.uppers[j] = &upperSystem{r: r, node: j}
-			r.agents[j] = gxplug.NewAgent(r.cl.Node(j), r.part, r.alg, r.ctx, r.uppers[j], opts)
+			r.agents = append(r.agents, gxplug.NewAgent(r.cl.Node(j), r.part, r.alg, r.ctx, r.uppers[j], opts))
 			if err := r.agents[j].Connect(); err != nil {
-				for k := 0; k < j; k++ {
-					r.agents[k].Disconnect()
-				}
 				return err
 			}
 		}

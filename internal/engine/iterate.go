@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math"
 
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug"
 	"gxplug/internal/gxplug/synccache"
+	"gxplug/internal/par"
 )
 
 // This file implements the two iteration shapes. Both compute the same
@@ -14,13 +17,22 @@ import (
 // scatter's messages carried into the next round — and in synchronization
 // pattern (messages for edge-cuts; gathered partials plus master→mirror
 // attribute broadcast for vertex-cuts).
-//
-// Both phases fan node work out over a host worker pool (parallel.go).
-// Nodes touch disjoint state — their own masters' attribute rows, their
-// own frontier entries, their own clocks — so the fan-out is race-free,
-// and every cost is charged to the owning node's virtual clock exactly as
-// in sequential execution: wall-clock parallelism never changes simulated
-// makespans.
+
+// eachNode runs fn(j) for every node j on the host helper pool (par.Do);
+// every phase fans out through it. Nodes touch disjoint state — their own
+// masters' attribute rows, frontier entries and clocks — so the fan-out is
+// race-free, and every cost is charged to the owning node's virtual clock
+// as in sequential execution: host parallelism never changes a simulated
+// makespan. The error is the lowest-index node's whatever the schedule; a
+// panic in fn — kernels are user code — is that node's error, with its stack.
+func (r *runner) eachNode(fn func(j int) error) error {
+	err := par.Do(r.cfg.Nodes, fn)
+	var p *par.PanicError
+	if errors.As(err, &p) {
+		return fmt.Errorf("engine: node %d panicked: %v\n%s", p.Index, p.Value, p.Stack)
+	}
+	return err
+}
 
 // genPhase runs MSGGen(+combine) on every node, via agents or natively.
 // The result slice is freshly allocated because GAS keeps it alive as the
@@ -30,17 +42,13 @@ func (r *runner) genPhase() ([]*gxplug.GenResult, error) {
 	if r.agents == nil {
 		r.nativeFlip ^= 1
 	}
-	err := parallelNodes(r.cfg.Nodes, func(j int) error {
-		if r.agents != nil {
-			res, err := r.agents[j].RequestGen(r.activeFn)
-			if err != nil {
-				return err
-			}
-			out[j] = res
+	err := r.eachNode(func(j int) (err error) {
+		if r.agents == nil {
+			out[j] = r.nativeGen(j)
 			return nil
 		}
-		out[j] = r.nativeGen(j)
-		return nil
+		out[j], err = r.agents[j].RequestGen(r.activeFn)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -53,10 +61,10 @@ func (r *runner) genPhase() ([]*gxplug.GenResult, error) {
 // are independent, so the fold fans out like the phases around it. Per
 // inbox row the MSGMerge sequence is fixed — senders in node order, each
 // contributing the one row it pre-combined in its own edge/block order —
-// so floating-point results are machine- and schedule-independent.
-func (r *runner) routeRemote(results []*gxplug.GenResult, inbox []*gxplug.MsgBuf, vol [][]int64) {
-	// The fold itself cannot fail, so parallelNodes has no error to report.
-	_ = parallelNodes(r.cfg.Nodes, func(o int) error {
+// so floating-point results are machine- and schedule-independent. The
+// only error is a panicking MSGMerge.
+func (r *runner) routeRemote(results []*gxplug.GenResult, inbox []*gxplug.MsgBuf, vol [][]int64) error {
+	err := r.eachNode(func(o int) error {
 		for j, res := range results {
 			if j == o {
 				continue
@@ -68,6 +76,9 @@ func (r *runner) routeRemote(results []*gxplug.GenResult, inbox []*gxplug.MsgBuf
 		}
 		return nil
 	})
+	if err != nil {
+		return err
+	}
 	msgBytes := r.cfg.Spec.wireRowBytes(r.mw)
 	for j, res := range results {
 		for o, out := range res.To {
@@ -82,6 +93,7 @@ func (r *runner) routeRemote(results []*gxplug.GenResult, inbox []*gxplug.MsgBuf
 			}
 		}
 	}
+	return nil
 }
 
 // mergeApplyPhase merges inboxes and applies on every node in parallel,
@@ -90,7 +102,7 @@ func (r *runner) routeRemote(results []*gxplug.GenResult, inbox []*gxplug.MsgBuf
 // under vertex-cut), ordered by owning node then master order — a
 // deterministic order, unlike the map the routing layer used to build.
 func (r *runner) mergeApplyPhase(results []*gxplug.GenResult, inbox []*gxplug.MsgBuf) (changedAny bool, mirrorUpdates []graph.VertexID, err error) {
-	err = parallelNodes(r.cfg.Nodes, func(j int) error {
+	err = r.eachNode(func(j int) error {
 		masters := r.part.Parts[j].Masters
 		var changed, wrote []bool
 		if r.agents != nil {
@@ -139,15 +151,12 @@ func (r *runner) mergeApplyPhase(results []*gxplug.GenResult, inbox []*gxplug.Ms
 
 // drainSpills uploads the dirty rows bounded caches evicted during the
 // preceding parallel phase. It runs serialized, immediately after each
-// phase's worker-pool fan-in, so the upper system's shared state is never
+// phase's eachNode returns, so the upper system's shared state is never
 // written while nodes execute concurrently; each agent's upload cost
 // lands on its own node's virtual clock, keeping makespans independent of
 // host scheduling. It must precede distributeMirrors/syncPhase: their
 // reads of authoritative state expect pending spills to have landed.
 func (r *runner) drainSpills() {
-	if r.agents == nil {
-		return
-	}
 	for _, a := range r.agents {
 		a.DrainSpill()
 	}
@@ -272,17 +281,29 @@ func (r *runner) buildQueryQueue() *synccache.QueryQueue {
 	return r.query
 }
 
-// iterateBSP is one bulk-synchronous superstep: Gen → exchange → Merge →
-// Apply → sync.
-func (r *runner) iterateBSP() (bool, error) {
+// scatter is the Gen half of a superstep: MSGGen on every node, then the
+// exchange of its messages into a fresh inbox.
+func (r *runner) scatter(vol [][]int64) ([]*gxplug.GenResult, []*gxplug.MsgBuf, error) {
 	results, err := r.genPhase()
 	if err != nil {
-		return false, err
+		return nil, nil, err
 	}
 	r.drainSpills()
 	inbox := r.nextInbox()
+	if err := r.routeRemote(results, inbox, vol); err != nil {
+		return nil, nil, err
+	}
+	return results, inbox, nil
+}
+
+// iterateBSP is one bulk-synchronous superstep: Gen → exchange → Merge →
+// Apply → sync.
+func (r *runner) iterateBSP() (bool, error) {
 	vol := r.resetVol()
-	r.routeRemote(results, inbox, vol)
+	results, inbox, err := r.scatter(vol)
+	if err != nil {
+		return false, err
+	}
 	changedAny, mirrorUpdates, err := r.mergeApplyPhase(results, inbox)
 	if err != nil {
 		return false, err
@@ -309,13 +330,10 @@ type gasCarry struct {
 func (r *runner) iterateGAS(carry *gasCarry) (bool, *gasCarry, error) {
 	vol := r.resetVol()
 	if carry == nil {
-		results, err := r.genPhase()
+		results, inbox, err := r.scatter(vol)
 		if err != nil {
 			return false, nil, err
 		}
-		r.drainSpills()
-		inbox := r.nextInbox()
-		r.routeRemote(results, inbox, vol)
 		carry = &gasCarry{results: results, inbox: inbox}
 	}
 	changedAny, mirrorUpdates, err := r.mergeApplyPhase(carry.results, carry.inbox)
@@ -330,13 +348,10 @@ func (r *runner) iterateGAS(carry *gasCarry) (bool, *gasCarry, error) {
 	r.distributeMirrors(mirrorUpdates, vol)
 	var next *gasCarry
 	if changedAny {
-		results, err := r.genPhase()
+		results, inbox, err := r.scatter(vol)
 		if err != nil {
 			return false, nil, err
 		}
-		r.drainSpills()
-		inbox := r.nextInbox()
-		r.routeRemote(results, inbox, vol)
 		next = &gasCarry{results: results, inbox: inbox}
 	}
 	r.syncPhase(vol)

@@ -81,7 +81,9 @@ func checkRouting(t *testing.T, r *runner, results []*gxplug.GenResult, vol [][]
 	for j := range vol {
 		before[j] = append([]int64(nil), vol[j]...)
 	}
-	r.routeRemote(results, inbox, vol)
+	if err := r.routeRemote(results, inbox, vol); err != nil {
+		t.Fatal(err)
+	}
 	refInbox, refVol := mapRoute(r, results)
 	for j := range vol {
 		for o := range vol[j] {

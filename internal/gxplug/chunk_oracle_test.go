@@ -4,10 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"gxplug/internal/algos"
+	"gxplug/internal/device"
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug/template"
 )
@@ -85,14 +85,15 @@ func randomGenBlock(rng *rand.Rand, nV, nT, maxRun, stride int) (*graph.EdgeBloc
 	return eb, vb
 }
 
-// TestGenChunkMatchesOracle launches the device Gen kernel — chunk
-// workers included, so under the race detector it also covers the one
-// slab the workers share — over random source-grouped blocks, and
-// compares every chunk's partial accumulator and received flags, bit for
-// bit, with the per-triplet kernel it replaced. launch folds the partials
-// in chunk-index order with code this comparison does not touch. Block
-// shapes: empty, a single short chunk, and several chunks with runs long
-// enough that a chunk boundary falls inside one.
+// TestGenChunkMatchesOracle launches the Gen kernel through
+// Device.Launch — on the host helpers, so under the race detector it also
+// covers the one slab concurrent chunks share — over random
+// source-grouped blocks, and compares every chunk's partial accumulator
+// and received flags, bit for bit, with the per-triplet kernel it
+// replaced. launch folds the partials in chunk-index order with code this
+// comparison does not touch. Block shapes: empty, a single short chunk,
+// and several chunks with runs long enough that a chunk boundary falls
+// inside one.
 func TestGenChunkMatchesOracle(t *testing.T) {
 	ctx := &template.Context{
 		NumVertices: 5000,
@@ -149,14 +150,15 @@ func TestGenChunkMatchesOracle(t *testing.T) {
 func checkChunks(t *testing.T, alg template.Algorithm, ctx *template.Context, eb *graph.EdgeBlock, vb *graph.VertexBlock) {
 	t.Helper()
 	msgW, nV := alg.MsgWidth(), len(vb.IDs)
-	d := &daemonState{cfg: daemonConfig{alg: alg, ctx: ctx}}
-	var workers sync.WaitGroup
-	d.startWorkers(&workers)
-	defer workers.Wait()
-	defer close(d.gen.wake)
-	d.gen.launch(eb, vb, msgW)
+	dev := device.New(device.Xeon20())
+	dev.Init()
+	got := new(genKernel)
+	got.init(alg, ctx)
+	if _, err := got.launch(dev, eb, vb, msgW, 0, 0); err != nil {
+		t.Fatal(err)
+	}
 
-	want := &genKernel{alg: alg, ctx: ctx, eb: eb, vb: vb, msgW: msgW, nChunks: d.gen.nChunks}
+	want := &genKernel{alg: alg, ctx: ctx, eb: eb, vb: vb, msgW: msgW, nChunks: got.nChunks}
 	want.partAcc = make([]float64, want.nChunks*(nV+1)*msgW)
 	want.partRecv = make([]bool, want.nChunks*nV)
 	for c := 0; c < want.nChunks; c++ {
@@ -164,10 +166,10 @@ func checkChunks(t *testing.T, alg template.Algorithm, ctx *template.Context, eb
 		// The row after a chunk's nV accumulator rows is its message
 		// scratch, whose final contents are unspecified.
 		lo, hi := c*(nV+1)*msgW, (c*(nV+1)+nV)*msgW
-		if !bitsEq(d.gen.partAcc[lo:hi], want.partAcc[lo:hi]) {
-			t.Fatalf("chunk %d partial accumulator %v, oracle %v", c, d.gen.partAcc[lo:hi], want.partAcc[lo:hi])
+		if !bitsEq(got.partAcc[lo:hi], want.partAcc[lo:hi]) {
+			t.Fatalf("chunk %d partial accumulator %v, oracle %v", c, got.partAcc[lo:hi], want.partAcc[lo:hi])
 		}
-		if !slices.Equal(d.gen.partRecv[c*nV:(c+1)*nV], want.partRecv[c*nV:(c+1)*nV]) {
+		if !slices.Equal(got.partRecv[c*nV:(c+1)*nV], want.partRecv[c*nV:(c+1)*nV]) {
 			t.Fatalf("chunk %d received flags differ from the oracle's", c)
 		}
 	}

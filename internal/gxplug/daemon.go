@@ -3,14 +3,13 @@ package gxplug
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gxplug/internal/device"
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug/template"
+	"gxplug/internal/par"
 	"gxplug/internal/shm"
 )
 
@@ -95,7 +94,7 @@ func startDaemon(cfg daemonConfig) (_ *daemonProc, _ time.Duration, err error) {
 	if !cfg.rawCall {
 		initCost = cfg.dev.Init()
 	}
-	d.startWorkers(&p.done)
+	d.gen.init(cfg.alg, cfg.ctx)
 	p.done.Add(1)
 	go func() {
 		defer p.done.Done()
@@ -154,11 +153,11 @@ func (p *daemonProc) request(mtype int64, payload []byte) (int64, []byte, error)
 }
 
 // daemonState is the daemon-side state; it lives entirely inside the
-// daemon goroutine (and, for gen, the chunk workers that goroutine wakes).
-// Everything a block needs beyond the segment itself — the decoded
-// arrays, the MSGGen accumulators, MSGApply's changed flags, the cost
-// reply — is owned here, grown to the largest block seen and reused, so
-// a warmed-up daemon computes a block without allocating.
+// daemon goroutine (and, for the length of a launch, the kernel calls the
+// device runs on its behalf). Everything a block needs beyond the segment
+// itself — the decoded arrays, the MSGGen accumulators, MSGApply's changed
+// flags, the cost reply — is owned here, grown to the largest block seen
+// and reused, so a warmed-up daemon computes a block without allocating.
 type daemonState struct {
 	cfg   daemonConfig
 	reqQ  *shm.Queue
@@ -189,7 +188,6 @@ func (d *daemonState) detach() {
 // apply/merge operations the agent requests outside the Gen pipeline.
 func (d *daemonState) run() {
 	defer d.detach()
-	defer close(d.gen.wake)
 	for {
 		m, err := d.reqQ.Msgrcv(0, true)
 		if err != nil {
@@ -249,15 +247,15 @@ func (d *daemonState) replyCost(mtype int64, op func(seg []byte) (time.Duration,
 	d.reply(mtype, encodeCost(&d.costBuf, initCost+cost))
 }
 
-// genChunk is the deterministic parallel grain of MSGGen execution: each
-// chunk accumulates into a private buffer; chunk buffers merge in index
-// order so floating-point merge order is machine-independent.
-const genChunk = 2048
+// genChunk is the deterministic parallel grain of MSGGen execution, and the
+// device's launch grain: one kernel call is one chunk, accumulating into a
+// private buffer; chunk buffers merge in index order so floating-point
+// merge order is machine-independent.
+const genChunk = device.Grain
 
 // genKernel is the MSGGen launch of one Gen block: the decoded block, one
 // partial accumulator per chunk, and the merged result. It is daemon
-// state rather than a per-block value so that its arrays and its worker
-// goroutines outlive the block.
+// state rather than a per-block value so that its arrays outlive the block.
 type genKernel struct {
 	alg  template.Algorithm
 	ctx  *template.Context
@@ -273,58 +271,40 @@ type genKernel struct {
 	acc      []float64
 	recv     []bool
 
-	// Chunks are claimed through next by the daemon goroutine and the
-	// workers it woke; which goroutine ran a chunk never shows in the
-	// result.
 	nChunks int
-	next    atomic.Int64
-	workers int
-	wake    chan struct{}
-	busy    sync.WaitGroup
+	// k.chunk as the device calls it and k.fold as par.Do does, bound
+	// once so that a launch allocates nothing.
+	kernel device.Kernel
+	folded func(int) error
 }
 
-// startWorkers parks one chunk worker per spare host CPU; they exit when
-// run closes wake, and done counts them like the daemon goroutine itself.
-func (d *daemonState) startWorkers(done *sync.WaitGroup) {
-	k := &d.gen
-	k.alg, k.ctx = d.cfg.alg, d.cfg.ctx
-	k.workers = runtime.GOMAXPROCS(0) - 1
-	k.wake = make(chan struct{})
-	done.Add(k.workers)
-	for w := 0; w < k.workers; w++ {
-		go func() {
-			defer done.Done()
-			for range k.wake {
-				k.claim()
-				k.busy.Done()
-			}
-		}()
-	}
+func (k *genKernel) init(alg template.Algorithm, ctx *template.Context) {
+	k.alg, k.ctx = alg, ctx
+	k.kernel = func(start, _ int) { k.chunk(start / genChunk) }
+	k.folded = k.fold
 }
 
-// launch runs every chunk of the block and merges the partials, leaving
-// the block's result in k.acc / k.recv.
-func (k *genKernel) launch(eb *graph.EdgeBlock, vb *graph.VertexBlock, msgW int) {
-	nV := len(vb.IDs)
+// launch runs every chunk of the block on dev — nT items, so the charge
+// is the block's — and merges the partials, leaving the block's result in
+// k.acc / k.recv. Which goroutine ran a chunk never shows in the result.
+func (k *genKernel) launch(dev *device.Device, eb *graph.EdgeBlock, vb *graph.VertexBlock, msgW int, bytesIn, bytesOut int64) (time.Duration, error) {
+	nT, nV := len(eb.Triplets), len(vb.IDs)
 	k.eb, k.vb, k.msgW = eb, vb, msgW
-	k.nChunks = (len(eb.Triplets) + genChunk - 1) / genChunk
+	k.nChunks = (nT + genChunk - 1) / genChunk
 	grow(&k.partAcc, k.nChunks*(nV+1)*msgW)
 	grow(&k.partRecv, k.nChunks*nV)
-	k.next.Store(0)
-	for w := 0; w < k.workers && w < k.nChunks-1; w++ {
-		k.busy.Add(1)
-		select {
-		case k.wake <- struct{}{}:
-		default:
-			// No worker is parked yet (one may still be on its way back
-			// from the previous block); the chunks go to whoever claims.
-			k.busy.Done()
-		}
+	cost, err := dev.Launch(nT, bytesIn, bytesOut, k.alg.Hints().OpsPerEdge, k.kernel)
+	if err != nil {
+		return 0, err
 	}
-	k.claim()
-	k.busy.Wait()
+	return cost, par.Do(1, k.folded)
+}
 
-	alg := k.alg
+// fold merges the chunk partials, in chunk order, into k.acc / k.recv. It
+// calls MSGMerge like the chunks do, so it runs under the same recover: as
+// the one item of a Do, which is a call on this goroutine.
+func (k *genKernel) fold(int) error {
+	alg, msgW, nV := k.alg, k.msgW, len(k.vb.IDs)
 	acc := grow(&k.acc, nV*msgW)
 	recv := grow(&k.recv, nV)
 	for r := 0; r < nV; r++ {
@@ -341,17 +321,7 @@ func (k *genKernel) launch(eb *graph.EdgeBlock, vb *graph.VertexBlock, msgW int)
 			}
 		}
 	}
-}
-
-// claim computes unclaimed chunks until none is left.
-func (k *genKernel) claim() {
-	for {
-		c := int(k.next.Add(1)) - 1
-		if c >= k.nChunks {
-			return
-		}
-		k.chunk(c)
-	}
+	return nil
 }
 
 // chunk computes one chunk's partial. Blocks are cut from the
@@ -417,7 +387,7 @@ func (d *daemonState) computeGen(seg []byte) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	nT, nV := len(eb.Triplets), len(vb.IDs)
+	nV := len(vb.IDs)
 	for i := range eb.Triplets {
 		// The kernel indexes the block's rows with these, and in a reused
 		// scratch a row past the block could land in stale capacity
@@ -426,14 +396,13 @@ func (d *daemonState) computeGen(seg []byte) (time.Duration, error) {
 			return 0, fmt.Errorf("gxplug: triplet %d names rows %d/%d of a %d-vertex block", i, t.SrcRow, t.DstRow, nV)
 		}
 	}
-	d.gen.launch(eb, vb, msgW)
 	bytesIn := int64(resultOff)
 	if resident {
 		// Topology already on the device: only attributes cross the link.
 		bytesIn = int64(nV * (4 + 8*vb.Stride))
 	}
 	bytesOut := int64(nV*msgW*8 + nV)
-	cost, err := d.cfg.dev.Launch(nT, bytesIn, bytesOut, d.cfg.alg.Hints().OpsPerEdge, nil)
+	cost, err := d.gen.launch(d.cfg.dev, eb, vb, msgW, bytesIn, bytesOut)
 	if err != nil {
 		return 0, err
 	}
@@ -449,8 +418,7 @@ func (d *daemonState) computeApply(seg []byte) (time.Duration, error) {
 	alg, ctx := d.cfg.alg, d.cfg.ctx
 	n := len(ids)
 	changed := grow(&d.changed, n) // the kernel writes every element
-	// Vertices are disjoint: the kernel runs directly on the device
-	// worker pool.
+	// Vertices are disjoint: the kernel needs no partials.
 	cost, err := d.cfg.dev.Launch(n,
 		int64(resultOff), int64(n*attrW*8+n+8),
 		alg.Hints().OpsPerVertex,

@@ -63,6 +63,9 @@ var determinismTargets = []string{
 	// no-wall-clock, no-map-order discipline as the engine.
 	"internal/graph",
 	"internal/gen/ingest",
+	// Everything that runs a kernel: which goroutine, which items per call.
+	"internal/par",
+	"internal/device",
 }
 
 // wireSizeTargets are the packages that decode untrusted bytes (files,

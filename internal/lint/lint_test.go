@@ -42,6 +42,8 @@ func TestPkgMatch(t *testing.T) {
 		{"det/internal/engine", determinismTargets, true},
 		{"gxplug/internal/gen/ingest", determinismTargets, true},
 		{"gxplug/internal/graph", determinismTargets, true},
+		{"gxplug/internal/par", determinismTargets, true},
+		{"gxplug/internal/device", determinismTargets, true},
 		{"gxplug/cmd/gxrun", determinismTargets, false},
 		{"gxplug/internal/gen/ingest", wireSizeTargets, true},
 		{"gxplug/internal/shm", wireSizeTargets, true},

@@ -32,15 +32,6 @@ func (c *Clock) Advance(d time.Duration) {
 	c.now += d
 }
 
-// AdvanceTo moves the clock forward to t if t is later than the current
-// time; otherwise it is a no-op. It is used at synchronization barriers
-// where all participants meet at the latest clock.
-func (c *Clock) AdvanceTo(t time.Duration) {
-	if t > c.now {
-		c.now = t
-	}
-}
-
 // Reset rewinds the clock to zero. Only simulation harnesses reset clocks,
 // and only between independent runs.
 func (c *Clock) Reset() { c.now = 0 }

@@ -32,19 +32,6 @@ func TestClockAdvanceNegativePanics(t *testing.T) {
 	c.Advance(-1)
 }
 
-func TestClockAdvanceTo(t *testing.T) {
-	var c Clock
-	c.Advance(10 * time.Second)
-	c.AdvanceTo(5 * time.Second) // earlier: no-op
-	if c.Now() != 10*time.Second {
-		t.Fatalf("AdvanceTo earlier moved clock to %v", c.Now())
-	}
-	c.AdvanceTo(15 * time.Second)
-	if c.Now() != 15*time.Second {
-		t.Fatalf("AdvanceTo later: clock = %v, want 15s", c.Now())
-	}
-}
-
 func TestClockReset(t *testing.T) {
 	var c Clock
 	c.Advance(time.Hour)
