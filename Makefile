@@ -144,8 +144,9 @@ cover:
 # message buffer against its plain-map reference, the vertex store
 # against the map + list cache it replaced, ApplyBatch's CSR merge
 # against the edge-list rebuild it replaced, the dataset-ingestion
-# decoders, and gxd's submission path (full corpora live in each
-# package's testdata/fuzz).
+# decoders, both text readers against the parsers they replaced, and
+# gxd's submission path (full corpora live in each package's
+# testdata/fuzz).
 fuzz-smoke:
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzApplyBatch$$' -fuzztime=10s
 	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime=10s
@@ -155,6 +156,8 @@ fuzz-smoke:
 	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzSnapshotDecodeNoPanic$$' -fuzztime=10s
 	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzSnapshotV2DecodeNoPanic$$' -fuzztime=10s
 	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzEdgeListParse$$' -fuzztime=10s
+	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzEdgeListMatchesOracle$$' -fuzztime=10s
+	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzBatchListMatchesOracle$$' -fuzztime=10s
 	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzBatchDecodeNoPanic$$' -fuzztime=10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzSubmitNoPanic$$' -fuzztime=10s
 

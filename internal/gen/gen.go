@@ -73,6 +73,12 @@ func RMAT(c RMATConfig) (*graph.Graph, error) {
 	if c.Communities > 1 {
 		return rmatCommunities(c)
 	}
+	return graph.FromEdges(c.NumVertices, rmatEdges(make([]graph.Edge, 0, c.NumEdges), c))
+}
+
+// rmatEdges appends the c.NumEdges edges of one flat R-MAT to out, in
+// generation order.
+func rmatEdges(out []graph.Edge, c RMATConfig) []graph.Edge {
 	rng := rand.New(rand.NewSource(c.Seed))
 	levels := 0
 	for (1 << levels) < c.NumVertices {
@@ -82,8 +88,7 @@ func RMAT(c RMATConfig) (*graph.Graph, error) {
 	if !c.Community {
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	}
-	edges := make([]graph.Edge, 0, c.NumEdges)
-	for int64(len(edges)) < c.NumEdges {
+	for want := len(out) + int(c.NumEdges); len(out) < want; {
 		src, dst := 0, 0
 		for l := 0; l < levels; l++ {
 			r := rng.Float64()
@@ -102,18 +107,19 @@ func RMAT(c RMATConfig) (*graph.Graph, error) {
 		if src >= c.NumVertices || dst >= c.NumVertices {
 			continue
 		}
-		edges = append(edges, graph.Edge{
+		out = append(out, graph.Edge{
 			Src:    graph.VertexID(perm[src]),
 			Dst:    graph.VertexID(perm[dst]),
 			Weight: 1 + 9*rng.Float64(),
 		})
 	}
-	return graph.FromEdges(c.NumVertices, edges)
+	return out
 }
 
 // rmatCommunities builds Communities independent R-MATs over contiguous
 // vertex ranges plus CrossFraction uniform edges between adjacent
-// communities.
+// communities, into one exact edge slab: each community in source order
+// (the order its own graph would list it), then the cross edges.
 func rmatCommunities(c RMATConfig) (*graph.Graph, error) {
 	nc := c.Communities
 	if c.CrossFraction < 0 || c.CrossFraction >= 1 {
@@ -129,23 +135,30 @@ func rmatCommunities(c RMATConfig) (*graph.Graph, error) {
 		return nil, fmt.Errorf("gen: too few edges (%d) for %d communities", c.NumEdges, nc)
 	}
 	rng := rand.New(rand.NewSource(c.Seed))
-	var edges []graph.Edge
+	edges := make([]graph.Edge, int64(nc)*perE, int64(nc)*perE+crossE)
+	scratch := make([]graph.Edge, 0, perE)
+	off := make([]int64, c.NumVertices-(nc-1)*perV+1)
 	for ci := 0; ci < nc; ci++ {
 		base := graph.VertexID(ci * perV)
 		size := perV
 		if ci == nc-1 {
 			size = c.NumVertices - ci*perV
 		}
-		sub, err := RMAT(RMATConfig{
+		scratch = rmatEdges(scratch[:0], RMATConfig{
 			NumVertices: size, NumEdges: perE,
 			A: c.A, B: c.B, C: c.C,
 			Community: c.Community, Seed: c.Seed + int64(ci) + 1,
 		})
-		if err != nil {
-			return nil, err
+		clear(off)
+		for _, e := range scratch {
+			off[e.Src+1]++
 		}
-		for _, e := range sub.Edges() {
-			edges = append(edges, graph.Edge{Src: base + e.Src, Dst: base + e.Dst, Weight: e.Weight})
+		for v := 1; v <= size; v++ {
+			off[v] += off[v-1]
+		}
+		for _, e := range scratch { // a stable counting sort by source
+			edges[int64(ci)*perE+off[e.Src]] = graph.Edge{Src: base + e.Src, Dst: base + e.Dst, Weight: e.Weight}
+			off[e.Src]++
 		}
 	}
 	for i := int64(0); i < crossE; i++ {
@@ -220,7 +233,10 @@ func Road(c RoadConfig) (*graph.Graph, error) {
 	rng := rand.New(rand.NewSource(c.Seed))
 	perCluster := c.Rows * c.Cols
 	n := perCluster * clusters
-	var edges []graph.Edge
+	// Room for every lattice link and diagonal both ways plus the
+	// highways, so the slice never grows.
+	links := c.Rows*(c.Cols-1) + (c.Rows-1)*c.Cols + (c.Rows-1)*(c.Cols-1)
+	edges := make([]graph.Edge, 0, 2*(clusters*links+clusters-1))
 	add := func(a, b graph.VertexID) {
 		w := 1 + 4*rng.Float64()
 		edges = append(edges, graph.Edge{Src: a, Dst: b, Weight: w},

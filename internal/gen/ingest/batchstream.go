@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
@@ -10,7 +11,6 @@ import (
 	"math"
 	"os"
 	"strconv"
-	"strings"
 
 	"gxplug/internal/graph"
 )
@@ -285,42 +285,39 @@ func validateBatchTimes(batches []graph.EdgeBatch) error {
 // a timestamp form one batch; timestamps must be non-decreasing down
 // the file and strictly increasing batch to batch.
 func ParseBatchList(r io.Reader) ([]graph.EdgeBatch, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc := newLineScanner(r)
 	var batches []graph.EdgeBatch
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+	var f [][]byte
+	for line := 1; sc.Scan(); line++ {
+		f = splitFields(f, sc.Bytes())
+		if len(f) == 0 || f[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
-		if len(fields) < 4 {
-			return nil, fmt.Errorf("ingest: line %d: want 'TIME +|- src dst [w]', got %q", line, text)
+		if len(f) < 4 {
+			return nil, fmt.Errorf("ingest: line %d: want 'TIME +|- src dst [w]', got %q", line, bytes.TrimSpace(sc.Bytes()))
 		}
-		ts, err := strconv.ParseInt(fields[0], 10, 64)
+		ts, err := parseInt(f[0])
 		if err != nil {
 			return nil, fmt.Errorf("ingest: line %d: bad timestamp: %v", line, err)
 		}
-		op := fields[1]
-		if op != "+" && op != "-" {
+		op := f[1]
+		if len(op) != 1 || op[0] != '+' && op[0] != '-' {
 			return nil, fmt.Errorf("ingest: line %d: op %q (want + or -)", line, op)
 		}
-		src, err := strconv.ParseUint(fields[2], 10, 32)
+		src, err := parseUint32(f[2])
 		if err != nil {
 			return nil, fmt.Errorf("ingest: line %d: bad src: %v", line, err)
 		}
-		dst, err := strconv.ParseUint(fields[3], 10, 32)
+		dst, err := parseUint32(f[3])
 		if err != nil {
 			return nil, fmt.Errorf("ingest: line %d: bad dst: %v", line, err)
 		}
 		w := 1.0
-		if len(fields) >= 5 {
-			if op == "-" {
+		if len(f) >= 5 {
+			if op[0] == '-' {
 				return nil, fmt.Errorf("ingest: line %d: removes take no weight", line)
 			}
-			if w, err = strconv.ParseFloat(fields[4], 64); err != nil {
+			if w, err = strconv.ParseFloat(string(f[4]), 64); err != nil {
 				return nil, fmt.Errorf("ingest: line %d: bad weight: %v", line, err)
 			}
 		}
@@ -333,7 +330,7 @@ func ParseBatchList(r io.Reader) ([]graph.EdgeBatch, error) {
 		}
 		b := &batches[len(batches)-1]
 		e := graph.Edge{Src: graph.VertexID(src), Dst: graph.VertexID(dst), Weight: w}
-		if op == "+" {
+		if op[0] == '+' {
 			b.Adds = append(b.Adds, e)
 		} else {
 			b.Removes = append(b.Removes, e)

@@ -7,6 +7,17 @@ import (
 	"gxplug/internal/graph"
 )
 
+// edgeList reads g's edge list back off its out-CSR, in source order.
+func edgeList(g *graph.Graph) []graph.Edge {
+	var out []graph.Edge
+	for v := 0; v < g.NumVertices(); v++ {
+		g.OutEdges(graph.VertexID(v), func(d graph.VertexID, w float64) {
+			out = append(out, graph.Edge{Src: graph.VertexID(v), Dst: d, Weight: w})
+		})
+	}
+	return out
+}
+
 func TestParseEdgeListRelabelsSorted(t *testing.T) {
 	// Sparse SNAP-style ids with comments; relabeling maps ascending
 	// original ids to [0, n).
@@ -34,7 +45,7 @@ func TestParseEdgeListRelabelsSorted(t *testing.T) {
 		}
 	}
 	// 100→7 becomes 1→0, 7→100 becomes 0→1, 100→4000 becomes 1→2.
-	edges := p.Graph.Edges()
+	edges := edgeList(p.Graph)
 	want := []graph.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 0, Weight: 1}, {Src: 1, Dst: 2, Weight: 1}}
 	if len(edges) != len(want) {
 		t.Fatalf("edges = %v", edges)
@@ -64,7 +75,7 @@ func TestParseEdgeListWeightedTSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := p.Graph.Edges()
+	edges := edgeList(p.Graph)
 	if edges[0].Weight != 2.5 || edges[1].Weight != 0.25 {
 		t.Fatalf("weights lost: %v", edges)
 	}

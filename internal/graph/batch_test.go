@@ -47,7 +47,7 @@ func TestApplyBatchAddRemove(t *testing.T) {
 		{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 0, 0.5}, {1, 3, 4}, {3, 2, 1},
 	})
 	if !csrArraysEqual(ng, want) {
-		t.Fatalf("ApplyBatch CSR differs from canonical rebuild:\n got %v\nwant %v", ng.Edges(), want.Edges())
+		t.Fatalf("ApplyBatch CSR differs from canonical rebuild:\n got %v\nwant %v", edgeList(ng), edgeList(want))
 	}
 	// The old version is untouched.
 	if !csrArraysEqual(g, batchBase(t)) {

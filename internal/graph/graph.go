@@ -12,7 +12,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // VertexID identifies a vertex. Graphs in this reproduction are bounded
@@ -227,18 +226,6 @@ func (g *Graph) InEdges(v VertexID, fn func(src VertexID, w float64)) {
 	}
 }
 
-// Edges materializes the edge list in source order. Harness and
-// partitioner code uses it; hot paths use the CSR accessors.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, len(g.outDst))
-	for v := 0; v < g.numV; v++ {
-		for i := g.outOff[v]; i < g.outOff[v+1]; i++ {
-			out = append(out, Edge{Src: VertexID(v), Dst: g.outDst[i], Weight: g.outW[i]})
-		}
-	}
-	return out
-}
-
 // EdgeRange calls fn for every edge with index in [start, end) in the
 // global source-sorted order, without allocating. Only tests call it.
 func (g *Graph) EdgeRange(start, end int64, fn func(src, dst VertexID, w float64)) {
@@ -295,75 +282,26 @@ func (g *Graph) MemoryFootprint(attrWidth int) int64 {
 	return 8*v + 12*e + 8*v*int64(attrWidth)
 }
 
-// ParseEdgeList reads a whitespace-separated edge list ("src dst [weight]"
-// per line, '#' comments) such as the SNAP format the paper's datasets
-// ship in. Vertex IDs must be < numV.
-func ParseEdgeList(r io.Reader) (numV int, edges []Edge, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	maxID := int64(-1)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return 0, nil, fmt.Errorf("graph: line %d: want 'src dst [w]', got %q", line, text)
-		}
-		src, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return 0, nil, fmt.Errorf("graph: line %d: bad src: %v", line, err)
-		}
-		dst, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return 0, nil, fmt.Errorf("graph: line %d: bad dst: %v", line, err)
-		}
-		if src < 0 || dst < 0 {
-			return 0, nil, fmt.Errorf("graph: line %d: negative vertex id", line)
-		}
-		w := 1.0
-		if len(fields) >= 3 {
-			w, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return 0, nil, fmt.Errorf("graph: line %d: bad weight: %v", line, err)
-			}
-		}
-		if src > maxID {
-			maxID = src
-		}
-		if dst > maxID {
-			maxID = dst
-		}
-		edges = append(edges, Edge{Src: VertexID(src), Dst: VertexID(dst), Weight: w})
-	}
-	if err := sc.Err(); err != nil {
-		return 0, nil, fmt.Errorf("graph: scan: %w", err)
-	}
-	return int(maxID + 1), edges, nil
-}
-
-// WriteEdgeList writes the graph in the same text format ParseEdgeList
-// reads.
+// WriteEdgeList writes the graph in the text format ingest.ParseEdgeList
+// reads: a "src dst" line per out-edge in source order, " weight" added
+// unless it is 1 — what fmt's "%d %d %g" prints, built in one buffer.
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	var werr error
-	for v := 0; v < g.numV && werr == nil; v++ {
-		g.OutEdges(VertexID(v), func(dst VertexID, wt float64) {
-			if werr != nil {
-				return
+	var line []byte
+	for v := 0; v < g.numV; v++ {
+		for i := g.outOff[v]; i < g.outOff[v+1]; i++ {
+			line = strconv.AppendInt(line[:0], int64(v), 10)
+			line = append(line, ' ')
+			line = strconv.AppendUint(line, uint64(g.outDst[i]), 10)
+			if wt := g.outW[i]; wt != 1.0 {
+				line = append(line, ' ')
+				line = strconv.AppendFloat(line, wt, 'g', -1, 64)
 			}
-			if wt == 1.0 {
-				_, werr = fmt.Fprintf(bw, "%d %d\n", v, dst)
-			} else {
-				_, werr = fmt.Fprintf(bw, "%d %d %g\n", v, dst, wt)
+			line = append(line, '\n')
+			if _, err := bw.Write(line); err != nil {
+				return err
 			}
-		})
-	}
-	if werr != nil {
-		return werr
+		}
 	}
 	return bw.Flush()
 }

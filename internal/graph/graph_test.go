@@ -1,10 +1,13 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -69,11 +72,20 @@ func TestOutInEdgesAgree(t *testing.T) {
 	}
 }
 
+// edgeList reads g's edge list back off its out-CSR, in source order.
+func edgeList(g *Graph) []Edge {
+	var out []Edge
+	for v := 0; v < g.NumVertices(); v++ {
+		g.OutEdges(VertexID(v), func(d VertexID, w float64) { out = append(out, Edge{VertexID(v), d, w}) })
+	}
+	return out
+}
+
 func TestEdgesRoundTrip(t *testing.T) {
 	g := diamond()
-	g2 := MustFromEdges(g.NumVertices(), g.Edges())
-	if !reflect.DeepEqual(g.Edges(), g2.Edges()) {
-		t.Fatal("Edges() round trip changed the edge list")
+	g2 := MustFromEdges(g.NumVertices(), edgeList(g))
+	if !reflect.DeepEqual(edgeList(g), edgeList(g2)) {
+		t.Fatal("edge list round trip changed the edge list")
 	}
 }
 
@@ -83,7 +95,7 @@ func TestEdgeRange(t *testing.T) {
 	g.EdgeRange(1, 4, func(s, d VertexID, w float64) {
 		got = append(got, Edge{s, d, w})
 	})
-	all := g.Edges()
+	all := edgeList(g)
 	if !reflect.DeepEqual(got, all[1:4]) {
 		t.Fatalf("EdgeRange(1,4) = %v, want %v", got, all[1:4])
 	}
@@ -113,41 +125,55 @@ func TestMemoryFootprintGrows(t *testing.T) {
 	}
 }
 
-func TestParseEdgeList(t *testing.T) {
-	in := "# comment\n0 1\n1 2 2.5\n\n2 0\n"
-	numV, edges, err := ParseEdgeList(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
+// writeEdgeListFmt is WriteEdgeList as it was written with fmt, kept
+// verbatim: the oracle the strconv version must match byte for byte.
+func writeEdgeListFmt(w io.Writer, g *Graph) error {
+	bw := bufio.NewWriter(w)
+	var werr error
+	for v := 0; v < g.numV && werr == nil; v++ {
+		g.OutEdges(VertexID(v), func(dst VertexID, wt float64) {
+			if werr != nil {
+				return
+			}
+			if wt == 1.0 {
+				_, werr = fmt.Fprintf(bw, "%d %d\n", v, dst)
+			} else {
+				_, werr = fmt.Fprintf(bw, "%d %d %g\n", v, dst, wt)
+			}
+		})
 	}
-	if numV != 3 || len(edges) != 3 {
-		t.Fatalf("numV=%d edges=%d", numV, len(edges))
+	if werr != nil {
+		return werr
 	}
-	if edges[1].Weight != 2.5 || edges[0].Weight != 1.0 {
-		t.Fatalf("weights wrong: %+v", edges)
-	}
+	return bw.Flush()
 }
 
-func TestParseEdgeListErrors(t *testing.T) {
-	for _, bad := range []string{"0\n", "a b\n", "0 x\n", "-1 2\n", "0 1 zz\n"} {
-		if _, _, err := ParseEdgeList(strings.NewReader(bad)); err == nil {
-			t.Errorf("input %q accepted", bad)
+// WriteEdgeList prints exactly what "%d %d\n" / "%d %d %g\n" printed,
+// over the weights where %g and strconv could part: infinities, NaN,
+// negative zero, the exponent switch at 1e21, the smallest subnormal,
+// the unweighted 1.0 and its neighbour — and over a random graph.
+func TestWriteEdgeListMatchesFmt(t *testing.T) {
+	weights := []float64{1, math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 0,
+		1e21, 1e20, 5e-324, math.MaxFloat64, 1.0000000000000002, 2.5, -3, 1e-5, 123456.789}
+	var edges []Edge
+	for i, w := range weights {
+		edges = append(edges, Edge{VertexID(i), VertexID(len(weights) - 1 - i), w})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		edges = append(edges, Edge{VertexID(rng.Intn(4000)), VertexID(rng.Intn(4000)), 1 + 9*rng.Float64()})
+	}
+	for _, g := range []*Graph{MustFromEdges(len(weights), edges[:len(weights)]), MustFromEdges(4000, edges)} {
+		var got, want bytes.Buffer
+		if err := WriteEdgeList(&got, g); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestWriteParseRoundTrip(t *testing.T) {
-	g := diamond()
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	numV, edges, err := ParseEdgeList(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2 := MustFromEdges(numV, edges)
-	if !reflect.DeepEqual(g.Edges(), g2.Edges()) {
-		t.Fatal("write/parse round trip changed the graph")
+		if err := writeEdgeListFmt(&want, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("WriteEdgeList output differs from fmt's:\n got %q\nwant %q", got.Bytes(), want.Bytes())
+		}
 	}
 }
 

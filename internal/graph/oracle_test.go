@@ -59,7 +59,9 @@ func oracleGreedyVertexCut(g *graph.Graph, m int) *graph.Partitioning {
 		return best
 	}
 
-	for _, e := range g.Edges() {
+	var edges []graph.Edge // g's edge list in source order
+	g.EdgeRange(0, g.NumEdges(), func(s, d graph.VertexID, w float64) { edges = append(edges, graph.Edge{Src: s, Dst: d, Weight: w}) })
+	for _, e := range edges {
 		sp, dp := places[e.Src].nodes, places[e.Dst].nodes
 		// Greedy rules (PowerGraph §5.1): prefer a node holding both
 		// endpoints, then one holding either, then the least-loaded.
