@@ -113,11 +113,14 @@ race-gen:
 # contract (every index once, the serial loop's error, nested Dos, the
 # back-to-back hand-off, no steady allocation), the device launch that
 # runs every kernel through it, the suite cells whose MSGGen, MSGApply and
-# MSGMerge panic natively and on a plugged daemon, and the failed runs
-# that must leave no daemon behind — helpers really concurrent.
+# MSGMerge panic natively and on a plugged daemon, the failed runs that
+# must leave no daemon behind, and the cache build that panics under
+# blocked waiters and must leave no entry behind — helpers really
+# concurrent.
 race-par:
 	GOMAXPROCS=8 $(GO) test -race ./internal/par ./internal/device
-	GOMAXPROCS=8 $(GO) test -race -run 'TestSuitePanickingAlgorithmFailsOneEntry|TestFailedPluggedRunReleasesDaemons' ./gx
+	GOMAXPROCS=8 $(GO) test -race -run 'TestTablePanickingBuildLeavesNoEntry' -count=10 ./internal/memo
+	GOMAXPROCS=8 $(GO) test -race -run 'TestSuitePanickingAlgorithmFailsOneEntry|TestFailedPluggedRunReleasesDaemons|TestPanickingLoaderDoesNotPoisonCache' ./gx
 	GOMAXPROCS=8 $(GO) test -race -run 'TestFailedRunReleasesIPC' ./internal/engine
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenChunkMatchesOracle' -count=10 ./internal/gxplug
 

@@ -163,7 +163,7 @@ func main() {
 	// Every experiment routes its loads through the shared dataset
 	// cache; the accounting line makes the reuse visible (hits > 0 on
 	// any multi-experiment sweep).
-	if st := gen.SharedStats(); st.Loads > 0 {
-		fmt.Printf("dataset cache: %d graphs generated, %d cache hits\n", st.Loads, st.Hits)
+	if st := harness.DatasetStats(); st.Entries > 0 {
+		fmt.Printf("dataset cache: %d graphs generated, %d cache hits\n", st.Entries, st.Hits)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gxplug/internal/gen/ingest"
-	"gxplug/internal/graph"
 	"gxplug/internal/memo"
 )
 
@@ -36,12 +35,23 @@ type DatasetCache struct {
 	digests *memo.Table[statKey, loaded[fileDigest]]
 	files   *memo.Table[fileKey, loaded[*Graph]]
 	streams *memo.Table[fileKey, loaded[[]EdgeBatch]]
-	parts   *graph.PartitionCache
+	parts   *memo.Table[partKey, *Partitioning]
 }
 
 type graphKey struct {
 	dataset     string
 	scale, seed int64
+}
+
+// partKey identifies a partitioning by graph instance, engine and node
+// count. Graph pointer identity is deliberate: two structurally equal
+// graphs loaded separately occupy separate entries, which costs nothing
+// because the graph tables already hold one instance per dataset, and
+// keeps the lookup O(1) without hashing topology.
+type partKey struct {
+	g      *Graph
+	engine string
+	nodes  int
 }
 
 // fileKey identifies one parsed file by path, content digest and
@@ -88,11 +98,11 @@ type CacheStats struct {
 // NewDatasetCache returns an empty dataset/partition cache.
 func NewDatasetCache() *DatasetCache {
 	return &DatasetCache{
-		graphs:  memo.NewTable[graphKey, loaded[*Graph]](),
-		digests: memo.NewTable[statKey, loaded[fileDigest]](),
-		files:   memo.NewTable[fileKey, loaded[*Graph]](),
-		streams: memo.NewTable[fileKey, loaded[[]EdgeBatch]](),
-		parts:   graph.NewPartitionCache(),
+		graphs:  memo.NewTable[graphKey, loaded[*Graph]](0),
+		digests: memo.NewTable[statKey, loaded[fileDigest]](0),
+		files:   memo.NewTable[fileKey, loaded[*Graph]](0),
+		streams: memo.NewTable[fileKey, loaded[[]EdgeBatch]](0),
+		parts:   memo.NewTable[partKey, *Partitioning](0),
 	}
 }
 
@@ -214,8 +224,9 @@ func (c *DatasetCache) Partitioning(g *Graph, engine string, nodes int) (*Partit
 	if err != nil {
 		return nil, err
 	}
-	spec := def.Spec()
-	return c.parts.Get(g, engine, nodes, spec.Partition), nil
+	return c.parts.Get(partKey{g: g, engine: engine, nodes: nodes}, func() *Partitioning {
+		return def.Spec().Partition(g, nodes)
+	}), nil
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -225,7 +236,7 @@ func (c *DatasetCache) Stats() CacheStats {
 	ps := c.parts.Stats()
 	return CacheStats{
 		GraphHits: gs.Hits + fs.Hits, GraphLoads: gs.Entries + fs.Entries,
-		PartitionHits: ps.Hits, PartitionBuilds: ps.Builds,
+		PartitionHits: ps.Hits, PartitionBuilds: ps.Entries,
 	}
 }
 

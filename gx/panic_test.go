@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,5 +208,41 @@ func TestSuitePanickingObserverFailsOneEntry(t *testing.T) {
 	// kept reporting.
 	if reports["boom"] != 1 || reports["ok"] == 0 || reports["ok2"] == 0 {
 		t.Errorf("observer reports per entry: %v", reports)
+	}
+}
+
+var panickingLoaders atomic.Int64
+
+// A dataset loader that panics fails its entry and memoizes nothing: the
+// next suite on the same cache calls the loader again and runs, instead
+// of reading the panicked build's empty slot as a nil graph.
+func TestPanickingLoaderDoesNotPoisonCache(t *testing.T) {
+	name := fmt.Sprintf("test-panics-once-%d", panickingLoaders.Add(1))
+	var calls atomic.Int64
+	RegisterDataset(DatasetDef{Name: name, Load: func(scale, seed int64) (*Graph, error) {
+		if calls.Add(1) == 1 {
+			panic("synthetic loader panic")
+		}
+		return LoadDataset("orkut", scale, seed)
+	}})
+	suite := Suite{Entries: []SuiteEntry{
+		{Name: "load", Scenario: Scenario{Engine: "graphx", Algorithm: "cc", Dataset: name, Scale: 20000, Nodes: 2}},
+	}}
+	cache := NewDatasetCache()
+	res, err := RunSuite(suite, WithCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if er := res.Entries[0]; er.Class != ClassRun || er.Err == nil || !strings.Contains(er.Err.Error(), "panicked: synthetic loader panic") {
+		t.Fatalf("first suite: class %q, err %v", er.Class, er.Err)
+	}
+	if res, err = RunSuite(suite, WithCache(cache)); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Err(); err != nil {
+		t.Fatalf("second suite: %v", err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("loader calls=%d, want 2", n)
 	}
 }

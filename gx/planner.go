@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gxplug/internal/engine"
+	"gxplug/internal/memo"
 )
 
 // Plan selects the order a suite's entries are dispatched onto the
@@ -50,7 +51,7 @@ type CostEstimate struct {
 }
 
 // plannerMemoCap bounds the per-Planner raw-estimate memo; past it the
-// memo is reset wholesale, which is deterministic and cheap to refill.
+// least recently used estimate goes, which is cheap to recompute.
 const plannerMemoCap = 4096
 
 // Planner prices scenarios without running them. It shares a
@@ -61,11 +62,9 @@ const plannerMemoCap = 4096
 //
 // A Planner is safe for concurrent use.
 type Planner struct {
-	cache *DatasetCache
-	stats *PlannerStats
-
-	mu   sync.Mutex
-	memo map[string]CostEstimate // raw model estimates by scenario key
+	cache     *DatasetCache
+	stats     *PlannerStats
+	estimates *memo.Table[string, loaded[CostEstimate]] // raw model estimates by scenario key
 }
 
 // NewPlanner returns a planner estimating through cache (nil: a fresh
@@ -74,7 +73,8 @@ func NewPlanner(cache *DatasetCache, stats *PlannerStats) *Planner {
 	if cache == nil {
 		cache = NewDatasetCache()
 	}
-	return &Planner{cache: cache, stats: stats}
+	return &Planner{cache: cache, stats: stats,
+		estimates: memo.NewTable[string, loaded[CostEstimate]](plannerMemoCap)}
 }
 
 // Stats returns the planner's history, nil when it has none.
@@ -83,32 +83,28 @@ func (p *Planner) Stats() *PlannerStats { return p.stats }
 // Estimate predicts the scenario's cost. The model pass is memoized per
 // canonical scenario digest (with `file:` content digests folded in, so
 // a rewritten file re-prices); history refinement is applied on top of
-// the memo, never into it.
+// the memo, never into it. A failed pass is shared with concurrent
+// callers of the same attempt but not memoized beyond it.
 func (p *Planner) Estimate(s Scenario) (CostEstimate, error) {
 	s = s.WithDefaults()
 	key, keyed := scenarioKey(p.cache, s)
 
-	var raw CostEstimate
-	hit := false
+	var r loaded[CostEstimate]
 	if keyed {
-		p.mu.Lock()
-		raw, hit = p.memo[key]
-		p.mu.Unlock()
-	}
-	if !hit {
-		var err error
-		if raw, err = p.model(s); err != nil {
-			return CostEstimate{}, err
+		r = p.estimates.Get(key, func() loaded[CostEstimate] {
+			raw, err := p.model(s)
+			return loaded[CostEstimate]{v: raw, err: err}
+		})
+		if r.err != nil {
+			p.estimates.Drop(key)
 		}
-		if keyed {
-			p.mu.Lock()
-			if p.memo == nil || len(p.memo) >= plannerMemoCap {
-				p.memo = make(map[string]CostEstimate)
-			}
-			p.memo[key] = raw
-			p.mu.Unlock()
-		}
+	} else {
+		r.v, r.err = p.model(s)
 	}
+	if r.err != nil {
+		return CostEstimate{}, r.err
+	}
+	raw := r.v
 	if p.stats == nil {
 		return raw, nil
 	}

@@ -1,10 +1,10 @@
 package gx
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
 	"time"
+
+	"gxplug/internal/memo"
 )
 
 // ResultSummary condenses one successful run into the fields a serving
@@ -73,18 +73,8 @@ func Summarize(res *Result, totals EntryTotals) ResultSummary {
 // Safe for concurrent use; one process-wide instance can back any
 // number of suites and served requests.
 type ResultCache struct {
-	mu       sync.Mutex
+	t        *memo.Table[string, ResultSummary]
 	capacity int
-	order    *list.List // front = most recently used
-	entries  map[string]*list.Element
-
-	hits, misses, evictions int64
-}
-
-// cachedResult is what an LRU element holds.
-type cachedResult struct {
-	key     string
-	summary ResultSummary
 }
 
 // ResultCacheStats snapshots a ResultCache's activity.
@@ -106,61 +96,24 @@ func NewResultCache(capacity int) (*ResultCache, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("gx: result cache capacity %d (want ≥ 1)", capacity)
 	}
-	return &ResultCache{
-		capacity: capacity,
-		order:    list.New(),
-		entries:  make(map[string]*list.Element, capacity),
-	}, nil
+	return &ResultCache{t: memo.NewTable[string, ResultSummary](capacity), capacity: capacity}, nil
 }
 
 // Get returns the cached summary for key, marking it most recently used.
-func (c *ResultCache) Get(key string) (ResultSummary, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return ResultSummary{}, false
-	}
-	c.hits++
-	c.order.MoveToFront(e)
-	return e.Value.(*cachedResult).summary, true
-}
+func (c *ResultCache) Get(key string) (ResultSummary, bool) { return c.t.Lookup(key) }
 
 // Put stores the summary for key, evicting the least recently used
 // entry if the cache is full. Storing an existing key refreshes it.
-func (c *ResultCache) Put(key string, sum ResultSummary) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		e.Value.(*cachedResult).summary = sum
-		c.order.MoveToFront(e)
-		return
-	}
-	for c.order.Len() >= c.capacity {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.entries, last.Value.(*cachedResult).key)
-		c.evictions++
-	}
-	c.entries[key] = c.order.PushFront(&cachedResult{key: key, summary: sum})
-}
+func (c *ResultCache) Put(key string, sum ResultSummary) { c.t.Put(key, sum) }
 
 // Stats returns a snapshot of the cache counters.
 func (c *ResultCache) Stats() ResultCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	s := c.t.Stats()
 	return ResultCacheStats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Entries: len(c.entries), Capacity: c.capacity,
+		Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions,
+		Entries: int(s.Entries), Capacity: c.capacity,
 	}
 }
 
 // Purge drops every entry and zeroes the counters.
-func (c *ResultCache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.entries = make(map[string]*list.Element, c.capacity)
-	c.hits, c.misses, c.evictions = 0, 0, 0
-}
+func (c *ResultCache) Purge() { c.t.Purge() }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"gxplug/internal/gen"
 	"gxplug/internal/graph"
@@ -326,8 +327,9 @@ func TestMergeCommutativeQuick(t *testing.T) {
 			}
 			return true
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-			t.Fatalf("%s merge not commutative: %v", a.Name(), err)
+		seed := time.Now().UnixNano()
+		if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+			t.Fatalf("%s merge not commutative (seed %d): %v", a.Name(), seed, err)
 		}
 	}
 }

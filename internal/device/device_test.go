@@ -2,6 +2,7 @@ package device
 
 import (
 	"errors"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -261,8 +262,9 @@ func TestCostMonotoneQuick(t *testing.T) {
 		moreOps := d.cost(int(n), int64(bytes), 0, 8+float64(extra))
 		return moreItems >= base && moreBytes >= base && moreOps >= base
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	seed := time.Now().UnixNano()
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 }
 
@@ -275,7 +277,8 @@ func TestEffectiveRateBoundsQuick(t *testing.T) {
 		r := d.EffectiveRate(int(n))
 		return r >= s.OpsPerThread-1e-9 && r <= s.OpsPerThread*float64(s.Threads)+1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	seed := time.Now().UnixNano()
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 }

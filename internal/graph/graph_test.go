@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // diamond returns a small fixed graph used across tests:
@@ -206,7 +207,8 @@ func TestFromEdgesPreservesEdgesQuick(t *testing.T) {
 		}
 		return outSum == numE && inSum == numE
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	seed := time.Now().UnixNano()
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 }

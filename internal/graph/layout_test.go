@@ -17,7 +17,7 @@ func standIns(t *testing.T) map[string]*graph.Graph {
 	out := make(map[string]*graph.Graph)
 	for _, d := range []gen.Dataset{gen.Orkut, gen.WRN, gen.LiveJournal} {
 		for _, scale := range []int64{1000, 2000} {
-			g, err := gen.LoadShared(d, scale, 42)
+			g, err := gen.Load(d, scale, 42)
 			if err != nil {
 				t.Fatal(err)
 			}

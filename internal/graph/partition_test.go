@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // randomGraph builds a reproducible random graph for partitioner tests.
@@ -214,7 +215,8 @@ func TestPartitionersValidQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+	seed := time.Now().UnixNano()
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 }

@@ -2,6 +2,7 @@ package balance
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -91,8 +92,9 @@ func TestLemma2OptimalQuick(t *testing.T) {
 		}
 		return got >= min-time.Microsecond
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
+	seed := time.Now().UnixNano()
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 }
 
@@ -163,8 +165,9 @@ func TestLemma3LowerBoundQuick(t *testing.T) {
 		}
 		return time.Duration(worst*float64(time.Second)) >= min-time.Microsecond
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
+	seed := time.Now().UnixNano()
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 }
 

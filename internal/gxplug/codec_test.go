@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"gxplug/internal/graph"
 )
@@ -171,7 +172,8 @@ func TestGenBlockRoundTripQuick(t *testing.T) {
 		}
 		return len(eb2.Triplets) == nT && reflect.DeepEqual(eb, eb2) && reflect.DeepEqual(vb, vb2)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	seed := time.Now().UnixNano()
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"gxplug/internal/graph"
 )
@@ -292,8 +293,9 @@ func TestCacheInvariantsQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	seed := time.Now().UnixNano()
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 }
 
@@ -328,8 +330,9 @@ func TestNoLostUpdatesQuick(t *testing.T) {
 		}
 		return len(pending) == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	seed := time.Now().UnixNano()
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"gxplug/internal/gen"
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug"
+	"gxplug/internal/memo"
 )
 
 // Options configure an experiment run.
@@ -75,16 +76,38 @@ func NodesForGPUs(gpus int) (nodes, gpusPerNode int) {
 	return nodes, 2
 }
 
-// load resolves a dataset stand-in through the process-wide dataset
-// cache: every figure generator routes its loads here, so a full
-// `gxbench -exp all` sweep generates each distinct (dataset, scale,
-// seed) once and later experiments reuse the immutable instance.
+// datasets is the process-wide dataset table every figure generator
+// loads through, so a full `gxbench -exp all` sweep generates each
+// distinct (dataset, scale, seed) once and later experiments reuse the
+// immutable instance. Generation is deterministic, so errors are
+// memoized too.
+var datasets = memo.NewTable[datasetKey, loadedGraph](0)
+
+type datasetKey struct {
+	d           gen.Dataset
+	scale, seed int64
+}
+
+type loadedGraph struct {
+	g   *graph.Graph
+	err error
+}
+
+// load resolves a dataset stand-in through the process-wide table.
 func load(d gen.Dataset, o Options) (*graph.Graph, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	return gen.LoadShared(d, o.Scale, o.Seed)
+	r := datasets.Get(datasetKey{d: d, scale: o.Scale, seed: o.Seed}, func() loadedGraph {
+		g, err := gen.Load(d, o.Scale, o.Seed)
+		return loadedGraph{g: g, err: err}
+	})
+	return r.g, r.err
 }
+
+// DatasetStats snapshots the process-wide dataset table: Entries is the
+// number of graphs generated, Hits the loads answered without one.
+func DatasetStats() memo.Stats { return datasets.Stats() }
 
 // seconds renders durations the way the figures label their axes.
 func seconds(d time.Duration) string {

@@ -2,9 +2,11 @@ package harness
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"gxplug/internal/gen"
+	"gxplug/internal/graph"
 )
 
 // testOpts keeps datasets tiny so the whole shape suite runs in seconds.
@@ -16,6 +18,58 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := Default().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The process-wide dataset table generates each (dataset, scale, seed)
+// once and hands every later load the identical instance; the seed and
+// the dataset are each part of the key. Seeds no figure test uses keep
+// the counters this test reads its own.
+func TestLoadOncePerKey(t *testing.T) {
+	before := DatasetStats()
+	o := Options{Scale: 20000, Seed: 9101}
+	a, err := load(gen.Orkut, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := load(gen.Orkut, o); err != nil || b != a {
+		t.Fatalf("repeated key: err %v, same instance %v", err, b == a)
+	}
+	if b, err := load(gen.Orkut, Options{Scale: 20000, Seed: 9102}); err != nil || b == a {
+		t.Fatalf("distinct seed: err %v, same instance %v", err, b == a)
+	}
+	if b, err := load(gen.WRN, o); err != nil || b == a {
+		t.Fatalf("distinct dataset: err %v, same instance %v", err, b == a)
+	}
+	after := DatasetStats()
+	if loads, hits := after.Entries-before.Entries, after.Hits-before.Hits; loads != 3 || hits != 1 {
+		t.Fatalf("%d loads / %d hits, want 3 / 1", loads, hits)
+	}
+}
+
+// Concurrent first loads of one key generate it once and all receive the
+// identical instance.
+func TestLoadSingleFlight(t *testing.T) {
+	before := DatasetStats()
+	const callers = 16
+	graphs := make([]*graph.Graph, callers)
+	var wg sync.WaitGroup
+	for i := range graphs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			graphs[i], _ = load(gen.LiveJournal, Options{Scale: 40000, Seed: 9103})
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < callers; i++ {
+		if graphs[i] == nil || graphs[i] != graphs[0] {
+			t.Fatalf("caller %d got a different instance", i)
+		}
+	}
+	after := DatasetStats()
+	if loads, hits := after.Entries-before.Entries, after.Hits-before.Hits; loads != 1 || hits != callers-1 {
+		t.Fatalf("%d loads / %d hits for %d callers of one key", loads, hits, callers)
 	}
 }
 

@@ -2,6 +2,7 @@ package shm
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -362,7 +363,8 @@ func TestSharedVisibilityQuick(t *testing.T) {
 		w[i] = val
 		return r[i] == val
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	seed := time.Now().UnixNano()
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 }

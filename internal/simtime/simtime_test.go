@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -152,8 +153,9 @@ func TestPipelineMakespanBounds(t *testing.T) {
 		}
 		return pipe >= lower
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	seed := time.Now().UnixNano()
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 }
 
@@ -179,8 +181,9 @@ func TestPipelineMakespanMonotone(t *testing.T) {
 		after := PipelineMakespan(costs)
 		return after >= before
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	seed := time.Now().UnixNano()
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 }
 
