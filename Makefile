@@ -98,14 +98,19 @@ race-dynamic:
 	GOMAXPROCS=8 $(GO) test -race -run 'TestDynamicConformance' ./gx
 	GOMAXPROCS=8 $(GO) test -race -run 'TestIncrementalMatchesScratch|TestStreamBoundaryAllocs' ./internal/engine
 
-# The gen kernels generate once per source run on the strength of a
-# declaration (Hints.SourceOnly): both are held bit for bit to the
-# per-edge loops they replaced, and every declaration to its contract.
-# genKernel.chunk is the one place concurrent kernel calls share a slab
-# (a launch's chunks run on the host helpers, each in its own window of
-# the partials), so its oracle test runs several times at GOMAXPROCS 8.
+# Each gen kernel has one generation path: MSGGen writes into a reused
+# scratch row, once per source run where Hints.SourceOnly is declared and
+# once per edge otherwise. Both kernels are held bit for bit to the
+# per-edge loops they replaced, nativeGen to zero allocations, and every
+# registered algorithm's MSGGen to its contract (same message whatever
+# the scratch held; the SourceOnly half where declared) — the property
+# that keeps executors handing it dirty scratch equal to the sequential
+# reference. genKernel.chunk is the one place concurrent kernel calls
+# share a slab (a launch's chunks run on the host helpers, each in its
+# own window of the partials), so its oracle test runs several times at
+# GOMAXPROCS 8.
 race-gen:
-	GOMAXPROCS=8 $(GO) test -race -short -run 'TestNativeGenMatchesOracle' ./internal/engine
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestNativeGenMatchesOracle|TestNativeGenAllocatesNothing' ./internal/engine
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenChunkMatchesOracle' -count=10 ./internal/gxplug
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestSourceOnlyDeclarationsHold' ./gx
 

@@ -47,19 +47,12 @@ func (f *influence) Init(_ *gx.Context, id gx.VertexID, attr []float64) {
 	}
 }
 
-func (f *influence) MSGGen(ctx *gx.Context, src, dst gx.VertexID, w float64, srcAttr []float64, emit gx.Emit) {
-	var msg [1]float64
-	if f.MSGGenInto(ctx, src, dst, w, srcAttr, msg[:]) {
-		emit(dst, msg[:])
-	}
-}
-
-// MSGGenInto implements the optional gx.InlineGen fast path: the one
-// message of an edge written into the executor's scratch, no allocation.
-// The contribution is damping·score/outdegree — nothing of dst or w —
-// which is what Hints.SourceOnly below declares, so executors generate
-// it once per source and merge it into each of the source's edges.
-func (f *influence) MSGGenInto(ctx *gx.Context, src, _ gx.VertexID, _ float64, srcAttr, msg []float64) bool {
+// MSGGen writes the one message of an edge into msg, the executor's
+// scratch row, and reports whether there is one: no allocation. The
+// contribution is damping·score/outdegree — nothing of dst or w — which
+// is what Hints.SourceOnly below declares, so executors generate it once
+// per source and merge it into each of the source's edges.
+func (f *influence) MSGGen(ctx *gx.Context, src, _ gx.VertexID, _ float64, srcAttr, msg []float64) bool {
 	deg := ctx.OutDeg(src)
 	if deg == 0 || srcAttr[0] == 0 {
 		return false

@@ -177,17 +177,18 @@ var sourceOnlyDeclared = map[string]bool{
 	"bfs":      true,
 }
 
-// checkSourceOnly is the checker of the Hints.SourceOnly contract for an
-// InlineGen algorithm: over random sources and attribute rows (±0, ±Inf
-// and NaN among them), MSGGenInto must report the same ok and write a
-// bit-identical message whatever dst and w it is handed, and MSGMerge
-// must leave the message it folds untouched — executors generate once per
-// source run and merge that one message into every destination.
-func checkSourceOnly(alg Algorithm, rng *rand.Rand) error {
-	inline, ok := alg.(InlineGen)
-	if !ok {
-		return nil // executors only generate per run through MSGGenInto
-	}
+// checkMSGGen is the checker of the MSGGen contract. Over random edges
+// and attribute rows (±0, ±Inf and NaN among them), handed a scratch row
+// that arrives dirty, differently each call, MSGGen must report the same
+// ok and write a bit-identical message for the same (src, dst, w,
+// srcAttr): the executors reuse one row per worker while the sequential
+// reference clears its row per edge, so a slot left unwritten would set
+// them apart. An algorithm that declares Hints.SourceOnly must moreover
+// do so whatever dst and w it is handed, and MSGMerge must leave the
+// message it folds untouched — executors generate once per source run and
+// merge that one message into every destination.
+func checkMSGGen(alg Algorithm, rng *rand.Rand) error {
+	sourceOnly := alg.Hints().SourceOnly
 	const numV = 1000
 	ctx := &Context{
 		NumVertices: numV,
@@ -210,27 +211,33 @@ func checkSourceOnly(alg Algorithm, rng *rand.Rand) error {
 		for i := range srcAttr {
 			srcAttr[i] = value()
 		}
+		dst, w := VertexID(rng.Intn(numV)), value()
 		var firstOK bool
-		for edge := 0; edge < 6; edge++ {
+		for call := 0; call < 6; call++ {
+			// Calls 1 and 2 repeat the edge; a SourceOnly declaration is
+			// then held to other edges out of the same source.
+			if sourceOnly && call >= 3 {
+				dst, w = VertexID(rng.Intn(numV)), value()
+			}
 			// The scratch arrives dirty, differently each call: a slot the
 			// algorithm leaves unwritten shows up as a difference.
 			for i := range msg {
 				msg[i] = value()
 			}
-			produced := inline.MSGGenInto(ctx, src, VertexID(rng.Intn(numV)), value(), srcAttr, msg)
-			if edge == 0 {
+			produced := alg.MSGGen(ctx, src, dst, w, srcAttr, msg)
+			if call == 0 {
 				firstOK = produced
 				copy(first, msg)
 				continue
 			}
 			if produced != firstOK {
-				return fmt.Errorf("source %d, attributes %v: MSGGenInto reported %v for one edge and %v for another", src, srcAttr, firstOK, produced)
+				return fmt.Errorf("source %d, attributes %v, edge to %d weighing %v: MSGGen reported %v, and %v on an earlier call", src, srcAttr, dst, w, produced, firstOK)
 			}
 			if produced && !attrsBitEqual(msg, first) {
-				return fmt.Errorf("source %d, attributes %v: message %v for one edge, %v for another", src, srcAttr, first, msg)
+				return fmt.Errorf("source %d, attributes %v, edge to %d weighing %v: message %v, and %v on an earlier call", src, srcAttr, dst, w, msg, first)
 			}
 		}
-		if firstOK {
+		if sourceOnly && firstOK {
 			copy(msg, first)
 			alg.MergeIdentity(acc)
 			alg.MSGMerge(acc, msg) // into the identity, then into a row that holds something
@@ -252,11 +259,13 @@ func (s eagerSSSP) Hints() Hints {
 	return h
 }
 
-// TestSourceOnlyDeclarationsHold holds every registered algorithm that
-// declares Hints.SourceOnly to the contract, pins which built-ins declare
-// it, and shows the checker catches a false declaration. The end-to-end
-// half of the proof is TestConformanceMatrix: executors trust the
-// declaration while algos.Sequential stays per-edge.
+// TestSourceOnlyDeclarationsHold holds every registered algorithm's
+// MSGGen to its contract — SSSP's per-edge message included, plus the
+// SourceOnly half wherever it is declared — pins which built-ins declare
+// SourceOnly, and shows the checker catches a false declaration. The
+// end-to-end half of the proof is TestConformanceMatrix: executors hand
+// MSGGen dirty scratch and trust the declaration, while algos.Sequential
+// clears its row and stays per-edge.
 func TestSourceOnlyDeclarationsHold(t *testing.T) {
 	for _, name := range Algorithms() {
 		alg, err := NewAlgorithm(name, AlgoParams{}, 1000)
@@ -267,15 +276,31 @@ func TestSourceOnlyDeclarationsHold(t *testing.T) {
 		if want, builtin := sourceOnlyDeclared[name]; builtin && declared != want {
 			t.Errorf("%s: SourceOnly = %v, want %v", name, declared, want)
 		}
-		if !declared {
-			continue
-		}
-		if err := checkSourceOnly(alg, rand.New(rand.NewSource(9))); err != nil {
-			t.Errorf("%s declares SourceOnly: %v", name, err)
+		if err := checkMSGGen(alg, rand.New(rand.NewSource(9))); err != nil {
+			t.Errorf("%s (SourceOnly %v): %v", name, declared, err)
 		}
 	}
 	lying := eagerSSSP{algos.NewSSSPBF([]graph.VertexID{0, 1})}
-	if err := checkSourceOnly(lying, rand.New(rand.NewSource(9))); err == nil {
+	if err := checkMSGGen(lying, rand.New(rand.NewSource(9))); err == nil {
 		t.Error("SSSP declaring SourceOnly passed the checker")
 	}
+	lazy := lazySSSP{algos.NewSSSPBF([]graph.VertexID{0, 1})}
+	if err := checkMSGGen(lazy, rand.New(rand.NewSource(9))); err == nil {
+		t.Error("SSSP leaving unreached slots unwritten passed the checker")
+	}
+}
+
+// lazySSSP is SSSP whose MSGGen leaves the slots of unreached sources
+// unwritten: right on a cleared row, wrong on the executors' reused one.
+type lazySSSP struct{ *algos.SSSPBF }
+
+func (s lazySSSP) MSGGen(_ *Context, _, _ VertexID, w float64, srcAttr, msg []float64) bool {
+	any := false
+	for i, d := range srcAttr {
+		if !math.IsInf(d, 1) {
+			msg[i] = d + w
+			any = true
+		}
+	}
+	return any
 }

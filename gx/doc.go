@@ -156,16 +156,17 @@
 //
 // Algorithms implement [Algorithm], the three-function GX-Plug template
 // (MSGGen / MSGMerge / MSGApply) re-exported here so external code never
-// imports internal packages. Two optional declarations make the gen
-// kernel cheaper without changing a result: [InlineGen] writes an edge's
-// one message into the executor's scratch instead of allocating it, and
-// [Hints].SourceOnly states that this message depends on the source
-// vertex alone — its id, attributes and [Context] degrees, never the
-// destination or the edge weight — so both executors generate it once per
-// source and merge it into each of the source's edges (PageRank, CC, LP,
-// BFS and k-core declare it; SSSP, whose message is distance + weight,
-// cannot). The sequential reference never reads the flag, which is what
-// checks a declaration; examples/custom-algorithm declares both.
+// imports internal packages. MSGGen writes an edge's one message into a
+// row the executor owns and reports whether there is one, so generation
+// allocates nothing. One optional declaration makes the gen kernel
+// cheaper without changing a result: [Hints].SourceOnly states that the
+// message depends on the source vertex alone — its id, attributes and
+// [Context] degrees, never the destination or the edge weight — so both
+// executors generate it once per source and merge it into each of the
+// source's edges (PageRank, CC, LP, BFS and k-core declare it; SSSP, whose
+// message is distance + weight, cannot). The sequential reference never
+// reads the flag, which is what checks a declaration;
+// examples/custom-algorithm declares it.
 //
 // # Contributing
 //

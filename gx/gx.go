@@ -31,15 +31,11 @@ type (
 	Algorithm = template.Algorithm
 	// Context carries per-iteration information into template calls.
 	Context = template.Context
-	// Emit delivers one message during MSGGen.
-	Emit = template.Emit
 	// Hints tell engines how to drive and cost an algorithm, and carry
 	// its declared properties: Incremental (safe for trajectory replay)
-	// and SourceOnly (the message depends on the source alone, so
-	// executors generate it once per source).
+	// and SourceOnly (the message MSGGen writes depends on the source
+	// alone, so executors call it once per source, not once per edge).
 	Hints = template.Hints
-	// InlineGen is the optional allocation-free MSGGen fast path.
-	InlineGen = template.InlineGen
 	// Sourced is implemented by algorithms that start from source vertices.
 	Sourced = template.Sourced
 

@@ -22,17 +22,19 @@ import (
 // entries finished with the digests they have without it, the process
 // alive, and no daemon of the failed job left behind.
 
-// genPanicsAt is CC whose MSGGen panics on edges out of one vertex.
+// genPanicsAt is CC whose MSGGen panics on edges out of one vertex. It
+// keeps CC's SourceOnly declaration, so both executors reach the panic on
+// their per-run path.
 type genPanicsAt struct {
 	Algorithm
 	src graph.VertexID
 }
 
-func (a genPanicsAt) MSGGen(ctx *Context, src, dst graph.VertexID, w float64, srcAttr []float64, emit Emit) {
+func (a genPanicsAt) MSGGen(ctx *Context, src, dst graph.VertexID, w float64, srcAttr, msg []float64) bool {
 	if src == a.src {
 		panic("synthetic MSGGen panic")
 	}
-	a.Algorithm.MSGGen(ctx, src, dst, w, srcAttr, emit)
+	return a.Algorithm.MSGGen(ctx, src, dst, w, srcAttr, msg)
 }
 
 // applyPanicsAt is CC whose MSGApply panics on one vertex.

@@ -55,15 +55,7 @@ func (b *KHopBFS) Init(_ *template.Context, id graph.VertexID, attr []float64) {
 
 // MSGGen implements template.Algorithm: advertise hop+1, respecting the
 // bound.
-func (b *KHopBFS) MSGGen(ctx *template.Context, src, dst graph.VertexID, w float64, srcAttr []float64, emit template.Emit) {
-	var msg [1]float64
-	if b.MSGGenInto(ctx, src, dst, w, srcAttr, msg[:]) {
-		emit(dst, msg[:])
-	}
-}
-
-// MSGGenInto implements template.InlineGen.
-func (b *KHopBFS) MSGGenInto(_ *template.Context, _, _ graph.VertexID, _ float64, srcAttr, msg []float64) bool {
+func (b *KHopBFS) MSGGen(_ *template.Context, _, _ graph.VertexID, _ float64, srcAttr, msg []float64) bool {
 	h := srcAttr[0]
 	if math.IsInf(h, 1) {
 		return false

@@ -32,15 +32,7 @@ func (c *CC) Init(_ *template.Context, id graph.VertexID, attr []float64) {
 }
 
 // MSGGen implements template.Algorithm.
-func (c *CC) MSGGen(ctx *template.Context, src, dst graph.VertexID, w float64, srcAttr []float64, emit template.Emit) {
-	var msg [1]float64
-	if c.MSGGenInto(ctx, src, dst, w, srcAttr, msg[:]) {
-		emit(dst, msg[:])
-	}
-}
-
-// MSGGenInto implements template.InlineGen.
-func (c *CC) MSGGenInto(_ *template.Context, _, _ graph.VertexID, _ float64, srcAttr, msg []float64) bool {
+func (c *CC) MSGGen(_ *template.Context, _, _ graph.VertexID, _ float64, srcAttr, msg []float64) bool {
 	msg[0] = srcAttr[0]
 	return true
 }

@@ -42,15 +42,7 @@ func (kc *KCore) Init(ctx *template.Context, id graph.VertexID, attr []float64) 
 
 // MSGGen implements template.Algorithm: a vertex that was just peeled
 // (active and dead) notifies each out-neighbour of one lost edge.
-func (kc *KCore) MSGGen(ctx *template.Context, src, dst graph.VertexID, w float64, srcAttr []float64, emit template.Emit) {
-	var msg [1]float64
-	if kc.MSGGenInto(ctx, src, dst, w, srcAttr, msg[:]) {
-		emit(dst, msg[:])
-	}
-}
-
-// MSGGenInto implements template.InlineGen.
-func (kc *KCore) MSGGenInto(_ *template.Context, _, _ graph.VertexID, _ float64, srcAttr, msg []float64) bool {
+func (kc *KCore) MSGGen(_ *template.Context, _, _ graph.VertexID, _ float64, srcAttr, msg []float64) bool {
 	if srcAttr[0] != 0 {
 		return false
 	}

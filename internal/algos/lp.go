@@ -44,15 +44,7 @@ func (l *LP) Init(_ *template.Context, id graph.VertexID, attr []float64) {
 
 // MSGGen implements template.Algorithm: advertise the source's label with
 // count 1. Empty slots carry label -1.
-func (l *LP) MSGGen(ctx *template.Context, src, dst graph.VertexID, w float64, srcAttr []float64, emit template.Emit) {
-	msg := make([]float64, 2*lpSlots)
-	if l.MSGGenInto(ctx, src, dst, w, srcAttr, msg) {
-		emit(dst, msg)
-	}
-}
-
-// MSGGenInto implements template.InlineGen.
-func (l *LP) MSGGenInto(_ *template.Context, _, _ graph.VertexID, _ float64, srcAttr, msg []float64) bool {
+func (l *LP) MSGGen(_ *template.Context, _, _ graph.VertexID, _ float64, srcAttr, msg []float64) bool {
 	for i := 0; i < lpSlots; i++ {
 		msg[2*i] = -1
 		msg[2*i+1] = 0

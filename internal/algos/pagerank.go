@@ -39,17 +39,8 @@ func (p *PageRank) Init(ctx *template.Context, _ graph.VertexID, attr []float64)
 	attr[0] = 1.0 / float64(ctx.NumVertices)
 }
 
-// MSGGen implements template.Algorithm.
-func (p *PageRank) MSGGen(ctx *template.Context, src, dst graph.VertexID, w float64, srcAttr []float64, emit template.Emit) {
-	var msg [1]float64
-	if p.MSGGenInto(ctx, src, dst, w, srcAttr, msg[:]) {
-		emit(dst, msg[:])
-	}
-}
-
-// MSGGenInto implements template.InlineGen: one rank contribution per
-// edge, no allocation.
-func (p *PageRank) MSGGenInto(ctx *template.Context, src, _ graph.VertexID, _ float64, srcAttr, msg []float64) bool {
+// MSGGen implements template.Algorithm: one rank contribution per edge.
+func (p *PageRank) MSGGen(ctx *template.Context, src, _ graph.VertexID, _ float64, srcAttr, msg []float64) bool {
 	deg := ctx.OutDeg(src)
 	if deg == 0 {
 		return false

@@ -8,8 +8,9 @@ import (
 // Sequential executes a template algorithm with a plain synchronous
 // single-machine loop — the sequential reference every engine path
 // (native, plugged, cached, bounded, skipped) is checked against by the
-// conformance matrix. Message generation walks sources in ascending
-// vertex order and merges arrivals in that order, so the result is a
+// conformance matrix. It is template.Drive without an iteration hook:
+// message generation walks sources in ascending vertex order, one MSGGen
+// per edge, and merges arrivals in that order, so the result is a
 // deterministic function of (graph, algorithm); engines whose merge
 // operators are exact (min, count, flag) must reproduce it bit for bit,
 // while floating-point-sum merges (PageRank) may differ in merge order
@@ -18,69 +19,5 @@ import (
 // It returns the final attribute array (NumVertices × AttrWidth) and the
 // number of iterations executed.
 func Sequential(g *graph.Graph, a template.Algorithm) ([]float64, int) {
-	n := g.NumVertices()
-	aw, mw := a.AttrWidth(), a.MsgWidth()
-	ctx := &template.Context{
-		NumVertices: n,
-		OutDeg:      func(v graph.VertexID) int { return g.OutDegree(v) },
-		InDeg:       func(v graph.VertexID) int { return g.InDegree(v) },
-	}
-	attrs := make([]float64, n*aw)
-	for v := 0; v < n; v++ {
-		a.Init(ctx, graph.VertexID(v), attrs[v*aw:(v+1)*aw])
-	}
-	active := template.InitialFrontier(a, n)
-	hints := a.Hints()
-	iters := 0
-	for {
-		if hints.MaxIterations > 0 && iters >= hints.MaxIterations {
-			break
-		}
-		anyActive := hints.GenAll
-		for _, ac := range active {
-			if ac {
-				anyActive = true
-				break
-			}
-		}
-		if !anyActive && !hints.ApplyAll {
-			break
-		}
-
-		ctx.Iteration = iters
-		acc := make([]float64, n*mw)
-		recv := make([]bool, n)
-		for v := 0; v < n; v++ {
-			a.MergeIdentity(acc[v*mw : (v+1)*mw])
-		}
-		for v := 0; v < n; v++ {
-			if !hints.GenAll && !active[v] {
-				continue
-			}
-			src := graph.VertexID(v)
-			g.OutEdges(src, func(dst graph.VertexID, w float64) {
-				a.MSGGen(ctx, src, dst, w, attrs[v*aw:(v+1)*aw], func(d graph.VertexID, msg []float64) {
-					a.MSGMerge(acc[int(d)*mw:int(d)*mw+mw], msg)
-					recv[d] = true
-				})
-			})
-		}
-		next := make([]bool, n)
-		changed := false
-		for v := 0; v < n; v++ {
-			if !recv[v] && !hints.ApplyAll {
-				continue
-			}
-			if a.MSGApply(ctx, graph.VertexID(v), attrs[v*aw:(v+1)*aw], acc[v*mw:(v+1)*mw], recv[v]) {
-				next[v] = true
-				changed = true
-			}
-		}
-		active = next
-		iters++
-		if !changed {
-			break
-		}
-	}
-	return attrs, iters
+	return template.Drive(g, a, nil)
 }

@@ -89,15 +89,7 @@ func (s *SSSPBF) Init(_ *template.Context, id graph.VertexID, attr []float64) {
 
 // MSGGen implements template.Algorithm: relax the edge for every source
 // slot with a finite distance.
-func (s *SSSPBF) MSGGen(ctx *template.Context, src, dst graph.VertexID, w float64, srcAttr []float64, emit template.Emit) {
-	msg := make([]float64, len(srcAttr))
-	if s.MSGGenInto(ctx, src, dst, w, srcAttr, msg) {
-		emit(dst, msg)
-	}
-}
-
-// MSGGenInto implements template.InlineGen.
-func (s *SSSPBF) MSGGenInto(_ *template.Context, _, _ graph.VertexID, w float64, srcAttr, msg []float64) bool {
+func (s *SSSPBF) MSGGen(_ *template.Context, _, _ graph.VertexID, w float64, srcAttr, msg []float64) bool {
 	any := false
 	for i, d := range srcAttr {
 		if math.IsInf(d, 1) {

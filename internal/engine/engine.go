@@ -390,7 +390,6 @@ type runner struct {
 	natWrote   [][]bool
 	natBefore  [][]float64
 	natMsg     [][]float64
-	inlineGen  template.InlineGen // non-nil when alg supports the fast path
 
 	// Per-node reduction scratch for the parallel merge/apply phase.
 	changedPer []bool
@@ -568,7 +567,6 @@ func (r *runner) setup() error {
 		r.natBefore[j] = make([]float64, r.aw)
 		r.natMsg[j] = make([]float64, r.mw)
 	}
-	r.inlineGen, _ = r.alg.(template.InlineGen)
 
 	// Stand up agents if the middleware is plugged in.
 	if r.plug != nil {

@@ -14,15 +14,14 @@ import (
 )
 
 // nativeGenOracle is the per-edge nativeGen the source-run walk replaced,
-// verbatim apart from the name: every edge tests the cone and the
-// frontier, slices its source's row and generates its own message. It is
-// the oracle TestNativeGenMatchesOracle holds nativeGen to; nothing
-// outside the tests runs it.
+// verbatim apart from the name and the one-method MSGGen call: every edge
+// tests the cone and the frontier, slices its source's row and generates
+// its own message. It is the oracle TestNativeGenMatchesOracle holds
+// nativeGen to; nothing outside the tests runs it.
 func (r *runner) nativeGenOracle(j int) *gxplug.GenResult {
 	part := r.part.Parts[j]
 	res := r.nextNativeResult(j)
 	genAll := r.alg.Hints().GenAll
-	deliver := res.Add
 	msgBuf := r.natMsg[j]
 	// Incremental replay: only destinations in the cone can receive a
 	// result differing from the memo, so only their messages are needed.
@@ -38,22 +37,14 @@ func (r *runner) nativeGenOracle(j int) *gxplug.GenResult {
 		edges++
 		src := e.Src
 		srcAttr := r.attrs[int(src)*r.aw : (int(src)+1)*r.aw]
-		if r.inlineGen != nil {
-			if r.inlineGen.MSGGenInto(r.ctx, src, e.Dst, e.Weight, srcAttr, msgBuf) {
-				res.Add(e.Dst, msgBuf)
-			}
-			continue
+		if r.alg.MSGGen(r.ctx, src, e.Dst, e.Weight, srcAttr, msgBuf) {
+			res.Add(e.Dst, msgBuf)
 		}
-		r.alg.MSGGen(r.ctx, src, e.Dst, e.Weight, srcAttr, deliver)
 	}
 	res.Entities = edges
 	r.chargeNative(j, genOps(float64(edges), r.alg.Hints()))
 	return res
 }
-
-// genericOnly hides an algorithm's InlineGen (and Sourced) methods, so
-// the executor takes the MSGGen+emit path.
-type genericOnly struct{ template.Algorithm }
 
 // randomFlags returns n flags, each set with probability p; exactlyOne
 // sets a single random flag instead.
@@ -71,8 +62,8 @@ func randomFlags(rng *rand.Rand, n int, p float64, exactlyOne bool) []bool {
 
 // TestNativeGenMatchesOracle compares the source-run nativeGen with the
 // per-edge loop it replaced on both engine shapes (edge-cut BSP as
-// graphx, vertex-cut GAS as powergraph), for every built-in algorithm
-// plus one forced onto the generic MSGGen path, over frontier densities
+// graphx, vertex-cut GAS as powergraph), for every built-in algorithm —
+// SSSP on the per-edge path, the rest per run — over frontier densities
 // {empty, one vertex, ~1 %, ~50 %, full} × cone filters {none, sparse,
 // dense}, from attribute state two supersteps into a run. One graph
 // leaves most parts without a single edge. Per destination buffer the
@@ -123,7 +114,6 @@ func TestNativeGenMatchesOracle(t *testing.T) {
 			{"bfs", func() template.Algorithm { return algos.NewKHopBFS(srcs, 0) }},
 			{"kcore", func() template.Algorithm { return algos.NewKCore(3) }},
 			{"sssp", func() template.Algorithm { return algos.NewSSSPBF(srcs) }},
-			{"generic-pagerank", func() template.Algorithm { return genericOnly{algos.NewPageRank()} }},
 		}
 		for _, sc := range specs {
 			for _, ac := range algsUnderTest {
@@ -164,6 +154,41 @@ func TestNativeGenMatchesOracle(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestNativeGenAllocatesNothing pins nativeGen's steady state at zero heap
+// allocations on both engine shapes, on the per-run path (PageRank) and
+// the per-edge one (SSSP): MSGGen writes into the node's one scratch row
+// and the walk builds no closure. The result it fills is warmed first;
+// nativeFlip stays fixed, so every call reuses that one.
+func TestNativeGenAllocatesNothing(t *testing.T) {
+	g, err := gen.RMAT(gen.RMATConfig{NumVertices: 400, NumEdges: 3000, A: 0.57, B: 0.19, C: 0.19, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := algos.DefaultSources(g.NumVertices())
+	for _, sc := range []struct {
+		name string
+		spec Spec
+	}{{"graphx", bspTestSpec()}, {"powergraph", gasTestSpec()}} {
+		for _, alg := range []template.Algorithm{algos.NewPageRank(), algos.NewSSSPBF(srcs)} {
+			t.Run(sc.name+"/"+alg.Name(), func(t *testing.T) {
+				r := routingRunner(t, sc.spec, g, 4, alg)
+				for i := range r.active {
+					r.active[i] = true
+				}
+				r.nativeFlip = 0
+				for j := range r.part.Parts {
+					r.nativeGen(j)
+				}
+				for j := range r.part.Parts {
+					if allocs := testing.AllocsPerRun(20, func() { r.nativeGen(j) }); allocs != 0 {
+						t.Errorf("node %d: %v allocations per nativeGen, want 0", j, allocs)
+					}
+				}
+			})
 		}
 	}
 }

@@ -390,22 +390,20 @@ func (r *runner) nextNativeResult(j int) *gxplug.GenResult {
 // nativeGen runs MSGGen+combine for one node on the engine's built-in
 // executor, charging upper-bucket compute time. part.Edges is grouped by
 // source, so the walk is over source runs, in table order: the frontier
-// is tested and the attribute row sliced once per run, and an InlineGen
-// algorithm that declares Hints.SourceOnly generates once per run — at
-// its first edge that passes the cone filter, so a source with no edge
-// into the cone costs nothing — and that one message merges into every
-// passing destination. Edges are still visited in table order and every
-// message still merges into its owner's slot through the partitioning's
-// routing index, so per row the MSGMerge sequence, and per buffer the
-// first-touch order, are those of a per-edge loop.
+// is tested and the attribute row sliced once per run. An algorithm that
+// declares Hints.SourceOnly generates once per run — at its first edge
+// that passes the cone filter, so a source with no edge into the cone
+// costs nothing — and that one message merges into every passing
+// destination; any other generates once per passing edge. Edges are
+// still visited in table order and every message still merges into its
+// owner's slot through the partitioning's routing index, so per row the
+// MSGMerge sequence, and per buffer the first-touch order, are those of a
+// per-edge loop.
 func (r *runner) nativeGen(j int) *gxplug.GenResult {
 	part := r.part.Parts[j]
 	res := r.nextNativeResult(j)
 	hints := r.alg.Hints()
-	inline := r.inlineGen
-	perRun := inline != nil && hints.SourceOnly
 	to, owner, masterRow := res.To, r.part.Owner, r.part.MasterRow
-	deliver := res.Add
 	msg := r.natMsg[j]
 	// Incremental replay: only destinations in the cone can receive a
 	// result differing from the memo, so only their messages are needed.
@@ -423,20 +421,16 @@ func (r *runner) nativeGen(j int) *gxplug.GenResult {
 			continue
 		}
 		srcAttr := r.attrs[int(src)*r.aw : (int(src)+1)*r.aw]
-		generate, ok := true, false // generate: the next passing edge calls MSGGenInto
+		generate, ok := true, false // generate: the next passing edge calls MSGGen
 		for i := range run {
 			e := &run[i]
 			if cone != nil && !cone[e.Dst] {
 				continue
 			}
 			edges++
-			if inline == nil {
-				r.alg.MSGGen(r.ctx, src, e.Dst, e.Weight, srcAttr, deliver)
-				continue
-			}
 			if generate {
-				ok = inline.MSGGenInto(r.ctx, src, e.Dst, e.Weight, srcAttr, msg)
-				generate = !perRun
+				ok = r.alg.MSGGen(r.ctx, src, e.Dst, e.Weight, srcAttr, msg)
+				generate = !hints.SourceOnly
 			}
 			if ok {
 				to[owner[e.Dst]].Merge(masterRow[e.Dst], msg)

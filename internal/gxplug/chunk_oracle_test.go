@@ -13,10 +13,10 @@ import (
 )
 
 // chunkOracle is the per-triplet chunk kernel the SrcRow-run walk
-// replaced, verbatim apart from the name: every triplet looks up its
-// source's row and generates its own message. It is the oracle
-// TestGenChunkMatchesOracle holds chunk to; nothing outside the tests
-// runs it.
+// replaced, verbatim apart from the name and the one-method MSGGen call:
+// every triplet looks up its source's row and generates its own message.
+// It is the oracle TestGenChunkMatchesOracle holds chunk to; nothing
+// outside the tests runs it.
 func (k *genKernel) chunkOracle(c int) {
 	alg, ctx, eb, vb, msgW := k.alg, k.ctx, k.eb, k.vb, k.msgW
 	nV := len(vb.IDs)
@@ -30,32 +30,15 @@ func (k *genKernel) chunkOracle(c int) {
 		recv[r] = false
 	}
 	lo, hi := c*genChunk, min((c+1)*genChunk, len(eb.Triplets))
-	if inline, ok := alg.(template.InlineGen); ok {
-		for i := lo; i < hi; i++ {
-			t := &eb.Triplets[i]
-			if inline.MSGGenInto(ctx, t.Src, t.Dst, t.W, vb.Row(int(t.SrcRow)), msgBuf) {
-				row := int(t.DstRow)
-				alg.MSGMerge(acc[row*msgW:(row+1)*msgW], msgBuf)
-				recv[row] = true
-			}
-		}
-		return
-	}
-	var row int // of the triplet being generated; one closure serves the chunk
-	emit := func(_ graph.VertexID, msg []float64) {
-		alg.MSGMerge(acc[row*msgW:(row+1)*msgW], msg)
-		recv[row] = true
-	}
 	for i := lo; i < hi; i++ {
 		t := &eb.Triplets[i]
-		row = int(t.DstRow)
-		alg.MSGGen(ctx, t.Src, t.Dst, t.W, vb.Row(int(t.SrcRow)), emit)
+		if alg.MSGGen(ctx, t.Src, t.Dst, t.W, vb.Row(int(t.SrcRow)), msgBuf) {
+			row := int(t.DstRow)
+			alg.MSGMerge(acc[row*msgW:(row+1)*msgW], msgBuf)
+			recv[row] = true
+		}
 	}
 }
-
-// genericOnly hides an algorithm's InlineGen method, so the kernel takes
-// the MSGGen+emit path.
-type genericOnly struct{ template.Algorithm }
 
 // randomGenBlock builds a source-grouped Gen block over nV vertices, as
 // buildBlocks cuts them from the edge table: runs of one SrcRow, of
@@ -111,7 +94,6 @@ func TestGenChunkMatchesOracle(t *testing.T) {
 		{"bfs", algos.NewKHopBFS(srcs, 5)},
 		{"kcore", algos.NewKCore(3)},
 		{"sssp", algos.NewSSSPBF(srcs)},
-		{"generic-cc", genericOnly{algos.NewCC()}},
 	}
 	shapes := []struct {
 		name           string

@@ -264,7 +264,7 @@ type genKernel struct {
 	msgW int
 
 	// Chunk c accumulates into rows [c*(nV+1), (c+1)*(nV+1)) of partAcc —
-	// nV accumulator rows, then its MSGGenInto message buffer — and into
+	// nV accumulator rows, then the row its MSGGen calls write into — and into
 	// partRecv[c*nV:(c+1)*nV].
 	partAcc  []float64
 	partRecv []bool
@@ -326,11 +326,12 @@ func (k *genKernel) fold(int) error {
 
 // chunk computes one chunk's partial. Blocks are cut from the
 // source-grouped edge table, so the triplets of one SrcRow form a run: the
-// source's row is looked up once per run, and an InlineGen algorithm that
-// declares Hints.SourceOnly generates once per run and merges that one
-// message into every destination — the value, and the order it is merged
-// in, of a per-triplet loop. A run split by the chunk boundary simply
-// generates again at the start of the next chunk.
+// source's row is looked up once per run, and an algorithm that declares
+// Hints.SourceOnly generates once per run and merges that one message into
+// every destination — the value, and the order it is merged in, of a
+// per-triplet loop; any other generates once per triplet. A run split by
+// the chunk boundary simply generates again at the start of the next
+// chunk.
 func (k *genKernel) chunk(c int) {
 	alg, ctx, eb, vb, msgW := k.alg, k.ctx, k.eb, k.vb, k.msgW
 	nV := len(vb.IDs)
@@ -343,42 +344,28 @@ func (k *genKernel) chunk(c int) {
 		alg.MergeIdentity(acc[r*msgW : (r+1)*msgW])
 		recv[r] = false
 	}
-	ts := eb.Triplets[c*genChunk : min((c+1)*genChunk, len(eb.Triplets))]
-	if inline, ok := alg.(template.InlineGen); ok {
-		perRun := alg.Hints().SourceOnly
-		for rest := ts; len(rest) > 0; {
-			srcRow := rest[0].SrcRow
-			n := 1
-			for n < len(rest) && rest[n].SrcRow == srcRow {
-				n++
+	perRun := alg.Hints().SourceOnly
+	for rest := eb.Triplets[c*genChunk : min((c+1)*genChunk, len(eb.Triplets))]; len(rest) > 0; {
+		srcRow := rest[0].SrcRow
+		n := 1
+		for n < len(rest) && rest[n].SrcRow == srcRow {
+			n++
+		}
+		run := rest[:n]
+		rest = rest[n:]
+		srcAttr := vb.Row(int(srcRow))
+		produced := false
+		for i := range run {
+			t := &run[i]
+			if !perRun || i == 0 {
+				produced = alg.MSGGen(ctx, t.Src, t.Dst, t.W, srcAttr, msgBuf)
 			}
-			run := rest[:n]
-			rest = rest[n:]
-			srcAttr := vb.Row(int(srcRow))
-			produced := false
-			for i := range run {
-				t := &run[i]
-				if !perRun || i == 0 {
-					produced = inline.MSGGenInto(ctx, t.Src, t.Dst, t.W, srcAttr, msgBuf)
-				}
-				if produced {
-					row := int(t.DstRow)
-					alg.MSGMerge(acc[row*msgW:(row+1)*msgW], msgBuf)
-					recv[row] = true
-				}
+			if produced {
+				row := int(t.DstRow)
+				alg.MSGMerge(acc[row*msgW:(row+1)*msgW], msgBuf)
+				recv[row] = true
 			}
 		}
-		return
-	}
-	var row int // of the triplet being generated; one closure serves the chunk
-	emit := func(_ graph.VertexID, msg []float64) {
-		alg.MSGMerge(acc[row*msgW:(row+1)*msgW], msg)
-		recv[row] = true
-	}
-	for i := range ts {
-		t := &ts[i]
-		row = int(t.DstRow)
-		alg.MSGGen(ctx, t.Src, t.Dst, t.W, vb.Row(int(t.SrcRow)), emit)
 	}
 }
 

@@ -36,6 +36,7 @@ func Drive(g *graph.Graph, a Algorithm, onIter func(IterStats) bool) ([]float64,
 	}
 	active := InitialFrontier(a, n)
 	hints := a.Hints()
+	msg := make([]float64, mw)
 	iters := 0
 	for {
 		if hints.MaxIterations > 0 && iters >= hints.MaxIterations {
@@ -66,10 +67,13 @@ func Drive(g *graph.Graph, a Algorithm, onIter func(IterStats) bool) ([]float64,
 			src := graph.VertexID(v)
 			g.OutEdges(src, func(dst graph.VertexID, w float64) {
 				st.Edges++
-				a.MSGGen(ctx, src, dst, w, attrs[v*aw:(v+1)*aw], func(d graph.VertexID, msg []float64) {
-					a.MSGMerge(acc[int(d)*mw:int(d)*mw+mw], msg)
-					recv[d] = true
-				})
+				// A clean row per edge: a slot MSGGen leaves unwritten reads
+				// as zero here, whatever the executors' reused rows hold.
+				clear(msg)
+				if a.MSGGen(ctx, src, dst, w, attrs[v*aw:(v+1)*aw], msg) {
+					a.MSGMerge(acc[int(dst)*mw:int(dst)*mw+mw], msg)
+					recv[dst] = true
+				}
 			})
 		}
 		next := make([]bool, n)

@@ -7,7 +7,11 @@
 //
 // Attributes and messages are fixed-width float64 rows so that blocks of
 // them serialize to shared memory byte-for-byte with no reflection (the
-// data packager of §IV-B1).
+// data packager of §IV-B1). An edge carries at most one message, to its
+// destination: MSGGen writes it into a row the executor owns, so
+// generation allocates nothing, and every executor — the sequential
+// Drive, the engine's native loop, the daemon's kernel — calls it the
+// same way.
 package template
 
 import (
@@ -26,9 +30,6 @@ type Context struct {
 	InDeg  func(graph.VertexID) int
 }
 
-// Emit delivers one message to a destination vertex during MSGGen.
-type Emit func(dst graph.VertexID, msg []float64)
-
 // Algorithm is the template implemented per graph algorithm. All methods
 // must be safe for concurrent use on disjoint data: MSGGen runs data-
 // parallel over triplets on the accelerator, MSGApply over vertices.
@@ -44,11 +45,15 @@ type Algorithm interface {
 	// Init fills a vertex's initial attribute row.
 	Init(ctx *Context, id graph.VertexID, attr []float64)
 
-	// MSGGen computes the initial messages for one edge triplet: src and
+	// MSGGen computes the initial message of one edge triplet — src and
 	// dst with the source's current attributes ("the computation function
 	// for calculating the initial results with vertex and edge blocks and
-	// transforming them into initial messages").
-	MSGGen(ctx *Context, src, dst graph.VertexID, w float64, srcAttr []float64, emit Emit)
+	// transforming them into initial messages") — for dst. It writes the
+	// message into msg, a MsgWidth row of the caller's scratch, and reports
+	// whether the edge produced one. msg arrives holding whatever the last
+	// call left there, so a message must write every slot it carries; its
+	// contents are unspecified when MSGGen returns false.
+	MSGGen(ctx *Context, src, dst graph.VertexID, w float64, srcAttr, msg []float64) bool
 
 	// MergeIdentity writes the identity element of the merge into msg
 	// (e.g. +Inf for min-merges, 0 for sums).
@@ -92,10 +97,10 @@ type Hints struct {
 	// SourceOnly declares that the message an edge carries depends only on
 	// the source — its id, its attribute row and the Context — never on
 	// dst or w, and that MSGMerge leaves the msg it folds untouched. Edge
-	// tables are grouped by source, so executors call an InlineGen
-	// implementation once per source run and merge that one message into
-	// every destination of the run, instead of regenerating the same
-	// value per edge. SSSP, whose message is d+w, must not declare it.
+	// tables are grouped by source, so executors call MSGGen once per
+	// source run and merge that one message into every destination of the
+	// run, instead of regenerating the same value per edge. SSSP, whose
+	// message is d+w, must not declare it.
 	// The sequential reference (Drive, algos.Sequential) ignores the flag
 	// and stays per-edge: agreeing with it bit for bit is what proves a
 	// declaration.
@@ -125,17 +130,4 @@ func InitialFrontier(a Algorithm, numV int) []bool {
 // designated source vertices (SSSP).
 type Sourced interface {
 	Sources() []graph.VertexID
-}
-
-// InlineGen is an optional allocation-free fast path for the common case
-// of one message per edge, delivered to the triplet's destination.
-// MSGGenInto writes that message into msg (caller-supplied, MsgWidth
-// wide) and reports whether a message was produced; msg contents are
-// unspecified when it returns false. Implementations must produce exactly
-// the messages MSGGen emits — executors are free to use either path, and
-// results must be bit-identical. Like MSGGen it must be safe for
-// concurrent calls on disjoint data (msg is the caller's scratch, one per
-// worker).
-type InlineGen interface {
-	MSGGenInto(ctx *Context, src, dst graph.VertexID, w float64, srcAttr, msg []float64) bool
 }
