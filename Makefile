@@ -108,10 +108,14 @@ race-dynamic:
 # reference. genKernel.chunk is the one place concurrent kernel calls
 # share a slab (a launch's chunks run on the host helpers, each in its
 # own window of the partials), so its oracle test runs several times at
-# GOMAXPROCS 8.
+# GOMAXPROCS 8. It reads its triplets in place from the segment, in the
+# wire form the agent plans them in: the planned bytes are held to the
+# Triplet-slab encoder they replaced, and a row outside the block, met by
+# whichever chunk, must fail the launch naming the lowest bad triplet.
 race-gen:
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestNativeGenMatchesOracle|TestNativeGenAllocatesNothing' ./internal/engine
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenChunkMatchesOracle' -count=10 ./internal/gxplug
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenBlockBytesMatchOracle|TestGenKernelNamesLowestBadRow' ./internal/gxplug
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestSourceOnlyDeclarationsHold' ./gx
 
 # The one host fan-out and the panic boundary it carries: par.Do's own

@@ -1,9 +1,10 @@
 package graph
 
 // This file implements the agent-side data management of §II-B: a vertex
-// table and an edge table per distributed node, a vertex-edge mapping
-// table that turns table rows into the vertex/edge blocks fed to daemons,
-// and the edge-triplet unit that the pipeline of §III-A moves around.
+// table and an edge table per distributed node, and a vertex-edge mapping
+// table that turns table rows into the vertex/edge blocks fed to daemons.
+// The blocks themselves, and the edge triplets the pipeline of §III-A
+// moves around, are the middleware's wire format (internal/gxplug).
 
 // VertexTable stores the attributes of the vertices a distributed node
 // references: the partition's masters, then its Sources. Attributes are
@@ -20,9 +21,6 @@ type VertexTable struct {
 
 // Len returns the number of rows.
 func (t *VertexTable) Len() int { return len(t.part.RowEdges) }
-
-// Stride returns the attribute width.
-func (t *VertexTable) Stride() int { return t.stride }
 
 // ID returns the global vertex ID of row i.
 func (t *VertexTable) ID(i int) VertexID {
@@ -67,35 +65,4 @@ type MappingTable [][2]int32
 // EdgeRange returns the edge-table index range of vertex row v.
 func (m MappingTable) EdgeRange(v int) (start, end int) {
 	return int(m[v][0]), int(m[v][1])
-}
-
-// Triplet is the homogeneous intermediate unit of the pipeline: an edge
-// together with the row indices of its endpoints in the block's vertex
-// table (§III-A2a: "we use edge triplets as the intermediate data
-// structure ... the basic processing unit of an iteration").
-type Triplet struct {
-	Src, Dst VertexID
-	W        float64
-	// SrcRow/DstRow index into the paired vertex block's attribute rows.
-	SrcRow, DstRow int32
-}
-
-// EdgeBlock is a fixed-capacity batch of triplets shipped to a daemon.
-type EdgeBlock struct {
-	Triplets []Triplet
-}
-
-// VertexBlock carries the vertices an edge block references — sources and
-// destinations with their attributes ("the corresponding vertex block is
-// constituted by incorporating destination vertices, as well as their
-// attributes", §II-B).
-type VertexBlock struct {
-	IDs    []VertexID
-	Stride int
-	Attrs  []float64 // len = len(IDs)*Stride
-}
-
-// Row returns the attribute row of block-local vertex i.
-func (b *VertexBlock) Row(i int) []float64 {
-	return b.Attrs[i*b.Stride : (i+1)*b.Stride]
 }

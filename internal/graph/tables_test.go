@@ -20,7 +20,7 @@ func mkTables(t *testing.T, stride int) (*Partitioning, *VertexTable, EdgeTable,
 
 func TestVertexTableBasics(t *testing.T) {
 	_, vt, _, _ := mkTables(t, 3)
-	if vt.Len() != 3 || vt.Stride() != 3 {
+	if vt.Len() != 3 || len(vt.Attrs()) != 3*3 {
 		t.Fatal("table meta wrong")
 	}
 	r, ok := vt.Lookup(1)

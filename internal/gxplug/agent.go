@@ -194,16 +194,16 @@ type Agent struct {
 	// prevRows and prevBlockEdges remember the previous iteration's block
 	// plan for topology-residency detection; blocks is that plan, reused
 	// as-is while the frontier is stable. Its blocks are windows of the
-	// four slabs, which buildBlocks refills in place on a frontier
+	// three slabs — the triplets in wire form, the vertex ids and their
+	// table rows — which buildBlocks refills in place on a frontier
 	// change; blockIdx is buildBlocks' vertex → block-local row index and
 	// vEnds its scratch.
 	prevRows       []int
 	prevBlockEdges int
 	blocks         []blockPlan
-	blockTrips     []graph.Triplet
+	blockTrips     []byte
 	blockIDs       []graph.VertexID
 	blockRows      []int32
-	blockAttrs     []float64
 	blockIdx       []int32
 	vEnds          []int
 

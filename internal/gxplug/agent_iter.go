@@ -15,15 +15,15 @@ import (
 // requestGen, requestMerge, requestApply — including the pipeline-shuffle
 // rotation protocol against each daemon (Algorithms 1 and 2).
 
-// blockPlan is one block before encoding: its triplets, the vertices they
-// reference, room for those vertices' attributes and each vertex's row in
-// the agent's vertex table (-1 where this node holds no copy: a remote
+// blockPlan is one block before encoding: its triplets in wire form
+// (tripletBytes each), the vertices they reference and each vertex's row
+// in the agent's vertex table (-1 where this node holds no copy: a remote
 // destination), each a window of the agent's slab of that kind
 // (buildBlocks).
 type blockPlan struct {
-	eb   graph.EdgeBlock
-	vb   graph.VertexBlock
-	rows []int32
+	trips []byte
+	ids   []graph.VertexID
+	rows  []int32
 }
 
 // RequestGen runs MSGGen (+ combining MSGMerge) over this node's active
@@ -173,9 +173,10 @@ func (a *Agent) coefficients() pipeline.Coefficients {
 
 // buildBlocks cuts the chosen rows' edges into paired vertex/edge blocks
 // of at most blockEdges triplets, overwriting the previous plan: the
-// blocks are consecutive windows of the triplet, id and attribute slabs.
-// Attribute content is filled at pipeline download time (fillBlock), not
-// here; rows of vertices this node holds no copy of stay zero.
+// blocks are consecutive windows of the triplet, id and table-row slabs.
+// Each triplet is written once, in the wire form fillBlock copies into a
+// segment. Attribute content is encoded at pipeline download time
+// (fillBlock), not planned here.
 func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 	// blockIdx[v] is 1 + the id-slab position of v's entry in the block
 	// being cut — anything at or below the block's first position is an
@@ -191,7 +192,7 @@ func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 	}
 	// slices.Grow rather than grow: a frontier that widens every superstep
 	// regrows the slab every superstep, so the growth has to be amortized.
-	trips := slices.Grow(a.blockTrips[:0], d)
+	trips := slices.Grow(a.blockTrips[:0], d*tripletBytes)[:d*tripletBytes]
 	ids, vtRows, vEnds := a.blockIDs[:0], a.blockRows[:0], a.vEnds[:0]
 	vLo := 0
 	local := func(id graph.VertexID) int32 {
@@ -207,16 +208,15 @@ func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 		vtRows = append(vtRows, vtRow)
 		return int32(len(ids) - 1 - vLo)
 	}
+	n := 0
 	for _, row := range rows {
 		s, e := a.mt.EdgeRange(row)
 		for i := s; i < e; i++ {
 			edge := a.et.At(i)
 			srcRow := local(edge.Src)
-			trips = append(trips, graph.Triplet{
-				Src: edge.Src, Dst: edge.Dst, W: edge.Weight,
-				SrcRow: srcRow, DstRow: local(edge.Dst),
-			})
-			if len(trips)%blockEdges == 0 {
+			putTriplet(trips[n*tripletBytes:], edge.Src, edge.Dst, srcRow, local(edge.Dst), edge.Weight)
+			n++
+			if n%blockEdges == 0 {
 				vEnds = append(vEnds, len(ids))
 				vLo = len(ids)
 			}
@@ -227,16 +227,13 @@ func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 	}
 	a.blockTrips, a.blockIDs, a.blockRows, a.vEnds = trips, ids, vtRows, vEnds
 
-	aw := a.alg.AttrWidth()
-	attrs := grow(&a.blockAttrs, len(ids)*aw)
-	clear(attrs)
 	out := a.blocks[:0]
 	vLo = 0
 	for i, vHi := range vEnds {
 		out = append(out, blockPlan{
-			eb:   graph.EdgeBlock{Triplets: trips[i*blockEdges : min((i+1)*blockEdges, len(trips))]},
-			vb:   graph.VertexBlock{IDs: ids[vLo:vHi], Stride: aw, Attrs: attrs[vLo*aw : vHi*aw]},
-			rows: vtRows[vLo:vHi],
+			trips: trips[i*blockEdges*tripletBytes : min((i+1)*blockEdges, n)*tripletBytes],
+			ids:   ids[vLo:vHi],
+			rows:  vtRows[vLo:vHi],
 		})
 		vLo = vHi
 	}
@@ -373,19 +370,21 @@ func (a *Agent) runPipeline(di int, blocks []blockPlan, res *GenResult, reuseTop
 	// memory otherwise eliminates.
 	total := simtime.SequentialMakespan(costs)
 	for i := range blocks {
-		blockBytes := int64(len(blocks[i].eb.Triplets))*tripletBytes +
-			int64(len(blocks[i].vb.IDs))*int64(4+8*a.alg.AttrWidth())
+		blockBytes := int64(len(blocks[i].trips)) +
+			int64(len(blocks[i].ids))*int64(4+8*a.alg.AttrWidth())
 		total += 2 * simtime.TimeFor(float64(blockBytes), memcpyRate)
 	}
 	return total, nil
 }
 
 // fillBlock materializes one block into a segment: ensures fresh source
-// attributes (cache-aware), copies them into the vertex block, encodes.
-// Returns the download-stage cost and the block geometry for draining.
-// With reuseTopo the triplet encoding still happens for real (segments
-// rotate), but only the attribute bytes are charged: the daemon already
-// holds this topology from the previous iteration.
+// attributes (cache-aware), then encodes the header, the planned triplet
+// section (one copy), the vertex ids and each vertex's attribute row
+// straight from the vertex table (zeros for a vertex this node holds no
+// copy of). Returns the download-stage cost and the block geometry for
+// draining. With reuseTopo the triplet copy still happens for real
+// (segments rotate), but only the attribute bytes are charged: the daemon
+// already holds this topology from the previous iteration.
 func (a *Agent) fillBlock(seg []byte, bp *blockPlan, reuseTopo bool) (time.Duration, [2]int, error) {
 	var cost time.Duration
 	// Rows to refresh: every vertex the block references that exists in
@@ -399,21 +398,23 @@ func (a *Agent) fillBlock(seg []byte, bp *blockPlan, reuseTopo bool) (time.Durat
 	a.fillRows = rows
 	cost += a.ensureRows(rows)
 	aw := a.alg.AttrWidth()
-	for i, r := range bp.rows {
-		if r >= 0 {
-			copy(bp.vb.Attrs[i*aw:(i+1)*aw], a.vt.Row(int(r)))
-		}
-	}
-	payload, err := encodeGenBlock(seg, &bp.eb, &bp.vb, a.alg.MsgWidth(), reuseTopo)
+	attrSec, payload, err := encodeGenBlock(seg, bp.trips, bp.ids, aw, a.alg.MsgWidth(), reuseTopo)
 	if err != nil {
 		return 0, [2]int{}, err
 	}
+	for i, r := range bp.rows {
+		if row := attrSec[i*8*aw : (i+1)*8*aw]; r >= 0 {
+			putF64s(row, a.vt.Row(int(r)))
+		} else {
+			clear(row)
+		}
+	}
 	moved := payload
 	if reuseTopo {
-		moved = len(bp.vb.IDs) * (4 + 8*aw)
+		moved = len(bp.ids) * (4 + 8*aw)
 	}
 	cost += simtime.TimeFor(float64(moved), memcpyRate)
-	return cost, [2]int{len(bp.vb.IDs), payload}, nil
+	return cost, [2]int{len(bp.ids), payload}, nil
 }
 
 // drainBlock reads one computed block's results out of the u-chunk and
@@ -431,7 +432,7 @@ func (a *Agent) drainBlock(seg []byte, bp *blockPlan, geo [2]int, res *GenResult
 		if !recv[r] {
 			continue
 		}
-		id := bp.vb.IDs[r]
+		id := bp.ids[r]
 		res.Add(id, acc[r*mw:(r+1)*mw])
 		if int(a.parts.Owner[id]) == a.node.ID {
 			localMsgs++

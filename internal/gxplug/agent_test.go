@@ -601,20 +601,21 @@ func TestBuildBlocksCutsAndPairs(t *testing.T) {
 			blockEdges := 1 + rng.Intn(7)
 			total := 0
 			for bi, bp := range a.buildBlocks(rows, blockEdges) {
-				if n := len(bp.eb.Triplets); n == 0 || n > blockEdges {
-					t.Fatalf("seed %d round %d block %d: %d triplets, capacity %d", seed, round, bi, n, blockEdges)
+				trips := tripletsOf(bp.trips)
+				if n := len(trips); n == 0 || n > blockEdges || len(bp.trips) != n*tripletBytes {
+					t.Fatalf("seed %d round %d block %d: %d triplets in %d bytes, capacity %d", seed, round, bi, n, len(bp.trips), blockEdges)
 				}
-				total += len(bp.eb.Triplets)
-				for _, tr := range bp.eb.Triplets {
-					if bp.vb.IDs[tr.SrcRow] != tr.Src || bp.vb.IDs[tr.DstRow] != tr.Dst {
+				total += len(trips)
+				for _, tr := range trips {
+					if bp.ids[tr.SrcRow] != tr.Src || bp.ids[tr.DstRow] != tr.Dst {
 						t.Fatalf("seed %d round %d block %d: triplet rows do not resolve to endpoints", seed, round, bi)
 					}
 				}
 				seen := make(map[graph.VertexID]bool)
-				if len(bp.rows) != len(bp.vb.IDs) {
-					t.Fatalf("seed %d round %d block %d: %d table rows for %d vertices", seed, round, bi, len(bp.rows), len(bp.vb.IDs))
+				if len(bp.rows) != len(bp.ids) {
+					t.Fatalf("seed %d round %d block %d: %d table rows for %d vertices", seed, round, bi, len(bp.rows), len(bp.ids))
 				}
-				for i, id := range bp.vb.IDs {
+				for i, id := range bp.ids {
 					if seen[id] {
 						t.Fatalf("seed %d round %d block %d: vertex %d listed twice", seed, round, bi, id)
 					}
@@ -629,18 +630,6 @@ func TestBuildBlocksCutsAndPairs(t *testing.T) {
 					if int(bp.rows[i]) != want {
 						t.Fatalf("seed %d round %d block %d: vertex %d planned at table row %d, want %d", seed, round, bi, id, bp.rows[i], want)
 					}
-				}
-				if len(bp.vb.Attrs) != len(bp.vb.IDs)*bp.vb.Stride {
-					t.Fatalf("seed %d round %d block %d: %d attribute slots for %d vertices", seed, round, bi, len(bp.vb.Attrs), len(bp.vb.IDs))
-				}
-				for _, v := range bp.vb.Attrs {
-					if v != 0 {
-						t.Fatalf("seed %d round %d block %d: attribute window not zeroed", seed, round, bi)
-					}
-				}
-				// What fillBlock would leave behind for the next plan.
-				for i := range bp.vb.Attrs {
-					bp.vb.Attrs[i] = 7
 				}
 			}
 			if total != want {

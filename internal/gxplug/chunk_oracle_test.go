@@ -1,6 +1,7 @@
 package gxplug
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -12,12 +13,27 @@ import (
 	"gxplug/internal/gxplug/template"
 )
 
+// oracleKernel is the Gen launch as it was before the kernel read its
+// triplets in place: the decoded edge and vertex blocks of the oracle
+// decoder, and the chunk partials.
+type oracleKernel struct {
+	alg      template.Algorithm
+	ctx      *template.Context
+	eb       *edgeBlock
+	vb       *vertexBlock
+	msgW     int
+	partAcc  []float64
+	partRecv []bool
+	nChunks  int
+}
+
 // chunkOracle is the per-triplet chunk kernel the SrcRow-run walk
-// replaced, verbatim apart from the name and the one-method MSGGen call:
-// every triplet looks up its source's row and generates its own message.
-// It is the oracle TestGenChunkMatchesOracle holds chunk to; nothing
-// outside the tests runs it.
-func (k *genKernel) chunkOracle(c int) {
+// replaced, verbatim apart from the name, the receiver and the one-method
+// MSGGen call: every triplet looks up its source's row and generates its
+// own message, from triplets decoded out of the segment. It is the oracle
+// TestGenChunkMatchesOracle holds chunk to; nothing outside the tests runs
+// it.
+func (k *oracleKernel) chunkOracle(c int) {
 	alg, ctx, eb, vb, msgW := k.alg, k.ctx, k.eb, k.vb, k.msgW
 	nV := len(vb.IDs)
 	// Capped windows: whatever rows a block names, a chunk cannot reach
@@ -45,8 +61,8 @@ func (k *genKernel) chunkOracle(c int) {
 // random length up to maxRun, until nT triplets. Attribute values are
 // drawn from a palette that makes every built-in produce both messages
 // and refusals (0 is a peeled k-core vertex, +Inf an unreached one).
-func randomGenBlock(rng *rand.Rand, nV, nT, maxRun, stride int) (*graph.EdgeBlock, *graph.VertexBlock) {
-	vb := &graph.VertexBlock{IDs: make([]graph.VertexID, nV), Stride: stride, Attrs: make([]float64, nV*stride)}
+func randomGenBlock(rng *rand.Rand, nV, nT, maxRun, stride int) (*edgeBlock, *vertexBlock) {
+	vb := &vertexBlock{IDs: make([]graph.VertexID, nV), Stride: stride, Attrs: make([]float64, nV*stride)}
 	for i := range vb.IDs {
 		vb.IDs[i] = graph.VertexID(1000 + i)
 	}
@@ -54,12 +70,12 @@ func randomGenBlock(rng *rand.Rand, nV, nT, maxRun, stride int) (*graph.EdgeBloc
 	for i := range vb.Attrs {
 		vb.Attrs[i] = palette[rng.Intn(len(palette))]
 	}
-	eb := &graph.EdgeBlock{Triplets: make([]graph.Triplet, 0, nT)}
+	eb := &edgeBlock{Triplets: make([]triplet, 0, nT)}
 	for len(eb.Triplets) < nT {
 		srcRow := int32(rng.Intn(nV))
 		for n := min(1+rng.Intn(maxRun), nT-len(eb.Triplets)); n > 0; n-- {
 			dstRow := int32(rng.Intn(nV))
-			eb.Triplets = append(eb.Triplets, graph.Triplet{
+			eb.Triplets = append(eb.Triplets, triplet{
 				Src: vb.IDs[srcRow], Dst: vb.IDs[dstRow], W: float64(1 + rng.Intn(9)),
 				SrcRow: srcRow, DstRow: dstRow,
 			})
@@ -73,10 +89,12 @@ func randomGenBlock(rng *rand.Rand, nV, nT, maxRun, stride int) (*graph.EdgeBloc
 // covers the one slab concurrent chunks share — over random
 // source-grouped blocks, and compares every chunk's partial accumulator
 // and received flags, bit for bit, with the per-triplet kernel it
-// replaced. launch folds the partials in chunk-index order with code this
-// comparison does not touch. Block shapes: empty, a single short chunk,
-// and several chunks with runs long enough that a chunk boundary falls
-// inside one.
+// replaced. The kernel reads the triplets in place from an encoded
+// segment; the oracle runs over the triplets the oracle decoder copies out
+// of the same segment. launch folds the partials in chunk-index order with
+// code this comparison does not touch. Block shapes: empty, a single short
+// chunk, and several chunks with runs long enough that a chunk boundary
+// falls inside one.
 func TestGenChunkMatchesOracle(t *testing.T) {
 	ctx := &template.Context{
 		NumVertices: 5000,
@@ -127,20 +145,32 @@ func TestGenChunkMatchesOracle(t *testing.T) {
 	}
 }
 
-// checkChunks runs one block through a daemon's kernel and through the
-// oracle and compares the chunk partials.
-func checkChunks(t *testing.T, alg template.Algorithm, ctx *template.Context, eb *graph.EdgeBlock, vb *graph.VertexBlock) {
+// checkChunks encodes one block into a segment, runs it through a
+// daemon's kernel and through the oracle, and compares the chunk partials.
+func checkChunks(t *testing.T, alg template.Algorithm, ctx *template.Context, eb *edgeBlock, vb *vertexBlock) {
 	t.Helper()
 	msgW, nV := alg.MsgWidth(), len(vb.IDs)
+	seg := make([]byte, genBlockSize(len(eb.Triplets), nV, vb.Stride, msgW))
+	if _, err := encodeGenBlockOracle(seg, eb, vb, msgW, false); err != nil {
+		t.Fatal(err)
+	}
 	dev := device.New(device.Xeon20())
 	dev.Init()
 	got := new(genKernel)
 	got.init(alg, ctx)
-	if _, err := got.launch(dev, eb, vb, msgW, 0, 0); err != nil {
+	b, err := decodeGenBlock(seg, &blockScratch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := got.launch(dev, b, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 
-	want := &genKernel{alg: alg, ctx: ctx, eb: eb, vb: vb, msgW: msgW, nChunks: got.nChunks}
+	oeb, ovb, _, _, _, err := decodeGenBlockOracle(seg, &oracleScratch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &oracleKernel{alg: alg, ctx: ctx, eb: oeb, vb: ovb, msgW: msgW, nChunks: got.nChunks}
 	want.partAcc = make([]float64, want.nChunks*(nV+1)*msgW)
 	want.partRecv = make([]bool, want.nChunks*nV)
 	for c := 0; c < want.nChunks; c++ {
@@ -153,6 +183,48 @@ func checkChunks(t *testing.T, alg template.Algorithm, ctx *template.Context, eb
 		}
 		if !slices.Equal(got.partRecv[c*nV:(c+1)*nV], want.partRecv[c*nV:(c+1)*nV]) {
 			t.Fatalf("chunk %d received flags differ from the oracle's", c)
+		}
+	}
+}
+
+// TestGenKernelNamesLowestBadRow: rows outside the block, planted in
+// several chunks of one launch, fail it with the error the pre-launch scan
+// gave — the lowest such triplet, its two rows as signed numbers — however
+// the chunks were scheduled.
+func TestGenKernelNamesLowestBadRow(t *testing.T) {
+	alg := algos.NewPageRank()
+	ctx := &template.Context{NumVertices: 5000, OutDeg: func(graph.VertexID) int { return 1 }, InDeg: func(graph.VertexID) int { return 1 }}
+	dev := device.New(device.Xeon20())
+	dev.Init()
+	k := new(genKernel)
+	k.init(alg, ctx)
+	rng := rand.New(rand.NewSource(3))
+	const nV = 50
+	for _, plant := range []struct {
+		at       []int // triplets to corrupt, in this order
+		src, dst int32
+		want     int
+	}{
+		{[]int{2*genChunk + 9, genChunk + 700}, 0, nV, genChunk + 700},
+		{[]int{genChunk + 3, 2*genChunk + 1}, -1, 0, genChunk + 3},
+		{[]int{2*genChunk + 5}, nV + 4, 1, 2*genChunk + 5},
+		{[]int{17, 3*genChunk - 1}, 1, -2, 17},
+	} {
+		eb, vb := randomGenBlock(rng, nV, 3*genChunk, 40, alg.AttrWidth())
+		for _, i := range plant.at {
+			eb.Triplets[i].SrcRow, eb.Triplets[i].DstRow = plant.src, plant.dst
+		}
+		seg := make([]byte, genBlockSize(len(eb.Triplets), nV, vb.Stride, alg.MsgWidth()))
+		if _, err := encodeGenBlockOracle(seg, eb, vb, alg.MsgWidth(), false); err != nil {
+			t.Fatal(err)
+		}
+		b, err := decodeGenBlock(seg, &blockScratch{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantErr := fmt.Sprintf("gxplug: triplet %d names rows %d/%d of a %d-vertex block", plant.want, plant.src, plant.dst, nV)
+		if _, err := k.launch(dev, b, 0, 0); err == nil || err.Error() != wantErr {
+			t.Fatalf("planted at %v: error %v, want %q", plant.at, err, wantErr)
 		}
 	}
 }

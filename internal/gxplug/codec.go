@@ -16,7 +16,10 @@ import (
 
 // The codec serializes vertex/edge blocks into shared-memory segments —
 // the "data packager" of §IV-B1: bit-level layout, no reflection, space
-// reserved for the daemon's results so no second buffer is needed.
+// reserved for the daemon's results so no second buffer is needed. A Gen
+// block's triplets are bytes end to end: the agent plans them in wire form
+// (putTriplet), its encoder copies the planned section into the segment in
+// one move, and the daemon's kernel reads them where they lie.
 
 const (
 	blockKindGen   = 0xB10C0001
@@ -24,7 +27,27 @@ const (
 	blockKindMerge = 0xB10C0003
 )
 
-const tripletBytes = 4 + 4 + 4 + 4 + 8 // src, dst, srcRow, dstRow, w
+// A wire-form triplet is tripletBytes little-endian bytes: src, dst,
+// srcRow and dstRow as u32 at these offsets, then w as an f64. srcRow and
+// dstRow index the block's vertex rows.
+const (
+	tripSrc      = 0
+	tripDst      = 4
+	tripSrcRow   = 8
+	tripDstRow   = 12
+	tripW        = 16
+	tripletBytes = 24
+)
+
+// putTriplet writes one triplet in wire form into t.
+func putTriplet(t []byte, src, dst graph.VertexID, srcRow, dstRow int32, w float64) {
+	t = t[:tripletBytes]
+	binary.LittleEndian.PutUint32(t[tripSrc:], uint32(src))
+	binary.LittleEndian.PutUint32(t[tripDst:], uint32(dst))
+	binary.LittleEndian.PutUint32(t[tripSrcRow:], uint32(srcRow))
+	binary.LittleEndian.PutUint32(t[tripDstRow:], uint32(dstRow))
+	binary.LittleEndian.PutUint64(t[tripW:], math.Float64bits(w))
+}
 
 // maxBlockDim bounds every count decoded from a segment header. Real
 // blocks are orders of magnitude smaller; the bound exists so that a
@@ -93,22 +116,25 @@ func mergeBlockSize(rows, msgW int) int {
 	return int(mergeBlockSize64(int64(rows), int64(msgW)))
 }
 
-// blockScratch is the decode target of one daemon: the three decoders
-// copy a block's arrays out of the segment into it and return views of
-// it, so a daemon that has seen its largest block decodes without
-// allocating. The views are valid until the next decode into the same
-// scratch. A daemon handles one block at a time, so the kinds share
-// arrays: an apply batch's ids and attribute rows land in vb, a merge
-// block's two accumulators in vb.Attrs and msgs.
+// blockScratch is the decode target of one daemon: the decoders copy a
+// block's arrays out of the segment into it and return views of it, so a
+// daemon that has seen its largest block decodes without allocating. The
+// views are valid until the next decode into the same scratch. A daemon
+// handles one block at a time, so the kinds share arrays: a Gen block's
+// attribute rows and an apply batch's land in attrs, a merge block's two
+// accumulators in attrs and msgs. A Gen block's triplets are not copied at
+// all (genBlock.trips is a view of the segment), and its vertex ids, which
+// no kernel reads, are not decoded.
 //
-// The arrays are copies, not views of the segment: kernels take
+// Attribute rows are copies, not views of the segment: kernels take
 // []float64 rows, the attribute array is only 4-byte aligned in the
-// segment when nVerts is odd, and reinterpreting bytes needs unsafe.
+// segment when a block lists an odd number of vertices, and reinterpreting
+// bytes needs unsafe.
 type blockScratch struct {
-	eb   graph.EdgeBlock
-	vb   graph.VertexBlock
-	msgs []float64
-	recv []bool
+	ids   []graph.VertexID
+	attrs []float64
+	msgs  []float64
+	recv  []bool
 }
 
 type cursor struct {
@@ -120,7 +146,6 @@ func (c *cursor) u32(v uint32) {
 	binary.LittleEndian.PutUint32(c.buf[c.off:], v)
 	c.off += 4
 }
-func (c *cursor) i32(v int32) { c.u32(uint32(v)) }
 func (c *cursor) f64(v float64) {
 	binary.LittleEndian.PutUint64(c.buf[c.off:], math.Float64bits(v))
 	c.off += 8
@@ -139,7 +164,6 @@ func (c *cursor) rdU32() uint32 {
 	c.off += 4
 	return v
 }
-func (c *cursor) rdI32() int32 { return int32(c.rdU32()) }
 func (c *cursor) rdF64() float64 {
 	v := math.Float64frombits(binary.LittleEndian.Uint64(c.buf[c.off:]))
 	c.off += 8
@@ -156,83 +180,93 @@ func (c *cursor) rdB() byte {
 	return v
 }
 
-// encodeGenBlock writes an edge block plus its paired vertex block into
-// seg and returns the number of payload bytes written (excluding the
+// encodeGenBlock writes a Gen block's header, its wire-form triplet
+// section trips (one copy) and its vertex ids into seg. It returns the
+// block's attribute section, which the caller fills with len(ids) rows of
+// attrW values (putF64s), and the number of payload bytes (excluding the
 // reserved result area). resident marks the topology as already held by
 // the daemon from the previous iteration, so only attribute bytes move
 // across the device link.
-func encodeGenBlock(seg []byte, eb *graph.EdgeBlock, vb *graph.VertexBlock, msgW int, resident bool) (int, error) {
-	need := genBlockSize(len(eb.Triplets), len(vb.IDs), vb.Stride, msgW)
+func encodeGenBlock(seg, trips []byte, ids []graph.VertexID, attrW, msgW int, resident bool) (attrSec []byte, payload int, err error) {
+	nT := len(trips) / tripletBytes
+	need := genBlockSize(nT, len(ids), attrW, msgW)
 	if need > len(seg) {
-		return 0, fmt.Errorf("gxplug: gen block needs %d bytes, segment has %d", need, len(seg))
+		return nil, 0, fmt.Errorf("gxplug: gen block needs %d bytes, segment has %d", need, len(seg))
 	}
 	c := &cursor{buf: seg}
 	c.u32(blockKindGen)
-	c.u32(uint32(len(eb.Triplets)))
-	c.u32(uint32(len(vb.IDs)))
-	c.u32(uint32(vb.Stride))
+	c.u32(uint32(nT))
+	c.u32(uint32(len(ids)))
+	c.u32(uint32(attrW))
 	c.u32(uint32(msgW))
 	if resident {
 		c.u32(1)
 	} else {
 		c.u32(0)
 	}
-	for _, t := range eb.Triplets {
-		c.u32(uint32(t.Src))
-		c.u32(uint32(t.Dst))
-		c.i32(t.SrcRow)
-		c.i32(t.DstRow)
-		c.f64(t.W)
-	}
-	for _, id := range vb.IDs {
+	c.off += copy(seg[c.off:], trips[:nT*tripletBytes])
+	for _, id := range ids {
 		c.u32(uint32(id))
 	}
-	for _, a := range vb.Attrs {
-		c.f64(a)
-	}
-	return c.off, nil
+	payload = c.off + len(ids)*attrW*8
+	return seg[c.off:payload], payload, nil
 }
 
-// decodeGenBlock reads the agent's payload back out of a segment into sc.
+// putF64s writes vals little-endian into dst (8*len(vals) bytes).
+func putF64s(dst []byte, vals []float64) {
+	dst = dst[:8*len(vals)]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+	}
+}
+
+// genBlock is a Gen block as the daemon's kernel sees it: the triplet
+// section in wire form, a view of the segment that the kernel reads in
+// place, and the attribute rows, copied out of the segment into the
+// daemon's scratch.
+type genBlock struct {
+	trips       []byte
+	nV          int
+	attrs       []float64 // nV rows of attrW values
+	attrW, msgW int
+	resident    bool
+	resultOff   int
+}
+
+// decodeGenBlock validates a Gen block's header and geometry against the
+// segment and returns the block. Only the attribute rows land in sc, and
 // sc grows only after the header's geometry is known to be plausible and
-// to fit the segment, so a lying header cannot size an allocation.
-func decodeGenBlock(seg []byte, sc *blockScratch) (eb *graph.EdgeBlock, vb *graph.VertexBlock, msgW int, resident bool, resultOff int, err error) {
+// to fit the segment, so a lying header cannot size an allocation. The
+// triplets' rows are not checked here: the kernel checks each one as it
+// reads it (genKernel.chunk).
+func decodeGenBlock(seg []byte, sc *blockScratch) (genBlock, error) {
 	if len(seg) < 6*4 {
-		return nil, nil, 0, false, 0, fmt.Errorf("gxplug: gen block header truncated (%d bytes)", len(seg))
+		return genBlock{}, fmt.Errorf("gxplug: gen block header truncated (%d bytes)", len(seg))
 	}
 	c := &cursor{buf: seg}
 	if kind := c.rdU32(); kind != blockKindGen {
-		return nil, nil, 0, false, 0, fmt.Errorf("gxplug: segment kind %#x, want gen block", kind)
+		return genBlock{}, fmt.Errorf("gxplug: segment kind %#x, want gen block", kind)
 	}
 	nT := int(c.rdU32())
 	nV := int(c.rdU32())
 	attrW := int(c.rdU32())
-	msgW = int(c.rdU32())
-	resident = c.rdU32() != 0
+	msgW := int(c.rdU32())
+	resident := c.rdU32() != 0
 	if !dimsOK(nT, nV, attrW, msgW) {
-		return nil, nil, 0, false, 0, fmt.Errorf("gxplug: implausible gen block geometry %d/%d/%d/%d", nT, nV, attrW, msgW)
+		return genBlock{}, fmt.Errorf("gxplug: implausible gen block geometry %d/%d/%d/%d", nT, nV, attrW, msgW)
 	}
 	if genBlockSize64(int64(nT), int64(nV), int64(attrW), int64(msgW)) > int64(len(seg)) {
-		return nil, nil, 0, false, 0, fmt.Errorf("gxplug: truncated gen block")
+		return genBlock{}, fmt.Errorf("gxplug: truncated gen block")
 	}
-	eb, vb = &sc.eb, &sc.vb
-	for i := range grow(&eb.Triplets, nT) {
-		eb.Triplets[i] = graph.Triplet{
-			Src:    graph.VertexID(c.rdU32()),
-			Dst:    graph.VertexID(c.rdU32()),
-			SrcRow: c.rdI32(),
-			DstRow: c.rdI32(),
-			W:      c.rdF64(),
-		}
+	b := genBlock{nV: nV, attrW: attrW, msgW: msgW, resident: resident}
+	b.trips = seg[c.off : c.off+nT*tripletBytes : c.off+nT*tripletBytes]
+	c.off += nT*tripletBytes + nV*4 // the vertex ids stay in the segment
+	b.attrs = grow(&sc.attrs, nV*attrW)
+	for i := range b.attrs {
+		b.attrs[i] = c.rdF64()
 	}
-	vb.Stride = attrW
-	for i := range grow(&vb.IDs, nV) {
-		vb.IDs[i] = graph.VertexID(c.rdU32())
-	}
-	for i := range grow(&vb.Attrs, nV*attrW) {
-		vb.Attrs[i] = c.rdF64()
-	}
-	return eb, vb, msgW, resident, c.off, nil
+	b.resultOff = c.off
+	return b, nil
 }
 
 // writeGenResult stores the daemon's accumulator, receive flags and
@@ -316,11 +350,11 @@ func decodeApplyBlock(seg []byte, sc *blockScratch) (ids []graph.VertexID, attrs
 	if applyBlockSize64(int64(n), int64(attrW), int64(msgW)) > int64(len(seg)) {
 		return nil, nil, 0, nil, 0, nil, 0, fmt.Errorf("gxplug: truncated apply block")
 	}
-	ids = grow(&sc.vb.IDs, n)
+	ids = grow(&sc.ids, n)
 	for i := range ids {
 		ids[i] = graph.VertexID(c.rdU32())
 	}
-	attrs = grow(&sc.vb.Attrs, n*attrW)
+	attrs = grow(&sc.attrs, n*attrW)
 	for i := range attrs {
 		attrs[i] = c.rdF64()
 	}
@@ -410,7 +444,7 @@ func decodeMergeBlock(seg []byte, sc *blockScratch) (accA, accB []float64, msgW,
 	if mergeBlockSize64(int64(rows), int64(msgW)) > int64(len(seg)) {
 		return nil, nil, 0, 0, fmt.Errorf("gxplug: truncated merge block")
 	}
-	accA = grow(&sc.vb.Attrs, rows*msgW)
+	accA = grow(&sc.attrs, rows*msgW)
 	for i := range accA {
 		accA[i] = c.rdF64()
 	}

@@ -1,11 +1,15 @@
 package gxplug
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
+	"gxplug/internal/device"
 	"gxplug/internal/graph"
+	"gxplug/internal/gxplug/template"
 )
 
 // fzr derives structured values from fuzz bytes; exhausted input yields
@@ -55,19 +59,16 @@ func bitsEq(a, b []float64) bool {
 // daemon's scratch looks like when a small block follows a big one.
 func dirtyScratch() *blockScratch {
 	sc := &blockScratch{
-		eb:   graph.EdgeBlock{Triplets: make([]graph.Triplet, 64)},
-		vb:   graph.VertexBlock{IDs: make([]graph.VertexID, 64), Stride: 9, Attrs: make([]float64, 512)},
-		msgs: make([]float64, 512),
-		recv: make([]bool, 64),
+		ids:   make([]graph.VertexID, 64),
+		attrs: make([]float64, 512),
+		msgs:  make([]float64, 512),
+		recv:  make([]bool, 64),
 	}
-	for i := range sc.eb.Triplets {
-		sc.eb.Triplets[i] = graph.Triplet{Src: 0xDEAD, Dst: 0xBEEF, W: math.NaN(), SrcRow: -7, DstRow: -9}
+	for i := range sc.ids {
+		sc.ids[i] = 0xFEEDFACE
 	}
-	for i := range sc.vb.IDs {
-		sc.vb.IDs[i] = 0xFEEDFACE
-	}
-	for i := range sc.vb.Attrs {
-		sc.vb.Attrs[i], sc.msgs[i] = math.Inf(-1), math.NaN()
+	for i := range sc.attrs {
+		sc.attrs[i], sc.msgs[i] = math.Inf(-1), math.NaN()
 	}
 	for i := range sc.recv {
 		sc.recv[i] = i%2 == 0
@@ -99,7 +100,7 @@ func sameFlags(a, b []bool) bool {
 	return true
 }
 
-func sameTriplets(a, b []graph.Triplet) bool {
+func sameTriplets(a, b []triplet) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -136,6 +137,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	})
 }
 
+// fuzzGenRoundTrip encodes a Gen block through the wire path — triplets
+// planned in wire form, one copy into the segment, attribute rows after —
+// and holds it to the codec it replaced: the oracle encoder's bytes, and
+// the oracle decoder's reading of them.
 func fuzzGenRoundTrip(t *testing.T, r *fzr) {
 	nT := int(r.byte()) % 16
 	nV := 1 + int(r.byte())%16
@@ -143,9 +148,9 @@ func fuzzGenRoundTrip(t *testing.T, r *fzr) {
 	msgW := 1 + int(r.byte())%4
 	resident := r.byte()&1 == 1
 
-	eb := &graph.EdgeBlock{Triplets: make([]graph.Triplet, nT)}
+	eb := &edgeBlock{Triplets: make([]triplet, nT)}
 	for i := range eb.Triplets {
-		eb.Triplets[i] = graph.Triplet{
+		eb.Triplets[i] = triplet{
 			Src:    graph.VertexID(r.u32()),
 			Dst:    graph.VertexID(r.u32()),
 			SrcRow: int32(r.u32()),
@@ -153,7 +158,7 @@ func fuzzGenRoundTrip(t *testing.T, r *fzr) {
 			W:      r.f64(),
 		}
 	}
-	vb := &graph.VertexBlock{IDs: make([]graph.VertexID, nV), Stride: attrW, Attrs: make([]float64, nV*attrW)}
+	vb := &vertexBlock{IDs: make([]graph.VertexID, nV), Stride: attrW, Attrs: make([]float64, nV*attrW)}
 	for i := range vb.IDs {
 		vb.IDs[i] = graph.VertexID(r.u32())
 	}
@@ -162,34 +167,45 @@ func fuzzGenRoundTrip(t *testing.T, r *fzr) {
 	}
 
 	seg := make([]byte, genBlockSize(nT, nV, attrW, msgW))
-	payload, err := encodeGenBlock(seg, eb, vb, msgW, resident)
+	payload, err := encodeGenBlockWire(seg, eb, vb, msgW, resident)
 	if err != nil {
 		t.Fatalf("encode rejected exactly-sized segment: %v", err)
 	}
-	gotEB, gotVB, gotMsgW, gotRes, resultOff, err := decodeGenBlock(seg, &blockScratch{})
+	want := make([]byte, len(seg))
+	if wantPayload, err := encodeGenBlockOracle(want, eb, vb, msgW, resident); err != nil || wantPayload != payload ||
+		!bytes.Equal(seg[:payload], want[:payload]) {
+		t.Fatalf("wire encoder wrote %d bytes unlike the oracle encoder's (err %v)", payload, err)
+	}
+	got, err := decodeGenBlock(seg, &blockScratch{})
 	if err != nil {
 		t.Fatalf("decode of valid block failed: %v", err)
 	}
-	dEB, dVB, dMsgW, dRes, dOff, err := decodeGenBlock(seg, dirtyScratch())
-	if err != nil || dMsgW != gotMsgW || dRes != gotRes || dOff != resultOff || dVB.Stride != gotVB.Stride ||
-		!sameTriplets(dEB.Triplets, gotEB.Triplets) || !sameIDs(dVB.IDs, gotVB.IDs) || !bitsEq(dVB.Attrs, gotVB.Attrs) {
+	d, err := decodeGenBlock(seg, dirtyScratch())
+	if err != nil || d.msgW != got.msgW || d.resident != got.resident || d.resultOff != got.resultOff || d.nV != got.nV ||
+		d.attrW != got.attrW || !bytes.Equal(d.trips, got.trips) || !bitsEq(d.attrs, got.attrs) {
 		t.Fatalf("gen decode through a dirty scratch differs from a fresh one (err %v)", err)
 	}
-	if resultOff != payload {
-		t.Fatalf("result offset %d, payload ended at %d", resultOff, payload)
+	oeb, ovb, oMsgW, oRes, oOff, err := decodeGenBlockOracle(seg, &oracleScratch{})
+	if err != nil || got.msgW != oMsgW || got.resident != oRes || got.resultOff != oOff || got.nV != len(ovb.IDs) ||
+		got.attrW != ovb.Stride || !sameTriplets(tripletsOf(got.trips), oeb.Triplets) || !bitsEq(got.attrs, ovb.Attrs) {
+		t.Fatalf("gen decode disagrees with the oracle decoder (err %v)", err)
 	}
-	if gotMsgW != msgW || gotRes != resident || len(gotEB.Triplets) != nT || len(gotVB.IDs) != nV || gotVB.Stride != attrW {
+	if got.resultOff != payload {
+		t.Fatalf("result offset %d, payload ended at %d", got.resultOff, payload)
+	}
+	if got.msgW != msgW || got.resident != resident || len(got.trips) != nT*tripletBytes || got.nV != nV || got.attrW != attrW {
 		t.Fatal("geometry changed in round trip")
 	}
-	if !sameTriplets(gotEB.Triplets, eb.Triplets) {
+	if !sameTriplets(oeb.Triplets, eb.Triplets) {
 		t.Fatal("triplets changed in round trip")
 	}
-	if !sameIDs(gotVB.IDs, vb.IDs) {
+	if !sameIDs(ovb.IDs, vb.IDs) {
 		t.Fatal("vertex ids changed in round trip")
 	}
-	if !bitsEq(gotVB.Attrs, vb.Attrs) {
+	if !bitsEq(got.attrs, vb.Attrs) {
 		t.Fatal("attrs changed in round trip")
 	}
+	resultOff := got.resultOff
 
 	// Result area: accumulator + receive flags + cost survive bit-exact.
 	acc := make([]float64, nV*msgW)
@@ -334,7 +350,7 @@ func fuzzMergeRoundTrip(t *testing.T, r *fzr) {
 
 // scratchBytes is the memory a decode scratch holds.
 func scratchBytes(sc *blockScratch) int {
-	return cap(sc.eb.Triplets)*tripletBytes + cap(sc.vb.IDs)*4 + cap(sc.vb.Attrs)*8 + cap(sc.msgs)*8 + cap(sc.recv)
+	return cap(sc.ids)*4 + cap(sc.attrs)*8 + cap(sc.msgs)*8 + cap(sc.recv)
 }
 
 // FuzzCodecDecodeNoPanic throws arbitrary bytes at all three decoders:
@@ -342,7 +358,9 @@ func scratchBytes(sc *blockScratch) int {
 // back as errors, never as panics or out-of-range reads. It is also the
 // guard on what sizes the daemon's scratch (the wiresize lint cannot see
 // through grow): a rejected block grows nothing, and an accepted one
-// nothing beyond the bytes it really occupies in the segment.
+// nothing beyond the bytes it really occupies in the segment. A Gen block
+// the decoder accepts is computed (runHostileGen): its triplets' rows are
+// checked only as the kernel reads them.
 func FuzzCodecDecodeNoPanic(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("short"))
@@ -355,6 +373,27 @@ func FuzzCodecDecodeNoPanic(f *testing.F) {
 		binary.LittleEndian.PutUint32(hdr[12:], 0xFFFFFFFF)
 		f.Add(append([]byte(nil), hdr...))
 	}
+	// Well-formed Gen blocks: one in range, then rows past the block and
+	// below it, then a triplet in a block of no vertices whose message
+	// width no vertex count bounds.
+	for _, rows := range [][2]int32{{0, 1}, {1, 3}, {-1, 0}} {
+		eb := &edgeBlock{Triplets: []triplet{
+			{Src: 4, Dst: 5, W: 1, SrcRow: 0, DstRow: 1},
+			{Src: 4, Dst: 6, W: 2, SrcRow: 0, DstRow: 2},
+			{Src: 5, Dst: 4, W: 3, SrcRow: rows[0], DstRow: rows[1]},
+		}}
+		vb := &vertexBlock{IDs: []graph.VertexID{4, 5, 6}, Stride: 2, Attrs: []float64{1, 2, 3, 4, 5, 6}}
+		seg := make([]byte, genBlockSize(3, 3, 2, 1))
+		if _, err := encodeGenBlockOracle(seg, eb, vb, 1, false); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seg)
+	}
+	empty := make([]byte, genBlockSize(1, 0, 1, maxBlockDim))
+	if _, err := encodeGenBlockOracle(empty, &edgeBlock{Triplets: make([]triplet, 1)}, &vertexBlock{Stride: 1}, maxBlockDim, false); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(kind string, sc *blockScratch, err error) {
 			if n := scratchBytes(sc); err != nil && n != 0 {
@@ -364,11 +403,99 @@ func FuzzCodecDecodeNoPanic(f *testing.F) {
 			}
 		}
 		var g, a, m blockScratch
-		_, _, _, _, _, err := decodeGenBlock(data, &g)
+		_, err := decodeGenBlock(data, &g)
 		check("gen", &g, err)
+		if err == nil {
+			runHostileGen(t, data)
+		}
 		_, _, _, _, _, _, _, err = decodeApplyBlock(data, &a)
 		check("apply", &a, err)
 		_, _, _, _, err = decodeMergeBlock(data, &m)
 		check("merge", &m, err)
 	})
+}
+
+// xorAlg is a template algorithm of any width: its messages mix the
+// first values of the source row with the edge, and its merge is XOR of
+// the bits, so a block of any geometry computes without panicking and the
+// result does not depend on how the triplets were cut into chunks. It
+// reads and writes at most xorSlots values of a row, so that a hostile
+// width costs the fuzzer no more per triplet than a narrow one.
+type xorAlg struct{}
+
+const xorSlots = 3
+
+func (xorAlg) Name() string                                      { return "xor" }
+func (xorAlg) AttrWidth() int                                    { return 1 }
+func (xorAlg) MsgWidth() int                                     { return 1 }
+func (xorAlg) Init(*template.Context, graph.VertexID, []float64) {}
+func (xorAlg) MSGGen(_ *template.Context, src, dst graph.VertexID, w float64, srcAttr, msg []float64) bool {
+	h := uint64(src)<<32 ^ uint64(dst) ^ math.Float64bits(w)
+	for _, v := range srcAttr[:min(len(srcAttr), xorSlots)] {
+		h = h*0x9E3779B97F4A7C15 ^ math.Float64bits(v)
+	}
+	for i := range msg[:min(len(msg), xorSlots)] {
+		msg[i] = math.Float64frombits(h + uint64(i))
+	}
+	return src%3 != 0
+}
+func (xorAlg) MergeIdentity(msg []float64) { clear(msg) }
+func (xorAlg) MSGMerge(acc, msg []float64) {
+	for i := range acc[:min(len(acc), xorSlots)] {
+		acc[i] = math.Float64frombits(math.Float64bits(acc[i]) ^ math.Float64bits(msg[i]))
+	}
+}
+func (xorAlg) MSGApply(*template.Context, graph.VertexID, []float64, []float64, bool) bool {
+	return false
+}
+func (xorAlg) Hints() template.Hints { return template.Hints{OpsPerEdge: 1, OpsPerVertex: 1} }
+
+// runHostileGen computes a Gen block the decoder accepted on a daemon
+// whose scratch has seen a larger block. If the oracle decoder's triplets
+// name a row outside the block, the compute must fail with the error
+// naming the lowest such triplet; otherwise it must succeed with the
+// per-triplet result. Either way it must not panic.
+func runHostileGen(t *testing.T, data []byte) {
+	t.Helper()
+	seg := append([]byte(nil), data...)
+	alg := xorAlg{}
+	dev := device.New(device.Xeon20())
+	dev.Init()
+	d := &daemonState{cfg: daemonConfig{dev: dev, alg: alg, ctx: &template.Context{}}, dec: *dirtyScratch()}
+	d.gen.init(alg, d.cfg.ctx)
+	_, err := d.computeGen(seg)
+
+	eb, vb, msgW, _, resultOff, oerr := decodeGenBlockOracle(data, &oracleScratch{})
+	if oerr != nil {
+		t.Fatalf("oracle decoder rejects a block the decoder accepted: %v", oerr)
+	}
+	nV := len(vb.IDs)
+	for i, tr := range eb.Triplets {
+		if uint32(tr.SrcRow) >= uint32(nV) || uint32(tr.DstRow) >= uint32(nV) {
+			want := fmt.Sprintf("gxplug: triplet %d names rows %d/%d of a %d-vertex block", i, tr.SrcRow, tr.DstRow, nV)
+			if err == nil || err.Error() != want {
+				t.Fatalf("block with bad rows: error %v, want %q", err, want)
+			}
+			return
+		}
+	}
+	if err != nil {
+		t.Fatalf("block with every row in range: %v", err)
+	}
+	wantAcc, wantRecv := make([]float64, nV*msgW), make([]bool, nV)
+	var msg []float64
+	if len(eb.Triplets) > 0 { // then nV > 0, and the segment bounds msgW
+		msg = make([]float64, msgW)
+	}
+	for _, tr := range eb.Triplets {
+		if alg.MSGGen(nil, tr.Src, tr.Dst, tr.W, vb.Row(int(tr.SrcRow)), msg) {
+			alg.MSGMerge(wantAcc[int(tr.DstRow)*msgW:(int(tr.DstRow)+1)*msgW], msg)
+			wantRecv[tr.DstRow] = true
+		}
+	}
+	gotAcc, gotRecv := make([]float64, nV*msgW), make([]bool, nV)
+	readGenResultInto(seg, resultOff, gotAcc, gotRecv)
+	if !bitsEq(gotAcc, wantAcc) || !sameFlags(gotRecv, wantRecv) {
+		t.Fatal("computed Gen result differs from the per-triplet reference")
+	}
 }

@@ -12,36 +12,34 @@ import (
 )
 
 func TestGenBlockRoundTrip(t *testing.T) {
-	eb := &graph.EdgeBlock{Triplets: []graph.Triplet{
+	eb := &edgeBlock{Triplets: []triplet{
 		{Src: 1, Dst: 2, W: 1.5, SrcRow: 0, DstRow: 1},
 		{Src: 1, Dst: 3, W: 2.5, SrcRow: 0, DstRow: 2},
 	}}
-	vb := &graph.VertexBlock{
+	vb := &vertexBlock{
 		IDs: []graph.VertexID{1, 2, 3}, Stride: 2,
 		Attrs: []float64{1, 2, 3, 4, 5, 6},
 	}
 	seg := make([]byte, genBlockSize(2, 3, 2, 1))
-	payload, err := encodeGenBlock(seg, eb, vb, 1, false)
+	payload, err := encodeGenBlockWire(seg, eb, vb, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb2, vb2, mw, resident, resultOff, err := decodeGenBlock(seg, &blockScratch{})
+	b, err := decodeGenBlock(seg, &blockScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mw != 1 || resultOff != payload || resident {
-		t.Fatalf("mw=%d resultOff=%d payload=%d resident=%v", mw, resultOff, payload, resident)
+	if b.msgW != 1 || b.resultOff != payload || b.resident {
+		t.Fatalf("mw=%d resultOff=%d payload=%d resident=%v", b.msgW, b.resultOff, payload, b.resident)
 	}
-	if !reflect.DeepEqual(eb, eb2) || !reflect.DeepEqual(vb, vb2) {
+	if !reflect.DeepEqual(tripletsOf(b.trips), eb.Triplets) || b.nV != 3 || b.attrW != 2 || !reflect.DeepEqual(b.attrs, vb.Attrs) {
 		t.Fatal("gen block round trip mismatch")
 	}
 }
 
 func TestGenBlockTooSmall(t *testing.T) {
-	eb := &graph.EdgeBlock{Triplets: make([]graph.Triplet, 10)}
-	vb := &graph.VertexBlock{IDs: make([]graph.VertexID, 5), Stride: 1, Attrs: make([]float64, 5)}
 	seg := make([]byte, 16)
-	if _, err := encodeGenBlock(seg, eb, vb, 1, false); err == nil {
+	if _, _, err := encodeGenBlock(seg, make([]byte, 10*tripletBytes), make([]graph.VertexID, 5), 1, 1, false); err == nil {
 		t.Fatal("undersized segment accepted")
 	}
 }
@@ -125,7 +123,7 @@ func TestMergeBlockGeometryErrors(t *testing.T) {
 func TestDecodeWrongKind(t *testing.T) {
 	seg := make([]byte, 256)
 	seg[0] = 0xFF
-	if _, _, _, _, _, err := decodeGenBlock(seg, &blockScratch{}); err == nil {
+	if _, err := decodeGenBlock(seg, &blockScratch{}); err == nil {
 		t.Fatal("wrong kind accepted by gen decode")
 	}
 	if _, _, _, _, _, _, _, err := decodeApplyBlock(seg, &blockScratch{}); err == nil {
@@ -136,7 +134,8 @@ func TestDecodeWrongKind(t *testing.T) {
 	}
 }
 
-// Property: random gen blocks round-trip exactly.
+// Property: random gen blocks round-trip exactly, and the wire path
+// writes the bytes the oracle encoder writes.
 func TestGenBlockRoundTripQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -144,15 +143,15 @@ func TestGenBlockRoundTripQuick(t *testing.T) {
 		nV := rng.Intn(30) + 1
 		aw := rng.Intn(4) + 1
 		mw := rng.Intn(4) + 1
-		eb := &graph.EdgeBlock{Triplets: make([]graph.Triplet, nT)}
+		eb := &edgeBlock{Triplets: make([]triplet, nT)}
 		for i := range eb.Triplets {
-			eb.Triplets[i] = graph.Triplet{
+			eb.Triplets[i] = triplet{
 				Src: graph.VertexID(rng.Uint32() % 1000), Dst: graph.VertexID(rng.Uint32() % 1000),
 				SrcRow: int32(rng.Intn(nV)), DstRow: int32(rng.Intn(nV)),
 				W: rng.Float64() * 100,
 			}
 		}
-		vb := &graph.VertexBlock{IDs: make([]graph.VertexID, nV), Stride: aw, Attrs: make([]float64, nV*aw)}
+		vb := &vertexBlock{IDs: make([]graph.VertexID, nV), Stride: aw, Attrs: make([]float64, nV*aw)}
 		for i := range vb.IDs {
 			vb.IDs[i] = graph.VertexID(rng.Uint32() % 1000)
 		}
@@ -160,17 +159,22 @@ func TestGenBlockRoundTripQuick(t *testing.T) {
 			vb.Attrs[i] = rng.NormFloat64()
 		}
 		seg := make([]byte, genBlockSize(nT, nV, aw, mw))
-		if _, err := encodeGenBlock(seg, eb, vb, mw, seed%2 == 0); err != nil {
+		if _, err := encodeGenBlockWire(seg, eb, vb, mw, seed%2 == 0); err != nil {
 			return false
 		}
-		eb2, vb2, mw2, resident, _, err := decodeGenBlock(seg, &blockScratch{})
-		if err != nil || mw2 != mw || resident != (seed%2 == 0) {
+		want := make([]byte, len(seg))
+		if _, err := encodeGenBlockOracle(want, eb, vb, mw, seed%2 == 0); err != nil || !reflect.DeepEqual(seg, want) {
 			return false
 		}
+		b, err := decodeGenBlock(seg, &blockScratch{})
+		if err != nil || b.msgW != mw || b.resident != (seed%2 == 0) {
+			return false
+		}
+		got := tripletsOf(b.trips)
 		if nT == 0 {
-			eb.Triplets = eb2.Triplets // an empty array decodes to an empty view, nil or not
+			eb.Triplets = got // an empty array decodes to an empty view, nil or not
 		}
-		return len(eb2.Triplets) == nT && reflect.DeepEqual(eb, eb2) && reflect.DeepEqual(vb, vb2)
+		return len(got) == nT && reflect.DeepEqual(eb.Triplets, got) && b.nV == nV && b.attrW == aw && reflect.DeepEqual(b.attrs, vb.Attrs)
 	}
 	seed := time.Now().UnixNano()
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(seed))}); err != nil {

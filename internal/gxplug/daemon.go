@@ -3,6 +3,7 @@ package gxplug
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -253,21 +254,24 @@ func (d *daemonState) replyCost(mtype int64, op func(seg []byte) (time.Duration,
 // merge order is machine-independent.
 const genChunk = device.Grain
 
-// genKernel is the MSGGen launch of one Gen block: the decoded block, one
-// partial accumulator per chunk, and the merged result. It is daemon
-// state rather than a per-block value so that its arrays outlive the block.
+// genKernel is the MSGGen launch of one Gen block: the block, one partial
+// accumulator per chunk, and the merged result. It is daemon state rather
+// than a per-block value so that its arrays outlive the block.
 type genKernel struct {
-	alg  template.Algorithm
-	ctx  *template.Context
-	eb   *graph.EdgeBlock
-	vb   *graph.VertexBlock
-	msgW int
+	alg template.Algorithm
+	ctx *template.Context
+	// blk is the block in flight. Its triplets are read in place from the
+	// segment, and no row they name is used before the chunk reading it
+	// has checked it.
+	blk genBlock
 
 	// Chunk c accumulates into rows [c*(nV+1), (c+1)*(nV+1)) of partAcc —
 	// nV accumulator rows, then the row its MSGGen calls write into — and into
-	// partRecv[c*nV:(c+1)*nV].
+	// partRecv[c*nV:(c+1)*nV]. bad[c] is the index of the first triplet of
+	// chunk c that names a row outside the block, or -1.
 	partAcc  []float64
 	partRecv []bool
+	bad      []int
 	acc      []float64
 	recv     []bool
 
@@ -286,25 +290,46 @@ func (k *genKernel) init(alg template.Algorithm, ctx *template.Context) {
 
 // launch runs every chunk of the block on dev — nT items, so the charge
 // is the block's — and merges the partials, leaving the block's result in
-// k.acc / k.recv. Which goroutine ran a chunk never shows in the result.
-func (k *genKernel) launch(dev *device.Device, eb *graph.EdgeBlock, vb *graph.VertexBlock, msgW int, bytesIn, bytesOut int64) (time.Duration, error) {
-	nT, nV := len(eb.Triplets), len(vb.IDs)
-	k.eb, k.vb, k.msgW = eb, vb, msgW
+// k.acc / k.recv. Which goroutine ran a chunk never shows in the result. A
+// triplet naming a row outside the block fails the launch, and the error
+// names the lowest such triplet.
+func (k *genKernel) launch(dev *device.Device, b genBlock, bytesIn, bytesOut int64) (time.Duration, error) {
+	nT, nV, msgW := len(b.trips)/tripletBytes, b.nV, b.msgW
+	k.blk = b
+	if nT > 0 && nV == 0 {
+		// Every row is out of range. Fail before the partials are sized by
+		// a message width that no vertex count bounds.
+		return 0, k.rowError(0)
+	}
 	k.nChunks = (nT + genChunk - 1) / genChunk
 	grow(&k.partAcc, k.nChunks*(nV+1)*msgW)
 	grow(&k.partRecv, k.nChunks*nV)
+	grow(&k.bad, k.nChunks)
 	cost, err := dev.Launch(nT, bytesIn, bytesOut, k.alg.Hints().OpsPerEdge, k.kernel)
 	if err != nil {
 		return 0, err
 	}
+	for _, i := range k.bad {
+		if i >= 0 {
+			return 0, k.rowError(i)
+		}
+	}
 	return cost, par.Do(1, k.folded)
+}
+
+// rowError reports that triplet i of the block in flight names a row
+// outside it.
+func (k *genKernel) rowError(i int) error {
+	t := k.blk.trips[i*tripletBytes:]
+	return fmt.Errorf("gxplug: triplet %d names rows %d/%d of a %d-vertex block", i,
+		int32(binary.LittleEndian.Uint32(t[tripSrcRow:])), int32(binary.LittleEndian.Uint32(t[tripDstRow:])), k.blk.nV)
 }
 
 // fold merges the chunk partials, in chunk order, into k.acc / k.recv. It
 // calls MSGMerge like the chunks do, so it runs under the same recover: as
 // the one item of a Do, which is a call on this goroutine.
 func (k *genKernel) fold(int) error {
-	alg, msgW, nV := k.alg, k.msgW, len(k.vb.IDs)
+	alg, msgW, nV := k.alg, k.blk.msgW, k.blk.nV
 	acc := grow(&k.acc, nV*msgW)
 	recv := grow(&k.recv, nV)
 	for r := 0; r < nV; r++ {
@@ -324,17 +349,21 @@ func (k *genKernel) fold(int) error {
 	return nil
 }
 
-// chunk computes one chunk's partial. Blocks are cut from the
-// source-grouped edge table, so the triplets of one SrcRow form a run: the
-// source's row is looked up once per run, and an algorithm that declares
-// Hints.SourceOnly generates once per run and merges that one message into
-// every destination — the value, and the order it is merged in, of a
+// chunk computes one chunk's partial, reading its triplets in place from
+// the segment. Blocks are cut from the source-grouped edge table, so the
+// triplets of one srcRow form a run: the source's row is checked and
+// looked up once per run, and an algorithm that declares Hints.SourceOnly
+// generates once per run and merges that one message into every
+// destination — the value, and the order it is merged in, of a
 // per-triplet loop; any other generates once per triplet. A run split by
 // the chunk boundary simply generates again at the start of the next
-// chunk.
+// chunk. The rows come from the segment, and in a reused scratch a row
+// past the block could land in stale capacity instead of panicking, so
+// the first triplet naming a row outside the block stops the chunk and is
+// recorded in bad[c].
 func (k *genKernel) chunk(c int) {
-	alg, ctx, eb, vb, msgW := k.alg, k.ctx, k.eb, k.vb, k.msgW
-	nV := len(vb.IDs)
+	alg, ctx, b := k.alg, k.ctx, &k.blk
+	nV, attrW, msgW := b.nV, b.attrW, b.msgW
 	// Capped windows: whatever rows a block names, a chunk cannot reach
 	// into another chunk's partials.
 	acc := k.partAcc[c*(nV+1)*msgW : (c+1)*(nV+1)*msgW : (c+1)*(nV+1)*msgW]
@@ -344,25 +373,38 @@ func (k *genKernel) chunk(c int) {
 		alg.MergeIdentity(acc[r*msgW : (r+1)*msgW])
 		recv[r] = false
 	}
+	k.bad[c] = -1
 	perRun := alg.Hints().SourceOnly
-	for rest := eb.Triplets[c*genChunk : min((c+1)*genChunk, len(eb.Triplets))]; len(rest) > 0; {
-		srcRow := rest[0].SrcRow
-		n := 1
-		for n < len(rest) && rest[n].SrcRow == srcRow {
-			n++
+	lo := c * genChunk
+	sec := b.trips[lo*tripletBytes : min(lo+genChunk, len(b.trips)/tripletBytes)*tripletBytes]
+	for off := 0; off < len(sec); {
+		srcRow := binary.LittleEndian.Uint32(sec[off+tripSrcRow:])
+		if srcRow >= uint32(nV) {
+			k.bad[c] = lo + off/tripletBytes
+			return
 		}
-		run := rest[:n]
-		rest = rest[n:]
-		srcAttr := vb.Row(int(srcRow))
+		srcAttr := b.attrs[int(srcRow)*attrW : (int(srcRow)+1)*attrW]
 		produced := false
-		for i := range run {
-			t := &run[i]
-			if !perRun || i == 0 {
-				produced = alg.MSGGen(ctx, t.Src, t.Dst, t.W, srcAttr, msgBuf)
+		for first := true; off < len(sec); off += tripletBytes {
+			t := sec[off : off+tripletBytes]
+			if binary.LittleEndian.Uint32(t[tripSrcRow:]) != srcRow {
+				break // the next run
+			}
+			row := binary.LittleEndian.Uint32(t[tripDstRow:])
+			if row >= uint32(nV) {
+				k.bad[c] = lo + off/tripletBytes
+				return
+			}
+			if first || !perRun {
+				produced = alg.MSGGen(ctx,
+					graph.VertexID(binary.LittleEndian.Uint32(t[tripSrc:])),
+					graph.VertexID(binary.LittleEndian.Uint32(t[tripDst:])),
+					math.Float64frombits(binary.LittleEndian.Uint64(t[tripW:])),
+					srcAttr, msgBuf)
+				first = false
 			}
 			if produced {
-				row := int(t.DstRow)
-				alg.MSGMerge(acc[row*msgW:(row+1)*msgW], msgBuf)
+				alg.MSGMerge(acc[int(row)*msgW:(int(row)+1)*msgW], msgBuf)
 				recv[row] = true
 			}
 		}
@@ -370,30 +412,21 @@ func (k *genKernel) chunk(c int) {
 }
 
 func (d *daemonState) computeGen(seg []byte) (time.Duration, error) {
-	eb, vb, msgW, resident, resultOff, err := decodeGenBlock(seg, &d.dec)
+	b, err := decodeGenBlock(seg, &d.dec)
 	if err != nil {
 		return 0, err
 	}
-	nV := len(vb.IDs)
-	for i := range eb.Triplets {
-		// The kernel indexes the block's rows with these, and in a reused
-		// scratch a row past the block could land in stale capacity
-		// instead of panicking.
-		if t := &eb.Triplets[i]; uint32(t.SrcRow) >= uint32(nV) || uint32(t.DstRow) >= uint32(nV) {
-			return 0, fmt.Errorf("gxplug: triplet %d names rows %d/%d of a %d-vertex block", i, t.SrcRow, t.DstRow, nV)
-		}
-	}
-	bytesIn := int64(resultOff)
-	if resident {
+	bytesIn := int64(b.resultOff)
+	if b.resident {
 		// Topology already on the device: only attributes cross the link.
-		bytesIn = int64(nV * (4 + 8*vb.Stride))
+		bytesIn = int64(b.nV * (4 + 8*b.attrW))
 	}
-	bytesOut := int64(nV*msgW*8 + nV)
-	cost, err := d.gen.launch(d.cfg.dev, eb, vb, msgW, bytesIn, bytesOut)
+	bytesOut := int64(b.nV*b.msgW*8 + b.nV)
+	cost, err := d.gen.launch(d.cfg.dev, b, bytesIn, bytesOut)
 	if err != nil {
 		return 0, err
 	}
-	writeGenResult(seg, resultOff, d.gen.acc, d.gen.recv, uint64(cost))
+	writeGenResult(seg, b.resultOff, d.gen.acc, d.gen.recv, uint64(cost))
 	return cost, nil
 }
 

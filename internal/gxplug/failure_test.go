@@ -77,9 +77,9 @@ func TestDaemonRejectsBadRowsAndZeroWidth(t *testing.T) {
 	p := a.daemons[0]
 	seg := p.mem[physSeg(roleC, p.rot)]
 	for _, rows := range [][2]int32{{0, 2}, {2, 0}, {-1, 0}} {
-		eb := &graph.EdgeBlock{Triplets: []graph.Triplet{{Src: 1, Dst: 2, W: 1, SrcRow: rows[0], DstRow: rows[1]}}}
-		vb := &graph.VertexBlock{IDs: []graph.VertexID{1, 2}, Stride: 1, Attrs: []float64{1, 1}}
-		if _, err := encodeGenBlock(seg, eb, vb, 1, false); err != nil {
+		eb := &edgeBlock{Triplets: []triplet{{Src: 1, Dst: 2, W: 1, SrcRow: rows[0], DstRow: rows[1]}}}
+		vb := &vertexBlock{IDs: []graph.VertexID{1, 2}, Stride: 1, Attrs: []float64{1, 1}}
+		if _, err := encodeGenBlockOracle(seg, eb, vb, 1, false); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := p.request(msgCompute, nil); err == nil || !strings.Contains(err.Error(), "names rows") {

@@ -119,7 +119,7 @@ func checkSegmentFit(t *testing.T, name string, a *Agent, rng *rand.Rand) {
 			continue
 		}
 		for bi, bp := range a.buildBlocks(rows, a.chooseBlockSize(d)) {
-			need := genBlockSize(len(bp.eb.Triplets), len(bp.vb.IDs), aw, mw)
+			need := genBlockSize(len(bp.trips)/tripletBytes, len(bp.ids), aw, mw)
 			if need > seg {
 				t.Fatalf("%s: block %d of a %d-edge frontier needs %d bytes, segment has %d", name, bi, d, need, seg)
 			}
