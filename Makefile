@@ -112,11 +112,17 @@ race-dynamic:
 # wire form the agent plans them in: the planned bytes are held to the
 # Triplet-slab encoder they replaced, and a row outside the block, met by
 # whichever chunk, must fail the launch naming the lowest bad triplet.
+# Where an algorithm declares Hints.Merge (sum or min), the kernels, the
+# fold, the merge kernel and the message buffer fold in typed loops and
+# never call MSGMerge: every built-in's MSGMerge is held to its
+# declaration, the fold and merge kernel to the MSGMerge loops they
+# replaced, and LP's early-exit merge to the full-scan one.
 race-gen:
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestNativeGenMatchesOracle|TestNativeGenAllocatesNothing' ./internal/engine
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenChunkMatchesOracle' -count=10 ./internal/gxplug
-	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenBlockBytesMatchOracle|TestGenKernelNamesLowestBadRow' ./internal/gxplug
-	GOMAXPROCS=8 $(GO) test -race -short -run 'TestSourceOnlyDeclarationsHold' ./gx
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenBlockBytesMatchOracle|TestGenKernelNamesLowestBadRow|TestMergeKernelMatchesOracle' ./internal/gxplug
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestSourceOnlyDeclarationsHold|TestMergeDeclarationsHold' ./gx
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestLPMergeMatchesOracle' ./internal/algos
 
 # The one host fan-out and the panic boundary it carries: par.Do's own
 # contract (every index once, the serial loop's error, nested Dos, the

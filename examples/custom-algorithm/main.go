@@ -61,6 +61,8 @@ func (f *influence) MSGGen(ctx *gx.Context, src, _ gx.VertexID, _ float64, srcAt
 	return true
 }
 
+// MSGMerge is a plain sum, which Hints.Merge below declares: executors
+// then fold contributions in a typed loop instead of calling MSGMerge.
 func (f *influence) MergeIdentity(msg []float64) { msg[0] = 0 }
 func (f *influence) MSGMerge(acc, msg []float64) { acc[0] += msg[0] }
 
@@ -85,6 +87,7 @@ func (f *influence) Hints() gx.Hints {
 		OpsPerEdge:   60,
 		OpsPerVertex: 30,
 		SourceOnly:   true,
+		Merge:        gx.MergeSum,
 	}
 }
 

@@ -290,6 +290,105 @@ func TestSourceOnlyDeclarationsHold(t *testing.T) {
 	}
 }
 
+// mergeDeclared is what each built-in states in Hints.Merge. LP's
+// histogram merge is no element-wise operator.
+var mergeDeclared = map[string]MergeOp{
+	"pagerank": MergeSum,
+	"sssp":     MergeMin,
+	"lp":       MergeCustom,
+	"cc":       MergeMin,
+	"kcore":    MergeSum,
+	"bfs":      MergeMin,
+}
+
+// checkMSGMerge is the checker of a Hints.Merge declaration. Over random
+// accumulator and message rows (±0, ±Inf and NaN among them), MSGMerge
+// must give, bit for bit, the declared operator applied per element —
+// written here independently of the executors' loops. MergeCustom
+// declares nothing and passes.
+func checkMSGMerge(alg Algorithm, rng *rand.Rand) error {
+	op := alg.Hints().Merge
+	if op == MergeCustom {
+		return nil
+	}
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1, -1, 2}
+	value := func() float64 {
+		if rng.Intn(2) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64() * 100
+	}
+	mw := alg.MsgWidth()
+	acc, msg, want := make([]float64, mw), make([]float64, mw), make([]float64, mw)
+	for trial := 0; trial < 2000; trial++ {
+		for i := range acc {
+			acc[i], msg[i] = value(), value()
+			switch a, m := acc[i], msg[i]; op {
+			case MergeSum:
+				want[i] = a + m
+			case MergeMin:
+				want[i] = a
+				if m < a {
+					want[i] = m
+				}
+			default:
+				return fmt.Errorf("declares unknown merge operator %d", op)
+			}
+		}
+		before := append([]float64(nil), acc...)
+		alg.MSGMerge(acc, msg)
+		if !attrsBitEqual(acc, want) {
+			return fmt.Errorf("MSGMerge(%v, %v) = %v, declared operator %d gives %v", before, msg, acc, op, want)
+		}
+	}
+	return nil
+}
+
+// ccDeclaringSum is CC with a false Merge declaration.
+type ccDeclaringSum struct{ *algos.CC }
+
+func (c ccDeclaringSum) Hints() Hints {
+	h := c.CC.Hints()
+	h.Merge = MergeSum
+	return h
+}
+
+// mathMinCC is CC whose MSGMerge is math.Min, declaring MergeMin: the two
+// differ on NaN, and on -0 against +0.
+type mathMinCC struct{ *algos.CC }
+
+func (mathMinCC) MSGMerge(acc, msg []float64) { acc[0] = math.Min(acc[0], msg[0]) }
+
+// TestMergeDeclarationsHold holds every registered algorithm's MSGMerge
+// to its Hints.Merge declaration, pins which built-ins declare what, and
+// shows the checker catches a false declaration: CC declaring a sum, and
+// a min written with math.Min. The end-to-end half of the proof is
+// TestConformanceMatrix: executors fold by the declared operator while
+// algos.Sequential calls MSGMerge.
+func TestMergeDeclarationsHold(t *testing.T) {
+	for _, name := range Algorithms() {
+		alg, err := NewAlgorithm(name, AlgoParams{}, 1000)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		declared := alg.Hints().Merge
+		if want, builtin := mergeDeclared[name]; builtin && declared != want {
+			t.Errorf("%s: Merge = %d, want %d", name, declared, want)
+		}
+		if err := checkMSGMerge(alg, rand.New(rand.NewSource(13))); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for name, lying := range map[string]Algorithm{
+		"CC declaring MergeSum":       ccDeclaringSum{algos.NewCC()},
+		"math.Min declaring MergeMin": mathMinCC{algos.NewCC()},
+	} {
+		if err := checkMSGMerge(lying, rand.New(rand.NewSource(13))); err == nil {
+			t.Errorf("%s passed the checker", name)
+		}
+	}
+}
+
 // lazySSSP is SSSP whose MSGGen leaves the slots of unreached sources
 // unwritten: right on a cleared row, wrong on the executors' reused one.
 type lazySSSP struct{ *algos.SSSPBF }

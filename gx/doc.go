@@ -168,6 +168,18 @@
 // reads the flag, which is what checks a declaration;
 // examples/custom-algorithm declares it.
 //
+// A second declaration makes the merge cheaper the same way:
+// [Hints].Merge names the operator MSGMerge computes. [MergeSum] promises
+// acc[i] += msg[i] and [MergeMin] promises if msg[i] < acc[i] { acc[i] =
+// msg[i] } (not math.Min, which differs on NaN and -0), per element and
+// bit for bit; executors then fold messages in a typed loop and never
+// call MSGMerge. PageRank and k-core declare MergeSum; CC, BFS and SSSP
+// declare MergeMin; LP's histogram merge stays [MergeCustom], the zero
+// value, which promises nothing. A type that embeds an algorithm and
+// overrides MSGMerge must restate Merge in its own Hints, or it inherits
+// a promise its MSGMerge does not keep. examples/custom-algorithm
+// declares MergeSum.
+//
 // # Contributing
 //
 // The invariants the tests pin at runtime — deterministic results, the

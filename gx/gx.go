@@ -32,10 +32,14 @@ type (
 	// Context carries per-iteration information into template calls.
 	Context = template.Context
 	// Hints tell engines how to drive and cost an algorithm, and carry
-	// its declared properties: Incremental (safe for trajectory replay)
-	// and SourceOnly (the message MSGGen writes depends on the source
-	// alone, so executors call it once per source, not once per edge).
+	// its declared properties: Incremental (safe for trajectory replay),
+	// SourceOnly (the message MSGGen writes depends on the source alone,
+	// so executors call it once per source, not once per edge) and Merge
+	// (the operator MSGMerge computes, so executors fold without calling
+	// it).
 	Hints = template.Hints
+	// MergeOp is the operator [Hints].Merge declares.
+	MergeOp = template.MergeOp
 	// Sourced is implemented by algorithms that start from source vertices.
 	Sourced = template.Sourced
 
@@ -65,6 +69,16 @@ type (
 	DeviceSpec = device.Spec
 	// AgentStats aggregates one agent's middleware activity.
 	AgentStats = gxplug.Stats
+)
+
+// The operators [Hints].Merge may declare.
+const (
+	// MergeCustom declares nothing: executors call MSGMerge per message.
+	MergeCustom = template.MergeCustom
+	// MergeSum declares MSGMerge to be acc[i] += msg[i].
+	MergeSum = template.MergeSum
+	// MergeMin declares MSGMerge to be if msg[i] < acc[i] { acc[i] = msg[i] }.
+	MergeMin = template.MergeMin
 )
 
 // Fault kinds a scenario's fault plan may schedule (see [FaultSpec]).

@@ -64,6 +64,14 @@ func (a mergePanicsOn) MSGMerge(acc, msg []float64) {
 	a.Algorithm.MSGMerge(acc, msg)
 }
 
+// Hints restates Merge: CC declares MergeMin, which this MSGMerge does not
+// keep, and executors would fold past it without calling it.
+func (a mergePanicsOn) Hints() Hints {
+	h := a.Algorithm.Hints()
+	h.Merge = MergeCustom
+	return h
+}
+
 // settledGoroutines makes the host helper pool spawn every helper it will
 // ever have at this GOMAXPROCS — each item waits for all the others to
 // have started — and returns the goroutine count, which from then on only

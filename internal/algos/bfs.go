@@ -88,7 +88,7 @@ func (b *KHopBFS) MSGApply(_ *template.Context, _ graph.VertexID, attr, msg []fl
 
 // Hints implements template.Algorithm.
 func (b *KHopBFS) Hints() template.Hints {
-	return template.Hints{OpsPerEdge: 20, OpsPerVertex: 10, SourceOnly: true}
+	return template.Hints{OpsPerEdge: 20, OpsPerVertex: 10, SourceOnly: true, Merge: template.MergeMin}
 }
 
 // RefKHopBFS runs the identical bounded BFS sequentially.

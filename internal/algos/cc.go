@@ -58,7 +58,7 @@ func (c *CC) MSGApply(_ *template.Context, _ graph.VertexID, attr, msg []float64
 
 // Hints implements template.Algorithm.
 func (c *CC) Hints() template.Hints {
-	return template.Hints{OpsPerEdge: 40, OpsPerVertex: 20, Incremental: true, SourceOnly: true}
+	return template.Hints{OpsPerEdge: 40, OpsPerVertex: 20, Incremental: true, SourceOnly: true, Merge: template.MergeMin}
 }
 
 // RefCC runs the identical fixpoint sequentially.

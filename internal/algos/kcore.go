@@ -81,6 +81,7 @@ func (kc *KCore) Hints() template.Hints {
 		OpsPerEdge:   50,
 		OpsPerVertex: 30,
 		SourceOnly:   true,
+		Merge:        template.MergeSum,
 	}
 }
 

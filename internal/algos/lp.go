@@ -64,19 +64,28 @@ func (l *LP) MergeIdentity(msg []float64) {
 
 // MSGMerge implements template.Algorithm: merge two top-K histograms,
 // summing counts of equal labels and keeping the K heaviest entries.
+//
+// A histogram's filled slots always form a prefix: MergeIdentity empties
+// every slot, MSGGen fills slot 0, and mergeLabel fills the first empty
+// slot or rewrites a filled one in place. So the first empty slot ends a
+// row, in msg and in acc alike. A row not of that form (only hostile bytes
+// make one) may merge differently, but never out of bounds.
 func (l *LP) MSGMerge(acc, msg []float64) {
 	for i := 0; i < lpSlots; i++ {
 		label, count := msg[2*i], msg[2*i+1]
-		if label < 0 || count <= 0 {
+		if label < 0 {
+			break
+		}
+		if count <= 0 {
 			continue
 		}
 		mergeLabel(acc, label, count)
 	}
 }
 
-// mergeLabel folds one (label,count) into a histogram row in place.
+// mergeLabel folds one (label,count) into a prefix-form histogram row in
+// place.
 func mergeLabel(acc []float64, label, count float64) {
-	empty := -1
 	minAt, minCount := -1, math.Inf(1)
 	for i := 0; i < lpSlots; i++ {
 		al, ac := acc[2*i], acc[2*i+1]
@@ -84,17 +93,14 @@ func mergeLabel(acc []float64, label, count float64) {
 			acc[2*i+1] = ac + count
 			return
 		}
-		if al < 0 && empty < 0 {
-			empty = i
+		if al < 0 {
+			acc[2*i] = label
+			acc[2*i+1] = count
+			return
 		}
-		if al >= 0 && ac < minCount {
+		if al >= 0 && ac < minCount { // al >= 0: a NaN label is never evicted
 			minAt, minCount = i, ac
 		}
-	}
-	if empty >= 0 {
-		acc[2*empty] = label
-		acc[2*empty+1] = count
-		return
 	}
 	// Sketch full: evict the lightest entry if the newcomer is heavier
 	// (space-saving flavour; deterministic).

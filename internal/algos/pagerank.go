@@ -76,6 +76,7 @@ func (p *PageRank) Hints() template.Hints {
 		OpsPerVertex: 40,
 		Incremental:  true,
 		SourceOnly:   true, // rank/outdeg: the destination and weight never enter
+		Merge:        template.MergeSum,
 	}
 }
 

@@ -139,6 +139,7 @@ func (s *SSSPBF) Hints() template.Hints {
 	return template.Hints{
 		OpsPerEdge:   40 * float64(len(s.sources)),
 		OpsPerVertex: 20 * float64(len(s.sources)),
+		Merge:        template.MergeMin,
 	}
 }
 

@@ -14,10 +14,11 @@ import (
 )
 
 // nativeGenOracle is the per-edge nativeGen the source-run walk replaced,
-// verbatim apart from the name and the one-method MSGGen call: every edge
-// tests the cone and the frontier, slices its source's row and generates
-// its own message. It is the oracle TestNativeGenMatchesOracle holds
-// nativeGen to; nothing outside the tests runs it.
+// verbatim apart from the name, the one-method MSGGen call and the fold:
+// every edge tests the cone and the frontier, slices its source's row and
+// generates its own message, which oracleAdd merges with MSGMerge itself.
+// It is the oracle TestNativeGenMatchesOracle holds nativeGen to; nothing
+// outside the tests runs it.
 func (r *runner) nativeGenOracle(j int) *gxplug.GenResult {
 	part := r.part.Parts[j]
 	res := r.nextNativeResult(j)
@@ -38,12 +39,20 @@ func (r *runner) nativeGenOracle(j int) *gxplug.GenResult {
 		src := e.Src
 		srcAttr := r.attrs[int(src)*r.aw : (int(src)+1)*r.aw]
 		if r.alg.MSGGen(r.ctx, src, e.Dst, e.Weight, srcAttr, msgBuf) {
-			res.Add(e.Dst, msgBuf)
+			r.oracleAdd(res, e.Dst, msgBuf)
 		}
 	}
 	res.Entities = edges
 	r.chargeNative(j, genOps(float64(edges), r.alg.Hints()))
 	return res
+}
+
+// oracleAdd is GenResult.Add with the fold left to MSGMerge, whatever
+// merge operator the algorithm declares.
+func (r *runner) oracleAdd(res *gxplug.GenResult, id graph.VertexID, msg []float64) {
+	b, row := res.To[r.part.Owner[id]], r.part.MasterRow[id]
+	b.Touch(row)
+	r.alg.MSGMerge(b.Row(row), msg)
 }
 
 // randomFlags returns n flags, each set with probability p; exactlyOne
@@ -159,9 +168,11 @@ func TestNativeGenMatchesOracle(t *testing.T) {
 }
 
 // TestNativeGenAllocatesNothing pins nativeGen's steady state at zero heap
-// allocations on both engine shapes, on the per-run path (PageRank) and
-// the per-edge one (SSSP): MSGGen writes into the node's one scratch row
-// and the walk builds no closure. The result it fills is warmed first;
+// allocations on both engine shapes, on the per-run path (PageRank, CC,
+// LP) and the per-edge one (SSSP), and for every fold: width-1 sum
+// (PageRank) and min (CC), min over four slots (SSSP) and MSGMerge (LP).
+// MSGGen writes into the node's one scratch row and the walk builds no
+// closure. The result it fills is warmed first;
 // nativeFlip stays fixed, so every call reuses that one.
 func TestNativeGenAllocatesNothing(t *testing.T) {
 	g, err := gen.RMAT(gen.RMATConfig{NumVertices: 400, NumEdges: 3000, A: 0.57, B: 0.19, C: 0.19, Seed: 21})
@@ -173,7 +184,7 @@ func TestNativeGenAllocatesNothing(t *testing.T) {
 		name string
 		spec Spec
 	}{{"graphx", bspTestSpec()}, {"powergraph", gasTestSpec()}} {
-		for _, alg := range []template.Algorithm{algos.NewPageRank(), algos.NewSSSPBF(srcs)} {
+		for _, alg := range []template.Algorithm{algos.NewPageRank(), algos.NewCC(), algos.NewLP(), algos.NewSSSPBF(srcs)} {
 			t.Run(sc.name+"/"+alg.Name(), func(t *testing.T) {
 				r := routingRunner(t, sc.spec, g, 4, alg)
 				for i := range r.active {

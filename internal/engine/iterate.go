@@ -8,6 +8,7 @@ import (
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug"
 	"gxplug/internal/gxplug/synccache"
+	"gxplug/internal/gxplug/template"
 	"gxplug/internal/par"
 )
 
@@ -398,13 +399,18 @@ func (r *runner) nextNativeResult(j int) *gxplug.GenResult {
 // still visited in table order and every message still merges into its
 // owner's slot through the partitioning's routing index, so per row the
 // MSGMerge sequence, and per buffer the first-touch order, are those of a
-// per-edge loop.
+// per-edge loop. A width-1 message under a declared Hints.Merge folds
+// through the buffer's inlined SumAt/MinAt; any other through Merge.
 func (r *runner) nativeGen(j int) *gxplug.GenResult {
 	part := r.part.Parts[j]
 	res := r.nextNativeResult(j)
 	hints := r.alg.Hints()
 	to, owner, masterRow := res.To, r.part.Owner, r.part.MasterRow
 	msg := r.natMsg[j]
+	fold := hints.Merge
+	if r.mw != 1 {
+		fold = template.MergeCustom // Merge dispatches on the op itself
+	}
 	// Incremental replay: only destinations in the cone can receive a
 	// result differing from the memo, so only their messages are needed.
 	cone := r.inc.coneFilter()
@@ -432,8 +438,16 @@ func (r *runner) nativeGen(j int) *gxplug.GenResult {
 				ok = r.alg.MSGGen(r.ctx, src, e.Dst, e.Weight, srcAttr, msg)
 				generate = !hints.SourceOnly
 			}
-			if ok {
-				to[owner[e.Dst]].Merge(masterRow[e.Dst], msg)
+			if !ok {
+				continue
+			}
+			switch b, row := to[owner[e.Dst]], masterRow[e.Dst]; fold {
+			case template.MergeSum:
+				b.SumAt(row, msg[0])
+			case template.MergeMin:
+				b.MinAt(row, msg[0])
+			default:
+				b.Merge(row, msg)
 			}
 		}
 	}

@@ -185,6 +185,16 @@ func checkChunks(t *testing.T, alg template.Algorithm, ctx *template.Context, eb
 			t.Fatalf("chunk %d received flags differ from the oracle's", c)
 		}
 	}
+
+	// launch folded the partials by the declared operator; fold them again
+	// with MSGMerge over the same partials.
+	acc, recv := slices.Clone(got.acc[:nV*msgW]), slices.Clone(got.recv[:nV])
+	if err := got.foldOracle(0); err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEq(acc, got.acc[:nV*msgW]) || !slices.Equal(recv, got.recv[:nV]) {
+		t.Fatalf("folded block %v, oracle %v", acc, got.acc[:nV*msgW])
+	}
 }
 
 // TestGenKernelNamesLowestBadRow: rows outside the block, planted in

@@ -260,6 +260,7 @@ const genChunk = device.Grain
 type genKernel struct {
 	alg template.Algorithm
 	ctx *template.Context
+	op  template.MergeOp // alg's declared merge, read once
 	// blk is the block in flight. Its triplets are read in place from the
 	// segment, and no row they name is used before the chunk reading it
 	// has checked it.
@@ -283,7 +284,7 @@ type genKernel struct {
 }
 
 func (k *genKernel) init(alg template.Algorithm, ctx *template.Context) {
-	k.alg, k.ctx = alg, ctx
+	k.alg, k.ctx, k.op = alg, ctx, alg.Hints().Merge
 	k.kernel = func(start, _ int) { k.chunk(start / genChunk) }
 	k.folded = k.fold
 }
@@ -326,10 +327,10 @@ func (k *genKernel) rowError(i int) error {
 }
 
 // fold merges the chunk partials, in chunk order, into k.acc / k.recv. It
-// calls MSGMerge like the chunks do, so it runs under the same recover: as
-// the one item of a Do, which is a call on this goroutine.
+// may call MSGMerge like the chunks do, so it runs under the same recover:
+// as the one item of a Do, which is a call on this goroutine.
 func (k *genKernel) fold(int) error {
-	alg, msgW, nV := k.alg, k.blk.msgW, k.blk.nV
+	alg, op, msgW, nV := k.alg, k.op, k.blk.msgW, k.blk.nV
 	acc := grow(&k.acc, nV*msgW)
 	recv := grow(&k.recv, nV)
 	for r := 0; r < nV; r++ {
@@ -341,7 +342,7 @@ func (k *genKernel) fold(int) error {
 		partRecv := k.partRecv[c*nV:]
 		for r := 0; r < nV; r++ {
 			if partRecv[r] {
-				alg.MSGMerge(acc[r*msgW:(r+1)*msgW], partAcc[r*msgW:(r+1)*msgW])
+				mergeRow(op, alg, acc[r*msgW:(r+1)*msgW], partAcc[r*msgW:(r+1)*msgW])
 				recv[r] = true
 			}
 		}
@@ -362,7 +363,7 @@ func (k *genKernel) fold(int) error {
 // the first triplet naming a row outside the block stops the chunk and is
 // recorded in bad[c].
 func (k *genKernel) chunk(c int) {
-	alg, ctx, b := k.alg, k.ctx, &k.blk
+	alg, ctx, op, b := k.alg, k.ctx, k.op, &k.blk
 	nV, attrW, msgW := b.nV, b.attrW, b.msgW
 	// Capped windows: whatever rows a block names, a chunk cannot reach
 	// into another chunk's partials.
@@ -404,7 +405,16 @@ func (k *genKernel) chunk(c int) {
 				first = false
 			}
 			if produced {
-				alg.MSGMerge(acc[int(row)*msgW:(int(row)+1)*msgW], msgBuf)
+				// mergeRow, spelled out so that the typed loops inline.
+				dst := acc[int(row)*msgW : (int(row)+1)*msgW]
+				switch op {
+				case template.MergeSum:
+					sumRow(dst, msgBuf)
+				case template.MergeMin:
+					minRow(dst, msgBuf)
+				default:
+					alg.MSGMerge(dst, msgBuf)
+				}
 				recv[row] = true
 			}
 		}
@@ -461,14 +471,24 @@ func (d *daemonState) computeMerge(seg []byte) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	alg := d.cfg.alg
+	alg, op := d.cfg.alg, d.cfg.alg.Hints().Merge
 	rows := len(accA) / msgW
 	cost, err := d.cfg.dev.Launch(rows,
 		int64(len(accA)+len(accB))*8, int64(len(accA))*8,
 		float64(msgW),
 		func(start, end int) {
-			for r := start; r < end; r++ {
-				alg.MSGMerge(accA[r*msgW:(r+1)*msgW], accB[r*msgW:(r+1)*msgW])
+			// A declared operator works per element, so a run of rows folds
+			// as one flat row.
+			a, b := accA[start*msgW:end*msgW], accB[start*msgW:end*msgW]
+			switch op {
+			case template.MergeSum:
+				sumRow(a, b)
+			case template.MergeMin:
+				minRow(a, b)
+			default:
+				for r := 0; r < end-start; r++ {
+					alg.MSGMerge(a[r*msgW:(r+1)*msgW], b[r*msgW:(r+1)*msgW])
+				}
 			}
 		})
 	if err != nil {

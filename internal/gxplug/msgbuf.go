@@ -19,8 +19,9 @@ import (
 // device-side merge kernel directly.
 type MsgBuf struct {
 	alg     template.Algorithm // supplies MergeIdentity, MSGMerge and the row width
-	mw      int
-	acc     []float64 // rows of mw, identity where untouched
+	mw      int32              // beside op in one word, to keep the struct at 96 bytes
+	op      template.MergeOp   // alg's declared merge, read once
+	acc     []float64          // rows of mw, identity where untouched
 	recv    []bool
 	touched []int32 // rows with recv set, in first-touch order
 }
@@ -29,9 +30,40 @@ type MsgBuf struct {
 // All rows start at the merge identity.
 func NewMsgBuf(alg template.Algorithm, rows int) *MsgBuf {
 	mw := alg.MsgWidth()
-	b := &MsgBuf{alg: alg, mw: mw, acc: make([]float64, rows*mw), recv: make([]bool, rows)}
+	b := &MsgBuf{alg: alg, mw: int32(mw), op: alg.Hints().Merge, acc: make([]float64, rows*mw), recv: make([]bool, rows)}
 	fillIdentity(alg, b.acc, mw)
 	return b
+}
+
+// mergeRow folds msg into acc by op: a typed loop for a declared operator,
+// MSGMerge otherwise.
+func mergeRow(op template.MergeOp, alg template.Algorithm, acc, msg []float64) {
+	switch op {
+	case template.MergeSum:
+		sumRow(acc, msg)
+	case template.MergeMin:
+		minRow(acc, msg)
+	default:
+		alg.MSGMerge(acc, msg)
+	}
+}
+
+// sumRow is MergeSum over acc's elements.
+func sumRow(acc, msg []float64) {
+	msg = msg[:len(acc)]
+	for i, v := range msg {
+		acc[i] += v
+	}
+}
+
+// minRow is MergeMin over acc's elements.
+func minRow(acc, msg []float64) {
+	msg = msg[:len(acc)]
+	for i, v := range msg {
+		if v < acc[i] {
+			acc[i] = v
+		}
+	}
 }
 
 // fillIdentity sets every mw-wide row of acc to alg's merge identity: one
@@ -68,7 +100,23 @@ func (b *MsgBuf) Touch(row int32) {
 // Merge folds one message into a row.
 func (b *MsgBuf) Merge(row int32, msg []float64) {
 	b.Touch(row)
-	b.alg.MSGMerge(b.Row(row), msg)
+	mergeRow(b.op, b.alg, b.Row(row), msg)
+}
+
+// SumAt is Merge of the one-element message {v} for a width-1 buffer whose
+// algorithm declares MergeSum.
+func (b *MsgBuf) SumAt(row int32, v float64) {
+	b.Touch(row)
+	b.acc[row] += v
+}
+
+// MinAt is Merge of the one-element message {v} for a width-1 buffer whose
+// algorithm declares MergeMin.
+func (b *MsgBuf) MinAt(row int32, v float64) {
+	b.Touch(row)
+	if v < b.acc[row] {
+		b.acc[row] = v
+	}
 }
 
 // Recv reports whether a row received a message.
@@ -86,7 +134,8 @@ func (b *MsgBuf) Touched() []int32 { return b.touched }
 
 // Row returns a row's merged message (aliasing the buffer).
 func (b *MsgBuf) Row(row int32) []float64 {
-	return b.acc[int(row)*b.mw : (int(row)+1)*b.mw]
+	mw := int(b.mw)
+	return b.acc[int(row)*mw : (int(row)+1)*mw]
 }
 
 // Acc exposes the full dense accumulator (identity in untouched rows) for
@@ -113,7 +162,7 @@ type GenResult struct {
 // flag slab (a row per master of every node), capped so that no buffer can
 // reach into its neighbour.
 func NewGenResult(alg template.Algorithm, part *graph.Partitioning, self int) *GenResult {
-	mw := alg.MsgWidth()
+	mw, op := alg.MsgWidth(), alg.Hints().Merge
 	rows := 0
 	for _, p := range part.Parts {
 		rows += len(p.Masters)
@@ -124,7 +173,7 @@ func NewGenResult(alg template.Algorithm, part *graph.Partitioning, self int) *G
 	res := &GenResult{To: make([]*MsgBuf, len(part.Parts)), part: part, self: self}
 	for o, p := range part.Parts {
 		n := len(p.Masters)
-		bufs[o] = MsgBuf{alg: alg, mw: mw, acc: acc[: n*mw : n*mw], recv: recv[:n:n]}
+		bufs[o] = MsgBuf{alg: alg, mw: int32(mw), op: op, acc: acc[: n*mw : n*mw], recv: recv[:n:n]}
 		acc, recv = acc[n*mw:], recv[n:]
 		res.To[o] = &bufs[o]
 	}

@@ -105,7 +105,28 @@ type Hints struct {
 	// and stays per-edge: agreeing with it bit for bit is what proves a
 	// declaration.
 	SourceOnly bool
+	// Merge declares which operator MSGMerge computes. Declaring MergeSum
+	// or MergeMin promises that MSGMerge(acc, msg) is, bit for bit, that
+	// operator applied per element over MsgWidth; executors then fold in a
+	// typed loop and never call MSGMerge. The zero value, MergeCustom,
+	// promises nothing. A wrapper that overrides MSGMerge on an embedded
+	// algorithm must restate Merge, or it inherits a declaration its own
+	// MSGMerge does not keep. The sequential reference ignores it.
+	Merge MergeOp
 }
+
+// MergeOp names the operator an algorithm's MSGMerge computes.
+type MergeOp uint8
+
+const (
+	// MergeCustom: MSGMerge is opaque, and executors call it per message.
+	MergeCustom MergeOp = iota
+	// MergeSum: acc[i] += msg[i].
+	MergeSum
+	// MergeMin: if msg[i] < acc[i] { acc[i] = msg[i] }. This is not
+	// math.Min, which differs on NaN and on -0 against +0.
+	MergeMin
+)
 
 // InitialFrontier returns the initially active vertices for an algorithm.
 // Algorithms that implement the optional Sourced interface start from
