@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet lint deadcode build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke bench-pair loc ci bench-plan
+.PHONY: all fmt vet lint deadcode build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke bench-pair loc ci
 
 all: ci
 
@@ -204,9 +204,3 @@ loc:
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 ci: fmt lint deadcode build examples race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke
-
-# Record the suite-planner comparison in BENCH_plan.json: predicted vs
-# actual makespans and LPT vs file-order dispatch over a skewed suite
-# (results bit-identical across plans; only packing differs).
-bench-plan:
-	$(GO) run ./cmd/gxbench -exp plan

@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"sort"
@@ -41,9 +43,6 @@ func experiments(fig8Datasets []gen.Dataset) []experiment {
 		}},
 		{"fig8", "Fig 8: engines × accelerators × algorithms × datasets", func(o harness.Options) (fmt.Stringer, error) {
 			return harness.Fig8(o, fig8Datasets)
-		}},
-		{"fig8-orkut", "Fig 8 restricted to Orkut (fast)", func(o harness.Options) (fmt.Stringer, error) {
-			return harness.Fig8(o, []gen.Dataset{gen.Orkut})
 		}},
 		{"fig9a", "Fig 9a: GPU scalability vs Lux and Gunrock", func(o harness.Options) (fmt.Stringer, error) {
 			return harness.Fig9a(o)
@@ -84,26 +83,38 @@ func experiments(fig8Datasets []gen.Dataset) []experiment {
 		{"fig15", "Fig 15: block-size sweep and s_opt estimation", func(o harness.Options) (fmt.Stringer, error) {
 			return harness.Fig15(o)
 		}},
-		{"plan", "Planner: LPT vs file-order packing + prediction accuracy (writes BENCH_plan.json)", runPlanExperiment},
 	}
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind main: it parses args, writes figures
+// to stdout and diagnostics to stderr, and returns the exit status (2
+// for bad flags or names, 1 for a failed experiment).
+func run(args []string, stdout, stderr io.Writer) int {
+	def := harness.Default()
+	fs := flag.NewFlagSet("gxbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp     = flag.String("exp", "all", "experiment name, or 'all'")
-		scale   = flag.Int64("scale", 1000, "dataset scale divisor (1000 = 1/1000 of Table I sizes)")
-		seed    = flag.Int64("seed", 42, "generator seed")
-		dataset = flag.String("dataset", "", "restrict fig8 to one dataset: "+strings.Join(gx.Datasets(), " | "))
-		list    = flag.Bool("list", false, "list experiments and exit")
+		exp     = fs.String("exp", "all", "experiment name, or 'all'")
+		scale   = fs.Int64("scale", def.Scale, "dataset scale divisor (1000 = 1/1000 of Table I sizes)")
+		seed    = fs.Int64("seed", def.Seed, "generator seed")
+		dataset = fs.String("dataset", "", "restrict fig8 to one dataset: "+strings.Join(gx.Datasets(), " | "))
+		list    = fs.Bool("list", false, "list experiments and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var fig8Datasets []gen.Dataset
 	if *dataset != "" {
 		if !slices.Contains(gx.Datasets(), *dataset) {
-			fmt.Fprintf(os.Stderr, "gxbench: unknown dataset %q (registered: %s)\n",
+			fmt.Fprintf(stderr, "gxbench: unknown dataset %q (registered: %s)\n",
 				*dataset, strings.Join(gx.Datasets(), ", "))
-			os.Exit(2)
+			return 2
 		}
 		fig8Datasets = []gen.Dataset{gen.Dataset(*dataset)}
 	}
@@ -115,55 +126,44 @@ func main() {
 			names = append(names, fmt.Sprintf("  %-12s %s", e.name, e.desc))
 		}
 		sort.Strings(names)
-		fmt.Println("experiments:")
+		fmt.Fprintln(stdout, "experiments:")
 		for _, n := range names {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return 0
 	}
 
 	o := harness.Options{Scale: *scale, Seed: *seed}
 	if err := o.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	if *exp != "all" {
-		known := false
+	if *exp != "all" && !slices.ContainsFunc(exps, func(e experiment) bool { return e.name == *exp }) {
+		names := make([]string, 0, len(exps))
 		for _, e := range exps {
-			known = known || e.name == *exp
+			names = append(names, e.name)
 		}
-		if !known {
-			names := make([]string, 0, len(exps))
-			for _, e := range exps {
-				names = append(names, e.name)
-			}
-			sort.Strings(names)
-			fmt.Fprintf(os.Stderr, "gxbench: unknown experiment %q (registered: %s)\n",
-				*exp, strings.Join(names, ", "))
-			os.Exit(2)
-		}
+		sort.Strings(names)
+		fmt.Fprintf(stderr, "gxbench: unknown experiment %q (registered: %s)\n",
+			*exp, strings.Join(names, ", "))
+		return 2
 	}
 	for _, e := range exps {
 		if *exp != "all" && e.name != *exp {
 			continue
 		}
-		if *exp == "all" && e.name == "fig8-orkut" {
-			continue // subsumed by fig8
-		}
-		if *exp == "all" && e.name == "plan" {
-			continue // wall-clock benchmark with a recorded artifact; run explicitly
-		}
 		res, err := e.run(o)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "%s: %v\n", e.name, err)
+			return 1
 		}
-		fmt.Println(res.String())
+		fmt.Fprintln(stdout, res.String())
 	}
 	// Every experiment routes its loads through the shared dataset
 	// cache; the accounting line makes the reuse visible (hits > 0 on
 	// any multi-experiment sweep).
 	if st := harness.DatasetStats(); st.Entries > 0 {
-		fmt.Printf("dataset cache: %d graphs generated, %d cache hits\n", st.Entries, st.Hits)
+		fmt.Fprintf(stdout, "dataset cache: %d graphs generated, %d cache hits\n", st.Entries, st.Hits)
 	}
+	return 0
 }

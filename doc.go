@@ -17,8 +17,8 @@
 //
 // Start with DESIGN.md for the system inventory and the substitutions
 // made for hardware this environment cannot reach, and examples/quickstart
-// for the smallest end-to-end program. The benchmark file bench_test.go in
-// this directory has one testing.B benchmark per table and figure;
+// for the smallest end-to-end program. `gxbench -exp …` prints any table
+// or figure of the evaluation and `gxbench -list` names them all;
 // performance is recorded by BENCHMARK.json (`bash benchmark/run.sh`:
 // four end-to-end workloads plus per-layer metrics such as
 // engine.native_superstep_ms).

@@ -112,8 +112,8 @@
 // predicted-vs-actual makespan under the scenario's digest, repeat
 // scenarios are priced from the recorded actuals, and novel ones are
 // scaled by the accumulated ratio (`gxrun -suite file.json -plan lpt`
-// prints the schedule; `gxbench -exp plan` records the comparison; the
-// gxd daemon prices submissions for cost-aware admission).
+// prints the schedule; the gxd daemon prices submissions for cost-aware
+// admission).
 //
 // Robustness is part of the same vocabulary. A scenario's Faults field
 // schedules deterministic middleware faults ([FaultSpec]: daemon-crash,

@@ -210,12 +210,17 @@ func (p *Planner) PlanSuite(suite Suite, pool int) (*SuitePlan, error) {
 		plan.PredictedSerial += costs[i]
 	}
 	plan.Order = lptOrder(costs)
+	plan.PredictedMakespan = packMakespan(costs, plan.Order, pool)
+	return plan, nil
+}
 
-	// Greedy simulation: each dispatched entry lands on the least-loaded
-	// worker, which is exactly how a pool of workers pulling from the
-	// ordered queue behaves when entries take their predicted time.
+// packMakespan list-schedules entries onto a pool of workers in the
+// given dispatch order: each lands on the least-loaded worker, which is
+// exactly how workers pulling from the ordered queue behave when entries
+// take the given times. It returns the most-loaded worker's total.
+func packMakespan(costs []time.Duration, order []int, pool int) time.Duration {
 	load := make([]time.Duration, pool)
-	for _, idx := range plan.Order {
+	for _, idx := range order {
 		min := 0
 		for w := 1; w < pool; w++ {
 			if load[w] < load[min] {
@@ -224,12 +229,11 @@ func (p *Planner) PlanSuite(suite Suite, pool int) (*SuitePlan, error) {
 		}
 		load[min] += costs[idx]
 	}
+	var makespan time.Duration
 	for _, l := range load {
-		if l > plan.PredictedMakespan {
-			plan.PredictedMakespan = l
-		}
+		makespan = max(makespan, l)
 	}
-	return plan, nil
+	return makespan
 }
 
 // lptOrder returns entry indexes sorted descending by cost, ties broken

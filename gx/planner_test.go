@@ -1,6 +1,7 @@
 package gx
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -122,6 +123,52 @@ func TestLPTBitIdentical(t *testing.T) {
 		if strings.Join(gotDone, ",") != strings.Join(refDone, ",") {
 			t.Errorf("pool %d: done order %v vs %v", pool, gotDone, refDone)
 		}
+	}
+}
+
+// TestLPTPacksSkewedSuite: on a suite whose few heavy entries sit at the
+// end of file order — fewer of them than the pool has workers — LPT
+// dispatch packs the realized per-entry virtual times into a strictly
+// tighter pool makespan than file order does.
+func TestLPTPacksSkewedSuite(t *testing.T) {
+	const pool = 4
+	var suite Suite
+	suite.Name = "skew"
+	for i := 0; i < 8; i++ {
+		suite.Entries = append(suite.Entries, SuiteEntry{
+			Name: fmt.Sprintf("light-%d", i),
+			Scenario: Scenario{Engine: "graphx", Algorithm: "pagerank", Dataset: "orkut",
+				Scale: 20000, Nodes: 1 + i%4, MaxIter: 2 + i%3},
+		})
+	}
+	for i := 0; i < 2; i++ {
+		suite.Entries = append(suite.Entries, SuiteEntry{
+			Name: fmt.Sprintf("heavy-%d", i),
+			Scenario: Scenario{Engine: "graphx", Algorithm: "pagerank", Dataset: "orkut",
+				Scale: 5000, Seed: int64(i), Nodes: 2, MaxIter: 18},
+		})
+	}
+	cache := NewDatasetCache()
+	sp, err := NewPlanner(cache, nil).PlanSuite(suite, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSuite(suite, WithPool(pool), WithCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := make([]time.Duration, len(res.Entries))
+	fileOrder := make([]int, len(res.Entries))
+	for i, e := range res.Entries {
+		if e.Err != nil {
+			t.Fatalf("entry %s: %v", e.Name, e.Err)
+		}
+		times[i], fileOrder[i] = e.Summary.Time, i
+	}
+	fo := packMakespan(times, fileOrder, pool)
+	lpt := packMakespan(times, sp.Order, pool)
+	if lpt >= fo {
+		t.Fatalf("LPT makespan %v not tighter than file order %v (order %v, times %v)", lpt, fo, sp.Order, times)
 	}
 }
 

@@ -3,12 +3,17 @@ package engine_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"gxplug/internal/algos"
 	"gxplug/internal/engine"
 	"gxplug/internal/engine/graphx"
+	"gxplug/internal/engine/powergraph"
 	"gxplug/internal/gen"
 	"gxplug/internal/graph"
+	"gxplug/internal/gxplug"
+	"gxplug/internal/gxplug/template"
+	"gxplug/internal/harness"
 )
 
 // BenchmarkEngineSuperstep measures the engine's per-superstep hot path —
@@ -58,5 +63,59 @@ func BenchmarkEngineSuperstep(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// ablationScale and ablationGraph give BenchmarkAlgorithmsOnDaemon its
+// fixed workload: the Orkut stand-in at 1/1000 of Table I.
+const ablationScale = 1000
+
+func ablationGraph(b *testing.B) *graph.Graph {
+	b.Helper()
+	g, err := gen.Load(gen.Orkut, ablationScale, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// BenchmarkAlgorithmsOnDaemon measures the plugged path: every built-in
+// algorithm on PowerGraph with one scaled GPU daemon per node, reporting
+// device throughput on the template path — edges processed per second
+// of virtual device time. It is the workload the plugged CPU profiles
+// are taken on (go test -bench BenchmarkAlgorithmsOnDaemon -benchtime
+// 20x -cpuprofile cpu.out ./internal/engine).
+func BenchmarkAlgorithmsOnDaemon(b *testing.B) {
+	g := ablationGraph(b)
+	algs := []template.Algorithm{
+		algos.NewPageRank(),
+		algos.NewSSSPBF(algos.DefaultSources(g.NumVertices())),
+		algos.NewLP(),
+		algos.NewCC(),
+		algos.NewKCore(3),
+		algos.NewKHopBFS([]graph.VertexID{0}, 0),
+	}
+	for _, alg := range algs {
+		alg := alg
+		b.Run(alg.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := powergraph.Run(engine.Config{
+					Nodes: 2, Graph: g, Alg: alg, MaxIter: 10,
+					Plug: []gxplug.Options{harness.GPUPlug(ablationScale, 1)},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				var entities int64
+				var dev time.Duration
+				for _, s := range res.AgentStats {
+					entities += s.Entities
+					dev += s.DeviceTime
+				}
+				if dev > 0 {
+					b.ReportMetric(float64(entities)/dev.Seconds()/1e6, "Medges/devsec")
+				}
+			}
+		})
 	}
 }

@@ -103,6 +103,9 @@ func (r *Fig10Result) String() string {
 		}
 		b.WriteString("\n")
 	}
+	opt, _ := r.Entry("SSSP-BF", "Pipeline*")
+	without, _ := r.Entry("SSSP-BF", "WithoutPipeline")
+	fmt.Fprintf(&b, "SSSP-BF pipeline speedup (WithoutPipeline / Pipeline*): %s\n", ratio(without, opt))
 	return b.String()
 }
 
@@ -183,6 +186,9 @@ func (r *Fig11aResult) String() string {
 		}
 		b.WriteString("\n")
 	}
+	off, _ := r.Entry("GraphX", gen.Orkut, false)
+	on, _ := r.Entry("GraphX", gen.Orkut, true)
+	fmt.Fprintf(&b, "GraphX caching speedup @ Orkut: %s\n", ratio(off, on))
 	return b.String()
 }
 

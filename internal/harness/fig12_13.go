@@ -223,6 +223,8 @@ func (r *Fig12Result) String() string {
 		fmt.Fprintf(&b, "%-16s%-16s%-16s%-16s\n",
 			e.Algo, seconds(e.NotBalanced), seconds(e.Balanced), seconds(e.Optimal))
 	}
+	sssp, _ := r.Entry("SSSP-BF")
+	fmt.Fprintf(&b, "SSSP-BF balancing gain (Not Balanced / Balanced): %s\n", ratio(sssp.NotBalanced, sssp.Balanced))
 	return b.String()
 }
 
@@ -306,5 +308,8 @@ func (r *Fig13Result) String() string {
 		fmt.Fprintf(&b, "%-16s%-16s%-16s%-16s\n",
 			e.Mode, seconds(e.InitTime), seconds(e.CompTime), seconds(e.Total))
 	}
+	_, _, daemon, _ := r.Entry("Daemon")
+	_, _, raw, _ := r.Entry("Raw call")
+	fmt.Fprintf(&b, "Raw call slowdown over Daemon (Total): %s\n", ratio(raw, daemon))
 	return b.String()
 }

@@ -198,6 +198,8 @@ func (r *Fig8Result) String() string {
 			}
 			b.WriteString("\n")
 		}
+		fmt.Fprintf(&b, "Speedup over native: LP GraphX+GPU %.2fx, SSSP-BF PowerGraph+GPU %.2fx\n",
+			r.Speedup(d, "LP", SysGraphXGPU), r.Speedup(d, "SSSP-BF", SysPowerGraphGPU))
 		b.WriteString("\n")
 	}
 	return b.String()

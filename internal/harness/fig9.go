@@ -218,6 +218,9 @@ func (r *Fig9bResult) String() string {
 		}
 		b.WriteString("\n")
 	}
+	gx, _ := r.Entry(gen.Twitter, "GX-Plug+PowerGraph", 4)
+	lux, _ := r.Entry(gen.Twitter, "Lux", 4)
+	fmt.Fprintf(&b, "GX-Plug+PowerGraph lead over Lux @ TW@4: %s\n", ratio(lux.Time, gx.Time))
 	return b.String()
 }
 
@@ -282,6 +285,9 @@ func (r *Fig9cResult) String() string {
 		}
 		b.WriteString("\n")
 	}
+	two, _ := r.Entry("SSSP-BF", 2)
+	four, _ := r.Entry("SSSP-BF", 4)
+	fmt.Fprintf(&b, "SSSP-BF speedup from 2 to 4 GPUs: %s\n", ratio(two.Time, four.Time))
 	return b.String()
 }
 

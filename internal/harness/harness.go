@@ -28,7 +28,7 @@ type Options struct {
 	Seed int64
 }
 
-// Default is the scale used by the benchmark harness.
+// Default is the scale and seed gxbench runs at unless told otherwise.
 func Default() Options { return Options{Scale: 1000, Seed: 42} }
 
 // Denser returns options at a finer (heavier) scale. The GPU-scaling and
@@ -112,6 +112,15 @@ func DatasetStats() memo.Stats { return datasets.Stats() }
 // seconds renders durations the way the figures label their axes.
 func seconds(d time.Duration) string {
 	return fmt.Sprintf("%.4f", d.Seconds())
+}
+
+// ratio renders a/b as a figure's headline factor, "n/a" when either
+// side is missing.
+func ratio(a, b time.Duration) string {
+	if a == 0 || b == 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.2fx", a.Seconds()/b.Seconds())
 }
 
 // header renders a fixed-width table header.
