@@ -3,7 +3,6 @@ package gx
 import (
 	"fmt"
 	"math"
-	"os"
 	"time"
 
 	"gxplug/internal/gen/ingest"
@@ -17,8 +16,9 @@ import (
 // part of one like any other snapshot.
 
 // SaveCheckpoint atomically writes the graph and checkpoint state to
-// path as a version-2 snapshot (write to a temp file, fsync-free
-// rename), so a crash mid-save leaves the previous checkpoint intact.
+// path as a version-2 snapshot (written to a temp file and renamed
+// over path, fsync-free), so a crash or a failed save leaves the
+// previous checkpoint intact.
 func SaveCheckpoint(path string, g *Graph, st *CheckpointState) error {
 	if g == nil || st == nil {
 		return fmt.Errorf("gx: save checkpoint: nil graph or state")
@@ -27,13 +27,7 @@ func SaveCheckpoint(path string, g *Graph, st *CheckpointState) error {
 	if err != nil {
 		return fmt.Errorf("gx: save checkpoint: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := ingest.SaveV2File(tmp, g, secs); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("gx: save checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := ingest.SaveV2File(path, g, secs); err != nil {
 		return fmt.Errorf("gx: save checkpoint: %w", err)
 	}
 	return nil

@@ -9,9 +9,10 @@ import (
 	"gxplug/internal/graph"
 )
 
-// FuzzSnapshotDecodeNoPanic drives LoadSnapshot with arbitrary bytes:
-// hostile input must error, never panic, and never force allocations
-// proportional to what a lying header claims. When an input does decode,
+// FuzzSnapshotDecodeNoPanic drives decodeSnapshot — the decoder
+// LoadSnapshotFile runs — with arbitrary bytes: hostile input must
+// error, never panic, and never force allocations proportional to what
+// a lying header claims. When an input does decode,
 // re-encoding the graph and decoding again must reproduce it — decoded
 // snapshots are stable fixed points.
 func FuzzSnapshotDecodeNoPanic(f *testing.F) {
@@ -25,7 +26,7 @@ func FuzzSnapshotDecodeNoPanic(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := LoadSnapshot(bytes.NewReader(data))
+		g, _, err := decodeSnapshot(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}
@@ -33,7 +34,7 @@ func FuzzSnapshotDecodeNoPanic(f *testing.F) {
 		if err := Save(&buf, g); err != nil {
 			t.Fatalf("re-encoding a decoded snapshot failed: %v", err)
 		}
-		back, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
+		back, _, err := decodeSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 		if err != nil {
 			t.Fatalf("re-decoding failed: %v", err)
 		}
@@ -116,7 +117,7 @@ func FuzzSnapshotV2DecodeNoPanic(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, secs, err := LoadSnapshotV2(bytes.NewReader(data))
+		g, secs, err := decodeSnapshot(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}
@@ -140,7 +141,7 @@ func FuzzSnapshotV2DecodeNoPanic(f *testing.F) {
 		if err := SaveV2(&buf, g, secs); err != nil {
 			t.Fatalf("re-encoding a decoded v2 snapshot failed: %v", err)
 		}
-		back, backSecs, err := LoadSnapshotV2(bytes.NewReader(buf.Bytes()))
+		back, backSecs, err := decodeSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 		if err != nil {
 			t.Fatalf("re-decoding failed: %v", err)
 		}

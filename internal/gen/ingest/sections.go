@@ -28,7 +28,9 @@ import (
 // from v1 only in the version field and the 4-byte count. Decoding is
 // hardened like the rest of the format: truncation, duplicate or
 // unknown kinds, lying lengths and checksum damage all error — never
-// panic — and buffers grow only as bytes actually arrive.
+// panic — and counts are held to the input's byte size before anything
+// is allocated: each section claims at most the bytes left before the
+// footer, and the sections end exactly at it.
 const (
 	snapshotVersion2 = 2
 
@@ -107,37 +109,27 @@ func SaveV2(w io.Writer, g *graph.Graph, secs []Section) error {
 		}
 		seen[sec.Kind] = true
 	}
+	return saveSnapshot(w, g, snapshotVersion2, secs)
+}
 
-	var hdr [headerLen]byte
-	copy(hdr[0:6], snapshotMagic)
-	binary.LittleEndian.PutUint16(hdr[6:8], snapshotVersion2)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(g.NumVertices()))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(g.NumEdges()))
-	binary.LittleEndian.PutUint32(hdr[24:28], crc32Checksum(hdr[0:24]))
-
-	bw := newSnapshotWriter(w)
-	if _, err := bw.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("ingest: snapshot header: %w", err)
-	}
-	if err := writeCSR(bw.tee, g, bw.scratch); err != nil {
-		return err
-	}
+// writeSections writes the v2 section table SaveV2 has validated.
+func writeSections(w io.Writer, secs []Section) error {
 	var b [12]byte
 	binary.LittleEndian.PutUint32(b[:4], uint32(len(secs)))
-	if _, err := bw.tee.Write(b[:4]); err != nil {
+	if _, err := w.Write(b[:4]); err != nil {
 		return fmt.Errorf("ingest: snapshot section count: %w", err)
 	}
 	for _, sec := range secs {
 		binary.LittleEndian.PutUint32(b[0:4], uint32(sec.Kind))
 		binary.LittleEndian.PutUint64(b[4:12], uint64(len(sec.Data)))
-		if _, err := bw.tee.Write(b[:12]); err != nil {
+		if _, err := w.Write(b[:12]); err != nil {
 			return fmt.Errorf("ingest: snapshot section %v header: %w", sec.Kind, err)
 		}
-		if _, err := bw.tee.Write(sec.Data); err != nil {
+		if _, err := w.Write(sec.Data); err != nil {
 			return fmt.Errorf("ingest: snapshot section %v: %w", sec.Kind, err)
 		}
 	}
-	return bw.finish()
+	return nil
 }
 
 // SaveV2File writes g and sections as a version-2 snapshot file.
@@ -145,25 +137,15 @@ func SaveV2File(path string, g *graph.Graph, secs []Section) error {
 	return saveFileWith(path, func(w io.Writer) error { return SaveV2(w, g, secs) })
 }
 
-// LoadSnapshotV2 decodes a snapshot from r and returns the graph plus
-// any payload sections. Version-1 files decode with a nil section list.
-func LoadSnapshotV2(r io.Reader) (*graph.Graph, []Section, error) {
-	return loadSnapshot(r, false)
-}
-
-// LoadSnapshotV2File loads a snapshot file with its sections, applying
-// the same exact-size guard LoadSnapshotFile applies to v1 files.
-func LoadSnapshotV2File(path string) (*graph.Graph, []Section, error) {
-	return loadSnapshotFile(path)
-}
-
-// readSections decodes the v2 section table. Payload buffers grow only
-// as bytes arrive, so a lying length cannot force a large allocation.
-func readSections(r io.Reader, scratch []byte) ([]Section, error) {
+// readSections decodes the v2 section table from the left bytes between
+// the CSR arrays and the footer. Each length is held to the bytes still
+// left before its payload is allocated, and the table must use them all.
+func readSections(r io.Reader, left int64) ([]Section, error) {
 	var b [12]byte
 	if _, err := io.ReadFull(r, b[:4]); err != nil {
 		return nil, fmt.Errorf("ingest: snapshot section count: %w", noEOF(err))
 	}
+	left -= 4
 	count := binary.LittleEndian.Uint32(b[:4])
 	if count > maxSections {
 		return nil, fmt.Errorf("ingest: snapshot claims %d sections (limit %d)", count, maxSections)
@@ -171,9 +153,13 @@ func readSections(r io.Reader, scratch []byte) ([]Section, error) {
 	secs := make([]Section, 0, count)
 	seen := make(map[SectionKind]bool, count)
 	for i := uint32(0); i < count; i++ {
+		if left < 12 {
+			return nil, fmt.Errorf("ingest: snapshot section %d header: %w", i, io.ErrUnexpectedEOF)
+		}
 		if _, err := io.ReadFull(r, b[:12]); err != nil {
 			return nil, fmt.Errorf("ingest: snapshot section %d header: %w", i, noEOF(err))
 		}
+		left -= 12
 		kind := SectionKind(binary.LittleEndian.Uint32(b[0:4]))
 		length := binary.LittleEndian.Uint64(b[4:12])
 		if !kind.known() {
@@ -183,32 +169,21 @@ func readSections(r io.Reader, scratch []byte) ([]Section, error) {
 			return nil, fmt.Errorf("ingest: snapshot section %d: duplicate kind %v", i, kind)
 		}
 		seen[kind] = true
-		if length > math.MaxInt64/2 {
-			return nil, fmt.Errorf("ingest: snapshot section %v: length %d overflows", kind, length)
+		if length > uint64(left) {
+			return nil, fmt.Errorf("ingest: snapshot section %v: length %d exceeds the %d bytes left: %w",
+				kind, length, left, io.ErrUnexpectedEOF)
 		}
-		data, err := readBytes(r, int64(length), scratch)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: snapshot section %v: %w", kind, err)
+		data := make([]byte, length)
+		if _, err := io.ReadFull(r, data); err != nil {
+			return nil, fmt.Errorf("ingest: snapshot section %v: %w", kind, noEOF(err))
 		}
+		left -= int64(length)
 		secs = append(secs, Section{Kind: kind, Data: data})
 	}
-	return secs, nil
-}
-
-// readBytes reads exactly count bytes through the bounded scratch
-// buffer, growing the result only as data actually arrives.
-func readBytes(r io.Reader, count int64, scratch []byte) ([]byte, error) {
-	out := make([]byte, 0, min(count, int64(len(scratch))))
-	for read := int64(0); read < count; {
-		n := min(count-read, int64(len(scratch)))
-		buf := scratch[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, noEOF(err)
-		}
-		out = append(out, buf...)
-		read += n
+	if left != 0 {
+		return nil, fmt.Errorf("ingest: %d trailing bytes after the snapshot sections", left)
 	}
-	return out, nil
+	return secs, nil
 }
 
 // Typed section payload codecs. Encoders are infallible; decoders

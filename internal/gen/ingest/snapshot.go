@@ -40,15 +40,18 @@ import (
 // truncated input, corrupt headers, version or magic mismatches,
 // checksum failures, oversized counts and structurally inconsistent
 // CSR arrays all return errors — never panic — and a header lying
-// about its counts cannot force a large allocation, because payload
-// buffers grow only as fast as bytes actually arrive (bounded chunks).
+// about its counts cannot force a large allocation, because the counts
+// are held to the input's byte size before anything is allocated.
 const (
 	snapshotMagic   = "GXSNAP"
 	snapshotVersion = 1
 	headerLen       = 28
 
-	// chunkBytes bounds each read/decode step, so allocation tracks the
-	// data that really arrives instead of what the header claims.
+	// maxSnapshotEdges is the largest edge count whose snapshot size —
+	// plus a v2 section count — still fits an int64.
+	maxSnapshotEdges = (math.MaxInt64 - headerLen - 2*8*(maxVertices+1) - 4 - 4) / (2 * (4 + 8))
+
+	// chunkBytes bounds each encode and decode step's scratch buffer.
 	chunkBytes = 1 << 20
 )
 
@@ -112,12 +115,12 @@ func writeCSR(w io.Writer, g *graph.Graph, scratch []byte) error {
 		name  string
 		write func() error
 	}{
-		{"outOff", func() error { return writeInt64s(w, outOff, scratch) }},
-		{"outDst", func() error { return writeVertexIDs(w, outDst, scratch) }},
-		{"outW", func() error { return writeFloat64s(w, outW, scratch) }},
-		{"inOff", func() error { return writeInt64s(w, inOff, scratch) }},
-		{"inSrc", func() error { return writeVertexIDs(w, inSrc, scratch) }},
-		{"inW", func() error { return writeFloat64s(w, inW, scratch) }},
+		{"outOff", func() error { return writeArray(w, outOff, 8, scratch, putInt64s) }},
+		{"outDst", func() error { return writeArray(w, outDst, 4, scratch, putVertexIDs) }},
+		{"outW", func() error { return writeArray(w, outW, 8, scratch, putFloat64s) }},
+		{"inOff", func() error { return writeArray(w, inOff, 8, scratch, putInt64s) }},
+		{"inSrc", func() error { return writeArray(w, inSrc, 4, scratch, putVertexIDs) }},
+		{"inW", func() error { return writeArray(w, inW, 8, scratch, putFloat64s) }},
 	} {
 		if err := sec.write(); err != nil {
 			return fmt.Errorf("ingest: snapshot %s: %w", sec.name, err)
@@ -131,9 +134,15 @@ func writeCSR(w io.Writer, g *graph.Graph, scratch []byte) error {
 // are encoded, so no payload-sized buffer is built. The v1 encoding is
 // frozen: the same graph always produces the same bytes.
 func Save(w io.Writer, g *graph.Graph) error {
+	return saveSnapshot(w, g, snapshotVersion, nil)
+}
+
+// saveSnapshot writes the header and CSR arrays both versions share,
+// then — for version 2 only — the section table, then the footer.
+func saveSnapshot(w io.Writer, g *graph.Graph, version uint16, secs []Section) error {
 	var hdr [headerLen]byte
 	copy(hdr[0:6], snapshotMagic)
-	binary.LittleEndian.PutUint16(hdr[6:8], snapshotVersion)
+	binary.LittleEndian.PutUint16(hdr[6:8], version)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(g.NumVertices()))
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(g.NumEdges()))
 	binary.LittleEndian.PutUint32(hdr[24:28], crc32Checksum(hdr[0:24]))
@@ -145,6 +154,11 @@ func Save(w io.Writer, g *graph.Graph) error {
 	if err := writeCSR(bw.tee, g, bw.scratch); err != nil {
 		return err
 	}
+	if version == snapshotVersion2 {
+		if err := writeSections(bw.tee, secs); err != nil {
+			return err
+		}
+	}
 	return bw.finish()
 }
 
@@ -153,38 +167,38 @@ func SaveFile(path string, g *graph.Graph) error {
 	return saveFileWith(path, func(w io.Writer) error { return Save(w, g) })
 }
 
+// saveFileWith writes path through path+".tmp", renamed over path only
+// once save has succeeded: a failed save leaves no file behind and an
+// existing file intact.
 func saveFileWith(path string, save func(io.Writer) error) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("ingest: %w", err)
 	}
-	if err := save(f); err != nil {
-		f.Close()
-		return fmt.Errorf("%s: %w", path, err)
+	err = save(f)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("ingest: %w", cerr)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("ingest: %s: %w", path, err)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
 }
 
-// LoadSnapshot decodes one snapshot from r and returns the graph it
-// holds. It validates the magic, version, header checksum, counts,
-// payload checksum and every CSR structural invariant; any trailing
-// bytes after the footer are an error. Version-2 payload sections are
-// validated and discarded — use LoadSnapshotV2 to keep them.
-func LoadSnapshot(r io.Reader) (*graph.Graph, error) {
-	g, _, err := loadSnapshot(r, false)
-	return g, err
-}
-
-// loadSnapshot decodes one snapshot of either version. With sized=true
-// the caller has verified (from the container's size) that the header's
-// counts match the bytes that exist — only possible for v1, whose size
-// is a pure function of the counts — so section buffers are allocated
-// exactly once; otherwise they grow only as data actually arrives,
-// keeping a lying header from forcing a large allocation.
-func loadSnapshot(r io.Reader, sized bool) (*graph.Graph, []Section, error) {
+// decodeSnapshot decodes one snapshot of either version from the size
+// bytes of r. It validates the magic, version, header checksum and
+// counts, then holds the counts to size before allocating anything: a
+// v1 snapshot is exactly SnapshotSize bytes, a v2 one at least that plus
+// its section count. Each CSR array is then allocated once, at its
+// length, and filled in bounded chunks; the payload checksum and every
+// CSR structural invariant are checked last. Version-1 snapshots decode
+// with a nil section list.
+func decodeSnapshot(r io.Reader, size int64) (*graph.Graph, []Section, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, nil, fmt.Errorf("ingest: snapshot header: %w", noEOF(err))
@@ -205,48 +219,53 @@ func loadSnapshot(r io.Reader, sized bool) (*graph.Graph, []Section, error) {
 	if numV64 > maxVertices {
 		return nil, nil, fmt.Errorf("ingest: snapshot vertex count %d exceeds the 32-bit id space", numV64)
 	}
-	if numE64 > math.MaxInt64/(2*(4+8)) {
+	if numE64 > maxSnapshotEdges {
 		return nil, nil, fmt.Errorf("ingest: snapshot edge count %d overflows", numE64)
 	}
 	numV := int(numV64)
 	numE := int64(numE64)
-	if version != snapshotVersion {
-		sized = false
+	want := SnapshotSize(numV, numE)
+	if version == snapshotVersion && size != want {
+		return nil, nil, fmt.Errorf("ingest: snapshot is %d bytes, header implies %d", size, want)
+	}
+	if version == snapshotVersion2 && size < want+4 {
+		return nil, nil, fmt.Errorf("ingest: snapshot is %d bytes, header implies at least %d: %w",
+			size, want+4, io.ErrUnexpectedEOF)
 	}
 
 	crc := crc32.New(castagnoli)
 	pr := io.TeeReader(r, crc)
-	scratch := make([]byte, chunkBytes)
+	scratch := make([]byte, min(size, chunkBytes))
 
-	outOff, err := readInt64s(pr, int64(numV)+1, scratch, sized)
+	outOff, err := readArray(pr, int64(numV)+1, 8, scratch, getInt64s)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ingest: snapshot outOff: %w", err)
 	}
-	outDst, err := readVertexIDs(pr, numE, scratch, sized)
+	outDst, err := readArray(pr, numE, 4, scratch, getVertexIDs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ingest: snapshot outDst: %w", err)
 	}
-	outW, err := readFloat64s(pr, numE, scratch, sized)
+	outW, err := readArray(pr, numE, 8, scratch, getFloat64s)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ingest: snapshot outW: %w", err)
 	}
-	inOff, err := readInt64s(pr, int64(numV)+1, scratch, sized)
+	inOff, err := readArray(pr, int64(numV)+1, 8, scratch, getInt64s)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ingest: snapshot inOff: %w", err)
 	}
-	inSrc, err := readVertexIDs(pr, numE, scratch, sized)
+	inSrc, err := readArray(pr, numE, 4, scratch, getVertexIDs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ingest: snapshot inSrc: %w", err)
 	}
-	inW, err := readFloat64s(pr, numE, scratch, sized)
+	inW, err := readArray(pr, numE, 8, scratch, getFloat64s)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ingest: snapshot inW: %w", err)
 	}
 
 	var secs []Section
 	if version == snapshotVersion2 {
-		secs, err = readSections(pr, scratch)
-		if err != nil {
+		// The sections own every byte between the CSR arrays and the footer.
+		if secs, err = readSections(pr, size-want); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -258,9 +277,6 @@ func loadSnapshot(r io.Reader, sized bool) (*graph.Graph, []Section, error) {
 	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(foot[:]); got != want {
 		return nil, nil, fmt.Errorf("ingest: snapshot payload checksum %08x, recorded %08x", got, want)
 	}
-	if n, _ := r.Read(scratch[:1]); n != 0 {
-		return nil, nil, fmt.Errorf("ingest: trailing bytes after snapshot footer")
-	}
 
 	g, err := graph.FromCSR(numV, outOff, outDst, outW, inOff, inSrc, inW)
 	if err != nil {
@@ -269,17 +285,17 @@ func loadSnapshot(r io.Reader, sized bool) (*graph.Graph, []Section, error) {
 	return g, secs, nil
 }
 
-// LoadSnapshotFile loads a snapshot file. For version-1 files it first
-// checks that the file size matches exactly what the header's counts
-// imply — a cheap guard that rejects truncated or padded files before
-// any payload is read; version-2 files carry variable-length sections,
-// so their integrity rests on the checksums alone.
+// LoadSnapshotFile loads a snapshot file of either version and returns
+// the graph it holds; version-2 sections are validated and discarded.
 func LoadSnapshotFile(path string) (*graph.Graph, error) {
-	g, _, err := loadSnapshotFile(path)
+	g, _, err := LoadSnapshotV2File(path)
 	return g, err
 }
 
-func loadSnapshotFile(path string) (*graph.Graph, []Section, error) {
+// LoadSnapshotV2File loads a snapshot file with its sections, held to
+// the file's size (decodeSnapshot). Version-1 files load with a nil
+// section list.
+func LoadSnapshotV2File(path string) (*graph.Graph, []Section, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ingest: %w", err)
@@ -289,28 +305,7 @@ func loadSnapshotFile(path string) (*graph.Graph, []Section, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("ingest: %s: %w", path, err)
 	}
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, nil, fmt.Errorf("ingest: %s: snapshot header: %w", path, noEOF(err))
-	}
-	// sized records that the file's size provably matches the header's
-	// counts, which lets the decoder allocate each section exactly once.
-	sized := false
-	if string(hdr[0:6]) == snapshotMagic && binary.LittleEndian.Uint16(hdr[6:8]) == snapshotVersion {
-		numV64 := binary.LittleEndian.Uint64(hdr[8:16])
-		numE64 := binary.LittleEndian.Uint64(hdr[16:24])
-		if numV64 <= maxVertices && numE64 <= math.MaxInt64/(2*(4+8)) {
-			if want := SnapshotSize(int(numV64), int64(numE64)); st.Size() != want {
-				return nil, nil, fmt.Errorf("ingest: %s: snapshot is %d bytes, header implies %d",
-					path, st.Size(), want)
-			}
-			sized = true
-		}
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, nil, fmt.Errorf("ingest: %s: %w", path, err)
-	}
-	g, secs, err := loadSnapshot(bufio.NewReaderSize(f, chunkBytes), sized)
+	g, secs, err := decodeSnapshot(f, st.Size())
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -362,18 +357,14 @@ func noEOF(err error) error {
 	return err
 }
 
-// The section encoders/decoders below move data through a bounded
-// scratch buffer, so neither side ever allocates proportionally to what
-// a header merely claims.
-
-func writeInt64s(w io.Writer, vals []int64, scratch []byte) error {
-	per := len(scratch) / 8
+// writeArray writes vals as width-byte little-endian elements through
+// scratch, one chunk at a time; put encodes one chunk.
+func writeArray[T int64 | float64 | graph.VertexID](w io.Writer, vals []T, width int, scratch []byte, put func([]byte, []T)) error {
+	per := len(scratch) / width
 	for len(vals) > 0 {
 		n := min(len(vals), per)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(scratch[i*8:], uint64(vals[i]))
-		}
-		if _, err := w.Write(scratch[:n*8]); err != nil {
+		put(scratch, vals[:n])
+		if _, err := w.Write(scratch[:n*width]); err != nil {
 			return err
 		}
 		vals = vals[n:]
@@ -381,111 +372,57 @@ func writeInt64s(w io.Writer, vals []int64, scratch []byte) error {
 	return nil
 }
 
-func writeVertexIDs(w io.Writer, vals []graph.VertexID, scratch []byte) error {
-	per := len(scratch) / 4
-	for len(vals) > 0 {
-		n := min(len(vals), per)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(scratch[i*4:], uint32(vals[i]))
-		}
-		if _, err := w.Write(scratch[:n*4]); err != nil {
-			return err
-		}
-		vals = vals[n:]
-	}
-	return nil
-}
-
-func writeFloat64s(w io.Writer, vals []float64, scratch []byte) error {
-	per := len(scratch) / 8
-	for len(vals) > 0 {
-		n := min(len(vals), per)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(scratch[i*8:], math.Float64bits(vals[i]))
-		}
-		if _, err := w.Write(scratch[:n*8]); err != nil {
-			return err
-		}
-		vals = vals[n:]
-	}
-	return nil
-}
-
-func readInt64s(r io.Reader, count int64, scratch []byte, sized bool) ([]int64, error) {
-	per := int64(len(scratch) / 8)
-	out := makeSection[int64](count, per, sized)
+// readArray reads count width-byte little-endian elements through
+// scratch, one chunk at a time, into a slice allocated once at count;
+// get decodes one chunk.
+func readArray[T int64 | float64 | graph.VertexID](r io.Reader, count, width int64, scratch []byte, get func([]T, []byte)) ([]T, error) {
+	//gxlint:unsized decodeSnapshot holds every count to the input's byte size (SnapshotSize) before reading any array
+	out := make([]T, count)
+	per := int64(len(scratch)) / width
 	for read := int64(0); read < count; {
 		n := min(count-read, per)
-		buf := scratch[:n*8]
+		buf := scratch[:n*width]
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, noEOF(err)
 		}
-		if sized {
-			for i := int64(0); i < n; i++ {
-				out[read+i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
-			}
-		} else {
-			for i := int64(0); i < n; i++ {
-				out = append(out, int64(binary.LittleEndian.Uint64(buf[i*8:])))
-			}
-		}
+		get(out[read:read+n], buf)
 		read += n
 	}
 	return out, nil
 }
 
-func readVertexIDs(r io.Reader, count int64, scratch []byte, sized bool) ([]graph.VertexID, error) {
-	per := int64(len(scratch) / 4)
-	out := makeSection[graph.VertexID](count, per, sized)
-	for read := int64(0); read < count; {
-		n := min(count-read, per)
-		buf := scratch[:n*4]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, noEOF(err)
-		}
-		if sized {
-			for i := int64(0); i < n; i++ {
-				out[read+i] = graph.VertexID(binary.LittleEndian.Uint32(buf[i*4:]))
-			}
-		} else {
-			for i := int64(0); i < n; i++ {
-				out = append(out, graph.VertexID(binary.LittleEndian.Uint32(buf[i*4:])))
-			}
-		}
-		read += n
+func putInt64s(b []byte, vals []int64) {
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(b[i*8:], uint64(v))
 	}
-	return out, nil
 }
 
-func readFloat64s(r io.Reader, count int64, scratch []byte, sized bool) ([]float64, error) {
-	per := int64(len(scratch) / 8)
-	out := makeSection[float64](count, per, sized)
-	for read := int64(0); read < count; {
-		n := min(count-read, per)
-		buf := scratch[:n*8]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, noEOF(err)
-		}
-		if sized {
-			for i := int64(0); i < n; i++ {
-				out[read+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-			}
-		} else {
-			for i := int64(0); i < n; i++ {
-				out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:])))
-			}
-		}
-		read += n
+func getInt64s(dst []int64, b []byte) {
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
 	}
-	return out, nil
 }
 
-// makeSection sizes a section buffer: exactly when the byte count is
-// already verified against the container, one chunk's worth otherwise.
-func makeSection[T int64 | float64 | graph.VertexID](count, per int64, sized bool) []T {
-	if sized {
-		//gxlint:unsized sized is only set after the container's byte size was checked against SnapshotSize of the header's counts (loadSnapshotFile)
-		return make([]T, count)
+func putVertexIDs(b []byte, vals []graph.VertexID) {
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(b[i*4:], uint32(v))
 	}
-	return make([]T, 0, min(count, per))
+}
+
+func getVertexIDs(dst []graph.VertexID, b []byte) {
+	for i := range dst {
+		dst[i] = graph.VertexID(binary.LittleEndian.Uint32(b[i*4:]))
+	}
+}
+
+func putFloat64s(b []byte, vals []float64) {
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
+	}
+}
+
+func getFloat64s(dst []float64, b []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	}
 }

@@ -3,11 +3,14 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gxplug/internal/gen"
@@ -56,7 +59,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got, want := int64(buf.Len()), SnapshotSize(g.NumVertices(), g.NumEdges()); got != want {
 		t.Fatalf("encoded %d bytes, SnapshotSize says %d", got, want)
 	}
-	back, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
+	back, _, err := decodeSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestSnapshotEmptyGraph(t *testing.T) {
 	if err := Save(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
+	back, _, err := decodeSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +102,7 @@ func TestSnapshotEmptyGraph(t *testing.T) {
 }
 
 // corruptions maps a name to a mutation of a valid snapshot that must
-// make LoadSnapshot error (never panic, never succeed).
+// make decodeSnapshot error (never panic, never succeed).
 func corruptions(valid []byte) map[string][]byte {
 	flip := func(i int) []byte {
 		b := bytes.Clone(valid)
@@ -153,7 +156,7 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, data := range corruptions(buf.Bytes()) {
-		if _, err := LoadSnapshot(bytes.NewReader(data)); err == nil {
+		if _, _, err := decodeSnapshot(bytes.NewReader(data), int64(len(data))); err == nil {
 			t.Errorf("%s: corrupted snapshot accepted", name)
 		}
 	}
@@ -180,6 +183,126 @@ func TestLoadSnapshotFileRejectsSizeMismatch(t *testing.T) {
 	}
 	if _, err := LoadSnapshotFile(path); err == nil {
 		t.Fatal("truncated snapshot file accepted")
+	}
+
+	// Version 2 is held to its size too: sections end exactly at the footer.
+	if err := SaveV2File(path, g, testSections(g)); err != nil {
+		t.Fatal(err)
+	}
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, 0xde, 0xad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshotFile(path); err == nil {
+		t.Fatal("padded v2 snapshot file accepted")
+	}
+	if err := os.WriteFile(path, data[:len(data)-8], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshotFile(path); err == nil {
+		t.Fatal("truncated v2 snapshot file accepted")
+	}
+}
+
+// TestDecodeLyingCountsAllocatesLittle: a header edge count or a
+// section length claiming far more than the input holds is rejected
+// before anything of the claimed size is allocated — in memory and
+// from a file alike.
+func TestDecodeLyingCountsAllocatesLittle(t *testing.T) {
+	g := graph.MustFromEdges(4, []graph.Edge{
+		{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 1},
+		{Src: 2, Dst: 3, Weight: 1}, {Src: 3, Dst: 0, Weight: 1},
+	})
+	var v1, v2 bytes.Buffer
+	if err := Save(&v1, g); err != nil {
+		t.Fatal(err)
+	}
+	lyingEdges := v1.Bytes()
+	binary.LittleEndian.PutUint64(lyingEdges[16:24], 1<<34)
+	binary.LittleEndian.PutUint32(lyingEdges[24:28], crc32Checksum(lyingEdges[0:24]))
+
+	if err := SaveV2(&v2, g, []Section{{Kind: SectionIteration, Data: EncodeUint64(7)}}); err != nil {
+		t.Fatal(err)
+	}
+	lyingSection := v2.Bytes()
+	secOff := int(SnapshotSize(g.NumVertices(), g.NumEdges())) - 4
+	binary.LittleEndian.PutUint64(lyingSection[secOff+8:], 1<<40)
+
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{"v1-lying-edges": lyingEdges, "v2-lying-section": lyingSection} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loads := map[string]func() error{
+			"decodeSnapshot": func() error {
+				_, _, err := decodeSnapshot(bytes.NewReader(data), int64(len(data)))
+				return err
+			},
+			"LoadSnapshotFile": func() error {
+				_, err := LoadSnapshotFile(path)
+				return err
+			},
+			"LoadSnapshotV2File": func() error {
+				_, _, err := LoadSnapshotV2File(path)
+				return err
+			},
+		}
+		for how, load := range loads {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := load()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s via %s: accepted", name, how)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2<<20 {
+				t.Errorf("%s via %s: allocated %d bytes for a %d-byte input", name, how, grew, len(data))
+			}
+		}
+	}
+}
+
+// TestFailedSaveLeavesNoFile: a save the encoder rejects leaves neither
+// the target nor its temporary file behind, and a file already at the
+// target keeps its bytes.
+func TestFailedSaveLeavesNoFile(t *testing.T) {
+	g := graph.MustFromEdges(2, []graph.Edge{{Src: 0, Dst: 1, Weight: 1}})
+	saves := map[string]func(path string) error{
+		"SaveV2File": func(path string) error {
+			return SaveV2File(path, g, []Section{{Kind: 99}})
+		},
+		"SaveBatchStreamFile": func(path string) error {
+			return SaveBatchStreamFile(path, []graph.EdgeBatch{{Time: 2}, {Time: 1}})
+		},
+	}
+	for name, save := range saves {
+		path := filepath.Join(t.TempDir(), "out")
+		if err := save(path); err == nil {
+			t.Fatalf("%s: invalid input saved", name)
+		}
+		for _, p := range []string{path, path + ".tmp"} {
+			if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("%s: %s left behind (stat: %v)", name, filepath.Base(p), err)
+			}
+		}
+
+		old := []byte("previous contents")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := save(path); err == nil {
+			t.Fatalf("%s: invalid input saved over an existing file", name)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+			t.Errorf("%s: failed save changed the existing file (%q, %v)", name, got, err)
+		}
+		if _, err := os.Stat(path + ".tmp"); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: out.tmp left behind over an existing file (stat: %v)", name, err)
+		}
 	}
 }
 
@@ -234,13 +357,13 @@ func TestLoadSnapshotRejectsInconsistentCSR(t *testing.T) {
 
 	bad := enc([]int64{0, 1, 1}, []uint32{1}, []float64{1},
 		[]int64{0, 1, 1}, []uint32{0}, []float64{1}) // in-edge parked on vertex 0
-	if _, err := LoadSnapshot(bytes.NewReader(bad)); err == nil {
+	if _, _, err := decodeSnapshot(bytes.NewReader(bad), int64(len(bad))); err == nil {
 		t.Fatal("inconsistent CSR accepted")
 	}
 
 	good := enc([]int64{0, 1, 1}, []uint32{1}, []float64{1},
 		[]int64{0, 0, 1}, []uint32{0}, []float64{1})
-	if _, err := LoadSnapshot(bytes.NewReader(good)); err != nil {
+	if _, _, err := decodeSnapshot(bytes.NewReader(good), int64(len(good))); err != nil {
 		t.Fatalf("consistent hand-built snapshot rejected: %v", err)
 	}
 }

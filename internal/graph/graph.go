@@ -10,7 +10,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -223,29 +222,6 @@ func (g *Graph) OutEdges(v VertexID, fn func(dst VertexID, w float64)) {
 func (g *Graph) InEdges(v VertexID, fn func(src VertexID, w float64)) {
 	for i := g.inOff[v]; i < g.inOff[v+1]; i++ {
 		fn(g.inSrc[i], g.inW[i])
-	}
-}
-
-// EdgeRange calls fn for every edge with index in [start, end) in the
-// global source-sorted order, without allocating. Only tests call it.
-func (g *Graph) EdgeRange(start, end int64, fn func(src, dst VertexID, w float64)) {
-	if start < 0 {
-		start = 0
-	}
-	if end > int64(len(g.outDst)) {
-		end = int64(len(g.outDst))
-	}
-	if start >= end {
-		return
-	}
-	// Find the source vertex owning index `start`.
-	v := sort.Search(g.numV, func(v int) bool { return g.outOff[v+1] > start })
-	for i := start; i < end; {
-		for i >= g.outOff[v+1] {
-			v++
-		}
-		fn(VertexID(v), g.outDst[i], g.outW[i])
-		i++
 	}
 }
 

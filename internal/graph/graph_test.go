@@ -90,25 +90,6 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEdgeRange(t *testing.T) {
-	g := diamond()
-	var got []Edge
-	g.EdgeRange(1, 4, func(s, d VertexID, w float64) {
-		got = append(got, Edge{s, d, w})
-	})
-	all := edgeList(g)
-	if !reflect.DeepEqual(got, all[1:4]) {
-		t.Fatalf("EdgeRange(1,4) = %v, want %v", got, all[1:4])
-	}
-	// Clamping.
-	var n int
-	g.EdgeRange(-3, 100, func(s, d VertexID, w float64) { n++ })
-	if int64(n) != g.NumEdges() {
-		t.Fatalf("clamped range visited %d, want %d", n, g.NumEdges())
-	}
-	g.EdgeRange(4, 2, func(s, d VertexID, w float64) { t.Fatal("inverted range visited edges") })
-}
-
 func TestStats(t *testing.T) {
 	s := diamond().Stats()
 	if s.Vertices != 4 || s.Edges != 5 || s.MaxDegree != 2 {

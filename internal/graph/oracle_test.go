@@ -60,7 +60,9 @@ func oracleGreedyVertexCut(g *graph.Graph, m int) *graph.Partitioning {
 	}
 
 	var edges []graph.Edge // g's edge list in source order
-	g.EdgeRange(0, g.NumEdges(), func(s, d graph.VertexID, w float64) { edges = append(edges, graph.Edge{Src: s, Dst: d, Weight: w}) })
+	for v := range graph.VertexID(g.NumVertices()) {
+		g.OutEdges(v, func(d graph.VertexID, w float64) { edges = append(edges, graph.Edge{Src: v, Dst: d, Weight: w}) })
+	}
 	for _, e := range edges {
 		sp, dp := places[e.Src].nodes, places[e.Dst].nodes
 		// Greedy rules (PowerGraph §5.1): prefer a node holding both
