@@ -77,10 +77,13 @@ race-resume:
 # end-to-end path and the cache hammer pinned under the race detector.
 # TestStreamDoneRace gets extra -count iterations: the done-event split it
 # regresses against only reproduces under GOMAXPROCS > 1 with the race
-# detector widening the completion window.
+# detector widening the completion window. So does TestServeRetention:
+# retention must be applied before a job's done is visible, or a waiter
+# can still find the job it evicts resident.
 race-serve:
 	GOMAXPROCS=8 $(GO) test -race ./internal/serve ./cmd/gxd
 	GOMAXPROCS=8 $(GO) test -race -run 'TestStreamDoneRace' -count=3 ./internal/serve
+	GOMAXPROCS=8 $(GO) test -race -run 'TestServeRetention' -count=20 ./internal/serve
 	GOMAXPROCS=8 $(GO) test -race -run 'TestResultCache|TestSuiteResultCache' ./gx
 
 # The dynamic-graph acceptance pin: incremental recomputation over a
@@ -100,7 +103,10 @@ race-dynamic:
 
 # Each gen kernel has one generation path: MSGGen writes into a reused
 # scratch row, once per source run where Hints.SourceOnly is declared and
-# once per edge otherwise. Both kernels are held bit for bit to the
+# once per edge otherwise. nativeGen finds its runs in the partitioning's
+# run index and folds at each destination's slot in the result's slab;
+# that plan is held to a map-based derivation of it, and Validate must
+# reject each invariant broken in turn. Both kernels are held bit for bit to the
 # per-edge loops they replaced, nativeGen to zero allocations, and every
 # registered algorithm's MSGGen to its contract (same message whatever
 # the scratch held; the SourceOnly half where declared) — the property
@@ -118,6 +124,7 @@ race-dynamic:
 # declaration, the fold and merge kernel to the MSGMerge loops they
 # replaced, and LP's early-exit merge to the full-scan one.
 race-gen:
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestLayoutMatchesOracle|TestValidateRejectsCorruptLayout' ./internal/graph
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestNativeGenMatchesOracle|TestNativeGenAllocatesNothing' ./internal/engine
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenChunkMatchesOracle' -count=10 ./internal/gxplug
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenBlockBytesMatchOracle|TestGenKernelNamesLowestBadRow|TestMergeKernelMatchesOracle' ./internal/gxplug

@@ -75,8 +75,10 @@ func randomFlags(rng *rand.Rand, n int, p float64, exactlyOne bool) []bool {
 // SSSP on the per-edge path, the rest per run — over frontier densities
 // {empty, one vertex, ~1 %, ~50 %, full} × cone filters {none, sparse,
 // dense}, from attribute state two supersteps into a run. One graph
-// leaves most parts without a single edge. Per destination buffer the
-// accumulator bits, the received flags, the first-touch order and the
+// leaves most parts without a single edge, one runs on a single node (every
+// message in the sender's own buffer), one gives every source exactly one
+// edge, and one ends parts with the longest run. Per destination buffer
+// the accumulator bits, the received flags, the first-touch order and the
 // entity count must all be equal.
 func TestNativeGenMatchesOracle(t *testing.T) {
 	rmat, err := gen.RMAT(gen.RMATConfig{NumVertices: 400, NumEdges: 3000, A: 0.57, B: 0.19, C: 0.19, Seed: 21})
@@ -89,6 +91,20 @@ func TestNativeGenMatchesOracle(t *testing.T) {
 	for i := 0; i < 240; i++ {
 		hub = append(hub, graph.Edge{Src: graph.VertexID(i % 3), Dst: graph.VertexID(3 + i%77), Weight: float64(1 + i%5)})
 	}
+	// Every vertex has exactly one out-edge: every run is one edge long.
+	var single []graph.Edge
+	for i := 0; i < 300; i++ {
+		single = append(single, graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID((7*i + 3) % 300), Weight: float64(1 + i%4)})
+	}
+	// Vertex 59, the highest, has the most edges, so its run is the last
+	// of every part holding it and ends that part's table.
+	var tail []graph.Edge
+	for i := 0; i < 200; i++ {
+		tail = append(tail, graph.Edge{Src: graph.VertexID(i % 59), Dst: graph.VertexID(13 * i % 60), Weight: float64(1 + i%3)})
+	}
+	for i := 0; i < 40; i++ {
+		tail = append(tail, graph.Edge{Src: 59, Dst: graph.VertexID(i), Weight: float64(1 + i%5)})
+	}
 	graphs := []struct {
 		name  string
 		g     *graph.Graph
@@ -96,6 +112,9 @@ func TestNativeGenMatchesOracle(t *testing.T) {
 	}{
 		{"rmat", rmat, 4},
 		{"hub", graph.MustFromEdges(80, hub), 8},
+		{"rmat-one-node", rmat, 1},
+		{"single-edge-runs", graph.MustFromEdges(300, single), 4},
+		{"tail-run", graph.MustFromEdges(60, tail), 3},
 	}
 	specs := []struct {
 		name string
@@ -131,6 +150,16 @@ func TestNativeGenMatchesOracle(t *testing.T) {
 					if gc.name == "hub" && sc.name == "graphx" &&
 						!slices.ContainsFunc(r.part.Parts, func(p *graph.Partition) bool { return len(p.Edges) == 0 }) {
 						t.Fatal("the hub graph was meant to leave a part without edges")
+					}
+					if gc.name == "single-edge-runs" &&
+						slices.ContainsFunc(r.part.Parts, func(p *graph.Partition) bool { return len(p.RunEnds) != len(p.Edges) }) {
+						t.Fatal("the single-edge graph was meant to give every run one edge")
+					}
+					if gc.name == "tail-run" && !slices.ContainsFunc(r.part.Parts, func(p *graph.Partition) bool {
+						k := len(p.RunEnds) - 1
+						return k > 0 && p.RunEnds[k]-p.RunEnds[k-1] >= 2 && p.Edges[len(p.Edges)-1].Src == 59
+					}) {
+						t.Fatal("the tail graph was meant to end a part with vertex 59's run")
 					}
 					// Two supersteps in, attributes are no longer the initial
 					// ones: hop counts, peeled vertices, labels and ranks vary.

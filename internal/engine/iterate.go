@@ -390,43 +390,49 @@ func (r *runner) nextNativeResult(j int) *gxplug.GenResult {
 
 // nativeGen runs MSGGen+combine for one node on the engine's built-in
 // executor, charging upper-bucket compute time. part.Edges is grouped by
-// source, so the walk is over source runs, in table order: the frontier
-// is tested and the attribute row sliced once per run. An algorithm that
-// declares Hints.SourceOnly generates once per run — at its first edge
-// that passes the cone filter, so a source with no edge into the cone
-// costs nothing — and that one message merges into every passing
-// destination; any other generates once per passing edge. Edges are
-// still visited in table order and every message still merges into its
-// owner's slot through the partitioning's routing index, so per row the
+// source and part.RunEnds indexes its runs, so the walk is over source
+// runs, in table order: the frontier is tested and the attribute row
+// sliced once per run, and an inactive source's run is skipped having
+// read only its first edge's source. An algorithm that declares
+// Hints.SourceOnly generates once per run — at its first edge that passes
+// the cone filter, so a source with no edge into the cone costs nothing —
+// and that one message merges into every passing destination; any other
+// generates once per passing edge. Without a cone a SourceOnly run has no
+// edge to filter, so its one message folds into the whole run at once.
+// Edges are still visited in table order and every message still merges
+// into its destination's row of the result's one slab, so per row the
 // MSGMerge sequence, and per buffer the first-touch order, are those of a
-// per-edge loop. A width-1 message under a declared Hints.Merge folds
-// through the buffer's inlined SumAt/MinAt; any other through Merge.
+// per-edge loop.
 func (r *runner) nativeGen(j int) *gxplug.GenResult {
 	part := r.part.Parts[j]
 	res := r.nextNativeResult(j)
 	hints := r.alg.Hints()
-	to, owner, masterRow := res.To, r.part.Owner, r.part.MasterRow
-	msg := r.natMsg[j]
-	fold := hints.Merge
+	f := slabFold{res: res, slot: r.part.Slot, op: hints.Merge}
+	f.acc, f.recv = res.Slabs()
 	if r.mw != 1 {
-		fold = template.MergeCustom // Merge dispatches on the op itself
+		f.op = template.MergeCustom // Add dispatches on the op itself
 	}
+	msg := r.natMsg[j]
 	// Incremental replay: only destinations in the cone can receive a
 	// result differing from the memo, so only their messages are needed.
 	cone := r.inc.coneFilter()
-	edges := 0
-	for rest := part.Edges; len(rest) > 0; {
-		src := rest[0].Src
-		n := 1
-		for n < len(rest) && rest[n].Src == src {
-			n++
-		}
-		run := rest[:n]
-		rest = rest[n:]
+	wholeRuns := cone == nil && hints.SourceOnly
+	edges, start := 0, int32(0)
+	for _, end := range part.RunEnds {
+		run := part.Edges[start:end]
+		start = end
+		src := run[0].Src
 		if !hints.GenAll && !r.active[src] {
 			continue
 		}
 		srcAttr := r.attrs[int(src)*r.aw : (int(src)+1)*r.aw]
+		if wholeRuns {
+			edges += len(run)
+			if r.alg.MSGGen(r.ctx, src, run[0].Dst, run[0].Weight, srcAttr, msg) {
+				f.into(run, msg)
+			}
+			continue
+		}
 		generate, ok := true, false // generate: the next passing edge calls MSGGen
 		for i := range run {
 			e := &run[i]
@@ -438,22 +444,59 @@ func (r *runner) nativeGen(j int) *gxplug.GenResult {
 				ok = r.alg.MSGGen(r.ctx, src, e.Dst, e.Weight, srcAttr, msg)
 				generate = !hints.SourceOnly
 			}
-			if !ok {
-				continue
-			}
-			switch b, row := to[owner[e.Dst]], masterRow[e.Dst]; fold {
-			case template.MergeSum:
-				b.SumAt(row, msg[0])
-			case template.MergeMin:
-				b.MinAt(row, msg[0])
-			default:
-				b.Merge(row, msg)
+			if ok {
+				f.into(run[i:i+1], msg)
 			}
 		}
 	}
 	res.Entities = edges
 	r.chargeNative(j, genOps(float64(edges), hints))
 	return res
+}
+
+// slabFold folds messages into a GenResult's slabs at the destination's
+// Slot: a width-1 message under a declared Hints.Merge in a typed loop,
+// any other through GenResult.Add. Only a first touch reaches the routing
+// index, to append the row to its buffer's first-touch list.
+type slabFold struct {
+	res  *gxplug.GenResult
+	acc  []float64
+	recv []bool
+	slot []int32
+	op   template.MergeOp
+}
+
+// into folds msg into the row of every destination of es, in order.
+func (f *slabFold) into(es []graph.Edge, msg []float64) {
+	acc, recv, slot := f.acc, f.recv, f.slot
+	switch f.op {
+	case template.MergeSum:
+		v := msg[0]
+		for i := range es {
+			dst := es[i].Dst
+			s := slot[dst]
+			if !recv[s] {
+				f.res.Touch(dst)
+			}
+			acc[s] += v
+		}
+	case template.MergeMin:
+		v := msg[0]
+		for i := range es {
+			dst := es[i].Dst
+			s := slot[dst]
+			if !recv[s] {
+				f.res.Touch(dst)
+			}
+			if v < acc[s] {
+				acc[s] = v
+			}
+		}
+	default:
+		for i := range es {
+			f.res.Add(es[i].Dst, msg)
+		}
+	}
 }
 
 // nativeMerge folds an inbox into the node's local accumulator.

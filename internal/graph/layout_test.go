@@ -59,7 +59,8 @@ func TestGreedyVertexCutMatchesMapOracle(t *testing.T) {
 
 // The layout newPartitioning derives — table ids, each row's edges, each
 // vertex's replica holders — is what every agent and every run used to
-// rebuild for itself, for every partitioner.
+// rebuild for itself, for every partitioner; the gen plan beside it —
+// source-run ends, vertex slots — is what the map-based oracle derives.
 func TestLayoutMatchesOracle(t *testing.T) {
 	cuts := map[string]func(*graph.Graph) *graph.Partitioning{
 		"greedy-vertex-cut": func(g *graph.Graph) *graph.Partitioning { return graph.GreedyVertexCut(g, 4) },
@@ -108,6 +109,17 @@ func TestLayoutMatchesOracle(t *testing.T) {
 						if !slices.Equal(et[s:e], oet.Slice(os, oe)) {
 							t.Fatalf("node %d row %d: edge sequence differs from the oracle's", j, r)
 						}
+					}
+				}
+				runEnds, slot := oracleGenPlan(p)
+				for j, part := range p.Parts {
+					if !slices.Equal(part.RunEnds, runEnds[j]) {
+						t.Fatalf("node %d: run ends %v, oracle %v", j, part.RunEnds, runEnds[j])
+					}
+				}
+				for v, s := range p.Slot {
+					if want, ok := slot[graph.VertexID(v)]; !ok || s != want {
+						t.Fatalf("vertex %d: slot %d, oracle %d (%v)", v, s, want, ok)
 					}
 				}
 				mirrors := oracleBuildMirrors(p)

@@ -12,7 +12,8 @@ import (
 // build and the engine's per-run mirror map — verbatim (identifiers
 // prefixed, types qualified) as the oracles layout_test.go compares
 // the one derivation on graph.Partitioning against. Nothing outside the
-// tests runs them.
+// tests runs them. oracleGenPlan is the map-based derivation of the gen
+// plan newPartitioning adds beside the layout.
 
 // oracleNewPartitioning assembles a partitioning from finished parts, deriving
 // the master-row half of the routing index.
@@ -312,6 +313,33 @@ func oracleBuildMapping(vt *oracleVertexTable, et *oracleEdgeTable) (*oracleMapp
 // EdgeRange returns the edge-table index range of vertex row v.
 func (m *oracleMappingTable) EdgeRange(v int) (start, end int) {
 	return int(m.off[v]), int(m.off[v+1])
+}
+
+// oracleGenPlan derives, with maps, the gen plan newPartitioning builds
+// beside the mapping table: per part, one run per source in order of first
+// appearance, ending after that source's last edge; per vertex, its
+// position in every part's Masters laid end to end in node order.
+func oracleGenPlan(p *graph.Partitioning) (runEnds [][]int32, slot map[graph.VertexID]int32) {
+	slot = make(map[graph.VertexID]int32)
+	for _, part := range p.Parts {
+		for _, v := range part.Masters {
+			slot[v] = int32(len(slot))
+		}
+	}
+	runEnds = make([][]int32, len(p.Parts))
+	for j, part := range p.Parts {
+		runOf := make(map[graph.VertexID]int)
+		for i, e := range part.Edges {
+			k, ok := runOf[e.Src]
+			if !ok {
+				k = len(runEnds[j])
+				runOf[e.Src] = k
+				runEnds[j] = append(runEnds[j], 0)
+			}
+			runEnds[j][k] = int32(i + 1)
+		}
+	}
+	return runEnds, slot
 }
 
 // buildMirrors records, for every vertex, the non-owner nodes whose

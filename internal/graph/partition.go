@@ -42,6 +42,10 @@ type Partition struct {
 	// RowEdges is the vertex-edge mapping table: vertex-table row r's
 	// outer edges are Edges[RowEdges[r][0]:RowEdges[r][1]].
 	RowEdges [][2]int32
+	// RunEnds is the source-run index: Edges holds one run per source, in
+	// table order, and run k is Edges[RunEnds[k-1]:RunEnds[k]] (from 0
+	// for k = 0). A walk over it reads a run's edges only if it wants them.
+	RunEnds []int32
 	// Endpoints counts the distinct vertices Edges references.
 	Endpoints int
 
@@ -51,10 +55,11 @@ type Partition struct {
 // Partitioning is a complete assignment of a graph to m nodes, with
 // everything a run derives from the assignment alone. Owner and MasterRow
 // together are the message routing index: a message for vertex v belongs
-// in row MasterRow[v] of node Owner[v]'s buffer. MirrorOff and MirrorNodes
-// are the replica index. All of it is built once, by newPartitioning, and
-// only read afterwards — by every run, agent and estimate over the
-// partitioning, concurrently.
+// in row MasterRow[v] of node Owner[v]'s buffer, which is row Slot[v] of a
+// slab holding every node's buffer in node order. MirrorOff and
+// MirrorNodes are the replica index. All of it is built once, by
+// newPartitioning, and only read afterwards — by every run, agent and
+// estimate over the partitioning, concurrently.
 type Partitioning struct {
 	Graph *Graph
 	Parts []*Partition
@@ -62,6 +67,10 @@ type Partitioning struct {
 	Owner []int32
 	// MasterRow[v] is v's index in Parts[Owner[v]].Masters.
 	MasterRow []int32
+	// Slot[v] is v's row in the node-major concatenation of every part's
+	// Masters: MasterRow[v] plus the master count of the nodes before
+	// Owner[v].
+	Slot []int32
 	// MirrorNodes[MirrorOff[v]:MirrorOff[v+1]] are the nodes, ascending,
 	// that list v in Sources: the replicas that must see v's attribute
 	// updates (non-empty only under vertex-cut).
@@ -73,23 +82,33 @@ type Partitioning struct {
 
 // newPartitioning assembles a partitioning from finished parts — Masters,
 // Edges (grouped by source), Internal and Mirrors set — deriving the
-// routing index, the replica index and each part's table layout.
+// routing index, the replica index and each part's table layout and
+// source-run index.
 func newPartitioning(g *Graph, parts []*Partition, owner []int32) *Partitioning {
 	n := len(owner)
 	p := &Partitioning{
 		Graph: g, Parts: parts, Owner: owner,
 		MasterRow: make([]int32, n),
+		Slot:      make([]int32, n),
 		MirrorOff: make([]int32, n+1),
 	}
 	// Edges are grouped by source, so a part's edges leave a source in one
-	// run: a replica is counted, and later filled in, where its run starts.
-	sources := make([]int, len(parts))
+	// run: a run, and a replica, is counted and later filled in where the
+	// run starts.
+	sources, runs := make([]int, len(parts)), make([]int, len(parts))
+	base := int32(0)
 	for j, part := range parts {
 		for mi, v := range part.Masters {
 			p.MasterRow[v] = int32(mi)
+			p.Slot[v] = base + int32(mi)
 		}
+		base += int32(len(part.Masters))
 		for i, e := range part.Edges {
-			if owner[e.Src] != int32(j) && (i == 0 || part.Edges[i-1].Src != e.Src) {
+			if i > 0 && part.Edges[i-1].Src == e.Src {
+				continue
+			}
+			runs[j]++
+			if owner[e.Src] != int32(j) {
 				sources[j]++
 				p.MirrorOff[e.Src+1]++
 			}
@@ -106,8 +125,14 @@ func newPartitioning(g *Graph, parts []*Partition, owner []int32) *Partitioning 
 		part.in = p
 		part.Sources = make([]VertexID, 0, sources[j])
 		part.RowEdges = make([][2]int32, len(part.Masters)+sources[j])
+		part.RunEnds = make([]int32, runs[j])
+		run := -1
 		for i, e := range part.Edges {
 			start := i == 0 || part.Edges[i-1].Src != e.Src
+			if start {
+				run++
+			}
+			part.RunEnds[run] = int32(i + 1)
 			row := int(p.MasterRow[e.Src])
 			if owner[e.Src] != int32(j) {
 				if start {
@@ -170,8 +195,8 @@ func (p *Partitioning) ReplicationFactor() float64 {
 }
 
 // Validate checks the structural invariants every partitioning must obey:
-// each vertex mastered exactly once and indexed by Owner/MasterRow, each
-// edge assigned exactly once, Internal flags correct, and the derived
+// each vertex mastered exactly once and indexed by Owner/MasterRow/Slot,
+// each edge assigned exactly once, Internal flags correct, and the derived
 // layout consistent with all of it (validateLayout) — which includes the
 // edges being grouped by source.
 func (p *Partitioning) Validate() error {
@@ -179,6 +204,7 @@ func (p *Partitioning) Validate() error {
 	seenMaster := make([]bool, g.NumVertices())
 	var edgeCount int64
 	replicas := 0
+	base := int32(0) // the master count of the nodes before this one
 	for _, part := range p.Parts {
 		for mi, v := range part.Masters {
 			if seenMaster[v] {
@@ -193,7 +219,12 @@ func (p *Partitioning) Validate() error {
 				return fmt.Errorf("partition: masterRow[%d]=%d but master %d of node %d",
 					v, p.MasterRow[v], mi, part.Node)
 			}
+			if p.Slot[v] != base+int32(mi) {
+				return fmt.Errorf("partition: slot[%d]=%d but master %d of node %d is slot %d",
+					v, p.Slot[v], mi, part.Node, base+int32(mi))
+			}
 		}
+		base += int32(len(part.Masters))
 		if err := p.validateLayout(part); err != nil {
 			return err
 		}
@@ -239,7 +270,8 @@ func (p *Partitioning) Validate() error {
 // validateLayout checks one part's table layout against its Masters and
 // Edges and against the replica index: every source a distinct row, every
 // edge inside its source's row range and the ranges covering nothing else
-// — so a source's edges are contiguous — and the endpoint count right.
+// — so a source's edges are contiguous — the endpoint count right, and
+// the run index one run per source (validateRuns).
 func (p *Partitioning) validateLayout(part *Partition) error {
 	if len(part.RowEdges) != len(part.Masters)+len(part.Sources) {
 		return fmt.Errorf("partition %d: %d mapping rows for %d masters + %d sources",
@@ -273,6 +305,42 @@ func (p *Partitioning) validateLayout(part *Partition) error {
 	if covered != len(part.Edges) || endpoints != part.Endpoints {
 		return fmt.Errorf("partition %d: mapping table covers %d of %d edges, %d endpoints recorded of %d",
 			part.Node, covered, len(part.Edges), part.Endpoints, endpoints)
+	}
+	return validateRuns(part)
+}
+
+// validateRuns checks a part's source-run index against its Edges and
+// RowEdges, which validateLayout has already checked: the ends strictly
+// increasing up to len(Edges), every run a single source, and one run per
+// vertex-table row with edges — so, the rows' ranges being disjoint and
+// covering every edge, exactly one run per source.
+func validateRuns(part *Partition) error {
+	rows := 0
+	for _, r := range part.RowEdges {
+		if r[1] > r[0] {
+			rows++
+		}
+	}
+	if len(part.RunEnds) != rows {
+		return fmt.Errorf("partition %d: %d source runs for %d rows with edges",
+			part.Node, len(part.RunEnds), rows)
+	}
+	start := int32(0)
+	for k, end := range part.RunEnds {
+		if end <= start || int(end) > len(part.Edges) {
+			return fmt.Errorf("partition %d: run %d ends at %d, after %d and within %d edges",
+				part.Node, k, end, start, len(part.Edges))
+		}
+		src := part.Edges[start].Src
+		for _, e := range part.Edges[start+1 : end] {
+			if e.Src != src {
+				return fmt.Errorf("partition %d: run %d leaves sources %d and %d", part.Node, k, src, e.Src)
+			}
+		}
+		start = end
+	}
+	if int(start) != len(part.Edges) {
+		return fmt.Errorf("partition %d: runs end at edge %d of %d", part.Node, start, len(part.Edges))
 	}
 	return nil
 }

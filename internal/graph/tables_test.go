@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // mkTables returns the tables of a three-vertex graph held by one node.
 func mkTables(t *testing.T, stride int) (*Partitioning, *VertexTable, EdgeTable, MappingTable) {
@@ -124,6 +127,18 @@ func TestValidateRejectsCorruptLayout(t *testing.T) {
 		t.Fatal("no part with two sources")
 		return nil
 	}
+	// A run k > 0 of some part that holds at least two edges.
+	longRun := func(t *testing.T, p *Partitioning) (*Partition, int) {
+		for _, part := range p.Parts {
+			for k := 1; k < len(part.RunEnds); k++ {
+				if part.RunEnds[k]-part.RunEnds[k-1] >= 2 {
+					return part, k
+				}
+			}
+		}
+		t.Fatal("no run of two edges")
+		return nil, 0
+	}
 	for name, corrupt := range map[string]func(t *testing.T, p *Partitioning){
 		"ungrouped-edges": func(t *testing.T, p *Partitioning) {
 			es := pick(t, p).Edges
@@ -147,6 +162,32 @@ func TestValidateRejectsCorruptLayout(t *testing.T) {
 			part.RowEdges[len(part.RowEdges)-1][1]--
 		},
 		"endpoint-count": func(t *testing.T, p *Partitioning) { pick(t, p).Endpoints++ },
+		"run-ends-not-increasing": func(t *testing.T, p *Partitioning) {
+			part, k := longRun(t, p)
+			part.RunEnds[k] = part.RunEnds[k-1]
+		},
+		"runs-stop-short": func(t *testing.T, p *Partitioning) {
+			for _, part := range p.Parts {
+				if k := len(part.RunEnds) - 1; k > 0 && part.RunEnds[k]-part.RunEnds[k-1] >= 2 {
+					part.RunEnds[k]--
+					return
+				}
+			}
+			t.Fatal("no part whose last run holds two edges")
+		},
+		"run-of-two-sources": func(t *testing.T, p *Partitioning) {
+			// Run k-1 takes run k's first edge.
+			part, k := longRun(t, p)
+			part.RunEnds[k-1]++
+		},
+		"source-split-in-two-runs": func(t *testing.T, p *Partitioning) {
+			part, k := longRun(t, p)
+			part.RunEnds = slices.Insert(part.RunEnds, k, part.RunEnds[k]-1)
+		},
+		"slot-off-by-one": func(t *testing.T, p *Partitioning) {
+			v := p.Parts[1].Masters[0]
+			p.Slot[v]--
+		},
 		"replica-order": func(t *testing.T, p *Partitioning) {
 			for v := range p.Owner {
 				if k := p.MirrorOff[v]; p.MirrorOff[v+1]-k >= 2 {

@@ -103,22 +103,6 @@ func (b *MsgBuf) Merge(row int32, msg []float64) {
 	mergeRow(b.op, b.alg, b.Row(row), msg)
 }
 
-// SumAt is Merge of the one-element message {v} for a width-1 buffer whose
-// algorithm declares MergeSum.
-func (b *MsgBuf) SumAt(row int32, v float64) {
-	b.Touch(row)
-	b.acc[row] += v
-}
-
-// MinAt is Merge of the one-element message {v} for a width-1 buffer whose
-// algorithm declares MergeMin.
-func (b *MsgBuf) MinAt(row int32, v float64) {
-	b.Touch(row)
-	if v < b.acc[row] {
-		b.acc[row] = v
-	}
-}
-
 // Recv reports whether a row received a message.
 func (b *MsgBuf) Recv(row int32) bool { return b.recv[row] }
 
@@ -155,6 +139,10 @@ type GenResult struct {
 
 	part *graph.Partitioning
 	self int
+	// acc and recv are the slabs the buffers are windows of, node after
+	// node: vertex v's row is part.Slot[v] in both.
+	acc  []float64
+	recv []bool
 }
 
 // NewGenResult allocates a reusable result for node self of a
@@ -170,7 +158,7 @@ func NewGenResult(alg template.Algorithm, part *graph.Partitioning, self int) *G
 	acc, recv := make([]float64, rows*mw), make([]bool, rows)
 	fillIdentity(alg, acc, mw)
 	bufs := make([]MsgBuf, len(part.Parts))
-	res := &GenResult{To: make([]*MsgBuf, len(part.Parts)), part: part, self: self}
+	res := &GenResult{To: make([]*MsgBuf, len(part.Parts)), part: part, self: self, acc: acc, recv: recv}
 	for o, p := range part.Parts {
 		n := len(p.Masters)
 		bufs[o] = MsgBuf{alg: alg, mw: int32(mw), op: op, acc: acc[: n*mw : n*mw], recv: recv[:n:n]}
@@ -191,9 +179,27 @@ func (res *GenResult) Reset() {
 // Local returns the sender's own slot: the messages for its masters.
 func (res *GenResult) Local() *MsgBuf { return res.To[res.self] }
 
-// Add merges one message for vertex id into its owner's slot. id must
+// Slabs returns the accumulator and flag slabs the result's buffers are
+// windows of: vertex v's message is row Partitioning.Slot[v] of both. A
+// caller folding into them directly calls Touch(v) where v's flag is
+// still false, and then folds — that is Add, in the caller's own loop.
+func (res *GenResult) Slabs() ([]float64, []bool) { return res.acc, res.recv }
+
+// Touch records vertex v's first message: it sets v's flag and appends v's
+// row to its owner's first-touch list.
+func (res *GenResult) Touch(v graph.VertexID) {
+	res.To[res.part.Owner[v]].Touch(res.part.MasterRow[v])
+}
+
+// Add merges one message for vertex id into its row of the slab. id must
 // lie inside the partitioned graph; an out-of-range id is a bug and
 // panics.
 func (res *GenResult) Add(id graph.VertexID, msg []float64) {
-	res.To[res.part.Owner[id]].Merge(res.part.MasterRow[id], msg)
+	s := int(res.part.Slot[id])
+	if !res.recv[s] {
+		res.Touch(id)
+	}
+	b := res.Local() // every buffer has the same algorithm, op and width
+	mw := int(b.mw)
+	mergeRow(b.op, b.alg, res.acc[s*mw:(s+1)*mw], msg)
 }

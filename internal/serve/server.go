@@ -250,6 +250,12 @@ func (s *Server) runJob(j *job) {
 	}
 	jr.Results = s.results.Stats()
 
+	// Retention is applied before the job is seen to finish, so a caller
+	// woken by its done event never finds an older job that should have
+	// been evicted still resident. The finishing job is the newest, so it
+	// is never the one evicted.
+	s.finishJob(j.id)
+
 	// Completion is one critical section: the done state, the result, and
 	// the terminal "done" event become visible atomically. Splitting them
 	// (state first, event in a second lock hold) opens a race where a
@@ -262,8 +268,6 @@ func (s *Server) runJob(j *job) {
 	j.events = append(j.events, Event{Type: "done", Result: jr})
 	j.cond.Broadcast()
 	j.mu.Unlock()
-
-	s.finishJob(j.id)
 }
 
 // finishJob records a completed job for FIFO retention and evicts the
