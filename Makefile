@@ -171,20 +171,23 @@ cover:
 # against the edge-list rebuild it replaced, the dataset-ingestion
 # decoders, both text readers against the parsers they replaced, and
 # gxd's submission path (full corpora live in each package's
-# testdata/fuzz).
+# testdata/fuzz). Go spends up to 60 s minimizing each new interesting
+# input by default, which would leave a 10 s smoke stalled on its first
+# find; -fuzzminimizetime=1s caps that so the time goes to fuzzing. A
+# crasher still fails the target: only how long it is shrunk changes.
 fuzz-smoke:
-	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzApplyBatch$$' -fuzztime=10s
-	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime=10s
-	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzCodecDecodeNoPanic$$' -fuzztime=10s
-	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzMsgBuf$$' -fuzztime=10s
-	$(GO) test ./internal/gxplug/synccache -run '^$$' -fuzz '^FuzzVertexStore$$' -fuzztime=10s
-	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzSnapshotDecodeNoPanic$$' -fuzztime=10s
-	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzSnapshotV2DecodeNoPanic$$' -fuzztime=10s
-	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzEdgeListParse$$' -fuzztime=10s
-	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzEdgeListMatchesOracle$$' -fuzztime=10s
-	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzBatchListMatchesOracle$$' -fuzztime=10s
-	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzBatchDecodeNoPanic$$' -fuzztime=10s
-	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzSubmitNoPanic$$' -fuzztime=10s
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzApplyBatch$$' -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzCodecDecodeNoPanic$$' -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/gxplug -run '^$$' -fuzz '^FuzzMsgBuf$$' -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/gxplug/synccache -run '^$$' -fuzz '^FuzzVertexStore$$' -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzSnapshotDecodeNoPanic$$' -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzSnapshotV2DecodeNoPanic$$' -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzEdgeListParse$$' -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzEdgeListMatchesOracle$$' -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzBatchListMatchesOracle$$' -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/gen/ingest -run '^$$' -fuzz '^FuzzBatchDecodeNoPanic$$' -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzSubmitNoPanic$$' -fuzztime=10s -fuzzminimizetime=1s
 
 # The nested benchmark/ module imports gx and internal/* through its
 # replace directive, but the root `go build ./... && go test ./...` never

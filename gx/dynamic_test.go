@@ -349,10 +349,12 @@ func TestDynamicModeMatrix(t *testing.T) {
 }
 
 // BenchmarkDynamic records the incremental-vs-scratch cost on localized
-// deltas: the same stream, the two recomputation modes. The incremental
-// mode must be strictly cheaper in both real work (ns/op) and virtual
-// makespan (virtual-ns/op) — the former because the cone bounds the
-// edges and vertices touched, the latter by the replay cost contract.
+// deltas: the same stream, the two recomputation modes. Only the virtual
+// half is a contract: TestDynamicConformance asserts that incremental
+// replay never costs more virtual makespan (virtual-ns/op) than scratch.
+// Wall time (ns/op) is recorded here, not asserted; the cone bounds the
+// edges folded and vertices applied, but trace recording and the
+// boundary's dirty seeding are extra host work scratch does not do.
 // The recorded numbers are BENCHMARK.json's engine.inc_* metrics.
 func benchmarkDynamic(b *testing.B, mode string) {
 	s := dynamicScenario("graphx", "pagerank", mode)

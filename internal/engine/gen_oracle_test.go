@@ -73,11 +73,13 @@ func randomFlags(rng *rand.Rand, n int, p float64, exactlyOne bool) []bool {
 // per-edge loop it replaced on both engine shapes (edge-cut BSP as
 // graphx, vertex-cut GAS as powergraph), for every built-in algorithm —
 // SSSP on the per-edge path, the rest per run — over frontier densities
-// {empty, one vertex, ~1 %, ~50 %, full} × cone filters {none, sparse,
-// dense}, from attribute state two supersteps into a run. One graph
-// leaves most parts without a single edge, one runs on a single node (every
-// message in the sender's own buffer), one gives every source exactly one
-// edge, and one ends parts with the longest run. Per destination buffer
+// {empty, one vertex, ~1 %, ~50 %, full} × cone filters {none, one
+// vertex, sparse, dense, every vertex}, from attribute state two
+// supersteps into a run; the every-vertex cone must also equal the run
+// with no cone at all. One graph leaves most parts without a single
+// edge, one runs on a single node (every message in the sender's own
+// buffer), one gives every source exactly one edge, and one ends parts
+// with the longest run. Per destination buffer
 // the accumulator bits, the received flags, the first-touch order and the
 // entity count must all be equal.
 func TestNativeGenMatchesOracle(t *testing.T) {
@@ -128,7 +130,8 @@ func TestNativeGenMatchesOracle(t *testing.T) {
 	cones := []struct {
 		name string
 		p    float64 // < 0: no filter
-	}{{"none", -1}, {"sparse", 0.03}, {"dense", 0.7}}
+		one  bool
+	}{{"none", -1, false}, {"one", 0, true}, {"sparse", 0.03, false}, {"dense", 0.7, false}, {"all", 1, false}}
 
 	for _, gc := range graphs {
 		srcs := algos.DefaultSources(gc.g.NumVertices())
@@ -177,7 +180,7 @@ func TestNativeGenMatchesOracle(t *testing.T) {
 							copy(r.active, randomFlags(rng, n, fc.p, fc.one))
 							r.inc = nil
 							if cc.p >= 0 {
-								r.inc = &incState{cone: randomFlags(rng, n, cc.p, false)}
+								r.inc = &incState{cone: randomFlags(rng, n, cc.p, cc.one)}
 							}
 							for j := range r.part.Parts {
 								r.nativeFlip = 0
@@ -186,6 +189,18 @@ func TestNativeGenMatchesOracle(t *testing.T) {
 								want := r.nativeGenOracle(j)
 								if err := sameGenResult(got, want); err != nil {
 									t.Fatalf("frontier %s, cone %s, node %d: %v", fc.name, cc.name, j, err)
+								}
+								if cc.name != "all" {
+									continue
+								}
+								// A cone holding every vertex filters nothing:
+								// the cone path must equal the no-cone one.
+								inc := r.inc
+								r.inc = nil
+								want = r.nativeGen(j)
+								r.inc = inc
+								if err := sameGenResult(got, want); err != nil {
+									t.Fatalf("frontier %s, cone all vs none, node %d: %v", fc.name, j, err)
 								}
 							}
 						}
@@ -198,8 +213,9 @@ func TestNativeGenMatchesOracle(t *testing.T) {
 
 // TestNativeGenAllocatesNothing pins nativeGen's steady state at zero heap
 // allocations on both engine shapes, on the per-run path (PageRank, CC,
-// LP) and the per-edge one (SSSP), and for every fold: width-1 sum
-// (PageRank) and min (CC), min over four slots (SSSP) and MSGMerge (LP).
+// LP) and the per-edge one (SSSP), without a cone and with a sparse one,
+// and for every fold: width-1 sum (PageRank) and min (CC), min over four
+// slots (SSSP) and MSGMerge (LP).
 // MSGGen writes into the node's one scratch row and the walk builds no
 // closure. The result it fills is warmed first;
 // nativeFlip stays fixed, so every call reuses that one.
@@ -223,9 +239,13 @@ func TestNativeGenAllocatesNothing(t *testing.T) {
 				for j := range r.part.Parts {
 					r.nativeGen(j)
 				}
-				for j := range r.part.Parts {
-					if allocs := testing.AllocsPerRun(20, func() { r.nativeGen(j) }); allocs != 0 {
-						t.Errorf("node %d: %v allocations per nativeGen, want 0", j, allocs)
+				cone := randomFlags(rand.New(rand.NewSource(5)), g.NumVertices(), 0.03, false)
+				for _, inc := range []*incState{nil, {cone: cone}} {
+					r.inc = inc
+					for j := range r.part.Parts {
+						if allocs := testing.AllocsPerRun(20, func() { r.nativeGen(j) }); allocs != 0 {
+							t.Errorf("cone %v, node %d: %v allocations per nativeGen, want 0", inc != nil, j, allocs)
+						}
 					}
 				}
 			})

@@ -394,15 +394,15 @@ func (r *runner) nextNativeResult(j int) *gxplug.GenResult {
 // runs, in table order: the frontier is tested and the attribute row
 // sliced once per run, and an inactive source's run is skipped having
 // read only its first edge's source. An algorithm that declares
-// Hints.SourceOnly generates once per run — at its first edge that passes
-// the cone filter, so a source with no edge into the cone costs nothing —
-// and that one message merges into every passing destination; any other
-// generates once per passing edge. Without a cone a SourceOnly run has no
-// edge to filter, so its one message folds into the whole run at once.
-// Edges are still visited in table order and every message still merges
-// into its destination's row of the result's one slab, so per row the
-// MSGMerge sequence, and per buffer the first-touch order, are those of a
-// per-edge loop.
+// Hints.SourceOnly generates once per run, at its first edge that passes
+// the cone filter (without a cone, its first edge), so a source with no
+// edge into the cone costs nothing; that one message then folds into the
+// run's passing destinations in one typed loop — the whole run at once
+// without a cone, the cone test inline with one. Any other algorithm
+// generates and folds once per passing edge. Edges are still visited in
+// table order and every message still merges into its destination's row
+// of the result's one slab, so per row the MSGMerge sequence, and per
+// buffer the first-touch order, are those of a per-edge loop.
 func (r *runner) nativeGen(j int) *gxplug.GenResult {
 	part := r.part.Parts[j]
 	res := r.nextNativeResult(j)
@@ -416,7 +416,6 @@ func (r *runner) nativeGen(j int) *gxplug.GenResult {
 	// Incremental replay: only destinations in the cone can receive a
 	// result differing from the memo, so only their messages are needed.
 	cone := r.inc.coneFilter()
-	wholeRuns := cone == nil && hints.SourceOnly
 	edges, start := 0, int32(0)
 	for _, end := range part.RunEnds {
 		run := part.Edges[start:end]
@@ -426,26 +425,40 @@ func (r *runner) nativeGen(j int) *gxplug.GenResult {
 			continue
 		}
 		srcAttr := r.attrs[int(src)*r.aw : (int(src)+1)*r.aw]
-		if wholeRuns {
+		switch {
+		case !hints.SourceOnly:
+			for i := range run {
+				e := &run[i]
+				if cone != nil && !cone[e.Dst] {
+					continue
+				}
+				edges++
+				if r.alg.MSGGen(r.ctx, src, e.Dst, e.Weight, srcAttr, msg) {
+					f.into(run[i:i+1], msg)
+				}
+			}
+		case cone == nil:
 			edges += len(run)
 			if r.alg.MSGGen(r.ctx, src, run[0].Dst, run[0].Weight, srcAttr, msg) {
 				f.into(run, msg)
 			}
-			continue
-		}
-		generate, ok := true, false // generate: the next passing edge calls MSGGen
-		for i := range run {
-			e := &run[i]
-			if cone != nil && !cone[e.Dst] {
+		default:
+			i := 0
+			for i < len(run) && !cone[run[i].Dst] {
+				i++
+			}
+			if i == len(run) {
 				continue
 			}
-			edges++
-			if generate {
-				ok = r.alg.MSGGen(r.ctx, src, e.Dst, e.Weight, srcAttr, msg)
-				generate = !hints.SourceOnly
+			run = run[i:]
+			if r.alg.MSGGen(r.ctx, src, run[0].Dst, run[0].Weight, srcAttr, msg) {
+				edges += f.intoCone(run, msg, cone)
+				continue
 			}
-			if ok {
-				f.into(run[i:i+1], msg)
+			for k := range run {
+				if cone[run[k].Dst] {
+					edges++
+				}
 			}
 		}
 	}
@@ -457,7 +470,9 @@ func (r *runner) nativeGen(j int) *gxplug.GenResult {
 // slabFold folds messages into a GenResult's slabs at the destination's
 // Slot: a width-1 message under a declared Hints.Merge in a typed loop,
 // any other through GenResult.Add. Only a first touch reaches the routing
-// index, to append the row to its buffer's first-touch list.
+// index, to append the row to its buffer's first-touch list. into folds
+// into every destination of an edge slice, intoCone into those in the
+// cone, testing it inline.
 type slabFold struct {
 	res  *gxplug.GenResult
 	acc  []float64
@@ -497,6 +512,53 @@ func (f *slabFold) into(es []graph.Edge, msg []float64) {
 			f.res.Add(es[i].Dst, msg)
 		}
 	}
+}
+
+// intoCone folds msg into the row of every destination of es that is in
+// cone, in order, and returns how many it folded.
+func (f *slabFold) intoCone(es []graph.Edge, msg []float64, cone []bool) int {
+	acc, recv, slot := f.acc, f.recv, f.slot
+	n := 0
+	switch f.op {
+	case template.MergeSum:
+		v := msg[0]
+		for i := range es {
+			dst := es[i].Dst
+			if !cone[dst] {
+				continue
+			}
+			n++
+			s := slot[dst]
+			if !recv[s] {
+				f.res.Touch(dst)
+			}
+			acc[s] += v
+		}
+	case template.MergeMin:
+		v := msg[0]
+		for i := range es {
+			dst := es[i].Dst
+			if !cone[dst] {
+				continue
+			}
+			n++
+			s := slot[dst]
+			if !recv[s] {
+				f.res.Touch(dst)
+			}
+			if v < acc[s] {
+				acc[s] = v
+			}
+		}
+	default:
+		for i := range es {
+			if dst := es[i].Dst; cone[dst] {
+				n++
+				f.res.Add(dst, msg)
+			}
+		}
+	}
+	return n
 }
 
 // nativeMerge folds an inbox into the node's local accumulator.
