@@ -118,6 +118,9 @@ race-dynamic:
 # wire form the agent plans them in: the planned bytes are held to the
 # Triplet-slab encoder they replaced, and a row outside the block, met by
 # whichever chunk, must fail the launch naming the lowest bad triplet.
+# Every block kind takes its offsets from one layout: the Apply and Merge
+# bytes the agent writes, the daemon's results and what the agent reads
+# back are held to the cursor codec they replaced, cost word aside.
 # Where an algorithm declares Hints.Merge (sum or min), the kernels, the
 # fold, the merge kernel and the message buffer fold in typed loops and
 # never call MSGMerge: every built-in's MSGMerge is held to its
@@ -127,7 +130,7 @@ race-gen:
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestLayoutMatchesOracle|TestValidateRejectsCorruptLayout' ./internal/graph
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestNativeGenMatchesOracle|TestNativeGenAllocatesNothing' ./internal/engine
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenChunkMatchesOracle' -count=10 ./internal/gxplug
-	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenBlockBytesMatchOracle|TestGenKernelNamesLowestBadRow|TestMergeKernelMatchesOracle' ./internal/gxplug
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenBlockBytesMatchOracle|TestApplyMergeBytesMatchOracle|TestGenKernelNamesLowestBadRow|TestMergeKernelMatchesOracle' ./internal/gxplug
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestSourceOnlyDeclarationsHold|TestMergeDeclarationsHold' ./gx
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestLPMergeMatchesOracle' ./internal/algos
 

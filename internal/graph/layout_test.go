@@ -91,11 +91,11 @@ func TestLayoutMatchesOracle(t *testing.T) {
 							t.Fatalf("node %d: edges are not the masters' out-edges in order", j)
 						}
 					}
-					vt, et, mt := part.Tables(2)
+					vt := part.Tables(2)
 					ovt, oet, omt := oracleTables(part, 2)
-					if vt.Len() != ovt.Len() || et.Len() != oet.Len() {
+					if vt.Len() != ovt.Len() || len(part.Edges) != oet.Len() {
 						t.Fatalf("node %d: %d rows / %d edges, oracle %d / %d",
-							j, vt.Len(), et.Len(), ovt.Len(), oet.Len())
+							j, vt.Len(), len(part.Edges), ovt.Len(), oet.Len())
 					}
 					for r := 0; r < vt.Len(); r++ {
 						if vt.ID(r) != ovt.ID(r) {
@@ -104,9 +104,9 @@ func TestLayoutMatchesOracle(t *testing.T) {
 						if got, ok := vt.Lookup(vt.ID(r)); !ok || got != r {
 							t.Fatalf("node %d: Lookup(%d) = %d, %v; want row %d", j, vt.ID(r), got, ok, r)
 						}
-						s, e := mt.EdgeRange(r)
+						re := part.RowEdges[r]
 						os, oe := omt.EdgeRange(r)
-						if !slices.Equal(et[s:e], oet.Slice(os, oe)) {
+						if !slices.Equal(part.Edges[re[0]:re[1]], oet.Slice(os, oe)) {
 							t.Fatalf("node %d row %d: edge sequence differs from the oracle's", j, r)
 						}
 					}

@@ -574,14 +574,13 @@ func PartitionBySizes(g *Graph, fractions []float64) *Partitioning {
 	return finishEdgeCut(g, owner, m)
 }
 
-// Tables returns the agent-side data structures of §II-B for a partition:
-// a zeroed vertex table (masters first, then Sources), and the edge table
-// and vertex-edge mapping table, which are views of the partition itself
-// shared by every agent over it.
-func (part *Partition) Tables(stride int) (*VertexTable, EdgeTable, MappingTable) {
+// Tables returns the agent-side vertex table of §II-B for a partition,
+// zeroed: masters first, then Sources. The edge table and the vertex-edge
+// mapping table are the partition itself (Edges, RowEdges), shared by
+// every agent over it.
+func (part *Partition) Tables(stride int) *VertexTable {
 	if stride <= 0 {
 		panic(fmt.Sprintf("graph: vertex table stride %d", stride))
 	}
-	vt := &VertexTable{part: part, stride: stride, attrs: make([]float64, len(part.RowEdges)*stride)}
-	return vt, EdgeTable(part.Edges), MappingTable(part.RowEdges)
+	return &VertexTable{part: part, stride: stride, attrs: make([]float64, len(part.RowEdges)*stride)}
 }

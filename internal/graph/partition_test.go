@@ -173,10 +173,7 @@ func TestPartitionTables(t *testing.T) {
 	g := randomGraph(8, 100, 800)
 	p := EdgeCutByHash(g, 3)
 	for _, part := range p.Parts {
-		vt, et, mt := part.Tables(2)
-		if et.Len() != len(part.Edges) {
-			t.Fatalf("node %d: edge table %d != partition %d", part.Node, et.Len(), len(part.Edges))
-		}
+		vt := part.Tables(2)
 		// Every master must be a row; mapping ranges must tile the table.
 		for _, v := range part.Masters {
 			if _, ok := vt.Lookup(v); !ok {
@@ -185,16 +182,16 @@ func TestPartitionTables(t *testing.T) {
 		}
 		total := 0
 		for r := 0; r < vt.Len(); r++ {
-			s, e := mt.EdgeRange(r)
+			s, e := int(part.RowEdges[r][0]), int(part.RowEdges[r][1])
 			total += e - s
 			for i := s; i < e; i++ {
-				if row, _ := vt.Lookup(et.At(i).Src); row != r {
+				if row, _ := vt.Lookup(part.Edges[i].Src); row != r {
 					t.Fatalf("node %d: edge %d grouped under wrong row", part.Node, i)
 				}
 			}
 		}
-		if total != et.Len() {
-			t.Fatalf("node %d: mapping covers %d edges, want %d", part.Node, total, et.Len())
+		if total != len(part.Edges) {
+			t.Fatalf("node %d: mapping covers %d edges, want %d", part.Node, total, len(part.Edges))
 		}
 	}
 }

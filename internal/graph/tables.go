@@ -43,26 +43,3 @@ func (t *VertexTable) Lookup(id VertexID) (int, bool) {
 // Attrs exposes the backing attribute array (len = Len()*Stride()); block
 // builders and the shm codec use it to avoid per-row copies.
 func (t *VertexTable) Attrs() []float64 { return t.attrs }
-
-// EdgeTable is the edges assigned to a distributed node — the partition's
-// own Edges — grouped by source vertex so the mapping table can address
-// "the outer edges of vertex v" as one contiguous range (§II-B: "to
-// construct an edge block, an agent selects a vertex and retrieves its
-// outer edges, with vertex-edge mapping table").
-type EdgeTable []Edge
-
-// Len returns the edge count.
-func (t EdgeTable) Len() int { return len(t) }
-
-// At returns edge i.
-func (t EdgeTable) At(i int) Edge { return t[i] }
-
-// MappingTable is the vertex-edge mapping table — the partition's
-// RowEdges: for each row of a vertex table, the range of edge-table
-// indices holding that vertex's outer edges.
-type MappingTable [][2]int32
-
-// EdgeRange returns the edge-table index range of vertex row v.
-func (m MappingTable) EdgeRange(v int) (start, end int) {
-	return int(m[v][0]), int(m[v][1])
-}

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// mkTables returns the tables of a three-vertex graph held by one node.
-func mkTables(t *testing.T, stride int) (*Partitioning, *VertexTable, EdgeTable, MappingTable) {
+// mkTables returns the vertex table of a three-vertex graph held by one
+// node, and the node's partition.
+func mkTables(t *testing.T, stride int) (*Partitioning, *VertexTable) {
 	t.Helper()
 	g := MustFromEdges(3, []Edge{
 		{0, 1, 1}, {0, 2, 2}, // vertex 0
@@ -17,12 +18,11 @@ func mkTables(t *testing.T, stride int) (*Partitioning, *VertexTable, EdgeTable,
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	vt, et, mt := p.Parts[0].Tables(stride)
-	return p, vt, et, mt
+	return p, p.Parts[0].Tables(stride)
 }
 
 func TestVertexTableBasics(t *testing.T) {
-	_, vt, _, _ := mkTables(t, 3)
+	_, vt := mkTables(t, 3)
 	if vt.Len() != 3 || len(vt.Attrs()) != 3*3 {
 		t.Fatal("table meta wrong")
 	}
@@ -46,7 +46,7 @@ func TestVertexTableLookupSources(t *testing.T) {
 	p := GreedyVertexCut(g, 3)
 	sources := 0
 	for _, part := range p.Parts {
-		vt, _, _ := part.Tables(1)
+		vt := part.Tables(1)
 		if vt.Len() != len(part.Masters)+len(part.Sources) {
 			t.Fatalf("node %d: %d rows for %d masters + %d sources",
 				part.Node, vt.Len(), len(part.Masters), len(part.Sources))
@@ -73,7 +73,7 @@ func TestVertexTableLookupSources(t *testing.T) {
 }
 
 func TestVertexTableBadStridePanics(t *testing.T) {
-	p, _, _, _ := mkTables(t, 1)
+	p, _ := mkTables(t, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("stride 0 accepted")
@@ -83,31 +83,24 @@ func TestVertexTableBadStridePanics(t *testing.T) {
 }
 
 func TestBuildMapping(t *testing.T) {
-	_, _, _, mt := mkTables(t, 2)
-	if s, e := mt.EdgeRange(0); s != 0 || e != 2 {
-		t.Fatalf("range(0) = [%d,%d), want [0,2)", s, e)
+	p, _ := mkTables(t, 2)
+	mt := p.Parts[0].RowEdges
+	if r := mt[0]; r != [2]int32{0, 2} {
+		t.Fatalf("range(0) = [%d,%d), want [0,2)", r[0], r[1])
 	}
-	if s, e := mt.EdgeRange(1); s != 2 || e != 3 {
-		t.Fatalf("range(1) = [%d,%d), want [2,3)", s, e)
+	if r := mt[1]; r != [2]int32{2, 3} {
+		t.Fatalf("range(1) = [%d,%d), want [2,3)", r[0], r[1])
 	}
-	if s, e := mt.EdgeRange(2); s != e {
-		t.Fatalf("range(2) not empty: [%d,%d)", s, e)
+	if r := mt[2]; r[0] != r[1] {
+		t.Fatalf("range(2) not empty: [%d,%d)", r[0], r[1])
 	}
 }
 
-// Tables hands out views: every agent over a partition reads the same
-// edge and mapping storage, and only the attribute array is allocated.
+// A vertex table reads the partition's layout: only the table and its
+// attribute array are allocated.
 func TestTablesShareLayout(t *testing.T) {
 	g := randomGraph(10, 50, 4000)
 	part := GreedyVertexCut(g, 2).Parts[0]
-	_, et1, mt1 := part.Tables(2)
-	_, et2, mt2 := part.Tables(2)
-	if &et1[0] != &part.Edges[0] || &et2[0] != &part.Edges[0] {
-		t.Fatal("edge table is a copy of the partition's edges")
-	}
-	if &mt1[0] != &part.RowEdges[0] || &mt2[0] != &part.RowEdges[0] {
-		t.Fatal("mapping table is a copy of the partition's row ranges")
-	}
 	if n := testing.AllocsPerRun(10, func() { part.Tables(2) }); n > 2 {
 		t.Fatalf("Tables allocates %v objects, want the table and its attribute array", n)
 	}

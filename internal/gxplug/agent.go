@@ -163,11 +163,9 @@ type Agent struct {
 	opts  Options
 
 	// vt lists the node's masters first, in Masters order: master index
-	// i is vertex-table row i. et and mt are views of part, shared with
-	// every other agent over it.
+	// i is vertex-table row i. Its edges are part.Edges, grouped by
+	// source, and part.RowEdges[r] is row r's range of them.
 	vt *graph.VertexTable
-	et graph.EdgeTable
-	mt graph.MappingTable
 
 	daemons []*daemonProc
 	devices []*device.Device
@@ -214,18 +212,15 @@ type Agent struct {
 	resFlip  int
 	rowsBuf  []int
 	fillRows []int
-	drainAcc []float64
-	drainRcv []bool
+	drainMsg []float64
 	missIDs  []graph.VertexID
 	missRows []int
 	fetchBuf []float64
 	apply    applyScratch
 	// One daemon's pipeline at a time (runPipeline): stage costs of all its
-	// blocks in one slab, stageCosts[i] the three of block i, and each
-	// block's drain geometry.
+	// blocks in one slab, stageCosts[i] the three of block i.
 	stageSlab  []time.Duration
 	stageCosts []simtime.StageCosts
-	geo        [][2]int
 	// spans is splitByRate's result.
 	spans []span
 	// pushIDs/pushRows stage one PushAttrs batch (RequestApply without
@@ -245,16 +240,10 @@ type Agent struct {
 // applyScratch holds RequestApply's per-superstep buffers, reused across
 // iterations.
 type applyScratch struct {
-	sel         []int
-	ids         []graph.VertexID
-	rows        []int
-	attrs       []float64
-	msgs        []float64
-	recv        []bool
-	changed     []bool
-	wrote       []bool
-	spanChanged []bool
-	result      ApplyResult
+	sel     []int
+	changed []bool
+	wrote   []bool
+	result  ApplyResult
 }
 
 // ErrNotConnected reports use of an agent before Connect.
@@ -271,10 +260,10 @@ func NewAgent(node *cluster.Node, parts *graph.Partitioning, alg template.Algori
 		opts.FixedBlockCount = 32
 	}
 	part := parts.Parts[node.ID]
-	vt, et, mt := part.Tables(alg.AttrWidth())
+	vt := part.Tables(alg.AttrWidth())
 	a := &Agent{
 		node: node, parts: parts, part: part, alg: alg, ctx: ctx, upper: upper, opts: opts,
-		vt: vt, et: et, mt: mt,
+		vt:       vt,
 		blockIdx: make([]int32, len(parts.Owner)),
 	}
 	capacity := 0 // without caching: a mark per row, never an eviction
@@ -401,29 +390,26 @@ func (a *Agent) teardown() {
 func (a *Agent) charge(d time.Duration) { a.node.Charge(bucketMiddleware, d) }
 
 // segmentSize picks shared segment capacity: the largest block this agent
-// can ship plus slack. RequestGen cuts d <= et.Len() active edges into
-// blocks of chooseBlockSize(d) triplets, and chooseBlockSize is monotone
-// in d, so no Gen block outgrows chooseBlockSize(et.Len()) triplets; b
-// triplets reference at most 2b vertices, and never more than the edge
-// table has endpoints. Should a block ever exceed the bound, its encode
-// fails with "block needs N bytes, segment has M" — loud, not wrong.
+// can ship plus slack. RequestGen cuts the d <= E active edges of the
+// partition's E into blocks of chooseBlockSize(d) triplets, and
+// chooseBlockSize is monotone in d, so no Gen block outgrows
+// chooseBlockSize(E) triplets; b triplets reference at most 2b vertices,
+// and never more than the edge table has endpoints. Should a block ever
+// exceed the bound, its encode fails with "block needs N bytes, segment
+// has M" — loud, not wrong.
 func (a *Agent) segmentSize() int {
-	maxEdges := max(1, a.chooseBlockSize(a.et.Len()))
+	maxEdges := max(1, a.chooseBlockSize(len(a.part.Edges)))
 	maxVerts := min(2*maxEdges, a.part.Endpoints)
-	n := genBlockSize(maxEdges, maxVerts, a.alg.AttrWidth(), a.alg.MsgWidth())
-	if ap := applyBlockSize(a.vt.Len()+1, a.alg.AttrWidth(), a.alg.MsgWidth()); ap > n {
-		n = ap
-	}
-	if mg := mergeBlockSize(len(a.part.Masters)+1, a.alg.MsgWidth()); mg > n {
-		n = mg
-	}
-	return n + 64
+	aw, mw := int64(a.alg.AttrWidth()), int64(a.alg.MsgWidth())
+	return int(max(layGen(int64(maxEdges), int64(maxVerts), aw, mw).end,
+		layApply(int64(a.vt.Len()+1), aw, mw).end,
+		layMerge(int64(len(a.part.Masters)+1), mw).end)) + 64
 }
 
 // partitionFootprint estimates the device-resident bytes of this node's
 // share of the graph.
 func (a *Agent) partitionFootprint() int64 {
-	return int64(a.et.Len())*tripletBytes + int64(a.vt.Len())*int64(4+8*a.alg.AttrWidth())
+	return int64(len(a.part.Edges))*tripletBytes + int64(a.vt.Len())*int64(4+8*a.alg.AttrWidth())
 }
 
 // admit records that vertex-table row r now holds an authoritative value.

@@ -1,7 +1,9 @@
 package gxplug
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -50,16 +52,15 @@ func (a *Agent) RequestGen(active func(graph.VertexID) bool) (*GenResult, error)
 	// Rows participating this iteration and the edge count d.
 	rows := a.rowsBuf[:0]
 	d := 0
-	for r := 0; r < a.vt.Len(); r++ {
-		s, e := a.mt.EdgeRange(r)
-		if s == e {
+	for r, re := range a.part.RowEdges {
+		if re[0] == re[1] {
 			continue
 		}
 		if !genAll && active != nil && !active(a.vt.ID(r)) {
 			continue
 		}
 		rows = append(rows, r)
-		d += e - s
+		d += int(re[1] - re[0])
 	}
 	a.rowsBuf = rows
 	res.Entities = d
@@ -187,8 +188,8 @@ func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 	}
 	d := 0
 	for _, row := range rows {
-		s, e := a.mt.EdgeRange(row)
-		d += e - s
+		re := a.part.RowEdges[row]
+		d += int(re[1] - re[0])
 	}
 	// slices.Grow rather than grow: a frontier that widens every superstep
 	// regrows the slab every superstep, so the growth has to be amortized.
@@ -210,9 +211,8 @@ func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 	}
 	n := 0
 	for _, row := range rows {
-		s, e := a.mt.EdgeRange(row)
-		for i := s; i < e; i++ {
-			edge := a.et.At(i)
+		re := a.part.RowEdges[row]
+		for _, edge := range a.part.Edges[re[0]:re[1]] {
 			srcRow := local(edge.Src)
 			putTriplet(trips[n*tripletBytes:], edge.Src, edge.Dst, srcRow, local(edge.Dst), edge.Weight)
 			n++
@@ -308,18 +308,16 @@ func (a *Agent) runPipeline(di int, blocks []blockPlan, res *GenResult, reuseTop
 	for i := range costs {
 		costs[i] = slab[3*i : 3*i+3 : 3*i+3]
 	}
-	geo := grow(&a.geo, k) // (numVerts, resultOff) per block for draining
 
 	for step := 0; step <= k+1; step++ {
 		// Thread.Download: fill the n-chunk with the next block.
 		nSeg := p.mem[physSeg(roleN, p.rot)]
 		if step < k {
-			tn, vOff, err := a.fillBlock(nSeg, &blocks[step], reuseTopo)
+			tn, _, err := a.fillBlock(nSeg, &blocks[step], reuseTopo)
 			if err != nil {
 				return 0, err
 			}
 			costs[step][0] = tn
-			geo[step] = vOff
 		} else {
 			// No more blocks: zero the kind so the daemon answers
 			// ComputeAllFinished after rotation.
@@ -328,7 +326,7 @@ func (a *Agent) runPipeline(di int, blocks []blockPlan, res *GenResult, reuseTop
 		// Thread.Upload: drain the u-chunk (two rotations behind).
 		if step >= 2 {
 			uSeg := p.mem[physSeg(roleU, p.rot)]
-			tu := a.drainBlock(uSeg, &blocks[step-2], geo[step-2], res)
+			tu := a.drainBlock(uSeg, &blocks[step-2], res)
 			costs[step-2][2] += tu
 		}
 		// Exchange finished: rotate n→c→u→n on both sides.
@@ -370,21 +368,26 @@ func (a *Agent) runPipeline(di int, blocks []blockPlan, res *GenResult, reuseTop
 	// memory otherwise eliminates.
 	total := simtime.SequentialMakespan(costs)
 	for i := range blocks {
-		blockBytes := int64(len(blocks[i].trips)) +
-			int64(len(blocks[i].ids))*int64(4+8*a.alg.AttrWidth())
-		total += 2 * simtime.TimeFor(float64(blockBytes), memcpyRate)
+		l := a.layout(&blocks[i])
+		total += 2 * simtime.TimeFor(float64(l.acc-l.trips), memcpyRate)
 	}
 	return total, nil
+}
+
+// layout is the byte map of block bp's Gen block.
+func (a *Agent) layout(bp *blockPlan) genLayout {
+	return layGen(int64(len(bp.trips)/tripletBytes), int64(len(bp.ids)), int64(a.alg.AttrWidth()), int64(a.alg.MsgWidth()))
 }
 
 // fillBlock materializes one block into a segment: ensures fresh source
 // attributes (cache-aware), then encodes the header, the planned triplet
 // section (one copy), the vertex ids and each vertex's attribute row
 // straight from the vertex table (zeros for a vertex this node holds no
-// copy of). Returns the download-stage cost and the block geometry for
-// draining. With reuseTopo the triplet copy still happens for real
-// (segments rotate), but only the attribute bytes are charged: the daemon
-// already holds this topology from the previous iteration.
+// copy of). Returns the download-stage cost and the block's vertex count
+// and payload bytes. With reuseTopo the triplet copy still happens for
+// real (segments rotate), but only the id and attribute bytes are
+// charged: the daemon already holds this topology from the previous
+// iteration.
 func (a *Agent) fillBlock(seg []byte, bp *blockPlan, reuseTopo bool) (time.Duration, [2]int, error) {
 	var cost time.Duration
 	// Rows to refresh: every vertex the block references that exists in
@@ -398,10 +401,11 @@ func (a *Agent) fillBlock(seg []byte, bp *blockPlan, reuseTopo bool) (time.Durat
 	a.fillRows = rows
 	cost += a.ensureRows(rows)
 	aw := a.alg.AttrWidth()
-	attrSec, payload, err := encodeGenBlock(seg, bp.trips, bp.ids, aw, a.alg.MsgWidth(), reuseTopo)
+	l, err := encodeGenBlock(seg, bp.trips, bp.ids, aw, a.alg.MsgWidth(), reuseTopo)
 	if err != nil {
 		return 0, [2]int{}, err
 	}
+	attrSec := seg[l.attrs:l.acc]
 	for i, r := range bp.rows {
 		if row := attrSec[i*8*aw : (i+1)*8*aw]; r >= 0 {
 			putF64s(row, a.vt.Row(int(r)))
@@ -409,39 +413,38 @@ func (a *Agent) fillBlock(seg []byte, bp *blockPlan, reuseTopo bool) (time.Durat
 			clear(row)
 		}
 	}
-	moved := payload
+	moved := l.acc
 	if reuseTopo {
-		moved = len(bp.ids) * (4 + 8*aw)
+		moved = l.acc - l.ids
 	}
 	cost += simtime.TimeFor(float64(moved), memcpyRate)
-	return cost, [2]int{len(bp.ids), payload}, nil
+	return cost, [2]int{len(bp.ids), int(l.acc)}, nil
 }
 
 // drainBlock reads one computed block's results out of the u-chunk and
 // merges them into the node-level result, returning the upload-stage cost.
-func (a *Agent) drainBlock(seg []byte, bp *blockPlan, geo [2]int, res *GenResult) time.Duration {
-	nV, resultOff := geo[0], geo[1]
+func (a *Agent) drainBlock(seg []byte, bp *blockPlan, res *GenResult) time.Duration {
+	l := a.layout(bp)
 	mw := a.alg.MsgWidth()
-	acc := grow(&a.drainAcc, nV*mw)
-	recv := grow(&a.drainRcv, nV)
-	readGenResultInto(seg, resultOff, acc, recv)
-	clearKind(seg)
-
+	accSec := seg[l.acc:l.recv]
+	msg := grow(&a.drainMsg, mw)
 	var localMsgs, remoteMsgs int
-	for r := 0; r < nV; r++ {
-		if !recv[r] {
+	for r, recv := range seg[l.recv:l.end] {
+		if recv == 0 {
 			continue
 		}
+		getF64s(msg, accSec[r*8*mw:])
 		id := bp.ids[r]
-		res.Add(id, acc[r*mw:(r+1)*mw])
+		res.Add(id, msg)
 		if int(a.parts.Owner[id]) == a.node.ID {
 			localMsgs++
 		} else {
 			remoteMsgs++
 		}
 	}
-	resultBytes := int64(nV*mw*8 + nV)
-	cost := simtime.TimeFor(float64(resultBytes), memcpyRate)
+	clearKind(seg)
+
+	cost := simtime.TimeFor(float64(l.end-l.acc), memcpyRate)
 	msgBytes := func(n int) int64 { return int64(n) * RowBytes(mw) }
 	// Remote-bound messages always cross into the upper system for
 	// routing. Local messages round-trip only when caching is off (the
@@ -495,7 +498,8 @@ func (a *Agent) RequestMerge(res *GenResult, incoming *MsgBuf) error {
 
 	p := a.daemons[0] // merge is cheap; one daemon suffices
 	seg := p.mem[physSeg(roleC, p.rot)]
-	if _, err := encodeMergeBlock(seg, local.Acc(), incoming.Acc(), mw); err != nil {
+	l, err := encodeMergeBlock(seg, local.Acc(), incoming.Acc(), mw)
+	if err != nil {
 		return err
 	}
 	typ, payload, err := a.requestDaemon(p, msgMerge, nil)
@@ -505,7 +509,7 @@ func (a *Agent) RequestMerge(res *GenResult, incoming *MsgBuf) error {
 	if typ != msgDone {
 		return fmt.Errorf("gxplug: merge: unexpected reply %d", typ)
 	}
-	readMergeResultInto(seg, local.Acc())
+	getF64s(local.Acc(), seg[l.a:l.b])
 	clearKind(seg)
 
 	dc := decodeCost(payload)
@@ -564,35 +568,24 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 		return out, nil
 	}
 
-	ids := grow(&sc.ids, len(sel))
-	rows := grow(&sc.rows, len(sel))
-	attrs := grow(&sc.attrs, len(sel)*aw)
-	msgs := grow(&sc.msgs, len(sel)*mw)
-	recv := grow(&sc.recv, len(sel))
-	for i, mi := range sel {
-		ids[i] = a.part.Masters[mi]
-		rows[i] = mi
-		recv[i] = local.Recv(int32(mi))
-		copy(msgs[i*mw:(i+1)*mw], local.Row(int32(mi)))
-	}
-	cost := a.ensureRows(rows)
-	for i, r := range rows {
-		copy(attrs[i*aw:(i+1)*aw], a.vt.Row(r))
-	}
+	cost := a.ensureRows(sel) // master index i is vertex-table row i
 
 	// Split contiguous ranges over daemons by capacity; daemons run in
-	// parallel, pay the slowest.
+	// parallel, pay the slowest. Each span is written straight into its
+	// daemon's segment and written back from there once applied. A span's
+	// write-back writes only its own masters' rows, and an eviction it
+	// triggers copies a row out without changing it, so every span encodes
+	// the rows it would have encoded before any write-back.
 	var worst time.Duration
+	a.pushIDs, a.pushRows = a.pushIDs[:0], a.pushRows[:0]
 	for di, sp := range a.splitByRate(len(sel)) {
 		if sp.lo == sp.hi {
 			continue
 		}
-		n := sp.hi - sp.lo
 		p := a.daemons[di]
 		seg := p.mem[physSeg(roleC, p.rot)]
-		if _, err := encodeApplyBlock(seg, ids[sp.lo:sp.hi],
-			attrs[sp.lo*aw:sp.hi*aw], aw, msgs[sp.lo*mw:sp.hi*mw], mw,
-			recv[sp.lo:sp.hi]); err != nil {
+		l, err := a.encodeApply(seg, sel[sp.lo:sp.hi], local)
+		if err != nil {
 			return nil, err
 		}
 		typ, payload, err := a.requestDaemon(p, msgApply, nil)
@@ -602,34 +595,55 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 		if typ != msgDone {
 			return nil, fmt.Errorf("gxplug: apply: unexpected reply %d", typ)
 		}
-		spanChanged := grow(&sc.spanChanged, n)
-		readApplyResultInto(seg, n, aw, mw, attrs[sp.lo*aw:sp.hi*aw], spanChanged)
-		clearKind(seg)
 		dc := decodeCost(payload)
 		a.stats.DeviceTime += dc
-		if dc+2*queueMsgOverhead > worst {
-			worst = dc + 2*queueMsgOverhead
-		}
-		for i := sp.lo; i < sp.hi; i++ {
-			if spanChanged[i-sp.lo] {
-				out.Changed[sel[i]] = true
-			}
-		}
+		worst = max(worst, dc+2*queueMsgOverhead)
+		a.writeBack(seg, l, sel[sp.lo:sp.hi], out)
+		clearKind(seg)
 	}
 	cost += worst
+	if len(a.pushIDs) > 0 {
+		cost += a.pushAttrs(a.pushIDs, a.pushRows)
+	}
+	cost += simtime.TimeFor(float64(len(sel)*(aw+mw)*8), memcpyRate)
+	a.charge(cost)
+	return out, nil
+}
 
-	// Write results back into the vertex table; upload per policy. A row
-	// counts as written if any bit moved — MSGApply's boolean only drives
-	// the activity frontier (e.g. PageRank keeps sub-tolerance rank drift
-	// without reactivating the vertex).
-	pushIDs := a.pushIDs[:0]
-	pushRows := a.pushRows[:0]
-	for i, mi := range sel {
-		row := attrs[i*aw : (i+1)*aw]
-		old := a.vt.Row(rows[i])
+// encodeApply writes the apply batch of the masters in span into seg:
+// their ids, their vertex-table rows, and their merged messages and
+// receive flags from local.
+func (a *Agent) encodeApply(seg []byte, span []int, local *MsgBuf) (applyLayout, error) {
+	aw, mw := a.alg.AttrWidth(), a.alg.MsgWidth()
+	l, err := encodeApplyBlock(seg, len(span), aw, mw)
+	if err != nil {
+		return l, err
+	}
+	ids, attrs, msgs, recv := seg[l.ids:l.attrs], seg[l.attrs:l.msgs], seg[l.msgs:l.recv], seg[l.recv:l.changed]
+	for i, mi := range span {
+		binary.LittleEndian.PutUint32(ids[4*i:], uint32(a.part.Masters[mi]))
+		putF64s(attrs[i*8*aw:], a.vt.Row(mi))
+		putF64s(msgs[i*8*mw:], local.Row(int32(mi)))
+		recv[i] = b2u(local.Recv(int32(mi)))
+	}
+	return l, nil
+}
+
+// writeBack reads the applied rows and changed flags of the masters in
+// span out of seg into out and the vertex table, and uploads per policy:
+// marked dirty with caching, staged on pushIDs/pushRows without. A row
+// counts as written if any value moved — MSGApply's boolean only drives
+// the activity frontier (e.g. PageRank keeps sub-tolerance rank drift
+// without reactivating the vertex).
+func (a *Agent) writeBack(seg []byte, l applyLayout, span []int, out *ApplyResult) {
+	aw := a.alg.AttrWidth()
+	attrs, changed := seg[l.attrs:l.msgs], seg[l.changed:l.end]
+	for i, mi := range span {
+		out.Changed[mi] = changed[i] != 0
+		applied, old := attrs[i*8*aw:(i+1)*8*aw], a.vt.Row(mi)
 		wrote := false
-		for k := range row {
-			if row[k] != old[k] {
+		for k, v := range old {
+			if math.Float64frombits(binary.LittleEndian.Uint64(applied[8*k:])) != v {
 				wrote = true
 				break
 			}
@@ -638,12 +652,12 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 			continue
 		}
 		out.Wrote[mi] = true
-		copy(old, row)
+		getF64s(old, applied)
 		if out.Changed[mi] && !a.part.Internal[mi] {
 			out.LocalOnly = false
 		}
 		if a.opts.Caching {
-			if a.store.Update(rows[i]) {
+			if a.store.Update(mi) {
 				// The row stayed resident: its upload really was deferred.
 				a.stats.LazySkipped++
 			} else {
@@ -651,21 +665,14 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 				// Not counted as lazily skipped — the insertion can evict
 				// (and spill) another dirty row, i.e. this write-back paid
 				// cache traffic instead of deferring an upload.
-				a.admit(rows[i])
-				a.store.Update(rows[i])
+				a.admit(mi)
+				a.store.Update(mi)
 			}
 		} else {
-			pushIDs = append(pushIDs, ids[i])
-			pushRows = append(pushRows, row...)
+			a.pushIDs = append(a.pushIDs, a.part.Masters[mi])
+			a.pushRows = append(a.pushRows, old...)
 		}
 	}
-	a.pushIDs, a.pushRows = pushIDs, pushRows
-	if len(pushIDs) > 0 {
-		cost += a.pushAttrs(pushIDs, pushRows)
-	}
-	cost += simtime.TimeFor(float64(len(sel)*(aw+mw)*8), memcpyRate)
-	a.charge(cost)
-	return out, nil
 }
 
 // UploadQueried implements the agent side of lazy uploading (§III-B2b):

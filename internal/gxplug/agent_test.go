@@ -593,9 +593,9 @@ func TestBuildBlocksCutsAndPairs(t *testing.T) {
 			want := 0
 			for r := 0; r < a.vt.Len(); r++ {
 				if rng.Intn(4) > 0 {
-					s, e := a.mt.EdgeRange(r)
+					re := a.part.RowEdges[r]
 					rows = append(rows, r)
-					want += e - s
+					want += int(re[1] - re[0])
 				}
 			}
 			blockEdges := 1 + rng.Intn(7)

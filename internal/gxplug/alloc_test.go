@@ -232,20 +232,20 @@ func TestAgentSetupSharesLayout(t *testing.T) {
 			return NewAgent(cluster.New(2, cluster.DatacenterNet()).Node(0), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
 		}
 		a, b := newAgent(), newAgent()
-		if a.et.Len() == 0 || &a.et[0] != &b.et[0] || &a.et[0] != &part.Parts[0].Edges[0] {
+		if len(a.part.Edges) == 0 || &a.part.Edges[0] != &b.part.Edges[0] || &a.part.Edges[0] != &part.Parts[0].Edges[0] {
 			t.Errorf("%s: agents hold private copies of the edge table", name)
 		}
-		if &a.mt[0] != &b.mt[0] {
+		if &a.part.RowEdges[0] != &b.part.RowEdges[0] {
 			t.Errorf("%s: agents hold private copies of the mapping table", name)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		c := newAgent()
 		runtime.ReadMemStats(&after)
-		edgeBytes := uint64(c.et.Len()) * 16
+		edgeBytes := uint64(len(c.part.Edges)) * 16
 		if got := after.TotalAlloc - before.TotalAlloc; got > edgeBytes/4 {
 			t.Errorf("%s: NewAgent allocated %d bytes over %d rows and %d edges (%d bytes of edges)",
-				name, got, c.vt.Len(), c.et.Len(), edgeBytes)
+				name, got, c.vt.Len(), len(c.part.Edges), edgeBytes)
 		}
 	}
 }

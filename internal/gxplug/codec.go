@@ -10,16 +10,22 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"gxplug/internal/graph"
 )
 
 // The codec serializes vertex/edge blocks into shared-memory segments —
 // the "data packager" of §IV-B1: bit-level layout, no reflection, space
-// reserved for the daemon's results so no second buffer is needed. A Gen
-// block's triplets are bytes end to end: the agent plans them in wire form
-// (putTriplet), its encoder copies the planned section into the segment in
-// one move, and the daemon's kernel reads them where they lie.
+// reserved for the daemon's results so no second buffer is needed. Each
+// block kind has one byte map (genLayout, applyLayout, mergeLayout),
+// computed from its header counts; the encoder, the decoder, the daemon's
+// result writes and the agent's result reads all take their offsets from
+// it. A Gen block's triplets are bytes end to end: the agent plans them in
+// wire form (putTriplet), its encoder copies the planned section into the
+// segment in one move, and the daemon's kernel reads them where they lie.
+// The daemon's cost travels in its reply (encodeCost), never in a block.
 
 const (
 	blockKindGen   = 0xB10C0001
@@ -52,68 +58,107 @@ func putTriplet(t []byte, src, dst graph.VertexID, srcRow, dstRow int32, w float
 // maxBlockDim bounds every count decoded from a segment header. Real
 // blocks are orders of magnitude smaller; the bound exists so that a
 // corrupted header claiming 2^32-scale geometry cannot overflow the
-// size arithmetic below (always performed in int64, so the guarantee
+// layout arithmetic below (always performed in int64, so the guarantee
 // holds on 32-bit platforms too) and slip past the truncation checks.
 const maxBlockDim = 1 << 28
 
-// dimsOK reports whether every decoded count is a plausible block
-// dimension.
-func dimsOK(dims ...int) bool {
-	for _, d := range dims {
-		if d < 0 || d > maxBlockDim {
-			return false
+// genLayout is a Gen block's byte map. Each field is the offset at which
+// a section starts; the section ends where the next one starts.
+//
+//	header  kind, nT, nV, attrW, msgW, resident (u32 each)    agent
+//	trips   nT wire-form triplets                             agent
+//	ids     nV vertex ids (u32)                               agent
+//	attrs   nV rows of attrW f64                              agent
+//	acc     nV rows of msgW f64: the merged messages          daemon
+//	recv    nV bytes: 1 where row r received a message        daemon
+//	end
+//
+// The payload is [0, acc): what the agent ships. [acc, end) is the result
+// area the daemon writes and the agent drains.
+type genLayout struct{ trips, ids, attrs, acc, recv, end int64 }
+
+func layGen(nT, nV, attrW, msgW int64) genLayout {
+	var l genLayout
+	l.trips = 6 * 4
+	l.ids = l.trips + nT*tripletBytes
+	l.attrs = l.ids + nV*4
+	l.acc = l.attrs + nV*attrW*8
+	l.recv = l.acc + nV*msgW*8
+	l.end = l.recv + nV
+	return l
+}
+
+// applyLayout is an Apply block's byte map, in the same form.
+//
+//	header   kind, n, attrW, msgW (u32 each)                  agent
+//	ids      n vertex ids (u32)                               agent
+//	attrs    n rows of attrW f64; MSGApply's rows overwrite   agent, then daemon
+//	msgs     n rows of msgW f64: each vertex's merged message agent
+//	recv     n bytes: 1 where the vertex received a message   agent
+//	changed  n bytes: MSGApply's result                       daemon
+//	end
+type applyLayout struct{ ids, attrs, msgs, recv, changed, end int64 }
+
+func layApply(n, attrW, msgW int64) applyLayout {
+	var l applyLayout
+	l.ids = 4 * 4
+	l.attrs = l.ids + n*4
+	l.msgs = l.attrs + n*attrW*8
+	l.recv = l.msgs + n*msgW*8
+	l.changed = l.recv + n
+	l.end = l.changed + n
+	return l
+}
+
+// mergeLayout is a Merge block's byte map.
+//
+//	header  kind, rows, msgW (u32 each)                       agent
+//	a       rows of msgW f64; the merged rows overwrite       agent, then daemon
+//	b       rows of msgW f64, folded into a                   agent
+//	end
+type mergeLayout struct{ a, b, end int64 }
+
+func layMerge(rows, msgW int64) mergeLayout {
+	var l mergeLayout
+	l.a = 3 * 4
+	l.b = l.a + rows*msgW*8
+	l.end = l.b + rows*msgW*8
+	return l
+}
+
+// readHeader checks that seg opens with a block header of the given kind,
+// words u32 long, and returns the words after the kind word. The first
+// dims of them are block dimensions, each at most maxBlockDim.
+func readHeader(seg []byte, kind uint32, name string, words, dims int) (h [5]int64, err error) {
+	if len(seg) < 4*words {
+		return h, fmt.Errorf("gxplug: %s block header truncated (%d bytes)", name, len(seg))
+	}
+	if k := binary.LittleEndian.Uint32(seg); k != kind {
+		return h, fmt.Errorf("gxplug: segment kind %#x, want %s block", k, name)
+	}
+	for i := range words - 1 {
+		h[i] = int64(binary.LittleEndian.Uint32(seg[4+4*i:]))
+	}
+	for _, d := range h[:dims] {
+		if d > maxBlockDim {
+			return h, implausible(name, h[:dims])
 		}
 	}
-	return true
+	return h, nil
 }
 
-// genBlockSize64 returns the segment bytes needed for a Gen block with
-// result area. Decoders use the int64 form so that hostile header
-// counts (bounded by maxBlockDim) cannot overflow even where int is 32
-// bits.
-func genBlockSize64(nTriplets, nVerts, attrW, msgW int64) int64 {
-	header := int64(6 * 4)
-	trips := nTriplets * tripletBytes
-	ids := nVerts * 4
-	attrs := nVerts * attrW * 8
-	acc := nVerts * msgW * 8
-	recv := nVerts
-	cost := int64(8)
-	return header + trips + ids + attrs + acc + recv + cost
+// implausible reports a header whose geometry no block has.
+func implausible(name string, dims []int64) error {
+	s := make([]string, len(dims))
+	for i, d := range dims {
+		s[i] = strconv.FormatInt(d, 10)
+	}
+	return fmt.Errorf("gxplug: implausible %s block geometry %s", name, strings.Join(s, "/"))
 }
 
-// genBlockSize is the trusted-geometry form used on encode paths.
-func genBlockSize(nTriplets, nVerts, attrW, msgW int) int {
-	return int(genBlockSize64(int64(nTriplets), int64(nVerts), int64(attrW), int64(msgW)))
-}
-
-// applyBlockSize64 returns the segment bytes for an Apply block (int64
-// for the same reason as genBlockSize64).
-func applyBlockSize64(nVerts, attrW, msgW int64) int64 {
-	header := int64(4 * 4)
-	ids := nVerts * 4
-	attrs := nVerts * attrW * 8
-	msgs := nVerts * msgW * 8
-	recv := nVerts
-	changed := nVerts
-	cost := int64(8)
-	return header + ids + attrs + msgs + recv + changed + cost
-}
-
-// applyBlockSize is the trusted-geometry form used on encode paths.
-func applyBlockSize(nVerts, attrW, msgW int) int {
-	return int(applyBlockSize64(int64(nVerts), int64(attrW), int64(msgW)))
-}
-
-// mergeBlockSize64 returns the segment bytes for a Merge block (int64
-// for the same reason as genBlockSize64).
-func mergeBlockSize64(rows, msgW int64) int64 {
-	return 3*4 + 2*rows*msgW*8 + 8
-}
-
-// mergeBlockSize is the trusted-geometry form used on encode paths.
-func mergeBlockSize(rows, msgW int) int {
-	return int(mergeBlockSize64(int64(rows), int64(msgW)))
+// needs reports a segment too small for the block about to be encoded.
+func needs(name string, end int64, seg []byte) error {
+	return fmt.Errorf("gxplug: %s block needs %d bytes, segment has %d", name, end, len(seg))
 }
 
 // blockScratch is the decode target of one daemon: the decoders copy a
@@ -137,87 +182,58 @@ type blockScratch struct {
 	recv  []bool
 }
 
-type cursor struct {
-	buf []byte
-	off int
-}
-
-func (c *cursor) u32(v uint32) {
-	binary.LittleEndian.PutUint32(c.buf[c.off:], v)
-	c.off += 4
-}
-func (c *cursor) f64(v float64) {
-	binary.LittleEndian.PutUint64(c.buf[c.off:], math.Float64bits(v))
-	c.off += 8
-}
-func (c *cursor) u64(v uint64) {
-	binary.LittleEndian.PutUint64(c.buf[c.off:], v)
-	c.off += 8
-}
-func (c *cursor) b(v byte) {
-	c.buf[c.off] = v
-	c.off++
-}
-
-func (c *cursor) rdU32() uint32 {
-	v := binary.LittleEndian.Uint32(c.buf[c.off:])
-	c.off += 4
-	return v
-}
-func (c *cursor) rdF64() float64 {
-	v := math.Float64frombits(binary.LittleEndian.Uint64(c.buf[c.off:]))
-	c.off += 8
-	return v
-}
-func (c *cursor) rdU64() uint64 {
-	v := binary.LittleEndian.Uint64(c.buf[c.off:])
-	c.off += 8
-	return v
-}
-func (c *cursor) rdB() byte {
-	v := c.buf[c.off]
-	c.off++
-	return v
-}
-
-// encodeGenBlock writes a Gen block's header, its wire-form triplet
-// section trips (one copy) and its vertex ids into seg. It returns the
-// block's attribute section, which the caller fills with len(ids) rows of
-// attrW values (putF64s), and the number of payload bytes (excluding the
-// reserved result area). resident marks the topology as already held by
-// the daemon from the previous iteration, so only attribute bytes move
-// across the device link.
-func encodeGenBlock(seg, trips []byte, ids []graph.VertexID, attrW, msgW int, resident bool) (attrSec []byte, payload int, err error) {
-	nT := len(trips) / tripletBytes
-	need := genBlockSize(nT, len(ids), attrW, msgW)
-	if need > len(seg) {
-		return nil, 0, fmt.Errorf("gxplug: gen block needs %d bytes, segment has %d", need, len(seg))
-	}
-	c := &cursor{buf: seg}
-	c.u32(blockKindGen)
-	c.u32(uint32(nT))
-	c.u32(uint32(len(ids)))
-	c.u32(uint32(attrW))
-	c.u32(uint32(msgW))
-	if resident {
-		c.u32(1)
-	} else {
-		c.u32(0)
-	}
-	c.off += copy(seg[c.off:], trips[:nT*tripletBytes])
-	for _, id := range ids {
-		c.u32(uint32(id))
-	}
-	payload = c.off + len(ids)*attrW*8
-	return seg[c.off:payload], payload, nil
-}
-
 // putF64s writes vals little-endian into dst (8*len(vals) bytes).
 func putF64s(dst []byte, vals []float64) {
 	dst = dst[:8*len(vals)]
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
 	}
+}
+
+// getF64s reads len(dst) little-endian values from src into dst.
+func getF64s(dst []float64, src []byte) {
+	src = src[:8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+// putBools writes one byte per flag into dst: 1 for true, 0 for false.
+func putBools(dst []byte, flags []bool) {
+	dst = dst[:len(flags)]
+	for i, f := range flags {
+		dst[i] = b2u(f)
+	}
+}
+
+func b2u(f bool) byte {
+	if f {
+		return 1
+	}
+	return 0
+}
+
+// encodeGenBlock writes a Gen block's header, its wire-form triplet
+// section trips (one copy) and its vertex ids into seg, and returns the
+// block's layout: the caller fills the attribute section with len(ids)
+// rows of attrW values (putF64s). resident marks the topology as already
+// held by the daemon from the previous iteration, so only attribute bytes
+// move across the device link.
+func encodeGenBlock(seg, trips []byte, ids []graph.VertexID, attrW, msgW int, resident bool) (genLayout, error) {
+	nT := len(trips) / tripletBytes
+	l := layGen(int64(nT), int64(len(ids)), int64(attrW), int64(msgW))
+	if l.end > int64(len(seg)) {
+		return l, needs("gen", l.end, seg)
+	}
+	for i, w := range [...]uint32{blockKindGen, uint32(nT), uint32(len(ids)), uint32(attrW), uint32(msgW), uint32(b2u(resident))} {
+		binary.LittleEndian.PutUint32(seg[4*i:], w)
+	}
+	copy(seg[l.trips:l.ids], trips)
+	idSec := seg[l.ids:l.attrs]
+	for i, id := range ids {
+		binary.LittleEndian.PutUint32(idSec[4*i:], uint32(id))
+	}
+	return l, nil
 }
 
 // genBlock is a Gen block as the daemon's kernel sees it: the triplet
@@ -230,7 +246,7 @@ type genBlock struct {
 	attrs       []float64 // nV rows of attrW values
 	attrW, msgW int
 	resident    bool
-	resultOff   int
+	at          genLayout
 }
 
 // decodeGenBlock validates a Gen block's header and geometry against the
@@ -240,239 +256,119 @@ type genBlock struct {
 // triplets' rows are not checked here: the kernel checks each one as it
 // reads it (genKernel.chunk).
 func decodeGenBlock(seg []byte, sc *blockScratch) (genBlock, error) {
-	if len(seg) < 6*4 {
-		return genBlock{}, fmt.Errorf("gxplug: gen block header truncated (%d bytes)", len(seg))
+	h, err := readHeader(seg, blockKindGen, "gen", 6, 4)
+	if err != nil {
+		return genBlock{}, err
 	}
-	c := &cursor{buf: seg}
-	if kind := c.rdU32(); kind != blockKindGen {
-		return genBlock{}, fmt.Errorf("gxplug: segment kind %#x, want gen block", kind)
-	}
-	nT := int(c.rdU32())
-	nV := int(c.rdU32())
-	attrW := int(c.rdU32())
-	msgW := int(c.rdU32())
-	resident := c.rdU32() != 0
-	if !dimsOK(nT, nV, attrW, msgW) {
-		return genBlock{}, fmt.Errorf("gxplug: implausible gen block geometry %d/%d/%d/%d", nT, nV, attrW, msgW)
-	}
-	if genBlockSize64(int64(nT), int64(nV), int64(attrW), int64(msgW)) > int64(len(seg)) {
+	l := layGen(h[0], h[1], h[2], h[3])
+	if l.end > int64(len(seg)) {
 		return genBlock{}, fmt.Errorf("gxplug: truncated gen block")
 	}
-	b := genBlock{nV: nV, attrW: attrW, msgW: msgW, resident: resident}
-	b.trips = seg[c.off : c.off+nT*tripletBytes : c.off+nT*tripletBytes]
-	c.off += nT*tripletBytes + nV*4 // the vertex ids stay in the segment
-	b.attrs = grow(&sc.attrs, nV*attrW)
-	for i := range b.attrs {
-		b.attrs[i] = c.rdF64()
-	}
-	b.resultOff = c.off
+	b := genBlock{nV: int(h[1]), attrW: int(h[2]), msgW: int(h[3]), resident: h[4] != 0, at: l}
+	b.trips = seg[l.trips:l.ids:l.ids] // the vertex ids stay in the segment
+	b.attrs = grow(&sc.attrs, b.nV*b.attrW)
+	getF64s(b.attrs, seg[l.attrs:l.acc])
 	return b, nil
 }
 
-// writeGenResult stores the daemon's accumulator, receive flags and
-// device cost at the reserved offset.
-func writeGenResult(seg []byte, resultOff int, acc []float64, recv []bool, costNanos uint64) {
-	c := &cursor{buf: seg, off: resultOff}
-	for _, v := range acc {
-		c.f64(v)
+// encodeApplyBlock writes the header of an apply batch of n vertices and
+// returns its layout; the caller writes the ids, attribute rows, merged
+// messages and receive flags into their sections.
+func encodeApplyBlock(seg []byte, n, attrW, msgW int) (applyLayout, error) {
+	l := layApply(int64(n), int64(attrW), int64(msgW))
+	if l.end > int64(len(seg)) {
+		return l, needs("apply", l.end, seg)
 	}
-	for _, r := range recv {
-		if r {
-			c.b(1)
-		} else {
-			c.b(0)
-		}
+	for i, w := range [...]uint32{blockKindApply, uint32(n), uint32(attrW), uint32(msgW)} {
+		binary.LittleEndian.PutUint32(seg[4*i:], w)
 	}
-	c.u64(costNanos)
+	return l, nil
 }
 
-// readGenResultInto extracts the daemon's results: acc and recv supply
-// the geometry the caller encoded (len(acc) = nVerts*msgW, len(recv) =
-// nVerts) and receive the results.
-func readGenResultInto(seg []byte, resultOff int, acc []float64, recv []bool) (costNanos uint64) {
-	c := &cursor{buf: seg, off: resultOff}
-	for i := range acc {
-		acc[i] = c.rdF64()
-	}
-	for i := range recv {
-		recv[i] = c.rdB() != 0
-	}
-	return c.rdU64()
-}
-
-// encodeApplyBlock writes an apply batch: vertex rows with their merged
-// messages and receive flags.
-func encodeApplyBlock(seg []byte, ids []graph.VertexID, attrs []float64, attrW int, msgs []float64, msgW int, recv []bool) (int, error) {
-	need := applyBlockSize(len(ids), attrW, msgW)
-	if need > len(seg) {
-		return 0, fmt.Errorf("gxplug: apply block needs %d bytes, segment has %d", need, len(seg))
-	}
-	c := &cursor{buf: seg}
-	c.u32(blockKindApply)
-	c.u32(uint32(len(ids)))
-	c.u32(uint32(attrW))
-	c.u32(uint32(msgW))
-	for _, id := range ids {
-		c.u32(uint32(id))
-	}
-	for _, v := range attrs {
-		c.f64(v)
-	}
-	for _, v := range msgs {
-		c.f64(v)
-	}
-	for _, r := range recv {
-		if r {
-			c.b(1)
-		} else {
-			c.b(0)
-		}
-	}
-	return c.off, nil
+// applyBlock is an apply batch as the daemon's kernel sees it, copied out
+// of the segment into the daemon's scratch.
+type applyBlock struct {
+	ids         []graph.VertexID
+	attrs, msgs []float64
+	recv        []bool
+	attrW, msgW int
+	at          applyLayout
 }
 
 // decodeApplyBlock reads an apply batch on the daemon side into sc, under
 // the same grow-after-validation rule as decodeGenBlock.
-func decodeApplyBlock(seg []byte, sc *blockScratch) (ids []graph.VertexID, attrs []float64, attrW int, msgs []float64, msgW int, recv []bool, resultOff int, err error) {
-	if len(seg) < 4*4 {
-		return nil, nil, 0, nil, 0, nil, 0, fmt.Errorf("gxplug: apply block header truncated (%d bytes)", len(seg))
+func decodeApplyBlock(seg []byte, sc *blockScratch) (applyBlock, error) {
+	h, err := readHeader(seg, blockKindApply, "apply", 4, 3)
+	if err != nil {
+		return applyBlock{}, err
 	}
-	c := &cursor{buf: seg}
-	if kind := c.rdU32(); kind != blockKindApply {
-		return nil, nil, 0, nil, 0, nil, 0, fmt.Errorf("gxplug: segment kind %#x, want apply block", kind)
+	l := layApply(h[0], h[1], h[2])
+	if l.end > int64(len(seg)) {
+		return applyBlock{}, fmt.Errorf("gxplug: truncated apply block")
 	}
-	n := int(c.rdU32())
-	attrW = int(c.rdU32())
-	msgW = int(c.rdU32())
-	if !dimsOK(n, attrW, msgW) {
-		return nil, nil, 0, nil, 0, nil, 0, fmt.Errorf("gxplug: implausible apply block geometry %d/%d/%d", n, attrW, msgW)
+	n := int(h[0])
+	b := applyBlock{attrW: int(h[1]), msgW: int(h[2]), at: l}
+	b.ids = grow(&sc.ids, n)
+	idSec := seg[l.ids:l.attrs]
+	for i := range b.ids {
+		b.ids[i] = graph.VertexID(binary.LittleEndian.Uint32(idSec[4*i:]))
 	}
-	if applyBlockSize64(int64(n), int64(attrW), int64(msgW)) > int64(len(seg)) {
-		return nil, nil, 0, nil, 0, nil, 0, fmt.Errorf("gxplug: truncated apply block")
+	b.attrs = grow(&sc.attrs, n*b.attrW)
+	getF64s(b.attrs, seg[l.attrs:l.msgs])
+	b.msgs = grow(&sc.msgs, n*b.msgW)
+	getF64s(b.msgs, seg[l.msgs:l.recv])
+	b.recv = grow(&sc.recv, n)
+	for i, f := range seg[l.recv:l.changed] {
+		b.recv[i] = f != 0
 	}
-	ids = grow(&sc.ids, n)
-	for i := range ids {
-		ids[i] = graph.VertexID(c.rdU32())
-	}
-	attrs = grow(&sc.attrs, n*attrW)
-	for i := range attrs {
-		attrs[i] = c.rdF64()
-	}
-	msgs = grow(&sc.msgs, n*msgW)
-	for i := range msgs {
-		msgs[i] = c.rdF64()
-	}
-	recv = grow(&sc.recv, n)
-	for i := range recv {
-		recv[i] = c.rdB() != 0
-	}
-	return ids, attrs, attrW, msgs, msgW, recv, c.off, nil
+	return b, nil
 }
 
-// writeApplyResult stores updated attributes in place plus changed flags
-// and cost. attrOff is where the attribute array began in the segment.
-func writeApplyResult(seg []byte, attrOff int, attrs []float64, resultOff int, changed []bool, costNanos uint64) {
-	c := &cursor{buf: seg, off: attrOff}
-	for _, v := range attrs {
-		c.f64(v)
-	}
-	c = &cursor{buf: seg, off: resultOff}
-	for _, ch := range changed {
-		if ch {
-			c.b(1)
-		} else {
-			c.b(0)
-		}
-	}
-	c.u64(costNanos)
-}
-
-// readApplyResultInto extracts updated attributes and changed flags on
-// the agent side into attrs (n*attrW) and changed (n). The layout mirrors
-// encodeApplyBlock.
-func readApplyResultInto(seg []byte, n, attrW, msgW int, attrs []float64, changed []bool) (costNanos uint64) {
-	attrOff := 4*4 + n*4
-	c := &cursor{buf: seg, off: attrOff}
-	for i := range attrs {
-		attrs[i] = c.rdF64()
-	}
-	resultOff := applyBlockSize(n, attrW, msgW) - n - 8
-	c = &cursor{buf: seg, off: resultOff}
-	for i := range changed {
-		changed[i] = c.rdB() != 0
-	}
-	return c.rdU64()
-}
-
-// encodeMergeBlock writes two accumulator arrays for a daemon-side merge.
-func encodeMergeBlock(seg []byte, accA, accB []float64, msgW int) (int, error) {
+// encodeMergeBlock writes two accumulator arrays for a daemon-side merge
+// and returns the block's layout.
+func encodeMergeBlock(seg []byte, accA, accB []float64, msgW int) (mergeLayout, error) {
 	if len(accA) != len(accB) || msgW <= 0 || len(accA)%msgW != 0 {
-		return 0, fmt.Errorf("gxplug: merge block geometry %d/%d width %d", len(accA), len(accB), msgW)
+		return mergeLayout{}, fmt.Errorf("gxplug: merge block geometry %d/%d width %d", len(accA), len(accB), msgW)
 	}
 	rows := len(accA) / msgW
-	if mergeBlockSize(rows, msgW) > len(seg) {
-		return 0, fmt.Errorf("gxplug: merge block needs %d bytes, segment has %d", mergeBlockSize(rows, msgW), len(seg))
+	l := layMerge(int64(rows), int64(msgW))
+	if l.end > int64(len(seg)) {
+		return l, needs("merge", l.end, seg)
 	}
-	c := &cursor{buf: seg}
-	c.u32(blockKindMerge)
-	c.u32(uint32(rows))
-	c.u32(uint32(msgW))
-	for _, v := range accA {
-		c.f64(v)
+	for i, w := range [...]uint32{blockKindMerge, uint32(rows), uint32(msgW)} {
+		binary.LittleEndian.PutUint32(seg[4*i:], w)
 	}
-	for _, v := range accB {
-		c.f64(v)
-	}
-	return c.off, nil
+	putF64s(seg[l.a:l.b], accA)
+	putF64s(seg[l.b:l.end], accB)
+	return l, nil
+}
+
+// mergeBlock is a merge block as the daemon's kernel sees it: both
+// accumulators, copied out of the segment into the daemon's scratch.
+type mergeBlock struct {
+	a, b []float64 // rows of msgW values each
+	msgW int
+	at   mergeLayout
 }
 
 // decodeMergeBlock reads the two accumulators on the daemon side into sc,
 // under the same grow-after-validation rule as decodeGenBlock.
-func decodeMergeBlock(seg []byte, sc *blockScratch) (accA, accB []float64, msgW, resultOff int, err error) {
-	if len(seg) < 3*4 {
-		return nil, nil, 0, 0, fmt.Errorf("gxplug: merge block header truncated (%d bytes)", len(seg))
+func decodeMergeBlock(seg []byte, sc *blockScratch) (mergeBlock, error) {
+	h, err := readHeader(seg, blockKindMerge, "merge", 3, 2)
+	if err == nil && h[1] == 0 {
+		err = implausible("merge", h[:2])
 	}
-	c := &cursor{buf: seg}
-	if kind := c.rdU32(); kind != blockKindMerge {
-		return nil, nil, 0, 0, fmt.Errorf("gxplug: segment kind %#x, want merge block", kind)
+	if err != nil {
+		return mergeBlock{}, err
 	}
-	rows := int(c.rdU32())
-	msgW = int(c.rdU32())
-	if !dimsOK(rows, msgW) || msgW == 0 {
-		return nil, nil, 0, 0, fmt.Errorf("gxplug: implausible merge block geometry %d/%d", rows, msgW)
+	l := layMerge(h[0], h[1])
+	if l.end > int64(len(seg)) {
+		return mergeBlock{}, fmt.Errorf("gxplug: truncated merge block")
 	}
-	if mergeBlockSize64(int64(rows), int64(msgW)) > int64(len(seg)) {
-		return nil, nil, 0, 0, fmt.Errorf("gxplug: truncated merge block")
-	}
-	accA = grow(&sc.attrs, rows*msgW)
-	for i := range accA {
-		accA[i] = c.rdF64()
-	}
-	accB = grow(&sc.msgs, rows*msgW)
-	for i := range accB {
-		accB[i] = c.rdF64()
-	}
-	return accA, accB, msgW, c.off, nil
-}
-
-// writeMergeResult stores the merged accumulator over accA's slot.
-func writeMergeResult(seg []byte, merged []float64, costNanos uint64) {
-	c := &cursor{buf: seg, off: 3 * 4}
-	for _, v := range merged {
-		c.f64(v)
-	}
-	// Cost goes at the reserved tail.
-	tail := &cursor{buf: seg, off: 3*4 + 2*len(merged)*8}
-	tail.u64(costNanos)
-}
-
-// readMergeResultInto extracts the merged accumulator: merged supplies
-// the geometry (rows*msgW) and receives it.
-func readMergeResultInto(seg []byte, merged []float64) (costNanos uint64) {
-	c := &cursor{buf: seg, off: 3 * 4}
-	for i := range merged {
-		merged[i] = c.rdF64()
-	}
-	tail := &cursor{buf: seg, off: 3*4 + 2*len(merged)*8}
-	return tail.rdU64()
+	m := mergeBlock{msgW: int(h[1]), at: l}
+	m.a = grow(&sc.attrs, int(h[0]*h[1]))
+	getF64s(m.a, seg[l.a:l.b])
+	m.b = grow(&sc.msgs, int(h[0]*h[1]))
+	getF64s(m.b, seg[l.b:l.end])
+	return m, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"gxplug/internal/device"
@@ -116,9 +117,10 @@ func sameTriplets(a, b []triplet) bool {
 // FuzzCodecRoundTrip drives all three block codecs (gen, apply, merge)
 // with fuzz-derived geometry and payloads: encode into an exactly-sized
 // segment, decode, and require the bit-exact originals back, result
-// areas included. Each block is decoded twice — into a zero scratch and
-// into a dirty, previously larger one — and the two must agree: nothing
-// of an earlier block may show through a reused scratch.
+// areas included, and the oracle codec's bytes up to the block's end.
+// Each block is decoded twice — into a zero scratch and into a dirty,
+// previously larger one — and the two must agree: nothing of an earlier
+// block may show through a reused scratch.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte("gen-block-seed"))
 	f.Add([]byte("apply-block-seed"))
@@ -166,12 +168,13 @@ func fuzzGenRoundTrip(t *testing.T, r *fzr) {
 		vb.Attrs[i] = r.f64()
 	}
 
-	seg := make([]byte, genBlockSize(nT, nV, attrW, msgW))
+	l := layGen(int64(nT), int64(nV), int64(attrW), int64(msgW))
+	seg := make([]byte, l.end)
 	payload, err := encodeGenBlockWire(seg, eb, vb, msgW, resident)
 	if err != nil {
 		t.Fatalf("encode rejected exactly-sized segment: %v", err)
 	}
-	want := make([]byte, len(seg))
+	want := make([]byte, genBlockSize(nT, nV, attrW, msgW))
 	if wantPayload, err := encodeGenBlockOracle(want, eb, vb, msgW, resident); err != nil || wantPayload != payload ||
 		!bytes.Equal(seg[:payload], want[:payload]) {
 		t.Fatalf("wire encoder wrote %d bytes unlike the oracle encoder's (err %v)", payload, err)
@@ -181,17 +184,17 @@ func fuzzGenRoundTrip(t *testing.T, r *fzr) {
 		t.Fatalf("decode of valid block failed: %v", err)
 	}
 	d, err := decodeGenBlock(seg, dirtyScratch())
-	if err != nil || d.msgW != got.msgW || d.resident != got.resident || d.resultOff != got.resultOff || d.nV != got.nV ||
+	if err != nil || d.msgW != got.msgW || d.resident != got.resident || d.at != got.at || d.nV != got.nV ||
 		d.attrW != got.attrW || !bytes.Equal(d.trips, got.trips) || !bitsEq(d.attrs, got.attrs) {
 		t.Fatalf("gen decode through a dirty scratch differs from a fresh one (err %v)", err)
 	}
-	oeb, ovb, oMsgW, oRes, oOff, err := decodeGenBlockOracle(seg, &oracleScratch{})
-	if err != nil || got.msgW != oMsgW || got.resident != oRes || got.resultOff != oOff || got.nV != len(ovb.IDs) ||
+	oeb, ovb, oMsgW, oRes, oOff, err := decodeGenBlockOracle(want, &oracleScratch{})
+	if err != nil || got.msgW != oMsgW || got.resident != oRes || got.at.acc != int64(oOff) || got.nV != len(ovb.IDs) ||
 		got.attrW != ovb.Stride || !sameTriplets(tripletsOf(got.trips), oeb.Triplets) || !bitsEq(got.attrs, ovb.Attrs) {
 		t.Fatalf("gen decode disagrees with the oracle decoder (err %v)", err)
 	}
-	if got.resultOff != payload {
-		t.Fatalf("result offset %d, payload ended at %d", got.resultOff, payload)
+	if got.at != l || got.at.acc != int64(payload) {
+		t.Fatalf("layout %+v, encoded %+v, payload ended at %d", got.at, l, payload)
 	}
 	if got.msgW != msgW || got.resident != resident || len(got.trips) != nT*tripletBytes || got.nV != nV || got.attrW != attrW {
 		t.Fatal("geometry changed in round trip")
@@ -205,9 +208,9 @@ func fuzzGenRoundTrip(t *testing.T, r *fzr) {
 	if !bitsEq(got.attrs, vb.Attrs) {
 		t.Fatal("attrs changed in round trip")
 	}
-	resultOff := got.resultOff
 
-	// Result area: accumulator + receive flags + cost survive bit-exact.
+	// Result area, written as computeGen writes it: the oracle writer's
+	// bytes, and accumulator and receive flags back bit-exact.
 	acc := make([]float64, nV*msgW)
 	recv := make([]bool, nV)
 	for i := range acc {
@@ -216,12 +219,17 @@ func fuzzGenRoundTrip(t *testing.T, r *fzr) {
 	for i := range recv {
 		recv[i] = r.byte()&1 == 1
 	}
-	cost := uint64(r.u32())
-	writeGenResult(seg, resultOff, acc, recv, cost)
+	putF64s(seg[l.acc:l.recv], acc)
+	putBools(seg[l.recv:l.end], recv)
+	writeGenResultOracle(want, payload, acc, recv, 0)
+	if !bytes.Equal(seg, want[:l.end]) {
+		t.Fatal("result area differs from the oracle writer's")
+	}
 	gotAcc := make([]float64, nV*msgW)
 	gotRecv := make([]bool, nV)
-	if gotCost := readGenResultInto(seg, resultOff, gotAcc, gotRecv); gotCost != cost {
-		t.Fatalf("cost %d -> %d", cost, gotCost)
+	getF64s(gotAcc, seg[l.acc:l.recv])
+	for i, f := range seg[l.recv:l.end] {
+		gotRecv[i] = f != 0
 	}
 	if !bitsEq(gotAcc, acc) {
 		t.Fatal("accumulator changed in round trip")
@@ -254,33 +262,39 @@ func fuzzApplyRoundTrip(t *testing.T, r *fzr) {
 		recv[i] = r.byte()&1 == 1
 	}
 
-	seg := make([]byte, applyBlockSize(n, attrW, msgW))
-	payload, err := encodeApplyBlock(seg, ids, attrs, attrW, msgs, msgW, recv)
+	seg := make([]byte, layApply(int64(n), int64(attrW), int64(msgW)).end)
+	l, err := encodeApplyWire(seg, ids, attrs, attrW, msgs, msgW, recv)
 	if err != nil {
 		t.Fatalf("encode rejected exactly-sized segment: %v", err)
 	}
-	gotIDs, gotAttrs, gotAttrW, gotMsgs, gotMsgW, gotRecv, resultOff, err := decodeApplyBlock(seg, &blockScratch{})
+	want := make([]byte, applyBlockSize(n, attrW, msgW))
+	payload, err := encodeApplyBlockOracle(want, ids, attrs, attrW, msgs, msgW, recv)
+	if err != nil || int64(payload) != l.changed || !bytes.Equal(seg[:payload], want[:payload]) {
+		t.Fatalf("wire encoder wrote %d bytes unlike the oracle encoder's %d (err %v)", l.changed, payload, err)
+	}
+	got, err := decodeApplyBlock(seg, &blockScratch{})
 	if err != nil {
 		t.Fatalf("decode of valid block failed: %v", err)
 	}
-	dIDs, dAttrs, dAttrW, dMsgs, dMsgW, dRecv, dOff, err := decodeApplyBlock(seg, dirtyScratch())
-	if err != nil || dAttrW != gotAttrW || dMsgW != gotMsgW || dOff != resultOff || !sameIDs(dIDs, gotIDs) ||
-		!bitsEq(dAttrs, gotAttrs) || !bitsEq(dMsgs, gotMsgs) || !sameFlags(dRecv, gotRecv) {
+	d, err := decodeApplyBlock(seg, dirtyScratch())
+	if err != nil || d.attrW != got.attrW || d.msgW != got.msgW || d.at != got.at || !sameIDs(d.ids, got.ids) ||
+		!bitsEq(d.attrs, got.attrs) || !bitsEq(d.msgs, got.msgs) || !sameFlags(d.recv, got.recv) {
 		t.Fatalf("apply decode through a dirty scratch differs from a fresh one (err %v)", err)
 	}
-	if resultOff != payload || gotAttrW != attrW || gotMsgW != msgW || len(gotIDs) != n {
+	if got.at != l || got.attrW != attrW || got.msgW != msgW || len(got.ids) != n {
 		t.Fatal("geometry changed in round trip")
 	}
 	for i := range ids {
-		if gotIDs[i] != ids[i] || gotRecv[i] != recv[i] {
+		if got.ids[i] != ids[i] || got.recv[i] != recv[i] {
 			t.Fatalf("row %d changed", i)
 		}
 	}
-	if !bitsEq(gotAttrs, attrs) || !bitsEq(gotMsgs, msgs) {
+	if !bitsEq(got.attrs, attrs) || !bitsEq(got.msgs, msgs) {
 		t.Fatal("payload changed in round trip")
 	}
 
-	// Updated attributes + changed flags + cost.
+	// Updated attributes + changed flags, written as computeApply writes
+	// them: the oracle writer's bytes, and the values back bit-exact.
 	upd := make([]float64, n*attrW)
 	changed := make([]bool, n)
 	for i := range upd {
@@ -289,18 +303,19 @@ func fuzzApplyRoundTrip(t *testing.T, r *fzr) {
 	for i := range changed {
 		changed[i] = r.byte()&1 == 1
 	}
-	cost := uint64(r.u32())
-	writeApplyResult(seg, 4*4+n*4, upd, applyBlockSize(n, attrW, msgW)-n-8, changed, cost)
-	gotUpd := make([]float64, n*attrW)
-	gotChanged := make([]bool, n)
-	if gotCost := readApplyResultInto(seg, n, attrW, msgW, gotUpd, gotChanged); gotCost != cost {
-		t.Fatalf("cost %d -> %d", cost, gotCost)
+	putF64s(seg[l.attrs:l.msgs], upd)
+	putBools(seg[l.changed:l.end], changed)
+	writeApplyResultOracle(want, int(l.attrs), upd, payload, changed, 0)
+	if !bytes.Equal(seg, want[:l.end]) {
+		t.Fatal("apply result differs from the oracle writer's")
 	}
+	gotUpd := make([]float64, n*attrW)
+	getF64s(gotUpd, seg[l.attrs:l.msgs])
 	if !bitsEq(gotUpd, upd) {
 		t.Fatal("updated attrs changed in round trip")
 	}
-	for i := range changed {
-		if gotChanged[i] != changed[i] {
+	for i, f := range seg[l.changed:l.end] {
+		if (f != 0) != changed[i] {
 			t.Fatalf("changed flag %d lost", i)
 		}
 	}
@@ -317,32 +332,40 @@ func fuzzMergeRoundTrip(t *testing.T, r *fzr) {
 	for i := range accB {
 		accB[i] = r.f64()
 	}
-	seg := make([]byte, mergeBlockSize(rows, msgW))
-	if _, err := encodeMergeBlock(seg, accA, accB, msgW); err != nil {
+	seg := make([]byte, layMerge(int64(rows), int64(msgW)).end)
+	l, err := encodeMergeBlock(seg, accA, accB, msgW)
+	if err != nil {
 		t.Fatalf("encode rejected exactly-sized segment: %v", err)
 	}
-	gotA, gotB, gotMsgW, resultOff, err := decodeMergeBlock(seg, &blockScratch{})
+	want := make([]byte, mergeBlockSize(rows, msgW))
+	if payload, err := encodeMergeBlockOracle(want, accA, accB, msgW); err != nil || int64(payload) != l.end || !bytes.Equal(seg, want[:payload]) {
+		t.Fatalf("encoder wrote bytes unlike the oracle encoder's (err %v)", err)
+	}
+	got, err := decodeMergeBlock(seg, &blockScratch{})
 	if err != nil {
 		t.Fatalf("decode of valid block failed: %v", err)
 	}
-	dA, dB, dMsgW, dOff, err := decodeMergeBlock(seg, dirtyScratch())
-	if err != nil || dMsgW != gotMsgW || dOff != resultOff || !bitsEq(dA, gotA) || !bitsEq(dB, gotB) {
+	d, err := decodeMergeBlock(seg, dirtyScratch())
+	if err != nil || d.msgW != got.msgW || d.at != got.at || !bitsEq(d.a, got.a) || !bitsEq(d.b, got.b) {
 		t.Fatalf("merge decode through a dirty scratch differs from a fresh one (err %v)", err)
 	}
-	if gotMsgW != msgW || !bitsEq(gotA, accA) || !bitsEq(gotB, accB) {
+	if got.msgW != msgW || got.at != l || !bitsEq(got.a, accA) || !bitsEq(got.b, accB) {
 		t.Fatal("merge block changed in round trip")
 	}
 
+	// The merged accumulator, written as computeMerge writes it: the
+	// oracle writer's bytes, and the values back bit-exact.
 	merged := make([]float64, rows*msgW)
 	for i := range merged {
 		merged[i] = r.f64()
 	}
-	cost := uint64(r.u32())
-	writeMergeResult(seg, merged, cost)
-	gotMerged := make([]float64, rows*msgW)
-	if gotCost := readMergeResultInto(seg, gotMerged); gotCost != cost {
-		t.Fatalf("cost %d -> %d", cost, gotCost)
+	putF64s(seg[l.a:l.b], merged)
+	writeMergeResultOracle(want, merged, 0)
+	if !bytes.Equal(seg, want[:l.end]) {
+		t.Fatal("merge result differs from the oracle writer's")
 	}
+	gotMerged := make([]float64, rows*msgW)
+	getF64s(gotMerged, seg[l.a:l.b])
 	if !bitsEq(gotMerged, merged) {
 		t.Fatal("merged accumulator changed in round trip")
 	}
@@ -358,9 +381,11 @@ func scratchBytes(sc *blockScratch) int {
 // back as errors, never as panics or out-of-range reads. It is also the
 // guard on what sizes the daemon's scratch (the wiresize lint cannot see
 // through grow): a rejected block grows nothing, and an accepted one
-// nothing beyond the bytes it really occupies in the segment. A Gen block
-// the decoder accepts is computed (runHostileGen): its triplets' rows are
-// checked only as the kernel reads them.
+// nothing beyond the bytes it really occupies in the segment. Every block
+// a decoder accepts is computed: a Gen block's triplets' rows are checked
+// only as the kernel reads them (runHostileGen), and the daemon writes an
+// Apply or Merge block's results at offsets it takes from the block's
+// layout (runHostileApply, runHostileMerge).
 func FuzzCodecDecodeNoPanic(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("short"))
@@ -389,6 +414,17 @@ func FuzzCodecDecodeNoPanic(f *testing.F) {
 		}
 		f.Add(seg)
 	}
+	// Well-formed Apply and Merge blocks, sized by their layouts.
+	applySeg := make([]byte, layApply(3, 2, 1).end)
+	if _, err := encodeApplyWire(applySeg, []graph.VertexID{4, 5, 6}, []float64{1, 2, 3, 4, 5, 6}, 2, []float64{7, 8, 9}, 1, []bool{true, false, true}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(applySeg)
+	mergeSeg := make([]byte, layMerge(2, 2).end)
+	if _, err := encodeMergeBlock(mergeSeg, []float64{1, 2, 3, 4}, []float64{5, 6, 7, 8}, 2); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(mergeSeg)
 	empty := make([]byte, genBlockSize(1, 0, 1, maxBlockDim))
 	if _, err := encodeGenBlockOracle(empty, &edgeBlock{Triplets: make([]triplet, 1)}, &vertexBlock{Stride: 1}, maxBlockDim, false); err != nil {
 		f.Fatal(err)
@@ -408,10 +444,16 @@ func FuzzCodecDecodeNoPanic(f *testing.F) {
 		if err == nil {
 			runHostileGen(t, data)
 		}
-		_, _, _, _, _, _, _, err = decodeApplyBlock(data, &a)
+		_, err = decodeApplyBlock(data, &a)
 		check("apply", &a, err)
-		_, _, _, _, err = decodeMergeBlock(data, &m)
+		if err == nil {
+			runHostileApply(t, data)
+		}
+		_, err = decodeMergeBlock(data, &m)
 		check("merge", &m, err)
+		if err == nil {
+			runHostileMerge(t, data)
+		}
 	})
 }
 
@@ -465,7 +507,8 @@ func runHostileGen(t *testing.T, data []byte) {
 	d.gen.init(alg, d.cfg.ctx)
 	_, err := d.computeGen(seg)
 
-	eb, vb, msgW, _, resultOff, oerr := decodeGenBlockOracle(data, &oracleScratch{})
+	// The oracle's size check counts the deleted cost word.
+	eb, vb, msgW, _, resultOff, oerr := decodeGenBlockOracle(append(slices.Clip(data), make([]byte, 8)...), &oracleScratch{})
 	if oerr != nil {
 		t.Fatalf("oracle decoder rejects a block the decoder accepted: %v", oerr)
 	}
@@ -494,8 +537,63 @@ func runHostileGen(t *testing.T, data []byte) {
 		}
 	}
 	gotAcc, gotRecv := make([]float64, nV*msgW), make([]bool, nV)
-	readGenResultInto(seg, resultOff, gotAcc, gotRecv)
+	readGenResultIntoOracle(append(seg, make([]byte, 8)...), resultOff, gotAcc, gotRecv)
 	if !bitsEq(gotAcc, wantAcc) || !sameFlags(gotRecv, wantRecv) {
 		t.Fatal("computed Gen result differs from the per-triplet reference")
+	}
+	l := layGen(int64(len(eb.Triplets)), int64(nV), int64(vb.Stride), int64(msgW))
+	if !bytes.Equal(seg[:l.acc], data[:l.acc]) || !bytes.Equal(seg[l.end:], data[l.end:]) {
+		t.Fatal("computing the Gen block wrote outside its result area")
+	}
+}
+
+// hostileDaemon is a daemon over xorAlg whose scratch has seen a larger
+// block.
+func hostileDaemon() *daemonState {
+	alg := xorAlg{}
+	dev := device.New(device.Xeon20())
+	dev.Init()
+	return &daemonState{cfg: daemonConfig{dev: dev, alg: alg, ctx: &template.Context{}}, dec: *dirtyScratch()}
+}
+
+// runHostileApply computes an Apply block the decoder accepted. xorAlg's
+// MSGApply changes nothing and reports no change, so the segment must
+// come back as it went in, but for a changed section of zeros.
+func runHostileApply(t *testing.T, data []byte) {
+	t.Helper()
+	seg := bytes.Clone(data)
+	if _, err := hostileDaemon().computeApply(seg); err != nil {
+		t.Fatalf("apply block the decoder accepted: %v", err)
+	}
+	b, err := decodeApplyBlock(data, &blockScratch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(data)
+	clear(want[b.at.changed:b.at.end])
+	if !bytes.Equal(seg, want) {
+		t.Fatal("computed Apply block differs from the block with no vertex changed")
+	}
+}
+
+// runHostileMerge computes a Merge block the decoder accepted and holds
+// the segment to the per-row MSGMerge reference written over section a.
+func runHostileMerge(t *testing.T, data []byte) {
+	t.Helper()
+	seg := bytes.Clone(data)
+	if _, err := hostileDaemon().computeMerge(seg); err != nil {
+		t.Fatalf("merge block the decoder accepted: %v", err)
+	}
+	m, err := decodeMergeBlock(data, &blockScratch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < len(m.a)/m.msgW; r++ {
+		xorAlg{}.MSGMerge(m.a[r*m.msgW:(r+1)*m.msgW], m.b[r*m.msgW:(r+1)*m.msgW])
+	}
+	want := bytes.Clone(data)
+	putF64s(want[m.at.a:m.at.b], m.a)
+	if !bytes.Equal(seg, want) {
+		t.Fatal("computed Merge block differs from the per-row reference")
 	}
 }

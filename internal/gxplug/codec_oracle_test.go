@@ -2,13 +2,17 @@ package gxplug
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"gxplug/internal/algos"
 	"gxplug/internal/cluster"
+	"gxplug/internal/device"
 	"gxplug/internal/gen"
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug/template"
@@ -19,7 +23,10 @@ import (
 // encoder and the decoder that read every triplet back into a second slab.
 // A Gen block is bytes end to end now; these are kept verbatim (apart from
 // names, and the planner's slabs living on a holder of their own) as the
-// oracles the wire path is held to. Nothing outside the tests runs them.
+// oracles the wire path is held to. So is the cursor codec of the Apply
+// and Merge blocks and of every result area, with the size functions it
+// checked against: each block kind has one layout now, and its result area
+// no longer ends in a cost word. Nothing outside the tests runs them.
 
 // triplet is an edge together with the row indices of its endpoints in
 // the block's vertex rows.
@@ -151,11 +158,27 @@ func wireTriplets(eb *edgeBlock) []byte {
 // encodeGenBlockWire encodes eb and vb through the wire path: the planned
 // triplet section, then the attribute rows fillBlock writes.
 func encodeGenBlockWire(seg []byte, eb *edgeBlock, vb *vertexBlock, msgW int, resident bool) (int, error) {
-	attrSec, payload, err := encodeGenBlock(seg, wireTriplets(eb), vb.IDs, vb.Stride, msgW, resident)
+	l, err := encodeGenBlock(seg, wireTriplets(eb), vb.IDs, vb.Stride, msgW, resident)
 	if err == nil {
-		putF64s(attrSec, vb.Attrs)
+		putF64s(seg[l.attrs:l.acc], vb.Attrs)
 	}
-	return payload, err
+	return int(l.acc), err
+}
+
+// encodeApplyWire encodes an apply batch through the wire path: the
+// header, then each section as encodeApply writes it.
+func encodeApplyWire(seg []byte, ids []graph.VertexID, attrs []float64, attrW int, msgs []float64, msgW int, recv []bool) (applyLayout, error) {
+	l, err := encodeApplyBlock(seg, len(ids), attrW, msgW)
+	if err == nil {
+		idSec := seg[l.ids:l.attrs]
+		for i, id := range ids {
+			binary.LittleEndian.PutUint32(idSec[4*i:], uint32(id))
+		}
+		putF64s(seg[l.attrs:l.msgs], attrs)
+		putF64s(seg[l.msgs:l.recv], msgs)
+		putBools(seg[l.recv:l.changed], recv)
+	}
+	return l, err
 }
 
 // tripletsOf reads a wire-form triplet section back into values.
@@ -166,6 +189,345 @@ func tripletsOf(b []byte) []triplet {
 		out[i] = triplet{Src: graph.VertexID(c.rdU32()), Dst: graph.VertexID(c.rdU32()), SrcRow: c.rdI32(), DstRow: c.rdI32(), W: c.rdF64()}
 	}
 	return out
+}
+
+// dimsOK reports whether every decoded count is a plausible block
+// dimension.
+func dimsOK(dims ...int) bool {
+	for _, d := range dims {
+		if d < 0 || d > maxBlockDim {
+			return false
+		}
+	}
+	return true
+}
+
+// genBlockSize64 returns the segment bytes needed for a Gen block with
+// result area. Decoders use the int64 form so that hostile header
+// counts (bounded by maxBlockDim) cannot overflow even where int is 32
+// bits.
+func genBlockSize64(nTriplets, nVerts, attrW, msgW int64) int64 {
+	header := int64(6 * 4)
+	trips := nTriplets * tripletBytes
+	ids := nVerts * 4
+	attrs := nVerts * attrW * 8
+	acc := nVerts * msgW * 8
+	recv := nVerts
+	cost := int64(8)
+	return header + trips + ids + attrs + acc + recv + cost
+}
+
+// genBlockSize is the trusted-geometry form used on encode paths.
+func genBlockSize(nTriplets, nVerts, attrW, msgW int) int {
+	return int(genBlockSize64(int64(nTriplets), int64(nVerts), int64(attrW), int64(msgW)))
+}
+
+// applyBlockSize64 returns the segment bytes for an Apply block (int64
+// for the same reason as genBlockSize64).
+func applyBlockSize64(nVerts, attrW, msgW int64) int64 {
+	header := int64(4 * 4)
+	ids := nVerts * 4
+	attrs := nVerts * attrW * 8
+	msgs := nVerts * msgW * 8
+	recv := nVerts
+	changed := nVerts
+	cost := int64(8)
+	return header + ids + attrs + msgs + recv + changed + cost
+}
+
+// applyBlockSize is the trusted-geometry form used on encode paths.
+func applyBlockSize(nVerts, attrW, msgW int) int {
+	return int(applyBlockSize64(int64(nVerts), int64(attrW), int64(msgW)))
+}
+
+// mergeBlockSize64 returns the segment bytes for a Merge block (int64
+// for the same reason as genBlockSize64).
+func mergeBlockSize64(rows, msgW int64) int64 {
+	return 3*4 + 2*rows*msgW*8 + 8
+}
+
+// mergeBlockSize is the trusted-geometry form used on encode paths.
+func mergeBlockSize(rows, msgW int) int {
+	return int(mergeBlockSize64(int64(rows), int64(msgW)))
+}
+
+type cursor struct {
+	buf []byte
+	off int
+}
+
+func (c *cursor) u32(v uint32) {
+	binary.LittleEndian.PutUint32(c.buf[c.off:], v)
+	c.off += 4
+}
+func (c *cursor) f64(v float64) {
+	binary.LittleEndian.PutUint64(c.buf[c.off:], math.Float64bits(v))
+	c.off += 8
+}
+func (c *cursor) u64(v uint64) {
+	binary.LittleEndian.PutUint64(c.buf[c.off:], v)
+	c.off += 8
+}
+func (c *cursor) b(v byte) {
+	c.buf[c.off] = v
+	c.off++
+}
+
+func (c *cursor) rdU32() uint32 {
+	v := binary.LittleEndian.Uint32(c.buf[c.off:])
+	c.off += 4
+	return v
+}
+func (c *cursor) rdF64() float64 {
+	v := math.Float64frombits(binary.LittleEndian.Uint64(c.buf[c.off:]))
+	c.off += 8
+	return v
+}
+func (c *cursor) rdU64() uint64 {
+	v := binary.LittleEndian.Uint64(c.buf[c.off:])
+	c.off += 8
+	return v
+}
+func (c *cursor) rdB() byte {
+	v := c.buf[c.off]
+	c.off++
+	return v
+}
+
+// writeGenResultOracle stores the daemon's accumulator, receive flags and
+// device cost at the reserved offset.
+func writeGenResultOracle(seg []byte, resultOff int, acc []float64, recv []bool, costNanos uint64) {
+	c := &cursor{buf: seg, off: resultOff}
+	for _, v := range acc {
+		c.f64(v)
+	}
+	for _, r := range recv {
+		if r {
+			c.b(1)
+		} else {
+			c.b(0)
+		}
+	}
+	c.u64(costNanos)
+}
+
+// readGenResultIntoOracle extracts the daemon's results: acc and recv supply
+// the geometry the caller encoded (len(acc) = nVerts*msgW, len(recv) =
+// nVerts) and receive the results.
+func readGenResultIntoOracle(seg []byte, resultOff int, acc []float64, recv []bool) (costNanos uint64) {
+	c := &cursor{buf: seg, off: resultOff}
+	for i := range acc {
+		acc[i] = c.rdF64()
+	}
+	for i := range recv {
+		recv[i] = c.rdB() != 0
+	}
+	return c.rdU64()
+}
+
+// encodeApplyBlockOracle writes an apply batch: vertex rows with their merged
+// messages and receive flags.
+func encodeApplyBlockOracle(seg []byte, ids []graph.VertexID, attrs []float64, attrW int, msgs []float64, msgW int, recv []bool) (int, error) {
+	need := applyBlockSize(len(ids), attrW, msgW)
+	if need > len(seg) {
+		return 0, fmt.Errorf("gxplug: apply block needs %d bytes, segment has %d", need, len(seg))
+	}
+	c := &cursor{buf: seg}
+	c.u32(blockKindApply)
+	c.u32(uint32(len(ids)))
+	c.u32(uint32(attrW))
+	c.u32(uint32(msgW))
+	for _, id := range ids {
+		c.u32(uint32(id))
+	}
+	for _, v := range attrs {
+		c.f64(v)
+	}
+	for _, v := range msgs {
+		c.f64(v)
+	}
+	for _, r := range recv {
+		if r {
+			c.b(1)
+		} else {
+			c.b(0)
+		}
+	}
+	return c.off, nil
+}
+
+// decodeApplyBlockOracle reads an apply batch on the daemon side into sc, under
+// the same grow-after-validation rule as decodeGenBlock.
+func decodeApplyBlockOracle(seg []byte, sc *blockScratch) (ids []graph.VertexID, attrs []float64, attrW int, msgs []float64, msgW int, recv []bool, resultOff int, err error) {
+	if len(seg) < 4*4 {
+		return nil, nil, 0, nil, 0, nil, 0, fmt.Errorf("gxplug: apply block header truncated (%d bytes)", len(seg))
+	}
+	c := &cursor{buf: seg}
+	if kind := c.rdU32(); kind != blockKindApply {
+		return nil, nil, 0, nil, 0, nil, 0, fmt.Errorf("gxplug: segment kind %#x, want apply block", kind)
+	}
+	n := int(c.rdU32())
+	attrW = int(c.rdU32())
+	msgW = int(c.rdU32())
+	if !dimsOK(n, attrW, msgW) {
+		return nil, nil, 0, nil, 0, nil, 0, fmt.Errorf("gxplug: implausible apply block geometry %d/%d/%d", n, attrW, msgW)
+	}
+	if applyBlockSize64(int64(n), int64(attrW), int64(msgW)) > int64(len(seg)) {
+		return nil, nil, 0, nil, 0, nil, 0, fmt.Errorf("gxplug: truncated apply block")
+	}
+	ids = grow(&sc.ids, n)
+	for i := range ids {
+		ids[i] = graph.VertexID(c.rdU32())
+	}
+	attrs = grow(&sc.attrs, n*attrW)
+	for i := range attrs {
+		attrs[i] = c.rdF64()
+	}
+	msgs = grow(&sc.msgs, n*msgW)
+	for i := range msgs {
+		msgs[i] = c.rdF64()
+	}
+	recv = grow(&sc.recv, n)
+	for i := range recv {
+		recv[i] = c.rdB() != 0
+	}
+	return ids, attrs, attrW, msgs, msgW, recv, c.off, nil
+}
+
+// writeApplyResultOracle stores updated attributes in place plus changed flags
+// and cost. attrOff is where the attribute array began in the segment.
+func writeApplyResultOracle(seg []byte, attrOff int, attrs []float64, resultOff int, changed []bool, costNanos uint64) {
+	c := &cursor{buf: seg, off: attrOff}
+	for _, v := range attrs {
+		c.f64(v)
+	}
+	c = &cursor{buf: seg, off: resultOff}
+	for _, ch := range changed {
+		if ch {
+			c.b(1)
+		} else {
+			c.b(0)
+		}
+	}
+	c.u64(costNanos)
+}
+
+// readApplyResultIntoOracle extracts updated attributes and changed flags on
+// the agent side into attrs (n*attrW) and changed (n). The layout mirrors
+// encodeApplyBlockOracle.
+func readApplyResultIntoOracle(seg []byte, n, attrW, msgW int, attrs []float64, changed []bool) (costNanos uint64) {
+	attrOff := 4*4 + n*4
+	c := &cursor{buf: seg, off: attrOff}
+	for i := range attrs {
+		attrs[i] = c.rdF64()
+	}
+	resultOff := applyBlockSize(n, attrW, msgW) - n - 8
+	c = &cursor{buf: seg, off: resultOff}
+	for i := range changed {
+		changed[i] = c.rdB() != 0
+	}
+	return c.rdU64()
+}
+
+// encodeMergeBlockOracle writes two accumulator arrays for a daemon-side merge.
+func encodeMergeBlockOracle(seg []byte, accA, accB []float64, msgW int) (int, error) {
+	if len(accA) != len(accB) || msgW <= 0 || len(accA)%msgW != 0 {
+		return 0, fmt.Errorf("gxplug: merge block geometry %d/%d width %d", len(accA), len(accB), msgW)
+	}
+	rows := len(accA) / msgW
+	if mergeBlockSize(rows, msgW) > len(seg) {
+		return 0, fmt.Errorf("gxplug: merge block needs %d bytes, segment has %d", mergeBlockSize(rows, msgW), len(seg))
+	}
+	c := &cursor{buf: seg}
+	c.u32(blockKindMerge)
+	c.u32(uint32(rows))
+	c.u32(uint32(msgW))
+	for _, v := range accA {
+		c.f64(v)
+	}
+	for _, v := range accB {
+		c.f64(v)
+	}
+	return c.off, nil
+}
+
+// decodeMergeBlockOracle reads the two accumulators on the daemon side into sc,
+// under the same grow-after-validation rule as decodeGenBlock.
+func decodeMergeBlockOracle(seg []byte, sc *blockScratch) (accA, accB []float64, msgW, resultOff int, err error) {
+	if len(seg) < 3*4 {
+		return nil, nil, 0, 0, fmt.Errorf("gxplug: merge block header truncated (%d bytes)", len(seg))
+	}
+	c := &cursor{buf: seg}
+	if kind := c.rdU32(); kind != blockKindMerge {
+		return nil, nil, 0, 0, fmt.Errorf("gxplug: segment kind %#x, want merge block", kind)
+	}
+	rows := int(c.rdU32())
+	msgW = int(c.rdU32())
+	if !dimsOK(rows, msgW) || msgW == 0 {
+		return nil, nil, 0, 0, fmt.Errorf("gxplug: implausible merge block geometry %d/%d", rows, msgW)
+	}
+	if mergeBlockSize64(int64(rows), int64(msgW)) > int64(len(seg)) {
+		return nil, nil, 0, 0, fmt.Errorf("gxplug: truncated merge block")
+	}
+	accA = grow(&sc.attrs, rows*msgW)
+	for i := range accA {
+		accA[i] = c.rdF64()
+	}
+	accB = grow(&sc.msgs, rows*msgW)
+	for i := range accB {
+		accB[i] = c.rdF64()
+	}
+	return accA, accB, msgW, c.off, nil
+}
+
+// writeMergeResultOracle stores the merged accumulator over accA's slot.
+func writeMergeResultOracle(seg []byte, merged []float64, costNanos uint64) {
+	c := &cursor{buf: seg, off: 3 * 4}
+	for _, v := range merged {
+		c.f64(v)
+	}
+	// Cost goes at the reserved tail.
+	tail := &cursor{buf: seg, off: 3*4 + 2*len(merged)*8}
+	tail.u64(costNanos)
+}
+
+// readMergeResultIntoOracle extracts the merged accumulator: merged supplies
+// the geometry (rows*msgW) and receives it.
+func readMergeResultIntoOracle(seg []byte, merged []float64) (costNanos uint64) {
+	c := &cursor{buf: seg, off: 3 * 4}
+	for i := range merged {
+		merged[i] = c.rdF64()
+	}
+	tail := &cursor{buf: seg, off: 3*4 + 2*len(merged)*8}
+	return tail.rdU64()
+}
+
+// computeApplyOracle is computeApply before the Apply block had a layout,
+// verbatim apart from names: the cursor codec, the cost word included.
+func (d *daemonState) computeApplyOracle(seg []byte) (time.Duration, error) {
+	ids, attrs, attrW, msgs, msgW, recv, resultOff, err := decodeApplyBlockOracle(seg, &d.dec)
+	if err != nil {
+		return 0, err
+	}
+	alg, ctx := d.cfg.alg, d.cfg.ctx
+	n := len(ids)
+	changed := grow(&d.changed, n) // the kernel writes every element
+	// Vertices are disjoint: the kernel needs no partials.
+	cost, err := d.cfg.dev.Launch(n,
+		int64(resultOff), int64(n*attrW*8+n+8),
+		alg.Hints().OpsPerVertex,
+		func(start, end int) {
+			for i := start; i < end; i++ {
+				changed[i] = alg.MSGApply(ctx, ids[i],
+					attrs[i*attrW:(i+1)*attrW],
+					msgs[i*msgW:(i+1)*msgW], recv[i])
+			}
+		})
+	if err != nil {
+		return 0, err
+	}
+	writeApplyResultOracle(seg, 4*4+n*4, attrs, resultOff, changed, uint64(cost))
+	return cost, nil
 }
 
 // oraclePlan is one block of the Triplet-slab plan: its triplets, the
@@ -211,8 +573,8 @@ func (o *oraclePlanner) buildBlocks(rows []int, blockEdges int) []oraclePlan {
 	}
 	d := 0
 	for _, row := range rows {
-		s, e := a.mt.EdgeRange(row)
-		d += e - s
+		re := a.part.RowEdges[row]
+		d += int(re[1] - re[0])
 	}
 	// slices.Grow rather than grow: a frontier that widens every superstep
 	// regrows the slab every superstep, so the growth has to be amortized.
@@ -233,9 +595,8 @@ func (o *oraclePlanner) buildBlocks(rows []int, blockEdges int) []oraclePlan {
 		return int32(len(ids) - 1 - vLo)
 	}
 	for _, row := range rows {
-		s, e := a.mt.EdgeRange(row)
-		for i := s; i < e; i++ {
-			edge := a.et.At(i)
+		re := a.part.RowEdges[row]
+		for _, edge := range a.part.Edges[re[0]:re[1]] {
 			srcRow := local(edge.Src)
 			trips = append(trips, triplet{
 				Src: edge.Src, Dst: edge.Dst, W: edge.Weight,
@@ -363,5 +724,187 @@ func TestGenBlockBytesMatchOracle(t *testing.T) {
 	}
 	if blocks == 0 {
 		t.Fatal("no blocks compared")
+	}
+}
+
+// sameValues reports whether two rows hold the same values as the
+// write-back compares them: NaN equal to NaN, and -0 equal to +0.
+func sameValues(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// newTestDaemon is a daemon state of its own over a fresh initialized
+// device, for running a kernel on a segment outside the IPC protocol.
+func newTestDaemon(alg template.Algorithm, ctx *template.Context) *daemonState {
+	dev := device.New(device.Xeon20())
+	dev.Init()
+	return &daemonState{cfg: daemonConfig{dev: dev, alg: alg, ctx: ctx}}
+}
+
+// TestApplyMergeBytesMatchOracle holds the Apply and Merge blocks to the
+// cursor codec they replaced, over random geometries, in four steps: the
+// agent's encoder writes the oracle encoder's bytes; the daemon's kernel
+// leaves the segment as the oracle daemon leaves it, everywhere but the
+// deleted cost word, for the same charged cost; nothing is written past
+// the block's end; and what the agent reads back out of the segment is
+// what the oracle readers read.
+func TestApplyMergeBytesMatchOracle(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1, -1, 2}
+	spans := 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g, err := gen.ER(gen.ERConfig{NumVertices: 2 + rng.Intn(40), NumEdges: int64(rng.Intn(160)), Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var alg template.Algorithm = algos.NewPageRank()
+		if seed%2 == 1 {
+			alg = algos.NewLP() // wider rows
+		}
+		aw, mw := alg.AttrWidth(), alg.MsgWidth()
+		part := graph.EdgeCutByHash(g, 2)
+		ctx := testCtx(g)
+		opts := fastOpts()
+		opts.Caching = seed%3 != 0
+		a := NewAgent(cluster.New(2, cluster.DatacenterNet()).Node(1), part, alg, ctx, newFakeUpper(g, alg, ctx), opts)
+		nM := len(a.part.Masters)
+		if nM == 0 {
+			continue
+		}
+
+		// Apply: a random ascending span of masters over random rows and
+		// messages.
+		for i := range a.vt.Attrs() {
+			a.vt.Attrs()[i] = float64(rng.Intn(1000)) / 8
+		}
+		local := NewMsgBuf(alg, nM)
+		msg := make([]float64, mw)
+		for mi := 0; mi < nM; mi++ {
+			if rng.Intn(3) > 0 {
+				for k := range msg {
+					msg[k] = float64(rng.Intn(50))
+				}
+				local.Merge(int32(mi), msg)
+			}
+		}
+		var span []int
+		for mi := 0; mi < nM; mi++ {
+			if rng.Intn(4) > 0 {
+				span = append(span, mi)
+			}
+		}
+		n := len(span)
+		ids, attrs, msgs, recv := make([]graph.VertexID, n), make([]float64, n*aw), make([]float64, n*mw), make([]bool, n)
+		for i, mi := range span {
+			ids[i] = a.part.Masters[mi]
+			copy(attrs[i*aw:], a.vt.Row(mi))
+			copy(msgs[i*mw:], local.Row(int32(mi)))
+			recv[i] = local.Recv(int32(mi))
+		}
+		got, want := make([]byte, layApply(int64(n), int64(aw), int64(mw)).end+16), make([]byte, applyBlockSize(n, aw, mw)+16)
+		junk(got)
+		junk(want)
+		l, err := a.encodeApply(got, span, local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := encodeApplyBlockOracle(want, ids, attrs, aw, msgs, mw, recv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.changed != int64(payload) || !bytes.Equal(got[:payload], want[:payload]) {
+			t.Fatalf("seed %d: apply payload (%d bytes) differs from the oracle encoder's (%d)", seed, l.changed, payload)
+		}
+		costGot, err := newTestDaemon(alg, ctx).computeApply(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		costWant, err := newTestDaemon(alg, ctx).computeApplyOracle(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkResultArea(t, fmt.Sprintf("seed %d: apply", seed), got, want, l.end, costGot, costWant)
+		wantAttrs, wantChanged := make([]float64, n*aw), make([]bool, n)
+		readApplyResultIntoOracle(want, n, aw, mw, wantAttrs, wantChanged)
+		oldRows := slices.Clone(a.vt.Attrs())
+		out := &ApplyResult{Changed: make([]bool, nM), Wrote: make([]bool, nM)}
+		a.writeBack(got, l, span, out)
+		for i, mi := range span {
+			row := wantAttrs[i*aw : (i+1)*aw]
+			wrote := !sameValues(row, oldRows[mi*aw:(mi+1)*aw])
+			if out.Changed[mi] != wantChanged[i] || out.Wrote[mi] != wrote || !sameValues(a.vt.Row(mi), row) {
+				t.Fatalf("seed %d: master %d reads back changed %v wrote %v row %v; oracle %v %v %v",
+					seed, mi, out.Changed[mi], out.Wrote[mi], a.vt.Row(mi), wantChanged[i], wrote, row)
+			}
+		}
+
+		// Merge: two accumulators over every master, specials included.
+		accA, accB := make([]float64, nM*mw), make([]float64, nM*mw)
+		for i := range accA {
+			accA[i], accB[i] = special[rng.Intn(len(special))], rng.NormFloat64()
+		}
+		ml := layMerge(int64(nM), int64(mw))
+		got, want = make([]byte, ml.end+16), make([]byte, mergeBlockSize(nM, mw)+16)
+		junk(got)
+		junk(want)
+		if l, err := encodeMergeBlock(got, accA, accB, mw); err != nil || l != ml {
+			t.Fatalf("seed %d: merge layout %+v, want %+v (err %v)", seed, l, ml, err)
+		}
+		payload, err = encodeMergeBlockOracle(want, accA, accB, mw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ml.end != int64(payload) || !bytes.Equal(got[:payload], want[:payload]) {
+			t.Fatalf("seed %d: merge payload differs from the oracle encoder's", seed)
+		}
+		costGot, err = newTestDaemon(alg, ctx).computeMerge(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		costWant, err = newTestDaemon(alg, ctx).computeMergeOracle(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkResultArea(t, fmt.Sprintf("seed %d: merge", seed), got, want, ml.end, costGot, costWant)
+		merged, wantMerged := make([]float64, nM*mw), make([]float64, nM*mw)
+		getF64s(merged, got[ml.a:ml.b]) // as RequestMerge reads it
+		readMergeResultIntoOracle(want, wantMerged)
+		if !bitsEq(merged, wantMerged) {
+			t.Fatalf("seed %d: merged rows read back differ from the oracle reader's", seed)
+		}
+		spans++
+	}
+	if spans == 0 {
+		t.Fatal("no blocks compared")
+	}
+}
+
+// checkResultArea compares a segment the daemon computed with the one the
+// oracle daemon computed from the same block: the same bytes up to the
+// block's end, then the oracle's cost word, which must carry the cost the
+// daemon charged; past the end, got must hold the junk it was filled with.
+func checkResultArea(t *testing.T, name string, got, want []byte, end int64, costGot, costWant time.Duration) {
+	t.Helper()
+	if costGot != costWant {
+		t.Fatalf("%s: cost %v, oracle %v", name, costGot, costWant)
+	}
+	if !bytes.Equal(got[:end], want[:end]) {
+		t.Fatalf("%s: computed segment differs from the oracle's", name)
+	}
+	if c := binary.LittleEndian.Uint64(want[end:]); c != uint64(costWant) {
+		t.Fatalf("%s: oracle cost word %d, cost %d", name, c, costWant)
+	}
+	tail := make([]byte, len(got))
+	junk(tail)
+	if !bytes.Equal(got[end:], tail[end:]) {
+		t.Fatalf("%s: written past the block's end", name)
 	}
 }

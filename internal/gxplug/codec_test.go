@@ -20,7 +20,7 @@ func TestGenBlockRoundTrip(t *testing.T) {
 		IDs: []graph.VertexID{1, 2, 3}, Stride: 2,
 		Attrs: []float64{1, 2, 3, 4, 5, 6},
 	}
-	seg := make([]byte, genBlockSize(2, 3, 2, 1))
+	seg := make([]byte, layGen(2, 3, 2, 1).end)
 	payload, err := encodeGenBlockWire(seg, eb, vb, 1, false)
 	if err != nil {
 		t.Fatal(err)
@@ -29,8 +29,8 @@ func TestGenBlockRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.msgW != 1 || b.resultOff != payload || b.resident {
-		t.Fatalf("mw=%d resultOff=%d payload=%d resident=%v", b.msgW, b.resultOff, payload, b.resident)
+	if b.msgW != 1 || b.at.acc != int64(payload) || b.resident {
+		t.Fatalf("mw=%d result area at %d payload=%d resident=%v", b.msgW, b.at.acc, payload, b.resident)
 	}
 	if !reflect.DeepEqual(tripletsOf(b.trips), eb.Triplets) || b.nV != 3 || b.attrW != 2 || !reflect.DeepEqual(b.attrs, vb.Attrs) {
 		t.Fatal("gen block round trip mismatch")
@@ -39,20 +39,31 @@ func TestGenBlockRoundTrip(t *testing.T) {
 
 func TestGenBlockTooSmall(t *testing.T) {
 	seg := make([]byte, 16)
-	if _, _, err := encodeGenBlock(seg, make([]byte, 10*tripletBytes), make([]graph.VertexID, 5), 1, 1, false); err == nil {
+	if _, err := encodeGenBlock(seg, make([]byte, 10*tripletBytes), make([]graph.VertexID, 5), 1, 1, false); err == nil {
 		t.Fatal("undersized segment accepted")
 	}
 }
 
+// The Gen result area as computeGen writes it and drainBlock reads it:
+// the oracle codec's bytes up to the block's end, and the values back.
 func TestGenResultRoundTrip(t *testing.T) {
-	seg := make([]byte, genBlockSize(0, 2, 1, 3))
+	l := layGen(0, 2, 1, 3)
+	seg, want := make([]byte, l.end), make([]byte, genBlockSize(0, 2, 1, 3))
 	acc := []float64{1, 2, 3, 4, 5, math.Inf(1)}
 	recv := []bool{true, false}
-	writeGenResult(seg, 10, acc, recv, 12345)
+	putF64s(seg[l.acc:l.recv], acc)
+	putBools(seg[l.recv:l.end], recv)
+	writeGenResultOracle(want, int(l.acc), acc, recv, 12345)
+	if !reflect.DeepEqual(seg, want[:l.end]) {
+		t.Fatal("result area differs from the oracle writer's")
+	}
 	acc2, recv2 := make([]float64, 2*3), make([]bool, 2)
-	cost := readGenResultInto(seg, 10, acc2, recv2)
-	if !reflect.DeepEqual(acc, acc2) || !reflect.DeepEqual(recv, recv2) || cost != 12345 {
-		t.Fatalf("result round trip: %v %v %d", acc2, recv2, cost)
+	getF64s(acc2, seg[l.acc:l.recv])
+	for i, f := range seg[l.recv:l.end] {
+		recv2[i] = f != 0
+	}
+	if !reflect.DeepEqual(acc, acc2) || !reflect.DeepEqual(recv, recv2) {
+		t.Fatalf("result round trip: %v %v", acc2, recv2)
 	}
 }
 
@@ -61,52 +72,56 @@ func TestApplyBlockRoundTrip(t *testing.T) {
 	attrs := []float64{1, 2, 3, 4}
 	msgs := []float64{9, 8}
 	recv := []bool{true, false}
-	seg := make([]byte, applyBlockSize(2, 2, 1))
-	if _, err := encodeApplyBlock(seg, ids, attrs, 2, msgs, 1, recv); err != nil {
-		t.Fatal(err)
-	}
-	ids2, attrs2, aw, msgs2, mw, recv2, resultOff, err := decodeApplyBlock(seg, &blockScratch{})
+	seg := make([]byte, applyBlockSize(2, 2, 1)) // room for the oracle reader's cost word
+	l, err := encodeApplyWire(seg, ids, attrs, 2, msgs, 1, recv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aw != 2 || mw != 1 {
-		t.Fatalf("widths %d/%d", aw, mw)
+	b, err := decodeApplyBlock(seg, &blockScratch{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ids, ids2) || !reflect.DeepEqual(attrs, attrs2) ||
-		!reflect.DeepEqual(msgs, msgs2) || !reflect.DeepEqual(recv, recv2) {
+	if b.attrW != 2 || b.msgW != 1 || b.at != l {
+		t.Fatalf("widths %d/%d, layout %+v, encoded %+v", b.attrW, b.msgW, b.at, l)
+	}
+	if !reflect.DeepEqual(ids, b.ids) || !reflect.DeepEqual(attrs, b.attrs) ||
+		!reflect.DeepEqual(msgs, b.msgs) || !reflect.DeepEqual(recv, b.recv) {
 		t.Fatal("apply block round trip mismatch")
 	}
-	// Write results, read them back.
+	// Write results as computeApply does, read them back with the oracle.
 	newAttrs := []float64{10, 20, 30, 40}
 	changed := []bool{false, true}
-	writeApplyResult(seg, 4*4+2*4, newAttrs, resultOff, changed, 777)
+	putF64s(seg[l.attrs:l.msgs], newAttrs)
+	putBools(seg[l.changed:l.end], changed)
 	gotAttrs, gotChanged := make([]float64, 2*2), make([]bool, 2)
-	cost := readApplyResultInto(seg, 2, 2, 1, gotAttrs, gotChanged)
-	if !reflect.DeepEqual(gotAttrs, newAttrs) || !reflect.DeepEqual(gotChanged, changed) || cost != 777 {
-		t.Fatalf("apply result round trip: %v %v %d", gotAttrs, gotChanged, cost)
+	readApplyResultIntoOracle(seg, 2, 2, 1, gotAttrs, gotChanged)
+	if !reflect.DeepEqual(gotAttrs, newAttrs) || !reflect.DeepEqual(gotChanged, changed) {
+		t.Fatalf("apply result round trip: %v %v", gotAttrs, gotChanged)
 	}
 }
 
 func TestMergeBlockRoundTrip(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	b := []float64{5, 6, 7, 8}
-	seg := make([]byte, mergeBlockSize(2, 2))
-	if _, err := encodeMergeBlock(seg, a, b, 2); err != nil {
-		t.Fatal(err)
-	}
-	a2, b2, mw, _, err := decodeMergeBlock(seg, &blockScratch{})
+	seg := make([]byte, mergeBlockSize(2, 2)) // room for the oracle reader's cost word
+	l, err := encodeMergeBlock(seg, a, b, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mw != 2 || !reflect.DeepEqual(a, a2) || !reflect.DeepEqual(b, b2) {
+	m, err := decodeMergeBlock(seg, &blockScratch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.msgW != 2 || m.at != l || !reflect.DeepEqual(a, m.a) || !reflect.DeepEqual(b, m.b) {
 		t.Fatal("merge block round trip mismatch")
 	}
+	// Write the result as computeMerge does, read it back with the oracle.
 	merged := []float64{6, 8, 10, 12}
-	writeMergeResult(seg, merged, 55)
+	putF64s(seg[l.a:l.b], merged)
 	got := make([]float64, 2*2)
-	cost := readMergeResultInto(seg, got)
-	if !reflect.DeepEqual(got, merged) || cost != 55 {
-		t.Fatalf("merge result: %v %d", got, cost)
+	readMergeResultIntoOracle(seg, got)
+	if !reflect.DeepEqual(got, merged) {
+		t.Fatalf("merge result: %v", got)
 	}
 }
 
@@ -126,10 +141,10 @@ func TestDecodeWrongKind(t *testing.T) {
 	if _, err := decodeGenBlock(seg, &blockScratch{}); err == nil {
 		t.Fatal("wrong kind accepted by gen decode")
 	}
-	if _, _, _, _, _, _, _, err := decodeApplyBlock(seg, &blockScratch{}); err == nil {
+	if _, err := decodeApplyBlock(seg, &blockScratch{}); err == nil {
 		t.Fatal("wrong kind accepted by apply decode")
 	}
-	if _, _, _, _, err := decodeMergeBlock(seg, &blockScratch{}); err == nil {
+	if _, err := decodeMergeBlock(seg, &blockScratch{}); err == nil {
 		t.Fatal("wrong kind accepted by merge decode")
 	}
 }

@@ -170,7 +170,7 @@ type daemonState struct {
 	dec     blockScratch
 	gen     genKernel
 	changed []bool
-	costBuf [8]byte
+	costBuf [costBytes]byte
 }
 
 // detach drops the daemon's own segment attachments — on every exit path
@@ -426,31 +426,35 @@ func (d *daemonState) computeGen(seg []byte) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	bytesIn := int64(b.resultOff)
+	l := b.at
+	bytesIn := l.acc
 	if b.resident {
-		// Topology already on the device: only attributes cross the link.
-		bytesIn = int64(b.nV * (4 + 8*b.attrW))
+		// Topology already on the device: only ids and attributes cross
+		// the link.
+		bytesIn = l.acc - l.ids
 	}
-	bytesOut := int64(b.nV*b.msgW*8 + b.nV)
-	cost, err := d.gen.launch(d.cfg.dev, b, bytesIn, bytesOut)
+	cost, err := d.gen.launch(d.cfg.dev, b, bytesIn, l.end-l.acc)
 	if err != nil {
 		return 0, err
 	}
-	writeGenResult(seg, b.resultOff, d.gen.acc, d.gen.recv, uint64(cost))
+	putF64s(seg[l.acc:l.recv], d.gen.acc)
+	putBools(seg[l.recv:l.end], d.gen.recv)
 	return cost, nil
 }
 
 func (d *daemonState) computeApply(seg []byte) (time.Duration, error) {
-	ids, attrs, attrW, msgs, msgW, recv, resultOff, err := decodeApplyBlock(seg, &d.dec)
+	b, err := decodeApplyBlock(seg, &d.dec)
 	if err != nil {
 		return 0, err
 	}
-	alg, ctx := d.cfg.alg, d.cfg.ctx
+	alg, ctx, l := d.cfg.alg, d.cfg.ctx, b.at
+	ids, attrs, msgs, recv, attrW, msgW := b.ids, b.attrs, b.msgs, b.recv, b.attrW, b.msgW
 	n := len(ids)
 	changed := grow(&d.changed, n) // the kernel writes every element
-	// Vertices are disjoint: the kernel needs no partials.
+	// Vertices are disjoint: the kernel needs no partials. What comes back
+	// is the applied rows, the changed flags and the reply's cost word.
 	cost, err := d.cfg.dev.Launch(n,
-		int64(resultOff), int64(n*attrW*8+n+8),
+		l.changed, (l.msgs-l.attrs)+(l.end-l.changed)+costBytes,
 		alg.Hints().OpsPerVertex,
 		func(start, end int) {
 			for i := start; i < end; i++ {
@@ -462,19 +466,20 @@ func (d *daemonState) computeApply(seg []byte) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	writeApplyResult(seg, 4*4+n*4, attrs, resultOff, changed, uint64(cost))
+	putF64s(seg[l.attrs:l.msgs], attrs)
+	putBools(seg[l.changed:l.end], changed)
 	return cost, nil
 }
 
 func (d *daemonState) computeMerge(seg []byte) (time.Duration, error) {
-	accA, accB, msgW, _, err := decodeMergeBlock(seg, &d.dec)
+	m, err := decodeMergeBlock(seg, &d.dec)
 	if err != nil {
 		return 0, err
 	}
-	alg, op := d.cfg.alg, d.cfg.alg.Hints().Merge
-	rows := len(accA) / msgW
-	cost, err := d.cfg.dev.Launch(rows,
-		int64(len(accA)+len(accB))*8, int64(len(accA))*8,
+	alg, op, l := d.cfg.alg, d.cfg.alg.Hints().Merge, m.at
+	accA, accB, msgW := m.a, m.b, m.msgW
+	cost, err := d.cfg.dev.Launch(len(accA)/msgW,
+		l.end-l.a, l.b-l.a,
 		float64(msgW),
 		func(start, end int) {
 			// A declared operator works per element, so a run of rows folds
@@ -494,6 +499,6 @@ func (d *daemonState) computeMerge(seg []byte) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	writeMergeResult(seg, accA, uint64(cost))
+	putF64s(seg[l.a:l.b], accA)
 	return cost, nil
 }

@@ -53,16 +53,21 @@ const (
 	roleU = 2 // holding results for Thread.Upload
 )
 
+// costBytes is the size of the cost word a block operation's reply
+// carries: the operation's virtual device time, the only place the cost
+// travels.
+const costBytes = 8
+
 // encodeCost packs a duration into buf for a response payload (the queue
 // copies it on send, so the daemon reuses one buffer).
-func encodeCost(buf *[8]byte, d time.Duration) []byte {
+func encodeCost(buf *[costBytes]byte, d time.Duration) []byte {
 	binary.LittleEndian.PutUint64(buf[:], uint64(d))
 	return buf[:]
 }
 
 // decodeCost unpacks a response payload.
 func decodeCost(p []byte) time.Duration {
-	if len(p) < 8 {
+	if len(p) < costBytes {
 		return 0
 	}
 	return time.Duration(binary.LittleEndian.Uint64(p))

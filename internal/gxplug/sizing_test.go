@@ -68,7 +68,7 @@ func TestSegmentFitsEveryBlock(t *testing.T) {
 
 func checkSegmentFit(t *testing.T, name string, a *Agent, rng *rand.Rand) {
 	t.Helper()
-	E := a.et.Len()
+	E := len(a.part.Edges)
 	aw, mw := a.alg.AttrWidth(), a.alg.MsgWidth()
 	seg := a.daemons[0].segs[0].Size()
 	if seg != a.segmentSize() {
@@ -90,7 +90,7 @@ func checkSegmentFit(t *testing.T, name string, a *Agent, rng *rand.Rand) {
 	// edges, and random subsets of every density.
 	var withEdges []int
 	for r := 0; r < a.vt.Len(); r++ {
-		if s, e := a.mt.EdgeRange(r); e > s {
+		if re := a.part.RowEdges[r]; re[1] > re[0] {
 			withEdges = append(withEdges, r)
 		}
 	}
@@ -112,21 +112,21 @@ func checkSegmentFit(t *testing.T, name string, a *Agent, rng *rand.Rand) {
 	for _, rows := range frontiers {
 		d := 0
 		for _, r := range rows {
-			s, e := a.mt.EdgeRange(r)
-			d += e - s
+			re := a.part.RowEdges[r]
+			d += int(re[1] - re[0])
 		}
 		if d == 0 {
 			continue
 		}
 		for bi, bp := range a.buildBlocks(rows, a.chooseBlockSize(d)) {
-			need := genBlockSize(len(bp.trips)/tripletBytes, len(bp.ids), aw, mw)
+			need := int(a.layout(&bp).end)
 			if need > seg {
 				t.Fatalf("%s: block %d of a %d-edge frontier needs %d bytes, segment has %d", name, bi, d, need, seg)
 			}
 			largest = max(largest, need)
 		}
 	}
-	largest = max(largest, applyBlockSize(a.vt.Len()+1, aw, mw), mergeBlockSize(len(a.part.Masters)+1, mw))
+	largest = max(largest, int(layApply(int64(a.vt.Len()+1), int64(aw), int64(mw)).end), int(layMerge(int64(len(a.part.Masters)+1), int64(mw)).end))
 	if seg > 4*largest {
 		t.Errorf("%s: segment of %d bytes for blocks of at most %d (edge table: %d edges)", name, seg, largest, E)
 	}
