@@ -55,7 +55,7 @@ type CheckpointState struct {
 // state, the storage write is charged and barriered, and the captured
 // state goes to the sink. The cut cost is part of the run's virtual
 // time — live and resumed runs both pay it identically.
-func (r *runner) checkpoint(iter int, carry *gasCarry, changedAny bool) error {
+func (r *runner) checkpoint(iter int, changedAny bool) error {
 	before := r.cl.MaxTime()
 	for _, a := range r.agents {
 		a.CheckpointSync()
@@ -70,7 +70,7 @@ func (r *runner) checkpoint(iter int, carry *gasCarry, changedAny bool) error {
 		Iteration: iter,
 		Skipped:   r.skipped,
 		Barriers:  r.cl.Barriers(),
-		HasCarry:  carry != nil,
+		HasCarry:  r.pending,
 		Done:      !changedAny,
 		AttrWidth: r.aw,
 		Attrs:     append([]float64(nil), r.attrs...),
@@ -138,17 +138,16 @@ func (r *runner) resume(st *CheckpointState) (*Result, error) {
 	}
 
 	// Rebuild the GAS scatter carry by replaying the scatter of the
-	// last completed superstep against the checkpointed state. The
-	// replay's charges (and the agents' post-replay drift) are wiped by
-	// the normalization and clock restore below.
-	var carry *gasCarry
+	// last completed superstep against the checkpointed state, into the
+	// runner's one set of results and inboxes. The replay's charges (and
+	// the agents' post-replay drift) are wiped by the normalization and
+	// clock restore below.
 	if st.HasCarry && r.cfg.Spec.Model == GAS {
 		r.ctx.Iteration = st.Iteration - 1
-		results, inbox, err := r.scatter(r.resetVol())
-		if err != nil {
+		if err := r.scatter(r.resetVol()); err != nil {
 			return nil, err
 		}
-		carry = &gasCarry{results: results, inbox: inbox}
+		r.pending = true
 	}
 	for _, a := range r.agents {
 		a.CheckpointSync()
@@ -166,7 +165,7 @@ func (r *runner) resume(st *CheckpointState) (*Result, error) {
 	iterations := st.Iteration
 	if !st.Done {
 		var err error
-		if iterations, err = r.loopFrom(st.Iteration, carry); err != nil {
+		if iterations, err = r.loopFrom(st.Iteration); err != nil {
 			return nil, err
 		}
 	}

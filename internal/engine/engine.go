@@ -375,17 +375,17 @@ type runner struct {
 
 	activeFn func(graph.VertexID) bool
 
-	// Reusable per-superstep buffers. Inboxes are double-buffered because
-	// GAS carries one superstep's inbox into the next round while a new
-	// one is being filled.
-	inboxSets [2][]*gxplug.MsgBuf
-	inboxFlip int
-	volBuf    [][]int64
+	// Reusable per-superstep buffers, one of each per node: the GenResults
+	// (the agents' own when plugged) and the inboxes. A GAS scatter leaves
+	// them for the next round's gather with pending set; nothing resets
+	// them before that gather has consumed them (see genPhase).
+	results []*gxplug.GenResult
+	inbox   []*gxplug.MsgBuf
+	pending bool
+	volBuf  [][]int64
 
-	// Native-executor scratch, per node: double-buffered GenResults (the
-	// GAS carry again) and apply-phase flag buffers.
-	nativeRes  [][2]*gxplug.GenResult
-	nativeFlip int
+	// Native-executor scratch, per node: apply-phase flag buffers and the
+	// MSGGen scratch row.
 	natChanged [][]bool
 	natWrote   [][]bool
 	natBefore  [][]float64
@@ -493,7 +493,7 @@ func (r *runner) run() (*Result, error) {
 		return nil, err
 	}
 
-	iterations, err := r.loopFrom(0, nil)
+	iterations, err := r.loopFrom(0)
 	if err != nil {
 		return nil, err
 	}
@@ -552,7 +552,7 @@ func (r *runner) setup() error {
 	}
 	m := r.cfg.Nodes
 	r.volBuf = zeroVol(m)
-	r.nativeRes = make([][2]*gxplug.GenResult, m)
+	r.results = make([]*gxplug.GenResult, m)
 	r.natChanged = make([][]bool, m)
 	r.natWrote = make([][]bool, m)
 	r.natBefore = make([][]float64, m)
@@ -607,8 +607,8 @@ func (r *runner) frontierSize() int {
 
 // loopFrom drives iterations in the model's API order until
 // quiescence, starting at superstep `start` (0 for a fresh run; a
-// checkpoint's Iteration when resuming, with the rebuilt GAS carry).
-func (r *runner) loopFrom(start int, carry *gasCarry) (int, error) {
+// checkpoint's Iteration when resuming, with the GAS scatter replayed).
+func (r *runner) loopFrom(start int) (int, error) {
 	hints := r.alg.Hints()
 	iter := start
 	obs := r.cfg.Observer
@@ -643,7 +643,7 @@ func (r *runner) loopFrom(start int, carry *gasCarry) (int, error) {
 		var err error
 		switch r.cfg.Spec.Model {
 		case GAS:
-			changedAny, carry, err = r.iterateGAS(carry)
+			changedAny, err = r.iterateGAS()
 		default:
 			changedAny, err = r.iterateBSP()
 		}
@@ -659,7 +659,7 @@ func (r *runner) loopFrom(start int, carry *gasCarry) (int, error) {
 		}
 		iter++
 		if r.cfg.CheckpointEvery > 0 && iter%r.cfg.CheckpointEvery == 0 {
-			if err := r.checkpoint(iter, carry, changedAny); err != nil {
+			if err := r.checkpoint(iter, changedAny); err != nil {
 				return iter, err
 			}
 		}
@@ -702,24 +702,21 @@ func (r *runner) superstepInfo(iter, frontier, skippedBefore int, changed bool) 
 	return info
 }
 
-// nextInbox hands out the next reusable inbox set (one MsgBuf per node,
-// rows over that node's masters). Two sets alternate so a GAS scatter
-// carry survives while the next round's inbox is filled.
-func (r *runner) nextInbox() []*gxplug.MsgBuf {
-	set := r.inboxSets[r.inboxFlip]
-	if set == nil {
-		set = make([]*gxplug.MsgBuf, r.cfg.Nodes)
-		for j := range set {
-			set[j] = gxplug.NewMsgBuf(r.alg, len(r.part.Parts[j].Masters))
+// nextInbox resets the one inbox set (one MsgBuf per node, rows over that
+// node's masters). One set suffices for the reason one GenResult per node
+// does (see genPhase): a GAS scatter's inbox is merged by the next round's
+// gather before the following scatter resets it.
+func (r *runner) nextInbox() {
+	if r.inbox == nil {
+		r.inbox = make([]*gxplug.MsgBuf, r.cfg.Nodes)
+		for j := range r.inbox {
+			r.inbox[j] = gxplug.NewMsgBuf(r.alg, len(r.part.Parts[j].Masters))
 		}
-		r.inboxSets[r.inboxFlip] = set
-	} else {
-		for _, in := range set {
-			in.Reset()
-		}
+		return
 	}
-	r.inboxFlip ^= 1
-	return set
+	for _, in := range r.inbox {
+		in.Reset()
+	}
 }
 
 // resetVol zeroes and returns the reusable exchange-volume matrix.

@@ -14,14 +14,15 @@ import (
 )
 
 // nativeGenOracle is the per-edge nativeGen the source-run walk replaced,
-// verbatim apart from the name, the one-method MSGGen call and the fold:
+// verbatim apart from the name, the one-method MSGGen call, the fold and
+// a fresh result of its own (nativeGen's one is the result under test):
 // every edge tests the cone and the frontier, slices its source's row and
 // generates its own message, which oracleAdd merges with MSGMerge itself.
 // It is the oracle TestNativeGenMatchesOracle holds nativeGen to; nothing
 // outside the tests runs it.
 func (r *runner) nativeGenOracle(j int) *gxplug.GenResult {
 	part := r.part.Parts[j]
-	res := r.nextNativeResult(j)
+	res := gxplug.NewGenResult(r.alg, r.part, j)
 	genAll := r.alg.Hints().GenAll
 	msgBuf := r.natMsg[j]
 	// Incremental replay: only destinations in the cone can receive a
@@ -183,9 +184,7 @@ func TestNativeGenMatchesOracle(t *testing.T) {
 								r.inc = &incState{cone: randomFlags(rng, n, cc.p, cc.one)}
 							}
 							for j := range r.part.Parts {
-								r.nativeFlip = 0
 								got := r.nativeGen(j)
-								r.nativeFlip = 1
 								want := r.nativeGenOracle(j)
 								if err := sameGenResult(got, want); err != nil {
 									t.Fatalf("frontier %s, cone %s, node %d: %v", fc.name, cc.name, j, err)
@@ -194,10 +193,10 @@ func TestNativeGenMatchesOracle(t *testing.T) {
 									continue
 								}
 								// A cone holding every vertex filters nothing:
-								// the cone path must equal the no-cone one.
+								// the no-cone path must equal the oracle too.
 								inc := r.inc
 								r.inc = nil
-								want = r.nativeGen(j)
+								got = r.nativeGen(j)
 								r.inc = inc
 								if err := sameGenResult(got, want); err != nil {
 									t.Fatalf("frontier %s, cone all vs none, node %d: %v", fc.name, j, err)
@@ -217,8 +216,7 @@ func TestNativeGenMatchesOracle(t *testing.T) {
 // and for every fold: width-1 sum (PageRank) and min (CC), min over four
 // slots (SSSP) and MSGMerge (LP).
 // MSGGen writes into the node's one scratch row and the walk builds no
-// closure. The result it fills is warmed first;
-// nativeFlip stays fixed, so every call reuses that one.
+// closure. The node's one result is warmed first, and every call reuses it.
 func TestNativeGenAllocatesNothing(t *testing.T) {
 	g, err := gen.RMAT(gen.RMATConfig{NumVertices: 400, NumEdges: 3000, A: 0.57, B: 0.19, C: 0.19, Seed: 21})
 	if err != nil {
@@ -235,7 +233,6 @@ func TestNativeGenAllocatesNothing(t *testing.T) {
 				for i := range r.active {
 					r.active[i] = true
 				}
-				r.nativeFlip = 0
 				for j := range r.part.Parts {
 					r.nativeGen(j)
 				}
@@ -250,6 +247,43 @@ func TestNativeGenAllocatesNothing(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestNativeGenReusesOneBufferPerNode pins one GenResult and one inbox
+// per node on the native executor: every gen phase of a run fills the
+// same ones, on a BSP spec and on a GAS spec, whose rounds hand a scatter's
+// results and inbox to the next round's gather in those same buffers.
+func TestNativeGenReusesOneBufferPerNode(t *testing.T) {
+	g, err := gen.RMAT(gen.RMATConfig{NumVertices: 400, NumEdges: 3000, A: 0.57, B: 0.19, C: 0.19, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Spec{bspTestSpec(), gasTestSpec()} {
+		t.Run(spec.Name, func(t *testing.T) {
+			r := routingRunner(t, spec, g, 4, algos.NewPageRank())
+			var results []*gxplug.GenResult
+			var inbox []*gxplug.MsgBuf
+			for iter := 0; iter < 4; iter++ {
+				r.ctx.Iteration = iter
+				iterate := r.iterateBSP
+				if spec.Model == GAS {
+					iterate = r.iterateGAS
+				}
+				if changed, err := iterate(); err != nil || !changed {
+					t.Fatalf("superstep %d: changed %v, error %v", iter, changed, err)
+				}
+				if iter == 0 {
+					results, inbox = slices.Clone(r.results), slices.Clone(r.inbox)
+					continue
+				}
+				for j := range results {
+					if r.results[j] != results[j] || r.inbox[j] != inbox[j] {
+						t.Fatalf("superstep %d, node %d: a second GenResult or inbox", iter, j)
+					}
+				}
+			}
+		})
 	}
 }
 

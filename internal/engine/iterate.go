@@ -35,44 +35,38 @@ func (r *runner) eachNode(fn func(j int) error) error {
 	return err
 }
 
-// genPhase runs MSGGen(+combine) on every node, via agents or natively.
-// The result slice is freshly allocated because GAS keeps it alive as the
-// scatter carry; the results themselves are reused buffers.
-func (r *runner) genPhase() ([]*gxplug.GenResult, error) {
-	out := make([]*gxplug.GenResult, r.cfg.Nodes)
-	if r.agents == nil {
-		r.nativeFlip ^= 1
-	}
-	err := r.eachNode(func(j int) (err error) {
+// genPhase runs MSGGen(+combine) on every node, via agents or natively,
+// into r.results. Each node has one GenResult, reused every phase: a
+// GAS scatter's results are consumed by the next round's mergeApplyPhase
+// before the following scatter resets them, and BSP consumes them within
+// the superstep.
+func (r *runner) genPhase() error {
+	return r.eachNode(func(j int) (err error) {
 		if r.agents == nil {
-			out[j] = r.nativeGen(j)
+			r.results[j] = r.nativeGen(j)
 			return nil
 		}
-		out[j], err = r.agents[j].RequestGen(r.activeFn)
+		r.results[j], err = r.agents[j].RequestGen(r.activeFn)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
-// routeRemote folds every sender's buffer for destination o into inbox
-// o, and accumulates the pairwise byte volumes into vol. Destinations
-// are independent, so the fold fans out like the phases around it. Per
-// inbox row the MSGMerge sequence is fixed — senders in node order, each
-// contributing the one row it pre-combined in its own edge/block order —
-// so floating-point results are machine- and schedule-independent. The
-// only error is a panicking MSGMerge.
-func (r *runner) routeRemote(results []*gxplug.GenResult, inbox []*gxplug.MsgBuf, vol [][]int64) error {
+// routeRemote folds every sender's buffer for destination o into
+// r.inbox[o], and accumulates the pairwise byte volumes into vol.
+// Destinations are independent, so the fold fans out like the phases
+// around it. Per inbox row the MSGMerge sequence is fixed — senders in
+// node order, each contributing the one row it pre-combined in its own
+// edge/block order — so floating-point results are machine- and
+// schedule-independent. The only error is a panicking MSGMerge.
+func (r *runner) routeRemote(vol [][]int64) error {
 	err := r.eachNode(func(o int) error {
-		for j, res := range results {
+		for j, res := range r.results {
 			if j == o {
 				continue
 			}
 			out := res.To[o]
 			for _, row := range out.Touched() {
-				inbox[o].Merge(row, out.Row(row))
+				r.inbox[o].Merge(row, out.Row(row))
 			}
 		}
 		return nil
@@ -81,7 +75,7 @@ func (r *runner) routeRemote(results []*gxplug.GenResult, inbox []*gxplug.MsgBuf
 		return err
 	}
 	msgBytes := r.cfg.Spec.wireRowBytes(r.mw)
-	for j, res := range results {
+	for j, res := range r.results {
 		for o, out := range res.To {
 			if o == j {
 				continue
@@ -97,27 +91,29 @@ func (r *runner) routeRemote(results []*gxplug.GenResult, inbox []*gxplug.MsgBuf
 	return nil
 }
 
-// mergeApplyPhase merges inboxes and applies on every node in parallel,
-// updating the frontier. It returns whether anything changed and the
-// changed vertices that have mirrors (forcing attribute synchronization
-// under vertex-cut), ordered by owning node then master order — a
-// deterministic order, unlike the map the routing layer used to build.
-func (r *runner) mergeApplyPhase(results []*gxplug.GenResult, inbox []*gxplug.MsgBuf) (changedAny bool, mirrorUpdates []graph.VertexID, err error) {
+// mergeApplyPhase merges each node's inbox into its GenResult and applies
+// on every node in parallel, updating the frontier. It returns whether
+// anything changed and the changed vertices that have mirrors (forcing
+// attribute synchronization under vertex-cut), ordered by owning node then
+// master order — a deterministic order, unlike the map the routing layer
+// used to build.
+func (r *runner) mergeApplyPhase() (changedAny bool, mirrorUpdates []graph.VertexID, err error) {
 	err = r.eachNode(func(j int) error {
 		masters := r.part.Parts[j].Masters
+		res, inbox := r.results[j], r.inbox[j]
 		var changed, wrote []bool
 		if r.agents != nil {
-			if err := r.agents[j].RequestMerge(results[j], inbox[j]); err != nil {
+			if err := r.agents[j].RequestMerge(res, inbox); err != nil {
 				return err
 			}
-			ar, err := r.agents[j].RequestApply(results[j])
+			ar, err := r.agents[j].RequestApply(res)
 			if err != nil {
 				return err
 			}
 			changed, wrote = ar.Changed, ar.Wrote
 		} else {
-			r.nativeMerge(j, results[j], inbox[j])
-			changed, wrote = r.nativeApply(j, results[j])
+			r.nativeMerge(j, res, inbox)
+			changed, wrote = r.nativeApply(j, res)
 		}
 		nodeChanged := false
 		mirrored := r.mirrorPer[j][:0]
@@ -283,29 +279,24 @@ func (r *runner) buildQueryQueue() *synccache.QueryQueue {
 }
 
 // scatter is the Gen half of a superstep: MSGGen on every node, then the
-// exchange of its messages into a fresh inbox.
-func (r *runner) scatter(vol [][]int64) ([]*gxplug.GenResult, []*gxplug.MsgBuf, error) {
-	results, err := r.genPhase()
-	if err != nil {
-		return nil, nil, err
+// exchange of its messages into the reset inbox.
+func (r *runner) scatter(vol [][]int64) error {
+	if err := r.genPhase(); err != nil {
+		return err
 	}
 	r.drainSpills()
-	inbox := r.nextInbox()
-	if err := r.routeRemote(results, inbox, vol); err != nil {
-		return nil, nil, err
-	}
-	return results, inbox, nil
+	r.nextInbox()
+	return r.routeRemote(vol)
 }
 
 // iterateBSP is one bulk-synchronous superstep: Gen → exchange → Merge →
 // Apply → sync.
 func (r *runner) iterateBSP() (bool, error) {
 	vol := r.resetVol()
-	results, inbox, err := r.scatter(vol)
-	if err != nil {
+	if err := r.scatter(vol); err != nil {
 		return false, err
 	}
-	changedAny, mirrorUpdates, err := r.mergeApplyPhase(results, inbox)
+	changedAny, mirrorUpdates, err := r.mergeApplyPhase()
 	if err != nil {
 		return false, err
 	}
@@ -316,30 +307,23 @@ func (r *runner) iterateBSP() (bool, error) {
 	return changedAny, nil
 }
 
-// gasCarry is the state a GAS scatter hands to the next round's gather:
-// the per-node Gen results (local accumulators) plus the routed inbox.
-type gasCarry struct {
-	results []*gxplug.GenResult
-	inbox   []*gxplug.MsgBuf
-}
-
 // iterateGAS is one GAS round in PowerGraph order — Merge (gather) →
 // Apply → Gen (scatter). The bootstrap scatter of round 0 flows the
 // initial vertex state, as GAS engines do implicitly by reading neighbour
-// state during the first gather. Scatter exchange volumes are charged in
-// the round that produces them.
-func (r *runner) iterateGAS(carry *gasCarry) (bool, *gasCarry, error) {
+// state during the first gather. A round's scatter leaves its results and
+// inbox in the runner's buffers, with r.pending set, for the next round's
+// gather. Scatter exchange volumes are charged in the round that produces
+// them.
+func (r *runner) iterateGAS() (bool, error) {
 	vol := r.resetVol()
-	if carry == nil {
-		results, inbox, err := r.scatter(vol)
-		if err != nil {
-			return false, nil, err
+	if !r.pending {
+		if err := r.scatter(vol); err != nil {
+			return false, err
 		}
-		carry = &gasCarry{results: results, inbox: inbox}
 	}
-	changedAny, mirrorUpdates, err := r.mergeApplyPhase(carry.results, carry.inbox)
+	changedAny, mirrorUpdates, err := r.mergeApplyPhase()
 	if err != nil {
-		return false, nil, err
+		return false, err
 	}
 	// The cone must advance before the end-of-round scatter: its messages
 	// are consumed by the next round's apply, which replays the next memo.
@@ -347,16 +331,14 @@ func (r *runner) iterateGAS(carry *gasCarry) (bool, *gasCarry, error) {
 	r.drainSpills()
 	// Mirrors must see the applied state before the scatter reads them.
 	r.distributeMirrors(mirrorUpdates, vol)
-	var next *gasCarry
 	if changedAny {
-		results, inbox, err := r.scatter(vol)
-		if err != nil {
-			return false, nil, err
+		if err := r.scatter(vol); err != nil {
+			return false, err
 		}
-		next = &gasCarry{results: results, inbox: inbox}
 	}
+	r.pending = changedAny
 	r.syncPhase(vol)
-	return changedAny, next, nil
+	return changedAny, nil
 }
 
 func zeroVol(m int) [][]int64 {
@@ -372,20 +354,6 @@ func zeroVol(m int) [][]int64 {
 // chargeNative charges node j's clock for ops on the built-in executor.
 func (r *runner) chargeNative(j int, ops float64) {
 	r.cl.Node(j).Charge(bucketUpper, r.cfg.Spec.nativeTime(ops))
-}
-
-// nextNativeResult hands out node j's reusable GenResult for this phase
-// (double-buffered; genPhase flips once per phase so the GAS carry stays
-// intact while the next round's results are produced).
-func (r *runner) nextNativeResult(j int) *gxplug.GenResult {
-	res := r.nativeRes[j][r.nativeFlip]
-	if res == nil {
-		res = gxplug.NewGenResult(r.alg, r.part, j)
-		r.nativeRes[j][r.nativeFlip] = res
-	} else {
-		res.Reset()
-	}
-	return res
 }
 
 // nativeGen runs MSGGen+combine for one node on the engine's built-in
@@ -405,7 +373,13 @@ func (r *runner) nextNativeResult(j int) *gxplug.GenResult {
 // buffer the first-touch order, are those of a per-edge loop.
 func (r *runner) nativeGen(j int) *gxplug.GenResult {
 	part := r.part.Parts[j]
-	res := r.nextNativeResult(j)
+	res := r.results[j]
+	if res == nil {
+		res = gxplug.NewGenResult(r.alg, r.part, j)
+		r.results[j] = res
+	} else {
+		res.Reset()
+	}
 	hints := r.alg.Hints()
 	f := slabFold{res: res, slot: r.part.Slot, op: hints.Merge}
 	f.acc, f.recv = res.Slabs()

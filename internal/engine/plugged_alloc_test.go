@@ -34,7 +34,7 @@ func bytesPerSuperstep(t *testing.T, cfg engine.Config) float64 {
 // The middleware moves every block through shared segments that are sized
 // for the blocks it really ships, and decodes, computes and drains them in
 // reused buffers, so a plugged run may allocate only a small multiple of
-// what the native executor does for the same supersteps: 6-9x on this
+// what the native executor does for the same supersteps: 7-11x on this
 // fixture, most of it the agents' one-time tables, caches and slabs.
 // Before segments were right-sized the multiple was 30-48x (three
 // segments per daemon, each big enough for the whole edge table in one

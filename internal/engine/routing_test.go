@@ -70,21 +70,22 @@ func mapRoute(r *runner, results []*gxplug.GenResult) ([]map[graph.VertexID][]fl
 	return inbox, vol
 }
 
-// checkRouting routes results through the per-destination fold and the
-// map reference and asserts bitwise-equal inboxes and equal volume
-// matrices. It returns the dense inbox for the caller to continue the
-// superstep.
-func checkRouting(t *testing.T, r *runner, results []*gxplug.GenResult, vol [][]int64) []*gxplug.MsgBuf {
+// checkRouting routes the runner's results through the per-destination
+// fold into its reset inbox and through the map reference, and asserts
+// bitwise-equal inboxes and equal volume matrices. The caller continues
+// the superstep from the runner's buffers.
+func checkRouting(t *testing.T, r *runner, vol [][]int64) {
 	t.Helper()
-	inbox := r.nextInbox()
+	r.nextInbox()
+	inbox := r.inbox
 	before := make([][]int64, len(vol))
 	for j := range vol {
 		before[j] = append([]int64(nil), vol[j]...)
 	}
-	if err := r.routeRemote(results, inbox, vol); err != nil {
+	if err := r.routeRemote(vol); err != nil {
 		t.Fatal(err)
 	}
-	refInbox, refVol := mapRoute(r, results)
+	refInbox, refVol := mapRoute(r, r.results)
 	for j := range vol {
 		for o := range vol[j] {
 			if got, want := vol[j][o]-before[j][o], refVol[j][o]; got != want {
@@ -116,7 +117,6 @@ func checkRouting(t *testing.T, r *runner, results []*gxplug.GenResult, vol [][]
 			}
 		}
 	}
-	return inbox
 }
 
 func routingRunner(t *testing.T, spec Spec, g *graph.Graph, nodes int, alg template.Algorithm) *runner {
@@ -178,13 +178,12 @@ func checkBSP(t *testing.T, g *graph.Graph, mk func() template.Algorithm) {
 	r := routingRunner(t, bspTestSpec(), g, 4, mk())
 	for iter := 0; iter < supersteps; iter++ {
 		r.ctx.Iteration = iter
-		results, err := r.genPhase()
-		if err != nil {
+		if err := r.genPhase(); err != nil {
 			t.Fatal(err)
 		}
 		vol := r.resetVol()
-		inbox := checkRouting(t, r, results, vol)
-		changed, mirrorUpdates, err := r.mergeApplyPhase(results, inbox)
+		checkRouting(t, r, vol)
+		changed, mirrorUpdates, err := r.mergeApplyPhase()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,34 +200,33 @@ func checkBSP(t *testing.T, g *graph.Graph, mk func() template.Algorithm) {
 	assertBitEqual(t, r.attrs, want.Attrs)
 }
 
-// checkGAS mirrors iterateGAS — gather → apply → scatter with the carry —
+// checkGAS mirrors iterateGAS — gather → apply → scatter, the scatter's
+// results and inbox left pending in the runner for the next gather —
 // checking every routed scatter.
 func checkGAS(t *testing.T, g *graph.Graph, mk func() template.Algorithm) {
 	const rounds = 6
 	r := routingRunner(t, gasTestSpec(), g, 4, mk())
-	var carry *gasCarry
+	pending := false
 	for iter := 0; iter < rounds; iter++ {
 		r.ctx.Iteration = iter
 		vol := r.resetVol()
-		if carry == nil {
-			results, err := r.genPhase()
-			if err != nil {
+		if !pending {
+			if err := r.genPhase(); err != nil {
 				t.Fatal(err)
 			}
-			carry = &gasCarry{results: results, inbox: checkRouting(t, r, results, vol)}
+			checkRouting(t, r, vol)
 		}
-		changed, mirrorUpdates, err := r.mergeApplyPhase(carry.results, carry.inbox)
+		changed, mirrorUpdates, err := r.mergeApplyPhase()
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.distributeMirrors(mirrorUpdates, vol)
-		carry = nil
+		pending = changed
 		if changed {
-			results, err := r.genPhase()
-			if err != nil {
+			if err := r.genPhase(); err != nil {
 				t.Fatal(err)
 			}
-			carry = &gasCarry{results: results, inbox: checkRouting(t, r, results, vol)}
+			checkRouting(t, r, vol)
 		}
 		r.syncPhase(vol)
 		if !changed {

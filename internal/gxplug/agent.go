@@ -205,11 +205,8 @@ type Agent struct {
 	blockIdx       []int32
 	vEnds          []int
 
-	// Reusable per-superstep scratch. Results are double-buffered because
-	// GAS engines keep the previous superstep's result live (the scatter
-	// carry) while the next one is produced.
-	resBufs  [2]*GenResult
-	resFlip  int
+	// Reusable per-superstep scratch; result is nextResult's one GenResult.
+	result   *GenResult
 	rowsBuf  []int
 	fillRows []int
 	drainMsg []float64
@@ -277,19 +274,16 @@ func NewAgent(node *cluster.Node, parts *graph.Partitioning, alg template.Algori
 	return a
 }
 
-// nextResult hands out the next reusable GenResult. Two buffers alternate
-// so the previous superstep's result (a GAS scatter carry) stays intact
-// while the next one is filled.
+// nextResult resets and returns the agent's one GenResult. One suffices:
+// the engine merges into and applies a superstep's result — a GAS
+// scatter's in the next round's gather — before it asks for the next one.
 func (a *Agent) nextResult() *GenResult {
-	res := a.resBufs[a.resFlip]
-	if res == nil {
-		res = NewGenResult(a.alg, a.parts, a.node.ID)
-		a.resBufs[a.resFlip] = res
+	if a.result == nil {
+		a.result = NewGenResult(a.alg, a.parts, a.node.ID)
 	} else {
-		res.Reset()
+		a.result.Reset()
 	}
-	a.resFlip ^= 1
-	return res
+	return a.result
 }
 
 // Stats returns a snapshot of the agent's counters.
@@ -304,10 +298,6 @@ func (a *Agent) Stats() Stats {
 	a.stats.CacheInvalidations = cs.Invalidations
 	return a.stats
 }
-
-// Masters returns the node's mastered vertices (dense order used by
-// GenResult and RequestApply).
-func (a *Agent) Masters() []graph.VertexID { return a.part.Masters }
 
 // Connect spawns the daemons, initializes their devices (charged once —
 // runtime isolation), sizes the shared segments, reserves device memory

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"gxplug/internal/graph"
@@ -191,9 +190,14 @@ func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 		re := a.part.RowEdges[row]
 		d += int(re[1] - re[0])
 	}
-	// slices.Grow rather than grow: a frontier that widens every superstep
-	// regrows the slab every superstep, so the growth has to be amortized.
-	trips := slices.Grow(a.blockTrips[:0], d*tripletBytes)[:d*tripletBytes]
+	// Doubling, unlike grow: a frontier that widens every superstep would
+	// otherwise regrow the slab every superstep. Not slices.Grow: built
+	// with -race, it allocates the growth twice.
+	trips := a.blockTrips
+	if n := d * tripletBytes; cap(trips) < n {
+		trips = make([]byte, n, max(n, 2*cap(trips)))
+	}
+	trips = trips[:d*tripletBytes]
 	ids, vtRows, vEnds := a.blockIDs[:0], a.blockRows[:0], a.vEnds[:0]
 	vLo := 0
 	local := func(id graph.VertexID) int32 {
@@ -313,7 +317,7 @@ func (a *Agent) runPipeline(di int, blocks []blockPlan, res *GenResult, reuseTop
 		// Thread.Download: fill the n-chunk with the next block.
 		nSeg := p.mem[physSeg(roleN, p.rot)]
 		if step < k {
-			tn, _, err := a.fillBlock(nSeg, &blocks[step], reuseTopo)
+			tn, err := a.fillBlock(nSeg, &blocks[step], reuseTopo)
 			if err != nil {
 				return 0, err
 			}
@@ -383,12 +387,11 @@ func (a *Agent) layout(bp *blockPlan) genLayout {
 // attributes (cache-aware), then encodes the header, the planned triplet
 // section (one copy), the vertex ids and each vertex's attribute row
 // straight from the vertex table (zeros for a vertex this node holds no
-// copy of). Returns the download-stage cost and the block's vertex count
-// and payload bytes. With reuseTopo the triplet copy still happens for
-// real (segments rotate), but only the id and attribute bytes are
-// charged: the daemon already holds this topology from the previous
-// iteration.
-func (a *Agent) fillBlock(seg []byte, bp *blockPlan, reuseTopo bool) (time.Duration, [2]int, error) {
+// copy of). Returns the download-stage cost. With reuseTopo the triplet
+// copy still happens for real (segments rotate), but only the id and
+// attribute bytes are charged: the daemon already holds this topology from
+// the previous iteration.
+func (a *Agent) fillBlock(seg []byte, bp *blockPlan, reuseTopo bool) (time.Duration, error) {
 	var cost time.Duration
 	// Rows to refresh: every vertex the block references that exists in
 	// our table (sources always do; destinations may be remote).
@@ -403,7 +406,7 @@ func (a *Agent) fillBlock(seg []byte, bp *blockPlan, reuseTopo bool) (time.Durat
 	aw := a.alg.AttrWidth()
 	l, err := encodeGenBlock(seg, bp.trips, bp.ids, aw, a.alg.MsgWidth(), reuseTopo)
 	if err != nil {
-		return 0, [2]int{}, err
+		return 0, err
 	}
 	attrSec := seg[l.attrs:l.acc]
 	for i, r := range bp.rows {
@@ -418,7 +421,7 @@ func (a *Agent) fillBlock(seg []byte, bp *blockPlan, reuseTopo bool) (time.Durat
 		moved = l.acc - l.ids
 	}
 	cost += simtime.TimeFor(float64(moved), memcpyRate)
-	return cost, [2]int{len(bp.ids), int(l.acc)}, nil
+	return cost, nil
 }
 
 // drainBlock reads one computed block's results out of the u-chunk and

@@ -132,7 +132,7 @@ func driveAgents(t *testing.T, g *graph.Graph, m int, alg template.Algorithm, op
 				t.Fatalf("iter %d node %d apply: %v", iter, j, err)
 			}
 			for mi, ch := range ar.Changed {
-				id := agents[j].Masters()[mi]
+				id := agents[j].part.Masters[mi]
 				active[id] = ch
 				if ch {
 					changedAny = true
@@ -538,7 +538,7 @@ func TestUploadQueriedDoesNotInflateHits(t *testing.T) {
 
 	before := a.Stats()
 	q := synccache.NewQueryQueue()
-	q.Push(a.Masters())
+	q.Push(a.part.Masters)
 	n := a.UploadQueried(q)
 	after := a.Stats()
 	if n == 0 {
@@ -639,5 +639,29 @@ func TestBuildBlocksCutsAndPairs(t *testing.T) {
 	}
 	if held == 0 || remote == 0 {
 		t.Fatalf("plans covered %d held and %d remote block vertices, want both", held, remote)
+	}
+}
+
+// The agent holds one GenResult: every RequestGen resets and returns the
+// same one, whatever ran in between. The engine consumes a result — a GAS
+// scatter's in the next round's gather — before it asks for the next.
+func TestRequestGenReusesOneResult(t *testing.T) {
+	a, _ := connectedAgent(t)
+	defer a.Disconnect()
+	first, err := a.RequestGen(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 1; step <= 3; step++ {
+		if _, err := a.RequestApply(first); err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.RequestGen(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != first {
+			t.Fatalf("RequestGen %d returned a second GenResult", step+1)
+		}
 	}
 }

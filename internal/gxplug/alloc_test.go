@@ -70,13 +70,13 @@ func steadySuperstepAllocs(t *testing.T, tc steadyCase) (allocs float64, blocks,
 	a, _ := connectSteady(t, tc)
 
 	// What node 1 would route here: one message for every other master.
-	incoming := NewMsgBuf(a.alg, len(a.Masters()))
-	for row := 0; row < len(a.Masters()); row += 2 {
+	incoming := NewMsgBuf(a.alg, len(a.part.Masters))
+	for row := 0; row < len(a.part.Masters); row += 2 {
 		incoming.Merge(int32(row), []float64{0.25})
 	}
 	// The rows past the masters are mirrors: sources mastered on node 1.
 	var mirrorIDs []graph.VertexID
-	for r := len(a.Masters()); r < a.vt.Len(); r++ {
+	for r := len(a.part.Masters); r < a.vt.Len(); r++ {
 		mirrorIDs = append(mirrorIDs, a.vt.ID(r))
 	}
 	mirrorRows := make([]float64, len(mirrorIDs)*a.alg.AttrWidth())
@@ -94,15 +94,13 @@ func steadySuperstepAllocs(t *testing.T, tc steadyCase) (allocs float64, blocks,
 		}
 		if tc.vertexCut {
 			query.Reset()
-			query.Push(a.Masters())
+			query.Push(a.part.Masters)
 			if a.UploadQueried(query) == 0 {
 				t.Fatal("no dirty master uploaded after a PageRank apply")
 			}
 			a.InvalidateRemote(mirrorIDs, mirrorRows)
 		}
 	}
-	// Two warm-up supersteps: GenResults are double-buffered.
-	superstep()
 	superstep()
 	allocs = testing.AllocsPerRun(10, superstep)
 	return allocs, a.Stats().LastBlocks, len(mirrorIDs)

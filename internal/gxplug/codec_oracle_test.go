@@ -703,7 +703,7 @@ func TestGenBlockBytesMatchOracle(t *testing.T) {
 					got, exp := make([]byte, size), make([]byte, size)
 					junk(got)
 					junk(exp)
-					_, geo, err := a.fillBlock(got, bp, reuse > 0)
+					_, err := a.fillBlock(got, bp, reuse > 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -711,8 +711,8 @@ func TestGenBlockBytesMatchOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if geo != [2]int{len(op.vb.IDs), payload} {
-						t.Fatalf("seed %d round %d block %d: geometry %v, oracle %d vertices, payload %d", seed, round, bi, geo, len(op.vb.IDs), payload)
+					if n, end := len(bp.ids), int(a.layout(bp).acc); n != len(op.vb.IDs) || end != payload {
+						t.Fatalf("seed %d round %d block %d: %d vertices and payload %d, oracle %d vertices, payload %d", seed, round, bi, n, end, len(op.vb.IDs), payload)
 					}
 					if !bytes.Equal(got[:payload], exp[:payload]) {
 						t.Fatalf("seed %d round %d reuse %d block %d: segment bytes differ from the oracle encoder's", seed, round, reuse, bi)

@@ -199,8 +199,8 @@ func TestRequestMergeRejectsForeignBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrongGeometry := NewMsgBuf(a.alg, len(a.Masters())+3)
-	wrongGeometry.Merge(int32(len(a.Masters())+1), []float64{1})
+	wrongGeometry := NewMsgBuf(a.alg, len(a.part.Masters)+3)
+	wrongGeometry.Merge(int32(len(a.part.Masters)+1), []float64{1})
 	if err := a.RequestMerge(res, wrongGeometry); err == nil {
 		t.Fatal("merge with mismatched buffer geometry accepted")
 	}

@@ -151,7 +151,7 @@ func TestUndersizedSegmentIsAnError(t *testing.T) {
 	if ar, err := a.RequestApply(blank); err == nil || !strings.Contains(err.Error(), "apply block needs") {
 		t.Fatalf("RequestApply over 48-byte segments: result %v, error %v", ar, err)
 	}
-	incoming := NewMsgBuf(a.alg, len(a.Masters()))
+	incoming := NewMsgBuf(a.alg, len(a.part.Masters))
 	incoming.Merge(0, []float64{1})
 	if err := a.RequestMerge(blank, incoming); err == nil || !strings.Contains(err.Error(), "merge block needs") {
 		t.Fatalf("RequestMerge over 48-byte segments: error %v", err)
