@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet lint deadcode build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke bench-pair loc ci
+.PHONY: all fmt vet lint build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke bench-pair loc ci
 
 all: ci
 
@@ -18,22 +18,18 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Stock analyzers plus the repository's own (cmd/gxlint: determinism,
-# nilgate, wiresize, clockcharge, directive — see DESIGN.md "Static
-# analysis"). -vettool replaces the stock suite rather than extending
-# it, so lint runs vet twice; both runs fail the build on any finding.
+# Stock vet, then the repository's own checks over the whole
+# type-checked tree, test files included: TestLint runs the gxlint
+# analyzers (determinism, nilgate, wiresize, clockcharge, directive — see
+# DESIGN.md "Static analysis") over every package `go list -test ./...`
+# reports, and TestDeadcode fails on an exported identifier under
+# internal/ that only tests use, unless internal/lint/deadcode.allow
+# lists it with a reason. Both are tests, so `go test ./...` runs them
+# too. -count=1 because the test cache does not see what `go list` reads,
+# so a cached pass could miss a file added elsewhere in the tree.
 lint:
 	$(GO) vet ./...
-	@mkdir -p bin
-	$(GO) build -o bin/gxlint ./cmd/gxlint
-	$(GO) vet -vettool=$(CURDIR)/bin/gxlint ./...
-
-# The one whole-tree check (vet sees a package at a time): no exported
-# identifier under internal/ that only tests use, unless
-# internal/lint/deadcode.allow lists it with a reason. It is a test, so
-# `go test ./...` runs it too.
-deadcode:
-	$(GO) test -run '^TestDeadcode$$' ./internal/lint
+	$(GO) test -count=1 -run '^(TestLint|TestDeadcode)$$' ./internal/lint
 
 build:
 	$(GO) build ./...
@@ -218,4 +214,4 @@ loc:
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
-ci: fmt lint deadcode build examples race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke
+ci: fmt lint build examples race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke

@@ -52,8 +52,8 @@
 //
 // Wall-clock time exists only at this HTTP edge (connection handling);
 // everything that feeds results runs on virtual time inside the gx
-// core, which the gxlint determinism analyzer enforces at compile time
-// for the serving layer too.
+// core, which the gxlint determinism analyzer (run over the whole tree
+// by internal/lint's TestLint) enforces for the serving layer too.
 package main
 
 import (

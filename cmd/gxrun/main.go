@@ -1,8 +1,8 @@
 // Command gxrun executes graph workloads end-to-end and reports timing,
 // iteration counts and optimization statistics. Single runs are
-// described either by flags or by a declarative scenario file; both
-// paths build the same gx.Scenario, so they produce bit-identical
-// results. A suite file batches many named scenarios into one
+// described either by flags or by a declarative scenario file, never
+// both (a per-field flag beside -scenario is an error); both paths build
+// the same gx.Scenario, so they produce bit-identical results. A suite file batches many named scenarios into one
 // invocation.
 //
 //	gxrun -engine powergraph -algo pagerank -dataset orkut -nodes 4 -gpus 2
@@ -135,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("gxrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		scenarioPath = fs.String("scenario", "", "JSON scenario file (overrides the per-field flags)")
+		scenarioPath = fs.String("scenario", "", "JSON scenario file (excludes the per-field flags)")
 		suitePath    = fs.String("suite", "", "JSON suite file: run every entry (excludes -scenario and the per-field flags)")
 		pool         = fs.Int("pool", 0, "max suite entries running concurrently (0 = GOMAXPROCS); results are identical at every size")
 		planName     = fs.String("plan", "", "suite dispatch order: file | lpt; lpt runs longest-predicted-first off the cost model and prints the schedule (results are identical under every plan)")
@@ -234,6 +234,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var s gx.Scenario
 	if *scenarioPath != "" {
+		// A scenario file fully describes its run: every per-field flag set
+		// alongside -scenario would be silently dead, so all of them are
+		// loud errors (the rest say how the run is watched or checkpointed).
+		if c := setBesides("scenario", "progress", "checkpoint", "every", "resume", "manifest", "batches"); c != "" {
+			return fmt.Errorf("gxrun: -scenario cannot be combined with %s (the scenario file carries its own fields)", c)
+		}
 		var err error
 		if s, err = gx.LoadScenario(*scenarioPath); err != nil {
 			return err

@@ -134,6 +134,22 @@ func TestSuiteFlagConflicts(t *testing.T) {
 	}
 }
 
+// TestScenarioFlagConflicts: a scenario file carries every per-run
+// field, so a per-field flag beside -scenario would be silently dead; each
+// one set is named in the error, before the file is even read.
+func TestScenarioFlagConflicts(t *testing.T) {
+	err := run([]string{"-scenario", "testdata/pagerank-pg-4n.json", "-nodes", "8", "-no-opt", "-algo", "sssp"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-scenario cannot be combined with -algo, -no-opt, -nodes") {
+		t.Fatalf("dead per-field flags accepted alongside -scenario: %v", err)
+	}
+	for _, flag := range []string{"-engine", "-dataset", "-scale", "-seed", "-accel", "-gpus", "-maxiter", "-cachecap", "-k", "-net"} {
+		err := run([]string{"-scenario", "missing.json", flag, "1"}, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "cannot be combined with "+flag) {
+			t.Errorf("%s accepted alongside -scenario: %v", flag, err)
+		}
+	}
+}
+
 // TestSuitePlanLPT: -plan lpt prints the cost-model schedule, then runs
 // the suite with a report bit-identical to the unplanned run — the plan
 // reorders dispatch, never results. Only the closing dataset-cache

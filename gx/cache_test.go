@@ -3,6 +3,7 @@ package gx
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,8 +88,8 @@ func TestDatasetCachePartitionsSingleFlight(t *testing.T) {
 	if st := c.Stats(); st.PartitionBuilds != 1 || st.PartitionHits != callers-1 {
 		t.Fatalf("stats %+v under contention", st)
 	}
-	if err := out[0].Validate(); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(out[0], graph.GreedyVertexCut(g, 3)) {
+		t.Fatal("the shared partitioning differs from a direct powergraph cut")
 	}
 }
 

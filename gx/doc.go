@@ -184,9 +184,11 @@
 //
 // The invariants the tests pin at runtime — deterministic results, the
 // free nil observer, hardened decoders, fully charged middleware paths
-// — are also enforced at compile time by the repository's own vet
-// suite (cmd/gxlint; DESIGN.md "Static analysis"). Run `make lint`
-// before sending a refactor: it runs stock `go vet` plus the gxlint
-// analyzers, and `make ci` fails on any finding. Intentional
-// exceptions are annotated in place with //gxlint:<check> <reason>.
+// — are also checked statically by the repository's own analyzers
+// (internal/lint; DESIGN.md "Static analysis"), which run as one test
+// over the whole type-checked tree, test files included, so
+// `go test ./...` fails on any finding. Run `make lint` before sending a
+// refactor: it runs stock `go vet` plus that test and the dead-export
+// check beside it. Intentional exceptions are annotated in place with
+// //gxlint:<check> <reason>.
 package gx

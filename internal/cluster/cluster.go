@@ -108,9 +108,6 @@ func New(m int, net NetworkSpec) *Cluster {
 	return c
 }
 
-// NumNodes returns the node count.
-func (c *Cluster) NumNodes() int { return len(c.nodes) }
-
 // Node returns node j.
 func (c *Cluster) Node(j int) *Node { return c.nodes[j] }
 

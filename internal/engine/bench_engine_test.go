@@ -46,7 +46,7 @@ func BenchmarkEngineSuperstep(b *testing.B) {
 		}},
 	} {
 		for _, nodes := range []int{1, 4, 8} {
-			part := graph.EdgeCutByHash(g, nodes)
+			part := graph.EdgeCutByRange(g, nodes)
 			b.Run(fmt.Sprintf("%s/nodes=%d", alg.name, nodes), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -47,7 +47,7 @@ func TestPluggedBytesPerSuperstepNearNative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part := graph.EdgeCutByHash(g, 4)
+	part := graph.EdgeCutByRange(g, 4)
 	srcs := algos.DefaultSources(g.NumVertices())
 	for _, tc := range []struct {
 		name string

@@ -25,7 +25,7 @@ func bspTestSpec() Spec {
 		Name: "bsp-test", Model: BSP, NativeRate: 1e8,
 		SuperstepOverhead: time.Millisecond, BoundaryFixed: time.Microsecond,
 		BoundaryBandwidth: 1e9, MsgByteFactor: 2.5,
-		Partition: func(g *graph.Graph, m int) *graph.Partitioning { return graph.EdgeCutByHash(g, m) },
+		Partition: func(g *graph.Graph, m int) *graph.Partitioning { return graph.EdgeCutByRange(g, m) },
 	}
 }
 

@@ -1,12 +1,29 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// EdgeCutByHash spreads vertices over m nodes by a multiplicative hash —
+// the GraphX default ("RandomVertexCut"-style even spread, destroying
+// locality). Each node gets the out-edges of its masters. No engine cuts
+// this way; it is the scattered layout the partitioning tests compare
+// EdgeCutByRange's locality against and check the derivation on.
+func EdgeCutByHash(g *Graph, m int) *Partitioning {
+	if m <= 0 {
+		panic(fmt.Sprintf("graph: %d partitions", m))
+	}
+	owner := make([]int32, g.NumVertices())
+	for v := range owner {
+		owner[v] = int32((uint64(v) * 0x9E3779B97F4A7C15 >> 33) % uint64(m))
+	}
+	return finishEdgeCut(g, owner, m)
+}
 
 // randomGraph builds a reproducible random graph for partitioner tests.
 func randomGraph(seed int64, numV, numE int) *Graph {

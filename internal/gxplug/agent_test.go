@@ -80,7 +80,7 @@ func testCtx(g *graph.Graph) *template.Context {
 // authoritative attributes plus the cluster (for cost inspection).
 func driveAgents(t *testing.T, g *graph.Graph, m int, alg template.Algorithm, opts Options) ([]float64, *cluster.Cluster, []*Agent) {
 	t.Helper()
-	part := graph.EdgeCutByHash(g, m)
+	part := graph.EdgeCutByRange(g, m)
 	cl := cluster.New(m, cluster.DatacenterNet())
 	ctx := testCtx(g)
 	upper := newFakeUpper(g, alg, ctx)
@@ -343,7 +343,7 @@ func TestAgentRawCallPaysInitRepeatedly(t *testing.T) {
 func TestAgentOOMSurfacesAtConnect(t *testing.T) {
 	g := testGraph(t)
 	pr := algos.NewPageRank()
-	part := graph.EdgeCutByHash(g, 1)
+	part := graph.EdgeCutByRange(g, 1)
 	cl := cluster.New(1, cluster.DatacenterNet())
 	ctx := testCtx(g)
 	upper := newFakeUpper(g, pr, ctx)
@@ -361,7 +361,7 @@ func TestAgentOOMSurfacesAtConnect(t *testing.T) {
 func TestAgentUseBeforeConnect(t *testing.T) {
 	g := testGraph(t)
 	pr := algos.NewPageRank()
-	part := graph.EdgeCutByHash(g, 1)
+	part := graph.EdgeCutByRange(g, 1)
 	cl := cluster.New(1, cluster.DatacenterNet())
 	ctx := testCtx(g)
 	a := NewAgent(cl.Node(0), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
@@ -374,7 +374,7 @@ func TestAgentUseBeforeConnect(t *testing.T) {
 }
 
 // LocalOnly must be true when a range partition keeps a whole SSSP wave
-// inside one node, and the hash partition must break that.
+// inside one node.
 func TestApplyLocalOnlyFlag(t *testing.T) {
 	// A long path: range partitioning gives each node a contiguous run.
 	const n = 64
@@ -460,7 +460,7 @@ func TestAgentBoundedCacheMatchesUnbounded(t *testing.T) {
 func TestDrainSpillUploadsAtBoundary(t *testing.T) {
 	g := testGraph(t)
 	pr := algos.NewPageRank()
-	part := graph.EdgeCutByHash(g, 1)
+	part := graph.EdgeCutByRange(g, 1)
 	cl := cluster.New(1, cluster.DatacenterNet())
 	ctx := testCtx(g)
 	upper := newFakeUpper(g, pr, ctx)
@@ -520,7 +520,7 @@ func TestDrainSpillUploadsAtBoundary(t *testing.T) {
 func TestUploadQueriedDoesNotInflateHits(t *testing.T) {
 	g := testGraph(t)
 	pr := algos.NewPageRank()
-	part := graph.EdgeCutByHash(g, 1)
+	part := graph.EdgeCutByRange(g, 1)
 	cl := cluster.New(1, cluster.DatacenterNet())
 	ctx := testCtx(g)
 	a := NewAgent(cl.Node(0), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
@@ -556,7 +556,7 @@ func TestUploadQueriedDoesNotInflateHits(t *testing.T) {
 func TestAgentDoubleConnect(t *testing.T) {
 	g := testGraph(t)
 	pr := algos.NewPageRank()
-	part := graph.EdgeCutByHash(g, 1)
+	part := graph.EdgeCutByRange(g, 1)
 	cl := cluster.New(1, cluster.DatacenterNet())
 	ctx := testCtx(g)
 	a := NewAgent(cl.Node(0), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
@@ -582,7 +582,7 @@ func TestBuildBlocksCutsAndPairs(t *testing.T) {
 			t.Fatal(err)
 		}
 		pr := algos.NewPageRank()
-		part := graph.EdgeCutByHash(g, 2)
+		part := graph.EdgeCutByRange(g, 2)
 		ctx := testCtx(g)
 		a := NewAgent(cluster.New(2, cluster.DatacenterNet()).Node(1), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
 

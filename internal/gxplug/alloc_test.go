@@ -36,7 +36,7 @@ func connectSteady(t *testing.T, tc steadyCase) (*Agent, uint64) {
 		t.Fatal(err)
 	}
 	pr := algos.NewPageRank()
-	part := graph.EdgeCutByHash(g, 2)
+	part := graph.EdgeCutByRange(g, 2)
 	if tc.vertexCut {
 		part = graph.GreedyVertexCut(g, 2)
 	}
@@ -167,7 +167,7 @@ func TestCacheCapacityDoesNotSizeAllocation(t *testing.T) {
 		ctx := testCtx(g)
 		upper := newFakeUpper(g, pr, ctx)
 		node := cluster.New(2, cluster.DatacenterNet()).Node(0)
-		part := graph.EdgeCutByHash(g, 2)
+		part := graph.EdgeCutByRange(g, 2)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		a := NewAgent(node, part, pr, ctx, upper, opts)
@@ -224,7 +224,7 @@ func TestAgentSetupSharesLayout(t *testing.T) {
 	pr := algos.NewPageRank()
 	ctx := testCtx(g)
 	for name, part := range map[string]*graph.Partitioning{
-		"edge-cut": graph.EdgeCutByHash(g, 2), "vertex-cut": graph.GreedyVertexCut(g, 2),
+		"edge-cut": graph.EdgeCutByRange(g, 2), "vertex-cut": graph.GreedyVertexCut(g, 2),
 	} {
 		newAgent := func() *Agent {
 			return NewAgent(cluster.New(2, cluster.DatacenterNet()).Node(0), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())

@@ -9,25 +9,6 @@ import (
 	"time"
 )
 
-// Makespan evaluates the objective G(d_1..d_m) = max_j c_j·d_j of the
-// paper's estimation model: the slowest node's processing time, with c_j
-// in seconds per data entity.
-func Makespan(d []float64, c []float64) (time.Duration, error) {
-	if len(d) != len(c) || len(d) == 0 {
-		return 0, fmt.Errorf("balance: %d sizes vs %d coefficients", len(d), len(c))
-	}
-	var worst float64
-	for j := range d {
-		if d[j] < 0 || c[j] <= 0 {
-			return 0, fmt.Errorf("balance: node %d: d=%v c=%v", j, d[j], c[j])
-		}
-		if t := c[j] * d[j]; t > worst {
-			worst = t
-		}
-	}
-	return time.Duration(worst * float64(time.Second)), nil
-}
-
 // OptimalPartition implements Lemma 2: given total data D and per-node
 // cost coefficients c_j (seconds per entity), the makespan-minimizing
 // split is d_j = (1/c_j) / Σ(1/c_k) · D, achieving G = D / Σ(1/c_j).

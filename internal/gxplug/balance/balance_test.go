@@ -1,6 +1,7 @@
 package balance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,8 +9,28 @@ import (
 	"time"
 )
 
+// makespan evaluates the objective G(d_1..d_m) = max_j c_j·d_j of the
+// paper's estimation model: the slowest node's processing time, with c_j
+// in seconds per data entity. It is the reference OptimalPartition's
+// split is held to.
+func makespan(d []float64, c []float64) (time.Duration, error) {
+	if len(d) != len(c) || len(d) == 0 {
+		return 0, fmt.Errorf("balance: %d sizes vs %d coefficients", len(d), len(c))
+	}
+	var worst float64
+	for j := range d {
+		if d[j] < 0 || c[j] <= 0 {
+			return 0, fmt.Errorf("balance: node %d: d=%v c=%v", j, d[j], c[j])
+		}
+		if t := c[j] * d[j]; t > worst {
+			worst = t
+		}
+	}
+	return time.Duration(worst * float64(time.Second)), nil
+}
+
 func TestMakespan(t *testing.T) {
-	got, err := Makespan([]float64{100, 50}, []float64{0.01, 0.04})
+	got, err := makespan([]float64{100, 50}, []float64{0.01, 0.04})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,16 +40,16 @@ func TestMakespan(t *testing.T) {
 }
 
 func TestMakespanErrors(t *testing.T) {
-	if _, err := Makespan([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := makespan([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := Makespan(nil, nil); err == nil {
+	if _, err := makespan(nil, nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	if _, err := Makespan([]float64{1}, []float64{0}); err == nil {
+	if _, err := makespan([]float64{1}, []float64{0}); err == nil {
 		t.Fatal("zero coefficient accepted")
 	}
-	if _, err := Makespan([]float64{-1}, []float64{1}); err == nil {
+	if _, err := makespan([]float64{-1}, []float64{1}); err == nil {
 		t.Fatal("negative size accepted")
 	}
 }
@@ -86,7 +107,7 @@ func TestLemma2OptimalQuick(t *testing.T) {
 		amount := float64(perturb[2]%1000) / 1000 * d[from]
 		d[from] -= amount
 		d[to] += amount
-		got, err := Makespan(d, c)
+		got, err := makespan(d, c)
 		if err != nil {
 			return false
 		}

@@ -669,7 +669,7 @@ func TestGenBlockBytesMatchOracle(t *testing.T) {
 		if seed%2 == 1 {
 			alg = algos.NewLP() // a wider message: a larger reserved result area
 		}
-		part := graph.EdgeCutByHash(g, 2)
+		part := graph.EdgeCutByRange(g, 2)
 		ctx := testCtx(g)
 		a := NewAgent(cluster.New(2, cluster.DatacenterNet()).Node(1), part, alg, ctx, newFakeUpper(g, alg, ctx), fastOpts())
 		o := newOraclePlanner(a)
@@ -770,7 +770,7 @@ func TestApplyMergeBytesMatchOracle(t *testing.T) {
 			alg = algos.NewLP() // wider rows
 		}
 		aw, mw := alg.AttrWidth(), alg.MsgWidth()
-		part := graph.EdgeCutByHash(g, 2)
+		part := graph.EdgeCutByRange(g, 2)
 		ctx := testCtx(g)
 		opts := fastOpts()
 		opts.Caching = seed%3 != 0

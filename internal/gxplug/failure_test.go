@@ -18,7 +18,7 @@ func connectedAgent(t *testing.T) (*Agent, *cluster.Cluster) {
 	t.Helper()
 	g := testGraph(t)
 	pr := algos.NewPageRank()
-	part := graph.EdgeCutByHash(g, 1)
+	part := graph.EdgeCutByRange(g, 1)
 	cl := cluster.New(1, cluster.DatacenterNet())
 	ctx := testCtx(g)
 	a := NewAgent(cl.Node(0), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
@@ -119,7 +119,7 @@ func TestDaemonRejectsCorruptApplyMerge(t *testing.T) {
 func TestAgentReconnectReusesKeys(t *testing.T) {
 	g := testGraph(t)
 	pr := algos.NewPageRank()
-	part := graph.EdgeCutByHash(g, 1)
+	part := graph.EdgeCutByRange(g, 1)
 	cl := cluster.New(1, cluster.DatacenterNet())
 	ctx := testCtx(g)
 	upper := newFakeUpper(g, pr, ctx)
@@ -148,7 +148,7 @@ func TestAgentReconnectReusesKeys(t *testing.T) {
 func TestDisconnectIdempotent(t *testing.T) {
 	g := testGraph(t)
 	pr := algos.NewPageRank()
-	part := graph.EdgeCutByHash(g, 1)
+	part := graph.EdgeCutByRange(g, 1)
 	cl := cluster.New(1, cluster.DatacenterNet())
 	ctx := testCtx(g)
 	a := NewAgent(cl.Node(0), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
@@ -167,7 +167,7 @@ func TestAgentEmptyPartition(t *testing.T) {
 	g := graph.MustFromEdges(3, []graph.Edge{{Src: 0, Dst: 1, Weight: 1}})
 	pr := algos.NewPageRank()
 	// Hash 3 vertices over 8 nodes: most partitions are empty.
-	part := graph.EdgeCutByHash(g, 8)
+	part := graph.EdgeCutByRange(g, 8)
 	cl := cluster.New(8, cluster.DatacenterNet())
 	ctx := testCtx(g)
 	upper := newFakeUpper(g, pr, ctx)
@@ -232,7 +232,7 @@ func namespaceEmpty(t *testing.T, ipc *shm.IPC, n int) {
 func TestConnectFailureLeavesNamespaceEmpty(t *testing.T) {
 	g := testGraph(t)
 	pr := algos.NewPageRank()
-	part := graph.EdgeCutByHash(g, 1)
+	part := graph.EdgeCutByRange(g, 1)
 	cl := cluster.New(1, cluster.DatacenterNet())
 	node := cl.Node(0)
 	ctx := testCtx(g)

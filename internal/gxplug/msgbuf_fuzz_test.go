@@ -25,7 +25,7 @@ func FuzzMsgBuf(f *testing.F) {
 		nodes := 1 + int(r.byte())%4
 		numV := 1 + int(r.byte())%64
 		self := int(r.byte()) % nodes
-		part := graph.EdgeCutByHash(graph.MustFromEdges(numV, nil), nodes)
+		part := graph.GreedyVertexCut(graph.MustFromEdges(numV, nil), nodes)
 		res := NewGenResult(alg, part, self)
 
 		for round := 0; round < 2; round++ {

@@ -174,7 +174,7 @@ func TestGenResultAddsPerDestination(t *testing.T) {
 	alg := algos.NewSSSPBF([]graph.VertexID{0})
 	mw := alg.MsgWidth()
 	const numV, nodes, self = 97, 4, 2
-	part := graph.EdgeCutByHash(graph.MustFromEdges(numV, nil), nodes)
+	part := graph.GreedyVertexCut(graph.MustFromEdges(numV, nil), nodes)
 	rng := rand.New(rand.NewSource(5))
 
 	res := NewGenResult(alg, part, self)
@@ -210,7 +210,7 @@ func TestGenResultNoAllocAfterWarmup(t *testing.T) {
 	alg := algos.NewPageRank()
 	mw := alg.MsgWidth()
 	const numV = 32
-	part := graph.EdgeCutByHash(graph.MustFromEdges(numV, nil), 3)
+	part := graph.GreedyVertexCut(graph.MustFromEdges(numV, nil), 3)
 	res := NewGenResult(alg, part, 0)
 	msg := make([]float64, mw)
 	var sink float64

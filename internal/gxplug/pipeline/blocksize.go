@@ -1,7 +1,6 @@
 // Package pipeline implements the analytical side of GX-Plug's pipeline
-// shuffle (§III-A): the three-stage cost model of Equation 2, the optimal
-// block size of Lemma 1, and helpers for computing pipelined and
-// sequential makespans of a concrete block stream.
+// shuffle (§III-A): the three-stage cost model of Equation 2 and the
+// optimal block size of Lemma 1.
 //
 // The runtime side of the pipeline — the three threads exchanging
 // ExchangeFinished/RotateFinished/ComputeFinished flags and rotating the
@@ -10,7 +9,6 @@
 package pipeline
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
@@ -23,14 +21,6 @@ type Coefficients struct {
 	K1, K2, K3 float64
 	// A is the fixed seconds per device call (T_call).
 	A float64
-}
-
-// Validate checks model sanity.
-func (c Coefficients) Validate() error {
-	if c.K1 <= 0 || c.K2 <= 0 || c.K3 <= 0 || c.A < 0 {
-		return fmt.Errorf("pipeline: non-positive coefficients %+v", c)
-	}
-	return nil
 }
 
 // Paper's measured coefficients (footnote 6 of §V-B7), in microseconds per
@@ -120,38 +110,4 @@ func (c Coefficients) OptimalBlocks(d float64) int {
 		return lo
 	}
 	return hi
-}
-
-// MinTotal evaluates the closed-form minimum T_total of Lemma 1.
-func (c Coefficients) MinTotal(d float64) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	q := math.Sqrt(c.A * d / (c.K1 + c.K3))
-	kmax := math.Max(c.K1, math.Max(c.K2, c.K3))
-	otherwise := c.K2*d + 2*math.Sqrt((c.K1+c.K3)*c.A*d)
-	var total float64
-	switch {
-	case kmax == c.K1 && c.K1 > c.K2 && c.A/(c.K1-c.K2) < q:
-		total = c.A*(c.K1+c.K3)/(c.K1-c.K2) + c.K1*d
-	case kmax == c.K3 && c.K3 > c.K2 && c.A/(c.K3-c.K2) < q:
-		total = c.A*(c.K1+c.K3)/(c.K3-c.K2) + c.K3*d
-	default:
-		total = otherwise
-	}
-	return time.Duration(total * float64(time.Second))
-}
-
-// SequentialEstimate is the "WithoutPipeline" cost of the original 5-step
-// flow: the three stage costs run strictly one after another, plus the
-// two inter-process transfer steps that shared memory eliminates —
-// modelled as one extra copy of the block in each direction at copy rate
-// copySecPerEntity seconds/entity.
-func (c Coefficients) SequentialEstimate(d float64, s int, copySecPerEntity float64) time.Duration {
-	if d <= 0 || s <= 0 {
-		return 0
-	}
-	b := d / float64(s)
-	perBlock := c.K1*b + (c.A + c.K2*b) + c.K3*b + 2*copySecPerEntity*b
-	return time.Duration(float64(s) * perBlock * float64(time.Second))
 }

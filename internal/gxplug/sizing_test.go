@@ -51,7 +51,7 @@ func TestSegmentFitsEveryBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, alg := range []template.Algorithm{algos.NewPageRank(), algos.NewLP()} {
-			part := graph.EdgeCutByHash(g, 2)
+			part := graph.EdgeCutByRange(g, 2)
 			ctx := testCtx(g)
 			for _, opts := range ablationOptions() {
 				name := fmt.Sprintf("graph%d/%s/%s", gi, alg.Name(), optName(opts))
@@ -70,7 +70,7 @@ func checkSegmentFit(t *testing.T, name string, a *Agent, rng *rand.Rand) {
 	t.Helper()
 	E := len(a.part.Edges)
 	aw, mw := a.alg.AttrWidth(), a.alg.MsgWidth()
-	seg := a.daemons[0].segs[0].Size()
+	seg := len(a.daemons[0].mem[0])
 	if seg != a.segmentSize() {
 		t.Fatalf("%s: segments of %d bytes, segmentSize() now says %d", name, seg, a.segmentSize())
 	}

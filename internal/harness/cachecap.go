@@ -96,16 +96,6 @@ func CacheCapSweep(o Options) (*CacheCapResult, error) {
 	return res, nil
 }
 
-// Entry finds one sweep point by fraction label.
-func (r *CacheCapResult) Entry(fraction string) (CacheCapEntry, bool) {
-	for _, e := range r.Entries {
-		if e.Fraction == fraction {
-			return e, true
-		}
-	}
-	return CacheCapEntry{}, false
-}
-
 // String renders the sweep.
 func (r *CacheCapResult) String() string {
 	var b strings.Builder

@@ -235,16 +235,6 @@ func Fig11b(o Options) (*Fig11bResult, error) {
 	return res, nil
 }
 
-// Entry finds a bar.
-func (r *Fig11bResult) Entry(d gen.Dataset) (skipped, total int, ok bool) {
-	for _, e := range r.Entries {
-		if e.Dataset == d {
-			return e.Skipped, e.Total, true
-		}
-	}
-	return 0, 0, false
-}
-
 // String renders the figure.
 func (r *Fig11bResult) String() string {
 	var b strings.Builder

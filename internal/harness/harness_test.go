@@ -293,11 +293,11 @@ func TestCacheCapSweepShape(t *testing.T) {
 				prev.Fraction, cur.Fraction, prev.Evictions, cur.Evictions, res)
 		}
 	}
-	smallest, _ := res.Entry("1/8")
+	// Entries follow cacheCapPoints: smallest capacity first, "1" last.
+	smallest, full := res.Entries[0], res.Entries[len(res.Entries)-1]
 	if smallest.Evictions == 0 || smallest.DirtySpills == 0 {
 		t.Fatalf("1/8 capacity drove no eviction pressure:\n%s", res)
 	}
-	full, _ := res.Entry("1")
 	if full.Capacity != 0 || full.Evictions != 0 || full.DirtySpills != 0 {
 		t.Fatalf("unbounded point reports capacity pressure: %+v", full)
 	}
@@ -339,11 +339,13 @@ func TestFig11bShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	frac := func(d gen.Dataset) float64 {
-		sk, tot, ok := res.Entry(d)
-		if !ok || tot == 0 {
-			t.Fatalf("%s: missing entry", d)
+		for _, e := range res.Entries {
+			if e.Dataset == d && e.Total > 0 {
+				return float64(e.Skipped) / float64(e.Total)
+			}
 		}
-		return float64(sk) / float64(tot)
+		t.Fatalf("%s: missing entry", d)
+		return 0
 	}
 	if f := frac(gen.WRN); f < 0.5 {
 		t.Fatalf("WRN skip fraction %.2f, want >0.5", f)

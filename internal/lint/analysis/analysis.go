@@ -19,9 +19,8 @@ import (
 	"sort"
 )
 
-// An Analyzer is one static check. Name appears in diagnostics and as
-// the driver's enable/disable flag; Doc is the one-line invariant it
-// enforces.
+// An Analyzer is one static check. Name appears in diagnostics; Doc is
+// the one-line invariant it enforces.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -36,10 +35,9 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Path is the package path under analysis as the build system
-	// reports it (the vet config ImportPath or the fixture path);
-	// analyzers gate themselves on it rather than on Pkg.Path so
-	// fixtures and the real tree match the same way.
+	// Path is the package path under analysis (the listed import path,
+	// or the fixture path); analyzers gate themselves on it rather than
+	// on Pkg.Path so fixtures and the real tree match the same way.
 	Path string
 
 	// Report delivers one diagnostic to the driver.

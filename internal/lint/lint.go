@@ -1,7 +1,9 @@
 // Package lint holds gxlint, the repository's custom static-analysis
-// suite. Each analyzer encodes an invariant the runtime tests pin after
-// the fact, so that refactors of the hot paths fail the build — not a
-// bisect — when they break one:
+// suite, and runs it as a test: TestLint type-checks every package of the
+// module, test files included, and fails on any diagnostic (`make lint`,
+// and `go test ./...`). Each analyzer encodes an invariant the runtime
+// tests pin after the fact, so that refactors of the hot paths fail the
+// build — not a bisect — when they break one:
 //
 //	determinism — no wall clocks, no unseeded global randomness, and no
 //	              map-iteration order leaking into results in simulated
@@ -31,8 +33,8 @@ import (
 	"gxplug/internal/lint/analysis"
 )
 
-// Analyzers returns the full gxlint suite in reporting order.
-func Analyzers() []*analysis.Analyzer {
+// analyzers returns the full gxlint suite in reporting order.
+func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		DeterminismAnalyzer,
 		NilGateAnalyzer,
@@ -86,11 +88,6 @@ var clockChargeTargets = []string{
 // "gxplug/internal/engine/powergraph" matches target "internal/engine";
 // "gxplug/internal/gxplug/synccache" matches target "internal/gxplug".
 func pkgMatch(path string, targets []string) bool {
-	// Vet IDs can carry a " [pkg.test]" variant suffix; analysis applies
-	// to the variant exactly as to the base package.
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
 	for _, t := range targets {
 		for i := 0; ; {
 			j := strings.Index(path[i:], t)
@@ -114,9 +111,6 @@ func pkgMatch(path string, targets []string) bool {
 // its subpackages: synccache/pipeline/balance are cost models, not
 // entry points.
 func clockChargeExact(path string) bool {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
 	for _, t := range clockChargeTargets {
 		if path == t || strings.HasSuffix(path, "/"+t) {
 			return true

@@ -38,7 +38,6 @@ func TestPkgMatch(t *testing.T) {
 		{"gxplug/gx", determinismTargets, true},
 		{"gxplug/internal/serve", determinismTargets, true},
 		{"gxplug/cmd/gxd", determinismTargets, false},
-		{"gxplug/internal/engine [gxplug/internal/engine.test]", determinismTargets, true},
 		{"det/internal/engine", determinismTargets, true},
 		{"gxplug/internal/gen/ingest", determinismTargets, true},
 		{"gxplug/internal/graph", determinismTargets, true},

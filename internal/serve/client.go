@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// Client timeouts. Bounded calls (submit, status, result without wait)
+// Client timeouts. Bounded calls (submit, result without wait)
 // answer from in-memory state and must fail fast against a dead or
 // wedged daemon instead of hanging gxrun -remote forever; open-ended
 // calls (stream, result?wait=1) legitimately block for a job's whole
@@ -132,23 +132,6 @@ func (c *Client) Result(id string, wait bool) (JobResult, error) {
 		return JobResult{}, fmt.Errorf("serve: result: %w", err)
 	}
 	return jr, nil
-}
-
-// Status fetches a job's progress snapshot.
-func (c *Client) Status(id string) (Status, error) {
-	resp, err := c.short.Get(c.base + "/v1/status?id=" + url.QueryEscape(id))
-	if err != nil {
-		return Status{}, fmt.Errorf("serve: status: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Status{}, statusError("status", resp)
-	}
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return Status{}, fmt.Errorf("serve: status: %w", err)
-	}
-	return st, nil
 }
 
 // statusError turns a non-2xx response into an error carrying the

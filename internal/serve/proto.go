@@ -22,7 +22,8 @@
 // Determinism note: everything in this package that feeds results is
 // wall-clock-free — job outcomes come from the gx executor, whose
 // times are virtual. The package is inside the gxlint determinism
-// analyzer's scope to keep it that way.
+// analyzer's scope (internal/lint's TestLint, part of `go test ./...`)
+// to keep it that way.
 package serve
 
 import (

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Key identifies a segment or queue, like a System V IPC key.
@@ -65,25 +64,6 @@ type IPC struct {
 	lim    Limits
 	segs   map[Key]*Segment
 	queues map[Key]*Queue
-	nextID int
-
-	// Cumulative counters behind Stats. Creations are counted under mu,
-	// which Shmget and Msgget hold anyway; message traffic is counted
-	// atomically so that Msgsnd and Msgrcv never take the namespace lock.
-	segmentsCreated int
-	queuesCreated   int
-	messagesSent    atomic.Int64
-	bytesCopied     atomic.Int64
-}
-
-// Stats counts IPC activity; the harness charges virtual transfer time for
-// BytesCopied through message queues (shared segments are zero-copy, which
-// is the point of the design — see §II-B "benefits").
-type Stats struct {
-	SegmentsCreated int
-	QueuesCreated   int
-	MessagesSent    int
-	BytesCopied     int64
 }
 
 // NewIPC creates an empty namespace with the given limits.
@@ -95,24 +75,11 @@ func NewIPC(lim Limits) *IPC {
 	}
 }
 
-// Stats returns a snapshot of the namespace counters.
-func (ipc *IPC) Stats() Stats {
-	ipc.mu.Lock()
-	defer ipc.mu.Unlock()
-	return Stats{
-		SegmentsCreated: ipc.segmentsCreated,
-		QueuesCreated:   ipc.queuesCreated,
-		MessagesSent:    int(ipc.messagesSent.Load()),
-		BytesCopied:     ipc.bytesCopied.Load(),
-	}
-}
-
 // Segment is a shared memory segment. The backing slice is handed out by
 // Attach; all attachments alias the same memory, exactly like shmat.
 type Segment struct {
 	ipc  *IPC
 	key  Key
-	id   int
 	data []byte
 
 	mu       sync.Mutex
@@ -161,18 +128,10 @@ func (ipc *IPC) Shmget(key Key, size int, flag GetFlag) (*Segment, error) {
 		return nil, fmt.Errorf("shmget key %d: size %d > SHMMAX %d: %w",
 			key, size, ipc.lim.MaxSegmentBytes, ErrTooBig)
 	}
-	ipc.nextID++
-	seg := &Segment{ipc: ipc, key: key, id: ipc.nextID, data: make([]byte, size)}
+	seg := &Segment{ipc: ipc, key: key, data: make([]byte, size)}
 	ipc.segs[key] = seg
-	ipc.segmentsCreated++
 	return seg, nil
 }
-
-// Key returns the key the segment was created under.
-func (s *Segment) Key() Key { return s.key }
-
-// Size returns the segment size in bytes.
-func (s *Segment) Size() int { return len(s.data) }
 
 // Attach maps the segment and returns the shared backing memory. Every
 // attachment sees every other attachment's writes (it is the same slice).
@@ -277,18 +236,7 @@ func (ipc *IPC) Msgget(key Key, flag GetFlag) (*Queue, error) {
 	q.notFull = sync.NewCond(&q.mu)
 	q.arrived = sync.NewCond(&q.mu)
 	ipc.queues[key] = q
-	ipc.queuesCreated++
 	return q, nil
-}
-
-// Key returns the queue's key.
-func (q *Queue) Key() Key { return q.key }
-
-// Len returns the number of queued messages.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.msgs)
 }
 
 // Msgsnd enqueues a message, blocking while the queue byte limit is
@@ -312,10 +260,6 @@ func (q *Queue) Msgsnd(mtype int64, payload []byte) error {
 	p = append(p, payload...)
 	q.msgs = append(q.msgs, Msg{Type: mtype, Payload: p})
 	q.bytes += len(p)
-
-	q.ipc.messagesSent.Add(1)
-	q.ipc.bytesCopied.Add(int64(len(p)))
-
 	q.arrived.Broadcast()
 	return nil
 }
@@ -343,8 +287,6 @@ func (q *Queue) MsgrcvInto(buf []byte, mtype int64, block bool) (Msg, error) {
 			q.msgs = append(q.msgs[:i], q.msgs[i+1:]...)
 			q.bytes -= len(m.Payload)
 			q.notFull.Broadcast()
-
-			q.ipc.bytesCopied.Add(int64(len(m.Payload)))
 			if cap(m.Payload) > 0 {
 				q.free = append(q.free, m.Payload[:0])
 			}

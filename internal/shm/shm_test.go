@@ -17,8 +17,8 @@ func TestShmgetCreateAndOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	if seg.Size() != 128 || seg.Key() != 42 {
-		t.Fatalf("segment meta wrong: size=%d key=%d", seg.Size(), seg.Key())
+	if mem, err := seg.Attach(); err != nil || len(mem) != 128 {
+		t.Fatalf("attach: %d bytes, %v; want 128", len(mem), err)
 	}
 	again, err := ipc.Shmget(42, 128, Open)
 	if err != nil {
@@ -299,21 +299,6 @@ func TestMsggetOpenMissing(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	ipc := newIPC()
-	ipc.Shmget(1, 8, Create)
-	q, _ := ipc.Msgget(2, Create)
-	q.Msgsnd(1, []byte("abcd"))
-	q.Msgrcv(0, true)
-	s := ipc.Stats()
-	if s.SegmentsCreated != 1 || s.QueuesCreated != 1 || s.MessagesSent != 1 {
-		t.Fatalf("stats wrong: %+v", s)
-	}
-	if s.BytesCopied != 8 { // 4 on send + 4 on receive
-		t.Fatalf("BytesCopied = %d, want 8", s.BytesCopied)
-	}
-}
-
 // Property: any interleaving of concurrent senders delivers every message
 // exactly once, and per-sender order is preserved by FIFO receive.
 func TestConcurrentSendersDeliverAll(t *testing.T) {
@@ -346,8 +331,8 @@ func TestConcurrentSendersDeliverAll(t *testing.T) {
 		}
 		lastSeen[m.Type] = int(m.Payload[0])
 	}
-	if q.Len() != 0 {
-		t.Fatalf("queue not drained: %d left", q.Len())
+	if m, err := q.Msgrcv(0, false); !errors.Is(err, ErrNoMsg) {
+		t.Fatalf("queue not drained: received %+v, %v", m, err)
 	}
 }
 
