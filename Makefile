@@ -136,14 +136,15 @@ race-gen:
 # contract (every index once, the serial loop's error, nested Dos, the
 # back-to-back hand-off, no steady allocation), the device launch that
 # runs every kernel through it, the suite cells whose MSGGen, MSGApply and
-# MSGMerge panic natively and on a plugged daemon, the failed runs that
+# MSGMerge panic natively and on a plugged daemon, the entry-done callback
+# that panics on a pool worker and must fail the suite, the failed runs that
 # must leave no daemon behind, and the cache build that panics under
 # blocked waiters and must leave no entry behind — helpers really
 # concurrent.
 race-par:
 	GOMAXPROCS=8 $(GO) test -race ./internal/par ./internal/device
 	GOMAXPROCS=8 $(GO) test -race -run 'TestTablePanickingBuildLeavesNoEntry' -count=10 ./internal/memo
-	GOMAXPROCS=8 $(GO) test -race -run 'TestSuitePanickingAlgorithmFailsOneEntry|TestFailedPluggedRunReleasesDaemons|TestPanickingLoaderDoesNotPoisonCache' ./gx
+	GOMAXPROCS=8 $(GO) test -race -run 'TestSuitePanickingAlgorithmFailsOneEntry|TestSuitePanickingEntryDoneFailsTheSuite|TestFailedPluggedRunReleasesDaemons|TestPanickingLoaderDoesNotPoisonCache' ./gx
 	GOMAXPROCS=8 $(GO) test -race -run 'TestFailedRunReleasesIPC' ./internal/engine
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenChunkMatchesOracle' -count=10 ./internal/gxplug
 
@@ -207,11 +208,15 @@ SEED ?= 42
 bench-pair:
 	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
 
-# Non-test Go line counts per package (benchmark/ excluded), and the
-# total — what CHANGES.md LOC-before/after entries are measured with.
+# Non-test Go line counts per package, and the total of shipped code —
+# what CHANGES.md LOC-before/after entries are measured with. benchmark/
+# and the analyzers' fixtures (internal/lint/testdata) are not counted;
+# internal/lint, reached only from its own tests, is reported on its own
+# "tooling" line, outside the total.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
-		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
-		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/lint/testdata/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); \
+			if (d ~ /^\.\/internal\/lint(\/|$$)/) { tool += $$1; next } n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d tooling (internal/lint)\n", tool; printf "%7d total\n", t }' | sort -k2
 
 ci: fmt lint build examples race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke

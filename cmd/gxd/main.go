@@ -10,7 +10,6 @@
 //	gxd -addr :8080 -pool 8 -results 4096 -queue 128
 //	gxd -manifest datasets.json
 //	gxd -budget 10s -plan lpt -retain 512
-//	gxd -plan lpt -stats planner.json
 //
 // Production concerns are the point of the daemon:
 //
@@ -26,9 +25,9 @@
 //     is priced by the gx planner (a dry pass over the calibrated cost
 //     model, no superstep executed) and rejected with 422 plus the
 //     per-entry estimates when the predicted serial virtual cost
-//     exceeds D. Predictions sharpen over the daemon's lifetime: the
-//     planner records predicted-vs-actual makespans per scenario
-//     digest, so repeat shapes are priced from recorded history.
+//     exceeds D. The planner prices from the cost model alone, so
+//     admission is a pure function of the submission and the budget:
+//     a suite admitted once is admitted again, whatever ran between.
 //   - Scheduled dispatch: -plan lpt runs each job's entries
 //     longest-predicted-first; results stay bit-identical to file
 //     order, only wall-clock packing changes.
@@ -37,10 +36,6 @@
 //     /v1/healthz reports resident vs evicted counts.
 //   - Graceful shutdown: SIGINT/SIGTERM stops admission (503) and
 //     drains every admitted job before exiting.
-//   - Durable calibration: -stats FILE loads the planner's
-//     predicted-vs-actual history on boot (a missing file starts fresh)
-//     and rewrites it atomically after drain, so admission pricing
-//     sharpens across restarts instead of resetting with each one.
 //
 // -manifest FILE loads a gx.Manifest mapping logical dataset names to
 // `#sha256=`-pinned `file:` references, resolved before validation, so
@@ -58,7 +53,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -110,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
 		budget       = fs.Duration("budget", 0, "admission cost ceiling: reject submissions whose predicted virtual cost exceeds this with 422 (0 = unlimited)")
 		planName     = fs.String("plan", "", "job dispatch order: file | lpt (cost-model longest-predicted-first; results identical)")
 		manifestPath = fs.String("manifest", "", "JSON dataset manifest: logical names -> pinned file: references")
-		statsPath    = fs.String("stats", "", "planner-history file: loaded on boot (fresh when missing), rewritten after drain so predictions survive restarts")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -137,13 +130,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
 		}
 		opts.Manifest = m
 	}
-	if *statsPath != "" {
-		st, err := loadStats(*statsPath)
-		if err != nil {
-			return err
-		}
-		opts.Stats = st
-	}
 	srv, err := serve.New(opts)
 	if err != nil {
 		return err
@@ -162,9 +148,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
 	select {
 	case err := <-served:
 		srv.Drain()
-		if serr := saveStats(*statsPath, srv.PlannerStats()); serr != nil {
-			fmt.Fprintln(stderr, serr)
-		}
 		return fmt.Errorf("gxd: %w", err)
 	case <-stop:
 	}
@@ -173,9 +156,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
 	// the listener; in-flight streams complete because their jobs have.
 	fmt.Fprintln(stdout, "gxd: draining")
 	srv.Drain()
-	if err := saveStats(*statsPath, srv.PlannerStats()); err != nil {
-		return err
-	}
 	if err := hs.Shutdown(context.Background()); err != nil {
 		return fmt.Errorf("gxd: shutdown: %w", err)
 	}
@@ -183,45 +163,5 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
 		return fmt.Errorf("gxd: %w", err)
 	}
 	fmt.Fprintln(stdout, "gxd: drained")
-	return nil
-}
-
-// loadStats reads a persisted planner history. A missing file is not an
-// error — the daemon starts with fresh history and creates the file at
-// drain — but an unreadable or malformed one is, because silently
-// discarding recorded predictions would mask operator mistakes.
-func loadStats(path string) (*gx.PlannerStats, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return gx.NewPlannerStats(0)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("gxd: stats: %w", err)
-	}
-	st := new(gx.PlannerStats)
-	if err := json.Unmarshal(data, st); err != nil {
-		return nil, fmt.Errorf("gxd: stats %s: %w", path, err)
-	}
-	return st, nil
-}
-
-// saveStats persists the drained server's planner history atomically
-// (tmp + rename), so a crash mid-write leaves the previous file intact.
-// No-op without -stats or when the server ran without a planner.
-func saveStats(path string, st *gx.PlannerStats) error {
-	if path == "" || st == nil {
-		return nil
-	}
-	data, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("gxd: stats: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("gxd: stats: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("gxd: stats: %w", err)
-	}
 	return nil
 }

@@ -394,7 +394,7 @@ func runSuite(path string, pool int, plan gx.Plan, manifest gx.Manifest, progres
 		// so planning costs no duplicate work (the closing cache line
 		// reports the planner's loads as extra hits).
 		cache := gx.NewDatasetCache()
-		planner := gx.NewPlanner(cache, nil)
+		planner := gx.NewPlanner(cache)
 		sp, err := planner.PlanSuite(suite, pool)
 		if err != nil {
 			return err

@@ -68,8 +68,8 @@ func main() {
 
 	// A planner prices the whole sequence before anything runs: full
 	// seed-boundary cost per batch on scratch, a quarter-cost prior on
-	// incremental (history replaces the prior with recorded actuals).
-	planner := gx.NewPlanner(nil, nil)
+	// incremental.
+	planner := gx.NewPlanner(nil)
 	run := func(mode string) *gx.Result {
 		s := base
 		s.Batches = &gx.BatchSpec{Stream: ref, Mode: mode}

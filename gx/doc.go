@@ -107,13 +107,11 @@
 // that order, which packs the worker pool tighter when entry costs are
 // skewed; results, goldens, and [WithEntryDone] emission order stay
 // bit-identical to file order at every pool size — a plan changes
-// wall-clock packing, never output. A planner carrying [PlannerStats]
-// refines itself from history: each finished entry records
-// predicted-vs-actual makespan under the scenario's digest, repeat
-// scenarios are priced from the recorded actuals, and novel ones are
-// scaled by the accumulated ratio (`gxrun -suite file.json -plan lpt`
-// prints the schedule; the gxd daemon prices submissions for cost-aware
-// admission).
+// wall-clock packing, never output. The planner prices from the model
+// alone: an estimate is a pure function of the scenario and the content
+// of the files it names, never of what ran before, so gxd's cost-aware
+// admission is a pure function of the submission and its budget
+// (`gxrun -suite file.json -plan lpt` prints the schedule).
 //
 // Robustness is part of the same vocabulary. A scenario's Faults field
 // schedules deterministic middleware faults ([FaultSpec]: daemon-crash,

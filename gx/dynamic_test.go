@@ -297,7 +297,7 @@ func TestDynamicModeMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 					entry := sr.Entries[0]
-					_, estErr := NewPlanner(nil, nil).Estimate(s)
+					_, estErr := NewPlanner(nil).Estimate(s)
 
 					if replays || mode == "scratch" {
 						if runErr != nil || entry.Err != nil || estErr != nil {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gxplug/internal/par"
 )
 
 // executor is the shared execution core every consumer funnels suite
@@ -32,8 +34,7 @@ type executor struct {
 	// obs and done are the caller's streaming hooks; both serialized.
 	obs  func(entry string, st Superstep)
 	done func(EntryResult)
-	// plan selects dispatch order; planner prices entries for LPT and —
-	// when it carries stats — receives predicted-vs-actual feedback.
+	// plan selects dispatch order; planner prices entries for LPT.
 	plan    Plan
 	planner *Planner
 }
@@ -43,7 +44,12 @@ type executor struct {
 // invoked in entry order as prefixes complete; obs fans out
 // per-superstep reports. Both callbacks are serialized against each
 // other, so they may share unsynchronized state such as one stdout.
-func (x *executor) execute(entries []SuiteEntry) []EntryResult {
+//
+// The done callback runs on a pool worker outside any entry, under
+// par.Do's recover: a panic in it makes execute return the
+// *par.PanicError wrapped with the entry's name, and no later done call
+// is made. The remaining entries still run to completion.
+func (x *executor) execute(entries []SuiteEntry) ([]EntryResult, error) {
 	n := len(entries)
 	results := make([]EntryResult, n)
 
@@ -51,13 +57,14 @@ func (x *executor) execute(entries []SuiteEntry) []EntryResult {
 	// descending predicted makespan. Only the order workers *pick up*
 	// entries changes — results land by entry index and the done stream
 	// below emits in entry order either way.
-	order, predicted := x.schedule(entries)
+	order := x.schedule(entries)
 
 	// cbMu serializes every user callback — the per-superstep observer
 	// and the entry-done stream — across concurrently running entries.
 	var cbMu sync.Mutex
 	finished := make([]bool, n)
 	emitted := 0
+	var doneErr error
 
 	workers := x.pool
 	if workers > n {
@@ -80,61 +87,42 @@ func (x *executor) execute(entries []SuiteEntry) []EntryResult {
 					i = order[slot]
 				}
 				results[i] = x.runEntry(entries[i], &cbMu)
-				x.observe(entries[i].Scenario, predicted[i], results[i])
 				if x.done == nil {
 					continue
 				}
 				cbMu.Lock()
 				finished[i] = true
-				for emitted < n && finished[emitted] {
-					x.done(results[emitted])
-					emitted++
+				for ; doneErr == nil && emitted < n && finished[emitted]; emitted++ {
+					er := &results[emitted]
+					if err := par.Do(1, func(int) error { x.done(*er); return nil }); err != nil {
+						doneErr = fmt.Errorf("gx: entry %q: done callback: %w", er.Name, err)
+					}
 				}
 				cbMu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	return results
+	return results, doneErr
 }
 
-// schedule prices the entries when a planner is attached and returns the
-// dispatch order (nil for file order) plus the per-entry predictions the
-// feedback loop pairs with actuals. Estimation runs serially before the
-// pool starts — it is a dry pass over graph stats, orders of magnitude
-// cheaper than any entry — and an entry whose estimate fails costs zero,
-// sorting last deterministically (the run itself will surface the error
-// with full context).
-func (x *executor) schedule(entries []SuiteEntry) (order []int, predicted []time.Duration) {
-	predicted = make([]time.Duration, len(entries))
-	if x.planner == nil {
-		return nil, predicted
+// schedule returns the dispatch order: nil (file order) unless the plan
+// is LPT, which prices every entry first. Estimation runs serially
+// before the pool starts — it is a dry pass over graph stats, orders of
+// magnitude cheaper than any entry — and an entry whose estimate fails
+// costs zero, sorting last deterministically (the run itself will
+// surface the error with full context).
+func (x *executor) schedule(entries []SuiteEntry) []int {
+	if x.plan != LPT {
+		return nil
 	}
+	costs := make([]time.Duration, len(entries))
 	for i, e := range entries {
 		if est, err := x.planner.Estimate(e.Scenario); err == nil {
-			predicted[i] = est.Makespan
+			costs[i] = est.Makespan
 		}
 	}
-	if x.plan != LPT {
-		return nil, predicted
-	}
-	return lptOrder(predicted), predicted
-}
-
-// observe feeds one freshly executed entry's predicted-vs-actual virtual
-// makespan into the planner's history. Cache hits ran nothing and failed
-// entries have no makespan; both are skipped, as are entries the planner
-// could not price (predicted zero carries no signal).
-func (x *executor) observe(s Scenario, predicted time.Duration, er EntryResult) {
-	if x.planner == nil || x.planner.stats == nil {
-		return
-	}
-	if er.Err != nil || er.CacheHit || predicted <= 0 {
-		return
-	}
-	if key, ok := scenarioKey(x.cache, s); ok {
-		x.planner.stats.Observe(key, predicted, er.Summary.Time)
-	}
+	return lptOrder(costs)
 }
 
 // runEntry executes one defaults-applied entry against the shared
@@ -199,10 +187,10 @@ func (x *executor) runEntry(e SuiteEntry, cbMu *sync.Mutex) (er EntryResult) {
 }
 
 // resultKey derives the result-cache key of a declarative scenario —
-// [scenarioKey], the same identity the planner memoizes and records
-// history under. cacheable is false when no result cache is attached or
-// the key cannot be computed (an unreadable `file:` dataset, say); the
-// entry then just runs and surfaces any failure with full context.
+// [scenarioKey], the same identity the planner memoizes estimates
+// under. cacheable is false when no result cache is attached or the key
+// cannot be computed (an unreadable `file:` dataset, say); the entry
+// then just runs and surfaces any failure with full context.
 func (x *executor) resultKey(s Scenario) (key string, cacheable bool) {
 	if x.results == nil {
 		return "", false

@@ -221,6 +221,43 @@ func TestSuitePanickingObserverFailsOneEntry(t *testing.T) {
 	}
 }
 
+// A panicking WithEntryDone runs outside every entry, on the pool worker
+// that finished the entry it reports. It fails the suite instead of the
+// process: no later done call is made, the remaining entries still run,
+// and RunSuite returns the panic naming the entry it was reporting.
+func TestSuitePanickingEntryDoneFailsTheSuite(t *testing.T) {
+	for _, pool := range []int{1, 2} {
+		var done []string
+		var mu sync.Mutex
+		reports := map[string]int{}
+		res, err := RunSuite(panicSuite(), WithPool(pool),
+			WithSuiteObserver(func(entry string, st Superstep) {
+				mu.Lock()
+				reports[entry]++
+				mu.Unlock()
+			}),
+			WithEntryDone(func(er EntryResult) {
+				done = append(done, er.Name)
+				if er.Name == "boom" {
+					panic("synthetic done panic")
+				}
+			}))
+		var pe *par.PanicError
+		if res != nil || !errors.As(err, &pe) || pe.Value != "synthetic done panic" {
+			t.Fatalf("pool %d: result %v, err %v", pool, res, err)
+		}
+		if !strings.Contains(err.Error(), `entry "boom"`) {
+			t.Errorf("pool %d: error does not name the entry: %v", pool, err)
+		}
+		if strings.Join(done, ",") != "ok,boom" {
+			t.Errorf("pool %d: done calls %v, want [ok boom]", pool, done)
+		}
+		if reports["ok2"] == 0 {
+			t.Errorf("pool %d: entry after the panic did not run: %v", pool, reports)
+		}
+	}
+}
+
 var panickingLoaders atomic.Int64
 
 // A dataset loader that panics fails its entry and memoizes nothing: the

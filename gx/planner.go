@@ -1,11 +1,8 @@
 package gx
 
 import (
-	"encoding/json"
-	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"gxplug/internal/engine"
@@ -43,83 +40,53 @@ type CostEstimate struct {
 	Entities float64 `json:"entities"`
 	// Makespan is the predicted virtual makespan.
 	Makespan time.Duration `json:"makespan"`
-	// Source reports how the prediction was produced: "model" for the
-	// pure dry pass, "history" when a recorded actual makespan for the
-	// same scenario digest replaced the model value, "scaled" when the
-	// history-wide actual/predicted ratio refined it.
-	Source string `json:"source,omitempty"`
 }
 
-// plannerMemoCap bounds the per-Planner raw-estimate memo; past it the
+// plannerMemoCap bounds the per-Planner estimate memo; past it the
 // least recently used estimate goes, which is cheap to recompute.
 const plannerMemoCap = 4096
 
 // Planner prices scenarios without running them. It shares a
 // [DatasetCache] with the executor — the dry pass loads graphs and
 // partitionings through the same single-flight memoization the run will
-// hit again — and optionally refines its model predictions through a
-// [PlannerStats] history of predicted-vs-actual makespans.
+// hit again. It prices from the cost model alone: an estimate is a pure
+// function of the scenario and the content of the files it names, never
+// of what ran before.
 //
 // A Planner is safe for concurrent use.
 type Planner struct {
 	cache     *DatasetCache
-	stats     *PlannerStats
-	estimates *memo.Table[string, loaded[CostEstimate]] // raw model estimates by scenario key
+	estimates *memo.Table[string, loaded[CostEstimate]] // model estimates by scenario key
 }
 
 // NewPlanner returns a planner estimating through cache (nil: a fresh
-// private cache) and refining through stats (nil: pure model estimates).
-func NewPlanner(cache *DatasetCache, stats *PlannerStats) *Planner {
+// private cache).
+func NewPlanner(cache *DatasetCache) *Planner {
 	if cache == nil {
 		cache = NewDatasetCache()
 	}
-	return &Planner{cache: cache, stats: stats,
+	return &Planner{cache: cache,
 		estimates: memo.NewTable[string, loaded[CostEstimate]](plannerMemoCap)}
 }
 
-// Stats returns the planner's history, nil when it has none.
-func (p *Planner) Stats() *PlannerStats { return p.stats }
-
 // Estimate predicts the scenario's cost. The model pass is memoized per
 // canonical scenario digest (with `file:` content digests folded in, so
-// a rewritten file re-prices); history refinement is applied on top of
-// the memo, never into it. A failed pass is shared with concurrent
+// a rewritten file re-prices). A failed pass is shared with concurrent
 // callers of the same attempt but not memoized beyond it.
 func (p *Planner) Estimate(s Scenario) (CostEstimate, error) {
 	s = s.WithDefaults()
 	key, keyed := scenarioKey(p.cache, s)
-
-	var r loaded[CostEstimate]
-	if keyed {
-		r = p.estimates.Get(key, func() loaded[CostEstimate] {
-			raw, err := p.model(s)
-			return loaded[CostEstimate]{v: raw, err: err}
-		})
-		if r.err != nil {
-			p.estimates.Drop(key)
-		}
-	} else {
-		r.v, r.err = p.model(s)
+	if !keyed {
+		return p.model(s)
 	}
+	r := p.estimates.Get(key, func() loaded[CostEstimate] {
+		v, err := p.model(s)
+		return loaded[CostEstimate]{v: v, err: err}
+	})
 	if r.err != nil {
-		return CostEstimate{}, r.err
+		p.estimates.Drop(key)
 	}
-	raw := r.v
-	if p.stats == nil {
-		return raw, nil
-	}
-	if keyed {
-		if actual, ok := p.stats.Lookup(key); ok {
-			raw.Makespan = actual
-			raw.Source = "history"
-			return raw, nil
-		}
-	}
-	if ratio := p.stats.Ratio(); ratio > 0 && ratio != 1 {
-		raw.Makespan = time.Duration(float64(raw.Makespan) * ratio)
-		raw.Source = "scaled"
-	}
-	return raw, nil
+	return r.v, r.err
 }
 
 // model runs the dry pass: load graph and partitioning through the
@@ -146,7 +113,6 @@ func (p *Planner) model(s Scenario) (CostEstimate, error) {
 		Supersteps: ce.Supersteps,
 		Entities:   ce.Entities,
 		Makespan:   ce.Makespan,
-		Source:     "model",
 	}, nil
 }
 
@@ -248,7 +214,7 @@ func lptOrder(costs []time.Duration) []int {
 	return order
 }
 
-// scenarioKey is the identity estimates and history are keyed by: the
+// scenarioKey is the identity estimates and results are keyed by: the
 // canonical [Scenario.Digest], with `file:` datasets folding in the
 // file's current content digest — the same key the result cache uses,
 // for the same reason (a rewritten file must never hit stale state).
@@ -275,159 +241,4 @@ func scenarioKey(cache *DatasetCache, s Scenario) (key string, ok bool) {
 		d += "+batches-sha256:" + sha
 	}
 	return d, true
-}
-
-// PlannerStats is the observer-history feedback loop behind a [Planner]:
-// it records predicted-vs-actual virtual makespans per scenario key, so
-// repeat shapes are re-priced from their recorded actuals and novel
-// shapes are scaled by the history-wide actual/predicted ratio.
-//
-// Recording is order-independent — per-key actuals are idempotent
-// (deterministic runs always record the same actual) and the ratio sums
-// are exact integer nanosecond additions — so concurrent executors
-// feeding one PlannerStats leave it in the same state regardless of
-// completion order.
-type PlannerStats struct {
-	mu      sync.Mutex
-	actual  map[string]time.Duration
-	order   []string // insertion order, for bounded eviction
-	cap     int
-	predSum int64 // nanoseconds; exact integer sums keep Ratio deterministic
-	actSum  int64
-}
-
-// DefaultPlannerHistory is the per-key history bound NewPlannerStats
-// applies when capacity is 0.
-const DefaultPlannerHistory = 4096
-
-// NewPlannerStats returns an empty history bounded to capacity recorded
-// scenario keys (0 = DefaultPlannerHistory); the oldest key is evicted
-// past the bound.
-func NewPlannerStats(capacity int) (*PlannerStats, error) {
-	if capacity == 0 {
-		capacity = DefaultPlannerHistory
-	}
-	if capacity < 1 {
-		return nil, fmt.Errorf("gx: planner history capacity %d (want ≥ 1)", capacity)
-	}
-	return &PlannerStats{actual: make(map[string]time.Duration), cap: capacity}, nil
-}
-
-// Observe records one finished run: the makespan the planner predicted
-// and the makespan the run actually took (both virtual).
-func (ps *PlannerStats) Observe(key string, predicted, actual time.Duration) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if _, seen := ps.actual[key]; !seen {
-		if len(ps.order) >= ps.cap {
-			delete(ps.actual, ps.order[0])
-			ps.order = ps.order[1:]
-		}
-		ps.order = append(ps.order, key)
-		// Only first observations feed the ratio: repeat runs of one
-		// scenario are deterministic and would just re-weight it.
-		ps.predSum += int64(predicted)
-		ps.actSum += int64(actual)
-	}
-	ps.actual[key] = actual
-}
-
-// Lookup returns the recorded actual makespan for a scenario key.
-func (ps *PlannerStats) Lookup(key string) (time.Duration, bool) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	d, ok := ps.actual[key]
-	return d, ok
-}
-
-// Ratio is the history-wide actual/predicted makespan ratio — the
-// planner's calibration drift, multiplied into model estimates for
-// scenarios with no recorded history. 1 with no (or degenerate) history.
-func (ps *PlannerStats) Ratio() float64 {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.predSum <= 0 || ps.actSum <= 0 {
-		return 1
-	}
-	return float64(ps.actSum) / float64(ps.predSum)
-}
-
-// Len reports how many scenario keys have recorded actuals.
-func (ps *PlannerStats) Len() int {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return len(ps.actual)
-}
-
-// plannerStatsJSON is the serialized form of a history — what
-// `gxd -stats FILE` persists across restarts. Durations are integer
-// nanoseconds so the round-trip is exact.
-type plannerStatsJSON struct {
-	Capacity int              `json:"capacity"`
-	Order    []string         `json:"order,omitempty"`
-	Actual   map[string]int64 `json:"actual,omitempty"`
-	PredSum  int64            `json:"pred_sum"`
-	ActSum   int64            `json:"act_sum"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (ps *PlannerStats) MarshalJSON() ([]byte, error) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	out := plannerStatsJSON{
-		Capacity: ps.cap,
-		Order:    append([]string(nil), ps.order...),
-		PredSum:  ps.predSum,
-		ActSum:   ps.actSum,
-	}
-	if len(ps.actual) > 0 {
-		out.Actual = make(map[string]int64, len(ps.actual))
-		for k, v := range ps.actual {
-			out.Actual[k] = int64(v)
-		}
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON implements json.Unmarshaler, replacing the receiver's
-// state with the serialized history. Malformed histories (keys in one
-// structure but not the other) are rejected whole rather than loaded
-// partially; histories over capacity evict oldest-first, exactly as live
-// observation would have.
-func (ps *PlannerStats) UnmarshalJSON(data []byte) error {
-	var in plannerStatsJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("gx: planner stats: %w", err)
-	}
-	if in.Capacity == 0 {
-		in.Capacity = DefaultPlannerHistory
-	}
-	if in.Capacity < 1 {
-		return fmt.Errorf("gx: planner stats: capacity %d (want ≥ 1)", in.Capacity)
-	}
-	if len(in.Order) != len(in.Actual) {
-		return fmt.Errorf("gx: planner stats: %d ordered keys for %d recorded actuals", len(in.Order), len(in.Actual))
-	}
-	actual := make(map[string]time.Duration, len(in.Actual))
-	for _, k := range in.Order {
-		v, ok := in.Actual[k]
-		if !ok {
-			return fmt.Errorf("gx: planner stats: ordered key %q has no recorded actual", k)
-		}
-		if _, dup := actual[k]; dup {
-			return fmt.Errorf("gx: planner stats: duplicate key %q", k)
-		}
-		actual[k] = time.Duration(v)
-	}
-	for len(in.Order) > in.Capacity {
-		delete(actual, in.Order[0])
-		in.Order = in.Order[1:]
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	ps.cap = in.Capacity
-	ps.actual = actual
-	ps.order = in.Order
-	ps.predSum, ps.actSum = in.PredSum, in.ActSum
-	return nil
 }

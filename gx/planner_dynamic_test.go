@@ -1,14 +1,12 @@
 package gx
 
 // Planner and cache coverage for the dynamic-graph axis: pricing batch
-// streams (inline and file-backed), the serialized planner history that
-// gxd -stats persists across restarts, and the stream memo inside
+// streams (inline and file-backed) and the stream memo inside
 // DatasetCache. The conformance contract itself (bit-identical
 // boundaries, makespan ordering) is pinned in dynamic_test.go; these
 // tests pin the estimating/serving plumbing around it.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -16,7 +14,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"gxplug/internal/gen/ingest"
 	"gxplug/internal/graph"
@@ -32,84 +29,8 @@ func streamBatches() []graph.EdgeBatch {
 	}
 }
 
-func TestPlannerStatsJSONRoundTrip(t *testing.T) {
-	st, err := NewPlannerStats(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Observe("alpha", 10*time.Millisecond, 12*time.Millisecond)
-	st.Observe("beta", 20*time.Millisecond, 16*time.Millisecond)
-	// Repeat observations must not re-weight the ratio sums.
-	st.Observe("alpha", 10*time.Millisecond, 12*time.Millisecond)
-
-	data, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := new(PlannerStats)
-	if err := json.Unmarshal(data, got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 {
-		t.Fatalf("Len after round-trip = %d, want 2", got.Len())
-	}
-	for key, want := range map[string]time.Duration{"alpha": 12 * time.Millisecond, "beta": 16 * time.Millisecond} {
-		if d, ok := got.Lookup(key); !ok || d != want {
-			t.Errorf("Lookup(%q) = %v, %v; want %v, true", key, d, ok, want)
-		}
-	}
-	if gr, wr := got.Ratio(), st.Ratio(); gr != wr {
-		t.Errorf("Ratio after round-trip = %v, want %v", gr, wr)
-	}
-
-	// A history serialized over its capacity loads with oldest-first
-	// eviction, exactly as live observation would have trimmed it.
-	over := `{"capacity":2,"order":["a","b","c"],"actual":{"a":1,"b":2,"c":3},"pred_sum":6,"act_sum":6}`
-	evicted := new(PlannerStats)
-	if err := json.Unmarshal([]byte(over), evicted); err != nil {
-		t.Fatal(err)
-	}
-	if evicted.Len() != 2 {
-		t.Fatalf("over-capacity load Len = %d, want 2", evicted.Len())
-	}
-	if _, ok := evicted.Lookup("a"); ok {
-		t.Error("oldest key survived over-capacity load")
-	}
-	if d, ok := evicted.Lookup("c"); !ok || d != 3 {
-		t.Errorf("newest key after eviction = %v, %v; want 3ns, true", d, ok)
-	}
-
-	// Capacity 0 in the document means the default bound.
-	def := new(PlannerStats)
-	if err := json.Unmarshal([]byte(`{"pred_sum":0,"act_sum":0}`), def); err != nil {
-		t.Fatal(err)
-	}
-	if def.cap != DefaultPlannerHistory {
-		t.Errorf("zero-capacity load cap = %d, want %d", def.cap, DefaultPlannerHistory)
-	}
-}
-
-func TestPlannerStatsJSONErrors(t *testing.T) {
-	cases := map[string]string{
-		"malformed":       `{not json`,
-		"bad capacity":    `{"capacity":-1}`,
-		"length mismatch": `{"order":["a"],"actual":{}}`,
-		"missing actual":  `{"order":["a","b"],"actual":{"a":1,"c":2}}`,
-		"duplicate key":   `{"order":["a","a"],"actual":{"a":1,"b":2}}`,
-	}
-	for name, doc := range cases {
-		st := new(PlannerStats)
-		if err := json.Unmarshal([]byte(doc), st); err == nil {
-			t.Errorf("%s: Unmarshal accepted %s", name, doc)
-		}
-	}
-	if _, err := NewPlannerStats(-1); err == nil {
-		t.Error("NewPlannerStats(-1) accepted")
-	}
-}
-
 func TestPlannerDynamicEstimate(t *testing.T) {
-	p := NewPlanner(nil, nil)
+	p := NewPlanner(nil)
 
 	static := dynamicScenario("graphx", "pagerank", "")
 	static.Batches = nil
@@ -176,58 +97,6 @@ func TestPlannerDynamicEstimate(t *testing.T) {
 	broken.Batches = &BatchSpec{Stream: "file+batches:" + filepath.Join(t.TempDir(), "gone.gxb")}
 	if _, err := p.Estimate(broken); err == nil {
 		t.Error("Estimate accepted a missing stream file")
-	}
-}
-
-func TestPlannerDynamicHistory(t *testing.T) {
-	stats, err := NewPlannerStats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewDatasetCache()
-	p := NewPlanner(cache, stats)
-	if p.Stats() != stats {
-		t.Fatal("Stats() does not return the wired history")
-	}
-
-	s := dynamicScenario("graphx", "cc", "")
-	model, err := p.Estimate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if model.Source != "model" {
-		t.Fatalf("pre-history Source = %q, want model", model.Source)
-	}
-
-	// A recorded actual for the same key replaces the model makespan.
-	key, keyed := scenarioKey(cache, s.WithDefaults())
-	if !keyed {
-		t.Fatal("dynamic scenario did not produce a stable key")
-	}
-	stats.Observe(key, model.Makespan, model.Makespan/2)
-	hist, err := p.Estimate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hist.Source != "history" || hist.Makespan != model.Makespan/2 {
-		t.Errorf("history estimate = %q %v, want history %v", hist.Source, hist.Makespan, model.Makespan/2)
-	}
-
-	// A novel scenario is scaled by the history-wide ratio instead.
-	other := dynamicScenario("graphx", "pagerank", "")
-	scaled, err := p.Estimate(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scaled.Source != "scaled" {
-		t.Errorf("novel-scenario Source = %q, want scaled", scaled.Source)
-	}
-	raw, err := NewPlanner(cache, nil).Estimate(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := time.Duration(float64(raw.Makespan) * stats.Ratio()); scaled.Makespan != want {
-		t.Errorf("scaled Makespan = %v, want %v (ratio %v)", scaled.Makespan, want, stats.Ratio())
 	}
 }
 

@@ -8,11 +8,14 @@ import (
 )
 
 // TestEstimateDeterministic: the planner's prediction is a pure function
-// of the scenario — repeated calls (memoized or not) agree exactly, and
-// a fresh planner agrees with a warm one.
+// of the scenario — repeated calls (memoized or not) agree exactly, a
+// fresh planner agrees with a warm one, and running a suite through the
+// planner leaves what it predicts unchanged.
 func TestEstimateDeterministic(t *testing.T) {
-	s := suiteSixEntries().Entries[0].Scenario
-	p := NewPlanner(nil, nil)
+	suite := suiteSixEntries()
+	s := suite.Entries[0].Scenario
+	cache := NewDatasetCache()
+	p := NewPlanner(cache)
 	a, err := p.Estimate(s)
 	if err != nil {
 		t.Fatal(err)
@@ -21,14 +24,21 @@ func TestEstimateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewPlanner(nil, nil).Estimate(s) // cold
+	c, err := NewPlanner(nil).Estimate(s) // cold
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b || a != c {
-		t.Fatalf("estimates disagree: %+v / %+v / %+v", a, b, c)
+	if _, err := RunSuite(suite, WithCache(cache), WithPlanner(p), WithPlan(LPT)); err != nil {
+		t.Fatal(err)
 	}
-	if a.Makespan <= 0 || a.Supersteps <= 0 || a.Entities <= 0 || a.Source != "model" {
+	d, err := p.Estimate(s) // after the scenario ran on this planner
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b || a != c || a != d {
+		t.Fatalf("estimates disagree: %+v / %+v / %+v / %+v", a, b, c, d)
+	}
+	if a.Makespan <= 0 || a.Supersteps <= 0 || a.Entities <= 0 {
 		t.Fatalf("degenerate estimate %+v", a)
 	}
 }
@@ -36,7 +46,7 @@ func TestEstimateDeterministic(t *testing.T) {
 // TestEstimateInvalidScenario: an unpriceable scenario errors instead of
 // returning a zero estimate.
 func TestEstimateInvalidScenario(t *testing.T) {
-	p := NewPlanner(nil, nil)
+	p := NewPlanner(nil)
 	if _, err := p.Estimate(Scenario{Engine: "powergraph", Algorithm: "pagerank", Dataset: "no-such-dataset", Nodes: 2}); err == nil {
 		t.Fatal("unknown dataset priced")
 	}
@@ -46,7 +56,7 @@ func TestEstimateInvalidScenario(t *testing.T) {
 // makespan with suite-order tie-breaks, prices every entry, and the
 // greedy pool simulation lands between makespan bounds.
 func TestPlanSuite(t *testing.T) {
-	p := NewPlanner(nil, nil)
+	p := NewPlanner(nil)
 	plan, err := p.PlanSuite(suiteSixEntries(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +159,7 @@ func TestLPTPacksSkewedSuite(t *testing.T) {
 		})
 	}
 	cache := NewDatasetCache()
-	sp, err := NewPlanner(cache, nil).PlanSuite(suite, pool)
+	sp, err := NewPlanner(cache).PlanSuite(suite, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,100 +187,5 @@ func TestLPTPacksSkewedSuite(t *testing.T) {
 func TestRunSuiteRejectsUnknownPlan(t *testing.T) {
 	if _, err := RunSuite(suiteSixEntries(), WithPlan("random")); err == nil || !strings.Contains(err.Error(), "unknown plan") {
 		t.Fatalf("bad plan accepted: %v", err)
-	}
-}
-
-// TestPlannerStatsRefinement: executed suites feed predicted-vs-actual
-// history back through the shared planner, so a repeat estimate of the
-// same scenario returns the recorded actual ("history") and a novel
-// scenario is scaled by the observed ratio ("scaled").
-func TestPlannerStatsRefinement(t *testing.T) {
-	suite := suiteSixEntries()
-	stats, err := NewPlannerStats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewDatasetCache()
-	p := NewPlanner(cache, stats)
-
-	res, err := RunSuite(suite, WithCache(cache), WithPlanner(p), WithPlan(LPT), WithPool(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Len() != len(suite.Entries) {
-		t.Fatalf("history recorded %d of %d entries", stats.Len(), len(suite.Entries))
-	}
-
-	// Repeat shape: the estimate now IS the recorded actual makespan.
-	for i, e := range suite.WithDefaults().Entries {
-		est, err := p.Estimate(e.Scenario)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est.Source != "history" {
-			t.Fatalf("entry %d: source %q after run", i, est.Source)
-		}
-		if est.Makespan != res.Entries[i].Summary.Time {
-			t.Fatalf("entry %d: history estimate %v, actual %v", i, est.Makespan, res.Entries[i].Summary.Time)
-		}
-	}
-
-	// Novel shape: scaled by the history-wide ratio, still deterministic.
-	novel := Scenario{Engine: "powergraph", Algorithm: "pagerank", Dataset: "orkut", Scale: 40000, Nodes: 2}
-	a, err := p.Estimate(novel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.Estimate(novel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("scaled estimate not deterministic: %+v vs %+v", a, b)
-	}
-	if ratio := stats.Ratio(); ratio != 1 && a.Source != "scaled" {
-		t.Fatalf("ratio %v but novel source %q", ratio, a.Source)
-	}
-
-	// History is order-independent: re-running the suite at another pool
-	// size leaves identical sums (deterministic actuals, idempotent keys).
-	ratio := stats.Ratio()
-	if _, err := RunSuite(suite, WithCache(cache), WithPlanner(p), WithPool(1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := stats.Ratio(); got != ratio {
-		t.Fatalf("ratio drifted on repeat run: %v vs %v", got, ratio)
-	}
-}
-
-// TestPlannerStatsBounds: capacity validation and oldest-key eviction.
-func TestPlannerStatsBounds(t *testing.T) {
-	if _, err := NewPlannerStats(-1); err == nil {
-		t.Fatal("negative capacity accepted")
-	}
-	stats, err := NewPlannerStats(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats.Observe("a", time.Second, time.Second)
-	stats.Observe("b", time.Second, 2*time.Second)
-	stats.Observe("c", time.Second, 3*time.Second)
-	if stats.Len() != 2 {
-		t.Fatalf("len %d after eviction", stats.Len())
-	}
-	if _, ok := stats.Lookup("a"); ok {
-		t.Fatal("oldest key survived eviction")
-	}
-	if _, ok := stats.Lookup("c"); !ok {
-		t.Fatal("newest key missing")
-	}
-	// Repeat observation of a resident key does not re-weight the ratio.
-	r := stats.Ratio()
-	stats.Observe("c", time.Second, 3*time.Second)
-	if stats.Ratio() != r {
-		t.Fatal("repeat observation re-weighted ratio")
 	}
 }

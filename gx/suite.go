@@ -266,11 +266,11 @@ func WithSuiteObserver(fn func(entry string, st Superstep)) SuiteOption {
 func WithPlan(p Plan) SuiteOption { return func(c *suiteConfig) { c.plan = p } }
 
 // WithPlanner runs the suite against an existing [Planner] instead of a
-// private one: its memoized estimates order LPT dispatch, and — when the
-// planner carries a [PlannerStats] — every freshly executed entry feeds
-// its predicted-vs-actual makespan back, so repeat shapes are re-priced
-// from history. Attaching a planner without [WithPlan] keeps file-order
-// dispatch but still records history.
+// private one, so LPT dispatch reuses the estimates it has memoized (a
+// server prices a submission for admission, then dispatches it). The
+// planner prices from the cost model alone; running a suite never
+// changes what it predicts. Without [WithPlan] ([LPT]) it is not
+// consulted.
 func WithPlanner(p *Planner) SuiteOption { return func(c *suiteConfig) { c.planner = p } }
 
 // WithEntryDone streams per-entry results as they are finalized. The
@@ -278,7 +278,9 @@ func WithPlanner(p *Planner) SuiteOption { return func(c *suiteConfig) { c.plann
 // callback, and always invoked in suite order — entry i is reported
 // only after entries 0..i-1 — so streaming consumers see one
 // deterministic sequence no matter the pool size, at the cost of
-// buffering results that finish out of order.
+// buffering results that finish out of order. A panic in fn stops the
+// stream — fn is not called again — while the remaining entries still
+// run; RunSuite then returns the panic as its error, naming the entry.
 func WithEntryDone(fn func(EntryResult)) SuiteOption {
 	return func(c *suiteConfig) { c.done = fn }
 }
@@ -294,7 +296,7 @@ func WithEntryDone(fn func(EntryResult)) SuiteOption {
 //
 // A failed entry records its error in the corresponding [EntryResult]
 // and does not stop the rest of the suite; RunSuite itself errors only
-// on invalid input.
+// on invalid input or a panicking [WithEntryDone] callback.
 func RunSuite(suite Suite, opts ...SuiteOption) (*SuiteResult, error) {
 	cfg := suiteConfig{pool: runtime.GOMAXPROCS(0)}
 	for _, opt := range opts {
@@ -318,7 +320,7 @@ func RunSuite(suite Suite, opts ...SuiteOption) (*SuiteResult, error) {
 	}
 	planner := cfg.planner
 	if planner == nil && cfg.plan == LPT {
-		planner = NewPlanner(cache, nil)
+		planner = NewPlanner(cache)
 	}
 
 	x := &executor{
@@ -330,5 +332,9 @@ func RunSuite(suite Suite, opts ...SuiteOption) (*SuiteResult, error) {
 		plan:    cfg.plan,
 		planner: planner,
 	}
-	return &SuiteResult{Name: suite.Name, Entries: x.execute(suite.Entries), Cache: cache.Stats()}, nil
+	entries, err := x.execute(suite.Entries)
+	if err != nil {
+		return nil, err
+	}
+	return &SuiteResult{Name: suite.Name, Entries: entries, Cache: cache.Stats()}, nil
 }

@@ -106,8 +106,7 @@ func batchApplyCost(adds, removes int) time.Duration {
 
 // replayDivisor is the dry pass's prior for an incremental boundary: it
 // is modelled at 1/replayDivisor of a seed boundary's cost (the dirty
-// cone covers a fraction of the graph) — deliberately coarse, and
-// replaced by recorded actuals (the planner's history).
+// cone covers a fraction of the graph) — deliberately coarse.
 const replayDivisor = 4
 
 // overStream extends a seed-boundary estimate over a stream's extra

@@ -140,6 +140,80 @@ func TestLayoutMatchesOracle(t *testing.T) {
 	}
 }
 
+// EdgeCutByRange keeps the quantile walk's layout byte for byte wherever
+// the graph has at least as many edges as nodes. With fewer, that walk
+// left node 0 empty; the vertex-count cut gives every node a contiguous,
+// non-empty range whenever there are enough vertices.
+func TestEdgeCutByRangeMatchesOracle(t *testing.T) {
+	star := func(leaves int, in bool) *graph.Graph {
+		edges := make([]graph.Edge, leaves)
+		for i := range edges {
+			edges[i] = graph.Edge{Src: 0, Dst: graph.VertexID(i + 1), Weight: 1}
+			if in {
+				edges[i].Src, edges[i].Dst = edges[i].Dst, 0
+			}
+		}
+		return graph.MustFromEdges(leaves+1, edges)
+	}
+	graphs := map[string]*graph.Graph{
+		"star-out/40": star(40, false),
+		"star-in/40":  star(40, true),
+		"star-out/5":  star(5, false),
+		"star-in/3":   star(3, true),
+		"edgeless/97": graph.MustFromEdges(97, nil),
+		"edgeless/8":  graph.MustFromEdges(8, nil),
+		"one-edge/8":  graph.MustFromEdges(8, []graph.Edge{{Src: 3, Dst: 5, Weight: 1}}),
+	}
+	for _, c := range []gen.RMATConfig{
+		{NumVertices: 300, NumEdges: 2500, A: 0.57, B: 0.19, C: 0.19, Seed: 1},
+		{NumVertices: 300, NumEdges: 2500, A: 0.57, B: 0.19, C: 0.19, Community: true, Seed: 2},
+		{NumVertices: 64, NumEdges: 3, A: 0.57, B: 0.19, C: 0.19, Seed: 3},
+	} {
+		g, err := gen.RMAT(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[fmt.Sprintf("rmat/%d/%d/%v", c.NumVertices, c.NumEdges, c.Community)] = g
+	}
+	for _, c := range []gen.RoadConfig{{Rows: 6, Cols: 7, Seed: 1}, {Rows: 2, Cols: 2, Seed: 1}} {
+		g, err := gen.Road(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[fmt.Sprintf("lattice/%dx%d", c.Rows, c.Cols)] = g
+	}
+	sparse := 0
+	for name, g := range graphs {
+		for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 32} {
+			p := graph.EdgeCutByRange(g, m)
+			if err := p.Validate(); err != nil {
+				t.Fatalf("%s m=%d: %v", name, m, err)
+			}
+			if g.NumEdges() >= int64(m) {
+				if want := oracleRangeOwner(g, m); !slices.Equal(p.Owner, want) {
+					t.Fatalf("%s m=%d: owners %v, oracle %v", name, m, p.Owner, want)
+				}
+				continue
+			}
+			if m > g.NumVertices() {
+				continue
+			}
+			sparse++
+			for j, part := range p.Parts {
+				if len(part.Masters) == 0 {
+					t.Fatalf("%s m=%d: node %d masters nothing (owners %v)", name, m, j, p.Owner)
+				}
+			}
+			if !slices.IsSorted(p.Owner) {
+				t.Fatalf("%s m=%d: owners not contiguous: %v", name, m, p.Owner)
+			}
+		}
+	}
+	if sparse == 0 {
+		t.Fatal("no graph with fewer edges than nodes was cut")
+	}
+}
+
 // A partition build allocates per node and per array, never per edge or
 // per vertex: the count depends on m alone.
 func TestPartitionBuildAllocs(t *testing.T) {

@@ -13,7 +13,9 @@ import (
 // prefixed, types qualified) as the oracles layout_test.go compares
 // the one derivation on graph.Partitioning against. Nothing outside the
 // tests runs them. oracleGenPlan is the map-based derivation of the gen
-// plan newPartitioning adds beside the layout.
+// plan newPartitioning adds beside the layout. oracleRangeOwner is
+// EdgeCutByRange's quantile loop before graphs with fewer edges than
+// nodes were cut by vertex count.
 
 // oracleNewPartitioning assembles a partitioning from finished parts, deriving
 // the master-row half of the routing index.
@@ -358,4 +360,26 @@ func oracleBuildMirrors(p *graph.Partitioning) map[graph.VertexID][]int {
 		}
 	}
 	return mirrors
+}
+
+// oracleRangeOwner is EdgeCutByRange's owner assignment as the quantile
+// walk alone computed it, on every graph.
+func oracleRangeOwner(g *graph.Graph, m int) []int32 {
+	owner := make([]int32, g.NumVertices())
+	totalEdges := g.NumEdges()
+	// Walk vertices in order, cutting when the running edge count passes
+	// the next 1/m quantile.
+	var acc int64
+	node := int32(0)
+	for v := 0; v < g.NumVertices(); v++ {
+		if m > 1 {
+			threshold := int64(node+1) * totalEdges / int64(m)
+			if acc >= threshold && int(node) < m-1 {
+				node++
+			}
+		}
+		owner[v] = node
+		acc += int64(g.OutDegree(graph.VertexID(v)))
+	}
+	return owner
 }

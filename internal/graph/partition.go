@@ -231,13 +231,21 @@ func finishEdgeCut(g *Graph, owner []int32, m int) *Partitioning {
 // EdgeCutByRange assigns contiguous vertex ranges to nodes, balancing by
 // out-edge counts. On graphs whose vertex order correlates with structure
 // (generated road networks, clustered social stand-ins) this preserves
-// locality — the precondition for synchronization skipping.
+// locality — the precondition for synchronization skipping. A graph with
+// fewer edges than nodes has no edge quantiles to cut at (every one is
+// 0, which would leave node 0 empty), so it is cut by vertex count.
 func EdgeCutByRange(g *Graph, m int) *Partitioning {
 	if m <= 0 {
 		panic(fmt.Sprintf("graph: %d partitions", m))
 	}
 	owner := make([]int32, g.NumVertices())
 	totalEdges := g.NumEdges()
+	if totalEdges < int64(m) {
+		for v := range owner {
+			owner[v] = int32(int64(v) * int64(m) / int64(len(owner)))
+		}
+		return finishEdgeCut(g, owner, m)
+	}
 	// Walk vertices in order, cutting when the running edge count passes
 	// the next 1/m quantile.
 	var acc int64

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -325,6 +327,69 @@ func TestServeCostAdmission(t *testing.T) {
 	}
 	if res, err := generous.Result(reply.ID, true); err != nil || res.Failed != 0 {
 		t.Fatalf("admitted job: res=%+v err=%v", res, err)
+	}
+}
+
+// TestServeAdmissionIgnoresHistory: admission is a pure function of the
+// submission and the budget. With the budget 1 % above suiteBody's model
+// price, suiteBody is admitted again after it ran (the resubmission is a
+// result-cache hit), and a priced-out suite gets the same 422 body before
+// and after another job ran.
+func TestServeAdmissionIgnoresHistory(t *testing.T) {
+	suite, err := gx.ParseSuite([]byte(suiteBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := gx.NewPlanner(nil).PlanSuite(suite, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, client := startServer(t, Options{Budget: plan.PredictedSerial + plan.PredictedSerial/100})
+
+	// Four entries of suiteBody's two shapes on other seeds: about twice
+	// its price, and no scenario in common with it.
+	heavy := `{"name": "heavy", "entries": [`
+	for i, seed := range []int{7, 8} {
+		if i > 0 {
+			heavy += ","
+		}
+		heavy += fmt.Sprintf(`
+    {"name": "pr-%[1]d", "engine": "powergraph", "algorithm": "pagerank",
+     "dataset": "orkut", "scale": 20000, "seed": %[1]d, "nodes": 2,
+     "accel": "gpu", "maxiter": 5},
+    {"name": "cc-%[1]d", "engine": "graphx", "algorithm": "cc",
+     "dataset": "orkut", "scale": 20000, "seed": %[1]d, "nodes": 2}`, seed)
+	}
+	heavy += "]}"
+	reject := func() []byte {
+		t.Helper()
+		resp, err := http.Post(client.base+"/v1/submit", "application/json", strings.NewReader(heavy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("heavy submission: HTTP %d: %s", resp.StatusCode, body)
+		}
+		return body
+	}
+
+	before := reject()
+	for i := 1; i <= 2; i++ {
+		reply, err := client.Submit([]byte(suiteBody))
+		if err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+		if res, err := client.Result(reply.ID, true); err != nil || res.Failed != 0 {
+			t.Fatalf("submission %d: res=%+v err=%v", i, res, err)
+		}
+	}
+	if after := reject(); !bytes.Equal(before, after) {
+		t.Fatalf("reject body changed after a job ran:\n%s\n%s", before, after)
 	}
 }
 

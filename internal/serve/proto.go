@@ -130,9 +130,6 @@ type Health struct {
 	Evicted int                 `json:"evicted"`
 	Cache   gx.CacheStats       `json:"cache"`
 	Results gx.ResultCacheStats `json:"results"`
-	// Planner counts the scenario keys with recorded actual makespans in
-	// the planner history (0 when the server runs without a planner).
-	Planner int `json:"planner"`
 }
 
 // CostReject is the 422 body of a submission priced out by the admission

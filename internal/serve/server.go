@@ -41,11 +41,6 @@ type Options struct {
 	// Manifest, when non-empty, resolves logical dataset names in every
 	// submission before validation.
 	Manifest gx.Manifest
-	// Stats, when non-nil, seeds the planner with a pre-loaded
-	// predicted-vs-actual history (gxd -stats persists one across
-	// restarts) and forces a planner to exist even without LPT or a
-	// budget, so the history keeps accumulating.
-	Stats *gx.PlannerStats
 }
 
 // maxSubmitBytes bounds a submission body; suites are small JSON.
@@ -68,8 +63,8 @@ type Server struct {
 	// planner prices submissions for cost-aware admission and orders
 	// LPT dispatch; nil unless Options enabled either (so a default
 	// server's cache accounting is byte-identical to the pre-planner
-	// daemon). Its stats record predicted-vs-actual makespans across
-	// jobs, so repeat submissions are priced from history.
+	// daemon). It prices from the cost model alone, so admission is a
+	// pure function of the submission and the budget.
 	planner *gx.Planner
 	plan    gx.Plan
 	budget  time.Duration
@@ -155,15 +150,8 @@ func New(opts Options) (*Server, error) {
 		jobs:      make(map[string]*job),
 		queue:     make(chan *job, depth),
 	}
-	if s.plan == gx.LPT || s.budget > 0 || opts.Stats != nil {
-		stats := opts.Stats
-		if stats == nil {
-			var err error
-			if stats, err = gx.NewPlannerStats(0); err != nil {
-				return nil, err
-			}
-		}
-		s.planner = gx.NewPlanner(s.cache, stats)
+	if s.plan == gx.LPT || s.budget > 0 {
+		s.planner = gx.NewPlanner(s.cache)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/submit", s.handleSubmit)
@@ -225,8 +213,7 @@ func (s *Server) runJob(j *job) {
 	}
 	if s.planner != nil {
 		// The process-wide planner dispatches the job (LPT when
-		// configured) and records its predicted-vs-actual makespans, so
-		// admission pricing of repeat submissions sharpens over time.
+		// configured), reusing the estimates admission memoized.
 		opts = append(opts, gx.WithPlanner(s.planner), gx.WithPlan(s.plan))
 	}
 	res, err := gx.RunSuite(j.suite, opts...)
@@ -234,8 +221,8 @@ func (s *Server) runJob(j *job) {
 	jr := &JobResult{ID: j.id, Suite: j.suite.Name}
 	if err != nil {
 		// Submissions are validated before admission, so this is a
-		// should-not-happen; report it as one failed pseudo-entry
-		// rather than dropping the job on the floor.
+		// panic in the entry-done callback above; report it as one
+		// failed pseudo-entry rather than dropping the job on the floor.
 		jr.Entries = []EntryReport{{Name: "suite", Err: err.Error(), Class: gx.FailureClass(err)}}
 		jr.Failed = 1
 	} else {
@@ -520,22 +507,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	n, evicted := len(s.jobs), s.evicted
 	s.mu.Unlock()
-	planner := 0
-	if st := s.PlannerStats(); st != nil {
-		planner = st.Len()
-	}
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, Health{OK: true, Jobs: n, Evicted: evicted, Cache: s.cache.Stats(),
-		Results: s.results.Stats(), Planner: planner})
-}
-
-// PlannerStats exposes the server's predicted-vs-actual history, nil
-// when it runs without a planner — what `gxd -stats` persists at drain.
-func (s *Server) PlannerStats() *gx.PlannerStats {
-	if s.planner == nil {
-		return nil
-	}
-	return s.planner.Stats()
+		Results: s.results.Stats()})
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
