@@ -92,10 +92,14 @@ race-serve:
 # so does TestStreamBoundaryAllocs' stream — the signature buffer and the
 # two traces runStream carries from boundary to boundary, written over
 # while node workers read the replayed one (its byte budget is only
-# asserted without the race detector, which skews it).
+# asserted without the race detector, which skews it). A replayed
+# superstep gathers into its cone through that signature, each node into
+# its own per-source scratch: the gather is held to the push walk it
+# replaced and to zero allocations, and the ascending first-touch order it
+# leaves is shown unobservable by permuting every buffer's at random.
 race-dynamic:
 	GOMAXPROCS=8 $(GO) test -race -run 'TestDynamicConformance' ./gx
-	GOMAXPROCS=8 $(GO) test -race -run 'TestIncrementalMatchesScratch|TestStreamBoundaryAllocs' ./internal/engine
+	GOMAXPROCS=8 $(GO) test -race -run 'TestIncrementalMatchesScratch|TestStreamBoundaryAllocs|TestNativeGenMatchesOracle|TestNativeGenAllocatesNothing|TestFirstTouchOrderIsUnobservable' ./internal/engine
 
 # Each gen kernel has one generation path: MSGGen writes into a reused
 # scratch row, once per source run where Hints.SourceOnly is declared and

@@ -349,26 +349,31 @@ func TestDynamicModeMatrix(t *testing.T) {
 }
 
 // BenchmarkDynamic records the incremental-vs-scratch cost on localized
-// deltas: the same stream, the two recomputation modes. Only the virtual
-// half is a contract: TestDynamicConformance asserts that incremental
-// replay never costs more virtual makespan (virtual-ns/op) than scratch.
-// Wall time (ns/op) is recorded here, not asserted; the cone bounds the
-// edges folded and vertices applied, but trace recording and the
-// boundary's dirty seeding are extra host work scratch does not do.
-// The recorded numbers are BENCHMARK.json's engine.inc_* metrics.
+// deltas: the same stream, the two recomputation modes, on both engines,
+// whose replay cones differ in density. Only the virtual half is a
+// contract: TestDynamicConformance asserts that incremental replay never
+// costs more virtual makespan (virtual-ns/op) than scratch. Wall time
+// (ns/op) is recorded here, not asserted; the cone bounds the edges
+// folded and vertices applied, but trace recording and the boundary's
+// dirty seeding are extra host work scratch does not do. The recorded
+// numbers are BENCHMARK.json's engine.inc_* metrics.
 func benchmarkDynamic(b *testing.B, mode string) {
-	s := dynamicScenario("graphx", "pagerank", mode)
-	var virtual int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		virtual += int64(res.Time)
+	for _, engine := range []string{"graphx", "powergraph"} {
+		b.Run(engine, func(b *testing.B) {
+			s := dynamicScenario(engine, "pagerank", mode)
+			var virtual int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				virtual += int64(res.Time)
+			}
+			b.ReportMetric(float64(virtual)/float64(b.N), "virtual-ns/op")
+		})
 	}
-	b.ReportMetric(float64(virtual)/float64(b.N), "virtual-ns/op")
 }
 
 func BenchmarkDynamicIncremental(b *testing.B) { benchmarkDynamic(b, "incremental") }

@@ -104,25 +104,16 @@ func batchApplyCost(adds, removes int) time.Duration {
 	return batchApplyFixed + simtime.TimeFor(bytes, batchApplyBandwidth)
 }
 
-// replayDivisor is the dry pass's prior for an incremental boundary: it
-// is modelled at 1/replayDivisor of a seed boundary's cost (the dirty
-// cone covers a fraction of the graph) — deliberately coarse.
-const replayDivisor = 4
-
 // overStream extends a seed-boundary estimate over a stream's extra
 // boundaries. Iteration counts per boundary match the seed's by
-// contract; recomputation per boundary is the full seed-boundary cost
-// in scratch mode and 1/replayDivisor of it in incremental mode.
+// contract, and every boundary is priced at the full seed-boundary cost
+// in either mode: that is what a scratch boundary costs, and an upper
+// bound on an incremental one, which never charges more than scratch.
 // (Batch application is not priced: it is identical in both modes and
 // small beside any boundary.)
-func (e CostEstimate) overStream(extra int, scratch bool) CostEstimate {
+func (e CostEstimate) overStream(extra int) CostEstimate {
 	e.Supersteps *= 1 + extra
-	if scratch {
-		e.Entities *= float64(1 + extra)
-		e.Makespan *= time.Duration(1 + extra)
-	} else {
-		e.Entities += float64(extra) * e.Entities / replayDivisor
-		e.Makespan += time.Duration(extra) * e.Makespan / replayDivisor
-	}
+	e.Entities *= float64(1 + extra)
+	e.Makespan *= time.Duration(1 + extra)
 	return e
 }

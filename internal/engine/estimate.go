@@ -125,7 +125,7 @@ func EstimateCost(cfg Config) (CostEstimate, error) {
 		Makespan:   time.Duration(steps) * stepCost,
 	}
 	if st := cfg.Stream; st != nil {
-		est = est.overStream(len(st.Batches), st.Scratch)
+		est = est.overStream(len(st.Batches))
 	}
 	return est, nil
 }

@@ -56,6 +56,134 @@ func (r *runner) oracleAdd(res *gxplug.GenResult, id graph.VertexID, msg []float
 	r.alg.MSGMerge(b.Row(row), msg)
 }
 
+// nativeGenPushOracle is the source-run walk replayed supersteps ran
+// before they gathered into the cone, verbatim apart from the name and a
+// fresh result of its own: it pushes along the edge table and tests every
+// edge's destination against the cone, and a SourceOnly run generates at
+// its first edge into the cone and folds into the rest with intoCone. It
+// is the oracle TestNativeGenMatchesOracle holds gatherCone to; nothing
+// outside the tests runs it.
+func (r *runner) nativeGenPushOracle(j int) *gxplug.GenResult {
+	part := r.part.Parts[j]
+	res := gxplug.NewGenResult(r.alg, r.part, j)
+	hints := r.alg.Hints()
+	f := slabFold{res: res, slot: r.part.Slot, op: hints.Merge}
+	f.acc, f.recv = res.Slabs()
+	if r.mw != 1 {
+		f.op = template.MergeCustom // Add dispatches on the op itself
+	}
+	msg := r.natMsg[j]
+	// Incremental replay: only destinations in the cone can receive a
+	// result differing from the memo, so only their messages are needed.
+	cone := r.inc.coneFilter()
+	edges, start := 0, int32(0)
+	for _, end := range part.RunEnds {
+		run := part.Edges[start:end]
+		start = end
+		src := run[0].Src
+		if !hints.GenAll && !r.active[src] {
+			continue
+		}
+		srcAttr := r.attrs[int(src)*r.aw : (int(src)+1)*r.aw]
+		switch {
+		case !hints.SourceOnly:
+			for i := range run {
+				e := &run[i]
+				if cone != nil && !cone[e.Dst] {
+					continue
+				}
+				edges++
+				if r.alg.MSGGen(r.ctx, src, e.Dst, e.Weight, srcAttr, msg) {
+					f.into(run[i:i+1], msg)
+				}
+			}
+		case cone == nil:
+			edges += len(run)
+			if r.alg.MSGGen(r.ctx, src, run[0].Dst, run[0].Weight, srcAttr, msg) {
+				f.into(run, msg)
+			}
+		default:
+			i := 0
+			for i < len(run) && !cone[run[i].Dst] {
+				i++
+			}
+			if i == len(run) {
+				continue
+			}
+			run = run[i:]
+			if r.alg.MSGGen(r.ctx, src, run[0].Dst, run[0].Weight, srcAttr, msg) {
+				edges += f.intoCone(run, msg, cone)
+				continue
+			}
+			for k := range run {
+				if cone[run[k].Dst] {
+					edges++
+				}
+			}
+		}
+	}
+	res.Entities = edges
+	r.chargeNative(j, genOps(float64(edges), hints))
+	return res
+}
+
+// intoCone folds msg into the row of every destination of es that is in
+// cone, in order, and returns how many it folded.
+func (f *slabFold) intoCone(es []graph.Edge, msg []float64, cone []bool) int {
+	acc, recv, slot := f.acc, f.recv, f.slot
+	n := 0
+	switch f.op {
+	case template.MergeSum:
+		v := msg[0]
+		for i := range es {
+			dst := es[i].Dst
+			if !cone[dst] {
+				continue
+			}
+			n++
+			s := slot[dst]
+			if !recv[s] {
+				f.res.Touch(dst)
+			}
+			acc[s] += v
+		}
+	case template.MergeMin:
+		v := msg[0]
+		for i := range es {
+			dst := es[i].Dst
+			if !cone[dst] {
+				continue
+			}
+			n++
+			s := slot[dst]
+			if !recv[s] {
+				f.res.Touch(dst)
+			}
+			if v < acc[s] {
+				acc[s] = v
+			}
+		}
+	default:
+		for i := range es {
+			if dst := es[i].Dst; cone[dst] {
+				n++
+				f.res.Add(dst, msg)
+			}
+		}
+	}
+	return n
+}
+
+// coneState is the replay state a gen phase sees under cone: the cone,
+// its ascending list and the merge signature of r's partitioning.
+func coneState(r *runner, cone []bool) *incState {
+	var s dirtySeeder
+	s.sign(r.part)
+	inc := &incState{dirty: cone, cone: make([]bool, len(cone)), sig: &s.sig}
+	inc.listCone()
+	return inc
+}
+
 // randomFlags returns n flags, each set with probability p; exactlyOne
 // sets a single random flag instead.
 func randomFlags(rng *rand.Rand, n int, p float64, exactlyOne bool) []bool {
@@ -70,8 +198,8 @@ func randomFlags(rng *rand.Rand, n int, p float64, exactlyOne bool) []bool {
 	return f
 }
 
-// TestNativeGenMatchesOracle compares the source-run nativeGen with the
-// per-edge loop it replaced on both engine shapes (edge-cut BSP as
+// TestNativeGenMatchesOracle compares nativeGen with the per-edge loop
+// the source-run walk replaced on both engine shapes (edge-cut BSP as
 // graphx, vertex-cut GAS as powergraph), for every built-in algorithm —
 // SSSP on the per-edge path, the rest per run — over frontier densities
 // {empty, one vertex, ~1 %, ~50 %, full} × cone filters {none, one
@@ -80,9 +208,11 @@ func randomFlags(rng *rand.Rand, n int, p float64, exactlyOne bool) []bool {
 // with no cone at all. One graph leaves most parts without a single
 // edge, one runs on a single node (every message in the sender's own
 // buffer), one gives every source exactly one edge, and one ends parts
-// with the longest run. Per destination buffer
-// the accumulator bits, the received flags, the first-touch order and the
-// entity count must all be equal.
+// with the longest run. Per destination buffer the accumulator bits, the
+// received flags and the entity count must all be equal. Without a cone
+// (push) the first-touch order must be equal too; under one (the gather)
+// it must hold the oracle's rows in ascending order, and the gather must
+// equal the push walk it replaced, nativeGenPushOracle, the same way.
 func TestNativeGenMatchesOracle(t *testing.T) {
 	rmat, err := gen.RMAT(gen.RMATConfig{NumVertices: 400, NumEdges: 3000, A: 0.57, B: 0.19, C: 0.19, Seed: 21})
 	if err != nil {
@@ -180,14 +310,21 @@ func TestNativeGenMatchesOracle(t *testing.T) {
 						for _, cc := range cones {
 							copy(r.active, randomFlags(rng, n, fc.p, fc.one))
 							r.inc = nil
+							same := sameGenResult
 							if cc.p >= 0 {
-								r.inc = &incState{cone: randomFlags(rng, n, cc.p, cc.one)}
+								r.inc = coneState(r, randomFlags(rng, n, cc.p, cc.one))
+								same = sameGenResultAscending
 							}
 							for j := range r.part.Parts {
 								got := r.nativeGen(j)
 								want := r.nativeGenOracle(j)
-								if err := sameGenResult(got, want); err != nil {
+								if err := same(got, want); err != nil {
 									t.Fatalf("frontier %s, cone %s, node %d: %v", fc.name, cc.name, j, err)
+								}
+								if cc.p >= 0 {
+									if err := same(got, r.nativeGenPushOracle(j)); err != nil {
+										t.Fatalf("frontier %s, cone %s, node %d, against the push walk: %v", fc.name, cc.name, j, err)
+									}
 								}
 								if cc.name != "all" {
 									continue
@@ -212,11 +349,13 @@ func TestNativeGenMatchesOracle(t *testing.T) {
 
 // TestNativeGenAllocatesNothing pins nativeGen's steady state at zero heap
 // allocations on both engine shapes, on the per-run path (PageRank, CC,
-// LP) and the per-edge one (SSSP), without a cone and with a sparse one,
-// and for every fold: width-1 sum (PageRank) and min (CC), min over four
-// slots (SSSP) and MSGMerge (LP).
-// MSGGen writes into the node's one scratch row and the walk builds no
-// closure. The node's one result is warmed first, and every call reuses it.
+// LP) and the per-edge one (SSSP), pushing without a cone and gathering
+// under a sparse one, and for every fold: width-1 sum (PageRank) and min
+// (CC), min over four slots (SSSP) and MSGMerge (LP).
+// MSGGen writes into the node's one scratch row (or the signature's
+// per-source scratch) and neither walk builds a closure. The node's one
+// result and its gather scratch are warmed first, and every call reuses
+// them.
 func TestNativeGenAllocatesNothing(t *testing.T) {
 	g, err := gen.RMAT(gen.RMATConfig{NumVertices: 400, NumEdges: 3000, A: 0.57, B: 0.19, C: 0.19, Seed: 21})
 	if err != nil {
@@ -233,12 +372,12 @@ func TestNativeGenAllocatesNothing(t *testing.T) {
 				for i := range r.active {
 					r.active[i] = true
 				}
-				for j := range r.part.Parts {
-					r.nativeGen(j)
-				}
-				cone := randomFlags(rand.New(rand.NewSource(5)), g.NumVertices(), 0.03, false)
-				for _, inc := range []*incState{nil, {cone: cone}} {
+				cone := coneState(r, randomFlags(rand.New(rand.NewSource(5)), g.NumVertices(), 0.03, false))
+				for _, inc := range []*incState{nil, cone} {
 					r.inc = inc
+					for j := range r.part.Parts {
+						r.nativeGen(j)
+					}
 					for j := range r.part.Parts {
 						if allocs := testing.AllocsPerRun(20, func() { r.nativeGen(j) }); allocs != 0 {
 							t.Errorf("cone %v, node %d: %v allocations per nativeGen, want 0", inc != nil, j, allocs)
@@ -291,13 +430,27 @@ func TestNativeGenReusesOneBufferPerNode(t *testing.T) {
 // count, then per destination the first-touch order, the received flags
 // and the whole accumulator, bit for bit.
 func sameGenResult(got, want *gxplug.GenResult) error {
+	return sameGenResultBy(got, want, slices.Clone[[]int32])
+}
+
+// sameGenResultAscending is sameGenResult with the oracle's first-touch
+// rows sorted: got must touch the same rows, in ascending order.
+func sameGenResultAscending(got, want *gxplug.GenResult) error {
+	return sameGenResultBy(got, want, func(rows []int32) []int32 {
+		rows = slices.Clone(rows)
+		slices.Sort(rows)
+		return rows
+	})
+}
+
+func sameGenResultBy(got, want *gxplug.GenResult, order func([]int32) []int32) error {
 	if got.Entities != want.Entities {
 		return fmt.Errorf("Entities %d, oracle %d", got.Entities, want.Entities)
 	}
 	for o := range want.To {
 		g, w := got.To[o], want.To[o]
-		if !slices.Equal(g.Touched(), w.Touched()) {
-			return fmt.Errorf("To[%d] first-touch order %v, oracle %v", o, g.Touched(), w.Touched())
+		if rows := order(w.Touched()); !slices.Equal(g.Touched(), rows) {
+			return fmt.Errorf("To[%d] first-touch order %v, oracle %v", o, g.Touched(), rows)
 		}
 		for row := 0; row < w.Rows(); row++ {
 			if g.Recv(int32(row)) != w.Recv(int32(row)) {

@@ -125,7 +125,8 @@ func AttrsDigest(attrs []float64) string {
 //
 // What a boundary builds is its graph version, its partitioning and its
 // dirty seed. Everything else is carried across the stream: the seeder's
-// signature buffer (sized once, for the most edges any version can hold)
+// merge signature (its edge arrays sized once, for the most edges any
+// version can hold), which is also the view a replay gathers through,
 // and two traces that trade places — a boundary records over the frames
 // of the trace the previous boundary finished replaying.
 func runStream(p *plan) (*Result, error) {
@@ -141,7 +142,8 @@ func runStream(p *plan) (*Result, error) {
 		for _, b := range st.Batches {
 			maxEdges += int64(len(b.Adds))
 		}
-		seeder.sig = make([]sigEntry, 0, maxEdges)
+		seeder.sig.src = make([]graph.VertexID, 0, maxEdges)
+		seeder.sig.w = make([]float64, 0, maxEdges)
 		memo, rec = &trace{}, &trace{}
 	}
 	for seq := 0; seq <= len(st.Batches); seq++ {
@@ -160,7 +162,7 @@ func runStream(p *plan) (*Result, error) {
 			if !st.Scratch {
 				// The fold order the memo was computed under is the
 				// previous boundary's partitioning, not the new one.
-				dirty = seeder.seed(g, ng, part, npart)
+				dirty = seeder.seed(g, ng, part, npart, &batch)
 				for _, d := range dirty {
 					if d {
 						br.Dirty++
@@ -168,7 +170,8 @@ func runStream(p *plan) (*Result, error) {
 				}
 				if ng.NumVertices() != g.NumVertices() {
 					// Vertex growth invalidates the memo entirely (Init
-					// reads NumVertices); the seed is all-dirty anyway.
+					// reads NumVertices); the seed is all-dirty anyway,
+					// and seeder.sig was not signed from npart.
 					replay = nil
 				}
 			}
@@ -182,7 +185,7 @@ func runStream(p *plan) (*Result, error) {
 			rec.recycle()
 			r.traceRec = rec
 			if seq > 0 {
-				r.inc = newIncState(replay, dirty, cfg.Nodes)
+				r.inc = newIncState(replay, dirty, &seeder.sig, cfg.Nodes)
 			}
 		}
 		res, err := r.run()
@@ -206,38 +209,59 @@ func runStream(p *plan) (*Result, error) {
 type incState struct {
 	trace *trace
 	dirty []bool
-	// cone is the current superstep's possibly-differing vertex set; it
-	// is read concurrently by the parallel gen/apply fan-out and mutated
-	// only between phases.
-	cone []bool
+	// cone is the current superstep's possibly-differing vertex set and
+	// coneList the same set in ascending order; both are read
+	// concurrently by the parallel gen/apply fan-out and mutated only
+	// between phases.
+	cone     []bool
+	coneList []graph.VertexID
 	// full switches off replay: every vertex is computed (entered when
 	// the trace is exhausted or absent).
 	full bool
 	// diffPer[j] collects, per node, the cone vertices whose computed
 	// result diverged from the memo this superstep.
 	diffPer [][]graph.VertexID
+	// sig is the boundary partitioning's merge signature: a replayed gen
+	// gathers each cone vertex's in-edges through it (runner.gatherCone).
+	sig *mergeSig
 }
 
 // newIncState starts replaying prev (nil: nothing to replay, the whole
 // computation runs in the cone) from the static dirty seed over the new
-// graph's vertices.
-func newIncState(prev *trace, dirty []bool, nodes int) *incState {
+// graph's vertices; sig must be signed from the partitioning the replay
+// runs on whenever prev is not nil.
+func newIncState(prev *trace, dirty []bool, sig *mergeSig, nodes int) *incState {
 	s := &incState{
-		trace:   prev,
-		dirty:   dirty,
-		cone:    make([]bool, len(dirty)),
-		diffPer: make([][]graph.VertexID, nodes),
+		trace:    prev,
+		dirty:    dirty,
+		cone:     make([]bool, len(dirty)),
+		coneList: make([]graph.VertexID, 0, len(dirty)),
+		diffPer:  make([][]graph.VertexID, nodes),
+		sig:      sig,
 	}
 	if prev == nil || len(prev.attrs) == 0 {
 		s.full = true
 		return s
 	}
-	copy(s.cone, s.dirty)
+	s.listCone()
 	return s
 }
 
-// coneFilter returns the destination filter for gen, or nil when every
-// edge must be processed.
+// listCone adds the dirty seed to the vertices marked in cone and lists
+// the result, ascending, in coneList.
+func (s *incState) listCone() {
+	list := s.coneList[:0]
+	for v, d := range s.dirty {
+		if d || s.cone[v] {
+			s.cone[v] = true
+			list = append(list, graph.VertexID(v))
+		}
+	}
+	s.coneList = list
+}
+
+// coneFilter returns the current superstep's cone, or nil when every
+// vertex is computed (no replay, or the memo is exhausted).
 func (s *incState) coneFilter() []bool {
 	if s == nil || s.full {
 		return nil
@@ -258,15 +282,19 @@ func (r *runner) updateCone() {
 		inc.full = true
 		return
 	}
-	copy(inc.cone, inc.dirty)
+	for _, v := range inc.coneList {
+		inc.cone[v] = false
+	}
+	outOff, outDst, _, _, _, _ := r.g.CSR()
 	for j := range inc.diffPer {
 		for _, id := range inc.diffPer[j] {
 			inc.cone[id] = true
-			r.g.OutEdges(id, func(dst graph.VertexID, _ float64) {
+			for _, dst := range outDst[outOff[id]:outOff[id+1]] {
 				inc.cone[dst] = true
-			})
+			}
 		}
 	}
+	inc.listCone()
 }
 
 // DirtySeed computes the static dirty seed between two graph versions
@@ -289,20 +317,46 @@ func (r *runner) updateCone() {
 // NumVertices): the seed is all-dirty and runStream drops the trace.
 //
 // It is the one-shot form of the seeder runStream carries across a
-// stream's boundaries.
+// stream's boundaries; not knowing the batch, it compares every vertex's
+// in-edge list and degrees.
 func DirtySeed(oldG, newG *graph.Graph, oldPart, newPart *graph.Partitioning) []bool {
-	return new(dirtySeeder).seed(oldG, newG, oldPart, newPart)
+	return new(dirtySeeder).seed(oldG, newG, oldPart, newPart, nil)
 }
 
 // dirtySeeder computes dirty seeds, keeping its scratch between calls:
-// the new partitioning's fold signature and one cursor per destination.
-// The zero value is ready; the seed a call returns is the caller's.
+// the new partitioning's merge signature, one cursor per node and
+// destination, and what it knows of the in-edge order of the last graph
+// version it saw. The zero value is ready; the seed a call returns is the
+// caller's.
 type dirtySeeder struct {
-	sig  []sigEntry
+	sig  mergeSig
 	next []int64
+	// last is the newest graph version of a seed taken with its batch
+	// known, and unsorted the vertices of last whose in-edge lists may
+	// not be in source-major order: the add destinations of the batch
+	// that built it. ApplyBatch lists a vertex's in-edges in the parent's
+	// source-major order, then its adds — so a later batch that touches
+	// neither of a vertex's edge lists leaves its in-edge list as it was
+	// unless the vertex is in unsorted.
+	last     *graph.Graph
+	unsorted []graph.VertexID
+	// seen marks the vertices the narrowed comparison has visited, listed
+	// in visited; it is all false between calls.
+	seen    []bool
+	visited []graph.VertexID
 }
 
-func (s *dirtySeeder) seed(oldG, newG *graph.Graph, oldPart, newPart *graph.Partitioning) []bool {
+// seed returns the dirty seed between oldG and newG. batch, when not nil,
+// is the batch that took oldG to newG; when oldG is also the newG of the
+// seeder's previous call, the in-edge and degree comparison visits only
+// the batch's endpoints and unsorted, the vertices whose in-edge lists
+// can differ. Without a batch, or after a graph whose in-edge order the
+// seeder does not know (a stream's initial graph keeps its input's
+// order), it visits every vertex. The fold-order comparison is whole
+// graph either way: re-partitioning can move any edge.
+func (s *dirtySeeder) seed(oldG, newG *graph.Graph, oldPart, newPart *graph.Partitioning, batch *graph.EdgeBatch) []bool {
+	narrow := batch != nil && oldG != nil && oldG == s.last
+	defer s.remember(oldG, newG, batch, narrow)
 	n := newG.NumVertices()
 	dirty := make([]bool, n)
 	if oldG == nil || oldPart == nil ||
@@ -315,7 +369,7 @@ func (s *dirtySeeder) seed(oldG, newG *graph.Graph, oldPart, newPart *graph.Part
 
 	oOutOff, _, _, oInOff, oInSrc, oInW := oldG.CSR()
 	nOutOff, nOutDst, _, nInOff, nInSrc, nInW := newG.CSR()
-	for v := 0; v < n; v++ {
+	compare := func(v int) {
 		oLo, oHi := oInOff[v], oInOff[v+1]
 		nLo, nHi := nInOff[v], nInOff[v+1]
 		if oHi-oLo != nHi-nLo {
@@ -341,63 +395,170 @@ func (s *dirtySeeder) seed(oldG, newG *graph.Graph, oldPart, newPart *graph.Part
 			}
 		}
 	}
+	if narrow {
+		// Only these vertices can have a different in-edge list or
+		// degree: the batch's endpoints, and the in-edge lists ApplyBatch
+		// re-sorts. Each is compared once.
+		if len(s.seen) < n {
+			s.seen = make([]bool, n)
+		}
+		visited := s.visited[:0]
+		visit := func(v graph.VertexID) {
+			if !s.seen[v] {
+				s.seen[v] = true
+				visited = append(visited, v)
+				compare(int(v))
+			}
+		}
+		for _, v := range s.unsorted {
+			visit(v)
+		}
+		for _, e := range batch.Adds {
+			visit(e.Src)
+			visit(e.Dst)
+		}
+		for _, e := range batch.Removes {
+			visit(e.Src)
+			visit(e.Dst)
+		}
+		for _, v := range visited {
+			s.seen[v] = false
+		}
+		s.visited = visited
+	} else {
+		for v := 0; v < n; v++ {
+			compare(v)
+		}
+	}
 
 	// Fold order: only the new partitioning's signature is materialized.
-	// The old one is streamed against it — the old parts in fold order,
-	// each edge compared with the entry its destination's cursor stands
-	// on — which is the element-for-element comparison of the two
+	// The old one is streamed against it — each old part's edges in fold
+	// order, each compared with the entry its (node, destination) cursor
+	// stands on — which is the element-for-element comparison of the two
 	// signatures without building the second. The cursor bounds (one
 	// sequence a strict prefix of the other) make it complete on its own,
 	// though the degree pass above has dirtied every such vertex already.
 	s.sign(newPart)
+	sig := &s.sig
 	for j, p := range oldPart.Parts {
+		next, end := s.next[j*n:(j+1)*n], sig.off[j*n+1:(j+1)*n+1]
 		for _, e := range p.Edges {
 			if dirty[e.Dst] {
 				continue
 			}
-			k := s.next[e.Dst]
-			if k == nInOff[e.Dst+1] || s.sig[k] != (sigEntry{node: int32(j), src: e.Src, w: math.Float64bits(e.Weight)}) {
+			k := next[e.Dst]
+			if k == end[e.Dst] || sig.src[k] != e.Src || math.Float64bits(sig.w[k]) != math.Float64bits(e.Weight) {
 				dirty[e.Dst] = true
 				continue
 			}
-			s.next[e.Dst] = k + 1
+			next[e.Dst] = k + 1
+		}
+	}
+	for j := range oldPart.Parts {
+		next, end := s.next[j*n:(j+1)*n], sig.off[j*n+1:(j+1)*n+1]
+		for v := range next {
+			if next[v] != end[v] {
+				dirty[v] = true
+			}
 		}
 	}
 	for v := 0; v < n; v++ {
-		if !dirty[v] && (oldPart.Owner[v] != newPart.Owner[v] || s.next[v] != nInOff[v+1]) {
+		if oldPart.Owner[v] != newPart.Owner[v] {
 			dirty[v] = true
 		}
 	}
 	return dirty
 }
 
-// sigEntry is one in-edge's position in a vertex's merge fold: which
-// node generates the message, from which source, with which weight bits.
-type sigEntry struct {
-	node int32
-	src  graph.VertexID
-	w    uint64
+// remember records what the seeder knows of newG's in-edge order for its
+// next call: a non-empty batch (newG is then a fresh ApplyBatch result)
+// leaves its add destinations unsorted, an empty one leaves what was
+// known of oldG, and a seed taken without a batch leaves nothing known.
+func (s *dirtySeeder) remember(oldG, newG *graph.Graph, batch *graph.EdgeBatch, chained bool) {
+	switch {
+	case batch == nil || (newG == oldG && !chained):
+		s.last = nil
+	case newG != oldG:
+		s.last = newG
+		s.unsorted = s.unsorted[:0]
+		for _, e := range batch.Adds {
+			s.unsorted = append(s.unsorted, e.Dst)
+		}
+	}
+}
+
+// mergeSig is a partitioning's merge signature laid out node-major: for
+// node j and destination v, src[k] and w[k] over k in [off[j*n+v],
+// off[j*n+v+1]) are the sources and weights of node j's partition edges
+// into v, in partition order. Per destination, nodes ascending and each
+// node's range in order is exactly the order routeRemote and nativeGen
+// fold v's messages in; node j's range alone is what a replayed gen on
+// node j gathers into v's row.
+//
+// msg and state are that gather's scratch, per node: the message each
+// source of the node's edge table generated this superstep (MsgWidth
+// floats per vertex id) and what became of it (srcSkip, srcNone or
+// srcMsg). Each node grows its own on first use.
+type mergeSig struct {
+	n     int
+	off   []int64
+	src   []graph.VertexID
+	w     []float64
+	msg   [][]float64
+	state [][]uint8
+}
+
+// A source's state in a replayed gen, as bits: inactive (its edges are
+// neither generated nor counted), active without a message (counted), or
+// active with one (counted and folded).
+const (
+	srcSkip uint8 = 0
+	srcNone uint8 = 1
+	srcMsg  uint8 = 3
+)
+
+// scratch returns node j's gather scratch, sized for mw-wide messages.
+func (sig *mergeSig) scratch(j, mw int) ([]float64, []uint8) {
+	if len(sig.state[j]) < sig.n {
+		sig.msg[j] = make([]float64, sig.n*mw)
+		sig.state[j] = make([]uint8, sig.n)
+	}
+	return sig.msg[j], sig.state[j]
 }
 
 // sign materializes part's merge signature in s.sig and leaves every
-// cursor s.next[v] on the first entry of v's sequence. The signature
-// lists, per destination vertex, the ordered sequence of partition edges
-// that feed its merge — nodes ascending, each node's edges in partition
-// order, exactly the order routeRemote and nativeGen fold messages in. It
-// is a counting sort of every part's edges by destination: every graph
-// edge is in exactly one part, so the counts are the graph's in-degrees
-// and vertex v's sequence is [inOff[v], inOff[v+1]) of s.sig, inOff being
-// the graph's in-CSR offsets.
+// cursor s.next[j*n+v] on the first entry of node j's range for v. It is
+// a counting sort of every part's edges by (node, destination): the
+// counts go into off, shifted one entry up, and their prefix sum makes
+// them the ranges' starts.
 func (s *dirtySeeder) sign(part *graph.Partitioning) {
-	_, _, _, inOff, _, _ := part.Graph.CSR()
-	starts := inOff[:len(inOff)-1]
-	s.next = append(s.next[:0], starts...)
-	s.sig = slices.Grow(s.sig[:0], int(part.Graph.NumEdges()))[:part.Graph.NumEdges()]
+	sig := &s.sig
+	n, m := part.Graph.NumVertices(), len(part.Parts)
+	sig.n = n
+	sig.off = append(sig.off[:0], make([]int64, m*n+1)...)
 	for j, p := range part.Parts {
+		count := sig.off[j*n+1 : (j+1)*n+1]
 		for _, e := range p.Edges {
-			s.sig[s.next[e.Dst]] = sigEntry{node: int32(j), src: e.Src, w: math.Float64bits(e.Weight)}
-			s.next[e.Dst]++
+			count[e.Dst]++
 		}
 	}
-	copy(s.next, starts)
+	for i := 1; i < len(sig.off); i++ {
+		sig.off[i] += sig.off[i-1]
+	}
+	edges := int(sig.off[m*n])
+	sig.src = slices.Grow(sig.src[:0], edges)[:edges]
+	sig.w = slices.Grow(sig.w[:0], edges)[:edges]
+	if len(sig.state) != m {
+		sig.msg, sig.state = make([][]float64, m), make([][]uint8, m)
+	}
+	s.next = append(s.next[:0], sig.off[:m*n]...)
+	for j, p := range part.Parts {
+		next := s.next[j*n : (j+1)*n]
+		for _, e := range p.Edges {
+			k := next[e.Dst]
+			sig.src[k], sig.w[k] = e.Src, e.Weight
+			next[e.Dst] = k + 1
+		}
+	}
+	copy(s.next, sig.off[:m*n])
 }

@@ -63,6 +63,14 @@ func dirtySeedOracle(oldG, newG *graph.Graph, oldPart, newPart *graph.Partitioni
 	return dirty
 }
 
+// sigEntry is one in-edge's position in a vertex's merge fold: which
+// node generates the message, from which source, with which weight bits.
+type sigEntry struct {
+	node int32
+	src  graph.VertexID
+	w    uint64
+}
+
 func mergeSignatureOracle(part *graph.Partitioning) []sigEntry {
 	_, _, _, inOff, _, _ := part.Graph.CSR()
 	next := slices.Clone(inOff[:len(inOff)-1])

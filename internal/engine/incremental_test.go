@@ -67,7 +67,9 @@ func runBoundary(t *testing.T, cfg Config, prev *trace, dirty []bool) (*Result, 
 	r := newRunner(p)
 	r.traceRec = &trace{}
 	if dirty != nil {
-		r.inc = newIncState(prev, dirty, cfg.Nodes)
+		var s dirtySeeder
+		s.sign(p.part)
+		r.inc = newIncState(prev, dirty, &s.sig, cfg.Nodes)
 	}
 	res, err := r.run()
 	if err != nil {
@@ -231,12 +233,66 @@ func TestDirtySeed(t *testing.T) {
 	}
 }
 
+// shapedBatches returns three batches to follow batches on g0, each
+// built against the version it applies to: one re-adds, with new weight
+// bits, the edge it removes; one adds the same edge twice; one removes a
+// vertex's last in-edge. None touches keep, an edge a later batch removes.
+func shapedBatches(t *testing.T, g0 *graph.Graph, batches []graph.EdgeBatch, keep graph.Edge) []graph.EdgeBatch {
+	t.Helper()
+	g := g0
+	apply := func(b graph.EdgeBatch) graph.EdgeBatch {
+		ng, err := g.ApplyBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g = ng
+		return b
+	}
+	for _, b := range batches {
+		apply(b)
+	}
+	kept := func(src, dst graph.VertexID) bool { return src == keep.Src && dst == keep.Dst }
+	// inEdge finds a vertex with in-degree deg (beyond the first few, so
+	// the batches land mid-range) and its first in-edge.
+	inEdge := func(deg int) graph.Edge {
+		for v := graph.VertexID(g.NumVertices() / 3); int(v) < g.NumVertices(); v++ {
+			if g.InDegree(v) != deg {
+				continue
+			}
+			var e graph.Edge
+			g.InEdges(v, func(src graph.VertexID, w float64) { e = graph.Edge{Src: src, Dst: v, Weight: w} })
+			if !kept(e.Src, e.Dst) {
+				return e
+			}
+		}
+		t.Fatalf("no vertex of in-degree %d", deg)
+		return graph.Edge{}
+	}
+	readd := inEdge(3)
+	out := []graph.EdgeBatch{apply(graph.EdgeBatch{Time: 4,
+		Adds:    []graph.Edge{{Src: readd.Src, Dst: readd.Dst, Weight: readd.Weight + 0.5}},
+		Removes: []graph.Edge{{Src: readd.Src, Dst: readd.Dst}},
+	})}
+	twice := graph.Edge{Src: readd.Dst, Dst: readd.Src, Weight: 2}
+	out = append(out, apply(graph.EdgeBatch{Time: 5, Adds: []graph.Edge{twice, twice}}))
+	last := inEdge(1)
+	out = append(out, apply(graph.EdgeBatch{Time: 6, Removes: []graph.Edge{{Src: last.Src, Dst: last.Dst}}}))
+	if g.InDegree(last.Dst) != 0 {
+		t.Fatalf("vertex %d kept an in-edge", last.Dst)
+	}
+	return out
+}
+
 // The seeder materializes one signature and streams the other against
 // it; the oracle materializes both. They must agree vertex for vertex,
 // under every partitioner an engine uses, for localized and for uniform
 // churn — and a seeder carried down a stream (runStream's use: its
 // signature buffer and cursors written over at every boundary, across a
-// vertex-count change too) must agree exactly as the one-shot form does.
+// vertex-count change too, and its degree and in-edge comparison narrowed
+// to what each batch touches) must agree exactly as the one-shot form
+// does. Beside the synthesized batches the stream re-adds an edge in the
+// batch that removes it, adds one edge twice and removes a vertex's last
+// in-edge.
 func TestDirtySeedMatchesOracle(t *testing.T) {
 	g0 := incTestGraph(t)
 	partitioners := map[string]func(*graph.Graph, int) *graph.Partitioning{
@@ -255,8 +311,9 @@ func TestDirtySeedMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// A fourth boundary grows the vertex range (all-dirty, no
-				// signature), a fifth runs the grown cursors again.
+				batches = append(batches, shapedBatches(t, g0, batches, batches[0].Adds[0])...)
+				// The next boundary grows the vertex range (all-dirty, no
+				// signature), the last runs the grown cursors again.
 				n := graph.VertexID(g0.NumVertices())
 				batches = append(batches,
 					graph.EdgeBatch{Time: 10, Adds: []graph.Edge{{Src: 0, Dst: n, Weight: 1}}},
@@ -270,7 +327,7 @@ func TestDirtySeedMatchesOracle(t *testing.T) {
 					}
 					npart := partition(ng, 3)
 					want := dirtySeedOracle(g, ng, part, npart)
-					if got := carried.seed(g, ng, part, npart); !slices.Equal(got, want) {
+					if got := carried.seed(g, ng, part, npart, &b); !slices.Equal(got, want) {
 						t.Fatalf("batch %d: carried seeder diverges from the oracle", bi)
 					}
 					if got := DirtySeed(g, ng, part, npart); !slices.Equal(got, want) {

@@ -357,22 +357,12 @@ func (r *runner) chargeNative(j int, ops float64) {
 }
 
 // nativeGen runs MSGGen+combine for one node on the engine's built-in
-// executor, charging upper-bucket compute time. part.Edges is grouped by
-// source and part.RunEnds indexes its runs, so the walk is over source
-// runs, in table order: the frontier is tested and the attribute row
-// sliced once per run, and an inactive source's run is skipped having
-// read only its first edge's source. An algorithm that declares
-// Hints.SourceOnly generates once per run, at its first edge that passes
-// the cone filter (without a cone, its first edge), so a source with no
-// edge into the cone costs nothing; that one message then folds into the
-// run's passing destinations in one typed loop — the whole run at once
-// without a cone, the cone test inline with one. Any other algorithm
-// generates and folds once per passing edge. Edges are still visited in
-// table order and every message still merges into its destination's row
-// of the result's one slab, so per row the MSGMerge sequence, and per
-// buffer the first-touch order, are those of a per-edge loop.
+// executor, charging upper-bucket compute time: a replayed superstep
+// gathers into its cone (gatherCone), any other pushes along the node's
+// edge table (push). Either way each destination row sees the MSGGen
+// messages of the node's edges into it in partition order, so per row the
+// MSGMerge sequence, and the edges counted, are those of a per-edge loop.
 func (r *runner) nativeGen(j int) *gxplug.GenResult {
-	part := r.part.Parts[j]
 	res := r.results[j]
 	if res == nil {
 		res = gxplug.NewGenResult(r.alg, r.part, j)
@@ -386,10 +376,26 @@ func (r *runner) nativeGen(j int) *gxplug.GenResult {
 	if r.mw != 1 {
 		f.op = template.MergeCustom // Add dispatches on the op itself
 	}
-	msg := r.natMsg[j]
-	// Incremental replay: only destinations in the cone can receive a
-	// result differing from the memo, so only their messages are needed.
-	cone := r.inc.coneFilter()
+	if r.inc.coneFilter() != nil {
+		res.Entities = r.gatherCone(j, &f)
+	} else {
+		res.Entities = r.push(j, &f)
+	}
+	r.chargeNative(j, genOps(float64(res.Entities), hints))
+	return res
+}
+
+// push generates along node j's edge table and returns the edges it
+// counted. part.Edges is grouped by source and part.RunEnds indexes its
+// runs, so the walk is over source runs, in table order: the frontier is
+// tested and the attribute row sliced once per run, and an inactive
+// source's run is skipped having read only its first edge's source. An
+// algorithm that declares Hints.SourceOnly generates once per run and
+// folds that one message into the whole run in one typed loop; any other
+// generates and folds once per edge. Rows are touched in edge order, so
+// per buffer the first-touch order is that of a per-edge loop too.
+func (r *runner) push(j int, f *slabFold) int {
+	part, hints, msg := r.part.Parts[j], r.alg.Hints(), r.natMsg[j]
 	edges, start := 0, int32(0)
 	for _, end := range part.RunEnds {
 		run := part.Edges[start:end]
@@ -399,54 +405,147 @@ func (r *runner) nativeGen(j int) *gxplug.GenResult {
 			continue
 		}
 		srcAttr := r.attrs[int(src)*r.aw : (int(src)+1)*r.aw]
-		switch {
-		case !hints.SourceOnly:
+		if !hints.SourceOnly {
 			for i := range run {
-				e := &run[i]
-				if cone != nil && !cone[e.Dst] {
-					continue
-				}
 				edges++
-				if r.alg.MSGGen(r.ctx, src, e.Dst, e.Weight, srcAttr, msg) {
+				if r.alg.MSGGen(r.ctx, src, run[i].Dst, run[i].Weight, srcAttr, msg) {
 					f.into(run[i:i+1], msg)
 				}
 			}
-		case cone == nil:
-			edges += len(run)
-			if r.alg.MSGGen(r.ctx, src, run[0].Dst, run[0].Weight, srcAttr, msg) {
-				f.into(run, msg)
-			}
-		default:
-			i := 0
-			for i < len(run) && !cone[run[i].Dst] {
-				i++
-			}
-			if i == len(run) {
-				continue
-			}
-			run = run[i:]
-			if r.alg.MSGGen(r.ctx, src, run[0].Dst, run[0].Weight, srcAttr, msg) {
-				edges += f.intoCone(run, msg, cone)
-				continue
-			}
-			for k := range run {
-				if cone[run[k].Dst] {
-					edges++
+			continue
+		}
+		edges += len(run)
+		if r.alg.MSGGen(r.ctx, src, run[0].Dst, run[0].Weight, srcAttr, msg) {
+			f.into(run, msg)
+		}
+	}
+	return edges
+}
+
+// gatherCone is node j's gen in a replayed superstep, where only cone
+// destinations can receive a result differing from the memo: it pulls,
+// for each cone vertex v in ascending order, node j's in-edges of v in
+// partition order — one range of the boundary's merge signature — and
+// returns the edges it counted (those from active sources). A source
+// with no edge into the cone costs one MSGGen at most, and a vertex
+// outside the cone nothing. Rows are touched in ascending vertex
+// order, not push's edge order; no consumer of a buffer's first-touch
+// list depends on its order.
+//
+// An algorithm that declares Hints.SourceOnly generates once per active
+// source of the node's runs, into the signature's per-source scratch,
+// and folds in a typed loop that keeps v's row in a register; any other
+// generates and folds once per in-edge.
+func (r *runner) gatherCone(j int, f *slabFold) int {
+	inc, hints := r.inc, r.alg.Hints()
+	sig, cone := inc.sig, inc.coneList
+	off := sig.off[j*sig.n : (j+1)*sig.n+1]
+	srcs := sig.src
+	edges := 0
+	if !hints.SourceOnly {
+		msg := r.natMsg[j]
+		for _, v := range cone {
+			for k := off[v]; k < off[v+1]; k++ {
+				u := srcs[k]
+				if !hints.GenAll && !r.active[u] {
+					continue
+				}
+				edges++
+				if r.alg.MSGGen(r.ctx, u, v, sig.w[k], r.attrs[int(u)*r.aw:(int(u)+1)*r.aw], msg) {
+					f.res.Add(v, msg)
 				}
 			}
 		}
+		return edges
 	}
-	res.Entities = edges
-	r.chargeNative(j, genOps(float64(edges), hints))
-	return res
+
+	mw := r.mw
+	msgs, state := sig.scratch(j, mw)
+	part, start := r.part.Parts[j], int32(0)
+	// every: each source of the node's runs has a message, so a sum
+	// folds every in-edge and need not read state. With no source active
+	// there is nothing to count or fold.
+	every, active := true, false
+	for _, end := range part.RunEnds {
+		e := &part.Edges[start]
+		start = end
+		u := e.Src
+		switch {
+		case !hints.GenAll && !r.active[u]:
+			state[u] = srcSkip
+		case r.alg.MSGGen(r.ctx, u, e.Dst, e.Weight, r.attrs[int(u)*r.aw:(int(u)+1)*r.aw], msgs[int(u)*mw:(int(u)+1)*mw]):
+			state[u] = srcMsg
+			active = true
+			continue
+		default:
+			state[u] = srcNone
+			active = true
+		}
+		every = false
+		if f.op == template.MergeMin {
+			msgs[u] = math.Inf(1) // folds as nothing: no value is below it
+		}
+	}
+	if !active {
+		return 0
+	}
+	acc, slot := f.acc, f.slot
+	switch {
+	case f.op == template.MergeSum && every:
+		for _, v := range cone {
+			in := srcs[off[v]:off[v+1]]
+			if len(in) == 0 {
+				continue
+			}
+			s := slot[v]
+			a := acc[s]
+			for _, u := range in {
+				a += msgs[u]
+			}
+			edges += len(in)
+			f.res.Touch(v)
+			acc[s] = a
+		}
+	case f.op == template.MergeMin:
+		// Branch-free over state: a source without a message holds +Inf,
+		// and state's bits say whether the edge counts and whether
+		// anything folded.
+		for _, v := range cone {
+			s := slot[v]
+			a, seen := acc[s], uint8(0)
+			for _, u := range srcs[off[v]:off[v+1]] {
+				st := state[u]
+				seen |= st
+				edges += int(st & srcNone)
+				if m := msgs[u]; m < a {
+					a = m
+				}
+			}
+			if seen&srcMsg == srcMsg {
+				f.res.Touch(v)
+				acc[s] = a
+			}
+		}
+	default:
+		for _, v := range cone {
+			for _, u := range srcs[off[v]:off[v+1]] {
+				switch state[u] {
+				case srcSkip:
+					continue
+				case srcMsg:
+					f.res.Add(v, msgs[int(u)*mw:(int(u)+1)*mw])
+				}
+				edges++
+			}
+		}
+	}
+	return edges
 }
 
 // slabFold folds messages into a GenResult's slabs at the destination's
 // Slot: a width-1 message under a declared Hints.Merge in a typed loop,
 // any other through GenResult.Add. Only a first touch reaches the routing
-// index, to append the row to its buffer's first-touch list. into folds
-// into every destination of an edge slice, intoCone into those in the
-// cone, testing it inline.
+// index, to append the row to its buffer's first-touch list.
 type slabFold struct {
 	res  *gxplug.GenResult
 	acc  []float64
@@ -486,53 +585,6 @@ func (f *slabFold) into(es []graph.Edge, msg []float64) {
 			f.res.Add(es[i].Dst, msg)
 		}
 	}
-}
-
-// intoCone folds msg into the row of every destination of es that is in
-// cone, in order, and returns how many it folded.
-func (f *slabFold) intoCone(es []graph.Edge, msg []float64, cone []bool) int {
-	acc, recv, slot := f.acc, f.recv, f.slot
-	n := 0
-	switch f.op {
-	case template.MergeSum:
-		v := msg[0]
-		for i := range es {
-			dst := es[i].Dst
-			if !cone[dst] {
-				continue
-			}
-			n++
-			s := slot[dst]
-			if !recv[s] {
-				f.res.Touch(dst)
-			}
-			acc[s] += v
-		}
-	case template.MergeMin:
-		v := msg[0]
-		for i := range es {
-			dst := es[i].Dst
-			if !cone[dst] {
-				continue
-			}
-			n++
-			s := slot[dst]
-			if !recv[s] {
-				f.res.Touch(dst)
-			}
-			if v < acc[s] {
-				acc[s] = v
-			}
-		}
-	default:
-		for i := range es {
-			if dst := es[i].Dst; cone[dst] {
-				n++
-				f.res.Add(dst, msg)
-			}
-		}
-	}
-	return n
 }
 
 // nativeMerge folds an inbox into the node's local accumulator.
