@@ -34,8 +34,12 @@ lint:
 build:
 	$(GO) build ./...
 
+# Builds every example, then runs the dynamic-graphs walkthrough (~0.1 s
+# of work), which fails unless incremental recomputation is bit-identical
+# to scratch and no slower at every batch boundary.
 examples:
 	$(GO) build ./examples/...
+	$(GO) run ./examples/dynamic-graphs
 
 test:
 	$(GO) test -short ./...

@@ -23,10 +23,10 @@ import (
 // volumes are all subsets of the from-scratch run's).
 //
 // The induction behind the cone: cone_0 is the static dirty seed D
-// (vertices whose in-edge lists, relevant degrees, or merge fold order
-// changed between graph versions). After superstep i, diff_i is the set
-// of computed cone vertices whose post-state or activity flag differs
-// from the memo; cone_{i+1} = D ∪ diff_i ∪ outNbrs(diff_i). A vertex
+// (vertices whose relevant degrees or merge fold order changed between
+// graph versions). After superstep i, diff_i is the set of computed cone
+// vertices whose post-state or activity flag differs from the memo;
+// cone_{i+1} = D ∪ diff_i ∪ outNbrs(diff_i). A vertex
 // outside cone_i has no in-neighbour in diff_{i-1}, matched the memo
 // after superstep i-1, and kept its edge structure and fold order — so
 // its from-scratch superstep-i result equals the memoized one, and
@@ -162,7 +162,7 @@ func runStream(p *plan) (*Result, error) {
 			if !st.Scratch {
 				// The fold order the memo was computed under is the
 				// previous boundary's partitioning, not the new one.
-				dirty = seeder.seed(g, ng, part, npart, &batch)
+				dirty = seeder.seed(g, ng, part, npart)
 				for _, d := range dirty {
 					if d {
 						br.Dirty++
@@ -301,62 +301,39 @@ func (r *runner) updateCone() {
 // under their (engine-default, deterministic) partitionings: the
 // vertices whose superstep results could differ even with identical
 // inputs. A vertex is dirty when
-//   - its in-edge list changed (source sequence or weight bits, in
-//     in-CSR order) — its merged message can differ;
 //   - its own in- or out-degree changed — Init and MSGApply may read
 //     them through the Context;
 //   - it is a new-graph out-neighbour of a vertex whose degree changed —
 //     MSGGen may read the source's degrees (PageRank divides by
 //     out-degree);
 //   - its merge fold order changed: the owner node or the per-node
-//     ordered sequence of partition edges targeting it differs. Merging
-//     is floating-point, so the fold tree is compared exactly — no
-//     hashing, a collision would silently break bit-identity.
+//     ordered sequence of partition edges targeting it differs. Every
+//     edge sits in exactly one part, so this also covers any change to
+//     its in-edges' sources or weight bits. Merging is floating-point, so
+//     the fold tree is compared exactly — no hashing, a collision would
+//     silently break bit-identity.
+//
+// The order of a vertex's in-CSR list is not compared: nothing in a run
+// reads it (partitions are built from the out-CSR, and a replay gathers
+// through the merge signature).
 //
 // A vertex-count change invalidates everything (Init may read
 // NumVertices): the seed is all-dirty and runStream drops the trace.
-//
-// It is the one-shot form of the seeder runStream carries across a
-// stream's boundaries; not knowing the batch, it compares every vertex's
-// in-edge list and degrees.
 func DirtySeed(oldG, newG *graph.Graph, oldPart, newPart *graph.Partitioning) []bool {
-	return new(dirtySeeder).seed(oldG, newG, oldPart, newPart, nil)
+	return new(dirtySeeder).seed(oldG, newG, oldPart, newPart)
 }
 
 // dirtySeeder computes dirty seeds, keeping its scratch between calls:
-// the new partitioning's merge signature, one cursor per node and
-// destination, and what it knows of the in-edge order of the last graph
-// version it saw. The zero value is ready; the seed a call returns is the
+// the new partitioning's merge signature and one cursor per node and
+// destination. The zero value is ready; the seed a call returns is the
 // caller's.
 type dirtySeeder struct {
 	sig  mergeSig
 	next []int64
-	// last is the newest graph version of a seed taken with its batch
-	// known, and unsorted the vertices of last whose in-edge lists may
-	// not be in source-major order: the add destinations of the batch
-	// that built it. ApplyBatch lists a vertex's in-edges in the parent's
-	// source-major order, then its adds — so a later batch that touches
-	// neither of a vertex's edge lists leaves its in-edge list as it was
-	// unless the vertex is in unsorted.
-	last     *graph.Graph
-	unsorted []graph.VertexID
-	// seen marks the vertices the narrowed comparison has visited, listed
-	// in visited; it is all false between calls.
-	seen    []bool
-	visited []graph.VertexID
 }
 
-// seed returns the dirty seed between oldG and newG. batch, when not nil,
-// is the batch that took oldG to newG; when oldG is also the newG of the
-// seeder's previous call, the in-edge and degree comparison visits only
-// the batch's endpoints and unsorted, the vertices whose in-edge lists
-// can differ. Without a batch, or after a graph whose in-edge order the
-// seeder does not know (a stream's initial graph keeps its input's
-// order), it visits every vertex. The fold-order comparison is whole
-// graph either way: re-partitioning can move any edge.
-func (s *dirtySeeder) seed(oldG, newG *graph.Graph, oldPart, newPart *graph.Partitioning, batch *graph.EdgeBatch) []bool {
-	narrow := batch != nil && oldG != nil && oldG == s.last
-	defer s.remember(oldG, newG, batch, narrow)
+// seed returns the dirty seed between oldG and newG (see DirtySeed).
+func (s *dirtySeeder) seed(oldG, newG *graph.Graph, oldPart, newPart *graph.Partitioning) []bool {
 	n := newG.NumVertices()
 	dirty := make([]bool, n)
 	if oldG == nil || oldPart == nil ||
@@ -367,67 +344,18 @@ func (s *dirtySeeder) seed(oldG, newG *graph.Graph, oldPart, newPart *graph.Part
 		return dirty
 	}
 
-	oOutOff, _, _, oInOff, oInSrc, oInW := oldG.CSR()
-	nOutOff, nOutDst, _, nInOff, nInSrc, nInW := newG.CSR()
-	compare := func(v int) {
-		oLo, oHi := oInOff[v], oInOff[v+1]
-		nLo, nHi := nInOff[v], nInOff[v+1]
-		if oHi-oLo != nHi-nLo {
+	// Degrees: the offset arrays alone. A vertex whose degree changed may
+	// read it in Init/MSGApply; its out-neighbours receive messages that
+	// may read the source's degrees in MSGGen.
+	oOutOff, _, _, oInOff, _, _ := oldG.CSR()
+	nOutOff, nOutDst, _, nInOff, _, _ := newG.CSR()
+	for v := 0; v < n; v++ {
+		if oOutOff[v+1]-oOutOff[v] != nOutOff[v+1]-nOutOff[v] ||
+			oInOff[v+1]-oInOff[v] != nInOff[v+1]-nInOff[v] {
 			dirty[v] = true
-		} else {
-			for k := int64(0); k < oHi-oLo; k++ {
-				if oInSrc[oLo+k] != nInSrc[nLo+k] ||
-					math.Float64bits(oInW[oLo+k]) != math.Float64bits(nInW[nLo+k]) {
-					dirty[v] = true
-					break
-				}
+			for _, dst := range nOutDst[nOutOff[v]:nOutOff[v+1]] {
+				dirty[dst] = true
 			}
-		}
-		outChanged := oOutOff[v+1]-oOutOff[v] != nOutOff[v+1]-nOutOff[v]
-		inChanged := oHi-oLo != nHi-nLo
-		if outChanged || inChanged {
-			// The vertex itself may read its degrees in Init/MSGApply;
-			// its out-neighbours receive messages that may read the
-			// source's degrees in MSGGen.
-			dirty[v] = true
-			for k := nOutOff[v]; k < nOutOff[v+1]; k++ {
-				dirty[nOutDst[k]] = true
-			}
-		}
-	}
-	if narrow {
-		// Only these vertices can have a different in-edge list or
-		// degree: the batch's endpoints, and the in-edge lists ApplyBatch
-		// re-sorts. Each is compared once.
-		if len(s.seen) < n {
-			s.seen = make([]bool, n)
-		}
-		visited := s.visited[:0]
-		visit := func(v graph.VertexID) {
-			if !s.seen[v] {
-				s.seen[v] = true
-				visited = append(visited, v)
-				compare(int(v))
-			}
-		}
-		for _, v := range s.unsorted {
-			visit(v)
-		}
-		for _, e := range batch.Adds {
-			visit(e.Src)
-			visit(e.Dst)
-		}
-		for _, e := range batch.Removes {
-			visit(e.Src)
-			visit(e.Dst)
-		}
-		for _, v := range visited {
-			s.seen[v] = false
-		}
-		s.visited = visited
-	} else {
-		for v := 0; v < n; v++ {
-			compare(v)
 		}
 	}
 
@@ -468,23 +396,6 @@ func (s *dirtySeeder) seed(oldG, newG *graph.Graph, oldPart, newPart *graph.Part
 		}
 	}
 	return dirty
-}
-
-// remember records what the seeder knows of newG's in-edge order for its
-// next call: a non-empty batch (newG is then a fresh ApplyBatch result)
-// leaves its add destinations unsorted, an empty one leaves what was
-// known of oldG, and a seed taken without a batch leaves nothing known.
-func (s *dirtySeeder) remember(oldG, newG *graph.Graph, batch *graph.EdgeBatch, chained bool) {
-	switch {
-	case batch == nil || (newG == oldG && !chained):
-		s.last = nil
-	case newG != oldG:
-		s.last = newG
-		s.unsorted = s.unsorted[:0]
-		for _, e := range batch.Adds {
-			s.unsorted = append(s.unsorted, e.Dst)
-		}
-	}
 }
 
 // mergeSig is a partitioning's merge signature laid out node-major: for

@@ -7,11 +7,12 @@ import (
 	"gxplug/internal/graph"
 )
 
-// This file keeps the DirtySeed the streamed comparison replaced —
-// verbatim apart from the names: both partitionings' merge signatures
-// materialized by a counting sort each and compared range by range with
-// slices.Equal — as the oracle TestDirtySeedMatchesOracle holds the
-// seeder to. Nothing outside the tests runs it.
+// This file keeps the DirtySeed the streamed comparison replaced — both
+// partitionings' merge signatures materialized by a counting sort each
+// and compared range by range with slices.Equal — as the oracle
+// TestDirtySeedMatchesOracle holds the seeder to. Like the seeder, it
+// compares degrees and fold order, not in-CSR order, which no run reads.
+// Nothing outside the tests runs it.
 
 func dirtySeedOracle(oldG, newG *graph.Graph, oldPart, newPart *graph.Partitioning) []bool {
 	n := newG.NumVertices()
@@ -24,24 +25,11 @@ func dirtySeedOracle(oldG, newG *graph.Graph, oldPart, newPart *graph.Partitioni
 		return dirty
 	}
 
-	oOutOff, _, _, oInOff, oInSrc, oInW := oldG.CSR()
-	nOutOff, nOutDst, _, nInOff, nInSrc, nInW := newG.CSR()
+	oOutOff, _, _, oInOff, _, _ := oldG.CSR()
+	nOutOff, nOutDst, _, nInOff, _, _ := newG.CSR()
 	for v := 0; v < n; v++ {
-		oLo, oHi := oInOff[v], oInOff[v+1]
-		nLo, nHi := nInOff[v], nInOff[v+1]
-		if oHi-oLo != nHi-nLo {
-			dirty[v] = true
-		} else {
-			for k := int64(0); k < oHi-oLo; k++ {
-				if oInSrc[oLo+k] != nInSrc[nLo+k] ||
-					math.Float64bits(oInW[oLo+k]) != math.Float64bits(nInW[nLo+k]) {
-					dirty[v] = true
-					break
-				}
-			}
-		}
 		outChanged := oOutOff[v+1]-oOutOff[v] != nOutOff[v+1]-nOutOff[v]
-		inChanged := oHi-oLo != nHi-nLo
+		inChanged := oInOff[v+1]-oInOff[v] != nInOff[v+1]-nInOff[v]
 		if outChanged || inChanged {
 			// The vertex itself may read its degrees in Init/MSGApply;
 			// its out-neighbours receive messages that may read the

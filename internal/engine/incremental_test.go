@@ -78,8 +78,26 @@ func runBoundary(t *testing.T, cfg Config, prev *trace, dirty []bool) (*Result, 
 	return res, r.traceRec
 }
 
+// hasUnsortedInList reports whether some vertex of g has an in-list out
+// of source-major order.
+func hasUnsortedInList(g *graph.Graph) bool {
+	_, _, _, inOff, inSrc, _ := g.CSR()
+	for v := 0; v < g.NumVertices(); v++ {
+		if !slices.IsSorted(inSrc[inOff[v]:inOff[v+1]]) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestIncrementalMatchesScratch(t *testing.T) {
 	g0 := incTestGraph(t)
+	// ApplyBatch lists every in-list source-major, and the dirty seed does
+	// not compare in-list order: the matrix below covers that only if the
+	// initial graph has in-lists the first batch re-sorts.
+	if !hasUnsortedInList(g0) {
+		t.Fatal("every in-list of the test graph is source-major; the first boundary re-sorts none")
+	}
 	batches, err := gen.SynthesizeBatches(g0, gen.BatchesConfig{
 		Batches: 3, Adds: 6, Removes: 3, Window: 100, Seed: 5,
 	})
@@ -220,6 +238,39 @@ func TestDirtySeed(t *testing.T) {
 		}
 	}
 
+	// An in-list only re-sorted is clean. FromEdges lists vertex 3's
+	// in-edges as written, (2, 1); ApplyBatch lists them source-major,
+	// (1, 2), under a batch that touches neither 3 nor its neighbours and
+	// keeps the edge count, so the range cut stays put. Partitions, and
+	// with them the fold order, come from the out-CSR, which is unchanged
+	// for 1, 2 and 3.
+	h0 := graph.MustFromEdges(6, []graph.Edge{
+		{Src: 2, Dst: 3, Weight: 1}, {Src: 1, Dst: 3, Weight: 2}, {Src: 4, Dst: 5, Weight: 1},
+	})
+	h1, err := h0.ApplyBatch(graph.EdgeBatch{Time: 1,
+		Adds:    []graph.Edge{{Src: 5, Dst: 4, Weight: 1}},
+		Removes: []graph.Edge{{Src: 4, Dst: 5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inList := func(g *graph.Graph) (srcs []graph.VertexID) {
+		g.InEdges(3, func(src graph.VertexID, _ float64) { srcs = append(srcs, src) })
+		return srcs
+	}
+	if a, b := inList(h0), inList(h1); !slices.Equal(a, []graph.VertexID{2, 1}) || !slices.Equal(b, []graph.VertexID{1, 2}) {
+		t.Fatalf("vertex 3's in-list is %v, then %v; want it re-sorted from [2 1] to [1 2]", a, b)
+	}
+	resorted := DirtySeed(h0, h1, part(h0), part(h1))
+	if resorted[3] {
+		t.Error("vertex 3 dirty: its in-list was only re-sorted")
+	}
+	for _, v := range []int{4, 5} {
+		if !resorted[v] {
+			t.Errorf("vertex %d not dirty after its edge was reversed", v)
+		}
+	}
+
 	// Vertex-count growth dirties everything.
 	g2, err := g0.ApplyBatch(graph.EdgeBatch{Time: 1, Adds: []graph.Edge{{Src: 5, Dst: 6, Weight: 1}}})
 	if err != nil {
@@ -288,10 +339,9 @@ func shapedBatches(t *testing.T, g0 *graph.Graph, batches []graph.EdgeBatch, kee
 // under every partitioner an engine uses, for localized and for uniform
 // churn — and a seeder carried down a stream (runStream's use: its
 // signature buffer and cursors written over at every boundary, across a
-// vertex-count change too, and its degree and in-edge comparison narrowed
-// to what each batch touches) must agree exactly as the one-shot form
-// does. Beside the synthesized batches the stream re-adds an edge in the
-// batch that removes it, adds one edge twice and removes a vertex's last
+// vertex-count change too) must agree exactly as the one-shot form does.
+// Beside the synthesized batches the stream re-adds an edge in the batch
+// that removes it, adds one edge twice and removes a vertex's last
 // in-edge.
 func TestDirtySeedMatchesOracle(t *testing.T) {
 	g0 := incTestGraph(t)
@@ -327,7 +377,7 @@ func TestDirtySeedMatchesOracle(t *testing.T) {
 					}
 					npart := partition(ng, 3)
 					want := dirtySeedOracle(g, ng, part, npart)
-					if got := carried.seed(g, ng, part, npart, &b); !slices.Equal(got, want) {
+					if got := carried.seed(g, ng, part, npart); !slices.Equal(got, want) {
 						t.Fatalf("batch %d: carried seeder diverges from the oracle", bi)
 					}
 					if got := DirtySeed(g, ng, part, npart); !slices.Equal(got, want) {

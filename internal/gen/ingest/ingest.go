@@ -11,7 +11,7 @@
 // file always produces the same graph, and files that already use dense
 // 0-based ids keep their numbering (sorting the ids of a dense range is
 // the identity map). Edge order is preserved as written, which fixes the
-// in-CSR tie order and with it the floating-point merge order engines
+// CSR tie order — in the out-CSR, the floating-point merge order engines
 // see — the property the snapshot round-trip tests pin down.
 package ingest
 

@@ -17,8 +17,8 @@ import (
 
 // The binary CSR snapshot format, version 1. Everything is
 // little-endian. A snapshot stores the six raw CSR arrays verbatim, so
-// loading reconstructs the saved graph bit for bit — including the
-// in-CSR tie order that floating-point merge results depend on.
+// loading reconstructs the saved graph bit for bit — including both
+// CSRs' tie order.
 //
 //	header (28 bytes):
 //	  [ 0: 6] magic "GXSNAP"

@@ -110,8 +110,7 @@ func MustFromEdges(numV int, edges []Edge) *Graph {
 // weights). The slices alias internal storage and must not be mutated;
 // the snapshot codec in internal/gen/ingest serializes them verbatim so
 // a loaded graph is bit-identical to the saved one (including the
-// in-CSR tie order, which FromEdges derives from edge input order and
-// which floating-point merge results depend on).
+// in-CSR tie order, which FromEdges derives from edge input order).
 func (g *Graph) CSR() (outOff []int64, outDst []VertexID, outW []float64,
 	inOff []int64, inSrc []VertexID, inW []float64) {
 	return g.outOff, g.outDst, g.outW, g.inOff, g.inSrc, g.inW
