@@ -34,12 +34,19 @@ lint:
 build:
 	$(GO) build ./...
 
-# Builds every example, then runs the dynamic-graphs walkthrough (~0.1 s
-# of work), which fails unless incremental recomputation is bit-identical
-# to scratch and no slower at every batch boundary.
+# Builds every example, then runs the four that check themselves (under
+# a second of work together), each exiting non-zero when its check fails:
+# dynamic-graphs (incremental recomputation bit-identical to scratch and
+# no slower at every batch boundary), fault-tolerance (the injected crash
+# is raised and the resumed run is bit-identical to an uninterrupted
+# one), custom-algorithm (every engine × accelerator cell agrees with the
+# reference) and labelprop-graphx (the optimizations change no label).
 examples:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/dynamic-graphs
+	$(GO) run ./examples/fault-tolerance
+	$(GO) run ./examples/custom-algorithm
+	$(GO) run ./examples/labelprop-graphx
 
 test:
 	$(GO) test -short ./...

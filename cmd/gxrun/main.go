@@ -1,9 +1,18 @@
 // Command gxrun executes graph workloads end-to-end and reports timing,
-// iteration counts and optimization statistics. Single runs are
-// described either by flags or by a declarative scenario file, never
-// both (a per-field flag beside -scenario is an error); both paths build
-// the same gx.Scenario, so they produce bit-identical results. A suite file batches many named scenarios into one
-// invocation.
+// iteration counts and optimization statistics. The flags set on the
+// command line pick exactly one mode — -remote, -suite, -scenario, or the
+// per-field flags (-engine, -algo, …) — from one table that lists the
+// flags each mode reads: any other flag beside it is an error naming it,
+// and so are -pool/-plan without -suite and -every/-resume without
+// -checkpoint. A scenario file and the equivalent per-field flags build
+// the same gx.Scenario, so they produce bit-identical results. A suite
+// file batches many named scenarios into one invocation.
+//
+// A single run counts its supersteps into a gx.EntryTotals, as a suite
+// entry does, so its time, cache, faults and result lines match the same
+// scenario run as a one-entry suite, locally or through gxd. The modes
+// differ only in the renderer that prints gx's results: report (plus
+// renderBatches for -batches), or renderSuite (plus renderPlan for -plan).
 //
 //	gxrun -engine powergraph -algo pagerank -dataset orkut -nodes 4 -gpus 2
 //	gxrun -engine graphx -algo sssp -dataset wrn -nodes 4 -accel cpu
@@ -106,7 +115,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"time"
 
 	"gxplug/gx"
 	"gxplug/internal/serve"
@@ -129,8 +137,10 @@ func main() {
 	}
 }
 
-// run is the testable entry point: parse args, build one gx.Scenario
-// (from a file or from flags), execute it, and print the report.
+// run is the testable entry point: parse args, pick the mode the set
+// flags select (pickMode), and run it — a suite or remote file through
+// renderSuite, or one gx.Scenario, from a file or from the per-field
+// flags, through report.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("gxrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -167,80 +177,34 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errFlagParse // the FlagSet already printed the details
 	}
 
-	// The flags the command line set, in Visit's lexical order: every
-	// conflict rule below is a question about this one set. setBesides
-	// lists the set flags outside allowed, as "-a, -b".
+	// The flags the command line set, in Visit's lexical order.
 	var set []string
 	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-	setBesides := func(allowed ...string) string {
-		var out []string
-		for _, name := range set {
-			if !slices.Contains(allowed, name) {
-				out = append(out, "-"+name)
-			}
-		}
-		return strings.Join(out, ", ")
+	m, err := pickMode(set)
+	if err != nil {
+		return err
 	}
 
 	// A zero gx.Manifest resolves nothing, so the no-flag path is free.
 	var manifest gx.Manifest
 	if *manifestPath != "" {
-		var err error
 		if manifest, err = gx.LoadManifest(*manifestPath); err != nil {
 			return err
 		}
 	}
 
-	if *remoteAddr != "" {
-		// Remote runs are declarative by construction: the daemon runs
-		// exactly what a file describes, so per-run flags (and local-only
-		// machinery like checkpoints or -pool, which belongs to the
-		// server) would be silently dead — all loud errors.
+	switch m.flag {
+	case "remote":
 		if *suitePath == "" && *scenarioPath == "" {
 			return errors.New("gxrun: -remote requires -scenario or -suite (remote runs are described by files)")
 		}
-		if c := setBesides("remote", "suite", "scenario", "progress", "manifest"); c != "" {
-			return fmt.Errorf("gxrun: -remote cannot be combined with %s (the daemon runs the file as written)", c)
-		}
 		return runRemote(*remoteAddr, *scenarioPath, *suitePath, manifest, *progress, stdout)
-	}
-
-	if *suitePath != "" {
-		// A suite file fully describes its runs: every per-run flag set
-		// alongside -suite would be silently dead, so all of them are
-		// loud errors (-pool and -progress configure the suite itself).
-		if c := setBesides("suite", "pool", "plan", "progress", "manifest"); c != "" {
-			return fmt.Errorf("gxrun: -suite cannot be combined with %s (suite entries carry their own scenarios)", c)
-		}
+	case "suite":
 		return runSuite(*suitePath, *pool, gx.Plan(*planName), manifest, *progress, stdout)
-	}
-	// The mirror-image hole: -pool and -plan configure suite execution
-	// only, so setting either without -suite would be silently dead.
-	if slices.Contains(set, "pool") {
-		return errors.New("gxrun: -pool requires -suite (single runs have no entry concurrency)")
-	}
-	if slices.Contains(set, "plan") {
-		return errors.New("gxrun: -plan requires -suite (single runs have no dispatch order)")
-	}
-	// Likewise -every and -resume qualify -checkpoint and are dead without it.
-	if *ckptDir == "" {
-		if slices.Contains(set, "every") {
-			return errors.New("gxrun: -every requires -checkpoint")
-		}
-		if *resume {
-			return errors.New("gxrun: -resume requires -checkpoint")
-		}
 	}
 
 	var s gx.Scenario
-	if *scenarioPath != "" {
-		// A scenario file fully describes its run: every per-field flag set
-		// alongside -scenario would be silently dead, so all of them are
-		// loud errors (the rest say how the run is watched or checkpointed).
-		if c := setBesides("scenario", "progress", "checkpoint", "every", "resume", "manifest", "batches"); c != "" {
-			return fmt.Errorf("gxrun: -scenario cannot be combined with %s (the scenario file carries its own fields)", c)
-		}
-		var err error
+	if m.flag == "scenario" {
 		if s, err = gx.LoadScenario(*scenarioPath); err != nil {
 			return err
 		}
@@ -279,7 +243,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		g    *gx.Graph
 		from *gx.CheckpointState
-		err  error
 	)
 	if *resume {
 		if g, from, err = gx.LoadCheckpoint(ckptPath); err != nil {
@@ -290,38 +253,27 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// One merged observer: the -progress stream and, when faults or
-	// checkpoints are in play, the robustness totals for the report tail.
-	var obsFns []func(gx.Superstep)
-	opts := []gx.Option{gx.WithGraph(g)}
-	if *progress {
-		obsFns = append(obsFns, func(st gx.Superstep) {
+	// One observer counts the run into the totals a suite entry reports
+	// and, with -progress, prints each superstep as it ends.
+	var tot gx.EntryTotals
+	opts := []gx.Option{gx.WithGraph(g), gx.WithObserver(func(st gx.Superstep) {
+		tot.Add(st)
+		if *progress {
 			mark := " "
 			if st.SkippedSync {
 				mark = "s"
 			}
 			fmt.Fprintf(stdout, "  [%4d]%s frontier=%-9d msgs=%-9d mirrors=%-7d t=%v\n",
 				st.Iteration, mark, st.Frontier, st.Messages, st.MirrorUpdates, st.Makespan)
-		})
-	}
-	var rt robustnessTotals
-	if len(s.Faults) > 0 || *ckptDir != "" {
-		obsFns = append(obsFns, rt.add)
-	}
-	if len(obsFns) > 0 {
-		obs := obsFns
-		opts = append(opts, gx.WithObserver(func(st gx.Superstep) {
-			for _, fn := range obs {
-				fn(st)
-			}
-		}))
-	}
+		}
+	})}
+	saved := 0
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			return err
 		}
 		opts = append(opts, gx.WithCheckpoint(*ckptEvery, func(st *gx.CheckpointState) error {
-			rt.saved++
+			saved++
 			return gx.SaveCheckpoint(ckptPath, g, st)
 		}))
 	}
@@ -338,32 +290,72 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return err
 	}
-	report(stdout, s, g, res)
+	report(stdout, s, g, res, tot)
 	if *batchTable {
 		renderBatches(stdout, res.Batches)
 	}
 	if len(s.Faults) > 0 {
-		fmt.Fprintf(stdout, "  faults      : %d injected, %d stall retries absorbed\n", rt.faults, rt.retries)
+		fmt.Fprintf(stdout, "  faults      : %d injected, %d stall retries absorbed\n", tot.FaultsInjected, tot.FaultRetries)
 	}
 	if *ckptDir != "" {
-		fmt.Fprintf(stdout, "  checkpoint  : %d saved to %s, %v virtual cost\n", rt.saved, ckptPath, rt.ckptTime)
+		fmt.Fprintf(stdout, "  checkpoint  : %d saved to %s, %v virtual cost\n", saved, ckptPath, tot.CheckpointTime)
 	}
 	return nil
 }
 
-// robustnessTotals aggregates the fault/checkpoint observer fields over
-// a single run for the report tail.
-type robustnessTotals struct {
-	faults   int
-	retries  int64
-	saved    int
-	ckptTime time.Duration
+// A mode is one way gxrun runs. Each mode but the last is selected by a
+// flag; the per-field flags, which have none, run when no other mode is
+// selected.
+type mode struct {
+	flag  string   // the selecting flag; "" for the per-field flags
+	reads []string // the other flags the mode reads
+	why   string   // why a flag the mode does not read would be dead
 }
 
-func (rt *robustnessTotals) add(st gx.Superstep) {
-	rt.faults += st.FaultsInjected
-	rt.retries += st.FaultRetries
-	rt.ckptTime += st.CheckpointTime
+// single lists the flags that say how one run is resolved, watched and
+// checkpointed, rather than what it runs.
+var single = []string{"progress", "manifest", "checkpoint", "every", "resume", "batches"}
+
+// modes is gxrun's flag table, in the order the selecting flags take
+// precedence.
+var modes = []mode{
+	{"remote", []string{"scenario", "suite", "progress", "manifest"}, "the daemon runs the file as written"},
+	{"suite", []string{"pool", "plan", "progress", "manifest"}, "suite entries carry their own scenarios"},
+	{"scenario", single, "the scenario file carries its own fields"},
+	{"", append([]string{"engine", "algo", "dataset", "scale", "seed", "nodes", "accel", "gpus", "maxiter", "cachecap", "k", "net", "no-opt"}, single...), ""},
+}
+
+// needs lists the flags that only qualify another flag: each is dead, and
+// an error, unless the flag it qualifies is set too.
+var needs = []struct{ flag, on, why string }{
+	{"pool", "suite", " (single runs have no entry concurrency)"},
+	{"plan", "suite", " (single runs have no dispatch order)"},
+	{"every", "checkpoint", ""},
+	{"resume", "checkpoint", ""},
+}
+
+// pickMode returns the mode the set flags select. Every set flag the mode
+// does not read is an error, and so is a qualifying flag without the flag
+// it qualifies: a flag that changes nothing is never silently accepted.
+func pickMode(set []string) (mode, error) {
+	m := modes[slices.IndexFunc(modes, func(m mode) bool { return m.flag == "" || slices.Contains(set, m.flag) })]
+	var dead []string
+	for _, name := range set {
+		if name != m.flag && !slices.Contains(m.reads, name) {
+			dead = append(dead, "-"+name)
+		}
+	}
+	// The per-field flags have no selecting flag to name. The only flags
+	// they leave unread, -pool and -plan, qualify -suite, so needs names them.
+	if m.flag != "" && len(dead) > 0 {
+		return m, fmt.Errorf("gxrun: -%s cannot be combined with %s (%s)", m.flag, strings.Join(dead, ", "), m.why)
+	}
+	for _, n := range needs {
+		if slices.Contains(set, n.flag) && !slices.Contains(set, n.on) {
+			return m, fmt.Errorf("gxrun: -%s requires -%s%s", n.flag, n.on, n.why)
+		}
+	}
+	return m, nil
 }
 
 // runSuite executes a suite file on a bounded pool, streaming per-entry
@@ -386,7 +378,7 @@ func runSuite(path string, pool int, plan gx.Plan, manifest gx.Manifest, progres
 	// with an unplanned run.
 	var planOpts []gx.SuiteOption
 	if plan != "" {
-		if plan != gx.FileOrder && plan != gx.LPT {
+		if !plan.Known() {
 			return fmt.Errorf("gxrun: unknown -plan %q (want %q or %q)", plan, gx.FileOrder, gx.LPT)
 		}
 		// The planner shares the suite's dataset cache: its dry pass loads
@@ -520,7 +512,10 @@ func renderBatches(w io.Writer, batches []gx.BatchResult) {
 
 // report prints the run summary, ending in the result line that makes
 // two runs comparable at a glance — the same one a suite entry reports.
-func report(w io.Writer, s gx.Scenario, g *gx.Graph, res *gx.Result) {
+// Its counters are the run's observer totals, the ones a suite entry
+// reports; entities and blocks, which the totals do not carry, come from
+// the agents.
+func report(w io.Writer, s gx.Scenario, g *gx.Graph, res *gx.Result, tot gx.EntryTotals) {
 	st := g.Stats()
 	fmt.Fprintf(w, "%s on %s (%dV/%dE) over %d nodes, accel=%s\n",
 		s.Algorithm, s.Dataset, st.Vertices, st.Edges, s.Nodes, s.Accel)
@@ -530,21 +525,17 @@ func report(w io.Writer, s gx.Scenario, g *gx.Graph, res *gx.Result) {
 		total := res.MiddlewareTime + res.UpperTime
 		fmt.Fprintf(w, "  middleware  : %v (%.0f%% of node time)\n",
 			res.MiddlewareTime, 100*float64(res.MiddlewareTime)/float64(total))
-		var entities, blocks, hits, misses, evictions, spills int64
+		var entities, blocks int64
 		for _, as := range res.AgentStats {
 			entities += as.Entities
 			blocks += as.Blocks
-			hits += as.CacheHits
-			misses += as.CacheMisses
-			evictions += as.CacheEvictions
-			spills += as.DirtySpills
 		}
 		fmt.Fprintf(w, "  entities    : %d in %d blocks\n", entities, blocks)
-		if hits+misses > 0 {
+		if tot.CacheHits+tot.CacheMisses > 0 {
 			fmt.Fprintf(w, "  cache       : %.0f%% hit rate, %d evictions (%d dirty spills)\n",
-				100*float64(hits)/float64(hits+misses), evictions, spills)
+				100*float64(tot.CacheHits)/float64(tot.CacheHits+tot.CacheMisses), tot.CacheEvictions, tot.CacheDirtySpills)
 		}
 	}
-	sum := gx.Summarize(res, gx.EntryTotals{})
+	sum := gx.Summarize(res, tot)
 	fmt.Fprintf(w, "  result      : %d finite attribute values, sum %.4f\n", sum.FiniteAttrs, sum.AttrsSum)
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -464,5 +465,75 @@ func TestCheckpointFlagConflicts(t *testing.T) {
 	err = run([]string{"-suite", "testdata/suite-faults.json", "-checkpoint", "x"}, io.Discard, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-checkpoint") {
 		t.Fatalf("-checkpoint accepted alongside -suite: %v", err)
+	}
+}
+
+// TestSingleRunGoldens pins the single-run report: the header, the
+// middleware, entities and cache lines, the faults tail and the -batches
+// table, each against a checked-in golden.
+func TestSingleRunGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"testdata/pagerank-pg-4n.golden", []string{"-scenario", "testdata/pagerank-pg-4n.json"}},
+		{"testdata/pagerank-gx-2n-stall.golden", []string{"-scenario", "testdata/pagerank-gx-2n-stall.json"}},
+		{"testdata/digest-batches.golden", []string{"-scenario", "../../gx/testdata/digest-batches.json", "-batches"}},
+	} {
+		var out bytes.Buffer
+		if err := run(tc.args, &out, io.Discard); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		golden, err := os.ReadFile(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != string(golden) {
+			t.Errorf("%v diverges from %s:\n--- got\n%s--- want\n%s", tc.args, tc.golden, out.String(), golden)
+		}
+	}
+}
+
+// TestSingleRunMatchesSuiteEntry: a scenario run on its own and the same
+// scenario as the one entry of a suite count through the same totals, so
+// their time, cache, faults and result lines are identical — the bounded
+// cache's evictions and the injected stall's retries included.
+func TestSingleRunMatchesSuiteEntry(t *testing.T) {
+	counted := func(out string) []string {
+		var keep []string
+		for _, line := range strings.Split(out, "\n") {
+			for _, prefix := range []string{"  time        :", "  cache       :", "  faults      :", "  result      :"} {
+				if strings.HasPrefix(line, prefix) {
+					keep = append(keep, line)
+				}
+			}
+		}
+		slices.Sort(keep) // a single run prints its faults after the result line
+		return keep
+	}
+	for _, fixture := range []string{"testdata/pagerank-pg-4n-cachecap.json", "testdata/pagerank-gx-2n-stall.json"} {
+		sc, err := gx.LoadScenario(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := gx.Suite{Entries: []gx.SuiteEntry{{Name: "only", Scenario: sc}}}.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		suitePath := filepath.Join(t.TempDir(), "suite.json")
+		if err := os.WriteFile(suitePath, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var single, suite bytes.Buffer
+		if err := run([]string{"-scenario", fixture}, &single, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-suite", suitePath}, &suite, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		got, want := counted(single.String()), counted(suite.String())
+		if len(got) < 3 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: single run and suite entry disagree:\n--- single\n%s--- suite\n%s", fixture, single.String(), suite.String())
+		}
 	}
 }

@@ -95,8 +95,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("resumed from cut %d: %v over %d iterations\n", st.Iteration, resumed.Time, resumed.Iterations)
-	fmt.Printf("bit-identical     : attrs %v, makespan %v\n",
-		attrsEqual(resumed.Attrs, reference.Attrs), resumed.Time == reference.Time)
+	same, sameTime := attrsEqual(resumed.Attrs, reference.Attrs), resumed.Time == reference.Time
+	fmt.Printf("bit-identical     : attrs %v, makespan %v\n", same, sameTime)
+	if !same || !sameTime {
+		log.Fatal("the resumed run diverges from the uninterrupted one")
+	}
 }
 
 func attrsEqual(a, b []float64) bool {

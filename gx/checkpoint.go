@@ -127,8 +127,8 @@ func decodeCheckpoint(secs []ingest.Section) (*CheckpointState, error) {
 			}
 			haveClocks = true
 		default:
-			// Unknown-to-gx kinds (e.g. SectionScalars) are legal in the
-			// snapshot format; a checkpoint simply does not use them.
+			// A kind the snapshot format gains later that a checkpoint
+			// does not use.
 			err = fmt.Errorf("unexpected %v section in a checkpoint", sec.Kind)
 		}
 		if err != nil {

@@ -166,7 +166,7 @@ func (x *executor) runEntry(e SuiteEntry, cbMu *sync.Mutex) (er EntryResult) {
 		WithGraph(g),
 		WithPartitioning(part),
 		WithObserver(func(st Superstep) {
-			er.Totals.add(st)
+			er.Totals.Add(st)
 			if x.obs != nil {
 				// Unlocked by defer: a panicking observer fails its own
 				// entry and must not leave the others waiting on the lock.

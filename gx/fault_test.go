@@ -2,9 +2,11 @@ package gx
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -140,7 +142,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 
 // TestCheckpointFileRejectsMalformed covers the failure modes of
 // LoadCheckpoint: plain graph snapshots, checkpoints of a different
-// graph, and section kinds a checkpoint does not use.
+// graph, and a section kind no snapshot may carry.
 func TestCheckpointFileRejectsMalformed(t *testing.T) {
 	g, err := LoadDataset("orkut", 20000, 3)
 	if err != nil {
@@ -172,15 +174,40 @@ func TestCheckpointFileRejectsMalformed(t *testing.T) {
 		t.Fatalf("cross-graph checkpoint accepted: %v", err)
 	}
 
-	// Section kinds outside the checkpoint vocabulary are rejected.
+	// Section kind 2 is unassigned: it cannot be written, and a
+	// checkpoint whose first section is relabelled 2 (payload checksum
+	// fixed up, so only the kind is wrong) fails to load.
+	if err := ingest.SaveV2File(filepath.Join(dir, "kind2.gxsnap"), g, []ingest.Section{
+		{Kind: 2, Data: make([]byte, 8)},
+	}); err == nil {
+		t.Fatal("section kind 2 written")
+	}
+	fit := &CheckpointState{
+		Iteration: 1, AttrWidth: 1,
+		Attrs:  make([]float64, g.NumVertices()),
+		Active: make([]bool, g.NumVertices()),
+		Nodes:  []NodeClock{{}},
+	}
 	odd := filepath.Join(dir, "odd.gxsnap")
-	if err := ingest.SaveV2File(odd, g, []ingest.Section{
-		{Kind: ingest.SectionScalars, Data: ingest.EncodeFloat64s([]float64{1})},
-	}); err != nil {
+	if err := SaveCheckpoint(odd, g, fit); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadCheckpoint(odd); err == nil || !strings.Contains(err.Error(), "unexpected") {
-		t.Fatalf("scalar section accepted in checkpoint: %v", err)
+	data, err := os.ReadFile(odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The section count sits in the last 4 bytes a v1 snapshot would
+	// have; the first section's kind follows it. The payload checksum
+	// covers everything between the 28-byte header and the footer.
+	first := ingest.SnapshotSize(g.NumVertices(), g.NumEdges())
+	binary.LittleEndian.PutUint32(data[first:], 2)
+	binary.LittleEndian.PutUint32(data[len(data)-4:],
+		crc32.Checksum(data[28:len(data)-4], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(odd, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadCheckpoint(odd); err == nil || !strings.Contains(err.Error(), "unknown kind 2") {
+		t.Fatalf("section kind 2 accepted in checkpoint: %v", err)
 	}
 
 	if err := SaveCheckpoint(filepath.Join(dir, "nil.gxsnap"), g, nil); err == nil {

@@ -27,8 +27,9 @@ const (
 	LPT Plan = "lpt"
 )
 
-// valid reports whether p names a known plan ("" counts as FileOrder).
-func (p Plan) valid() bool { return p == "" || p == FileOrder || p == LPT }
+// Known reports whether p names a plan ("" counts as FileOrder). It is
+// the one plan-name check: RunSuite, gxrun -plan and gxd -plan all use it.
+func (p Plan) Known() bool { return p == "" || p == FileOrder || p == LPT }
 
 // CostEstimate is the planner's prediction for one scenario: a cheap dry
 // pass over the calibrated cost model — graph stats, partitioning

@@ -127,7 +127,9 @@ type EntryTotals struct {
 	CheckpointTime time.Duration `json:"checkpoint_time"`
 }
 
-func (t *EntryTotals) add(st Superstep) {
+// Add folds one superstep's observer report into the totals. A suite
+// entry's totals and a single gxrun run's report both count through it.
+func (t *EntryTotals) Add(st Superstep) {
 	t.Supersteps++
 	t.Messages += st.Messages
 	t.MessageBytes += st.MessageBytes
@@ -307,7 +309,7 @@ func RunSuite(suite Suite, opts ...SuiteOption) (*SuiteResult, error) {
 	if cfg.pool < 1 {
 		return nil, fmt.Errorf("gx: suite pool %d (want ≥ 1)", cfg.pool)
 	}
-	if !cfg.plan.valid() {
+	if !cfg.plan.Known() {
 		return nil, fmt.Errorf("gx: unknown plan %q (want %q or %q)", cfg.plan, FileOrder, LPT)
 	}
 	suite = suite.WithDefaults()

@@ -230,7 +230,7 @@ func TestSuiteObserverAggregation(t *testing.T) {
 			tot = &EntryTotals{}
 			perEntry[entry] = tot
 		}
-		tot.add(st)
+		tot.Add(st)
 		inCallback = false
 	}))
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug"
 	"gxplug/internal/gxplug/template"
-	"gxplug/internal/harness"
 )
 
 // BenchmarkEngineSuperstep measures the engine's per-superstep hot path —
@@ -101,7 +100,7 @@ func BenchmarkAlgorithmsOnDaemon(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := powergraph.Run(engine.Config{
 					Nodes: 2, Graph: g, Alg: alg, MaxIter: 10,
-					Plug: []gxplug.Options{harness.GPUPlug(ablationScale, 1)},
+					Plug: []gxplug.Options{gxplug.GPUOptions(ablationScale, 1)},
 				})
 				if err != nil {
 					b.Fatal(err)

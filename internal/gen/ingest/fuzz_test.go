@@ -127,14 +127,14 @@ func FuzzSnapshotV2DecodeNoPanic(f *testing.F) {
 			switch sec.Kind {
 			case SectionVertexAttrs:
 				_, _, _ = DecodeVertexAttrs(sec.Data)
-			case SectionScalars:
-				_, _ = DecodeFloat64s(sec.Data)
 			case SectionIteration:
 				_, _ = DecodeUint64(sec.Data)
 			case SectionActive:
 				_, _ = DecodeBools(sec.Data)
 			case SectionClocks, SectionEngineState:
 				_, _ = DecodeInt64s(sec.Data)
+			default:
+				t.Fatalf("decoded a section of unknown kind %v", sec.Kind)
 			}
 		}
 		var buf bytes.Buffer

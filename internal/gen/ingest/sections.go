@@ -35,7 +35,7 @@ const (
 	snapshotVersion2 = 2
 
 	// maxSections bounds the section table; the engine checkpoint uses
-	// six kinds, so 64 leaves generous headroom without letting a
+	// five kinds, so 64 leaves generous headroom without letting a
 	// corrupt count force a long parse.
 	maxSections = 64
 )
@@ -47,8 +47,9 @@ const (
 	// SectionVertexAttrs holds per-vertex attribute state: a uint32
 	// width followed by width × numVertices float64s, vertex-major.
 	SectionVertexAttrs SectionKind = 1
-	// SectionScalars holds per-algorithm scalar state as float64s.
-	SectionScalars SectionKind = 2
+	// Kind 2 is unassigned: a section carrying it fails as an unknown
+	// kind.
+
 	// SectionIteration holds the superstep counter as one uint64.
 	SectionIteration SectionKind = 3
 	// SectionActive holds the frontier as one byte (0/1) per vertex.
@@ -59,16 +60,12 @@ const (
 	// SectionEngineState holds engine loop counters as int64s
 	// (skipped syncs, barrier count, carry flag, done flag).
 	SectionEngineState SectionKind = 6
-
-	sectionKindMax = SectionEngineState
 )
 
 func (k SectionKind) String() string {
 	switch k {
 	case SectionVertexAttrs:
 		return "vertex-attrs"
-	case SectionScalars:
-		return "scalars"
 	case SectionIteration:
 		return "iteration"
 	case SectionActive:
@@ -83,7 +80,11 @@ func (k SectionKind) String() string {
 }
 
 func (k SectionKind) known() bool {
-	return k >= SectionVertexAttrs && k <= sectionKindMax
+	switch k {
+	case SectionVertexAttrs, SectionIteration, SectionActive, SectionClocks, SectionEngineState:
+		return true
+	}
+	return false
 }
 
 // Section is one typed payload section of a version-2 snapshot.
@@ -189,16 +190,7 @@ func readSections(r io.Reader, left int64) ([]Section, error) {
 // Typed section payload codecs. Encoders are infallible; decoders
 // validate shape and error on any mismatch, never panic.
 
-// EncodeFloat64s encodes vals as little-endian IEEE-754 bit patterns.
-func EncodeFloat64s(vals []float64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-	}
-	return out
-}
-
-// DecodeFloat64s is the inverse of EncodeFloat64s.
+// DecodeFloat64s decodes little-endian IEEE-754 bit patterns.
 func DecodeFloat64s(data []byte) ([]float64, error) {
 	if len(data)%8 != 0 {
 		return nil, fmt.Errorf("ingest: float64 section is %d bytes (not a multiple of 8)", len(data))

@@ -6,11 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"hash/crc64"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gxplug/internal/graph"
@@ -28,7 +30,6 @@ func testSections(g *graph.Graph) []Section {
 	}
 	return []Section{
 		{Kind: SectionVertexAttrs, Data: EncodeVertexAttrs(1, attrs)},
-		{Kind: SectionScalars, Data: EncodeFloat64s([]float64{0.85, 1e-9})},
 		{Kind: SectionIteration, Data: EncodeUint64(7)},
 		{Kind: SectionActive, Data: EncodeBools(active)},
 		{Kind: SectionClocks, Data: EncodeInt64s([]int64{100, 60, 40, 200, 120, 80})},
@@ -185,7 +186,7 @@ func TestSaveV2RejectsBadSectionLists(t *testing.T) {
 	}
 	many := make([]Section, maxSections+1)
 	for i := range many {
-		many[i] = Section{Kind: SectionScalars}
+		many[i] = Section{Kind: SectionIteration}
 	}
 	if err := SaveV2(&buf, g, many); err == nil {
 		t.Error("oversized section list accepted")
@@ -206,6 +207,12 @@ func corruptionsV2(g *graph.Graph, valid []byte) map[string][]byte {
 	unknownKind := bytes.Clone(valid)
 	le.PutUint32(unknownKind[secOff+4:], 99)
 
+	// Kind 2 is unassigned. The footer is fixed up, so the kind is the
+	// only thing wrong.
+	unassignedKind := bytes.Clone(valid)
+	le.PutUint32(unassignedKind[secOff+4:], 2)
+	le.PutUint32(unassignedKind[len(valid)-4:], crc32.Checksum(unassignedKind[headerLen:len(valid)-4], castagnoli))
+
 	dupKind := bytes.Clone(valid)
 	firstLen := le.Uint64(valid[secOff+8 : secOff+16])
 	second := secOff + 4 + 12 + int(firstLen)
@@ -220,6 +227,7 @@ func corruptionsV2(g *graph.Graph, valid []byte) map[string][]byte {
 	return map[string][]byte{
 		"count-too-big":     countTooBig,
 		"unknown-kind":      unknownKind,
+		"unassigned-kind":   unassignedKind,
 		"dup-kind":          dupKind,
 		"lying-length":      lyingLen,
 		"overflow-length":   overflowLen,
@@ -259,11 +267,25 @@ func TestLoadSnapshotV2RejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestSectionCodecRoundTrips(t *testing.T) {
-	f := []float64{0, -1.5, math.Inf(1), math.Copysign(0, -1)}
-	if got, err := DecodeFloat64s(EncodeFloat64s(f)); err != nil || !floatsBitEqual(got, f) {
-		t.Errorf("float64 round trip: %v %v", got, err)
+// TestUnassignedKindRejected: kind 2 names no section, so the writer
+// refuses it and a file carrying it fails to decode as an unknown kind.
+func TestUnassignedKindRejected(t *testing.T) {
+	g := testGraph(t)
+	var buf bytes.Buffer
+	if err := SaveV2(&buf, g, []Section{{Kind: 2, Data: make([]byte, 8)}}); err == nil {
+		t.Error("section kind 2 written")
 	}
+	buf.Reset()
+	if err := SaveV2(&buf, g, testSections(g)); err != nil {
+		t.Fatal(err)
+	}
+	data := corruptionsV2(g, buf.Bytes())["unassigned-kind"]
+	if _, _, err := decodeSnapshot(bytes.NewReader(data), int64(len(data))); err == nil || !strings.Contains(err.Error(), "unknown kind 2") {
+		t.Fatalf("section kind 2 decoded: %v", err)
+	}
+}
+
+func TestSectionCodecRoundTrips(t *testing.T) {
 	i64 := []int64{0, -7, math.MaxInt64, math.MinInt64}
 	if got, err := DecodeInt64s(EncodeInt64s(i64)); err != nil || !reflect.DeepEqual(got, i64) {
 		t.Errorf("int64 round trip: %v %v", got, err)

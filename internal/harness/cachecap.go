@@ -71,7 +71,7 @@ func CacheCapSweep(o Options) (*CacheCapResult, error) {
 			}
 		}
 		alg := algos.NewSSSPBF(algos.DefaultSources(g.NumVertices()))
-		plug := GPUPlug(o.Scale, 1)
+		plug := gxplug.GPUOptions(o.Scale, 1)
 		plug.CacheCapacity = capRows
 		run, err := powergraph.Run(engine.Config{
 			Nodes: nodes, Graph: g, Alg: alg,

@@ -31,7 +31,7 @@ type Fig10Result struct {
 func Fig10Variants() []string { return []string{"Pipeline*", "Pipeline", "WithoutPipeline"} }
 
 func fig10Opts(variant string, o Options) (gxplug.Options, error) {
-	opts := GPUPlug(o.Scale, 1)
+	opts := gxplug.GPUOptions(o.Scale, 1)
 	switch variant {
 	case "Pipeline*":
 		opts.Pipeline = true
@@ -140,7 +140,7 @@ func Fig11a(o Options) (*Fig11aResult, error) {
 		alg := algos.NewSSSPBF(algos.DefaultSources(g.NumVertices()))
 		for _, eng := range engines {
 			for _, caching := range []bool{false, true} {
-				opts := GPUPlug(o.Scale, 1)
+				opts := gxplug.GPUOptions(o.Scale, 1)
 				opts.Caching = caching
 				run, err := eng.run(engine.Config{
 					Nodes: 4, Graph: g, Alg: alg, Plug: []gxplug.Options{opts},
@@ -219,7 +219,7 @@ func Fig11b(o Options) (*Fig11bResult, error) {
 			return nil, err
 		}
 		alg := algos.NewSSSPBF([]graph.VertexID{0})
-		opts := GPUPlug(o.Scale, 1)
+		opts := gxplug.GPUOptions(o.Scale, 1)
 		run, err := graphx.Run(engine.Config{
 			Nodes: 4, Graph: g, Alg: alg, Plug: []gxplug.Options{opts},
 		})

@@ -64,7 +64,7 @@ func Fig12a(o Options) (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	gpu := ScaledV100(o.Scale)
+	gpu := device.V100Scaled(o.Scale)
 	cpu := device.Xeon20()
 	nodeDevs := [][]device.Spec{
 		{gpu, cpu},
@@ -149,7 +149,7 @@ func Fig12b(o Options) (*Fig12Result, error) {
 		float64(len(part.Parts[0].Edges)),
 		float64(len(part.Parts[1].Edges)),
 	}
-	gpu := ScaledV100(o.Scale)
+	gpu := device.V100Scaled(o.Scale)
 	res := &Fig12Result{Scenario: "fixed partitioning, tuned accelerators (Lemma 3)"}
 	for _, alg := range fig12Algorithms(g) {
 		ops := alg.Hints().OpsPerEdge
@@ -168,7 +168,7 @@ func Fig12b(o Options) (*Fig12Result, error) {
 			if gpus < 1 {
 				gpus = 1
 			}
-			return GPUPlug(o.Scale, gpus)
+			return gxplug.GPUOptions(o.Scale, gpus)
 		}
 		notBal, err := powergraph.Run(engine.Config{
 			Nodes: 2, Graph: g, Alg: alg, Partitioning: part,
@@ -254,7 +254,7 @@ func Fig13(o Options) (*Fig13Result, error) {
 	res := &Fig13Result{}
 	var daemonComp time.Duration
 	for _, raw := range []bool{false, true} {
-		opts := GPUPlug(o.Scale, 1)
+		opts := gxplug.GPUOptions(o.Scale, 1)
 		opts.RawCall = raw
 		run, err := powergraph.Run(engine.Config{
 			Nodes: 1, Graph: g, Alg: alg,

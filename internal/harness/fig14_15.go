@@ -48,7 +48,7 @@ func Fig14(o Options) (*Fig14Result, error) {
 			for _, nodes := range Fig14Nodes() {
 				run, err := eng.run(engine.Config{
 					Nodes: nodes, Graph: g, Alg: alg,
-					Plug:    []gxplug.Options{GPUPlug(o.Scale, 1)},
+					Plug:    []gxplug.Options{gxplug.GPUOptions(o.Scale, 1)},
 					MaxIter: fig8MaxIter(alg),
 				})
 				if err != nil {
@@ -154,7 +154,7 @@ func Fig15(o Options) (*Fig15Result, error) {
 		co := fig15Coefficients(alg.Name())
 		series := Fig15Series{Algo: alg.Name()}
 		for _, s := range Fig15Blocks() {
-			opts := GPUPlug(o.Scale, 1)
+			opts := gxplug.GPUOptions(o.Scale, 1)
 			opts.OptimalBlockSize = false
 			opts.FixedBlockCount = s
 			run, err := powergraph.Run(engine.Config{

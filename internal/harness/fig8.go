@@ -89,15 +89,15 @@ func runSystem(sys Fig8System, g *graph.Graph, alg template.Algorithm, nodes int
 	case SysGraphX:
 		run = graphx.Run
 	case SysGraphXCPU:
-		run, plug = graphx.Run, []gxplug.Options{CPUPlug()}
+		run, plug = graphx.Run, []gxplug.Options{gxplug.CPUOptions()}
 	case SysGraphXGPU:
-		run, plug = graphx.Run, []gxplug.Options{GPUPlug(o.Scale, 2)}
+		run, plug = graphx.Run, []gxplug.Options{gxplug.GPUOptions(o.Scale, 2)}
 	case SysPowerGraph:
 		run = powergraph.Run
 	case SysPowerGraphCPU:
-		run, plug = powergraph.Run, []gxplug.Options{CPUPlug()}
+		run, plug = powergraph.Run, []gxplug.Options{gxplug.CPUOptions()}
 	case SysPowerGraphGPU:
-		run, plug = powergraph.Run, []gxplug.Options{GPUPlug(o.Scale, 2)}
+		run, plug = powergraph.Run, []gxplug.Options{gxplug.GPUOptions(o.Scale, 2)}
 	default:
 		return 0, fmt.Errorf("harness: unknown system %q", sys)
 	}

@@ -49,7 +49,7 @@ func runGXPlugGPUs(g *graph.Graph, alg template.Algorithm, gpus int, maxIter int
 	nodes, perNode := NodesForGPUs(gpus)
 	res, err := powergraph.Run(engine.Config{
 		Nodes: nodes, Graph: g, Alg: alg,
-		Plug:    []gxplug.Options{GPUPlug(o.Scale, perNode)},
+		Plug:    []gxplug.Options{gxplug.GPUOptions(o.Scale, perNode)},
 		MaxIter: maxIter,
 	})
 	if err != nil {
@@ -72,7 +72,7 @@ func fig9Point(system string, g *graph.Graph, alg template.Algorithm, gpus, maxI
 		}
 	case "Lux":
 		res, err := lux.Run(lux.Config{
-			Graph: g, Alg: alg, GPUs: gpus, Device: ScaledV100(o.Scale), MaxIter: maxIter,
+			Graph: g, Alg: alg, GPUs: gpus, Device: device.V100Scaled(o.Scale), MaxIter: maxIter,
 		})
 		if err != nil {
 			e.Status = statusOf(err)
@@ -83,12 +83,12 @@ func fig9Point(system string, g *graph.Graph, alg template.Algorithm, gpus, maxI
 		// The figure annotates memory exhaustion as O.O.M even at GPU
 		// counts Gunrock cannot configure: a graph that does not fit one
 		// GPU is the dominant failure. Probe single-GPU feasibility first.
-		if g.MemoryFootprint(alg.AttrWidth()) > ScaledV100(o.Scale).MemBytes {
+		if g.MemoryFootprint(alg.AttrWidth()) > device.V100Scaled(o.Scale).MemBytes {
 			e.Status = "O.O.M"
 			return e
 		}
 		res, err := gunrock.Run(gunrock.Config{
-			Graph: g, Alg: alg, GPUs: gpus, Device: ScaledV100(o.Scale), MaxIter: maxIter,
+			Graph: g, Alg: alg, GPUs: gpus, Device: device.V100Scaled(o.Scale), MaxIter: maxIter,
 		})
 		if err != nil {
 			e.Status = statusOf(err)
@@ -305,7 +305,7 @@ type Fig9dResult struct {
 func Fig9dCombos() []string { return []string{"G:G:C:C", "G:G:G:2C", "G:G:G:G"} }
 
 func fig9dDevices(combo string, o Options) ([]device.Spec, error) {
-	gpu := ScaledV100(o.Scale)
+	gpu := device.V100Scaled(o.Scale)
 	cpu := device.Xeon20()
 	double := device.Xeon20()
 	double.Name = "Xeon-2x"

@@ -12,10 +12,8 @@ import (
 	"strings"
 	"time"
 
-	"gxplug/internal/device"
 	"gxplug/internal/gen"
 	"gxplug/internal/graph"
-	"gxplug/internal/gxplug"
 	"gxplug/internal/memo"
 )
 
@@ -52,19 +50,6 @@ func (o Options) Validate() error {
 	}
 	return nil
 }
-
-// ScaledV100 returns the V100 model with memory scaled down with the
-// datasets, so the paper's OOM boundaries (Fig 9b) reproduce at any
-// scale. It is the device catalog's model; kept here as a harness alias.
-func ScaledV100(scale int64) device.Spec { return device.V100Scaled(scale) }
-
-// GPUPlug returns default middleware options with n scaled GPUs — the
-// shared middleware profile, re-exported for the experiment runners.
-func GPUPlug(scale int64, n int) gxplug.Options { return gxplug.GPUOptions(scale, n) }
-
-// CPUPlug returns default middleware options with one CPU accelerator —
-// the shared middleware profile, re-exported for the experiment runners.
-func CPUPlug() gxplug.Options { return gxplug.CPUOptions() }
 
 // NodesForGPUs maps a GPU count onto cluster nodes with two GPUs per node,
 // the paper's testbed shape (6 physical nodes × 2 V100s).

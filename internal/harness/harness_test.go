@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"gxplug/internal/device"
 	"gxplug/internal/gen"
 	"gxplug/internal/graph"
 )
@@ -74,11 +75,11 @@ func TestLoadSingleFlight(t *testing.T) {
 }
 
 func TestScaledV100(t *testing.T) {
-	s := ScaledV100(1000)
+	s := device.V100Scaled(1000)
 	if s.MemBytes != (16<<30)/1000 {
 		t.Fatalf("mem %d", s.MemBytes)
 	}
-	if tiny := ScaledV100(1 << 40); tiny.MemBytes < 1<<16 {
+	if tiny := device.V100Scaled(1 << 40); tiny.MemBytes < 1<<16 {
 		t.Fatal("memory floor not applied")
 	}
 }

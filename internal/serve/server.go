@@ -136,8 +136,8 @@ func New(opts Options) (*Server, error) {
 	if opts.Budget < 0 {
 		return nil, fmt.Errorf("serve: budget %v (want ≥ 0)", opts.Budget)
 	}
-	if p := opts.Plan; p != "" && p != gx.FileOrder && p != gx.LPT {
-		return nil, fmt.Errorf("serve: unknown plan %q (want %q or %q)", p, gx.FileOrder, gx.LPT)
+	if !opts.Plan.Known() {
+		return nil, fmt.Errorf("serve: unknown plan %q (want %q or %q)", opts.Plan, gx.FileOrder, gx.LPT)
 	}
 	s := &Server{
 		pool:      pool,
