@@ -100,16 +100,22 @@ race-serve:
 # with the trajectory-replay machinery under the race detector. The
 # boundary loop and the replay it drives live in the engine, so its own
 # incremental-vs-scratch pin (trajectory equality included) runs too, and
-# so does TestStreamBoundaryAllocs' stream — the signature buffer and the
-# two traces runStream carries from boundary to boundary, written over
-# while node workers read the replayed one (its byte budget is only
-# asserted without the race detector, which skews it). A replayed
-# superstep gathers into its cone through that signature, each node into
-# its own per-source scratch: the gather is held to the push walk it
+# so does TestStreamBoundaryAllocs' stream — the two traces runStream
+# carries from boundary to boundary, written over while node workers read
+# the replayed one (its byte budget is only asserted without the race
+# detector, which skews it). A replayed superstep gathers into its cone
+# through the boundary's signature, each node into its own per-source
+# scratch: the gather is held to the push walk it
 # replaced and to zero allocations, and the ascending first-touch order it
 # leaves is shown unobservable by permuting every buffer's at random.
+# A stream's boundaries — graph version, partitioning, merge signature and
+# dirty seed — are built once per DatasetCache and read by every run of
+# the stream: two suites over one stream at pool 4, incremental and
+# scratch entries mixed, must build each boundary exactly once, and a
+# rerun on a warm cache allocates nothing per edge (that byte budget, too,
+# is only asserted without the race detector).
 race-dynamic:
-	GOMAXPROCS=8 $(GO) test -race -run 'TestDynamicConformance' ./gx
+	GOMAXPROCS=8 $(GO) test -race -run 'TestDynamicConformance|TestStreamBoundariesConcurrent|TestWarmStreamBoundaryAllocs' ./gx
 	GOMAXPROCS=8 $(GO) test -race -run 'TestIncrementalMatchesScratch|TestStreamBoundaryAllocs|TestNativeGenMatchesOracle|TestNativeGenAllocatesNothing|TestFirstTouchOrderIsUnobservable' ./internal/engine
 
 # Each gen kernel has one generation path: MSGGen writes into a reused

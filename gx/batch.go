@@ -1,6 +1,7 @@
 package gx
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 
@@ -113,11 +114,12 @@ func checkBatchEdge(e BatchEdge, add bool) error {
 	return nil
 }
 
-// loadBatches materializes the spec's stream as engine edge batches;
-// stream files load through cache. Callers must not mutate the result.
-func (b *BatchSpec) loadBatches(cache *DatasetCache) ([]graph.EdgeBatch, error) {
+// loadBatches materializes the spec's stream as engine edge batches,
+// with the stream's content identity; stream files load through cache.
+// Callers must not mutate the result.
+func (b *BatchSpec) loadBatches(cache *DatasetCache) ([]graph.EdgeBatch, streamID, error) {
 	if b.Stream != "" {
-		return cache.BatchStream(b.Stream)
+		return cache.batchStream(b.Stream)
 	}
 	batches := make([]graph.EdgeBatch, len(b.Inline))
 	for i, d := range b.Inline {
@@ -138,7 +140,11 @@ func (b *BatchSpec) loadBatches(cache *DatasetCache) ([]graph.EdgeBatch, error) 
 		}
 		batches[i] = eb
 	}
-	return batches, nil
+	// The printed form is exact: %v prints each weight in the fewest
+	// digits that read back to its bits.
+	h := sha256.New()
+	fmt.Fprint(h, batches)
+	return batches, streamID{inline: string(h.Sum(nil))}, nil
 }
 
 // normalized returns a canonical copy for digesting: the default mode

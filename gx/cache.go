@@ -3,25 +3,27 @@ package gx
 import (
 	"fmt"
 
+	"gxplug/internal/engine"
 	"gxplug/internal/gen/ingest"
 	"gxplug/internal/memo"
 )
 
 // DatasetCache memoizes the expensive, reusable inputs of a run: graphs
-// by (dataset, scale, seed), referenced files by content, and
-// partitionings by (graph, engine, nodes). All are immutable once built
-// — graphs are CSR, batch streams are read-only slices, partitionings
-// are read-only assignments — so one cache can back any number of
-// concurrent runs; every method is safe for concurrent use and loads are
-// single-flight (concurrent requests for one missing key build once and
-// share the result).
+// by (dataset, scale, seed), referenced files by content, partitionings
+// by (graph, engine, nodes), and batch-stream boundaries. All are
+// immutable once built — graphs are CSR, batch streams are read-only
+// slices, partitionings are read-only assignments — so one cache can
+// back any number of concurrent runs; every method is safe for
+// concurrent use and loads are single-flight (concurrent requests for
+// one missing key build once and share the result).
 //
 // RunSuite creates one per call by default; passing a cache explicitly
 // with [WithCache] extends the reuse across suites — a service executing
 // many suites over the same catalog loads each dataset once for its
 // whole lifetime. Entries are retained until [DatasetCache.Purge]. A
 // solo [Run] or [LoadDataset] loads through a private, single-use cache:
-// there is one load path, cached or not.
+// there is one load path, cached or not. (A solo Run's cache keeps no
+// stream boundaries, which only a later run could read.)
 //
 // Referenced files — `file:` datasets and `file+batches:` streams alike
 // — are keyed by (path, content digest, kind): every concurrent entry
@@ -30,12 +32,23 @@ import (
 // becomes a distinct entry. The digest pass itself is memoized by the
 // file's stat identity (path, size, mtime) — cheap to check per request,
 // recomputed when the file visibly changes.
+//
+// For each stream run over a base graph and partitioning, with an
+// engine and a node count, the cache holds every batch boundary the
+// stream's runs reached: the graph version with the batch applied, its
+// engine-default partitioning (in the partitioning table, like any
+// other), and — once an incremental run has read the boundary — that
+// partitioning's merge signature and the dirty seed against the boundary
+// before. A stream of K batches thus retains K graph versions,
+// partitionings and signatures; every later run of it, in either mode
+// and for any algorithm, builds none of them again.
 type DatasetCache struct {
 	graphs  *memo.Table[graphKey, loaded[*Graph]]
 	digests *memo.Table[statKey, loaded[fileDigest]]
 	files   *memo.Table[fileKey, loaded[*Graph]]
 	streams *memo.Table[fileKey, loaded[[]EdgeBatch]]
 	parts   *memo.Table[partKey, *Partitioning]
+	bounds  *memo.Table[boundaryKey, loaded[*engine.Boundary]]
 }
 
 type graphKey struct {
@@ -65,6 +78,27 @@ type fileKey struct {
 	kind   fileKind
 }
 
+// boundaryKey identifies batch boundary k ≥ 1 of a stream run from a
+// base graph and partitioning, with an engine and a node count. Like
+// partKey it holds the base by pointer identity, so a run under a
+// [WithPartitioning] override never reads boundaries built under the
+// engine default.
+type boundaryKey struct {
+	g      *Graph
+	part   *Partitioning
+	stream streamID
+	engine string
+	nodes  int
+	k      int
+}
+
+// streamID is a batch stream's content identity: the file key of a
+// `file+batches:` stream, the digest of an inline one.
+type streamID struct {
+	file   fileKey
+	inline string
+}
+
 // statKey is the cheap identity the digest pass is memoized under.
 type statKey struct {
 	path       string
@@ -91,8 +125,14 @@ type CacheStats struct {
 	// requested.
 	GraphHits, GraphLoads int64
 	// PartitionHits and PartitionBuilds are the same split for
-	// partitionings, keyed by (graph, engine, nodes).
+	// partitionings, keyed by (graph, engine, nodes) — a stream's graph
+	// versions included.
 	PartitionHits, PartitionBuilds int64
+	// BoundaryHits and BoundaryBuilds are the same split for batch
+	// boundaries, keyed by (stream, base graph and partitioning, engine,
+	// nodes, boundary). Building boundary k reads boundary k−1, which
+	// counts as a hit.
+	BoundaryHits, BoundaryBuilds int64
 }
 
 // NewDatasetCache returns an empty dataset/partition cache.
@@ -103,6 +143,7 @@ func NewDatasetCache() *DatasetCache {
 		files:   memo.NewTable[fileKey, loaded[*Graph]](0),
 		streams: memo.NewTable[fileKey, loaded[[]EdgeBatch]](0),
 		parts:   memo.NewTable[partKey, *Partitioning](0),
+		bounds:  memo.NewTable[boundaryKey, loaded[*engine.Boundary]](0),
 	}
 }
 
@@ -117,7 +158,8 @@ func (c *DatasetCache) Graph(dataset string, scale, seed int64) (*Graph, error) 
 		if err != nil {
 			return nil, err
 		}
-		return loadFile(c, c.files, dataset, ref, fileRef.readGraph)
+		g, _, err := loadFile(c, c.files, dataset, ref, fileRef.readGraph)
+		return g, err
 	}
 	r := c.graphs.Get(graphKey{dataset: dataset, scale: scale, seed: seed}, func() loaded[*Graph] {
 		g, err := LoadDataset(dataset, scale, seed)
@@ -131,11 +173,18 @@ func (c *DatasetCache) Graph(dataset string, scale, seed int64) (*Graph, error) 
 // request — the same by-content path file-backed graphs load through.
 // Callers must not mutate the returned batches.
 func (c *DatasetCache) BatchStream(name string) ([]EdgeBatch, error) {
+	batches, _, err := c.batchStream(name)
+	return batches, err
+}
+
+// batchStream is BatchStream also returning the stream's identity.
+func (c *DatasetCache) batchStream(name string) ([]EdgeBatch, streamID, error) {
 	ref, err := streamRef(name)
 	if err != nil {
-		return nil, err
+		return nil, streamID{}, err
 	}
-	return loadFile(c, c.streams, name, ref, fileRef.readBatches)
+	batches, fk, err := loadFile(c, c.streams, name, ref, fileRef.readBatches)
+	return batches, streamID{file: fk}, err
 }
 
 // loadFile is the one load path of every referenced file: digest the
@@ -146,21 +195,21 @@ func (c *DatasetCache) BatchStream(name string) ([]EdgeBatch, error) {
 // to every waiter that shared the attempt but not memoized beyond it
 // (the key is dropped), so a transient I/O error — EMFILE under a wide
 // pool, a permission fixed after the fact — does not poison the cache
-// forever.
+// forever. The key the file was parsed under is returned with it.
 func loadFile[V any](c *DatasetCache, t *memo.Table[fileKey, loaded[V]],
-	name string, ref fileRef, read func(fileRef) (V, error)) (V, error) {
+	name string, ref fileRef, read func(fileRef) (V, error)) (V, fileKey, error) {
 	d, err := c.digest(ref)
 	if err == nil {
 		ref, err = ref.resolve()
 	}
 	var zero V
 	if err != nil {
-		return zero, fmt.Errorf("gx: %q: %w", name, err)
+		return zero, fileKey{}, fmt.Errorf("gx: %q: %w", name, err)
 	}
 	// The digest entry stays on a pin mismatch (it is correct — the
 	// expectation is what failed).
 	if ref.sha256 != "" && d.sha256 != ref.sha256 {
-		return zero, &DigestMismatchError{Path: ref.path, Want: ref.sha256, Got: d.sha256}
+		return zero, fileKey{}, &DigestMismatchError{Path: ref.path, Want: ref.sha256, Got: d.sha256}
 	}
 	fk := fileKey{path: ref.path, digest: d.crc, kind: ref.kind}
 	r := t.Get(fk, func() loaded[V] {
@@ -173,7 +222,7 @@ func loadFile[V any](c *DatasetCache, t *memo.Table[fileKey, loaded[V]],
 	if r.err != nil {
 		t.Drop(fk)
 	}
-	return r.v, r.err
+	return r.v, fk, r.err
 }
 
 // digest returns the (CRC64, SHA-256) content digests of the file ref
@@ -224,9 +273,48 @@ func (c *DatasetCache) Partitioning(g *Graph, engine string, nodes int) (*Partit
 	if err != nil {
 		return nil, err
 	}
-	return c.parts.Get(partKey{g: g, engine: engine, nodes: nodes}, func() *Partitioning {
-		return def.Spec().Partition(g, nodes)
-	}), nil
+	return c.partition(g, engine, def.Spec(), nodes), nil
+}
+
+// partition is Partitioning for an engine already resolved to spec.
+func (c *DatasetCache) partition(g *Graph, eng string, spec engine.Spec, nodes int) *Partitioning {
+	return c.parts.Get(partKey{g: g, engine: eng, nodes: nodes}, func() *Partitioning {
+		return spec.Partition(g, nodes)
+	})
+}
+
+// boundarySource is one run's view of a cached stream: key names the
+// stream and its base (k unset), and the source builds what it does not
+// find with batches and spec.
+type boundarySource struct {
+	c       *DatasetCache
+	key     boundaryKey
+	batches []EdgeBatch
+	spec    engine.Spec
+}
+
+// boundary returns the memoized batch boundary k ≥ 1, building it from
+// boundary k−1 — itself built first if no run has reached it — on first
+// request. Builds are deterministic, so a batch that does not apply is
+// memoized like a boundary: every run that reaches it fails the same way.
+func (s *boundarySource) boundary(k int) (*engine.Boundary, error) {
+	key := s.key
+	key.k = k
+	r := s.c.bounds.Get(key, func() loaded[*engine.Boundary] {
+		g, part := key.g, key.part
+		if k > 1 {
+			prev, err := s.boundary(k - 1)
+			if err != nil {
+				return loaded[*engine.Boundary]{err: err}
+			}
+			g, part = prev.Graph(), prev.Partitioning()
+		}
+		b, err := engine.NextBoundary(k, g, part, s.batches[k-1], func(ng *Graph) *Partitioning {
+			return s.c.partition(ng, key.engine, s.spec, key.nodes)
+		})
+		return loaded[*engine.Boundary]{v: b, err: err}
+	})
+	return r.v, r.err
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -234,13 +322,16 @@ func (c *DatasetCache) Stats() CacheStats {
 	gs := c.graphs.Stats()
 	fs := c.files.Stats()
 	ps := c.parts.Stats()
+	bs := c.bounds.Stats()
 	return CacheStats{
 		GraphHits: gs.Hits + fs.Hits, GraphLoads: gs.Entries + fs.Entries,
 		PartitionHits: ps.Hits, PartitionBuilds: ps.Entries,
+		BoundaryHits: bs.Hits, BoundaryBuilds: bs.Entries,
 	}
 }
 
-// Purge drops every graph, file digest and partitioning and zeroes the
+// Purge drops every table — graphs, file digests, parsed graph files,
+// parsed streams, partitionings and stream boundaries — and zeroes the
 // counters.
 func (c *DatasetCache) Purge() {
 	c.graphs.Purge()
@@ -248,4 +339,5 @@ func (c *DatasetCache) Purge() {
 	c.files.Purge()
 	c.streams.Purge()
 	c.parts.Purge()
+	c.bounds.Purge()
 }

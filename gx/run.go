@@ -62,7 +62,11 @@ func WithCheckpoint(every int, sink func(*CheckpointState) error) Option {
 // pieces; everything else flows from the scenario, so a JSON file and a
 // struct literal describe identical runs.
 func Run(s Scenario, opts ...Option) (*Result, error) {
-	return run(s, NewDatasetCache(), opts)
+	cache := NewDatasetCache()
+	// No other run can read this cache's stream boundaries, and a run
+	// that builds its own holds two graph versions at a time, not all.
+	cache.bounds = nil
+	return run(s, cache, opts)
 }
 
 // run is Run loading the scenario's dataset and batch stream through
@@ -171,11 +175,26 @@ func buildConfig(s Scenario, cache *DatasetCache, rc *runConfig) (engine.Config,
 	}
 
 	if s.Batches != nil {
-		batches, err := s.Batches.loadBatches(cache)
+		batches, id, err := s.Batches.loadBatches(cache)
 		if err != nil {
 			return engine.Config{}, err
 		}
 		cfg.Stream = &engine.BatchStream{Batches: batches, Scratch: s.Batches.Mode == batchModeScratch}
+		if cache.bounds != nil {
+			// The boundaries come from cache, keyed by the base
+			// partitioning: the engine default's, unless an option
+			// overrides it.
+			if cfg.Partitioning == nil {
+				cfg.Partitioning = cache.partition(g, s.Engine, cfg.Spec, s.Nodes)
+			}
+			src := &boundarySource{
+				c:       cache,
+				key:     boundaryKey{g: g, part: cfg.Partitioning, stream: id, engine: s.Engine, nodes: s.Nodes},
+				batches: batches,
+				spec:    cfg.Spec,
+			}
+			cfg.Stream.Boundaries = src.boundary
+		}
 	}
 	return cfg, nil
 }

@@ -236,6 +236,9 @@ type plan struct {
 	// (0: run to convergence).
 	maxIter int
 	aw, mw  int
+	// boundaries is a stream's boundary source: Config.Stream.Boundaries,
+	// or one that builds them for this run alone (nil on static runs).
+	boundaries func(k int) (*Boundary, error)
 }
 
 // resolve validates cfg and fixes everything it leaves to defaults. It
@@ -321,6 +324,11 @@ func resolve(cfg Config) (_ *plan, err error) {
 	if p.net.Bandwidth == 0 {
 		p.net = cluster.DatacenterNet()
 	}
+	if st := cfg.Stream; st != nil {
+		if p.boundaries = st.Boundaries; p.boundaries == nil {
+			p.boundaries = p.chainBoundaries()
+		}
+	}
 	if cfg.MaxIter > 0 && (p.maxIter == 0 || cfg.MaxIter < p.maxIter) {
 		p.maxIter = cfg.MaxIter
 	}
@@ -384,12 +392,15 @@ type runner struct {
 	pending bool
 	volBuf  [][]int64
 
-	// Native-executor scratch, per node: apply-phase flag buffers and the
-	// MSGGen scratch row.
+	// Native-executor scratch, per node: apply-phase flag buffers, the
+	// MSGGen scratch row, and a replayed gen's per-source messages and
+	// states (gatherCone; grown on the node's first replayed gen).
 	natChanged [][]bool
 	natWrote   [][]bool
 	natBefore  [][]float64
 	natMsg     [][]float64
+	srcMsg     [][]float64
+	srcState   [][]uint8
 
 	// Per-node reduction scratch for the parallel merge/apply phase.
 	changedPer []bool
@@ -560,6 +571,7 @@ func (r *runner) setup() error {
 	r.mirrorPer = make([][]graph.VertexID, m)
 	r.mirrorStage = make([][]graph.VertexID, m)
 	r.natMsg = make([][]float64, m)
+	r.srcMsg, r.srcState = make([][]float64, m), make([][]uint8, m)
 	for j := 0; j < m; j++ {
 		nM := len(r.part.Parts[j].Masters)
 		r.natChanged[j] = make([]bool, nM)

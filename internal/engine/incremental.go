@@ -6,7 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"slices"
+	"sync"
 	"time"
 
 	"gxplug/internal/graph"
@@ -43,6 +43,93 @@ type BatchStream struct {
 	// the next replays it over the dirty cone. Attributes are
 	// bit-identical either way; only the charged virtual cost differs.
 	Scratch bool
+	// Boundaries, when non-nil, supplies prepared boundaries the way
+	// Config.Partitioning supplies a partitioning: Boundaries(k), for k =
+	// 1, 2, … len(Batches) in order, is batch k's boundary, built by
+	// NextBoundary from boundary k−1's graph and partitioning (boundary
+	// 0's being Config.Graph and the run's partitioning) with the engine
+	// default partitioner. A caller that runs one stream many times
+	// memoizes them (gx.DatasetCache); nil builds them for this run alone.
+	Boundaries func(k int) (*Boundary, error)
+}
+
+// Boundary is what a batch boundary runs on, a pure function of the
+// stream up to its batch: the graph version, its engine-default
+// partitioning and — built on the first incremental run that reads it,
+// never by a scratch one — that partitioning's merge signature and the
+// dirty seed against the previous boundary. Its graph and partitioning
+// never change, and its signature and seed are built at most once, so
+// any number of runs may share one.
+type Boundary struct {
+	g    *graph.Graph
+	part *graph.Partitioning
+	// prevG and prevPart are the previous boundary's, what the seed
+	// compares against.
+	prevG    *graph.Graph
+	prevPart *graph.Partitioning
+
+	replay sync.Once
+	// sig is nil when the vertex count changed: nothing is replayed, so
+	// nothing is signed.
+	sig    *mergeSig
+	dirty  []bool
+	nDirty int
+}
+
+// NextBoundary builds batch k's boundary from the previous boundary's
+// graph version and partitioning: batch applied to prevG, the new
+// version partitioned by partition. A batch that does not apply is an
+// error naming k.
+func NextBoundary(k int, prevG *graph.Graph, prevPart *graph.Partitioning, batch graph.EdgeBatch,
+	partition func(*graph.Graph) *graph.Partitioning) (*Boundary, error) {
+	g, err := prevG.ApplyBatch(batch)
+	if err != nil {
+		return nil, fmt.Errorf("engine: batch %d: %w", k, err)
+	}
+	return &Boundary{g: g, part: partition(g), prevG: prevG, prevPart: prevPart}, nil
+}
+
+// Graph returns the boundary's graph version.
+func (b *Boundary) Graph() *graph.Graph { return b.g }
+
+// Partitioning returns the boundary's partitioning of Graph.
+func (b *Boundary) Partitioning() *graph.Partitioning { return b.part }
+
+// replayInputs returns what an incremental run of the boundary replays
+// through — its merge signature (nil after a vertex-count change), its
+// dirty seed and the seed's size — signing and seeding on the first
+// call.
+func (b *Boundary) replayInputs() (*mergeSig, []bool, int) {
+	b.replay.Do(func() {
+		var s dirtySeeder
+		b.dirty = s.seed(b.prevG, b.g, b.prevPart, b.part)
+		if b.prevG.NumVertices() == b.g.NumVertices() {
+			b.sig = &s.sig
+		}
+		for _, d := range b.dirty {
+			if d {
+				b.nDirty++
+			}
+		}
+	})
+	return b.sig, b.dirty, b.nDirty
+}
+
+// chainBoundaries is the boundary source of a stream supplied without
+// one: each boundary built from the one before, for this run alone.
+func (p *plan) chainBoundaries() func(k int) (*Boundary, error) {
+	cfg := p.cfg
+	g, part := cfg.Graph, p.part
+	return func(k int) (*Boundary, error) {
+		b, err := NextBoundary(k, g, part, cfg.Stream.Batches[k-1], func(ng *graph.Graph) *graph.Partitioning {
+			return cfg.Spec.Partition(ng, cfg.Nodes)
+		})
+		if err != nil {
+			return nil, err
+		}
+		g, part = b.g, b.part
+		return b, nil
+	}
 }
 
 // trace is the memoized trajectory of one boundary's run: the full
@@ -117,65 +204,51 @@ func AttrsDigest(attrs []float64) string {
 }
 
 // runStream executes a resolved dynamic run: the seed boundary on the
-// initial graph, then per batch — apply it, re-partition with the
-// engine default, and run the boundary on the evolved graph, charging
-// the identical batch-application cost in both modes. In incremental
-// mode every boundary records its trajectory and the next replays it
-// over the dirty cone.
+// initial graph, then per batch the boundary the plan's source prepared
+// — the batch applied, the version re-partitioned with the engine
+// default — charging the identical batch-application cost in both
+// modes. In incremental mode every boundary records its trajectory and
+// the next replays it over the dirty cone.
 //
-// What a boundary builds is its graph version, its partitioning and its
-// dirty seed. Everything else is carried across the stream: the seeder's
-// merge signature (its edge arrays sized once, for the most edges any
-// version can hold), which is also the view a replay gathers through,
-// and two traces that trade places — a boundary records over the frames
-// of the trace the previous boundary finished replaying.
+// A boundary's graph version, partitioning, merge signature and dirty
+// seed come prepared; what the stream builds itself is per run: two
+// traces that trade places — a boundary records over the frames of the
+// trace the previous boundary finished replaying.
 func runStream(p *plan) (*Result, error) {
 	cfg, st := p.cfg, p.cfg.Stream
 	total := &Result{Batches: make([]BatchResult, 0, len(st.Batches)+1)}
 	g, part := cfg.Graph, p.part
-	var seeder dirtySeeder
 	// memo is the trajectory the previous boundary recorded; rec is the
 	// one it replayed, free to be recorded over.
 	var memo, rec *trace
 	if !st.Scratch {
-		maxEdges := g.NumEdges()
-		for _, b := range st.Batches {
-			maxEdges += int64(len(b.Adds))
-		}
-		seeder.sig.src = make([]graph.VertexID, 0, maxEdges)
-		seeder.sig.w = make([]float64, 0, maxEdges)
 		memo, rec = &trace{}, &trace{}
 	}
 	for seq := 0; seq <= len(st.Batches); seq++ {
 		br := BatchResult{Seq: seq}
-		var dirty []bool
-		replay := memo
+		var inc *incState
 		if seq > 0 {
-			batch := st.Batches[seq-1]
-			ng, err := g.ApplyBatch(batch)
+			b, err := p.boundaries(seq)
 			if err != nil {
-				return nil, fmt.Errorf("engine: batch %d: %w", seq, err)
+				return nil, err
 			}
-			npart := cfg.Spec.Partition(ng, cfg.Nodes)
+			batch := st.Batches[seq-1]
 			br.Adds, br.Removes = len(batch.Adds), len(batch.Removes)
 			br.ApplyTime = batchApplyCost(br.Adds, br.Removes)
 			if !st.Scratch {
-				// The fold order the memo was computed under is the
-				// previous boundary's partitioning, not the new one.
-				dirty = seeder.seed(g, ng, part, npart)
-				for _, d := range dirty {
-					if d {
-						br.Dirty++
-					}
-				}
-				if ng.NumVertices() != g.NumVertices() {
+				// The seed compares against the previous boundary's
+				// partitioning, the fold order the memo was computed under.
+				sig, dirty, nDirty := b.replayInputs()
+				br.Dirty = nDirty
+				replay := memo
+				if sig == nil {
 					// Vertex growth invalidates the memo entirely (Init
-					// reads NumVertices); the seed is all-dirty anyway,
-					// and seeder.sig was not signed from npart.
+					// reads NumVertices); the seed is all-dirty anyway.
 					replay = nil
 				}
+				inc = newIncState(replay, dirty, sig, cfg.Nodes)
 			}
-			g, part = ng, npart
+			g, part = b.g, b.part
 		}
 		bp := *p
 		bp.cfg.Graph, bp.part = g, part
@@ -184,9 +257,7 @@ func runStream(p *plan) (*Result, error) {
 		if !st.Scratch {
 			rec.recycle()
 			r.traceRec = rec
-			if seq > 0 {
-				r.inc = newIncState(replay, dirty, &seeder.sig, cfg.Nodes)
-			}
+			r.inc = inc
 		}
 		res, err := r.run()
 		if err != nil {
@@ -223,6 +294,7 @@ type incState struct {
 	diffPer [][]graph.VertexID
 	// sig is the boundary partitioning's merge signature: a replayed gen
 	// gathers each cone vertex's in-edges through it (runner.gatherCone).
+	// It is shared with every run of the boundary and only read.
 	sig *mergeSig
 }
 
@@ -323,10 +395,10 @@ func DirtySeed(oldG, newG *graph.Graph, oldPart, newPart *graph.Partitioning) []
 	return new(dirtySeeder).seed(oldG, newG, oldPart, newPart)
 }
 
-// dirtySeeder computes dirty seeds, keeping its scratch between calls:
-// the new partitioning's merge signature and one cursor per node and
+// dirtySeeder computes dirty seeds: it signs the new partitioning into
+// sig and streams the old one against it with one cursor per node and
 // destination. The zero value is ready; the seed a call returns is the
-// caller's.
+// caller's, and so is sig, which the next call replaces.
 type dirtySeeder struct {
 	sig  mergeSig
 	next []int64
@@ -404,19 +476,12 @@ func (s *dirtySeeder) seed(oldG, newG *graph.Graph, oldPart, newPart *graph.Part
 // into v, in partition order. Per destination, nodes ascending and each
 // node's range in order is exactly the order routeRemote and nativeGen
 // fold v's messages in; node j's range alone is what a replayed gen on
-// node j gathers into v's row.
-//
-// msg and state are that gather's scratch, per node: the message each
-// source of the node's edge table generated this superstep (MsgWidth
-// floats per vertex id) and what became of it (srcSkip, srcNone or
-// srcMsg). Each node grows its own on first use.
+// node j gathers into v's row. It is only read once signed.
 type mergeSig struct {
-	n     int
-	off   []int64
-	src   []graph.VertexID
-	w     []float64
-	msg   [][]float64
-	state [][]uint8
+	n   int
+	off []int64
+	src []graph.VertexID
+	w   []float64
 }
 
 // A source's state in a replayed gen, as bits: inactive (its edges are
@@ -428,25 +493,14 @@ const (
 	srcMsg  uint8 = 3
 )
 
-// scratch returns node j's gather scratch, sized for mw-wide messages.
-func (sig *mergeSig) scratch(j, mw int) ([]float64, []uint8) {
-	if len(sig.state[j]) < sig.n {
-		sig.msg[j] = make([]float64, sig.n*mw)
-		sig.state[j] = make([]uint8, sig.n)
-	}
-	return sig.msg[j], sig.state[j]
-}
-
-// sign materializes part's merge signature in s.sig and leaves every
-// cursor s.next[j*n+v] on the first entry of node j's range for v. It is
-// a counting sort of every part's edges by (node, destination): the
-// counts go into off, shifted one entry up, and their prefix sum makes
-// them the ranges' starts.
+// sign materializes part's merge signature in a new s.sig and leaves
+// every cursor s.next[j*n+v] on the first entry of node j's range for v.
+// It is a counting sort of every part's edges by (node, destination):
+// the counts go into off, shifted one entry up, and their prefix sum
+// makes them the ranges' starts.
 func (s *dirtySeeder) sign(part *graph.Partitioning) {
-	sig := &s.sig
 	n, m := part.Graph.NumVertices(), len(part.Parts)
-	sig.n = n
-	sig.off = append(sig.off[:0], make([]int64, m*n+1)...)
+	sig := mergeSig{n: n, off: make([]int64, m*n+1)}
 	for j, p := range part.Parts {
 		count := sig.off[j*n+1 : (j+1)*n+1]
 		for _, e := range p.Edges {
@@ -456,12 +510,8 @@ func (s *dirtySeeder) sign(part *graph.Partitioning) {
 	for i := 1; i < len(sig.off); i++ {
 		sig.off[i] += sig.off[i-1]
 	}
-	edges := int(sig.off[m*n])
-	sig.src = slices.Grow(sig.src[:0], edges)[:edges]
-	sig.w = slices.Grow(sig.w[:0], edges)[:edges]
-	if len(sig.state) != m {
-		sig.msg, sig.state = make([][]float64, m), make([][]uint8, m)
-	}
+	edges := sig.off[m*n]
+	sig.src, sig.w = make([]graph.VertexID, edges), make([]float64, edges)
 	s.next = append(s.next[:0], sig.off[:m*n]...)
 	for j, p := range part.Parts {
 		next := s.next[j*n : (j+1)*n]
@@ -472,4 +522,5 @@ func (s *dirtySeeder) sign(part *graph.Partitioning) {
 		}
 	}
 	copy(s.next, sig.off[:m*n])
+	s.sig = sig
 }

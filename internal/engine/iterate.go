@@ -433,7 +433,7 @@ func (r *runner) push(j int, f *slabFold) int {
 // list depends on its order.
 //
 // An algorithm that declares Hints.SourceOnly generates once per active
-// source of the node's runs, into the signature's per-source scratch,
+// source of the node's runs, into the node's per-source scratch,
 // and folds in a typed loop that keeps v's row in a register; any other
 // generates and folds once per in-edge.
 func (r *runner) gatherCone(j int, f *slabFold) int {
@@ -460,7 +460,10 @@ func (r *runner) gatherCone(j int, f *slabFold) int {
 	}
 
 	mw := r.mw
-	msgs, state := sig.scratch(j, mw)
+	if len(r.srcState[j]) < sig.n {
+		r.srcMsg[j], r.srcState[j] = make([]float64, sig.n*mw), make([]uint8, sig.n)
+	}
+	msgs, state := r.srcMsg[j], r.srcState[j]
 	part, start := r.part.Parts[j], int32(0)
 	// every: each source of the node's runs has a message, so a sum
 	// folds every in-edge and need not read state. With no source active
