@@ -63,7 +63,7 @@ race:
 # engine state mid-phase; keep it pinned under the race detector even if
 # the broader race target is ever narrowed.
 race-boundedcache:
-	GOMAXPROCS=8 $(GO) test -race -short -run 'TestBoundedCache' ./internal/engine
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestBoundedCache|TestReportsSumToAgentStats' ./internal/engine
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestAgentBoundedCacheMatchesUnbounded|TestDrainSpillUploadsAtBoundary' ./internal/gxplug
 
 # Concurrent suite execution shares immutable graphs/partitionings across

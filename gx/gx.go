@@ -67,7 +67,9 @@ type (
 	PlugOptions = gxplug.Options
 	// DeviceSpec is the calibrated model of one accelerator.
 	DeviceSpec = device.Spec
-	// AgentStats aggregates one agent's middleware activity.
+	// AgentStats is one node's middleware counts summed over the
+	// supersteps a run reported (Result.AgentStats), so they sum to
+	// what the run's Superstep reports carry; setup counts nowhere.
 	AgentStats = gxplug.Stats
 )
 

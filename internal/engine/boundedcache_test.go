@@ -120,7 +120,7 @@ func TestBoundedCacheDeterminism(t *testing.T) {
 }
 
 // TestBoundedCacheStatsObserved checks the observer surface of the new
-// dimension: per-superstep cache deltas sum to the agents' totals, and a
+// dimension: per-superstep cache deltas equal the agents' totals, and a
 // bounded run reports evictions and dirty spills where the unbounded run
 // reports none.
 func TestBoundedCacheStatsObserved(t *testing.T) {
@@ -160,16 +160,14 @@ func TestBoundedCacheStatsObserved(t *testing.T) {
 		wantEvictions += as.CacheEvictions
 		wantSpills += as.DirtySpills
 	}
-	if hits != wantHits || misses != wantMisses || spills != wantSpills {
-		t.Fatalf("observer deltas (h=%d m=%d s=%d) do not sum to agent totals (h=%d m=%d s=%d)",
-			hits, misses, spills, wantHits, wantMisses, wantSpills)
+	if hits != wantHits || misses != wantMisses || evictions != wantEvictions || spills != wantSpills {
+		t.Fatalf("observer deltas (h=%d m=%d e=%d s=%d) do not sum to agent totals (h=%d m=%d e=%d s=%d)",
+			hits, misses, evictions, spills, wantHits, wantMisses, wantEvictions, wantSpills)
 	}
-	// Connect's initial download already churns a bounded cache before the
-	// first superstep, so lifetime eviction totals strictly exceed the
-	// per-superstep sums.
-	if evictions == 0 || evictions >= wantEvictions {
-		t.Fatalf("superstep evictions %d, agent lifetime total %d (want 0 < deltas < total)",
-			evictions, wantEvictions)
+	// Connect's initial download churns a bounded cache too, but it is
+	// setup and counts nowhere: the evictions above are superstep ones.
+	if evictions == 0 {
+		t.Fatalf("bounded PageRank run observed no evictions")
 	}
 	if spills == 0 {
 		t.Fatalf("bounded PageRank run observed no dirty spills")

@@ -151,6 +151,7 @@ func (r *runner) resume(st *CheckpointState) (*Result, error) {
 	}
 	for _, a := range r.agents {
 		a.CheckpointSync()
+		a.TakeStats() // the replay's counts go with its charges
 	}
 	for j, nd := range r.cl.Nodes() {
 		nc := st.Nodes[j]

@@ -180,7 +180,11 @@ type Result struct {
 	// MiddlewareTime and UpperTime split the summed per-node cost.
 	MiddlewareTime time.Duration
 	UpperTime      time.Duration
-	// AgentStats holds per-node middleware counters (nil when native).
+	// AgentStats holds each node's middleware counts summed over the
+	// supersteps the run reported, so they equal the sum of its
+	// SuperstepInfo reports; setup, a resume's scatter replay and the
+	// final flush count nowhere. DeviceInit is the one setup gauge.
+	// nil when native.
 	AgentStats []gxplug.Stats
 	// Batches holds one report per batch boundary on dynamic-graph runs
 	// (Config.Stream), seed boundary first; the run's counts and times
@@ -380,6 +384,9 @@ type runner struct {
 
 	agents []*gxplug.Agent
 	uppers []*upperSystem
+	// stats is each agent's counts summed over the supersteps so far
+	// (takeStats), plus Connect's DeviceInit.
+	stats []gxplug.Stats
 
 	activeFn func(graph.VertexID) bool
 
@@ -436,30 +443,6 @@ type runner struct {
 	// obsCkpt accumulates checkpoint makespan cost (set even without an
 	// observer — it is a plain store, cheaper than gating).
 	obsCkpt time.Duration
-	// obsCache is the cumulative cache-counter snapshot taken before the
-	// superstep; superstepInfo reports the delta.
-	obsCache cacheCounters
-}
-
-// cacheCounters aggregates the cache activity of all agents.
-type cacheCounters struct {
-	hits, misses, evictions, spills int64
-	stallRetries                    int64
-}
-
-// cacheCounters sums the agents' cumulative cache counters (zero when
-// native). Only the observer path pays for it.
-func (r *runner) cacheCounters() cacheCounters {
-	var c cacheCounters
-	for _, a := range r.agents {
-		s := a.Stats()
-		c.hits += s.CacheHits
-		c.misses += s.CacheMisses
-		c.evictions += s.CacheEvictions
-		c.spills += s.DirtySpills
-		c.stallRetries += s.StallRetries
-	}
-	return c
 }
 
 // upperSystem implements gxplug.Upper for one node: batch transfers
@@ -533,10 +516,7 @@ func (r *runner) finish(iterations int) *Result {
 	}
 	if r.agents != nil {
 		r.disconnect() // flushes dirty state into r.attrs
-		res.AgentStats = make([]gxplug.Stats, len(r.agents))
-		for j, a := range r.agents {
-			res.AgentStats[j] = a.Stats()
-		}
+		res.AgentStats = r.stats
 	}
 	res.Time = r.cl.MaxTime()
 	for _, nd := range r.cl.Nodes() {
@@ -584,13 +564,18 @@ func (r *runner) setup() error {
 	if r.plug != nil {
 		r.agents = make([]*gxplug.Agent, 0, r.cfg.Nodes)
 		r.uppers = make([]*upperSystem, r.cfg.Nodes)
+		r.stats = make([]gxplug.Stats, r.cfg.Nodes)
 		r.query = synccache.NewQueryQueue()
 		for j, opts := range r.plug {
 			r.uppers[j] = &upperSystem{r: r, node: j}
-			r.agents = append(r.agents, gxplug.NewAgent(r.cl.Node(j), r.part, r.alg, r.ctx, r.uppers[j], opts))
-			if err := r.agents[j].Connect(); err != nil {
+			a := gxplug.NewAgent(r.cl.Node(j), r.part, r.alg, r.ctx, r.uppers[j], opts)
+			r.agents = append(r.agents, a)
+			if err := a.Connect(); err != nil {
 				return err
 			}
+			// Connect's initial download is setup, not superstep work:
+			// only its device initialization is kept.
+			r.stats[j].DeviceInit = a.TakeStats().DeviceInit
 		}
 	}
 	return nil
@@ -640,7 +625,6 @@ func (r *runner) loopFrom(start int) (int, error) {
 			skippedBefore = r.skipped
 			r.obsMsgs, r.obsBytes, r.obsMirrors = 0, 0, 0
 			r.obsFaults, r.obsCkpt = 0, 0
-			r.obsCache = r.cacheCounters()
 		}
 		if r.faultsAt != nil {
 			for _, f := range r.faultsAt[iter] {
@@ -677,6 +661,8 @@ func (r *runner) loopFrom(start int) (int, error) {
 		}
 		if obs != nil {
 			obs(r.superstepInfo(iter-1, frontier, skippedBefore, changedAny))
+		} else {
+			r.takeStats(nil)
 		}
 		if !changedAny {
 			break
@@ -686,32 +672,45 @@ func (r *runner) loopFrom(start int) (int, error) {
 }
 
 // superstepInfo assembles the observer report for the superstep that just
-// finished.
+// finished, taking the agents' counts into it.
 func (r *runner) superstepInfo(iter, frontier, skippedBefore int, changed bool) SuperstepInfo {
-	cc := r.cacheCounters()
 	info := SuperstepInfo{
-		Iteration:        iter,
-		Batch:            r.batch,
-		Frontier:         frontier,
-		Messages:         r.obsMsgs,
-		MessageBytes:     r.obsBytes,
-		MirrorUpdates:    r.obsMirrors,
-		SkippedSync:      r.skipped > skippedBefore,
-		CacheHits:        cc.hits - r.obsCache.hits,
-		CacheMisses:      cc.misses - r.obsCache.misses,
-		CacheEvictions:   cc.evictions - r.obsCache.evictions,
-		CacheDirtySpills: cc.spills - r.obsCache.spills,
-		FaultsInjected:   r.obsFaults,
-		FaultRetries:     cc.stallRetries - r.obsCache.stallRetries,
-		CheckpointTime:   r.obsCkpt,
-		Changed:          changed,
-		Makespan:         r.cl.MaxTime(),
+		Iteration:      iter,
+		Batch:          r.batch,
+		Frontier:       frontier,
+		Messages:       r.obsMsgs,
+		MessageBytes:   r.obsBytes,
+		MirrorUpdates:  r.obsMirrors,
+		SkippedSync:    r.skipped > skippedBefore,
+		FaultsInjected: r.obsFaults,
+		CheckpointTime: r.obsCkpt,
+		Changed:        changed,
+		Makespan:       r.cl.MaxTime(),
 	}
+	r.takeStats(&info)
 	for _, nd := range r.cl.Nodes() {
 		info.UpperTime += nd.Bucket(bucketUpper)
 		info.MiddlewareTime += nd.Bucket(bucketMiddleware)
 	}
 	return info
+}
+
+// takeStats ends a superstep's counting: it adds each agent's counts since
+// the previous take into the node's total and, when info is non-nil, into
+// the superstep's report. Every count of a run is taken here or discarded
+// (setup, resume), so the reports sum to Result.AgentStats.
+func (r *runner) takeStats(info *SuperstepInfo) {
+	for j, a := range r.agents {
+		s := a.TakeStats()
+		r.stats[j].Add(s)
+		if info != nil {
+			info.CacheHits += s.CacheHits
+			info.CacheMisses += s.CacheMisses
+			info.CacheEvictions += s.CacheEvictions
+			info.CacheDirtySpills += s.DirtySpills
+			info.FaultRetries += s.StallRetries
+		}
+	}
 }
 
 // nextInbox resets the one inbox set (one MsgBuf per node, rows over that

@@ -337,9 +337,10 @@ func shapedBatches(t *testing.T, g0 *graph.Graph, batches []graph.EdgeBatch, kee
 // The seeder materializes one signature and streams the other against
 // it; the oracle materializes both. They must agree vertex for vertex,
 // under every partitioner an engine uses, for localized and for uniform
-// churn — and a seeder carried down a stream (runStream's use: its
-// signature buffer and cursors written over at every boundary, across a
-// vertex-count change too) must agree exactly as the one-shot form does.
+// churn — and a seeder reused down a stream (its cursors written over at
+// every call, across a vertex-count change too) must agree exactly as
+// the one-shot form does, though each boundary signs with a fresh one
+// (Boundary.replayInputs).
 // Beside the synthesized batches the stream re-adds an edge in the batch
 // that removes it, adds one edge twice and removes a vertex's last
 // in-edge.
@@ -428,10 +429,11 @@ func allocStream(t *testing.T, g *graph.Graph, adds int) (*Result, uint64) {
 }
 
 // What a boundary of an incremental stream allocates is the new graph
-// version (24 B/edge), its partitioning (16 B/edge of part edges) and
+// version (24 B/edge), its partitioning (16 B/edge of part edges), its
+// merge signature (Boundary.replayInputs signs each boundary once) and
 // per-vertex state — not a second copy of the graph on the way there, not
-// a signature per partitioning, not a fresh trace: the stream carries one
-// signature buffer and two traces from its first boundary to its last.
+// a fresh trace: the stream carries two traces from its first boundary to
+// its last.
 // The budget is 64 B/edge plus a per-vertex, per-superstep allowance, and
 // the size of the batch does not move it. (Before the direct merge a
 // boundary allocated ~85 B/edge.)

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"slices"
 	"testing"
 
 	"gxplug/internal/algos"
@@ -8,6 +9,7 @@ import (
 	"gxplug/internal/engine/graphx"
 	"gxplug/internal/engine/powergraph"
 	"gxplug/internal/gen"
+	"gxplug/internal/gxplug"
 )
 
 // TestObserverReportsEverySuperstep drives both computation models and
@@ -75,37 +77,43 @@ func TestObserverReportsEverySuperstep(t *testing.T) {
 }
 
 // TestObserverIdenticalToNil verifies an observer is purely passive:
-// attaching one changes neither results nor virtual time, on the native
-// and the plugged path.
+// attaching one changes neither results, virtual time nor the agents'
+// counts, on the native and the plugged path.
 func TestObserverIdenticalToNil(t *testing.T) {
 	g, err := gen.Load(gen.WRN, 20000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(obs engine.Observer) *engine.Result {
-		res, err := powergraph.Run(engine.Config{
-			Nodes: 2, Graph: g,
-			Alg:      algos.NewSSSPBF(algos.DefaultSources(g.NumVertices())),
-			Observer: obs,
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, plug := range [][]gxplug.Options{nil, cpuPlug()} {
+		mk := func(obs engine.Observer) *engine.Result {
+			res, err := powergraph.Run(engine.Config{
+				Nodes: 2, Graph: g,
+				Alg:      algos.NewSSSPBF(algos.DefaultSources(g.NumVertices())),
+				Plug:     plug,
+				Observer: obs,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		return res
-	}
-	bare := mk(nil)
-	seen := 0
-	observed := mk(func(engine.SuperstepInfo) { seen++ })
-	if seen != observed.Iterations {
-		t.Fatalf("observer fired %d times over %d iterations", seen, observed.Iterations)
-	}
-	if bare.Time != observed.Time || bare.Iterations != observed.Iterations ||
-		bare.SkippedSyncs != observed.SkippedSyncs {
-		t.Fatalf("observer perturbed the run: %+v vs %+v", bare.Time, observed.Time)
-	}
-	for i := range bare.Attrs {
-		if bare.Attrs[i] != observed.Attrs[i] {
-			t.Fatalf("observer perturbed attrs at %d", i)
+		bare := mk(nil)
+		seen := 0
+		observed := mk(func(engine.SuperstepInfo) { seen++ })
+		if seen != observed.Iterations {
+			t.Fatalf("observer fired %d times over %d iterations", seen, observed.Iterations)
+		}
+		if bare.Time != observed.Time || bare.Iterations != observed.Iterations ||
+			bare.SkippedSyncs != observed.SkippedSyncs {
+			t.Fatalf("observer perturbed the run: %+v vs %+v", bare.Time, observed.Time)
+		}
+		for i := range bare.Attrs {
+			if bare.Attrs[i] != observed.Attrs[i] {
+				t.Fatalf("observer perturbed attrs at %d", i)
+			}
+		}
+		if !slices.Equal(bare.AgentStats, observed.AgentStats) {
+			t.Fatalf("observer changed AgentStats:\n%+v\n%+v", bare.AgentStats, observed.AgentStats)
 		}
 	}
 }

@@ -121,7 +121,9 @@ func CPUOptions() Options {
 	return o
 }
 
-// Stats aggregates one agent's activity.
+// Stats counts one agent's activity. An agent's counts start over at
+// every TakeStats; DeviceInit and LastBlocks are gauges, which a take
+// leaves standing.
 type Stats struct {
 	Entities     int64 // triplets processed (d, for the Fig 15 sweep)
 	Blocks       int64
@@ -131,25 +133,42 @@ type Stats struct {
 	PipelineTime time.Duration
 	CacheHits    int64
 	CacheMisses  int64
-	// CacheEvictions and CacheDirtyEvictions count entries dropped from
-	// the synchronization cache (capacity evictions and invalidations);
-	// CacheInvalidations is the invalidation subset, so CacheEvictions -
-	// CacheInvalidations isolates capacity pressure (zero unbounded).
-	CacheEvictions      int64
-	CacheDirtyEvictions int64
-	CacheInvalidations  int64
+	// CacheEvictions counts entries dropped from the synchronization
+	// cache (capacity evictions and invalidations); CacheInvalidations
+	// is the invalidation subset, so CacheEvictions - CacheInvalidations
+	// isolates capacity pressure (zero unbounded).
+	CacheEvictions     int64
+	CacheInvalidations int64
 	// DirtySpills counts dirty rows queued for upload by capacity
 	// evictions; the queue drains at the next serialized phase boundary
 	// (DrainSpill), never from inside a parallel phase.
 	DirtySpills int64
-	LazySkipped int64 // uploads deferred by lazy uploading
 	PushedRows  int64
 	// StallRetries counts injected message stalls absorbed by the
 	// bounded retry/backoff schedule (fault.go).
-	StallRetries  int64
-	DeviceInit    time.Duration
-	LastBlockSize int
-	LastBlocks    int
+	StallRetries int64
+	// DeviceInit is Connect's device initialization; LastBlocks is the
+	// block count of the latest RequestGen.
+	DeviceInit time.Duration
+	LastBlocks int
+}
+
+// Add adds d's counts into s and takes d's gauges.
+func (s *Stats) Add(d Stats) {
+	s.Entities += d.Entities
+	s.Blocks += d.Blocks
+	s.Iterations += d.Iterations
+	s.DeviceTime += d.DeviceTime
+	s.BoundaryTime += d.BoundaryTime
+	s.PipelineTime += d.PipelineTime
+	s.CacheHits += d.CacheHits
+	s.CacheMisses += d.CacheMisses
+	s.CacheEvictions += d.CacheEvictions
+	s.CacheInvalidations += d.CacheInvalidations
+	s.DirtySpills += d.DirtySpills
+	s.PushedRows += d.PushedRows
+	s.StallRetries += d.StallRetries
+	s.DeviceInit, s.LastBlocks = d.DeviceInit, d.LastBlocks
 }
 
 // Agent is the per-node middleware endpoint.
@@ -286,17 +305,17 @@ func (a *Agent) nextResult() *GenResult {
 	return a.result
 }
 
-// Stats returns a snapshot of the agent's counters.
-func (a *Agent) Stats() Stats {
+// TakeStats returns the agent's counts since the previous call (since
+// NewAgent, for the first) and starts them over.
+func (a *Agent) TakeStats() Stats {
 	// Without caching the store only ever sees Resident, Put and Clear,
 	// which count nothing: these stay zero.
-	cs := a.store.Stats()
-	a.stats.CacheHits = cs.Hits
-	a.stats.CacheMisses = cs.Misses
-	a.stats.CacheEvictions = cs.Evictions
-	a.stats.CacheDirtyEvictions = cs.DirtyEvictions
-	a.stats.CacheInvalidations = cs.Invalidations
-	return a.stats
+	cs := a.store.TakeStats()
+	s := a.stats
+	s.CacheHits, s.CacheMisses = cs.Hits, cs.Misses
+	s.CacheEvictions, s.CacheInvalidations = cs.Evictions, cs.Invalidations
+	a.stats = Stats{DeviceInit: s.DeviceInit, LastBlocks: s.LastBlocks}
+	return s
 }
 
 // Connect spawns the daemons, initializes their devices (charged once —

@@ -84,7 +84,6 @@ func (a *Agent) RequestGen(active func(graph.VertexID) bool) (*GenResult, error)
 	}
 	blocks := a.blocks
 	a.stats.Blocks += int64(len(blocks))
-	a.stats.LastBlockSize = blockEdges
 	a.stats.LastBlocks = len(blocks)
 
 	// Split blocks across daemons proportionally to device capacity; the
@@ -462,8 +461,6 @@ func (a *Agent) drainBlock(seg []byte, bp *blockPlan, res *GenResult) time.Durat
 		c += a.upper.FetchMessages(localMsgs, msgBytes(localMsgs))
 		a.stats.BoundaryTime += c
 		cost += c
-	} else {
-		a.stats.LazySkipped += int64(localMsgs)
 	}
 	return cost
 }
@@ -660,14 +657,9 @@ func (a *Agent) writeBack(seg []byte, l applyLayout, span []int, out *ApplyResul
 			out.LocalOnly = false
 		}
 		if a.opts.Caching {
-			if a.store.Update(mi) {
-				// The row stayed resident: its upload really was deferred.
-				a.stats.LazySkipped++
-			} else {
+			if !a.store.Update(mi) {
 				// Write-back miss: re-admit the row, then mark it dirty.
-				// Not counted as lazily skipped — the insertion can evict
-				// (and spill) another dirty row, i.e. this write-back paid
-				// cache traffic instead of deferring an upload.
+				// The insertion can evict (and spill) another dirty row.
 				a.admit(mi)
 				a.store.Update(mi)
 			}

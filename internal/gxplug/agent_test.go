@@ -277,8 +277,8 @@ func TestAgentGPUFasterThanCPU(t *testing.T) {
 	gpuOpts := fastOpts()
 	gpuOpts.Devices = []device.Spec{device.V100()}
 	_, _, gpuAgents := driveAgents(t, g, 1, lp, gpuOpts)
-	ct := cpuAgents[0].Stats().DeviceTime
-	gt := gpuAgents[0].Stats().DeviceTime
+	ct := cpuAgents[0].TakeStats().DeviceTime
+	gt := gpuAgents[0].TakeStats().DeviceTime
 	if gt >= ct {
 		t.Fatalf("GPU device time %v not below CPU %v", gt, ct)
 	}
@@ -298,10 +298,10 @@ func TestAgentCachingReducesBoundaryTraffic(t *testing.T) {
 	}
 	var bWith, bWithout time.Duration
 	for _, a := range aWith {
-		bWith += a.Stats().BoundaryTime
+		bWith += a.TakeStats().BoundaryTime
 	}
 	for _, a := range aWithout {
-		bWithout += a.Stats().BoundaryTime
+		bWithout += a.TakeStats().BoundaryTime
 	}
 	if bWith >= bWithout {
 		t.Fatalf("caching did not reduce boundary time: %v vs %v", bWith, bWithout)
@@ -319,8 +319,8 @@ func TestAgentPipelineFasterThanSequential(t *testing.T) {
 
 	_, _, ap := driveAgents(t, g, 1, pr, pipeOpts)
 	_, _, as := driveAgents(t, g, 1, pr, seqOpts)
-	pt := ap[0].Stats().PipelineTime
-	st := as[0].Stats().PipelineTime
+	pt := ap[0].TakeStats().PipelineTime
+	st := as[0].TakeStats().PipelineTime
 	if pt >= st {
 		t.Fatalf("pipelined %v not faster than sequential %v", pt, st)
 	}
@@ -411,7 +411,7 @@ func TestAgentStatsPopulated(t *testing.T) {
 	g := testGraph(t)
 	pr := algos.NewPageRank()
 	_, _, agents := driveAgents(t, g, 1, pr, fastOpts())
-	s := agents[0].Stats()
+	s := agents[0].TakeStats()
 	if s.Entities == 0 || s.Blocks == 0 || s.Iterations == 0 {
 		t.Fatalf("stats not populated: %+v", s)
 	}
@@ -438,7 +438,7 @@ func TestAgentBoundedCacheMatchesUnbounded(t *testing.T) {
 
 	var evictions, spills int64
 	for _, a := range agents {
-		s := a.Stats()
+		s := a.TakeStats()
 		evictions += s.CacheEvictions
 		spills += s.DirtySpills
 	}
@@ -495,12 +495,12 @@ func TestDrainSpillUploadsAtBoundary(t *testing.T) {
 		t.Fatalf("upper saw %d pushes before the phase boundary", upper.pushes)
 	}
 	pending := len(a.spillIDs)
-	before := a.Stats().PushedRows
+	a.TakeStats()
 	clock := cl.Node(0).Clock.Now()
 	if n := a.DrainSpill(); n != pending {
 		t.Fatalf("drained %d rows, %d pending", n, pending)
 	}
-	if got := a.Stats().PushedRows - before; got != int64(pending) {
+	if got := a.TakeStats().PushedRows; got != int64(pending) {
 		t.Fatalf("PushedRows advanced by %d for %d spilled rows", got, pending)
 	}
 	if cl.Node(0).Clock.Now() <= clock {
@@ -536,20 +536,19 @@ func TestUploadQueriedDoesNotInflateHits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := a.Stats()
+	a.TakeStats()
 	q := synccache.NewQueryQueue()
 	q.Push(a.part.Masters)
 	n := a.UploadQueried(q)
-	after := a.Stats()
+	st := a.TakeStats()
 	if n == 0 {
 		t.Fatal("no dirty masters uploaded after a PageRank apply")
 	}
-	if after.CacheHits != before.CacheHits || after.CacheMisses != before.CacheMisses {
-		t.Fatalf("bookkeeping reads counted: hits %d->%d misses %d->%d",
-			before.CacheHits, after.CacheHits, before.CacheMisses, after.CacheMisses)
+	if st.CacheHits != 0 || st.CacheMisses != 0 {
+		t.Fatalf("bookkeeping reads counted: %d hits, %d misses", st.CacheHits, st.CacheMisses)
 	}
-	if after.PushedRows-before.PushedRows != int64(n) {
-		t.Fatalf("UploadQueried returned %d but pushed %d rows", n, after.PushedRows-before.PushedRows)
+	if st.PushedRows != int64(n) {
+		t.Fatalf("UploadQueried returned %d but pushed %d rows", n, st.PushedRows)
 	}
 }
 

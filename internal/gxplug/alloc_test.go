@@ -103,7 +103,7 @@ func steadySuperstepAllocs(t *testing.T, tc steadyCase) (allocs float64, blocks,
 	}
 	superstep()
 	allocs = testing.AllocsPerRun(10, superstep)
-	return allocs, a.Stats().LastBlocks, len(mirrorIDs)
+	return allocs, a.TakeStats().LastBlocks, len(mirrorIDs)
 }
 
 // The block exchange allocates nothing per block and nothing that scales
@@ -185,7 +185,7 @@ func TestCacheCapacityDoesNotSizeAllocation(t *testing.T) {
 		attrs, _, agents := driveAgents(t, g, 2, pr, opts)
 		stats := make([]Stats, len(agents))
 		for j, a := range agents {
-			stats[j] = a.Stats()
+			stats[j] = a.TakeStats()
 		}
 		return attrs, stats
 	}

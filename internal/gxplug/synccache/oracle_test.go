@@ -26,12 +26,6 @@ type oracleStats struct {
 	// updates (Invalidate) rather than capacity; it is non-zero even for
 	// unbounded caches under vertex-cut partitioning.
 	Invalidations int64
-	// DirtyEvictions counts evictions of not-yet-uploaded entries — for a
-	// capacity eviction the caller must upload the returned row ("if the
-	// chosen vertices were updated in previous iterations, corresponding
-	// information will be uploaded"); for an invalidation the remote value
-	// supersedes it and the local update is discarded.
-	DirtyEvictions int64
 	// DirtyOverwrites counts Puts that replaced a dirty entry with
 	// authoritative data — local updates conflated with a fresh download.
 	DirtyOverwrites int64
@@ -69,8 +63,13 @@ func newOracle(capacity, stride int) *Cache {
 // Len returns the resident entry count.
 func (c *Cache) Len() int { return len(c.m) }
 
-// Stats returns a snapshot of the counters.
-func (c *Cache) Stats() oracleStats { return c.stats }
+// takeStats returns the counts since the previous call and starts them
+// over, as Store.TakeStats does.
+func (c *Cache) takeStats() oracleStats {
+	st := c.stats
+	c.stats = oracleStats{}
+	return st
+}
 
 // Get returns the cached row for id, counting a hit or miss. The returned
 // slice aliases cache storage and stays valid until the entry is evicted.
@@ -148,9 +147,6 @@ func (c *Cache) Put(id graph.VertexID, row []float64) PutResult {
 		c.lru.Remove(back)
 		delete(c.m, old.id)
 		c.stats.Evictions++
-		if old.dirty {
-			c.stats.DirtyEvictions++
-		}
 		res.Evicted = Evicted{ID: old.id, Row: old.row, Dirty: old.dirty}
 		res.DidEvict = true
 	}
@@ -178,8 +174,7 @@ func (c *Cache) Update(id graph.VertexID, row []float64) bool {
 // cached copy is stale). Dirty state is discarded — the remote value
 // supersedes the local one — but the drop is still counted: an
 // invalidation is an eviction the agent did not choose, and the
-// Evictions/DirtyEvictions counters exist to count exactly these
-// departures. It reports whether a dirty entry was discarded.
+// Evictions counter exists to count exactly these departures. It reports whether a dirty entry was discarded.
 func (c *Cache) Invalidate(id graph.VertexID) (droppedDirty bool) {
 	e, ok := c.m[id]
 	if !ok {
@@ -189,9 +184,6 @@ func (c *Cache) Invalidate(id graph.VertexID) (droppedDirty bool) {
 	delete(c.m, id)
 	c.stats.Evictions++
 	c.stats.Invalidations++
-	if e.dirty {
-		c.stats.DirtyEvictions++
-	}
 	return e.dirty
 }
 

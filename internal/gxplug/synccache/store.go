@@ -21,8 +21,7 @@ import (
 	"gxplug/internal/graph"
 )
 
-// Stats counts cache activity; the Fig 11a harness and the engine's
-// per-superstep observer read it.
+// Stats counts cache activity since the owner last took it (TakeStats).
 type Stats struct {
 	Hits   int64
 	Misses int64
@@ -34,12 +33,6 @@ type Stats struct {
 	// updates (Invalidate) rather than capacity; it is non-zero even for
 	// unbounded caches under vertex-cut partitioning.
 	Invalidations int64
-	// DirtyEvictions counts evictions of not-yet-uploaded rows — for a
-	// capacity eviction the caller must upload the row ("if the chosen
-	// vertices were updated in previous iterations, corresponding
-	// information will be uploaded"); for an invalidation the remote value
-	// supersedes it and the local update is discarded.
-	DirtyEvictions int64
 }
 
 const (
@@ -78,8 +71,13 @@ func New(rows, capacity int) *Store {
 	}
 }
 
-// Stats returns a snapshot of the counters.
-func (s *Store) Stats() Stats { return s.stats }
+// TakeStats returns the counts since the previous call and starts them
+// over.
+func (s *Store) TakeStats() Stats {
+	st := s.stats
+	s.stats = Stats{}
+	return st
+}
 
 // Bounded reports whether the store cannot hold the whole table.
 func (s *Store) Bounded() bool { return s.cap < len(s.state) }
@@ -174,9 +172,6 @@ func (s *Store) Clear() {
 // drop evicts a resident row and counts it.
 func (s *Store) drop(row int) {
 	s.stats.Evictions++
-	if s.state[row]&dirty != 0 {
-		s.stats.DirtyEvictions++
-	}
 	s.unlink(row)
 	s.state[row] = 0
 	s.n--

@@ -62,7 +62,7 @@ func TestGetMissThenHit(t *testing.T) {
 	if !s.Get(7) {
 		t.Fatal("miss after put")
 	}
-	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 {
+	if st := s.TakeStats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -110,7 +110,7 @@ func TestPutOverDirtyClearsDirty(t *testing.T) {
 	if !s.Get(1) {
 		t.Fatal("refresh lost the row")
 	}
-	if st := s.Stats(); st.Evictions != 0 || st.DirtyEvictions != 0 {
+	if st := s.TakeStats(); st.Evictions != 0 {
 		t.Fatalf("refresh counted as an eviction: %+v", st)
 	}
 }
@@ -141,9 +141,6 @@ func TestDirtyEvictionReported(t *testing.T) {
 	if victim, dirty := s.Put(2); victim != 1 || !dirty {
 		t.Fatalf("dirty eviction lost: victim %d dirty %v", victim, dirty)
 	}
-	if s.Stats().DirtyEvictions != 1 {
-		t.Fatalf("stats %+v", s.Stats())
-	}
 	if victim, dirty := s.Put(0); victim != 2 || dirty {
 		t.Fatalf("clean eviction: victim %d dirty %v", victim, dirty)
 	}
@@ -159,7 +156,7 @@ func TestPeekDoesNotCount(t *testing.T) {
 	if !s.Resident(1) {
 		t.Fatal("Resident(1) false")
 	}
-	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
+	if st := s.TakeStats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("Resident counted: %+v", st)
 	}
 	// Resident must not promote: 1 stays LRU despite the peek, so admitting
@@ -183,16 +180,16 @@ func TestInvalidateDiscards(t *testing.T) {
 	if len(dirtyRows(s)) != 0 {
 		t.Fatal("invalidate kept dirty state")
 	}
-	if st := s.Stats(); st.Evictions != 1 || st.DirtyEvictions != 1 || st.Invalidations != 1 {
+	if st := s.TakeStats(); st.Evictions != 1 || st.Invalidations != 1 {
 		t.Fatalf("invalidation not counted: %+v", st)
 	}
 	s.Put(2)
 	s.Invalidate(2)
-	if st := s.Stats(); st.Evictions != 2 || st.DirtyEvictions != 1 || st.Invalidations != 2 {
+	if st := s.TakeStats(); st.Evictions != 1 || st.Invalidations != 1 {
 		t.Fatalf("clean invalidation miscounted: %+v", st)
 	}
 	s.Invalidate(42) // absent: no-op
-	if st := s.Stats(); st.Evictions != 2 || st.Invalidations != 2 {
+	if st := s.TakeStats(); st != (Stats{}) {
 		t.Fatalf("absent invalidation counted: %+v", st)
 	}
 }
@@ -227,13 +224,13 @@ func TestClear(t *testing.T) {
 	s.Put(0)
 	s.Put(1)
 	s.Update(1)
-	before := s.Stats()
+	s.TakeStats()
 	s.Clear()
 	if residentRows(s) != 0 || len(dirtyRows(s)) != 0 {
 		t.Fatal("Clear left rows behind")
 	}
-	if s.Stats() != before {
-		t.Fatalf("Clear counted: %+v -> %+v", before, s.Stats())
+	if st := s.TakeStats(); st != (Stats{}) {
+		t.Fatalf("Clear counted: %+v", st)
 	}
 	s.Put(2)
 	if victim, _ := s.Put(3); victim != -1 {
@@ -428,9 +425,9 @@ func (m *storeModel) step(op byte, row int) {
 
 func (m *storeModel) check() {
 	t := m.t
-	o, s := m.old.Stats(), m.store.Stats()
+	o, s := m.old.takeStats(), m.store.TakeStats()
 	if s != (Stats{Hits: o.Hits, Misses: o.Misses, Evictions: o.Evictions,
-		Invalidations: o.Invalidations, DirtyEvictions: o.DirtyEvictions}) {
+		Invalidations: o.Invalidations}) {
 		t.Fatalf("counters: store %+v, old cache %+v", s, o)
 	}
 	if n := residentRows(m.store); n != m.old.Len() {

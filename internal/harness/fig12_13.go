@@ -102,12 +102,13 @@ func Fig12a(o Options) (*Fig12Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt, err := fig12Optimal(bal, float64(g.NumEdges()), c)
+		_, minPerIter, err := balance.OptimalPartition(float64(g.NumEdges()), c)
 		if err != nil {
 			return nil, err
 		}
 		res.Entries = append(res.Entries, Fig12Entry{
-			Algo: alg.Name(), NotBalanced: notBal.Time, Balanced: bal.Time, Optimal: opt,
+			Algo: alg.Name(), NotBalanced: notBal.Time, Balanced: bal.Time,
+			Optimal: fig12Optimal(bal, minPerIter),
 		})
 	}
 	return res, nil
@@ -115,25 +116,21 @@ func Fig12a(o Options) (*Fig12Result, error) {
 
 // fig12Optimal replaces the balanced run's measured per-node compute with
 // the analytic optimum of the estimation model: total time minus measured
-// middleware compute plus the Lemma 2 minimum, scaled by the iteration
-// count.
-func fig12Optimal(bal *engine.Result, D float64, c []float64) (time.Duration, error) {
-	_, minPerIter, err := balance.OptimalPartition(D, c)
-	if err != nil {
-		return 0, err
-	}
+// middleware compute plus the Lemma 2 (or 3) minimum per iteration,
+// scaled by the iteration count.
+func fig12Optimal(bal *engine.Result, minPerIter time.Duration) time.Duration {
 	var measured time.Duration
 	for _, s := range bal.AgentStats {
 		if s.PipelineTime > measured {
 			measured = s.PipelineTime // slowest node paces each iteration
 		}
 	}
-	analytic := time.Duration(int64(minPerIter) * int64(bal.Iterations))
+	analytic := minPerIter * time.Duration(bal.Iterations)
 	opt := bal.Time - measured + analytic
 	if opt < analytic {
 		opt = analytic
 	}
-	return opt, nil
+	return opt
 }
 
 // Fig12b: partitions fixed at a 1:3 skew; "Not Balanced" gives both nodes
@@ -186,19 +183,9 @@ func Fig12b(o Options) (*Fig12Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var measured time.Duration
-		for _, s := range bal.AgentStats {
-			if s.PipelineTime > measured {
-				measured = s.PipelineTime
-			}
-		}
-		analytic := time.Duration(int64(minPerIter) * int64(bal.Iterations))
-		opt := bal.Time - measured + analytic
-		if opt < analytic {
-			opt = analytic
-		}
 		res.Entries = append(res.Entries, Fig12Entry{
-			Algo: alg.Name(), NotBalanced: notBal.Time, Balanced: bal.Time, Optimal: opt,
+			Algo: alg.Name(), NotBalanced: notBal.Time, Balanced: bal.Time,
+			Optimal: fig12Optimal(bal, minPerIter),
 		})
 	}
 	return res, nil
