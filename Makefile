@@ -135,6 +135,12 @@ race-dynamic:
 # wire form the agent plans them in: the planned bytes are held to the
 # Triplet-slab encoder they replaced, and a row outside the block, met by
 # whichever chunk, must fail the launch naming the lowest bad triplet.
+# Chunk partials hold the merge identity between launches, each launch
+# resetting only the rows the last one wrote: one kernel run through
+# shrinking, growing, failing and panicking launches must match a fresh
+# kernel and the dense fold after every good one. putF64s and getF64s
+# copy a row's memory image (unsafe, which -race checks with checkptr)
+# and must write the bytes of the per-value loop.
 # Every block kind takes its offsets from one layout: the Apply and Merge
 # bytes the agent writes, the daemon's results and what the agent reads
 # back are held to the cursor codec they replaced, cost word aside.
@@ -148,8 +154,8 @@ race-dynamic:
 race-gen:
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestLayoutMatchesOracle|TestValidateRejectsCorruptLayout' ./internal/graph
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestNativeGenMatchesOracle|TestNativeGenAllocatesNothing|TestNativeGenReusesOneBufferPerNode' ./internal/engine
-	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenChunkMatchesOracle' -count=10 ./internal/gxplug
-	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenBlockBytesMatchOracle|TestApplyMergeBytesMatchOracle|TestGenKernelNamesLowestBadRow|TestMergeKernelMatchesOracle|TestRequestGenReusesOneResult' ./internal/gxplug
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenChunkMatchesOracle|TestGenKernelReusesPartials' -count=10 ./internal/gxplug
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenBlockBytesMatchOracle|TestApplyMergeBytesMatchOracle|TestGenKernelNamesLowestBadRow|TestF64CodecMatchesLoop|TestMergeKernelMatchesOracle|TestRequestGenReusesOneResult' ./internal/gxplug
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestSourceOnlyDeclarationsHold|TestMergeDeclarationsHold' ./gx
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestLPMergeMatchesOracle' ./internal/algos
 

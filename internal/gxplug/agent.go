@@ -125,8 +125,12 @@ func CPUOptions() Options {
 // every TakeStats; DeviceInit and LastBlocks are gauges, which a take
 // leaves standing.
 type Stats struct {
-	Entities     int64 // triplets processed (d, for the Fig 15 sweep)
-	Blocks       int64
+	Entities int64 // triplets processed (d, for the Fig 15 sweep)
+	Blocks   int64
+	// Iterations counts gen rounds, one per RequestGen, not supersteps: a
+	// fresh GAS run of n supersteps counts n+1 (the superstep-0 scatter is
+	// a round of its own). Fig 15's per-iteration figures and the
+	// benchmark's blocks_per_superstep divide by it.
 	Iterations   int64
 	DeviceTime   time.Duration
 	BoundaryTime time.Duration

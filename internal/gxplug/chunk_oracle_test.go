@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"gxplug/internal/algos"
@@ -236,5 +237,191 @@ func TestGenKernelNamesLowestBadRow(t *testing.T) {
 		if _, err := k.launch(dev, b, 0, 0); err == nil || err.Error() != wantErr {
 			t.Fatalf("planted at %v: error %v, want %q", plant.at, err, wantErr)
 		}
+	}
+}
+
+// foldDenseOracle is genKernel.fold before it walked the chunks' touched
+// lists, verbatim apart from the name: every chunk's partial flags, all nV
+// rows of them.
+func (k *genKernel) foldDenseOracle(int) error {
+	alg, op, msgW, nV := k.alg, k.op, k.blk.msgW, k.blk.nV
+	acc := grow(&k.acc, nV*msgW)
+	recv := grow(&k.recv, nV)
+	for r := 0; r < nV; r++ {
+		alg.MergeIdentity(acc[r*msgW : (r+1)*msgW])
+		recv[r] = false
+	}
+	for c := 0; c < k.nChunks; c++ {
+		partAcc := k.partAcc[c*(nV+1)*msgW:]
+		partRecv := k.partRecv[c*nV:]
+		for r := 0; r < nV; r++ {
+			if partRecv[r] {
+				mergeRow(op, alg, acc[r*msgW:(r+1)*msgW], partAcc[r*msgW:(r+1)*msgW])
+				recv[r] = true
+			}
+		}
+	}
+	return nil
+}
+
+// panicOn is an algorithm whose MSGGen panics, while armed, on one source.
+type panicOn struct {
+	template.Algorithm
+	src   graph.VertexID
+	armed bool
+}
+
+func (p *panicOn) MSGGen(ctx *template.Context, src, dst graph.VertexID, w float64, srcAttr, msg []float64) bool {
+	if p.armed && src == p.src {
+		panic(fmt.Sprintf("MSGGen on marked source %d", src))
+	}
+	return p.Algorithm.MSGGen(ctx, src, dst, w, srcAttr, msg)
+}
+
+// TestGenKernelReusesPartials runs one kernel through a sequence of
+// launches — the partials shrink within their capacity, grow back into
+// it and then past it, and launches fail on a planted bad row and on a
+// panicking MSGGen — and holds every good launch to a fresh kernel: the
+// same partials for every chunk, the same block result, and the result
+// the dense fold it replaced (foldDenseOracle) makes of those partials. So the rows a launch leaves
+// written, whether it succeeded or not, are back at identity before the
+// next one reads them. Each block has a row that every chunk merges into
+// and one that none does. One block claims a wider message than the
+// algorithm's, and one a narrower one, as only a hostile block does: the
+// wider one's partials must be laid out at that width from scratch, the
+// narrower one must fail, and the next block's partials must be back at
+// the real width.
+func TestGenKernelReusesPartials(t *testing.T) {
+	ctx := &template.Context{
+		NumVertices: 5000,
+		OutDeg:      func(v graph.VertexID) int { return 1 + int(v)%3 },
+		InDeg:       func(v graph.VertexID) int { return 1 + int(v)%2 },
+	}
+	dev := device.New(device.Xeon20())
+	dev.Init()
+	type step struct {
+		name   string
+		nV, nT int
+		bad    int  // triplet given a row outside the block, or -1
+		panics bool // MSGGen panics on the source of triplet 3*genChunk/2
+		wider  int  // message width beyond (or, below 0, short of) the algorithm's, as only a hostile block has
+	}
+	steps := []step{
+		{"first", 300, 3*genChunk + 517, -1, false, 0},
+		{"shrink", 40, genChunk + 100, -1, false, 0},
+		{"grow-within", 250, 3 * genChunk, -1, false, 0},
+		{"bad-row", 200, 3 * genChunk, genChunk + 600, false, 0},
+		{"after-bad-row", 120, 2*genChunk + 9, -1, false, 0},
+		{"panic", 260, 3 * genChunk, -1, true, 0},
+		{"after-panic", 260, 3*genChunk - 1, -1, false, 0},
+		{"grow-past", 700, 5*genChunk + 33, -1, false, 0},
+		{"wider", 300, 2*genChunk + 70, -1, false, 3},
+		{"after-wider", 300, 3 * genChunk, -1, false, 0},
+		{"narrower", 280, 3 * genChunk, -1, false, -1},
+		{"after-narrower", 290, 2 * genChunk, -1, false, 0},
+	}
+	for _, inner := range []template.Algorithm{algos.NewPageRank(), algos.NewCC(), algos.NewLP()} {
+		t.Run(inner.Name(), func(t *testing.T) {
+			alg := &panicOn{Algorithm: inner}
+			k := new(genKernel)
+			k.init(alg, ctx)
+			rng := rand.New(rand.NewSource(int64(inner.MsgWidth())))
+			var slab *float64 // the partials' backing array after "first"
+			for _, st := range steps {
+				eb, vb := randomGenBlock(rng, st.nV, st.nT, 30, inner.AttrWidth())
+				for i := range eb.Triplets {
+					tr := &eb.Triplets[i]
+					if i%genChunk == 0 {
+						tr.DstRow = 0 // every chunk merges into row 0
+					} else if tr.DstRow == int32(st.nV-1) {
+						tr.DstRow = int32(st.nV - 2) // none into the last row
+					}
+					tr.Dst = vb.IDs[tr.DstRow]
+				}
+				if st.bad >= 0 {
+					eb.Triplets[st.bad].DstRow = int32(st.nV + 3)
+				}
+				msgW := inner.MsgWidth() + st.wider
+				seg := make([]byte, genBlockSize(len(eb.Triplets), st.nV, vb.Stride, msgW))
+				if _, err := encodeGenBlockOracle(seg, eb, vb, msgW, false); err != nil {
+					t.Fatal(err)
+				}
+				b, err := decodeGenBlock(seg, &blockScratch{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.panics {
+					alg.src, alg.armed = eb.Triplets[3*genChunk/2].Src, true
+				}
+				_, err = k.launch(dev, b, 0, 0)
+				alg.armed = false
+				switch {
+				case st.bad >= 0:
+					want := fmt.Sprintf("gxplug: triplet %d names rows %d/%d of a %d-vertex block", st.bad, eb.Triplets[st.bad].SrcRow, st.nV+3, st.nV)
+					if err == nil || err.Error() != want {
+						t.Fatalf("%s: error %v, want %q", st.name, err, want)
+					}
+					continue
+				case st.panics:
+					if !strings.Contains(fmt.Sprint(err), "MSGGen on marked source") {
+						t.Fatalf("%s: error %v, want MSGGen's panic", st.name, err)
+					}
+					continue
+				case st.wider < 0:
+					// Too narrow for the algorithm's own rows: MergeIdentity
+					// or MSGGen indexes past them.
+					if !strings.Contains(fmt.Sprint(err), "index out of range") {
+						t.Fatalf("%s: error %v, want an index panic", st.name, err)
+					}
+					continue
+				case err != nil:
+					t.Fatalf("%s: %v", st.name, err)
+				}
+				switch st.name {
+				case "first":
+					slab = &k.partAcc[:1][0]
+				case "shrink", "grow-within":
+					if &k.partAcc[:1][0] != slab {
+						t.Fatalf("%s: the partials were reallocated, not reused", st.name)
+					}
+				}
+
+				fresh := new(genKernel)
+				fresh.init(inner, ctx)
+				if _, err := fresh.launch(dev, b, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+				nV := st.nV
+				for c := 0; c < fresh.nChunks; c++ {
+					lo, hi := c*(nV+1)*msgW, (c*(nV+1)+nV)*msgW
+					if !bitsEq(k.partAcc[lo:hi], fresh.partAcc[lo:hi]) || !slices.Equal(k.partRecv[c*nV:(c+1)*nV], fresh.partRecv[c*nV:(c+1)*nV]) {
+						t.Fatalf("%s: chunk %d partials differ from a fresh kernel's", st.name, c)
+					}
+					if !fresh.partRecv[c*nV] {
+						t.Fatalf("%s: chunk %d does not merge into row 0", st.name, c)
+					}
+				}
+				if st.wider > 0 {
+					// MergeIdentity fills only the algorithm's width of a
+					// wider result row; what the rest holds depends on the
+					// blocks the kernel computed before. So only the
+					// partials, laid out afresh at the new width, compare.
+					continue
+				}
+				acc, recv := slices.Clone(k.acc[:nV*msgW]), slices.Clone(k.recv[:nV])
+				if recv[nV-1] {
+					t.Fatalf("%s: a chunk merged into the last row", st.name)
+				}
+				if !bitsEq(acc, fresh.acc[:nV*msgW]) || !slices.Equal(recv, fresh.recv[:nV]) {
+					t.Fatalf("%s: block result differs from a fresh kernel's", st.name)
+				}
+				if err := k.foldDenseOracle(0); err != nil {
+					t.Fatal(err)
+				}
+				if !bitsEq(acc, k.acc[:nV*msgW]) || !slices.Equal(recv, k.recv[:nV]) {
+					t.Fatalf("%s: block result differs from the dense fold's", st.name)
+				}
+			}
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"gxplug/internal/graph"
 )
@@ -172,9 +173,9 @@ func needs(name string, end int64, seg []byte) error {
 // no kernel reads, are not decoded.
 //
 // Attribute rows are copies, not views of the segment: kernels take
-// []float64 rows, the attribute array is only 4-byte aligned in the
-// segment when a block lists an odd number of vertices, and reinterpreting
-// bytes needs unsafe.
+// []float64 rows, and the attribute array is only 4-byte aligned in the
+// segment when a block lists an odd number of vertices. The copy itself
+// is one move of bytes on a little-endian host (getF64s).
 type blockScratch struct {
 	ids   []graph.VertexID
 	attrs []float64
@@ -182,9 +183,25 @@ type blockScratch struct {
 	recv  []bool
 }
 
-// putF64s writes vals little-endian into dst (8*len(vals) bytes).
+// nativeLE reports whether this host lays a float64 out as the segment
+// does: the little-endian bytes of its bits. Then a row's memory image is
+// its wire form, and putF64s and getF64s move it with one copy.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f64CopyMin is the shortest row putF64s and getF64s copy as one block of
+// bytes: below it the per-value loop costs less than the call to memmove
+// (BenchmarkF64Codec).
+const f64CopyMin = 3
+
+// putF64s writes vals little-endian into dst (8*len(vals) bytes). It and
+// getF64s are the tree's only use of unsafe: the copy's source or target
+// is the row's memory image, unsafe.Slice over its 8*len bytes.
 func putF64s(dst []byte, vals []float64) {
 	dst = dst[:8*len(vals)]
+	if nativeLE && len(vals) >= f64CopyMin {
+		copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(dst)))
+		return
+	}
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
 	}
@@ -193,6 +210,10 @@ func putF64s(dst []byte, vals []float64) {
 // getF64s reads len(dst) little-endian values from src into dst.
 func getF64s(dst []float64, src []byte) {
 	src = src[:8*len(dst)]
+	if nativeLE && len(dst) >= f64CopyMin {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), len(src)), src)
+		return
+	}
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}

@@ -266,26 +266,43 @@ type genKernel struct {
 	// has checked it.
 	blk genBlock
 
-	// Chunk c accumulates into rows [c*(nV+1), (c+1)*(nV+1)) of partAcc —
-	// nV accumulator rows, then the row its MSGGen calls write into — and into
-	// partRecv[c*nV:(c+1)*nV]. bad[c] is the index of the first triplet of
-	// chunk c that names a row outside the block, or -1.
-	partAcc  []float64
-	partRecv []bool
-	bad      []int
-	acc      []float64
-	recv     []bool
+	// The partials' geometry: nChunks chunks over nV rows of msgW values,
+	// the block in flight's from the time prepare sizes them. Chunk c
+	// accumulates into rows [c*(nV+1), (c+1)*(nV+1)) of partAcc — nV
+	// accumulator rows, then the row its MSGGen calls write into — and into
+	// partRecv[c*nV:(c+1)*nV], and lists the rows it merged into, in
+	// first-touch order, in touched[c*genChunk:][:nTouched[c]]. bad[c] is
+	// the index of the first triplet of chunk c that names a row outside
+	// the block, or -1.
+	//
+	// Between launches every partial row holds the merge identity, which
+	// ident holds one identW-wide row of, and every partRecv flag is false
+	// — all but the rows the last launch wrote: its touched rows and its
+	// chunks' message rows. The next launch copies ident over those under
+	// this geometry before it sizes its own, so a launch's partials stand
+	// until then, a failed one's too.
+	nChunks, nV, msgW int
+	identW            int
+	ident             []float64
+	partAcc           []float64
+	partRecv          []bool
+	touched           []int32
+	nTouched          []int
+	bad               []int
+	acc               []float64
+	recv              []bool
 
-	nChunks int
-	// k.chunk as the device calls it and k.fold as par.Do does, bound
-	// once so that a launch allocates nothing.
-	kernel device.Kernel
-	folded func(int) error
+	// k.chunk as the device calls it, and k.prepare and k.fold as par.Do
+	// does, bound once so that a launch allocates nothing.
+	kernel   device.Kernel
+	prepared func(int) error
+	folded   func(int) error
 }
 
 func (k *genKernel) init(alg template.Algorithm, ctx *template.Context) {
 	k.alg, k.ctx, k.op = alg, ctx, alg.Hints().Merge
 	k.kernel = func(start, _ int) { k.chunk(start / genChunk) }
+	k.prepared = k.prepare
 	k.folded = k.fold
 }
 
@@ -295,17 +312,16 @@ func (k *genKernel) init(alg template.Algorithm, ctx *template.Context) {
 // triplet naming a row outside the block fails the launch, and the error
 // names the lowest such triplet.
 func (k *genKernel) launch(dev *device.Device, b genBlock, bytesIn, bytesOut int64) (time.Duration, error) {
-	nT, nV, msgW := len(b.trips)/tripletBytes, b.nV, b.msgW
+	nT := len(b.trips) / tripletBytes
 	k.blk = b
-	if nT > 0 && nV == 0 {
+	if nT > 0 && b.nV == 0 {
 		// Every row is out of range. Fail before the partials are sized by
 		// a message width that no vertex count bounds.
 		return 0, k.rowError(0)
 	}
-	k.nChunks = (nT + genChunk - 1) / genChunk
-	grow(&k.partAcc, k.nChunks*(nV+1)*msgW)
-	grow(&k.partRecv, k.nChunks*nV)
-	grow(&k.bad, k.nChunks)
+	if err := par.Do(1, k.prepared); err != nil {
+		return 0, err
+	}
 	cost, err := dev.Launch(nT, bytesIn, bytesOut, k.alg.Hints().OpsPerEdge, k.kernel)
 	if err != nil {
 		return 0, err
@@ -326,25 +342,67 @@ func (k *genKernel) rowError(i int) error {
 		int32(binary.LittleEndian.Uint32(t[tripSrcRow:])), int32(binary.LittleEndian.Uint32(t[tripDstRow:])), k.blk.nV)
 }
 
-// fold merges the chunk partials, in chunk order, into k.acc / k.recv. It
-// may call MSGMerge like the chunks do, so it runs under the same recover:
-// as the one item of a Do, which is a call on this goroutine.
-func (k *genKernel) fold(int) error {
-	alg, op, msgW, nV := k.alg, k.op, k.blk.msgW, k.blk.nV
-	acc := grow(&k.acc, nV*msgW)
-	recv := grow(&k.recv, nV)
-	for r := 0; r < nV; r++ {
-		alg.MergeIdentity(acc[r*msgW : (r+1)*msgW])
-		recv[r] = false
-	}
+// prepare resets the rows the last launch wrote to the merge identity,
+// under that launch's geometry, and then sizes the partials for the block
+// in flight. A slab it allocates is filled with the identity whole; one
+// laid out at another width, which only a hostile block has, is dropped.
+// The fill calls MergeIdentity, so like fold prepare runs as the one item
+// of a Do; identW is -1 until the fill returns, so that a fill that
+// panics on a hostile width leaves a slab the next launch drops.
+func (k *genKernel) prepare(int) error {
+	nV, msgW := k.nV, k.msgW
 	for c := 0; c < k.nChunks; c++ {
-		partAcc := k.partAcc[c*(nV+1)*msgW:]
-		partRecv := k.partRecv[c*nV:]
-		for r := 0; r < nV; r++ {
-			if partRecv[r] {
-				mergeRow(op, alg, acc[r*msgW:(r+1)*msgW], partAcc[r*msgW:(r+1)*msgW])
-				recv[r] = true
+		part := k.partAcc[c*(nV+1)*msgW : (c+1)*(nV+1)*msgW]
+		recv := k.partRecv[c*nV : (c+1)*nV]
+		for _, r := range k.touched[c*genChunk:][:k.nTouched[c]] {
+			copy(part[int(r)*msgW:(int(r)+1)*msgW], k.ident)
+			recv[r] = false
+		}
+		copy(part[nV*msgW:], k.ident)
+	}
+	k.nChunks, k.nV, k.msgW = (len(k.blk.trips)/tripletBytes+genChunk-1)/genChunk, k.blk.nV, k.blk.msgW
+	grow(&k.partRecv, k.nChunks*k.nV)
+	grow(&k.touched, k.nChunks*genChunk)
+	clear(grow(&k.nTouched, k.nChunks))
+	grow(&k.bad, k.nChunks)
+	n := k.nChunks * (k.nV + 1) * k.msgW
+	if k.msgW != k.identW {
+		k.partAcc = nil
+	}
+	if cap(k.partAcc) < n {
+		k.partAcc, k.identW = make([]float64, n), -1
+		fillIdentity(k.alg, k.partAcc, k.msgW)
+		k.identW, k.ident = k.msgW, append(k.ident[:0], k.partAcc[:k.msgW]...)
+	}
+	k.partAcc = k.partAcc[:n]
+	return nil
+}
+
+// fold merges the chunk partials, in chunk order, into k.acc / k.recv:
+// each chunk's touched rows, which are the rows whose partRecv flag it set,
+// so every row meets the merges of a walk over all rows. It may call
+// MSGMerge like the chunks do, so it runs under the same recover: as the
+// one item of a Do, which is a call on this goroutine.
+func (k *genKernel) fold(int) error {
+	alg, op, msgW, nV := k.alg, k.op, k.msgW, k.nV
+	acc := grow(&k.acc, nV*msgW)
+	fillIdentity(alg, acc, msgW)
+	recv := grow(&k.recv, nV)
+	clear(recv)
+	for c := 0; c < k.nChunks; c++ {
+		part := k.partAcc[c*(nV+1)*msgW:]
+		for _, r := range k.touched[c*genChunk:][:k.nTouched[c]] {
+			// mergeRow, spelled out so that the typed loops inline.
+			dst, src := acc[int(r)*msgW:(int(r)+1)*msgW], part[int(r)*msgW:(int(r)+1)*msgW]
+			switch op {
+			case template.MergeSum:
+				sumRow(dst, src)
+			case template.MergeMin:
+				minRow(dst, src)
+			default:
+				alg.MSGMerge(dst, src)
 			}
+			recv[r] = true
 		}
 	}
 	return nil
@@ -361,20 +419,22 @@ func (k *genKernel) fold(int) error {
 // chunk. The rows come from the segment, and in a reused scratch a row
 // past the block could land in stale capacity instead of panicking, so
 // the first triplet naming a row outside the block stops the chunk and is
-// recorded in bad[c].
+// recorded in bad[c]. The partials start at identity (prepare); a row is
+// listed as touched before anything merges into it, and the count is
+// stored on every way out, so that the next launch resets it even if this
+// one panics.
 func (k *genKernel) chunk(c int) {
 	alg, ctx, op, b := k.alg, k.ctx, k.op, &k.blk
-	nV, attrW, msgW := b.nV, b.attrW, b.msgW
+	nV, attrW, msgW := k.nV, b.attrW, k.msgW
 	// Capped windows: whatever rows a block names, a chunk cannot reach
 	// into another chunk's partials.
 	acc := k.partAcc[c*(nV+1)*msgW : (c+1)*(nV+1)*msgW : (c+1)*(nV+1)*msgW]
 	recv := k.partRecv[c*nV : (c+1)*nV : (c+1)*nV]
+	touched := k.touched[c*genChunk : (c+1)*genChunk : (c+1)*genChunk]
 	msgBuf := acc[nV*msgW:]
-	for r := 0; r < nV; r++ {
-		alg.MergeIdentity(acc[r*msgW : (r+1)*msgW])
-		recv[r] = false
-	}
 	k.bad[c] = -1
+	n := 0 // rows touched
+	defer func() { k.nTouched[c] = n }()
 	perRun := alg.Hints().SourceOnly
 	lo := c * genChunk
 	sec := b.trips[lo*tripletBytes : min(lo+genChunk, len(b.trips)/tripletBytes)*tripletBytes]
@@ -405,6 +465,11 @@ func (k *genKernel) chunk(c int) {
 				first = false
 			}
 			if produced {
+				if !recv[row] {
+					recv[row] = true
+					touched[n] = int32(row)
+					n++
+				}
 				// mergeRow, spelled out so that the typed loops inline.
 				dst := acc[int(row)*msgW : (int(row)+1)*msgW]
 				switch op {
@@ -415,7 +480,6 @@ func (k *genKernel) chunk(c int) {
 				default:
 					alg.MSGMerge(dst, msgBuf)
 				}
-				recv[row] = true
 			}
 		}
 	}
