@@ -138,9 +138,11 @@ race-dynamic:
 # Chunk partials hold the merge identity between launches, each launch
 # resetting only the rows the last one wrote: one kernel run through
 # shrinking, growing, failing and panicking launches must match a fresh
-# kernel and the dense fold after every good one. putF64s and getF64s
-# copy a row's memory image (unsafe, which -race checks with checkptr)
-# and must write the bytes of the per-value loop.
+# kernel and the dense fold after every good one. internal/le's Put and
+# Get, the one little-endian array codec every block, snapshot and digest
+# goes through, copy an array's memory image (unsafe, which -race checks
+# with checkptr) and must write the bytes of the per-value loop for vertex
+# ids, int64s and float64s.
 # Every block kind takes its offsets from one layout: the Apply and Merge
 # bytes the agent writes, the daemon's results and what the agent reads
 # back are held to the cursor codec they replaced, cost word aside.
@@ -155,7 +157,8 @@ race-gen:
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestLayoutMatchesOracle|TestValidateRejectsCorruptLayout' ./internal/graph
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestNativeGenMatchesOracle|TestNativeGenAllocatesNothing|TestNativeGenReusesOneBufferPerNode' ./internal/engine
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenChunkMatchesOracle|TestGenKernelReusesPartials' -count=10 ./internal/gxplug
-	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenBlockBytesMatchOracle|TestApplyMergeBytesMatchOracle|TestGenKernelNamesLowestBadRow|TestF64CodecMatchesLoop|TestMergeKernelMatchesOracle|TestRequestGenReusesOneResult' ./internal/gxplug
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenBlockBytesMatchOracle|TestApplyMergeBytesMatchOracle|TestGenKernelNamesLowestBadRow|TestMergeKernelMatchesOracle|TestRequestGenReusesOneResult' ./internal/gxplug
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestCodecMatchesLoop' ./internal/le
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestSourceOnlyDeclarationsHold|TestMergeDeclarationsHold' ./gx
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestLPMergeMatchesOracle' ./internal/algos
 

@@ -2,7 +2,12 @@ package gx
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -197,6 +202,25 @@ func TestAttrsDigest(t *testing.T) {
 	}
 	if AttrsDigest(nil) != AttrsDigest([]float64{}) {
 		t.Fatal("nil and empty arrays digest differently")
+	}
+	// The digest is SHA-256 over each value's 8 little-endian bytes, one
+	// value after the other, whatever buffer it hashes them through: the
+	// array is long enough to cross any chunk boundary a few times over,
+	// and NaN payloads, ±0 and subnormals keep their bits.
+	rng := rand.New(rand.NewSource(50))
+	long := make([]float64, 4099)
+	for i := range long {
+		long[i] = math.Float64frombits(rng.Uint64())
+	}
+	copy(long, []float64{math.Float64frombits(0x7FF8DEADBEEF0001), math.Copysign(0, -1), math.Float64frombits(1)})
+	for _, n := range []int{1, 63, 64, 65, 128, 129, len(long)} {
+		h := sha256.New()
+		for _, v := range long[:n] {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+		if got, want := AttrsDigest(long[:n]), hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Fatalf("%d values: digest %s, SHA-256 of the per-value bytes %s", n, got, want)
+		}
 	}
 }
 

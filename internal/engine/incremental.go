@@ -2,7 +2,6 @@ package engine
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"gxplug/internal/graph"
+	"gxplug/internal/le"
 )
 
 // This file implements incremental recomputation over timestamped edge
@@ -195,10 +195,12 @@ type BatchResult struct {
 // bit-identical results.
 func AttrsDigest(attrs []float64) string {
 	h := sha256.New()
-	var buf [8]byte
-	for _, v := range attrs {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
+	var buf [512]byte
+	for len(attrs) > 0 {
+		n := min(len(attrs), len(buf)/8)
+		le.Put(buf[:], attrs[:n])
+		h.Write(buf[:8*n])
+		attrs = attrs[n:]
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -3,7 +3,9 @@
 // network and web-crawl datasets ship in) into the immutable CSR
 // [graph.Graph], and it defines the versioned binary CSR snapshot
 // format (snapshot.go) that makes reloading a graph an order of
-// magnitude faster than regenerating or reparsing it.
+// magnitude faster than regenerating or reparsing it. Its arrays, CSR
+// and section payloads alike, move through internal/le, the tree's one
+// little-endian array codec.
 //
 // Real edge lists use arbitrary, often sparse vertex ids. ParseEdgeList
 // therefore relabels vertices deterministically: distinct original ids

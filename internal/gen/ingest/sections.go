@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"gxplug/internal/graph"
+	"gxplug/internal/le"
 )
 
 // Snapshot format version 2 extends version 1 with optional typed
@@ -191,35 +192,25 @@ func readSections(r io.Reader, left int64) ([]Section, error) {
 // validate shape and error on any mismatch, never panic.
 
 // DecodeFloat64s decodes little-endian IEEE-754 bit patterns.
-func DecodeFloat64s(data []byte) ([]float64, error) {
-	if len(data)%8 != 0 {
-		return nil, fmt.Errorf("ingest: float64 section is %d bytes (not a multiple of 8)", len(data))
-	}
-	out := make([]float64, len(data)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-	}
-	return out, nil
-}
+func DecodeFloat64s(data []byte) ([]float64, error) { return decode8s[float64](data) }
 
 // EncodeInt64s encodes vals little-endian.
 func EncodeInt64s(vals []int64) []byte {
 	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[i*8:], uint64(v))
-	}
+	le.Put(out, vals)
 	return out
 }
 
 // DecodeInt64s is the inverse of EncodeInt64s.
-func DecodeInt64s(data []byte) ([]int64, error) {
+func DecodeInt64s(data []byte) ([]int64, error) { return decode8s[int64](data) }
+
+// decode8s decodes an array of 8-byte little-endian values.
+func decode8s[T int64 | float64](data []byte) ([]T, error) {
 	if len(data)%8 != 0 {
-		return nil, fmt.Errorf("ingest: int64 section is %d bytes (not a multiple of 8)", len(data))
+		return nil, fmt.Errorf("ingest: %T section is %d bytes (not a multiple of 8)", T(0), len(data))
 	}
-	out := make([]int64, len(data)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(data[i*8:]))
-	}
+	out := make([]T, len(data)/8)
+	le.Get(out, data)
 	return out, nil
 }
 
@@ -269,9 +260,7 @@ func DecodeBools(data []byte) ([]bool, error) {
 func EncodeVertexAttrs(width int, attrs []float64) []byte {
 	out := make([]byte, 4+8*len(attrs))
 	binary.LittleEndian.PutUint32(out[:4], uint32(width))
-	for i, v := range attrs {
-		binary.LittleEndian.PutUint64(out[4+i*8:], math.Float64bits(v))
-	}
+	le.Put(out[4:], attrs)
 	return out
 }
 

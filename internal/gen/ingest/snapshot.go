@@ -13,10 +13,12 @@ import (
 	"os"
 
 	"gxplug/internal/graph"
+	"gxplug/internal/le"
 )
 
 // The binary CSR snapshot format, version 1. Everything is
-// little-endian. A snapshot stores the six raw CSR arrays verbatim, so
+// little-endian. A snapshot stores the six raw CSR arrays verbatim, each
+// written and read in bounded chunks through le.Put and le.Get, so
 // loading reconstructs the saved graph bit for bit — including both
 // CSRs' tie order.
 //
@@ -111,22 +113,14 @@ func (sw *snapshotWriter) finish() error {
 // both snapshot versions — through w.
 func writeCSR(w io.Writer, g *graph.Graph, scratch []byte) error {
 	outOff, outDst, outW, inOff, inSrc, inW := g.CSR()
-	for _, sec := range []struct {
-		name  string
-		write func() error
-	}{
-		{"outOff", func() error { return writeArray(w, outOff, 8, scratch, putInt64s) }},
-		{"outDst", func() error { return writeArray(w, outDst, 4, scratch, putVertexIDs) }},
-		{"outW", func() error { return writeArray(w, outW, 8, scratch, putFloat64s) }},
-		{"inOff", func() error { return writeArray(w, inOff, 8, scratch, putInt64s) }},
-		{"inSrc", func() error { return writeArray(w, inSrc, 4, scratch, putVertexIDs) }},
-		{"inW", func() error { return writeArray(w, inW, 8, scratch, putFloat64s) }},
-	} {
-		if err := sec.write(); err != nil {
-			return fmt.Errorf("ingest: snapshot %s: %w", sec.name, err)
-		}
-	}
-	return nil
+	var err error
+	writeArray(w, "outOff", outOff, scratch, &err)
+	writeArray(w, "outDst", outDst, scratch, &err)
+	writeArray(w, "outW", outW, scratch, &err)
+	writeArray(w, "inOff", inOff, scratch, &err)
+	writeArray(w, "inSrc", inSrc, scratch, &err)
+	writeArray(w, "inW", inW, scratch, &err)
+	return err
 }
 
 // Save writes g as a version-1 binary CSR snapshot. The write is
@@ -237,29 +231,15 @@ func decodeSnapshot(r io.Reader, size int64) (*graph.Graph, []Section, error) {
 	pr := io.TeeReader(r, crc)
 	scratch := make([]byte, min(size, chunkBytes))
 
-	outOff, err := readArray(pr, int64(numV)+1, 8, scratch, getInt64s)
+	var err error
+	outOff := readArray[int64](pr, "outOff", int64(numV)+1, scratch, &err)
+	outDst := readArray[graph.VertexID](pr, "outDst", numE, scratch, &err)
+	outW := readArray[float64](pr, "outW", numE, scratch, &err)
+	inOff := readArray[int64](pr, "inOff", int64(numV)+1, scratch, &err)
+	inSrc := readArray[graph.VertexID](pr, "inSrc", numE, scratch, &err)
+	inW := readArray[float64](pr, "inW", numE, scratch, &err)
 	if err != nil {
-		return nil, nil, fmt.Errorf("ingest: snapshot outOff: %w", err)
-	}
-	outDst, err := readArray(pr, numE, 4, scratch, getVertexIDs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ingest: snapshot outDst: %w", err)
-	}
-	outW, err := readArray(pr, numE, 8, scratch, getFloat64s)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ingest: snapshot outW: %w", err)
-	}
-	inOff, err := readArray(pr, int64(numV)+1, 8, scratch, getInt64s)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ingest: snapshot inOff: %w", err)
-	}
-	inSrc, err := readArray(pr, numE, 4, scratch, getVertexIDs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ingest: snapshot inSrc: %w", err)
-	}
-	inW, err := readArray(pr, numE, 8, scratch, getFloat64s)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ingest: snapshot inW: %w", err)
+		return nil, nil, err
 	}
 
 	var secs []Section
@@ -357,72 +337,42 @@ func noEOF(err error) error {
 	return err
 }
 
-// writeArray writes vals as width-byte little-endian elements through
-// scratch, one chunk at a time; put encodes one chunk.
-func writeArray[T int64 | float64 | graph.VertexID](w io.Writer, vals []T, width int, scratch []byte, put func([]byte, []T)) error {
-	per := len(scratch) / width
-	for len(vals) > 0 {
+// writeArray writes the array called name little-endian through
+// scratch, one chunk at a time, unless *err already holds an error; a
+// failed write leaves its error, naming the array, in *err.
+func writeArray[T le.Value](w io.Writer, name string, vals []T, scratch []byte, err *error) {
+	size := le.Size[T]()
+	per := len(scratch) / size
+	for *err == nil && len(vals) > 0 {
 		n := min(len(vals), per)
-		put(scratch, vals[:n])
-		if _, err := w.Write(scratch[:n*width]); err != nil {
-			return err
+		le.Put(scratch, vals[:n])
+		if _, werr := w.Write(scratch[:n*size]); werr != nil {
+			*err = fmt.Errorf("ingest: snapshot %s: %w", name, werr)
 		}
 		vals = vals[n:]
 	}
-	return nil
 }
 
-// readArray reads count width-byte little-endian elements through
-// scratch, one chunk at a time, into a slice allocated once at count;
-// get decodes one chunk.
-func readArray[T int64 | float64 | graph.VertexID](r io.Reader, count, width int64, scratch []byte, get func([]T, []byte)) ([]T, error) {
+// readArray reads the array called name, count little-endian values,
+// through scratch, one chunk at a time, into a slice allocated once at
+// count, unless *err already holds an error; a failed read leaves its
+// error, naming the array, in *err.
+func readArray[T le.Value](r io.Reader, name string, count int64, scratch []byte, err *error) []T {
+	if *err != nil {
+		return nil
+	}
 	//gxlint:unsized decodeSnapshot holds every count to the input's byte size (SnapshotSize) before reading any array
 	out := make([]T, count)
-	per := int64(len(scratch)) / width
+	size := int64(le.Size[T]())
+	per := int64(len(scratch)) / size
 	for read := int64(0); read < count; {
 		n := min(count-read, per)
-		buf := scratch[:n*width]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, noEOF(err)
+		if _, rerr := io.ReadFull(r, scratch[:n*size]); rerr != nil {
+			*err = fmt.Errorf("ingest: snapshot %s: %w", name, noEOF(rerr))
+			return nil
 		}
-		get(out[read:read+n], buf)
+		le.Get(out[read:read+n], scratch)
 		read += n
 	}
-	return out, nil
-}
-
-func putInt64s(b []byte, vals []int64) {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[i*8:], uint64(v))
-	}
-}
-
-func getInt64s(dst []int64, b []byte) {
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-}
-
-func putVertexIDs(b []byte, vals []graph.VertexID) {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(b[i*4:], uint32(v))
-	}
-}
-
-func getVertexIDs(dst []graph.VertexID, b []byte) {
-	for i := range dst {
-		dst[i] = graph.VertexID(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-}
-
-func putFloat64s(b []byte, vals []float64) {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
-	}
-}
-
-func getFloat64s(dst []float64, b []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
+	return out
 }

@@ -9,6 +9,7 @@ import (
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug/pipeline"
 	"gxplug/internal/gxplug/synccache"
+	"gxplug/internal/le"
 	"gxplug/internal/simtime"
 )
 
@@ -410,7 +411,7 @@ func (a *Agent) fillBlock(seg []byte, bp *blockPlan, reuseTopo bool) (time.Durat
 	attrSec := seg[l.attrs:l.acc]
 	for i, r := range bp.rows {
 		if row := attrSec[i*8*aw : (i+1)*8*aw]; r >= 0 {
-			putF64s(row, a.vt.Row(int(r)))
+			le.Put(row, a.vt.Row(int(r)))
 		} else {
 			clear(row)
 		}
@@ -435,7 +436,7 @@ func (a *Agent) drainBlock(seg []byte, bp *blockPlan, res *GenResult) time.Durat
 		if recv == 0 {
 			continue
 		}
-		getF64s(msg, accSec[r*8*mw:])
+		le.Get(msg, accSec[r*8*mw:])
 		id := bp.ids[r]
 		res.Add(id, msg)
 		if int(a.parts.Owner[id]) == a.node.ID {
@@ -509,7 +510,7 @@ func (a *Agent) RequestMerge(res *GenResult, incoming *MsgBuf) error {
 	if typ != msgDone {
 		return fmt.Errorf("gxplug: merge: unexpected reply %d", typ)
 	}
-	getF64s(local.Acc(), seg[l.a:l.b])
+	le.Get(local.Acc(), seg[l.a:l.b])
 	clearKind(seg)
 
 	dc := decodeCost(payload)
@@ -622,8 +623,8 @@ func (a *Agent) encodeApply(seg []byte, span []int, local *MsgBuf) (applyLayout,
 	ids, attrs, msgs, recv := seg[l.ids:l.attrs], seg[l.attrs:l.msgs], seg[l.msgs:l.recv], seg[l.recv:l.changed]
 	for i, mi := range span {
 		binary.LittleEndian.PutUint32(ids[4*i:], uint32(a.part.Masters[mi]))
-		putF64s(attrs[i*8*aw:], a.vt.Row(mi))
-		putF64s(msgs[i*8*mw:], local.Row(int32(mi)))
+		le.Put(attrs[i*8*aw:], a.vt.Row(mi))
+		le.Put(msgs[i*8*mw:], local.Row(int32(mi)))
 		recv[i] = b2u(local.Recv(int32(mi)))
 	}
 	return l, nil
@@ -652,7 +653,7 @@ func (a *Agent) writeBack(seg []byte, l applyLayout, span []int, out *ApplyResul
 			continue
 		}
 		out.Wrote[mi] = true
-		getF64s(old, applied)
+		le.Get(old, applied)
 		if out.Changed[mi] && !a.part.Internal[mi] {
 			out.LocalOnly = false
 		}

@@ -4,6 +4,9 @@
 // embedded in upper-system nodes, shared-memory block exchange, the
 // pipeline-shuffle rotation protocol of §III-A, synchronization caching
 // and skipping of §III-B, and the workload-balancing hooks of §III-C.
+// Every array a block carries, vertex ids and attribute and message rows,
+// crosses a segment through internal/le, the tree's one little-endian
+// array codec.
 package gxplug
 
 import (
@@ -12,9 +15,9 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"unsafe"
 
 	"gxplug/internal/graph"
+	"gxplug/internal/le"
 )
 
 // The codec serializes vertex/edge blocks into shared-memory segments —
@@ -134,11 +137,13 @@ func readHeader(seg []byte, kind uint32, name string, words, dims int) (h [5]int
 	if len(seg) < 4*words {
 		return h, fmt.Errorf("gxplug: %s block header truncated (%d bytes)", name, len(seg))
 	}
-	if k := binary.LittleEndian.Uint32(seg); k != kind {
-		return h, fmt.Errorf("gxplug: segment kind %#x, want %s block", k, name)
+	var w [6]uint32
+	le.Get(w[:words], seg)
+	if w[0] != kind {
+		return h, fmt.Errorf("gxplug: segment kind %#x, want %s block", w[0], name)
 	}
-	for i := range words - 1 {
-		h[i] = int64(binary.LittleEndian.Uint32(seg[4+4*i:]))
+	for i, v := range w[1:words] {
+		h[i] = int64(v)
 	}
 	for _, d := range h[:dims] {
 		if d > maxBlockDim {
@@ -168,55 +173,21 @@ func needs(name string, end int64, seg []byte) error {
 // views are valid until the next decode into the same scratch. A daemon
 // handles one block at a time, so the kinds share arrays: a Gen block's
 // attribute rows and an apply batch's land in attrs, a merge block's two
-// accumulators in attrs and msgs. A Gen block's triplets are not copied at
-// all (genBlock.trips is a view of the segment), and its vertex ids, which
-// no kernel reads, are not decoded.
+// accumulators in attrs and msgs, and an apply batch's vertex ids in ids.
+// A Gen block's triplets are not copied at all (genBlock.trips is a view
+// of the segment), and its vertex ids, which no kernel reads, are not
+// decoded.
 //
 // Attribute rows are copies, not views of the segment: kernels take
 // []float64 rows, and the attribute array is only 4-byte aligned in the
-// segment when a block lists an odd number of vertices. The copy itself
-// is one move of bytes on a little-endian host (getF64s).
+// segment when a block lists an odd number of vertices. Every array is
+// copied with le.Get, which on a little-endian host moves an array of
+// three or more values as one copy of bytes.
 type blockScratch struct {
 	ids   []graph.VertexID
 	attrs []float64
 	msgs  []float64
 	recv  []bool
-}
-
-// nativeLE reports whether this host lays a float64 out as the segment
-// does: the little-endian bytes of its bits. Then a row's memory image is
-// its wire form, and putF64s and getF64s move it with one copy.
-var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
-
-// f64CopyMin is the shortest row putF64s and getF64s copy as one block of
-// bytes: below it the per-value loop costs less than the call to memmove
-// (BenchmarkF64Codec).
-const f64CopyMin = 3
-
-// putF64s writes vals little-endian into dst (8*len(vals) bytes). It and
-// getF64s are the tree's only use of unsafe: the copy's source or target
-// is the row's memory image, unsafe.Slice over its 8*len bytes.
-func putF64s(dst []byte, vals []float64) {
-	dst = dst[:8*len(vals)]
-	if nativeLE && len(vals) >= f64CopyMin {
-		copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(dst)))
-		return
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
-	}
-}
-
-// getF64s reads len(dst) little-endian values from src into dst.
-func getF64s(dst []float64, src []byte) {
-	src = src[:8*len(dst)]
-	if nativeLE && len(dst) >= f64CopyMin {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), len(src)), src)
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
 }
 
 // putBools writes one byte per flag into dst: 1 for true, 0 for false.
@@ -237,7 +208,7 @@ func b2u(f bool) byte {
 // encodeGenBlock writes a Gen block's header, its wire-form triplet
 // section trips (one copy) and its vertex ids into seg, and returns the
 // block's layout: the caller fills the attribute section with len(ids)
-// rows of attrW values (putF64s). resident marks the topology as already
+// rows of attrW values (le.Put). resident marks the topology as already
 // held by the daemon from the previous iteration, so only attribute bytes
 // move across the device link.
 func encodeGenBlock(seg, trips []byte, ids []graph.VertexID, attrW, msgW int, resident bool) (genLayout, error) {
@@ -246,14 +217,9 @@ func encodeGenBlock(seg, trips []byte, ids []graph.VertexID, attrW, msgW int, re
 	if l.end > int64(len(seg)) {
 		return l, needs("gen", l.end, seg)
 	}
-	for i, w := range [...]uint32{blockKindGen, uint32(nT), uint32(len(ids)), uint32(attrW), uint32(msgW), uint32(b2u(resident))} {
-		binary.LittleEndian.PutUint32(seg[4*i:], w)
-	}
+	le.Put(seg, []uint32{blockKindGen, uint32(nT), uint32(len(ids)), uint32(attrW), uint32(msgW), uint32(b2u(resident))})
 	copy(seg[l.trips:l.ids], trips)
-	idSec := seg[l.ids:l.attrs]
-	for i, id := range ids {
-		binary.LittleEndian.PutUint32(idSec[4*i:], uint32(id))
-	}
+	le.Put(seg[l.ids:l.attrs], ids)
 	return l, nil
 }
 
@@ -288,7 +254,7 @@ func decodeGenBlock(seg []byte, sc *blockScratch) (genBlock, error) {
 	b := genBlock{nV: int(h[1]), attrW: int(h[2]), msgW: int(h[3]), resident: h[4] != 0, at: l}
 	b.trips = seg[l.trips:l.ids:l.ids] // the vertex ids stay in the segment
 	b.attrs = grow(&sc.attrs, b.nV*b.attrW)
-	getF64s(b.attrs, seg[l.attrs:l.acc])
+	le.Get(b.attrs, seg[l.attrs:l.acc])
 	return b, nil
 }
 
@@ -300,9 +266,7 @@ func encodeApplyBlock(seg []byte, n, attrW, msgW int) (applyLayout, error) {
 	if l.end > int64(len(seg)) {
 		return l, needs("apply", l.end, seg)
 	}
-	for i, w := range [...]uint32{blockKindApply, uint32(n), uint32(attrW), uint32(msgW)} {
-		binary.LittleEndian.PutUint32(seg[4*i:], w)
-	}
+	le.Put(seg, []uint32{blockKindApply, uint32(n), uint32(attrW), uint32(msgW)})
 	return l, nil
 }
 
@@ -330,14 +294,11 @@ func decodeApplyBlock(seg []byte, sc *blockScratch) (applyBlock, error) {
 	n := int(h[0])
 	b := applyBlock{attrW: int(h[1]), msgW: int(h[2]), at: l}
 	b.ids = grow(&sc.ids, n)
-	idSec := seg[l.ids:l.attrs]
-	for i := range b.ids {
-		b.ids[i] = graph.VertexID(binary.LittleEndian.Uint32(idSec[4*i:]))
-	}
+	le.Get(b.ids, seg[l.ids:l.attrs])
 	b.attrs = grow(&sc.attrs, n*b.attrW)
-	getF64s(b.attrs, seg[l.attrs:l.msgs])
+	le.Get(b.attrs, seg[l.attrs:l.msgs])
 	b.msgs = grow(&sc.msgs, n*b.msgW)
-	getF64s(b.msgs, seg[l.msgs:l.recv])
+	le.Get(b.msgs, seg[l.msgs:l.recv])
 	b.recv = grow(&sc.recv, n)
 	for i, f := range seg[l.recv:l.changed] {
 		b.recv[i] = f != 0
@@ -356,11 +317,9 @@ func encodeMergeBlock(seg []byte, accA, accB []float64, msgW int) (mergeLayout, 
 	if l.end > int64(len(seg)) {
 		return l, needs("merge", l.end, seg)
 	}
-	for i, w := range [...]uint32{blockKindMerge, uint32(rows), uint32(msgW)} {
-		binary.LittleEndian.PutUint32(seg[4*i:], w)
-	}
-	putF64s(seg[l.a:l.b], accA)
-	putF64s(seg[l.b:l.end], accB)
+	le.Put(seg, []uint32{blockKindMerge, uint32(rows), uint32(msgW)})
+	le.Put(seg[l.a:l.b], accA)
+	le.Put(seg[l.b:l.end], accB)
 	return l, nil
 }
 
@@ -388,8 +347,8 @@ func decodeMergeBlock(seg []byte, sc *blockScratch) (mergeBlock, error) {
 	}
 	m := mergeBlock{msgW: int(h[1]), at: l}
 	m.a = grow(&sc.attrs, int(h[0]*h[1]))
-	getF64s(m.a, seg[l.a:l.b])
+	le.Get(m.a, seg[l.a:l.b])
 	m.b = grow(&sc.msgs, int(h[0]*h[1]))
-	getF64s(m.b, seg[l.b:l.end])
+	le.Get(m.b, seg[l.b:l.end])
 	return m, nil
 }

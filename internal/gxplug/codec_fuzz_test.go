@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"gxplug/internal/device"
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug/template"
+	"gxplug/internal/le"
 )
 
 // fzr derives structured values from fuzz bytes; exhausted input yields
@@ -219,7 +221,7 @@ func fuzzGenRoundTrip(t *testing.T, r *fzr) {
 	for i := range recv {
 		recv[i] = r.byte()&1 == 1
 	}
-	putF64s(seg[l.acc:l.recv], acc)
+	le.Put(seg[l.acc:l.recv], acc)
 	putBools(seg[l.recv:l.end], recv)
 	writeGenResultOracle(want, payload, acc, recv, 0)
 	if !bytes.Equal(seg, want[:l.end]) {
@@ -227,7 +229,7 @@ func fuzzGenRoundTrip(t *testing.T, r *fzr) {
 	}
 	gotAcc := make([]float64, nV*msgW)
 	gotRecv := make([]bool, nV)
-	getF64s(gotAcc, seg[l.acc:l.recv])
+	le.Get(gotAcc, seg[l.acc:l.recv])
 	for i, f := range seg[l.recv:l.end] {
 		gotRecv[i] = f != 0
 	}
@@ -303,14 +305,14 @@ func fuzzApplyRoundTrip(t *testing.T, r *fzr) {
 	for i := range changed {
 		changed[i] = r.byte()&1 == 1
 	}
-	putF64s(seg[l.attrs:l.msgs], upd)
+	le.Put(seg[l.attrs:l.msgs], upd)
 	putBools(seg[l.changed:l.end], changed)
 	writeApplyResultOracle(want, int(l.attrs), upd, payload, changed, 0)
 	if !bytes.Equal(seg, want[:l.end]) {
 		t.Fatal("apply result differs from the oracle writer's")
 	}
 	gotUpd := make([]float64, n*attrW)
-	getF64s(gotUpd, seg[l.attrs:l.msgs])
+	le.Get(gotUpd, seg[l.attrs:l.msgs])
 	if !bitsEq(gotUpd, upd) {
 		t.Fatal("updated attrs changed in round trip")
 	}
@@ -359,13 +361,13 @@ func fuzzMergeRoundTrip(t *testing.T, r *fzr) {
 	for i := range merged {
 		merged[i] = r.f64()
 	}
-	putF64s(seg[l.a:l.b], merged)
+	le.Put(seg[l.a:l.b], merged)
 	writeMergeResultOracle(want, merged, 0)
 	if !bytes.Equal(seg, want[:l.end]) {
 		t.Fatal("merge result differs from the oracle writer's")
 	}
 	gotMerged := make([]float64, rows*msgW)
-	getF64s(gotMerged, seg[l.a:l.b])
+	le.Get(gotMerged, seg[l.a:l.b])
 	if !bitsEq(gotMerged, merged) {
 		t.Fatal("merged accumulator changed in round trip")
 	}
@@ -382,7 +384,8 @@ func scratchBytes(sc *blockScratch) int {
 // guard on what sizes the daemon's scratch (the wiresize lint cannot see
 // through grow): a rejected block grows nothing, and an accepted one
 // nothing beyond the bytes it really occupies in the segment. Every block
-// a decoder accepts is computed: a Gen block's triplets' rows are checked
+// a decoder accepts is computed, on a daemon whose algorithm has the
+// block's widths (hostileDaemon): a Gen block's triplets' rows are checked
 // only as the kernel reads them (runHostileGen), and the daemon writes an
 // Apply or Merge block's results at offsets it takes from the block's
 // layout (runHostileApply, runHostileMerge).
@@ -399,8 +402,8 @@ func FuzzCodecDecodeNoPanic(f *testing.F) {
 		f.Add(append([]byte(nil), hdr...))
 	}
 	// Well-formed Gen blocks: one in range, then rows past the block and
-	// below it, then a triplet in a block of no vertices whose message
-	// width no vertex count bounds.
+	// below it, then a triplet in a block of no vertices, at a message
+	// width no vertex count bounds and at a narrow one.
 	for _, rows := range [][2]int32{{0, 1}, {1, 3}, {-1, 0}} {
 		eb := &edgeBlock{Triplets: []triplet{
 			{Src: 4, Dst: 5, W: 1, SrcRow: 0, DstRow: 1},
@@ -425,11 +428,13 @@ func FuzzCodecDecodeNoPanic(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(mergeSeg)
-	empty := make([]byte, genBlockSize(1, 0, 1, maxBlockDim))
-	if _, err := encodeGenBlockOracle(empty, &edgeBlock{Triplets: make([]triplet, 1)}, &vertexBlock{Stride: 1}, maxBlockDim, false); err != nil {
-		f.Fatal(err)
+	for _, msgW := range []int{maxBlockDim, 2} {
+		empty := make([]byte, genBlockSize(1, 0, 1, msgW))
+		if _, err := encodeGenBlockOracle(empty, &edgeBlock{Triplets: make([]triplet, 1)}, &vertexBlock{Stride: 1}, msgW, false); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(empty)
 	}
-	f.Add(empty)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(kind string, sc *blockScratch, err error) {
 			if n := scratchBytes(sc); err != nil && n != 0 {
@@ -463,13 +468,13 @@ func FuzzCodecDecodeNoPanic(f *testing.F) {
 // result does not depend on how the triplets were cut into chunks. It
 // reads and writes at most xorSlots values of a row, so that a hostile
 // width costs the fuzzer no more per triplet than a narrow one.
-type xorAlg struct{}
+type xorAlg struct{ attrW, msgW int }
 
 const xorSlots = 3
 
 func (xorAlg) Name() string                                      { return "xor" }
-func (xorAlg) AttrWidth() int                                    { return 1 }
-func (xorAlg) MsgWidth() int                                     { return 1 }
+func (a xorAlg) AttrWidth() int                                  { return a.attrW }
+func (a xorAlg) MsgWidth() int                                   { return a.msgW }
 func (xorAlg) Init(*template.Context, graph.VertexID, []float64) {}
 func (xorAlg) MSGGen(_ *template.Context, src, dst graph.VertexID, w float64, srcAttr, msg []float64) bool {
 	h := uint64(src)<<32 ^ uint64(dst) ^ math.Float64bits(w)
@@ -500,12 +505,16 @@ func (xorAlg) Hints() template.Hints { return template.Hints{OpsPerEdge: 1, OpsP
 func runHostileGen(t *testing.T, data []byte) {
 	t.Helper()
 	seg := append([]byte(nil), data...)
-	alg := xorAlg{}
-	dev := device.New(device.Xeon20())
-	dev.Init()
-	d := &daemonState{cfg: daemonConfig{dev: dev, alg: alg, ctx: &template.Context{}}, dec: *dirtyScratch()}
-	d.gen.init(alg, d.cfg.ctx)
-	_, err := d.computeGen(seg)
+	b, err := decodeGenBlock(data, &blockScratch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := hostileDaemon(b.attrW, b.msgW, len(data))
+	alg := d.cfg.alg
+	_, err = d.computeGen(seg)
+	if refusedAtCap(t, d, err, b.attrW, b.msgW) {
+		return
+	}
 
 	// The oracle's size check counts the deleted cost word.
 	eb, vb, msgW, _, resultOff, oerr := decodeGenBlockOracle(append(slices.Clip(data), make([]byte, 8)...), &oracleScratch{})
@@ -547,13 +556,34 @@ func runHostileGen(t *testing.T, data []byte) {
 	}
 }
 
-// hostileDaemon is a daemon over xorAlg whose scratch has seen a larger
-// block.
-func hostileDaemon() *daemonState {
-	alg := xorAlg{}
+// hostileDaemon is a daemon over xorAlg at a block header's widths whose
+// scratch has seen a larger block. Each width is capped at the block's
+// byte length n: only a block of no rows can claim a wider one, since
+// its layout bounds no width by its bytes, and no daemon runs an
+// algorithm that wide (its kernel's identity row alone would hold that
+// many values). The daemon must refuse such a block (refusedAtCap).
+func hostileDaemon(attrW, msgW, n int) *daemonState {
+	alg := xorAlg{min(attrW, n), min(msgW, n)}
 	dev := device.New(device.Xeon20())
 	dev.Init()
-	return &daemonState{cfg: daemonConfig{dev: dev, alg: alg, ctx: &template.Context{}}, dec: *dirtyScratch()}
+	d := &daemonState{cfg: daemonConfig{dev: dev, alg: alg, ctx: &template.Context{}}, dec: *dirtyScratch()}
+	d.gen.init(alg, d.cfg.ctx)
+	return d
+}
+
+// refusedAtCap reports whether d's algorithm was capped below a block's
+// widths, and if so holds the compute's error to the daemon's refusal of
+// a foreign width.
+func refusedAtCap(t *testing.T, d *daemonState, err error, attrW, msgW int) bool {
+	t.Helper()
+	if d.cfg.alg.AttrWidth() == attrW && d.cfg.alg.MsgWidth() == msgW {
+		return false
+	}
+	if err == nil || !strings.Contains(err.Error(), "wide (attribute/message), the algorithm's are") {
+		t.Fatalf("%d/%d-wide block on a %d/%d-wide algorithm: error %v, want a width refusal",
+			attrW, msgW, d.cfg.alg.AttrWidth(), d.cfg.alg.MsgWidth(), err)
+	}
+	return true
 }
 
 // runHostileApply computes an Apply block the decoder accepted. xorAlg's
@@ -562,12 +592,17 @@ func hostileDaemon() *daemonState {
 func runHostileApply(t *testing.T, data []byte) {
 	t.Helper()
 	seg := bytes.Clone(data)
-	if _, err := hostileDaemon().computeApply(seg); err != nil {
-		t.Fatalf("apply block the decoder accepted: %v", err)
-	}
 	b, err := decodeApplyBlock(data, &blockScratch{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	d := hostileDaemon(b.attrW, b.msgW, len(data))
+	_, err = d.computeApply(seg)
+	if refusedAtCap(t, d, err, b.attrW, b.msgW) {
+		return
+	}
+	if err != nil {
+		t.Fatalf("apply block the decoder accepted: %v", err)
 	}
 	want := bytes.Clone(data)
 	clear(want[b.at.changed:b.at.end])
@@ -581,18 +616,23 @@ func runHostileApply(t *testing.T, data []byte) {
 func runHostileMerge(t *testing.T, data []byte) {
 	t.Helper()
 	seg := bytes.Clone(data)
-	if _, err := hostileDaemon().computeMerge(seg); err != nil {
-		t.Fatalf("merge block the decoder accepted: %v", err)
-	}
 	m, err := decodeMergeBlock(data, &blockScratch{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	d := hostileDaemon(1, m.msgW, len(data))
+	_, err = d.computeMerge(seg)
+	if refusedAtCap(t, d, err, 1, m.msgW) {
+		return
+	}
+	if err != nil {
+		t.Fatalf("merge block the decoder accepted: %v", err)
 	}
 	for r := 0; r < len(m.a)/m.msgW; r++ {
 		xorAlg{}.MSGMerge(m.a[r*m.msgW:(r+1)*m.msgW], m.b[r*m.msgW:(r+1)*m.msgW])
 	}
 	want := bytes.Clone(data)
-	putF64s(want[m.at.a:m.at.b], m.a)
+	le.Put(want[m.at.a:m.at.b], m.a)
 	if !bytes.Equal(seg, want) {
 		t.Fatal("computed Merge block differs from the per-row reference")
 	}

@@ -16,6 +16,7 @@ import (
 	"gxplug/internal/gen"
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug/template"
+	"gxplug/internal/le"
 )
 
 // The Gen block as a Go value, and the codec and planner that copied it
@@ -160,7 +161,7 @@ func wireTriplets(eb *edgeBlock) []byte {
 func encodeGenBlockWire(seg []byte, eb *edgeBlock, vb *vertexBlock, msgW int, resident bool) (int, error) {
 	l, err := encodeGenBlock(seg, wireTriplets(eb), vb.IDs, vb.Stride, msgW, resident)
 	if err == nil {
-		putF64s(seg[l.attrs:l.acc], vb.Attrs)
+		le.Put(seg[l.attrs:l.acc], vb.Attrs)
 	}
 	return int(l.acc), err
 }
@@ -174,8 +175,8 @@ func encodeApplyWire(seg []byte, ids []graph.VertexID, attrs []float64, attrW in
 		for i, id := range ids {
 			binary.LittleEndian.PutUint32(idSec[4*i:], uint32(id))
 		}
-		putF64s(seg[l.attrs:l.msgs], attrs)
-		putF64s(seg[l.msgs:l.recv], msgs)
+		le.Put(seg[l.attrs:l.msgs], attrs)
+		le.Put(seg[l.msgs:l.recv], msgs)
 		putBools(seg[l.recv:l.changed], recv)
 	}
 	return l, err
@@ -875,7 +876,7 @@ func TestApplyMergeBytesMatchOracle(t *testing.T) {
 		}
 		checkResultArea(t, fmt.Sprintf("seed %d: merge", seed), got, want, ml.end, costGot, costWant)
 		merged, wantMerged := make([]float64, nM*mw), make([]float64, nM*mw)
-		getF64s(merged, got[ml.a:ml.b]) // as RequestMerge reads it
+		le.Get(merged, got[ml.a:ml.b]) // as RequestMerge reads it
 		readMergeResultIntoOracle(want, wantMerged)
 		if !bitsEq(merged, wantMerged) {
 			t.Fatalf("seed %d: merged rows read back differ from the oracle reader's", seed)

@@ -10,6 +10,7 @@ import (
 	"gxplug/internal/device"
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug/template"
+	"gxplug/internal/le"
 	"gxplug/internal/par"
 	"gxplug/internal/shm"
 )
@@ -267,7 +268,8 @@ type genKernel struct {
 	blk genBlock
 
 	// The partials' geometry: nChunks chunks over nV rows of msgW values,
-	// the block in flight's from the time prepare sizes them. Chunk c
+	// the block in flight's from the time prepare sizes them; msgW is the
+	// algorithm's, the only width a daemon computes at. Chunk c
 	// accumulates into rows [c*(nV+1), (c+1)*(nV+1)) of partAcc — nV
 	// accumulator rows, then the row its MSGGen calls write into — and into
 	// partRecv[c*nV:(c+1)*nV], and lists the rows it merged into, in
@@ -276,13 +278,12 @@ type genKernel struct {
 	// the block, or -1.
 	//
 	// Between launches every partial row holds the merge identity, which
-	// ident holds one identW-wide row of, and every partRecv flag is false
-	// — all but the rows the last launch wrote: its touched rows and its
-	// chunks' message rows. The next launch copies ident over those under
-	// this geometry before it sizes its own, so a launch's partials stand
-	// until then, a failed one's too.
+	// ident holds one row of, and every partRecv flag is false — all but
+	// the rows the last launch wrote: its touched rows and its chunks'
+	// message rows. The next launch copies ident over those under the last
+	// geometry before it sizes its own, so a launch's partials stand until
+	// then, a failed one's too.
 	nChunks, nV, msgW int
-	identW            int
 	ident             []float64
 	partAcc           []float64
 	partRecv          []bool
@@ -292,17 +293,19 @@ type genKernel struct {
 	acc               []float64
 	recv              []bool
 
-	// k.chunk as the device calls it, and k.prepare and k.fold as par.Do
-	// does, bound once so that a launch allocates nothing.
-	kernel   device.Kernel
-	prepared func(int) error
-	folded   func(int) error
+	// k.chunk as the device calls it, and k.fold as par.Do does, bound
+	// once so that a launch allocates nothing.
+	kernel device.Kernel
+	folded func(int) error
 }
 
+// init binds the kernel to alg. Its identity row is filled here, on the
+// goroutine that starts the daemon, as NewMsgBuf fills the agent's.
 func (k *genKernel) init(alg template.Algorithm, ctx *template.Context) {
-	k.alg, k.ctx, k.op = alg, ctx, alg.Hints().Merge
+	k.alg, k.ctx, k.op, k.msgW = alg, ctx, alg.Hints().Merge, alg.MsgWidth()
+	k.ident = make([]float64, k.msgW)
+	alg.MergeIdentity(k.ident)
 	k.kernel = func(start, _ int) { k.chunk(start / genChunk) }
-	k.prepared = k.prepare
 	k.folded = k.fold
 }
 
@@ -314,14 +317,7 @@ func (k *genKernel) init(alg template.Algorithm, ctx *template.Context) {
 func (k *genKernel) launch(dev *device.Device, b genBlock, bytesIn, bytesOut int64) (time.Duration, error) {
 	nT := len(b.trips) / tripletBytes
 	k.blk = b
-	if nT > 0 && b.nV == 0 {
-		// Every row is out of range. Fail before the partials are sized by
-		// a message width that no vertex count bounds.
-		return 0, k.rowError(0)
-	}
-	if err := par.Do(1, k.prepared); err != nil {
-		return 0, err
-	}
+	k.prepare()
 	cost, err := dev.Launch(nT, bytesIn, bytesOut, k.alg.Hints().OpsPerEdge, k.kernel)
 	if err != nil {
 		return 0, err
@@ -344,12 +340,8 @@ func (k *genKernel) rowError(i int) error {
 
 // prepare resets the rows the last launch wrote to the merge identity,
 // under that launch's geometry, and then sizes the partials for the block
-// in flight. A slab it allocates is filled with the identity whole; one
-// laid out at another width, which only a hostile block has, is dropped.
-// The fill calls MergeIdentity, so like fold prepare runs as the one item
-// of a Do; identW is -1 until the fill returns, so that a fill that
-// panics on a hostile width leaves a slab the next launch drops.
-func (k *genKernel) prepare(int) error {
+// in flight. A slab it allocates is filled from ident whole.
+func (k *genKernel) prepare() {
 	nV, msgW := k.nV, k.msgW
 	for c := 0; c < k.nChunks; c++ {
 		part := k.partAcc[c*(nV+1)*msgW : (c+1)*(nV+1)*msgW]
@@ -360,22 +352,19 @@ func (k *genKernel) prepare(int) error {
 		}
 		copy(part[nV*msgW:], k.ident)
 	}
-	k.nChunks, k.nV, k.msgW = (len(k.blk.trips)/tripletBytes+genChunk-1)/genChunk, k.blk.nV, k.blk.msgW
+	k.nChunks, k.nV = (len(k.blk.trips)/tripletBytes+genChunk-1)/genChunk, k.blk.nV
 	grow(&k.partRecv, k.nChunks*k.nV)
 	grow(&k.touched, k.nChunks*genChunk)
 	clear(grow(&k.nTouched, k.nChunks))
 	grow(&k.bad, k.nChunks)
-	n := k.nChunks * (k.nV + 1) * k.msgW
-	if k.msgW != k.identW {
-		k.partAcc = nil
-	}
+	n := k.nChunks * (k.nV + 1) * msgW
 	if cap(k.partAcc) < n {
-		k.partAcc, k.identW = make([]float64, n), -1
-		fillIdentity(k.alg, k.partAcc, k.msgW)
-		k.identW, k.ident = k.msgW, append(k.ident[:0], k.partAcc[:k.msgW]...)
+		k.partAcc = make([]float64, n)
+		for filled := copy(k.partAcc, k.ident); filled < n; filled *= 2 {
+			copy(k.partAcc[filled:], k.partAcc[:filled])
+		}
 	}
 	k.partAcc = k.partAcc[:n]
-	return nil
 }
 
 // fold merges the chunk partials, in chunk order, into k.acc / k.recv:
@@ -485,8 +474,22 @@ func (k *genKernel) chunk(c int) {
 	}
 }
 
+// widths refuses a block laid out at row widths other than the
+// algorithm's, before a kernel runs: the agent lays every block out at its
+// algorithm's widths, and the kernels size and fill rows by them. A merge
+// block, which has message rows alone, passes the algorithm's attrW.
+func (d *daemonState) widths(block string, attrW, msgW int) error {
+	if aw, mw := d.cfg.alg.AttrWidth(), d.cfg.alg.MsgWidth(); attrW != aw || msgW != mw {
+		return fmt.Errorf("gxplug: %s block has rows %d/%d wide (attribute/message), the algorithm's are %d/%d", block, attrW, msgW, aw, mw)
+	}
+	return nil
+}
+
 func (d *daemonState) computeGen(seg []byte) (time.Duration, error) {
 	b, err := decodeGenBlock(seg, &d.dec)
+	if err == nil {
+		err = d.widths("gen", b.attrW, b.msgW)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -501,13 +504,16 @@ func (d *daemonState) computeGen(seg []byte) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	putF64s(seg[l.acc:l.recv], d.gen.acc)
+	le.Put(seg[l.acc:l.recv], d.gen.acc)
 	putBools(seg[l.recv:l.end], d.gen.recv)
 	return cost, nil
 }
 
 func (d *daemonState) computeApply(seg []byte) (time.Duration, error) {
 	b, err := decodeApplyBlock(seg, &d.dec)
+	if err == nil {
+		err = d.widths("apply", b.attrW, b.msgW)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -530,13 +536,16 @@ func (d *daemonState) computeApply(seg []byte) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	putF64s(seg[l.attrs:l.msgs], attrs)
+	le.Put(seg[l.attrs:l.msgs], attrs)
 	putBools(seg[l.changed:l.end], changed)
 	return cost, nil
 }
 
 func (d *daemonState) computeMerge(seg []byte) (time.Duration, error) {
 	m, err := decodeMergeBlock(seg, &d.dec)
+	if err == nil {
+		err = d.widths("merge", d.cfg.alg.AttrWidth(), m.msgW)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -563,6 +572,6 @@ func (d *daemonState) computeMerge(seg []byte) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	putF64s(seg[l.a:l.b], accA)
+	le.Put(seg[l.a:l.b], accA)
 	return cost, nil
 }

@@ -1,6 +1,7 @@
 package gxplug
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -69,8 +70,10 @@ func TestDaemonRejectsCorruptSegment(t *testing.T) {
 }
 
 // A well-formed gen block whose triplets name rows outside its vertex
-// block, and a merge block of width zero, are what the size checks cannot
-// see; the daemon must refuse both instead of indexing or dividing by them.
+// block, a merge block of width zero, and a block of any kind laid out at
+// widths other than the algorithm's are what the size checks cannot see;
+// the daemon must refuse each instead of indexing or dividing by them, and
+// a block at a foreign width before any kernel writes into the segment.
 func TestDaemonRejectsBadRowsAndZeroWidth(t *testing.T) {
 	a, _ := connectedAgent(t)
 	defer a.Disconnect()
@@ -92,6 +95,47 @@ func TestDaemonRejectsBadRowsAndZeroWidth(t *testing.T) {
 	c.u32(0) // msgW
 	if _, _, err := p.request(msgMerge, nil); err == nil || !strings.Contains(err.Error(), "implausible merge block") {
 		t.Fatalf("zero-width merge block accepted or wrong error: %v", err)
+	}
+
+	// PageRank's rows are 1 wide, attributes and messages.
+	ids, two := []graph.VertexID{1, 2}, []float64{1, 2, 3, 4}
+	trips := &edgeBlock{Triplets: []triplet{{Src: 1, Dst: 2, W: 1, SrcRow: 0, DstRow: 1}}}
+	for _, c := range []struct {
+		op    int64
+		write func() error
+		want  string
+	}{
+		{msgCompute, func() error {
+			_, err := encodeGenBlockOracle(seg, trips, &vertexBlock{IDs: ids, Stride: 2, Attrs: two}, 1, false)
+			return err
+		}, "gen block has rows 2/1 wide (attribute/message), the algorithm's are 1/1"},
+		{msgCompute, func() error {
+			_, err := encodeGenBlockOracle(seg, trips, &vertexBlock{IDs: ids, Stride: 1, Attrs: two[:2]}, 3, false)
+			return err
+		}, "gen block has rows 1/3 wide (attribute/message), the algorithm's are 1/1"},
+		{msgApply, func() error {
+			_, err := encodeApplyWire(seg, ids, two, 2, two[:2], 1, []bool{true, false})
+			return err
+		}, "apply block has rows 2/1 wide (attribute/message), the algorithm's are 1/1"},
+		{msgApply, func() error {
+			_, err := encodeApplyWire(seg, ids, two[:2], 1, two, 2, []bool{true, false})
+			return err
+		}, "apply block has rows 1/2 wide (attribute/message), the algorithm's are 1/1"},
+		{msgMerge, func() error {
+			_, err := encodeMergeBlock(seg, two, two, 2)
+			return err
+		}, "merge block has rows 1/2 wide (attribute/message), the algorithm's are 1/1"},
+	} {
+		if err := c.write(); err != nil {
+			t.Fatal(err)
+		}
+		before := bytes.Clone(seg)
+		if _, _, err := p.request(c.op, nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("foreign-width block accepted or wrong error: %v, want %q", err, c.want)
+		}
+		if !bytes.Equal(seg, before) {
+			t.Fatalf("%q: the refused block's segment was written", c.want)
+		}
 	}
 	clearKind(seg)
 	if _, err := a.RequestGen(nil); err != nil {
