@@ -131,10 +131,16 @@ race-dynamic:
 # reference. genKernel.chunk is the one place concurrent kernel calls
 # share a slab (a launch's chunks run on the host helpers, each in its
 # own window of the partials), so its oracle test runs several times at
-# GOMAXPROCS 8. It reads its triplets in place from the segment, in the
-# wire form the agent plans them in: the planned bytes are held to the
-# Triplet-slab encoder they replaced, and a row outside the block, met by
-# whichever chunk, must fail the launch naming the lowest bad triplet.
+# GOMAXPROCS 8. It reads its triplets in place from the agent's topology
+# segment, in the wire form the agent plans them in: the planned bytes are
+# held to the Triplet-slab encoder they replaced, and a row outside the
+# block, met by whichever chunk, must fail the launch naming the lowest
+# bad triplet. The daemons read that segment, which the agent rewrites
+# between supersteps, with the request queue as the only ordering between
+# the two: an agent with two daemons over one topology must match one
+# daemon, and Connect, Disconnect, a crash and a Connect that fails
+# part-way must leave every segment, the topology's included, attached by
+# whom it should be and destroyed when it should be.
 # Chunk partials hold the merge identity between launches, each launch
 # resetting only the rows the last one wrote: one kernel run through
 # shrinking, growing, failing and panicking launches must match a fresh
@@ -158,6 +164,7 @@ race-gen:
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestNativeGenMatchesOracle|TestNativeGenAllocatesNothing|TestNativeGenReusesOneBufferPerNode' ./internal/engine
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenChunkMatchesOracle|TestGenKernelReusesPartials' -count=10 ./internal/gxplug
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestGenBlockBytesMatchOracle|TestApplyMergeBytesMatchOracle|TestGenKernelNamesLowestBadRow|TestMergeKernelMatchesOracle|TestRequestGenReusesOneResult' ./internal/gxplug
+	GOMAXPROCS=8 $(GO) test -race -short -run 'TestDisconnectDestroysSegments|TestConnectFailureLeavesNamespaceEmpty|TestAgentMultiDaemonMatchesSingle' ./internal/gxplug
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestCodecMatchesLoop' ./internal/le
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestSourceOnlyDeclarationsHold|TestMergeDeclarationsHold' ./gx
 	GOMAXPROCS=8 $(GO) test -race -short -run 'TestLPMergeMatchesOracle' ./internal/algos

@@ -97,7 +97,8 @@ func TestFailedRunReleasesIPC(t *testing.T) {
 				if nd.ID < 2 && nd.Bucket(bucketMiddleware) == 0 {
 					t.Fatalf("node %d never connected its agent", nd.ID)
 				}
-				// Daemon d's keys are 1000+10d .. 1004+10d (gxplug/protocol.go).
+				// Daemon d's keys are 1000+10d .. 1005+10d, the agent's topology
+				// segment's 999 (gxplug/protocol.go).
 				for key := shm.Key(990); key < 1030; key++ {
 					if _, err := nd.IPC.Msgget(key, shm.Open); !errors.Is(err, shm.ErrNotFound) {
 						t.Errorf("node %d: queue %d outlives the run (%v)", nd.ID, key, err)

@@ -10,6 +10,7 @@ import (
 	"gxplug/internal/graph"
 	"gxplug/internal/gxplug/synccache"
 	"gxplug/internal/gxplug/template"
+	"gxplug/internal/shm"
 	"gxplug/internal/simtime"
 )
 
@@ -192,6 +193,8 @@ type Agent struct {
 
 	daemons []*daemonProc
 	devices []*device.Device
+	topoSeg *shm.Segment // which every daemon attaches too
+	topo    []byte       // the agent's attachment: the planned triplets (buildBlocks)
 	// store says which rows of vt hold authoritative values, which of
 	// those are dirty, and which was used least recently: vt's rows are
 	// the synchronization cache's values, there is no second copy. With
@@ -214,15 +217,13 @@ type Agent struct {
 
 	// prevRows and prevBlockEdges remember the previous iteration's block
 	// plan for topology-residency detection; blocks is that plan, reused
-	// as-is while the frontier is stable. Its blocks are windows of the
-	// three slabs — the triplets in wire form, the vertex ids and their
-	// table rows — which buildBlocks refills in place on a frontier
-	// change; blockIdx is buildBlocks' vertex → block-local row index and
-	// vEnds its scratch.
+	// as-is while the frontier is stable. Its blocks are windows of topo
+	// and of two slabs, the vertex ids and their table rows, which
+	// buildBlocks refills in place on a frontier change; blockIdx is
+	// buildBlocks' vertex → block-local row index and vEnds its scratch.
 	prevRows       []int
 	prevBlockEdges int
 	blocks         []blockPlan
-	blockTrips     []byte
 	blockIDs       []graph.VertexID
 	blockRows      []int32
 	blockIdx       []int32
@@ -322,27 +323,35 @@ func (a *Agent) TakeStats() Stats {
 	return s
 }
 
-// Connect spawns the daemons, initializes their devices (charged once —
-// runtime isolation), sizes the shared segments, reserves device memory
-// for the partition (OOM surfaces here, as in Fig 9b), and performs the
-// initial download of the node's vertex table.
+// Connect creates the topology segment, spawns the daemons, initializes
+// their devices (charged once — runtime isolation), sizes the shared
+// segments, reserves device memory for the partition (OOM surfaces here,
+// as in Fig 9b), and performs the initial download of the node's vertex
+// table.
 func (a *Agent) Connect() error {
 	if a.connected {
 		return errors.New("gxplug: agent already connected")
 	}
+	// The partition's triplets: the bytes partitionFootprint reserves.
+	seg, err := a.node.IPC.Shmget(topoKey, max(1, len(a.part.Edges)*tripletBytes), shm.CreateExclusive)
+	if err != nil {
+		return fmt.Errorf("gxplug: topology segment: %w", err)
+	}
+	a.topoSeg = seg
+	a.topo, _ = seg.Attach() // just created: cannot fail
 	// The devices come first: the block-size policy that bounds a segment
-	// (segmentSize) reads their rates.
+	// (segmentSizes) reads their rates.
 	for _, spec := range a.opts.Devices {
 		a.devices = append(a.devices, device.New(spec))
 	}
-	segSize := a.segmentSize()
+	sizes := a.segmentSizes()
 	var maxInit time.Duration
 	footprint := a.partitionFootprint()
 	perDaemon := footprint / int64(len(a.opts.Devices))
 	for i, dev := range a.devices {
 		proc, initCost, err := startDaemon(daemonConfig{
 			index: i, ipc: a.node.IPC, dev: dev, alg: a.alg, ctx: a.ctx,
-			segSize: segSize, rawCall: a.opts.RawCall,
+			segSizes: sizes, topo: a.topoSeg, rawCall: a.opts.RawCall,
 		})
 		if err != nil {
 			a.teardown()
@@ -392,31 +401,36 @@ func (a *Agent) Disconnect() {
 	a.connected = false
 }
 
+// teardown stops the daemons, which detach the topology segment as they
+// exit, then removes it, and forgets the plan it held.
 func (a *Agent) teardown() {
 	for _, p := range a.daemons {
 		p.shutdown()
 	}
-	a.daemons = nil
-	a.devices = nil
+	if a.topoSeg != nil {
+		_ = a.topoSeg.Detach() // attached in Connect: cannot fail
+		a.topoSeg.Remove()
+	}
+	a.daemons, a.devices, a.topoSeg, a.topo = nil, nil, nil, nil
+	a.DropResidency()
 }
 
 func (a *Agent) charge(d time.Duration) { a.node.Charge(bucketMiddleware, d) }
 
-// segmentSize picks shared segment capacity: the largest block this agent
-// can ship plus slack. RequestGen cuts the d <= E active edges of the
-// partition's E into blocks of chooseBlockSize(d) triplets, and
-// chooseBlockSize is monotone in d, so no Gen block outgrows
-// chooseBlockSize(E) triplets; b triplets reference at most 2b vertices,
-// and never more than the edge table has endpoints. Should a block ever
-// exceed the bound, its encode fails with "block needs N bytes, segment
-// has M" — loud, not wrong.
-func (a *Agent) segmentSize() int {
+// segmentSizes picks each daemon segment's capacity: the largest block it
+// holds plus slack. RequestGen cuts the d <= E active edges of the
+// partition's E into Gen blocks of chooseBlockSize(d) triplets, which is
+// monotone in d, so none outgrows chooseBlockSize(E) triplets; b triplets
+// reference at most 2b vertices, and never more than the edge table has
+// endpoints. An apply batch or merge block has a row per master at most.
+// A block past the bound fails its encode ("block needs N bytes, segment
+// has M") — loud, not wrong.
+func (a *Agent) segmentSizes() [4]int {
 	maxEdges := max(1, a.chooseBlockSize(len(a.part.Edges)))
 	maxVerts := min(2*maxEdges, a.part.Endpoints)
-	aw, mw := int64(a.alg.AttrWidth()), int64(a.alg.MsgWidth())
-	return int(max(layGen(int64(maxEdges), int64(maxVerts), aw, mw).end,
-		layApply(int64(a.vt.Len()+1), aw, mw).end,
-		layMerge(int64(len(a.part.Masters)+1), mw).end)) + 64
+	aw, mw, nM := int64(a.alg.AttrWidth()), int64(a.alg.MsgWidth()), int64(len(a.part.Masters)+1)
+	gen := int(layGen(int64(maxVerts), aw, mw).end) + 64
+	return [4]int{gen, gen, gen, int(max(layApply(nM, aw, mw).end, layMerge(nM, mw).end)) + 64}
 }
 
 // partitionFootprint estimates the device-resident bytes of this node's

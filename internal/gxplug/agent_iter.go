@@ -17,15 +17,14 @@ import (
 // requestGen, requestMerge, requestApply — including the pipeline-shuffle
 // rotation protocol against each daemon (Algorithms 1 and 2).
 
-// blockPlan is one block before encoding: its triplets in wire form
-// (tripletBytes each), the vertices they reference and each vertex's row
-// in the agent's vertex table (-1 where this node holds no copy: a remote
-// destination), each a window of the agent's slab of that kind
-// (buildBlocks).
+// blockPlan is one block before encoding: its triplets, [first,
+// first+nT) of the topology segment, the vertices they reference and each
+// vertex's row in the agent's vertex table (-1 where this node holds no
+// copy: a remote destination), windows of the agent's slabs (buildBlocks).
 type blockPlan struct {
-	trips []byte
-	ids   []graph.VertexID
-	rows  []int32
+	first, nT int
+	ids       []graph.VertexID
+	rows      []int32
 }
 
 // RequestGen runs MSGGen (+ combining MSGMerge) over this node's active
@@ -75,10 +74,10 @@ func (a *Agent) RequestGen(active func(graph.VertexID) bool) (*GenResult, error)
 	// Topology residency: daemons hold the edge blocks across iterations
 	// (§II-B's blocks live in shared memory; only vertex attributes
 	// change value). When this iteration's participating rows and block
-	// size match the previous iteration's, the topology bytes are already
-	// device-resident, only attribute traffic is charged, and the cached
-	// block plans are reused as-is — attribute content is refreshed at
-	// download time (fillBlock), never at plan time.
+	// size match the previous iteration's, the topology segment already
+	// holds this plan's triplets, only attribute traffic is charged, and
+	// the cached block plans are reused as-is — attribute content is
+	// refreshed at download time (fillBlock), never at plan time.
 	reuseTopo := a.sameRowSet(rows, blockEdges)
 	if !reuseTopo {
 		a.blocks = a.buildBlocks(rows, blockEdges)
@@ -173,10 +172,10 @@ func (a *Agent) coefficients() pipeline.Coefficients {
 
 // buildBlocks cuts the chosen rows' edges into paired vertex/edge blocks
 // of at most blockEdges triplets, overwriting the previous plan: the
-// blocks are consecutive windows of the triplet, id and table-row slabs.
-// Each triplet is written once, in the wire form fillBlock copies into a
-// segment. Attribute content is encoded at pipeline download time
-// (fillBlock), not planned here.
+// blocks are consecutive windows of the id and table-row slabs and of the
+// topology segment, which holds every edge of the partition and where each
+// triplet is written once, in wire form. Attribute content is encoded at
+// pipeline download time (fillBlock), not planned here.
 func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 	// blockIdx[v] is 1 + the id-slab position of v's entry in the block
 	// being cut — anything at or below the block's first position is an
@@ -185,19 +184,6 @@ func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 	for _, id := range a.blockIDs {
 		idx[id] = 0
 	}
-	d := 0
-	for _, row := range rows {
-		re := a.part.RowEdges[row]
-		d += int(re[1] - re[0])
-	}
-	// Doubling, unlike grow: a frontier that widens every superstep would
-	// otherwise regrow the slab every superstep. Not slices.Grow: built
-	// with -race, it allocates the growth twice.
-	trips := a.blockTrips
-	if n := d * tripletBytes; cap(trips) < n {
-		trips = make([]byte, n, max(n, 2*cap(trips)))
-	}
-	trips = trips[:d*tripletBytes]
 	ids, vtRows, vEnds := a.blockIDs[:0], a.blockRows[:0], a.vEnds[:0]
 	vLo := 0
 	local := func(id graph.VertexID) int32 {
@@ -218,7 +204,7 @@ func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 		re := a.part.RowEdges[row]
 		for _, edge := range a.part.Edges[re[0]:re[1]] {
 			srcRow := local(edge.Src)
-			putTriplet(trips[n*tripletBytes:], edge.Src, edge.Dst, srcRow, local(edge.Dst), edge.Weight)
+			putTriplet(a.topo[n*tripletBytes:], edge.Src, edge.Dst, srcRow, local(edge.Dst), edge.Weight)
 			n++
 			if n%blockEdges == 0 {
 				vEnds = append(vEnds, len(ids))
@@ -229,13 +215,14 @@ func (a *Agent) buildBlocks(rows []int, blockEdges int) []blockPlan {
 	if len(ids) > vLo {
 		vEnds = append(vEnds, len(ids))
 	}
-	a.blockTrips, a.blockIDs, a.blockRows, a.vEnds = trips, ids, vtRows, vEnds
+	a.blockIDs, a.blockRows, a.vEnds = ids, vtRows, vEnds
 
 	out := a.blocks[:0]
 	vLo = 0
 	for i, vHi := range vEnds {
 		out = append(out, blockPlan{
-			trips: trips[i*blockEdges*tripletBytes : min((i+1)*blockEdges, n)*tripletBytes],
+			first: i * blockEdges,
+			nT:    min(blockEdges, n-i*blockEdges),
 			ids:   ids[vLo:vHi],
 			rows:  vtRows[vLo:vHi],
 		})
@@ -373,24 +360,23 @@ func (a *Agent) runPipeline(di int, blocks []blockPlan, res *GenResult, reuseTop
 	total := simtime.SequentialMakespan(costs)
 	for i := range blocks {
 		l := a.layout(&blocks[i])
-		total += 2 * simtime.TimeFor(float64(l.acc-l.trips), memcpyRate)
+		total += 2 * simtime.TimeFor(float64(int64(blocks[i].nT)*tripletBytes+l.acc-l.ids), memcpyRate)
 	}
 	return total, nil
 }
 
 // layout is the byte map of block bp's Gen block.
 func (a *Agent) layout(bp *blockPlan) genLayout {
-	return layGen(int64(len(bp.trips)/tripletBytes), int64(len(bp.ids)), int64(a.alg.AttrWidth()), int64(a.alg.MsgWidth()))
+	return layGen(int64(len(bp.ids)), int64(a.alg.AttrWidth()), int64(a.alg.MsgWidth()))
 }
 
 // fillBlock materializes one block into a segment: ensures fresh source
-// attributes (cache-aware), then encodes the header, the planned triplet
-// section (one copy), the vertex ids and each vertex's attribute row
-// straight from the vertex table (zeros for a vertex this node holds no
-// copy of). Returns the download-stage cost. With reuseTopo the triplet
-// copy still happens for real (segments rotate), but only the id and
-// attribute bytes are charged: the daemon already holds this topology from
-// the previous iteration.
+// attributes (cache-aware), then encodes the header, which names the
+// block's window of the topology segment, the vertex ids and each
+// vertex's attribute row straight from the vertex table (zeros for a
+// vertex this node holds no copy of). Returns the download-stage cost,
+// which counts the block's triplets unless reuseTopo says the daemon
+// already holds this topology from the previous iteration (genBytesIn).
 func (a *Agent) fillBlock(seg []byte, bp *blockPlan, reuseTopo bool) (time.Duration, error) {
 	var cost time.Duration
 	// Rows to refresh: every vertex the block references that exists in
@@ -404,7 +390,7 @@ func (a *Agent) fillBlock(seg []byte, bp *blockPlan, reuseTopo bool) (time.Durat
 	a.fillRows = rows
 	cost += a.ensureRows(rows)
 	aw := a.alg.AttrWidth()
-	l, err := encodeGenBlock(seg, bp.trips, bp.ids, aw, a.alg.MsgWidth(), reuseTopo)
+	l, err := encodeGenBlock(seg, bp.first, bp.nT, bp.ids, aw, a.alg.MsgWidth(), reuseTopo)
 	if err != nil {
 		return 0, err
 	}
@@ -416,11 +402,7 @@ func (a *Agent) fillBlock(seg []byte, bp *blockPlan, reuseTopo bool) (time.Durat
 			clear(row)
 		}
 	}
-	moved := l.acc
-	if reuseTopo {
-		moved = l.acc - l.ids
-	}
-	cost += simtime.TimeFor(float64(moved), memcpyRate)
+	cost += simtime.TimeFor(float64(genBytesIn(int64(bp.nT), int64(len(bp.ids)), int64(aw), reuseTopo)), memcpyRate)
 	return cost, nil
 }
 
@@ -445,7 +427,6 @@ func (a *Agent) drainBlock(seg []byte, bp *blockPlan, res *GenResult) time.Durat
 			remoteMsgs++
 		}
 	}
-	clearKind(seg)
 
 	cost := simtime.TimeFor(float64(l.end-l.acc), memcpyRate)
 	msgBytes := func(n int) int64 { return int64(n) * RowBytes(mw) }
@@ -498,7 +479,7 @@ func (a *Agent) RequestMerge(res *GenResult, incoming *MsgBuf) error {
 	}
 
 	p := a.daemons[0] // merge is cheap; one daemon suffices
-	seg := p.mem[physSeg(roleC, p.rot)]
+	seg := p.mem[segApplyMerge]
 	l, err := encodeMergeBlock(seg, local.Acc(), incoming.Acc(), mw)
 	if err != nil {
 		return err
@@ -511,7 +492,6 @@ func (a *Agent) RequestMerge(res *GenResult, incoming *MsgBuf) error {
 		return fmt.Errorf("gxplug: merge: unexpected reply %d", typ)
 	}
 	le.Get(local.Acc(), seg[l.a:l.b])
-	clearKind(seg)
 
 	dc := decodeCost(payload)
 	a.stats.DeviceTime += dc
@@ -584,7 +564,7 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 			continue
 		}
 		p := a.daemons[di]
-		seg := p.mem[physSeg(roleC, p.rot)]
+		seg := p.mem[segApplyMerge]
 		l, err := a.encodeApply(seg, sel[sp.lo:sp.hi], local)
 		if err != nil {
 			return nil, err
@@ -600,7 +580,6 @@ func (a *Agent) RequestApply(res *GenResult) (*ApplyResult, error) {
 		a.stats.DeviceTime += dc
 		worst = max(worst, dc+2*queueMsgOverhead)
 		a.writeBack(seg, l, sel[sp.lo:sp.hi], out)
-		clearKind(seg)
 	}
 	cost += worst
 	if len(a.pushIDs) > 0 {

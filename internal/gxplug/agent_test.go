@@ -569,9 +569,10 @@ func TestAgentDoubleConnect(t *testing.T) {
 }
 
 // Block cutting: for random graphs, row subsets and block sizes, every
-// selected edge lands in exactly one block, no block is empty or over
-// capacity, triplet rows resolve to their endpoints, and a vertex block
-// lists each referenced vertex once.
+// selected edge lands in exactly one block, the blocks' windows tile the
+// topology segment from its start, no block is empty or over capacity,
+// triplet rows resolve to their endpoints, and a vertex block lists each
+// referenced vertex once.
 func TestBuildBlocksCutsAndPairs(t *testing.T) {
 	held, remote := 0, 0 // block vertices with and without a table row
 	for seed := int64(0); seed < 40; seed++ {
@@ -584,6 +585,9 @@ func TestBuildBlocksCutsAndPairs(t *testing.T) {
 		part := graph.EdgeCutByRange(g, 2)
 		ctx := testCtx(g)
 		a := NewAgent(cluster.New(2, cluster.DatacenterNet()).Node(1), part, pr, ctx, newFakeUpper(g, pr, ctx), fastOpts())
+		if err := a.Connect(); err != nil {
+			t.Fatal(err)
+		}
 
 		// Several plans on one agent: each rebuild overwrites the slabs and
 		// the vertex index of the one before, and must not see any of it.
@@ -600,10 +604,10 @@ func TestBuildBlocksCutsAndPairs(t *testing.T) {
 			blockEdges := 1 + rng.Intn(7)
 			total := 0
 			for bi, bp := range a.buildBlocks(rows, blockEdges) {
-				trips := tripletsOf(bp.trips)
-				if n := len(trips); n == 0 || n > blockEdges || len(bp.trips) != n*tripletBytes {
-					t.Fatalf("seed %d round %d block %d: %d triplets in %d bytes, capacity %d", seed, round, bi, n, len(bp.trips), blockEdges)
+				if bp.nT == 0 || bp.nT > blockEdges || bp.first != total {
+					t.Fatalf("seed %d round %d block %d: triplets [%d, %d) after %d, capacity %d", seed, round, bi, bp.first, bp.first+bp.nT, total, blockEdges)
 				}
+				trips := tripletsOf(a.topo[bp.first*tripletBytes : (bp.first+bp.nT)*tripletBytes])
 				total += len(trips)
 				for _, tr := range trips {
 					if bp.ids[tr.SrcRow] != tr.Src || bp.ids[tr.DstRow] != tr.Dst {
@@ -635,6 +639,7 @@ func TestBuildBlocksCutsAndPairs(t *testing.T) {
 				t.Fatalf("seed %d round %d: blocks carry %d triplets, selected rows have %d", seed, round, total, want)
 			}
 		}
+		a.Disconnect()
 	}
 	if held == 0 || remote == 0 {
 		t.Fatalf("plans covered %d held and %d remote block vertices, want both", held, remote)

@@ -90,9 +90,10 @@ func randomGenBlock(rng *rand.Rand, nV, nT, maxRun, stride int) (*edgeBlock, *ve
 // covers the one slab concurrent chunks share — over random
 // source-grouped blocks, and compares every chunk's partial accumulator
 // and received flags, bit for bit, with the per-triplet kernel it
-// replaced. The kernel reads the triplets in place from an encoded
-// segment; the oracle runs over the triplets the oracle decoder copies out
-// of the same segment. launch folds the partials in chunk-index order with
+// replaced. The kernel reads the triplets in place from the topology an
+// encoded block names; the oracle runs over the triplets the oracle
+// decoder copies out of the same bytes, laid out as the oracle encoder
+// lays them out. launch folds the partials in chunk-index order with
 // code this comparison does not touch. Block shapes: empty, a single short
 // chunk, and several chunks with runs long enough that a chunk boundary
 // falls inside one.
@@ -151,15 +152,12 @@ func TestGenChunkMatchesOracle(t *testing.T) {
 func checkChunks(t *testing.T, alg template.Algorithm, ctx *template.Context, eb *edgeBlock, vb *vertexBlock) {
 	t.Helper()
 	msgW, nV := alg.MsgWidth(), len(vb.IDs)
-	seg := make([]byte, genBlockSize(len(eb.Triplets), nV, vb.Stride, msgW))
-	if _, err := encodeGenBlockOracle(seg, eb, vb, msgW, false); err != nil {
-		t.Fatal(err)
-	}
+	seg, topo := genSegment(t, eb, vb, msgW)
 	dev := device.New(device.Xeon20())
 	dev.Init()
 	got := new(genKernel)
 	got.init(alg, ctx)
-	b, err := decodeGenBlock(seg, &blockScratch{})
+	b, err := decodeGenBlock(seg, topo, &blockScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +165,8 @@ func checkChunks(t *testing.T, alg template.Algorithm, ctx *template.Context, eb
 		t.Fatal(err)
 	}
 
-	oeb, ovb, _, _, _, err := decodeGenBlockOracle(seg, &oracleScratch{})
+	// The oracle's size check counts the deleted cost word.
+	oeb, ovb, _, _, _, err := decodeGenBlockOracle(append(oracleGenBytes(seg, topo), make([]byte, 8)...), &oracleScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +224,8 @@ func TestGenKernelNamesLowestBadRow(t *testing.T) {
 		for _, i := range plant.at {
 			eb.Triplets[i].SrcRow, eb.Triplets[i].DstRow = plant.src, plant.dst
 		}
-		seg := make([]byte, genBlockSize(len(eb.Triplets), nV, vb.Stride, alg.MsgWidth()))
-		if _, err := encodeGenBlockOracle(seg, eb, vb, alg.MsgWidth(), false); err != nil {
-			t.Fatal(err)
-		}
-		b, err := decodeGenBlock(seg, &blockScratch{})
+		seg, topo := genSegment(t, eb, vb, alg.MsgWidth())
+		b, err := decodeGenBlock(seg, topo, &blockScratch{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,11 +329,8 @@ func TestGenKernelReusesPartials(t *testing.T) {
 					eb.Triplets[st.bad].DstRow = int32(st.nV + 3)
 				}
 				msgW := inner.MsgWidth()
-				seg := make([]byte, genBlockSize(len(eb.Triplets), st.nV, vb.Stride, msgW))
-				if _, err := encodeGenBlockOracle(seg, eb, vb, msgW, false); err != nil {
-					t.Fatal(err)
-				}
-				b, err := decodeGenBlock(seg, &blockScratch{})
+				seg, topo := genSegment(t, eb, vb, msgW)
+				b, err := decodeGenBlock(seg, topo, &blockScratch{})
 				if err != nil {
 					t.Fatal(err)
 				}

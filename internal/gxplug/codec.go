@@ -26,10 +26,10 @@ import (
 // block kind has one byte map (genLayout, applyLayout, mergeLayout),
 // computed from its header counts; the encoder, the decoder, the daemon's
 // result writes and the agent's result reads all take their offsets from
-// it. A Gen block's triplets are bytes end to end: the agent plans them in
-// wire form (putTriplet), its encoder copies the planned section into the
-// segment in one move, and the daemon's kernel reads them where they lie.
-// The daemon's cost travels in its reply (encodeCost), never in a block.
+// it. A Gen block names its window of the topology segment, where the
+// agent plans triplets in wire form (putTriplet) and the daemon's kernel
+// reads them. The daemon's cost travels in its reply (encodeCost), never
+// in a block.
 
 const (
 	blockKindGen   = 0xB10C0001
@@ -39,7 +39,7 @@ const (
 
 // A wire-form triplet is tripletBytes little-endian bytes: src, dst,
 // srcRow and dstRow as u32 at these offsets, then w as an f64. srcRow and
-// dstRow index the block's vertex rows.
+// dstRow index the vertex rows of its block.
 const (
 	tripSrc      = 0
 	tripDst      = 4
@@ -69,27 +69,37 @@ const maxBlockDim = 1 << 28
 // genLayout is a Gen block's byte map. Each field is the offset at which
 // a section starts; the section ends where the next one starts.
 //
-//	header  kind, nT, nV, attrW, msgW, resident (u32 each)    agent
-//	trips   nT wire-form triplets                             agent
-//	ids     nV vertex ids (u32)                               agent
-//	attrs   nV rows of attrW f64                              agent
-//	acc     nV rows of msgW f64: the merged messages          daemon
-//	recv    nV bytes: 1 where row r received a message        daemon
+//	header  kind, nT, nV, attrW, msgW, resident, first (u32 each) agent
+//	ids     nV vertex ids (u32)                                   agent
+//	attrs   nV rows of attrW f64                                  agent
+//	acc     nV rows of msgW f64: the merged messages              daemon
+//	recv    nV bytes: 1 where row r received a message            daemon
 //	end
 //
-// The payload is [0, acc): what the agent ships. [acc, end) is the result
-// area the daemon writes and the agent drains.
-type genLayout struct{ trips, ids, attrs, acc, recv, end int64 }
+// Its triplets are [first, first+nT) of the topology segment. The payload
+// is [0, acc): what the agent writes. [acc, end) is the result area the
+// daemon writes and the agent drains.
+type genLayout struct{ ids, attrs, acc, recv, end int64 }
 
-func layGen(nT, nV, attrW, msgW int64) genLayout {
+func layGen(nV, attrW, msgW int64) genLayout {
 	var l genLayout
-	l.trips = 6 * 4
-	l.ids = l.trips + nT*tripletBytes
+	l.ids = 7 * 4
 	l.attrs = l.ids + nV*4
 	l.acc = l.attrs + nV*attrW*8
 	l.recv = l.acc + nV*msgW*8
 	l.end = l.recv + nV
 	return l
+}
+
+// genBytesIn is what the device link carries of a Gen block of nT
+// triplets and nV vertex rows, as when a block carried its triplets: a
+// six-word header, the triplets, ids and attribute rows, or the ids and
+// attribute rows alone when the daemon holds the topology (resident).
+func genBytesIn(nT, nV, attrW int64, resident bool) int64 {
+	if resident {
+		return nV * (4 + 8*attrW)
+	}
+	return 6*4 + nT*tripletBytes + nV*(4+8*attrW)
 }
 
 // applyLayout is an Apply block's byte map, in the same form.
@@ -133,11 +143,11 @@ func layMerge(rows, msgW int64) mergeLayout {
 // readHeader checks that seg opens with a block header of the given kind,
 // words u32 long, and returns the words after the kind word. The first
 // dims of them are block dimensions, each at most maxBlockDim.
-func readHeader(seg []byte, kind uint32, name string, words, dims int) (h [5]int64, err error) {
+func readHeader(seg []byte, kind uint32, name string, words, dims int) (h [6]int64, err error) {
 	if len(seg) < 4*words {
 		return h, fmt.Errorf("gxplug: %s block header truncated (%d bytes)", name, len(seg))
 	}
-	var w [6]uint32
+	var w [7]uint32
 	le.Get(w[:words], seg)
 	if w[0] != kind {
 		return h, fmt.Errorf("gxplug: segment kind %#x, want %s block", w[0], name)
@@ -168,21 +178,15 @@ func needs(name string, end int64, seg []byte) error {
 }
 
 // blockScratch is the decode target of one daemon: the decoders copy a
-// block's arrays out of the segment into it and return views of it, so a
-// daemon that has seen its largest block decodes without allocating. The
-// views are valid until the next decode into the same scratch. A daemon
-// handles one block at a time, so the kinds share arrays: a Gen block's
-// attribute rows and an apply batch's land in attrs, a merge block's two
-// accumulators in attrs and msgs, and an apply batch's vertex ids in ids.
-// A Gen block's triplets are not copied at all (genBlock.trips is a view
-// of the segment), and its vertex ids, which no kernel reads, are not
-// decoded.
-//
-// Attribute rows are copies, not views of the segment: kernels take
-// []float64 rows, and the attribute array is only 4-byte aligned in the
-// segment when a block lists an odd number of vertices. Every array is
-// copied with le.Get, which on a little-endian host moves an array of
-// three or more values as one copy of bytes.
+// block's arrays out of the segment into it (le.Get) and return views of
+// it, valid until the next decode, so a daemon that has seen its largest
+// block decodes without allocating. A daemon handles one block at a time,
+// so the kinds share arrays: attribute rows land in attrs, a merge block's
+// two accumulators in attrs and msgs, an apply batch's vertex ids in ids.
+// A Gen block's triplets and vertex ids are not copied. Attribute rows are
+// copies, not views of the segment: kernels take []float64 rows, and the
+// attribute array is only 4-byte aligned when a block lists an odd number
+// of vertices.
 type blockScratch struct {
 	ids   []graph.VertexID
 	attrs []float64
@@ -205,28 +209,24 @@ func b2u(f bool) byte {
 	return 0
 }
 
-// encodeGenBlock writes a Gen block's header, its wire-form triplet
-// section trips (one copy) and its vertex ids into seg, and returns the
-// block's layout: the caller fills the attribute section with len(ids)
-// rows of attrW values (le.Put). resident marks the topology as already
-// held by the daemon from the previous iteration, so only attribute bytes
-// move across the device link.
-func encodeGenBlock(seg, trips []byte, ids []graph.VertexID, attrW, msgW int, resident bool) (genLayout, error) {
-	nT := len(trips) / tripletBytes
-	l := layGen(int64(nT), int64(len(ids)), int64(attrW), int64(msgW))
+// encodeGenBlock writes the header of a Gen block over triplets [first,
+// first+nT) and its vertex ids into seg, and returns the block's layout:
+// the caller fills the attribute section with len(ids) rows of attrW
+// values (le.Put). resident marks the topology as already held by the
+// daemon from the previous iteration (genBytesIn).
+func encodeGenBlock(seg []byte, first, nT int, ids []graph.VertexID, attrW, msgW int, resident bool) (genLayout, error) {
+	l := layGen(int64(len(ids)), int64(attrW), int64(msgW))
 	if l.end > int64(len(seg)) {
 		return l, needs("gen", l.end, seg)
 	}
-	le.Put(seg, []uint32{blockKindGen, uint32(nT), uint32(len(ids)), uint32(attrW), uint32(msgW), uint32(b2u(resident))})
-	copy(seg[l.trips:l.ids], trips)
+	le.Put(seg, []uint32{blockKindGen, uint32(nT), uint32(len(ids)), uint32(attrW), uint32(msgW), uint32(b2u(resident)), uint32(first)})
 	le.Put(seg[l.ids:l.attrs], ids)
 	return l, nil
 }
 
-// genBlock is a Gen block as the daemon's kernel sees it: the triplet
-// section in wire form, a view of the segment that the kernel reads in
-// place, and the attribute rows, copied out of the segment into the
-// daemon's scratch.
+// genBlock is a Gen block as the daemon's kernel sees it: its window of
+// the topology segment, which the kernel reads in place, and the attribute
+// rows, copied out of the segment into the daemon's scratch.
 type genBlock struct {
 	trips       []byte
 	nV          int
@@ -237,22 +237,26 @@ type genBlock struct {
 }
 
 // decodeGenBlock validates a Gen block's header and geometry against the
-// segment and returns the block. Only the attribute rows land in sc, and
-// sc grows only after the header's geometry is known to be plausible and
-// to fit the segment, so a lying header cannot size an allocation. The
-// triplets' rows are not checked here: the kernel checks each one as it
-// reads it (genKernel.chunk).
-func decodeGenBlock(seg []byte, sc *blockScratch) (genBlock, error) {
-	h, err := readHeader(seg, blockKindGen, "gen", 6, 4)
+// segment, and its triplet window against topo, the daemon's view of the
+// topology segment, and returns the block. Only the attribute rows land in
+// sc, and sc grows only after the block is known to fit both, so a lying
+// header cannot size an allocation. The kernel checks the triplets' rows
+// as it reads them (genKernel.chunk).
+func decodeGenBlock(seg, topo []byte, sc *blockScratch) (genBlock, error) {
+	h, err := readHeader(seg, blockKindGen, "gen", 7, 4)
 	if err != nil {
 		return genBlock{}, err
 	}
-	l := layGen(h[0], h[1], h[2], h[3])
+	l := layGen(h[1], h[2], h[3])
 	if l.end > int64(len(seg)) {
 		return genBlock{}, fmt.Errorf("gxplug: truncated gen block")
 	}
-	b := genBlock{nV: int(h[1]), attrW: int(h[2]), msgW: int(h[3]), resident: h[4] != 0, at: l}
-	b.trips = seg[l.trips:l.ids:l.ids] // the vertex ids stay in the segment
+	// first is a u32 and nT at most maxBlockDim: in int64 nothing wraps.
+	lo, hi := h[5]*tripletBytes, (h[5]+h[0])*tripletBytes
+	if hi > int64(len(topo)) {
+		return genBlock{}, fmt.Errorf("gxplug: gen block triplets [%d, %d) run past a topology of %d", h[5], h[5]+h[0], len(topo)/tripletBytes)
+	}
+	b := genBlock{trips: topo[lo:hi:hi], nV: int(h[1]), attrW: int(h[2]), msgW: int(h[3]), resident: h[4] != 0, at: l}
 	b.attrs = grow(&sc.attrs, b.nV*b.attrW)
 	le.Get(b.attrs, seg[l.attrs:l.acc])
 	return b, nil

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -142,15 +141,17 @@ func FuzzCodecRoundTrip(f *testing.F) {
 }
 
 // fuzzGenRoundTrip encodes a Gen block through the wire path — triplets
-// planned in wire form, one copy into the segment, attribute rows after —
-// and holds it to the codec it replaced: the oracle encoder's bytes, and
-// the oracle decoder's reading of them.
+// planned in wire form into a topology, a block naming their window,
+// attribute rows after — and holds it to the codec it replaced: laid out
+// as the oracle encoder lays it out, the oracle encoder's bytes, and the
+// oracle decoder's reading of them.
 func fuzzGenRoundTrip(t *testing.T, r *fzr) {
 	nT := int(r.byte()) % 16
 	nV := 1 + int(r.byte())%16
 	attrW := 1 + int(r.byte())%4
 	msgW := 1 + int(r.byte())%4
 	resident := r.byte()&1 == 1
+	first := int(r.byte()) % 4
 
 	eb := &edgeBlock{Triplets: make([]triplet, nT)}
 	for i := range eb.Triplets {
@@ -170,28 +171,28 @@ func fuzzGenRoundTrip(t *testing.T, r *fzr) {
 		vb.Attrs[i] = r.f64()
 	}
 
-	l := layGen(int64(nT), int64(nV), int64(attrW), int64(msgW))
-	seg := make([]byte, l.end)
-	payload, err := encodeGenBlockWire(seg, eb, vb, msgW, resident)
+	l := layGen(int64(nV), int64(attrW), int64(msgW))
+	seg, topo := make([]byte, l.end), make([]byte, (first+nT)*tripletBytes)
+	payload, err := encodeGenBlockWire(seg, topo, first, eb, vb, msgW, resident)
 	if err != nil {
 		t.Fatalf("encode rejected exactly-sized segment: %v", err)
 	}
 	want := make([]byte, genBlockSize(nT, nV, attrW, msgW))
-	if wantPayload, err := encodeGenBlockOracle(want, eb, vb, msgW, resident); err != nil || wantPayload != payload ||
-		!bytes.Equal(seg[:payload], want[:payload]) {
-		t.Fatalf("wire encoder wrote %d bytes unlike the oracle encoder's (err %v)", payload, err)
+	wantPayload, err := encodeGenBlockOracle(want, eb, vb, msgW, resident)
+	if err != nil || !bytes.Equal(oracleGenBytes(seg[:payload], topo), want[:wantPayload]) {
+		t.Fatalf("wire encoder wrote %d bytes unlike the oracle encoder's %d (err %v)", payload, wantPayload, err)
 	}
-	got, err := decodeGenBlock(seg, &blockScratch{})
+	got, err := decodeGenBlock(seg, topo, &blockScratch{})
 	if err != nil {
 		t.Fatalf("decode of valid block failed: %v", err)
 	}
-	d, err := decodeGenBlock(seg, dirtyScratch())
+	d, err := decodeGenBlock(seg, topo, dirtyScratch())
 	if err != nil || d.msgW != got.msgW || d.resident != got.resident || d.at != got.at || d.nV != got.nV ||
 		d.attrW != got.attrW || !bytes.Equal(d.trips, got.trips) || !bitsEq(d.attrs, got.attrs) {
 		t.Fatalf("gen decode through a dirty scratch differs from a fresh one (err %v)", err)
 	}
 	oeb, ovb, oMsgW, oRes, oOff, err := decodeGenBlockOracle(want, &oracleScratch{})
-	if err != nil || got.msgW != oMsgW || got.resident != oRes || got.at.acc != int64(oOff) || got.nV != len(ovb.IDs) ||
+	if err != nil || got.msgW != oMsgW || got.resident != oRes || oOff != wantPayload || got.nV != len(ovb.IDs) ||
 		got.attrW != ovb.Stride || !sameTriplets(tripletsOf(got.trips), oeb.Triplets) || !bitsEq(got.attrs, ovb.Attrs) {
 		t.Fatalf("gen decode disagrees with the oracle decoder (err %v)", err)
 	}
@@ -223,8 +224,8 @@ func fuzzGenRoundTrip(t *testing.T, r *fzr) {
 	}
 	le.Put(seg[l.acc:l.recv], acc)
 	putBools(seg[l.recv:l.end], recv)
-	writeGenResultOracle(want, payload, acc, recv, 0)
-	if !bytes.Equal(seg, want[:l.end]) {
+	writeGenResultOracle(want, wantPayload, acc, recv, 0)
+	if !bytes.Equal(oracleGenBytes(seg, topo), want[:len(want)-8]) {
 		t.Fatal("result area differs from the oracle writer's")
 	}
 	gotAcc := make([]float64, nV*msgW)
@@ -379,8 +380,10 @@ func scratchBytes(sc *blockScratch) int {
 }
 
 // FuzzCodecDecodeNoPanic throws arbitrary bytes at all three decoders:
-// truncated headers, implausible geometry and short payloads must come
-// back as errors, never as panics or out-of-range reads. It is also the
+// truncated headers, implausible geometry, short payloads and Gen blocks
+// naming triplets past the topology must come back as errors, never as
+// panics or out-of-range reads. The input is both the segment and the
+// topology a Gen block's window is read from (genSeed). It is also the
 // guard on what sizes the daemon's scratch (the wiresize lint cannot see
 // through grow): a rejected block grows nothing, and an accepted one
 // nothing beyond the bytes it really occupies in the segment. Every block
@@ -394,7 +397,7 @@ func FuzzCodecDecodeNoPanic(f *testing.F) {
 	f.Add([]byte("short"))
 	// Valid kind words with hostile geometry behind them.
 	for _, kind := range []uint32{blockKindGen, blockKindApply, blockKindMerge} {
-		hdr := make([]byte, 6*4)
+		hdr := make([]byte, 7*4)
 		binary.LittleEndian.PutUint32(hdr, kind)
 		binary.LittleEndian.PutUint32(hdr[4:], 0xFFFFFFFF)
 		binary.LittleEndian.PutUint32(hdr[8:], 0xFFFFFFFF)
@@ -411,11 +414,7 @@ func FuzzCodecDecodeNoPanic(f *testing.F) {
 			{Src: 5, Dst: 4, W: 3, SrcRow: rows[0], DstRow: rows[1]},
 		}}
 		vb := &vertexBlock{IDs: []graph.VertexID{4, 5, 6}, Stride: 2, Attrs: []float64{1, 2, 3, 4, 5, 6}}
-		seg := make([]byte, genBlockSize(3, 3, 2, 1))
-		if _, err := encodeGenBlockOracle(seg, eb, vb, 1, false); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(seg)
+		f.Add(genSeed(eb, vb, 1))
 	}
 	// Well-formed Apply and Merge blocks, sized by their layouts.
 	applySeg := make([]byte, layApply(3, 2, 1).end)
@@ -429,11 +428,17 @@ func FuzzCodecDecodeNoPanic(f *testing.F) {
 	}
 	f.Add(mergeSeg)
 	for _, msgW := range []int{maxBlockDim, 2} {
-		empty := make([]byte, genBlockSize(1, 0, 1, msgW))
-		if _, err := encodeGenBlockOracle(empty, &edgeBlock{Triplets: make([]triplet, 1)}, &vertexBlock{Stride: 1}, msgW, false); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(empty)
+		f.Add(genSeed(&edgeBlock{Triplets: make([]triplet, 1)}, &vertexBlock{Stride: 1}, msgW))
+	}
+	// Gen blocks whose window runs one triplet past the input, and whose
+	// first+nT wraps to a window inside it in u32 arithmetic.
+	eb := &edgeBlock{Triplets: []triplet{{Src: 4, Dst: 5, W: 1, SrcRow: 0, DstRow: 1}, {Src: 5, Dst: 4, W: 2, SrcRow: 1, DstRow: 0}}}
+	vb := &vertexBlock{IDs: []graph.VertexID{4, 5}, Stride: 1, Attrs: []float64{1, 2}}
+	seed := genSeed(eb, vb, 1)
+	for _, first := range []uint32{uint32(len(seed)/tripletBytes - 1), 0xFFFFFFFF} {
+		bad := bytes.Clone(seed)
+		binary.LittleEndian.PutUint32(bad[24:], first)
+		f.Add(bad)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(kind string, sc *blockScratch, err error) {
@@ -444,7 +449,7 @@ func FuzzCodecDecodeNoPanic(f *testing.F) {
 			}
 		}
 		var g, a, m blockScratch
-		_, err := decodeGenBlock(data, &g)
+		_, err := decodeGenBlock(data, data, &g)
 		check("gen", &g, err)
 		if err == nil {
 			runHostileGen(t, data)
@@ -497,19 +502,32 @@ func (xorAlg) MSGApply(*template.Context, graph.VertexID, []float64, []float64, 
 }
 func (xorAlg) Hints() template.Hints { return template.Hints{OpsPerEdge: 1, OpsPerVertex: 1} }
 
-// runHostileGen computes a Gen block the decoder accepted on a daemon
-// whose scratch has seen a larger block. If the oracle decoder's triplets
-// name a row outside the block, the compute must fail with the error
-// naming the lowest such triplet; otherwise it must succeed with the
-// per-triplet result. Either way it must not panic.
+// genSeed is a fuzz input holding a Gen block of eb and vb and the
+// topology it names: the block, then eb's triplets from the first triplet
+// boundary past the block's end.
+func genSeed(eb *edgeBlock, vb *vertexBlock, msgW int) []byte {
+	first := (int(layGen(int64(len(vb.IDs)), int64(vb.Stride), int64(msgW)).end) + tripletBytes - 1) / tripletBytes
+	data := make([]byte, (first+len(eb.Triplets))*tripletBytes)
+	if _, err := encodeGenBlockWire(data, data, first, eb, vb, msgW, false); err != nil {
+		panic(err)
+	}
+	return data
+}
+
+// runHostileGen computes a Gen block the decoder accepted, with data as
+// its topology, on a daemon whose scratch has seen a larger block. If the
+// oracle decoder's triplets name a row outside the block, the compute must
+// fail with the error naming the lowest such triplet; otherwise it must
+// succeed with the per-triplet result. Either way it must not panic.
 func runHostileGen(t *testing.T, data []byte) {
 	t.Helper()
 	seg := append([]byte(nil), data...)
-	b, err := decodeGenBlock(data, &blockScratch{})
+	b, err := decodeGenBlock(data, data, &blockScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := hostileDaemon(b.attrW, b.msgW, len(data))
+	d.topo = data
 	alg := d.cfg.alg
 	_, err = d.computeGen(seg)
 	if refusedAtCap(t, d, err, b.attrW, b.msgW) {
@@ -517,7 +535,7 @@ func runHostileGen(t *testing.T, data []byte) {
 	}
 
 	// The oracle's size check counts the deleted cost word.
-	eb, vb, msgW, _, resultOff, oerr := decodeGenBlockOracle(append(slices.Clip(data), make([]byte, 8)...), &oracleScratch{})
+	eb, vb, msgW, _, resultOff, oerr := decodeGenBlockOracle(append(oracleGenBytes(data, data), make([]byte, 8)...), &oracleScratch{})
 	if oerr != nil {
 		t.Fatalf("oracle decoder rejects a block the decoder accepted: %v", oerr)
 	}
@@ -546,11 +564,11 @@ func runHostileGen(t *testing.T, data []byte) {
 		}
 	}
 	gotAcc, gotRecv := make([]float64, nV*msgW), make([]bool, nV)
-	readGenResultIntoOracle(append(seg, make([]byte, 8)...), resultOff, gotAcc, gotRecv)
+	readGenResultIntoOracle(append(oracleGenBytes(seg, data), make([]byte, 8)...), resultOff, gotAcc, gotRecv)
 	if !bitsEq(gotAcc, wantAcc) || !sameFlags(gotRecv, wantRecv) {
 		t.Fatal("computed Gen result differs from the per-triplet reference")
 	}
-	l := layGen(int64(len(eb.Triplets)), int64(nV), int64(vb.Stride), int64(msgW))
+	l := layGen(int64(nV), int64(vb.Stride), int64(msgW))
 	if !bytes.Equal(seg[:l.acc], data[:l.acc]) || !bytes.Equal(seg[l.end:], data[l.end:]) {
 		t.Fatal("computing the Gen block wrote outside its result area")
 	}

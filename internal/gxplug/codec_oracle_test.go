@@ -22,9 +22,11 @@ import (
 // The Gen block as a Go value, and the codec and planner that copied it
 // field by field: the Triplet-slab plan, the five-cursor-calls-per-triplet
 // encoder and the decoder that read every triplet back into a second slab.
-// A Gen block is bytes end to end now; these are kept verbatim (apart from
-// names, and the planner's slabs living on a holder of their own) as the
-// oracles the wire path is held to. So is the cursor codec of the Apply
+// A Gen block is bytes end to end now, and its triplets live in the
+// topology segment; these are kept verbatim (apart from names, and the
+// planner's slabs living on a holder of their own) as the oracles the wire
+// path is held to, through oracleGenBytes, which lays a wire block and its
+// window of the topology out as the oracle encoder does. So is the cursor codec of the Apply
 // and Merge blocks and of every result area, with the size functions it
 // checked against: each block kind has one layout now, and its result area
 // no longer ends in a cost word. Nothing outside the tests runs them.
@@ -146,24 +148,42 @@ func decodeGenBlockOracle(seg []byte, sc *oracleScratch) (eb *edgeBlock, vb *ver
 	return eb, vb, msgW, resident, c.off, nil
 }
 
-// wireTriplets writes eb's triplets in wire form, as buildBlocks plans
-// them.
-func wireTriplets(eb *edgeBlock) []byte {
-	b := make([]byte, len(eb.Triplets)*tripletBytes)
+// encodeGenBlockWire encodes eb and vb through the wire path: eb's
+// triplets into topo from triplet first on, in wire form as buildBlocks
+// plans them, then the block naming them and the attribute rows fillBlock
+// writes. It returns the payload's end.
+func encodeGenBlockWire(seg, topo []byte, first int, eb *edgeBlock, vb *vertexBlock, msgW int, resident bool) (int, error) {
 	for i, t := range eb.Triplets {
-		putTriplet(b[i*tripletBytes:], t.Src, t.Dst, t.SrcRow, t.DstRow, t.W)
+		putTriplet(topo[(first+i)*tripletBytes:], t.Src, t.Dst, t.SrcRow, t.DstRow, t.W)
 	}
-	return b
-}
-
-// encodeGenBlockWire encodes eb and vb through the wire path: the planned
-// triplet section, then the attribute rows fillBlock writes.
-func encodeGenBlockWire(seg []byte, eb *edgeBlock, vb *vertexBlock, msgW int, resident bool) (int, error) {
-	l, err := encodeGenBlock(seg, wireTriplets(eb), vb.IDs, vb.Stride, msgW, resident)
+	l, err := encodeGenBlock(seg, first, len(eb.Triplets), vb.IDs, vb.Stride, msgW, resident)
 	if err == nil {
 		le.Put(seg[l.attrs:l.acc], vb.Attrs)
 	}
 	return int(l.acc), err
+}
+
+// genSegment encodes eb and vb through the wire path into a segment sized
+// by their layout and a topology holding eb's triplets alone.
+func genSegment(t testing.TB, eb *edgeBlock, vb *vertexBlock, msgW int) (seg, topo []byte) {
+	t.Helper()
+	seg = make([]byte, layGen(int64(len(vb.IDs)), int64(vb.Stride), int64(msgW)).end)
+	topo = make([]byte, len(eb.Triplets)*tripletBytes)
+	if _, err := encodeGenBlockWire(seg, topo, 0, eb, vb, msgW, false); err != nil {
+		t.Fatal(err)
+	}
+	return seg, topo
+}
+
+// oracleGenBytes lays the Gen block in seg out as the oracle encoder
+// does: its header without the first word, the nT triplets of topo the
+// block names, then everything seg holds past the header — ids, attribute
+// rows, result area and any bytes after it. seg must hold a whole header
+// naming a window inside topo.
+func oracleGenBytes(seg, topo []byte) []byte {
+	nT, first := int(binary.LittleEndian.Uint32(seg[4:])), int(binary.LittleEndian.Uint32(seg[24:]))
+	out := append(slices.Clone(seg[:24]), topo[first*tripletBytes:(first+nT)*tripletBytes]...)
+	return append(out, seg[28:]...)
 }
 
 // encodeApplyWire encodes an apply batch through the wire path: the
@@ -180,6 +200,15 @@ func encodeApplyWire(seg []byte, ids []graph.VertexID, attrs []float64, attrW in
 		putBools(seg[l.recv:l.changed], recv)
 	}
 	return l, err
+}
+
+// encodeTriplets writes trips in wire form.
+func encodeTriplets(trips []triplet) []byte {
+	b := make([]byte, len(trips)*tripletBytes)
+	for i, t := range trips {
+		putTriplet(b[i*tripletBytes:], t.Src, t.Dst, t.SrcRow, t.DstRow, t.W)
+	}
+	return b
 }
 
 // tripletsOf reads a wire-form triplet section back into values.
@@ -654,10 +683,13 @@ func junk(b []byte) {
 // TestGenBlockBytesMatchOracle holds the wire path to the codec it
 // replaced, byte for byte: over the random-plan matrix of
 // TestBuildBlocksCutsAndPairs (several plans per agent, each overwriting
-// the last), every block fillBlock writes is, up to the payload end, the
-// block the Triplet-slab plan and encoder write for the same rows — in a
-// fresh plan, and again in reuse-topology rounds, where the plan stays and
-// only the vertex table's values move.
+// the last), the topology segment buildBlocks writes opens with the
+// Triplet-slab plan's triplets in wire form, and every block fillBlock
+// writes names its window of them and, laid out as the oracle encoder lays
+// it (oracleGenBytes), is up to the payload end the block the Triplet-slab
+// plan and encoder write for the same rows — in a fresh plan, and again in
+// reuse-topology rounds, where the plan stays and only the vertex table's
+// values move.
 func TestGenBlockBytesMatchOracle(t *testing.T) {
 	blocks := 0
 	for seed := int64(0); seed < 40; seed++ {
@@ -673,6 +705,9 @@ func TestGenBlockBytesMatchOracle(t *testing.T) {
 		part := graph.EdgeCutByRange(g, 2)
 		ctx := testCtx(g)
 		a := NewAgent(cluster.New(2, cluster.DatacenterNet()).Node(1), part, alg, ctx, newFakeUpper(g, alg, ctx), fastOpts())
+		if err := a.Connect(); err != nil {
+			t.Fatal(err)
+		}
 		o := newOraclePlanner(a)
 		aw := alg.AttrWidth()
 
@@ -689,6 +724,9 @@ func TestGenBlockBytesMatchOracle(t *testing.T) {
 			if len(plan) != len(want) {
 				t.Fatalf("seed %d round %d: %d blocks, oracle plans %d", seed, round, len(plan), len(want))
 			}
+			if slab := encodeTriplets(o.blockTrips); !bytes.Equal(a.topo[:len(slab)], slab) {
+				t.Fatalf("seed %d round %d: the topology segment differs from the oracle's triplet slab", seed, round)
+			}
 			for reuse := 0; reuse < 3; reuse++ {
 				// The table moves on between supersteps; the plan does not.
 				for i := range a.vt.Attrs() {
@@ -696,12 +734,11 @@ func TestGenBlockBytesMatchOracle(t *testing.T) {
 				}
 				for bi := range plan {
 					bp, op := &plan[bi], &want[bi]
-					nT := len(bp.trips) / tripletBytes
-					if nT != len(op.eb.Triplets) {
-						t.Fatalf("seed %d round %d block %d: %d triplets, oracle %d", seed, round, bi, nT, len(op.eb.Triplets))
+					if bp.nT != len(op.eb.Triplets) {
+						t.Fatalf("seed %d round %d block %d: %d triplets, oracle %d", seed, round, bi, bp.nT, len(op.eb.Triplets))
 					}
-					size := genBlockSize(nT, len(bp.ids), aw, alg.MsgWidth()) + 16
-					got, exp := make([]byte, size), make([]byte, size)
+					got := make([]byte, a.layout(bp).end+16)
+					exp := make([]byte, genBlockSize(bp.nT, len(bp.ids), aw, alg.MsgWidth())+16)
 					junk(got)
 					junk(exp)
 					_, err := a.fillBlock(got, bp, reuse > 0)
@@ -712,16 +749,22 @@ func TestGenBlockBytesMatchOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if n, end := len(bp.ids), int(a.layout(bp).acc); n != len(op.vb.IDs) || end != payload {
-						t.Fatalf("seed %d round %d block %d: %d vertices and payload %d, oracle %d vertices, payload %d", seed, round, bi, n, end, len(op.vb.IDs), payload)
+					// What a block is charged is the oracle's payload, or its
+					// ids and attribute rows when the topology is resident.
+					l, nT, nV := a.layout(bp), int64(bp.nT), int64(len(bp.ids))
+					if first := int(binary.LittleEndian.Uint32(got[24:])); nV != int64(len(op.vb.IDs)) || first != bi*blockEdges ||
+						genBytesIn(nT, nV, int64(aw), false) != int64(payload) || genBytesIn(nT, nV, int64(aw), true) != l.acc-l.ids {
+						t.Fatalf("seed %d round %d block %d: %d vertices from triplet %d, payload %d; oracle %d vertices, payload %d",
+							seed, round, bi, nV, first, l.acc, len(op.vb.IDs), payload)
 					}
-					if !bytes.Equal(got[:payload], exp[:payload]) {
+					if !bytes.Equal(oracleGenBytes(got, a.topo)[:payload], exp[:payload]) {
 						t.Fatalf("seed %d round %d reuse %d block %d: segment bytes differ from the oracle encoder's", seed, round, reuse, bi)
 					}
 					blocks++
 				}
 			}
 		}
+		a.Disconnect()
 	}
 	if blocks == 0 {
 		t.Fatal("no blocks compared")

@@ -21,12 +21,13 @@ func TestGenBlockRoundTrip(t *testing.T) {
 		IDs: []graph.VertexID{1, 2, 3}, Stride: 2,
 		Attrs: []float64{1, 2, 3, 4, 5, 6},
 	}
-	seg := make([]byte, layGen(2, 3, 2, 1).end)
-	payload, err := encodeGenBlockWire(seg, eb, vb, 1, false)
+	// The block's two triplets are 3 and 4 of a five-triplet topology.
+	seg, topo := make([]byte, layGen(3, 2, 1).end), make([]byte, 5*tripletBytes)
+	payload, err := encodeGenBlockWire(seg, topo, 3, eb, vb, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := decodeGenBlock(seg, &blockScratch{})
+	b, err := decodeGenBlock(seg, topo, &blockScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +37,18 @@ func TestGenBlockRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(tripletsOf(b.trips), eb.Triplets) || b.nV != 3 || b.attrW != 2 || !reflect.DeepEqual(b.attrs, vb.Attrs) {
 		t.Fatal("gen block round trip mismatch")
 	}
+	if &b.trips[0] != &topo[3*tripletBytes] {
+		t.Fatal("the decoded triplets are not the topology's window")
+	}
+	if _, err := decodeGenBlock(seg, topo[:4*tripletBytes+tripletBytes-1], &blockScratch{}); err == nil ||
+		err.Error() != "gxplug: gen block triplets [3, 5) run past a topology of 4" {
+		t.Fatalf("window past a four-triplet topology: %v", err)
+	}
 }
 
 func TestGenBlockTooSmall(t *testing.T) {
 	seg := make([]byte, 16)
-	if _, err := encodeGenBlock(seg, make([]byte, 10*tripletBytes), make([]graph.VertexID, 5), 1, 1, false); err == nil {
+	if _, err := encodeGenBlock(seg, 0, 10, make([]graph.VertexID, 5), 1, 1, false); err == nil {
 		t.Fatal("undersized segment accepted")
 	}
 }
@@ -48,14 +56,15 @@ func TestGenBlockTooSmall(t *testing.T) {
 // The Gen result area as computeGen writes it and drainBlock reads it:
 // the oracle codec's bytes up to the block's end, and the values back.
 func TestGenResultRoundTrip(t *testing.T) {
-	l := layGen(0, 2, 1, 3)
+	l := layGen(2, 1, 3)
 	seg, want := make([]byte, l.end), make([]byte, genBlockSize(0, 2, 1, 3))
 	acc := []float64{1, 2, 3, 4, 5, math.Inf(1)}
 	recv := []bool{true, false}
 	le.Put(seg[l.acc:l.recv], acc)
 	putBools(seg[l.recv:l.end], recv)
-	writeGenResultOracle(want, int(l.acc), acc, recv, 12345)
-	if !reflect.DeepEqual(seg, want[:l.end]) {
+	// The oracle's header is a word shorter.
+	writeGenResultOracle(want, int(l.acc)-4, acc, recv, 12345)
+	if !reflect.DeepEqual(seg[l.acc:], want[l.acc-4:l.end-4]) {
 		t.Fatal("result area differs from the oracle writer's")
 	}
 	acc2, recv2 := make([]float64, 2*3), make([]bool, 2)
@@ -139,7 +148,7 @@ func TestMergeBlockGeometryErrors(t *testing.T) {
 func TestDecodeWrongKind(t *testing.T) {
 	seg := make([]byte, 256)
 	seg[0] = 0xFF
-	if _, err := decodeGenBlock(seg, &blockScratch{}); err == nil {
+	if _, err := decodeGenBlock(seg, seg, &blockScratch{}); err == nil {
 		t.Fatal("wrong kind accepted by gen decode")
 	}
 	if _, err := decodeApplyBlock(seg, &blockScratch{}); err == nil {
@@ -150,8 +159,9 @@ func TestDecodeWrongKind(t *testing.T) {
 	}
 }
 
-// Property: random gen blocks round-trip exactly, and the wire path
-// writes the bytes the oracle encoder writes.
+// Property: random gen blocks round-trip exactly, and the wire path,
+// laid out as the oracle encoder lays it out, writes the bytes the oracle
+// encoder writes.
 func TestGenBlockRoundTripQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -174,15 +184,18 @@ func TestGenBlockRoundTripQuick(t *testing.T) {
 		for i := range vb.Attrs {
 			vb.Attrs[i] = rng.NormFloat64()
 		}
-		seg := make([]byte, genBlockSize(nT, nV, aw, mw))
-		if _, err := encodeGenBlockWire(seg, eb, vb, mw, seed%2 == 0); err != nil {
+		first := rng.Intn(8)
+		seg, topo := make([]byte, layGen(int64(nV), int64(aw), int64(mw)).end), make([]byte, (first+nT)*tripletBytes)
+		payload, err := encodeGenBlockWire(seg, topo, first, eb, vb, mw, seed%2 == 0)
+		if err != nil {
 			return false
 		}
-		want := make([]byte, len(seg))
-		if _, err := encodeGenBlockOracle(want, eb, vb, mw, seed%2 == 0); err != nil || !reflect.DeepEqual(seg, want) {
+		want := make([]byte, genBlockSize(nT, nV, aw, mw))
+		if wantPayload, err := encodeGenBlockOracle(want, eb, vb, mw, seed%2 == 0); err != nil ||
+			!reflect.DeepEqual(oracleGenBytes(seg[:payload], topo), want[:wantPayload]) {
 			return false
 		}
-		b, err := decodeGenBlock(seg, &blockScratch{})
+		b, err := decodeGenBlock(seg, topo, &blockScratch{})
 		if err != nil || b.msgW != mw || b.resident != (seed%2 == 0) {
 			return false
 		}

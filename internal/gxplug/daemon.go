@@ -18,19 +18,20 @@ import (
 // A daemon is the accelerator abstraction of §II-A1: it owns one device,
 // holds the implemented algorithm template, and runs as an independent
 // process (here: a goroutine) that communicates with its agent only
-// through System V IPC — message queues for flags, rotating shared
-// segments for blocks. Because the daemon outlives iterations, the device
-// runtime is initialized exactly once (§IV-C runtime isolation); the
-// RawCall option disables that for the Fig 13 comparison.
+// through System V IPC — message queues for flags, shared segments for
+// blocks. Because the daemon outlives iterations, the device runtime is
+// initialized exactly once (§IV-C runtime isolation); the RawCall option
+// disables that for the Fig 13 comparison.
 
 // daemonConfig wires up one daemon.
 type daemonConfig struct {
-	index   int
-	ipc     *shm.IPC
-	dev     *device.Device
-	alg     template.Algorithm
-	ctx     *template.Context
-	segSize int
+	index    int
+	ipc      *shm.IPC
+	dev      *device.Device
+	alg      template.Algorithm
+	ctx      *template.Context
+	segSizes [4]int
+	topo     *shm.Segment // the agent's, which the daemon attaches
 	// rawCall re-initializes the device around every operation, modelling
 	// the naive "agent forks daemons per call" integration.
 	rawCall bool
@@ -41,8 +42,8 @@ type daemonProc struct {
 	cfg   daemonConfig
 	reqQ  *shm.Queue
 	respQ *shm.Queue
-	segs  [3]*shm.Segment
-	mem   [3][]byte
+	segs  [4]*shm.Segment // the three rotating, then segApplyMerge
+	mem   [4][]byte
 	// rot mirrors the daemon's rotation state (both sides rotate on the
 	// ExchangeFinished/RotateFinished pair, so they stay in step).
 	rot  int
@@ -60,7 +61,8 @@ type daemonProc struct {
 func physSeg(role, rot int) int { return (role + rot) % 3 }
 
 // startDaemon creates the daemon's queues and segments in the node's IPC
-// namespace and spawns the daemon goroutine. The returned init cost is
+// namespace, attaches the daemon to them and to the agent's topology
+// segment, and spawns the daemon goroutine. The returned init cost is
 // the device bring-up the daemon paid (zero in rawCall mode — it pays per
 // call instead). On error nothing it created stays in the namespace.
 func startDaemon(cfg daemonConfig) (_ *daemonProc, _ time.Duration, err error) {
@@ -78,19 +80,16 @@ func startDaemon(cfg daemonConfig) (_ *daemonProc, _ time.Duration, err error) {
 	if p.respQ, err = cfg.ipc.Msgget(daemonRespKey(cfg.index), shm.CreateExclusive); err != nil {
 		return nil, 0, fmt.Errorf("gxplug: daemon %d response queue: %w", cfg.index, err)
 	}
-	for role := 0; role < 3; role++ {
-		seg, err := cfg.ipc.Shmget(daemonSegKey(cfg.index, role), cfg.segSize, shm.CreateExclusive)
+	for i := range p.segs {
+		seg, err := cfg.ipc.Shmget(daemonSegKey(cfg.index, i), cfg.segSizes[i], shm.CreateExclusive)
 		if err != nil {
-			return nil, 0, fmt.Errorf("gxplug: daemon %d segment %d: %w", cfg.index, role, err)
+			return nil, 0, fmt.Errorf("gxplug: daemon %d segment %d: %w", cfg.index, i, err)
 		}
-		p.segs[role], d.segs[role] = seg, seg
-		if p.mem[role], err = seg.Attach(); err != nil {
-			return nil, 0, fmt.Errorf("gxplug: daemon %d attach %d: %w", cfg.index, role, err)
-		}
-		if d.mem[role], err = seg.Attach(); err != nil {
-			return nil, 0, fmt.Errorf("gxplug: daemon %d self-attach %d: %w", cfg.index, role, err)
-		}
+		p.segs[i], d.segs[i] = seg, seg
+		p.mem[i], _ = seg.Attach() // just created: cannot fail
+		d.mem[i], _ = seg.Attach()
 	}
+	d.topo, _ = cfg.topo.Attach() // the agent's, removed after this daemon stops
 	d.reqQ, d.respQ = p.reqQ, p.respQ
 	var initCost time.Duration
 	if !cfg.rawCall {
@@ -124,15 +123,11 @@ func (p *daemonProc) release() {
 	if p.respQ != nil {
 		p.respQ.Remove()
 	}
-	for role, seg := range p.segs {
-		if seg == nil {
-			continue
+	for _, seg := range p.segs {
+		if seg != nil {
+			_ = seg.Detach() // attached with its creation: cannot fail
+			seg.Remove()
 		}
-		if p.mem[role] != nil {
-			_ = seg.Detach() // attached in startDaemon: cannot fail
-			p.mem[role] = nil
-		}
-		seg.Remove()
 	}
 }
 
@@ -164,9 +159,10 @@ type daemonState struct {
 	cfg   daemonConfig
 	reqQ  *shm.Queue
 	respQ *shm.Queue
-	segs  [3]*shm.Segment
-	mem   [3][]byte
+	segs  [4]*shm.Segment
+	mem   [4][]byte
 	rot   int
+	topo  []byte // the daemon's attachment of cfg.topo
 
 	dec     blockScratch
 	gen     genKernel
@@ -174,15 +170,17 @@ type daemonState struct {
 	costBuf [costBytes]byte
 }
 
-// detach drops the daemon's own segment attachments — on every exit path
-// of the daemon goroutine, so that the agent's Remove can destroy the
-// memory.
+// detach drops the daemon's segment attachments, the topology's
+// included — on every exit path of the daemon goroutine, so that the
+// agent's Remove can destroy the memory.
 func (d *daemonState) detach() {
-	for role, seg := range d.segs {
-		if d.mem[role] != nil {
-			_ = seg.Detach() // attached in startDaemon: cannot fail
-			d.mem[role] = nil
+	for _, seg := range d.segs {
+		if seg != nil {
+			_ = seg.Detach() // attached with its creation: cannot fail
 		}
+	}
+	if d.topo != nil {
+		_ = d.cfg.topo.Detach()
 	}
 }
 
@@ -215,9 +213,9 @@ func (d *daemonState) run() {
 			}
 			d.replyCost(msgComputeFinished, d.computeGen, seg)
 		case msgApply:
-			d.replyCost(msgDone, d.computeApply, d.mem[physSeg(roleC, d.rot)])
+			d.replyCost(msgDone, d.computeApply, d.mem[segApplyMerge])
 		case msgMerge:
-			d.replyCost(msgDone, d.computeMerge, d.mem[physSeg(roleC, d.rot)])
+			d.replyCost(msgDone, d.computeMerge, d.mem[segApplyMerge])
 		default:
 			d.reply(msgError, []byte(fmt.Sprintf("unknown request %d", m.Type)))
 		}
@@ -263,8 +261,8 @@ type genKernel struct {
 	ctx *template.Context
 	op  template.MergeOp // alg's declared merge, read once
 	// blk is the block in flight. Its triplets are read in place from the
-	// segment, and no row they name is used before the chunk reading it
-	// has checked it.
+	// topology segment, and no row they name is used before the chunk
+	// reading it has checked it.
 	blk genBlock
 
 	// The partials' geometry: nChunks chunks over nV rows of msgW values,
@@ -398,14 +396,14 @@ func (k *genKernel) fold(int) error {
 }
 
 // chunk computes one chunk's partial, reading its triplets in place from
-// the segment. Blocks are cut from the source-grouped edge table, so the
-// triplets of one srcRow form a run: the source's row is checked and
-// looked up once per run, and an algorithm that declares Hints.SourceOnly
-// generates once per run and merges that one message into every
-// destination — the value, and the order it is merged in, of a
+// the topology segment. Blocks are cut from the source-grouped edge
+// table, so the triplets of one srcRow form a run: the source's row is
+// checked and looked up once per run, and an algorithm that declares
+// Hints.SourceOnly generates once per run and merges that one message into
+// every destination — the value, and the order it is merged in, of a
 // per-triplet loop; any other generates once per triplet. A run split by
 // the chunk boundary simply generates again at the start of the next
-// chunk. The rows come from the segment, and in a reused scratch a row
+// chunk. The rows come from shared memory, and in a reused scratch a row
 // past the block could land in stale capacity instead of panicking, so
 // the first triplet naming a row outside the block stops the chunk and is
 // recorded in bad[c]. The partials start at identity (prepare); a row is
@@ -486,7 +484,7 @@ func (d *daemonState) widths(block string, attrW, msgW int) error {
 }
 
 func (d *daemonState) computeGen(seg []byte) (time.Duration, error) {
-	b, err := decodeGenBlock(seg, &d.dec)
+	b, err := decodeGenBlock(seg, d.topo, &d.dec)
 	if err == nil {
 		err = d.widths("gen", b.attrW, b.msgW)
 	}
@@ -494,13 +492,7 @@ func (d *daemonState) computeGen(seg []byte) (time.Duration, error) {
 		return 0, err
 	}
 	l := b.at
-	bytesIn := l.acc
-	if b.resident {
-		// Topology already on the device: only ids and attributes cross
-		// the link.
-		bytesIn = l.acc - l.ids
-	}
-	cost, err := d.gen.launch(d.cfg.dev, b, bytesIn, l.end-l.acc)
+	cost, err := d.gen.launch(d.cfg.dev, b, genBytesIn(int64(len(b.trips)/tripletBytes), int64(b.nV), int64(b.attrW), b.resident), l.end-l.acc)
 	if err != nil {
 		return 0, err
 	}

@@ -9,10 +9,11 @@ import (
 
 // The daemon-agent control protocol flows over System V message queues,
 // one request queue and one response queue per daemon. Bulk data never
-// rides the queues — it lives in the three rotating shared-memory
-// segments (the n/c/u chunks of pipeline shuffle, §III-A2b); queue
-// messages carry only flags and small headers, exactly as in Algorithms 1
-// and 2 of the paper.
+// rides the queues: each daemon's three rotating segments (the n/c/u
+// chunks of pipeline shuffle, §III-A2b) carry Gen blocks, a fourth Apply
+// and Merge blocks, and the agent's topology segment the triplets Gen
+// blocks name. Queue messages carry only flags and small headers, as in
+// Algorithms 1 and 2 of the paper, and order every segment access.
 
 // Message types (the Msg.Type field). Names follow the paper's flags.
 const (
@@ -46,11 +47,13 @@ const (
 // pipeline a handful of these; they are part of T_call.
 const queueMsgOverhead = 1 * time.Microsecond
 
-// segment roles within a daemon's three-chunk rotation.
+// segment roles within a daemon's three-chunk rotation, and the index of
+// its segment outside the rotation.
 const (
-	roleN = 0 // being filled with new data by Thread.Download
-	roleC = 1 // being computed by the daemon
-	roleU = 2 // holding results for Thread.Upload
+	roleN         = 0 // being filled with new data by Thread.Download
+	roleC         = 1 // being computed by the daemon
+	roleU         = 2 // holding results for Thread.Upload
+	segApplyMerge = 3 // the Apply or Merge block in flight
 )
 
 // costBytes is the size of the cost word a block operation's reply
@@ -73,10 +76,11 @@ func decodeCost(p []byte) time.Duration {
 	return time.Duration(binary.LittleEndian.Uint64(p))
 }
 
-// keys derive the IPC keys of daemon d on a node. Agents and daemons must
-// agree on these, like well-known System V keys in the real middleware.
-func daemonReqKey(d int) shm.Key  { return shm.Key(1000 + 10*d) }
-func daemonRespKey(d int) shm.Key { return shm.Key(1001 + 10*d) }
-func daemonSegKey(d, role int) shm.Key {
-	return shm.Key(1002 + 10*d + role)
-}
+// keys derive the IPC keys of daemon d on a node (1000+10d to 1005+10d)
+// and of its agent's topology segment. Agents and daemons must agree on
+// these, like well-known System V keys in the real middleware.
+func daemonReqKey(d int) shm.Key      { return shm.Key(1000 + 10*d) }
+func daemonRespKey(d int) shm.Key     { return shm.Key(1001 + 10*d) }
+func daemonSegKey(d, seg int) shm.Key { return shm.Key(1002 + 10*d + seg) }
+
+const topoKey shm.Key = 999

@@ -34,13 +34,14 @@ func optName(o Options) string {
 		o.Pipeline, o.OptimalBlockSize, o.Caching, o.RawCall, o.FixedBlockCount)
 }
 
-// The segment bound rests on two facts, checked here over the ablation
+// The segment bounds rest on two facts, checked here over the ablation
 // matrix on graphs small enough to try every frontier size: the block
 // size is monotone in the number of active edges d, and every block cut
-// for a frontier of d <= E edges fits the segments the agent asked for at
-// Connect. The bound must also be a bound on blocks, not on the edge
-// table: the segment may not be more than a few times the largest block
-// any frontier produces.
+// for a frontier of d <= E edges fits the rotating segments the agent
+// asked for at Connect. An apply batch of every master and a merge block
+// over them must fit the Apply/Merge segment. Each bound must also be a
+// bound on its blocks, not on the edge or vertex table: a segment may not
+// be more than a few times the largest block it is to hold.
 func TestSegmentFitsEveryBlock(t *testing.T) {
 	for gi, gcfg := range []gen.RMATConfig{
 		{NumVertices: 60, NumEdges: 400, A: 0.57, B: 0.19, C: 0.19, Seed: 3},
@@ -69,10 +70,12 @@ func TestSegmentFitsEveryBlock(t *testing.T) {
 func checkSegmentFit(t *testing.T, name string, a *Agent, rng *rand.Rand) {
 	t.Helper()
 	E := len(a.part.Edges)
-	aw, mw := a.alg.AttrWidth(), a.alg.MsgWidth()
-	seg := len(a.daemons[0].mem[0])
-	if seg != a.segmentSize() {
-		t.Fatalf("%s: segments of %d bytes, segmentSize() now says %d", name, seg, a.segmentSize())
+	sizes := a.segmentSizes()
+	seg, amSeg := sizes[0], sizes[segApplyMerge]
+	for i, mem := range a.daemons[0].mem {
+		if len(mem) != sizes[i] {
+			t.Fatalf("%s: segment %d of %d bytes, segmentSizes() now says %d", name, i, len(mem), sizes[i])
+		}
 	}
 	prev := 0
 	for d := 1; d <= E; d++ {
@@ -126,9 +129,28 @@ func checkSegmentFit(t *testing.T, name string, a *Agent, rng *rand.Rand) {
 			largest = max(largest, need)
 		}
 	}
-	largest = max(largest, int(layApply(int64(a.vt.Len()+1), int64(aw), int64(mw)).end), int(layMerge(int64(len(a.part.Masters)+1), int64(mw)).end))
 	if seg > 4*largest {
 		t.Errorf("%s: segment of %d bytes for blocks of at most %d (edge table: %d edges)", name, seg, largest, E)
+	}
+
+	// Every master in one apply batch, then a merge block over them all.
+	am := a.daemons[0].mem[segApplyMerge]
+	masters := make([]int, len(a.part.Masters))
+	for i := range masters {
+		masters[i] = i
+	}
+	l, err := a.encodeApply(am, masters, NewMsgBuf(a.alg, len(masters)))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	acc := make([]float64, len(masters)*a.alg.MsgWidth())
+	ml, err := encodeMergeBlock(am, acc, acc, a.alg.MsgWidth())
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if largest := int(max(l.end, ml.end)); amSeg > 4*largest {
+		t.Errorf("%s: apply/merge segment of %d bytes for blocks of at most %d (%d masters of %d table rows)",
+			name, amSeg, largest, len(masters), a.vt.Len())
 	}
 }
 

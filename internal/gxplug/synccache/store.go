@@ -44,8 +44,9 @@ const (
 // holds no attribute values: the table row is the cached value, and the
 // store only says whether that value may be trusted (resident), whether
 // it still has to be uploaded (dirty), and which resident row was used
-// least recently. Rows are addressed by table index; everything is
-// allocated by New.
+// least recently. A store that holds the whole table never evicts for
+// room, so it keeps no recency order: its list stays empty. Rows are
+// addressed by table index; everything is allocated by New.
 type Store struct {
 	cap, n     int
 	head, tail int32 // most and least recently used resident row, -1 when none
@@ -178,13 +179,16 @@ func (s *Store) drop(row int) {
 }
 
 func (s *Store) touch(row int) {
-	if int(s.head) != row {
+	if s.Bounded() && int(s.head) != row {
 		s.unlink(row)
 		s.pushFront(row)
 	}
 }
 
 func (s *Store) unlink(row int) {
+	if !s.Bounded() {
+		return
+	}
 	p, n := s.prev[row], s.next[row]
 	if p >= 0 {
 		s.next[p] = n
@@ -199,6 +203,9 @@ func (s *Store) unlink(row int) {
 }
 
 func (s *Store) pushFront(row int) {
+	if !s.Bounded() {
+		return
+	}
 	s.prev[row], s.next[row] = -1, s.head
 	if s.head >= 0 {
 		s.prev[s.head] = int32(row)
