@@ -249,11 +249,17 @@ bench-pair:
 # what CHANGES.md LOC-before/after entries are measured with. benchmark/
 # and the analyzers' fixtures (internal/lint/testdata) are not counted;
 # internal/lint, reached only from its own tests, is reported on its own
-# "tooling" line, outside the total.
+# "tooling" line, outside the total. The total is capped at 19 200 lines
+# (ROADMAP 8d): the last line prints the headroom left under the cap, and
+# the target fails above it.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/lint/testdata/*' \
+	@out=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/lint/testdata/*' \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); \
 			if (d ~ /^\.\/internal\/lint(\/|$$)/) { tool += $$1; next } n[d] += $$1; t += $$1 } \
-		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d tooling (internal/lint)\n", tool; printf "%7d total\n", t }' | sort -k2
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d tooling (internal/lint)\n", tool; printf "%7d total\n", t }' | sort -k2); \
+	echo "$$out"; \
+	total=$$(echo "$$out" | awk '$$2 == "total" { print $$1 }'); \
+	echo "$$((19200 - total)) lines of headroom under the 19200 cap"; \
+	[ "$$total" -le 19200 ] || { echo "loc: shipped total $$total exceeds the 19200 cap (ROADMAP 8d)"; exit 1; }
 
-ci: fmt lint build examples race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke
+ci: fmt lint loc build examples race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke

@@ -83,6 +83,16 @@ const (
 	MergeMin = template.MergeMin
 )
 
+// FaultSpec schedules one injected fault in a scenario's plan. Kind is
+// one of [FaultDaemonCrash] ("daemon-crash"), [FaultMsgStall]
+// ("msg-stall") or [FaultAccelOOM] ("accel-oom"); Param refines it —
+// the daemon index for daemon-crash, the stall count for msg-stall.
+// Fatal kinds surface from Run as a typed [FaultError]; recoverable
+// ones (msg-stall within the retry budget) degrade deterministically
+// on the virtual clock. It is the engine's fault type, as the engine
+// arms it.
+type FaultSpec = engine.Fault
+
 // Fault kinds a scenario's fault plan may schedule (see [FaultSpec]).
 const (
 	// FaultDaemonCrash kills one accelerator daemon on the node. Fatal.
@@ -131,10 +141,7 @@ func CapacityFractions(plugs []PlugOptions, opsPerEntity float64) ([]float64, er
 	}
 	c := make([]float64, len(plugs))
 	for j, p := range plugs {
-		var rate float64
-		for _, s := range p.Devices {
-			rate += device.New(s).EffectiveRate(1 << 20)
-		}
+		rate := device.Capacity(p.Devices...)
 		if rate <= 0 {
 			return nil, fmt.Errorf("gx: node %d has no accelerators", j)
 		}

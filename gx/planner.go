@@ -34,14 +34,8 @@ func (p Plan) Known() bool { return p == "" || p == FileOrder || p == LPT }
 // CostEstimate is the planner's prediction for one scenario: a cheap dry
 // pass over the calibrated cost model — graph stats, partitioning
 // fractions, device and network parameters — with no superstep executed.
-type CostEstimate struct {
-	// Supersteps is the predicted iteration count.
-	Supersteps int `json:"supersteps"`
-	// Entities is the predicted work volume in entity-iterations.
-	Entities float64 `json:"entities"`
-	// Makespan is the predicted virtual makespan.
-	Makespan time.Duration `json:"makespan"`
-}
+// It is the engine's estimate, as engine.EstimateCost returns it.
+type CostEstimate = engine.CostEstimate
 
 // plannerMemoCap bounds the per-Planner estimate memo; past it the
 // least recently used estimate goes, which is cheap to recompute.
@@ -106,15 +100,7 @@ func (p *Planner) model(s Scenario) (CostEstimate, error) {
 	if err != nil {
 		return CostEstimate{}, err
 	}
-	ce, err := engine.EstimateCost(cfg)
-	if err != nil {
-		return CostEstimate{}, err
-	}
-	return CostEstimate{
-		Supersteps: ce.Supersteps,
-		Entities:   ce.Entities,
-		Makespan:   ce.Makespan,
-	}, nil
+	return engine.EstimateCost(cfg)
 }
 
 // EntryEstimate is one suite entry's prediction inside a [SuitePlan].

@@ -134,12 +134,7 @@ func buildConfig(s Scenario, cache *DatasetCache, rc *runConfig) (engine.Config,
 		Observer:        rc.obs,
 		CheckpointEvery: rc.ckptEvery,
 		CheckpointSink:  rc.ckptSink,
-	}
-	if len(s.Faults) > 0 {
-		cfg.Faults = make([]engine.Fault, len(s.Faults))
-		for i, f := range s.Faults {
-			cfg.Faults[i] = engine.Fault{Kind: f.Kind, Node: f.Node, Superstep: f.Superstep, Param: f.Param}
-		}
+		Faults:          s.Faults,
 	}
 
 	g := rc.graph

@@ -115,20 +115,6 @@ type Scenario struct {
 	Batches *BatchSpec `json:"batches,omitempty"`
 }
 
-// FaultSpec schedules one injected fault in a scenario's plan. Kind is
-// one of [FaultDaemonCrash] ("daemon-crash"), [FaultMsgStall]
-// ("msg-stall") or [FaultAccelOOM] ("accel-oom"); Param refines it —
-// the daemon index for daemon-crash, the stall count for msg-stall.
-// Fatal kinds surface from Run as a typed [FaultError]; recoverable
-// ones (msg-stall within the retry budget) degrade deterministically
-// on the virtual clock.
-type FaultSpec struct {
-	Kind      string `json:"kind"`
-	Node      int    `json:"node"`
-	Superstep int    `json:"superstep"`
-	Param     int64  `json:"param,omitempty"`
-}
-
 // WithDefaults returns the scenario with zero-valued optional fields
 // replaced by their documented defaults. Run and Validate apply it
 // internally; callers only need it to inspect the effective values.
@@ -195,17 +181,8 @@ func (s Scenario) validate(have provided) error {
 		fail("cache_capacity %d (want ≥ 0)", s.CacheCapacity)
 	}
 	for i, f := range s.Faults {
-		switch f.Kind {
-		case FaultDaemonCrash, FaultMsgStall, FaultAccelOOM:
-		default:
-			fail("fault %d: unknown kind %q (want %q, %q or %q)",
-				i, f.Kind, FaultDaemonCrash, FaultMsgStall, FaultAccelOOM)
-		}
-		if f.Node < 0 || (s.Nodes > 0 && f.Node >= s.Nodes) {
-			fail("fault %d: node %d of %d", i, f.Node, s.Nodes)
-		}
-		if f.Superstep < 0 {
-			fail("fault %d: superstep %d (want ≥ 0)", i, f.Superstep)
+		for _, err := range f.Check(s.Nodes) {
+			fail("fault %d: %w", i, err)
 		}
 	}
 

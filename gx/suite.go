@@ -210,29 +210,18 @@ func (r *SuiteResult) Err() error {
 	return errors.Join(errs...)
 }
 
-// suiteConfig collects what the suite options override.
-type suiteConfig struct {
-	pool    int
-	cache   *DatasetCache
-	results *ResultCache
-	obs     func(entry string, st Superstep)
-	done    func(EntryResult)
-	plan    Plan
-	planner *Planner
-}
-
 // SuiteOption configures RunSuite.
-type SuiteOption func(*suiteConfig)
+type SuiteOption func(*executor)
 
 // WithPool bounds the number of entries executing concurrently. The
 // default is GOMAXPROCS. Pool size changes wall-clock time only: results,
 // virtual times and reporting order are identical at every size.
-func WithPool(n int) SuiteOption { return func(c *suiteConfig) { c.pool = n } }
+func WithPool(n int) SuiteOption { return func(x *executor) { x.pool = n } }
 
 // WithCache runs the suite over an existing [DatasetCache] instead of a
 // fresh one, extending graph/partitioning reuse across RunSuite calls.
 func WithCache(cache *DatasetCache) SuiteOption {
-	return func(c *suiteConfig) { c.cache = cache }
+	return func(x *executor) { x.cache = cache }
 }
 
 // WithResultCache serves entries whose canonical scenario digest (plus
@@ -245,7 +234,7 @@ func WithCache(cache *DatasetCache) SuiteOption {
 // consults a result cache, so existing callers are byte-for-byte
 // unchanged; the gxd serving layer passes one process-wide cache here.
 func WithResultCache(rc *ResultCache) SuiteOption {
-	return func(c *suiteConfig) { c.results = rc }
+	return func(x *executor) { x.results = rc }
 }
 
 // WithSuiteObserver attaches a per-superstep observer to every entry,
@@ -256,7 +245,7 @@ func WithResultCache(rc *ResultCache) SuiteOption {
 // with a pool larger than one, reports of different entries interleave
 // in completion order.
 func WithSuiteObserver(fn func(entry string, st Superstep)) SuiteOption {
-	return func(c *suiteConfig) { c.obs = fn }
+	return func(x *executor) { x.obs = fn }
 }
 
 // WithPlan selects the dispatch order ([FileOrder] or [LPT]). LPT prices
@@ -265,7 +254,7 @@ func WithSuiteObserver(fn func(entry string, st Superstep)) SuiteOption {
 // The plan changes wall-clock time only: entry-done emission, per-entry
 // results and virtual times stay bit-identical to file order at every
 // pool size.
-func WithPlan(p Plan) SuiteOption { return func(c *suiteConfig) { c.plan = p } }
+func WithPlan(p Plan) SuiteOption { return func(x *executor) { x.plan = p } }
 
 // WithPlanner runs the suite against an existing [Planner] instead of a
 // private one, so LPT dispatch reuses the estimates it has memoized (a
@@ -273,7 +262,7 @@ func WithPlan(p Plan) SuiteOption { return func(c *suiteConfig) { c.plan = p } }
 // planner prices from the cost model alone; running a suite never
 // changes what it predicts. Without [WithPlan] ([LPT]) it is not
 // consulted.
-func WithPlanner(p *Planner) SuiteOption { return func(c *suiteConfig) { c.planner = p } }
+func WithPlanner(p *Planner) SuiteOption { return func(x *executor) { x.planner = p } }
 
 // WithEntryDone streams per-entry results as they are finalized. The
 // callback is serialized against itself and the WithSuiteObserver
@@ -284,7 +273,7 @@ func WithPlanner(p *Planner) SuiteOption { return func(c *suiteConfig) { c.plann
 // stream — fn is not called again — while the remaining entries still
 // run; RunSuite then returns the panic as its error, naming the entry.
 func WithEntryDone(fn func(EntryResult)) SuiteOption {
-	return func(c *suiteConfig) { c.done = fn }
+	return func(x *executor) { x.done = fn }
 }
 
 // RunSuite validates the suite and executes its entries concurrently on
@@ -300,43 +289,31 @@ func WithEntryDone(fn func(EntryResult)) SuiteOption {
 // and does not stop the rest of the suite; RunSuite itself errors only
 // on invalid input or a panicking [WithEntryDone] callback.
 func RunSuite(suite Suite, opts ...SuiteOption) (*SuiteResult, error) {
-	cfg := suiteConfig{pool: runtime.GOMAXPROCS(0)}
+	x := &executor{pool: runtime.GOMAXPROCS(0)}
 	for _, opt := range opts {
 		if opt != nil {
-			opt(&cfg)
+			opt(x)
 		}
 	}
-	if cfg.pool < 1 {
-		return nil, fmt.Errorf("gx: suite pool %d (want ≥ 1)", cfg.pool)
+	if x.pool < 1 {
+		return nil, fmt.Errorf("gx: suite pool %d (want ≥ 1)", x.pool)
 	}
-	if !cfg.plan.Known() {
-		return nil, fmt.Errorf("gx: unknown plan %q (want %q or %q)", cfg.plan, FileOrder, LPT)
+	if !x.plan.Known() {
+		return nil, fmt.Errorf("gx: unknown plan %q (want %q or %q)", x.plan, FileOrder, LPT)
 	}
 	suite = suite.WithDefaults()
 	if err := suite.Validate(); err != nil {
 		return nil, err
 	}
-	cache := cfg.cache
-	if cache == nil {
-		cache = NewDatasetCache()
+	if x.cache == nil {
+		x.cache = NewDatasetCache()
 	}
-	planner := cfg.planner
-	if planner == nil && cfg.plan == LPT {
-		planner = NewPlanner(cache)
-	}
-
-	x := &executor{
-		pool:    cfg.pool,
-		cache:   cache,
-		results: cfg.results,
-		obs:     cfg.obs,
-		done:    cfg.done,
-		plan:    cfg.plan,
-		planner: planner,
+	if x.planner == nil && x.plan == LPT {
+		x.planner = NewPlanner(x.cache)
 	}
 	entries, err := x.execute(suite.Entries)
 	if err != nil {
 		return nil, err
 	}
-	return &SuiteResult{Name: suite.Name, Entries: entries, Cache: cache.Stats()}, nil
+	return &SuiteResult{Name: suite.Name, Entries: entries, Cache: x.cache.Stats()}, nil
 }

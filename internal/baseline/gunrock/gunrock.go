@@ -77,7 +77,7 @@ func Run(cfg Config) (*Result, error) {
 			return false
 		}
 		total += cost
-		total += time.Duration((edgeOps + vertOps) / dev.EffectiveRate(st.Edges+st.Applied) * float64(time.Second))
+		total += time.Duration((edgeOps + vertOps) / spec.EffectiveRate(st.Edges+st.Applied) * float64(time.Second))
 		return cfg.MaxIter == 0 || st.Iteration+1 < cfg.MaxIter
 	})
 	return &Result{Attrs: attrs, Iterations: iters, Time: total}, nil

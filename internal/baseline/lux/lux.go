@@ -105,7 +105,7 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return false
 		}
-		iterCost := hostPerIter + launch + time.Duration(ops/devs[0].EffectiveRate(int(share))*float64(time.Second))
+		iterCost := hostPerIter + launch + time.Duration(ops/spec.EffectiveRate(int(share))*float64(time.Second))
 		// Full synchronization: every updated vertex row travels to every
 		// other GPU — NVLink inside a node, the wire across nodes — with
 		// no caching, no lazy upload, no skipping. Every iteration also

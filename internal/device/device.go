@@ -287,32 +287,45 @@ func (d *Device) cost(n int, bytesIn, bytesOut int64, opsPerItem float64) time.D
 		t += simtime.TimeFor(float64(b), d.spec.CopyBandwidth)
 	}
 	if n > 0 && opsPerItem > 0 {
-		t += simtime.TimeFor(float64(n)*opsPerItem, d.EffectiveRate(n))
+		t += simtime.TimeFor(float64(n)*opsPerItem, d.spec.EffectiveRate(n))
 	}
 	return t
 }
 
-// EffectiveRate returns the device's aggregate compute rate in ops/second
+// EffectiveRate returns the spec's aggregate compute rate in ops/second
 // for a launch of n items: per-thread rate times effective parallelism.
-func (d *Device) EffectiveRate(n int) float64 {
-	p := d.busyThreads(n)
+func (s Spec) EffectiveRate(n int) float64 {
+	p := s.busyThreads(n)
 	eff := float64(p)
-	if p > 1 && d.spec.ParallelOverhead > 0 {
-		eff = float64(p) / (1 + d.spec.ParallelOverhead*math.Log(float64(p)))
+	if p > 1 && s.ParallelOverhead > 0 {
+		eff = float64(p) / (1 + s.ParallelOverhead*math.Log(float64(p)))
 	}
-	return d.spec.OpsPerThread * eff
+	return s.OpsPerThread * eff
 }
 
-func (d *Device) busyThreads(n int) int {
+func (s Spec) busyThreads(n int) int {
 	if n <= 0 {
 		return 1
 	}
-	p := (n + d.spec.MinItemsPerThread - 1) / d.spec.MinItemsPerThread
-	if p > d.spec.Threads {
-		p = d.spec.Threads
+	p := (n + s.MinItemsPerThread - 1) / s.MinItemsPerThread
+	if p > s.Threads {
+		p = s.Threads
 	}
 	if p < 1 {
 		p = 1
 	}
 	return p
+}
+
+// Capacity is the summed saturated compute rate of specs in ops/second:
+// each one's EffectiveRate for a launch large enough to busy every
+// thread. It is the one price of a node's accelerators — Lemma 2's
+// workload balancer, the planner's estimate and an agent's split of work
+// across its daemons all read it.
+func Capacity(specs ...Spec) float64 {
+	var rate float64
+	for _, s := range specs {
+		rate += s.EffectiveRate(1 << 20)
+	}
+	return rate
 }

@@ -240,7 +240,7 @@ func TestDeviceOrdering(t *testing.T) {
 
 // Small launches cannot use all threads: effective rate must scale down.
 func TestEffectiveRateSmallLaunch(t *testing.T) {
-	d := New(V100())
+	d := V100()
 	tiny := d.EffectiveRate(1)
 	big := d.EffectiveRate(1 << 24)
 	if tiny >= big {
@@ -271,10 +271,9 @@ func TestCostMonotoneQuick(t *testing.T) {
 // Property: effective rate never exceeds linear scaling and never drops
 // below the single-thread rate.
 func TestEffectiveRateBoundsQuick(t *testing.T) {
-	d := New(V100())
 	s := V100()
 	f := func(n uint32) bool {
-		r := d.EffectiveRate(int(n))
+		r := s.EffectiveRate(int(n))
 		return r >= s.OpsPerThread-1e-9 && r <= s.OpsPerThread*float64(s.Threads)+1e-9
 	}
 	seed := time.Now().UnixNano()

@@ -59,13 +59,11 @@ func (s Spec) boundaryCost(bytes float64) time.Duration {
 // gxplug): ops spread over all devices at their saturated rate, plus
 // three phase launches (gen, merge, apply) at the slowest T_call.
 func pluggedComputeEstimate(devs []device.Spec, ops float64) time.Duration {
-	var rate float64
 	var launch time.Duration
 	for _, spec := range devs {
-		rate += device.New(spec).EffectiveRate(1 << 20)
 		launch = max(launch, spec.LaunchLatency)
 	}
-	return simtime.TimeFor(ops, rate) + 3*launch
+	return simtime.TimeFor(ops, device.Capacity(devs...)) + 3*launch
 }
 
 // Simulated checkpoint storage: each node commits its masters' state

@@ -296,14 +296,8 @@ func resolve(cfg Config) (_ *plan, err error) {
 		return nil, fmt.Errorf("engine: fault plan requires plugged middleware")
 	}
 	for i, f := range cfg.Faults {
-		if !validFaultKind(f.Kind) {
-			return nil, fmt.Errorf("engine: fault %d: unknown kind %q", i, f.Kind)
-		}
-		if f.Node < 0 || f.Node >= cfg.Nodes {
-			return nil, fmt.Errorf("engine: fault %d: node %d of %d", i, f.Node, cfg.Nodes)
-		}
-		if f.Superstep < 0 {
-			return nil, fmt.Errorf("engine: fault %d: superstep %d (want ≥ 0)", i, f.Superstep)
+		if errs := f.Check(cfg.Nodes); len(errs) > 0 {
+			return nil, fmt.Errorf("engine: fault %d: %w", i, errs[0])
 		}
 	}
 	if cfg.CheckpointEvery < 0 {
@@ -383,7 +377,6 @@ type runner struct {
 	active []bool
 
 	agents []*gxplug.Agent
-	uppers []*upperSystem
 	// stats is each agent's counts summed over the supersteps so far
 	// (takeStats), plus Connect's DeviceInit.
 	stats []gxplug.Stats
@@ -445,40 +438,27 @@ type runner struct {
 	obsCkpt time.Duration
 }
 
-// upperSystem implements gxplug.Upper for one node: batch transfers
-// against the engine's authoritative attribute array, costed by the
-// engine's boundary model.
-type upperSystem struct {
-	r    *runner
-	node int
-}
+// upperSystem implements gxplug.Upper for every node of a run: batch
+// transfers against the engine's authoritative attribute array, priced by
+// the engine's boundary model.
+type upperSystem struct{ r *runner }
 
-func (u *upperSystem) BoundaryCost(bytes int64) time.Duration {
+func (u upperSystem) BoundaryCost(bytes int64) time.Duration {
 	return u.r.cfg.Spec.boundaryCost(float64(bytes))
 }
 
-func (u *upperSystem) FetchAttrs(ids []graph.VertexID, dst []float64) time.Duration {
+func (u upperSystem) FetchAttrs(ids []graph.VertexID, dst []float64) {
 	w := u.r.aw
 	for i, id := range ids {
 		copy(dst[i*w:(i+1)*w], u.r.attrs[int(id)*w:(int(id)+1)*w])
 	}
-	return u.BoundaryCost(int64(len(ids)) * gxplug.RowBytes(w))
 }
 
-func (u *upperSystem) PushAttrs(ids []graph.VertexID, rows []float64) time.Duration {
+func (u upperSystem) PushAttrs(ids []graph.VertexID, rows []float64) {
 	w := u.r.aw
 	for i, id := range ids {
 		copy(u.r.attrs[int(id)*w:(int(id)+1)*w], rows[i*w:(i+1)*w])
 	}
-	return u.BoundaryCost(int64(len(ids)) * gxplug.RowBytes(w))
-}
-
-func (u *upperSystem) PushMessages(count int, bytes int64) time.Duration {
-	return u.BoundaryCost(bytes)
-}
-
-func (u *upperSystem) FetchMessages(count int, bytes int64) time.Duration {
-	return u.BoundaryCost(bytes)
 }
 
 func (r *runner) run() (*Result, error) {
@@ -563,12 +543,11 @@ func (r *runner) setup() error {
 	// Stand up agents if the middleware is plugged in.
 	if r.plug != nil {
 		r.agents = make([]*gxplug.Agent, 0, r.cfg.Nodes)
-		r.uppers = make([]*upperSystem, r.cfg.Nodes)
 		r.stats = make([]gxplug.Stats, r.cfg.Nodes)
 		r.query = synccache.NewQueryQueue()
+		upper := upperSystem{r}
 		for j, opts := range r.plug {
-			r.uppers[j] = &upperSystem{r: r, node: j}
-			a := gxplug.NewAgent(r.cl.Node(j), r.part, r.alg, r.ctx, r.uppers[j], opts)
+			a := gxplug.NewAgent(r.cl.Node(j), r.part, r.alg, r.ctx, upper, opts)
 			r.agents = append(r.agents, a)
 			if err := a.Connect(); err != nil {
 				return err

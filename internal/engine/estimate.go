@@ -18,13 +18,13 @@ type CostEstimate struct {
 	// Supersteps is the predicted iteration count: the algorithm's own
 	// cap tightened by Config.MaxIter, or a convergence heuristic
 	// (≈ ceil(log2 V)) for run-to-convergence algorithms.
-	Supersteps int
+	Supersteps int `json:"supersteps"`
 	// Entities is the predicted work volume in entity-iterations —
 	// edges plus master vertices touched, summed over all predicted
 	// supersteps (the same unit agent stats report).
-	Entities float64
+	Entities float64 `json:"entities"`
 	// Makespan is the predicted virtual cluster makespan.
-	Makespan time.Duration
+	Makespan time.Duration `json:"makespan"`
 }
 
 // EstimateCost predicts a run's cost from graph stats, partitioning

@@ -30,20 +30,33 @@ const (
 // Fault schedules one injected fault: Kind is armed on node Node's
 // agent at the top of superstep Superstep (zero-based). Param refines
 // the kind — the daemon index for daemon-crash, the stall count for
-// msg-stall; unused for accel-oom.
+// msg-stall; unused for accel-oom. It is also a scenario's fault entry
+// (gx.FaultSpec), hence the JSON names.
 type Fault struct {
-	Kind      string
-	Node      int
-	Superstep int
-	Param     int64
+	Kind      string `json:"kind"`
+	Node      int    `json:"node"`
+	Superstep int    `json:"superstep"`
+	Param     int64  `json:"param,omitempty"`
 }
 
-func validFaultKind(k string) bool {
-	switch k {
+// Check lists every rule f breaks on its own in a run of nodes nodes: a
+// known kind, a node in [0, nodes) (only ≥ 0 when nodes < 1, a count
+// rejected on its own) and a superstep ≥ 0.
+func (f Fault) Check(nodes int) []error {
+	var errs []error
+	switch f.Kind {
 	case FaultDaemonCrash, FaultMsgStall, FaultAccelOOM:
-		return true
+	default:
+		errs = append(errs, fmt.Errorf("unknown kind %q (want %q, %q or %q)",
+			f.Kind, FaultDaemonCrash, FaultMsgStall, FaultAccelOOM))
 	}
-	return false
+	if f.Node < 0 || (nodes > 0 && f.Node >= nodes) {
+		errs = append(errs, fmt.Errorf("node %d of %d", f.Node, nodes))
+	}
+	if f.Superstep < 0 {
+		errs = append(errs, fmt.Errorf("superstep %d (want ≥ 0)", f.Superstep))
+	}
+	return errs
 }
 
 // FaultError is how an injected fault the middleware could not absorb

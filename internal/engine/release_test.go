@@ -24,8 +24,8 @@ func (applyPanics) MSGApply(*template.Context, graph.VertexID, []float64, []floa
 // TestFailedPluggedRunReleasesDaemons: however a plugged run ends once
 // an agent is connected — a later agent's device too small to connect, a
 // fatal fault, a kernel panic in a fresh or a resumed run, a checkpoint
-// sink's error, a panicking observer — no daemon queue or segment is left
-// in any node's IPC namespace.
+// sink's error, a panicking observer, a kernel panic on nodes running four
+// daemons — no daemon queue or segment is left in any node's IPC namespace.
 func TestFailedRunReleasesIPC(t *testing.T) {
 	g, err := gen.RMAT(gen.RMATConfig{NumVertices: 400, NumEdges: 3000, A: 0.57, B: 0.19, C: 0.19, Seed: 5})
 	if err != nil {
@@ -33,6 +33,8 @@ func TestFailedRunReleasesIPC(t *testing.T) {
 	}
 	plug := gxplug.DefaultOptions()
 	plug.Devices = append(plug.Devices, plug.Devices[0]) // two daemons a node
+	four := gxplug.DefaultOptions()
+	four.Devices = []device.Spec{device.V100(), device.Xeon20(), device.V100(), device.Xeon20()}
 	base := Config{Spec: gasTestSpec(), Nodes: 3, Graph: g, Alg: algos.NewPageRank(), Plug: []gxplug.Options{plug}, MaxIter: 6}
 
 	var cut *CheckpointState
@@ -68,6 +70,9 @@ func TestFailedRunReleasesIPC(t *testing.T) {
 		{"msg-stall", with(func(c *Config) { c.Faults = []Fault{{Kind: FaultMsgStall, Node: 0, Superstep: 0, Param: 1000}} }), false},
 		{"kernel-panic", with(func(c *Config) { c.Alg = applyPanics{algos.NewPageRank()} }), false},
 		{"kernel-panic-resumed", with(func(c *Config) { c.Alg = applyPanics{algos.NewPageRank()} }), true},
+		{"kernel-panic-four-daemons", with(func(c *Config) {
+			c.Plug, c.Alg = []gxplug.Options{four}, applyPanics{algos.NewPageRank()}
+		}), false},
 		{"sink-error", with(func(c *Config) {
 			c.CheckpointEvery, c.CheckpointSink = 1, func(*CheckpointState) error { return sinkErr }
 		}), false},
@@ -98,8 +103,9 @@ func TestFailedRunReleasesIPC(t *testing.T) {
 					t.Fatalf("node %d never connected its agent", nd.ID)
 				}
 				// Daemon d's keys are 1000+10d .. 1005+10d, the agent's topology
-				// segment's 999 (gxplug/protocol.go).
-				for key := shm.Key(990); key < 1030; key++ {
+				// segment's 999 (gxplug/protocol.go): the scan covers four
+				// daemons, the most any case runs on a node.
+				for key := shm.Key(990); key <= 1005+10*3; key++ {
 					if _, err := nd.IPC.Msgget(key, shm.Open); !errors.Is(err, shm.ErrNotFound) {
 						t.Errorf("node %d: queue %d outlives the run (%v)", nd.ID, key, err)
 					}

@@ -37,26 +37,20 @@ const bucketMiddleware = "middleware"
 func RowBytes(width int) int64 { return int64(8*width + 4) }
 
 // Upper is the interface an upper system exposes to its agent: batch data
-// transfer across the runtime boundary with engine-specific costs (for a
+// transfer across the runtime boundary, and that boundary's price (for a
 // GraphX-class system this boundary is JNI plus the data packager; for a
-// PowerGraph-class system it is a cheap in-process copy). All methods
-// return the virtual cost of the operation.
+// PowerGraph-class system it is a cheap in-process copy). The agent prices
+// every crossing itself, rows or messages, as BoundaryCost of their
+// RowBytes.
 type Upper interface {
 	// FetchAttrs copies the authoritative rows for ids into dst
-	// (len(ids)*AttrWidth) and returns the boundary cost.
-	FetchAttrs(ids []graph.VertexID, dst []float64) time.Duration
+	// (len(ids)*AttrWidth).
+	FetchAttrs(ids []graph.VertexID, dst []float64)
 	// PushAttrs writes rows back to the upper system. ids and rows are the
 	// agent's scratch: the upper system copies what it keeps.
-	PushAttrs(ids []graph.VertexID, rows []float64) time.Duration
-	// PushMessages hands generated messages to the upper system for
-	// routing; only the cost is modelled here (contents flow through the
-	// engine's own structures).
-	PushMessages(count int, bytes int64) time.Duration
-	// FetchMessages receives routed messages from the upper system.
-	FetchMessages(count int, bytes int64) time.Duration
-	// BoundaryCost estimates the cost of moving n bytes across the
-	// boundary without moving anything — the block-size optimizer uses it
-	// to derive the k1/k3 coefficients.
+	PushAttrs(ids []graph.VertexID, rows []float64)
+	// BoundaryCost is the virtual cost of moving bytes across the
+	// boundary; it moves nothing.
 	BoundaryCost(bytes int64) time.Duration
 }
 
@@ -192,7 +186,10 @@ type Agent struct {
 	vt *graph.VertexTable
 
 	daemons []*daemonProc
-	devices []*device.Device
+	// rates[i] is daemon i's saturated compute rate and rate their sum
+	// (device.Capacity): splitByRate's shares and Lemma 1's k2 read them.
+	rates   []float64
+	rate    float64
 	topoSeg *shm.Segment // which every daemon attaches too
 	topo    []byte       // the agent's attachment: the planned triplets (buildBlocks)
 	// store says which rows of vt hold authoritative values, which of
@@ -286,6 +283,10 @@ func NewAgent(node *cluster.Node, parts *graph.Partitioning, alg template.Algori
 		node: node, parts: parts, part: part, alg: alg, ctx: ctx, upper: upper, opts: opts,
 		vt:       vt,
 		blockIdx: make([]int32, len(parts.Owner)),
+		rate:     device.Capacity(opts.Devices...),
+	}
+	for _, spec := range opts.Devices {
+		a.rates = append(a.rates, device.Capacity(spec))
 	}
 	capacity := 0 // without caching: a mark per row, never an eviction
 	if opts.Caching {
@@ -339,16 +340,12 @@ func (a *Agent) Connect() error {
 	}
 	a.topoSeg = seg
 	a.topo, _ = seg.Attach() // just created: cannot fail
-	// The devices come first: the block-size policy that bounds a segment
-	// (segmentSizes) reads their rates.
-	for _, spec := range a.opts.Devices {
-		a.devices = append(a.devices, device.New(spec))
-	}
 	sizes := a.segmentSizes()
 	var maxInit time.Duration
 	footprint := a.partitionFootprint()
 	perDaemon := footprint / int64(len(a.opts.Devices))
-	for i, dev := range a.devices {
+	for i, spec := range a.opts.Devices {
+		dev := device.New(spec)
 		proc, initCost, err := startDaemon(daemonConfig{
 			index: i, ipc: a.node.IPC, dev: dev, alg: a.alg, ctx: a.ctx,
 			segSizes: sizes, topo: a.topoSeg, rawCall: a.opts.RawCall,
@@ -382,8 +379,8 @@ func (a *Agent) Connect() error {
 	for i := range ids {
 		ids[i] = a.vt.ID(i)
 	}
-	cost := a.upper.FetchAttrs(ids, a.vt.Attrs())
-	a.stats.BoundaryTime += cost
+	a.upper.FetchAttrs(ids, a.vt.Attrs())
+	cost := a.cross(len(ids), a.alg.AttrWidth())
 	a.charge(cost)
 	for r := range ids {
 		a.admit(r)
@@ -411,11 +408,19 @@ func (a *Agent) teardown() {
 		_ = a.topoSeg.Detach() // attached in Connect: cannot fail
 		a.topoSeg.Remove()
 	}
-	a.daemons, a.devices, a.topoSeg, a.topo = nil, nil, nil, nil
+	a.daemons, a.topoSeg, a.topo = nil, nil, nil
 	a.DropResidency()
 }
 
 func (a *Agent) charge(d time.Duration) { a.node.Charge(bucketMiddleware, d) }
+
+// cross prices n rows of width w crossing the runtime boundary, either
+// way, and counts the cost as boundary time; the caller charges it.
+func (a *Agent) cross(n, w int) time.Duration {
+	cost := a.upper.BoundaryCost(int64(n) * RowBytes(w))
+	a.stats.BoundaryTime += cost
+	return cost
+}
 
 // segmentSizes picks each daemon segment's capacity: the largest block it
 // holds plus slack. RequestGen cuts the d <= E active edges of the
@@ -497,10 +502,9 @@ func (a *Agent) DrainSpill() int {
 // pushAttrs uploads one batch of rows to the upper system, counts it and
 // returns its cost for the caller to charge.
 func (a *Agent) pushAttrs(ids []graph.VertexID, rows []float64) time.Duration {
-	cost := a.upper.PushAttrs(ids, rows)
-	a.stats.BoundaryTime += cost
+	a.upper.PushAttrs(ids, rows)
 	a.stats.PushedRows += int64(len(ids))
-	return cost
+	return a.cross(len(ids), a.alg.AttrWidth())
 }
 
 func (a *Agent) clearSpill() {
@@ -532,8 +536,8 @@ func (a *Agent) ensureRows(rows []int) time.Duration {
 	}
 	w := a.alg.AttrWidth()
 	buf := grow(&a.fetchBuf, len(missIDs)*w)
-	cost := a.upper.FetchAttrs(missIDs, buf)
-	a.stats.BoundaryTime += cost
+	a.upper.FetchAttrs(missIDs, buf)
+	cost := a.cross(len(missIDs), w)
 	for i, r := range missRows {
 		val := buf[i*w : (i+1)*w]
 		// A pending spill means the upper system's copy is stale until the
@@ -562,33 +566,24 @@ func grow[T any](buf *[]T, n int) []T {
 // InvalidateRemote tells the agent that the given vertices were updated
 // by other nodes: the rows it holds of them are stale and the new values
 // arrive with rows (dense, Stride-wide), charged as one boundary fetch.
+// The caller names only vertices mastered on other nodes (the engine's
+// mirror updates): the spill queue holds only this node's masters, so no
+// pending spill of an invalidated row can exist.
 func (a *Agent) InvalidateRemote(ids []graph.VertexID, rows []float64) {
 	if len(ids) == 0 {
 		return
 	}
 	w := a.alg.AttrWidth()
-	cost := a.upper.BoundaryCost(int64(len(ids)) * RowBytes(w))
-	a.stats.BoundaryTime += cost
+	cost := a.cross(len(ids), w)
 	for i, id := range ids {
 		r, ok := a.vt.Lookup(id)
 		if !ok {
 			continue
 		}
-		val := rows[i*w : (i+1)*w]
 		if a.opts.Caching {
 			a.store.Invalidate(r)
-			// A pending spill of this vertex is superseded by the remote
-			// value: refresh it in place so the eventual drain re-uploads
-			// the value the upper system already holds instead of
-			// resurrecting the stale local one. (Unreachable through the
-			// engine today — spills hold only this node's masters, and
-			// remote invalidations never target them — but cheap insurance
-			// for other callers.)
-			if sp, ok := a.spillRow(r); ok {
-				copy(sp, val)
-			}
 		}
-		copy(a.vt.Row(r), val)
+		copy(a.vt.Row(r), rows[i*w:(i+1)*w])
 		a.admit(r)
 	}
 	a.charge(cost)

@@ -147,13 +147,13 @@ func (a *Agent) coefficients() pipeline.Coefficients {
 	}
 	k1 := perByte(bpe) + float64(bpe)/memcpyRate
 
-	best := a.devices[0]
-	for _, dv := range a.devices[1:] {
-		if dv.EffectiveRate(1<<20) > best.EffectiveRate(1<<20) {
-			best = dv
+	best := 0
+	for i, r := range a.rates {
+		if r > a.rates[best] {
+			best = i
 		}
 	}
-	k2 := a.alg.Hints().OpsPerEdge / best.EffectiveRate(1<<20)
+	k2 := a.alg.Hints().OpsPerEdge / a.rates[best]
 
 	outB := int64(8*mw + 1)
 	k3 := float64(outB) / memcpyRate
@@ -163,9 +163,10 @@ func (a *Agent) coefficients() pipeline.Coefficients {
 	} else {
 		k3 += perByte(outB) * 0.2 // remote share estimate
 	}
-	tcall := best.Spec().LaunchLatency + 6*queueMsgOverhead
+	spec := a.opts.Devices[best]
+	tcall := spec.LaunchLatency + 6*queueMsgOverhead
 	if a.opts.RawCall {
-		tcall += best.Spec().InitCost
+		tcall += spec.InitCost
 	}
 	return pipeline.Coefficients{K1: k1, K2: k2, K3: k3, A: tcall.Seconds()}
 }
@@ -244,14 +245,10 @@ func (a *Agent) splitByRate(n int) []span {
 		spans[0] = span{0, n}
 		return spans
 	}
-	var total float64
-	for _, dv := range a.devices {
-		total += dv.EffectiveRate(1 << 20)
-	}
 	start, cum := 0, 0.0
 	for i := range spans {
-		cum += a.devices[i].EffectiveRate(1 << 20)
-		end := int(cum / total * float64(n))
+		cum += a.rates[i]
+		end := int(cum / a.rate * float64(n))
 		if i == len(spans)-1 {
 			end = n
 		}
@@ -429,20 +426,14 @@ func (a *Agent) drainBlock(seg []byte, bp *blockPlan, res *GenResult) time.Durat
 	}
 
 	cost := simtime.TimeFor(float64(l.end-l.acc), memcpyRate)
-	msgBytes := func(n int) int64 { return int64(n) * RowBytes(mw) }
 	// Remote-bound messages always cross into the upper system for
 	// routing. Local messages round-trip only when caching is off (the
 	// naive integration pushes everything through the upper system).
 	if remoteMsgs > 0 {
-		c := a.upper.PushMessages(remoteMsgs, msgBytes(remoteMsgs))
-		a.stats.BoundaryTime += c
-		cost += c
+		cost += a.cross(remoteMsgs, mw)
 	}
 	if !a.opts.Caching && localMsgs > 0 {
-		c := a.upper.PushMessages(localMsgs, msgBytes(localMsgs))
-		c += a.upper.FetchMessages(localMsgs, msgBytes(localMsgs))
-		a.stats.BoundaryTime += c
-		cost += c
+		cost += a.cross(localMsgs, mw) + a.cross(localMsgs, mw)
 	}
 	return cost
 }
@@ -470,8 +461,7 @@ func (a *Agent) RequestMerge(res *GenResult, incoming *MsgBuf) error {
 	mw := a.alg.MsgWidth()
 	count := incoming.Len()
 	// Fetch the routed messages across the boundary.
-	fc := a.upper.FetchMessages(count, int64(count)*RowBytes(mw))
-	a.stats.BoundaryTime += fc
+	fc := a.cross(count, mw)
 
 	local := res.Local()
 	for _, mi := range incoming.Touched() {

@@ -45,26 +45,17 @@ func (u *fakeUpper) BoundaryCost(bytes int64) time.Duration {
 	return u.fixed + time.Duration(float64(bytes)*u.perByte*float64(time.Second))
 }
 
-func (u *fakeUpper) FetchAttrs(ids []graph.VertexID, dst []float64) time.Duration {
+func (u *fakeUpper) FetchAttrs(ids []graph.VertexID, dst []float64) {
 	for i, id := range ids {
 		copy(dst[i*u.stride:(i+1)*u.stride], u.attrs[int(id)*u.stride:(int(id)+1)*u.stride])
 	}
-	return u.BoundaryCost(int64(len(ids)) * int64(8*u.stride+4))
 }
 
-func (u *fakeUpper) PushAttrs(ids []graph.VertexID, rows []float64) time.Duration {
+func (u *fakeUpper) PushAttrs(ids []graph.VertexID, rows []float64) {
 	u.pushes++
 	for i, id := range ids {
 		copy(u.attrs[int(id)*u.stride:(int(id)+1)*u.stride], rows[i*u.stride:(i+1)*u.stride])
 	}
-	return u.BoundaryCost(int64(len(ids)) * int64(8*u.stride+4))
-}
-
-func (u *fakeUpper) PushMessages(count int, bytes int64) time.Duration {
-	return u.BoundaryCost(bytes)
-}
-func (u *fakeUpper) FetchMessages(count int, bytes int64) time.Duration {
-	return u.BoundaryCost(bytes)
 }
 
 func testCtx(g *graph.Graph) *template.Context {

@@ -131,7 +131,7 @@ func (a *Agent) requestDaemon(p *daemonProc, mtype int64, payload []byte) (int64
 // device, returning the typed fault error.
 func (a *Agent) fireOOM() error {
 	a.oomPending = false
-	dev := a.devices[0]
+	dev := a.daemons[0].cfg.dev
 	if err := dev.Alloc(dev.Spec().MemBytes + 1); err != nil {
 		return &InjectedFaultError{Kind: FaultAccelOOM, Node: a.node.ID, Err: err}
 	}

@@ -36,14 +36,9 @@ type Fig12Result struct {
 }
 
 // nodeCapacity estimates a node's computation capacity factor 1/c_j in
-// edge entities per second, from its devices' effective rates.
+// edge entities per second, from its devices' capacity.
 func nodeCapacity(devs []device.Spec, opsPerEdge float64) float64 {
-	var rate float64
-	for _, spec := range devs {
-		d := device.New(spec)
-		rate += d.EffectiveRate(1 << 20)
-	}
-	return rate / opsPerEdge
+	return device.Capacity(devs...) / opsPerEdge
 }
 
 // fig12Algorithms are the two workloads of the figure.

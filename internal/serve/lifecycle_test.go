@@ -330,6 +330,22 @@ func TestServeCostAdmission(t *testing.T) {
 	}
 }
 
+// TestCostRejectJSON pins the 422 body's field names, the planner's
+// estimate fields inside each entry included: clients decode them.
+func TestCostRejectJSON(t *testing.T) {
+	var buf bytes.Buffer
+	writeJSON(&buf, CostReject{Error: "over", Predicted: 7, Budget: 1, Entries: []gx.EntryEstimate{
+		{Name: "pr", CostEstimate: gx.CostEstimate{Supersteps: 3, Entities: 1.5, Makespan: 7}},
+		{Name: "bad", Err: "no such dataset"},
+	}})
+	want := `{"error":"over","predicted":7,"budget":1,"entries":[` +
+		`{"name":"pr","supersteps":3,"entities":1.5,"makespan":7},` +
+		`{"name":"bad","supersteps":0,"entities":0,"makespan":0,"error":"no such dataset"}]}` + "\n"
+	if buf.String() != want {
+		t.Fatalf("CostReject JSON\n got %s\nwant %s", buf.String(), want)
+	}
+}
+
 // TestServeAdmissionIgnoresHistory: admission is a pure function of the
 // submission and the budget. With the budget 1 % above suiteBody's model
 // price, suiteBody is admitted again after it ran (the resubmission is a
