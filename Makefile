@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet lint build examples test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke bench-pair loc ci
+.PHONY: all fmt vet lint build examples figs test test-full race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke bench-pair loc ci
 
 all: ci
 
@@ -47,6 +47,16 @@ examples:
 	$(GO) run ./examples/fault-tolerance
 	$(GO) run ./examples/custom-algorithm
 	$(GO) run ./examples/labelprop-graphx
+
+# Every reproduced table and figure, byte for byte: `gxbench -exp all`
+# at 1/8000 scale (about 10 s on two CPUs) diffed against the golden.
+# The figures run on the virtual clock, so the output does not depend on
+# the host or on GOMAXPROCS, and any diff is a figure that moved. A change
+# to the cost model that moves a figure on purpose re-records the golden
+# in the same commit, as it does internal/engine's cost.golden:
+#   go run ./cmd/gxbench -exp all -scale 8000 -seed 42 > cmd/gxbench/testdata/all-8000.golden
+figs:
+	$(GO) run ./cmd/gxbench -exp all -scale 8000 -seed 42 | diff cmd/gxbench/testdata/all-8000.golden -
 
 test:
 	$(GO) test -short ./...
@@ -262,4 +272,4 @@ loc:
 	echo "$$((19200 - total)) lines of headroom under the 19200 cap"; \
 	[ "$$total" -le 19200 ] || { echo "loc: shipped total $$total exceeds the 19200 cap (ROADMAP 8d)"; exit 1; }
 
-ci: fmt lint loc build examples race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke
+ci: fmt lint loc build examples figs race race-boundedcache race-suite race-resume race-serve race-dynamic race-gen race-par cover fuzz-smoke bench-smoke

@@ -71,9 +71,6 @@ func registerBuiltinAlgorithms() {
 			if k == 0 {
 				k = 3
 			}
-			if k < 1 {
-				return nil, fmt.Errorf("k %d (want ≥ 1)", k)
-			}
 			return algos.NewKCore(k), nil
 		},
 	})
@@ -87,9 +84,6 @@ func registerBuiltinAlgorithms() {
 			return checkSources(p)
 		},
 		New: func(p AlgoParams, numV int) (Algorithm, error) {
-			if p.K < 0 {
-				return nil, fmt.Errorf("hop bound %d (want ≥ 0)", p.K)
-			}
 			srcs, err := algos.Sources(p.Sources, numV)
 			if err != nil {
 				return nil, err

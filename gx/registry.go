@@ -91,11 +91,11 @@ type AlgorithmDef struct {
 	// Name is the scenario key (e.g. "pagerank").
 	Name string
 	// Check validates params without a graph; nil means no graph-free
-	// validation. Scenario.Validate calls it.
+	// validation. Scenario.Validate and NewAlgorithm call it.
 	Check func(p AlgoParams) error
-	// New builds the algorithm for a graph with numV vertices. It must
-	// return an error — never panic — on bad params: scenario input is
-	// runtime data.
+	// New builds the algorithm for a graph with numV vertices, from
+	// params that passed Check. It must return an error — never panic —
+	// on bad params: scenario input is runtime data.
 	New func(p AlgoParams, numV int) (Algorithm, error)
 }
 
@@ -196,6 +196,11 @@ func NewAlgorithm(name string, p AlgoParams, numV int) (Algorithm, error) {
 	def, err := algoReg.lookup(name)
 	if err != nil {
 		return nil, err
+	}
+	if def.Check != nil {
+		if err := def.Check(p); err != nil {
+			return nil, fmt.Errorf("gx: algorithm %q: %w", name, err)
+		}
 	}
 	alg, err := def.New(p, numV)
 	if err != nil {

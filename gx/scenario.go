@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
+
+	"gxplug/internal/engine"
 )
 
 // Defaults applied by Scenario.WithDefaults for zero-valued fields.
@@ -211,27 +214,20 @@ func (s Scenario) validate(have provided) error {
 	if !have.plug {
 		if s.GPUs < 1 || s.GPUs > maxGPUs {
 			fail("gpus %d (want 1..%d)", s.GPUs, maxGPUs)
-		} else if len(s.Mix) > 0 && s.Nodes > 0 && len(s.Mix) != s.Nodes {
-			fail("mix has %d entries for %d nodes", len(s.Mix), s.Nodes)
 		} else if ps, err := s.plugs(); err != nil {
 			errs = append(errs, err)
-		} else if len(s.Faults) > 0 && ps == nil {
-			// Faults are middleware events: arming one on a native node
-			// would be a silent no-op.
-			fail("faults require an accelerator (native execution has no middleware to fault)")
-		} else if s.CacheCapacity > 0 {
+		} else {
+			errs = append(errs, engine.Combination{
+				Plugged: ps != nil, Faults: len(s.Faults) > 0, Stream: s.Batches != nil,
+			}.Check()...)
 			// The bound only means something when there is a cache to
 			// bound: a plugged run with caching on.
-			if ps == nil {
+			switch {
+			case s.CacheCapacity == 0:
+			case ps == nil:
 				fail("cache_capacity %d requires an accelerator (native execution has no synchronization cache)", s.CacheCapacity)
-			} else {
-				caching := false
-				for _, p := range ps {
-					caching = caching || p.Caching
-				}
-				if !caching {
-					fail("cache_capacity %d with caching disabled", s.CacheCapacity)
-				}
+			case !slices.ContainsFunc(ps, func(p PlugOptions) bool { return p.Caching }):
+				fail("cache_capacity %d with caching disabled", s.CacheCapacity)
 			}
 		}
 	}
@@ -240,15 +236,6 @@ func (s Scenario) validate(have provided) error {
 	}
 	if s.Batches != nil {
 		s.Batches.validate(fail)
-		// Incremental replay is an engine-native mechanism: the trace
-		// carries authoritative state the middleware path never sees, and
-		// a fault plan would make boundaries non-replayable.
-		if !have.plug && (s.Accel != DefaultAccel || len(s.Mix) > 0) {
-			fail("batches require native execution (accel %q)", s.Accel)
-		}
-		if len(s.Faults) > 0 {
-			fail("batches cannot be combined with fault injection")
-		}
 	}
 	return errors.Join(errs...)
 }

@@ -1,9 +1,12 @@
 package gx
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"gxplug/internal/engine"
 )
 
 // valid returns a scenario that passes validation; tests mutate one field
@@ -219,6 +222,64 @@ func TestRegistriesListBuiltins(t *testing.T) {
 		for _, w := range c.want {
 			if !strings.Contains(got, w) {
 				t.Errorf("%s missing %q: %v", c.kind, w, c.names)
+			}
+		}
+	}
+}
+
+// TestCombinationRulesMatchEngine: the rules on combining middleware, a
+// fault plan and a batch stream are the engine's, stated once.
+// Scenario.Validate rejects a shape exactly when engine.Run rejects the
+// Config the scenario builds, and both errors carry the engine rule.
+func TestCombinationRulesMatchEngine(t *testing.T) {
+	const (
+		faultsNative = "engine: fault plan requires plugged middleware (native execution has no middleware to fault)"
+		pluggedBatch = "engine: a batch stream requires native execution"
+		faultsBatch  = "engine: a batch stream cannot be combined with fault injection"
+	)
+	cases := []struct {
+		accel          string
+		faults, stream bool
+		want           []string // every broken rule, in resolve's order
+	}{
+		{"none", false, false, nil},
+		{"cpu", false, false, nil},
+		{"none", true, false, []string{faultsNative}},
+		{"cpu", true, false, nil},
+		{"none", false, true, nil},
+		{"cpu", false, true, []string{pluggedBatch}},
+		{"none", true, true, []string{faultsBatch}},
+		{"cpu", true, true, []string{faultsBatch, pluggedBatch}},
+	}
+	for _, tc := range cases {
+		s := dynamicScenario("graphx", "pagerank", "scratch")
+		s.Scale, s.MaxIter, s.Accel = 16000, 2, tc.accel
+		if !tc.stream {
+			s.Batches = nil
+		}
+		if tc.faults {
+			s.Faults = []FaultSpec{{Kind: FaultMsgStall, Node: 0, Superstep: 1}}
+		}
+		name := fmt.Sprintf("accel %s, faults %v, stream %v", tc.accel, tc.faults, tc.stream)
+		cfg, err := buildConfig(s.WithDefaults(), NewDatasetCache(), &runConfig{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, runErr := engine.Run(cfg)
+		valErr := s.Validate()
+		if (valErr != nil) != (len(tc.want) > 0) || (runErr != nil) != (len(tc.want) > 0) {
+			t.Errorf("%s: Validate %v, engine.Run %v, want rules %q", name, valErr, runErr, tc.want)
+			continue
+		}
+		if len(tc.want) == 0 {
+			continue
+		}
+		if runErr.Error() != tc.want[0] {
+			t.Errorf("%s: engine.Run %q, want %q", name, runErr, tc.want[0])
+		}
+		for _, rule := range tc.want {
+			if !strings.Contains(valErr.Error(), rule) {
+				t.Errorf("%s: Validate %q does not carry %q", name, valErr, rule)
 			}
 		}
 	}

@@ -13,6 +13,13 @@ import (
 // trees simultaneously "to make it more compute-intensive" (footnote 4).
 // The attribute row holds one distance per source; messages carry
 // candidate distances and merge by element-wise minimum.
+//
+// Edge weights may be negative. Bellman–Ford settles every distance
+// within V−1 rounds, so MSGApply changes nothing from iteration V on and
+// a run takes at most V+1 supersteps. Where a negative cycle is reachable
+// from a source no shortest path exists: the run returns the distances
+// its first V rounds reached, which walks around the cycle could still
+// lower.
 type SSSPBF struct {
 	sources []graph.VertexID
 }
@@ -118,9 +125,11 @@ func (s *SSSPBF) MSGMerge(acc, msg []float64) {
 	}
 }
 
-// MSGApply implements template.Algorithm.
-func (s *SSSPBF) MSGApply(_ *template.Context, _ graph.VertexID, attr, msg []float64, received bool) bool {
-	if !received {
+// MSGApply implements template.Algorithm. With non-negative weights no
+// round from iteration V on could change a distance: adding one is
+// monotone, so no walk through a cycle beats its simple path.
+func (s *SSSPBF) MSGApply(ctx *template.Context, _ graph.VertexID, attr, msg []float64, received bool) bool {
+	if !received || ctx.Iteration >= ctx.NumVertices {
 		return false
 	}
 	changed := false

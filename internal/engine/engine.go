@@ -268,18 +268,13 @@ func resolve(cfg Config) (_ *plan, err error) {
 			return nil, fmt.Errorf("engine: plug %d cache capacity %d (want ≥ 0)", i, o.CacheCapacity)
 		}
 	}
+	if errs := (Combination{
+		Plugged: len(cfg.Plug) > 0, Faults: len(cfg.Faults) > 0,
+		Stream: cfg.Stream != nil, Checkpoint: cfg.CheckpointEvery > 0,
+	}).Check(); len(errs) > 0 {
+		return nil, errs[0]
+	}
 	if st := cfg.Stream; st != nil {
-		// Checked ahead of the fault plan's own rules: "add an
-		// accelerator" is the wrong advice for a stream.
-		if len(cfg.Faults) > 0 {
-			return nil, fmt.Errorf("engine: a batch stream cannot be combined with fault injection")
-		}
-		if len(cfg.Plug) > 0 {
-			return nil, fmt.Errorf("engine: a batch stream requires native execution")
-		}
-		if cfg.CheckpointEvery > 0 {
-			return nil, fmt.Errorf("engine: a batch stream cannot be combined with checkpointing")
-		}
 		if !st.Scratch && !cfg.Alg.Hints().Incremental {
 			return nil, fmt.Errorf("engine: algorithm %s does not support incremental recomputation; run its batch stream with \"mode\": \"scratch\"", cfg.Alg.Name())
 		}
@@ -291,9 +286,6 @@ func resolve(cfg Config) (_ *plan, err error) {
 				return nil, fmt.Errorf("engine: batch %d: %w", i+1, err)
 			}
 		}
-	}
-	if len(cfg.Faults) > 0 && len(cfg.Plug) == 0 {
-		return nil, fmt.Errorf("engine: fault plan requires plugged middleware")
 	}
 	for i, f := range cfg.Faults {
 		if errs := f.Check(cfg.Nodes); len(errs) > 0 {
@@ -343,6 +335,39 @@ func resolve(cfg Config) (_ *plan, err error) {
 		}
 	}
 	return p, nil
+}
+
+// Combination names which optional parts a run combines: plugged
+// middleware, a fault plan, a batch stream and checkpointing. The rules
+// on combining them read nothing else, so a run's description can be
+// checked before any graph is loaded.
+type Combination struct{ Plugged, Faults, Stream, Checkpoint bool }
+
+// Check returns every rule c breaks, in the order resolve reports them.
+// A stream admits none of the other parts: incremental replay is
+// engine-native (the middleware never sees its trace), and faults or
+// checkpoint cuts would make boundaries non-replayable. Its rules come
+// first, since "add an accelerator" is the wrong advice for a stream
+// with faults. Outside a stream, faults need middleware: armed on a
+// native node they would be a silent no-op.
+func (c Combination) Check() []error {
+	var errs []error
+	add := func(rule string) { errs = append(errs, errors.New("engine: "+rule)) }
+	switch {
+	case c.Stream:
+		if c.Faults {
+			add("a batch stream cannot be combined with fault injection")
+		}
+		if c.Plugged {
+			add("a batch stream requires native execution")
+		}
+		if c.Checkpoint {
+			add("a batch stream cannot be combined with checkpointing")
+		}
+	case c.Faults && !c.Plugged:
+		add("fault plan requires plugged middleware (native execution has no middleware to fault)")
+	}
+	return errs
 }
 
 // newRunner builds an idle runner over a resolved plan.

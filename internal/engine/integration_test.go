@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"gxplug/internal/algos"
@@ -149,5 +150,40 @@ func TestEngineEdgelessGraph(t *testing.T) {
 	}
 	if res.Attrs[0] != 0 {
 		t.Fatalf("source distance %v", res.Attrs[0])
+	}
+}
+
+// A negative cycle reachable from a source has no shortest paths, and
+// Bellman–Ford would relax around it forever. SSSP-BF stops changing at
+// iteration V, so every engine × {native, plugged} run ends within V+1
+// supersteps, well inside MaxIter, at bit-identical distances.
+func TestSSSPNegativeCycleStops(t *testing.T) {
+	g := graph.MustFromEdges(4, []graph.Edge{
+		{Src: 0, Dst: 1, Weight: 1},
+		{Src: 1, Dst: 2, Weight: -2},
+		{Src: 2, Dst: 1, Weight: -2}, // the cycle 1→2→1 weighs −4
+		{Src: 2, Dst: 3, Weight: 1},
+	})
+	var ref []float64
+	for _, run := range []func(engine.Config) (*engine.Result, error){graphx.Run, powergraph.Run} {
+		for _, plug := range [][]gxplug.Options{nil, cpuPlug()} {
+			res, err := run(engine.Config{
+				Nodes: 2, Graph: g, Alg: algos.NewSSSPBF(algos.DefaultSources(4)), Plug: plug, MaxIter: 1000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations > g.NumVertices()+1 {
+				t.Fatalf("plugged %v: %d supersteps on %d vertices", plug != nil, res.Iterations, g.NumVertices())
+			}
+			if ref == nil {
+				ref = res.Attrs
+			}
+			for i := range ref {
+				if math.Float64bits(res.Attrs[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("plugged %v: attrs[%d] = %v, want %v", plug != nil, i, res.Attrs[i], ref[i])
+				}
+			}
+		}
 	}
 }

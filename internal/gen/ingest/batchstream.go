@@ -211,21 +211,29 @@ func readBatchEdges(r io.Reader, count int64, scratch []byte, weighted bool) ([]
 // detected by content (the two-byte gzip magic) and decompressed
 // transparently, exactly like edge lists.
 func LoadBatchStreamFile(path string) ([]graph.EdgeBatch, error) {
+	return parseFile(path, LoadBatchStream)
+}
+
+// parseFile is the one reader of every input file: it opens path,
+// decompresses the content when it starts with the gzip magic, parses
+// it, and prefixes a parse error with the path.
+func parseFile[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
+	var zero T
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("ingest: %w", err)
+		return zero, fmt.Errorf("ingest: %w", err)
 	}
 	defer f.Close()
 	r, closeGz, err := maybeGzip(path, f)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
 	defer closeGz()
-	batches, err := LoadBatchStream(r)
+	v, err := parse(r)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return zero, fmt.Errorf("%s: %w", path, err)
 	}
-	return batches, nil
+	return v, nil
 }
 
 // maybeGzip wraps f in a gzip reader when its content starts with the
@@ -344,19 +352,5 @@ func ParseBatchList(r io.Reader) ([]graph.EdgeBatch, error) {
 
 // ParseBatchListFile is ParseBatchList over a (possibly gzipped) file.
 func ParseBatchListFile(path string) ([]graph.EdgeBatch, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: %w", err)
-	}
-	defer f.Close()
-	r, closeGz, err := maybeGzip(path, f)
-	if err != nil {
-		return nil, err
-	}
-	defer closeGz()
-	batches, err := ParseBatchList(r)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return batches, nil
+	return parseFile(path, ParseBatchList)
 }

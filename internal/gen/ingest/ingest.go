@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -166,21 +165,7 @@ func relabel(raw [][]rawEdge, n int, maxID int64) ([]graph.Edge, []int64) {
 // extension, and decompressed transparently — a `.el.gz` corpus parses
 // to exactly the graph its uncompressed counterpart does.
 func ParseEdgeListFile(path string) (*Parsed, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: %w", err)
-	}
-	defer f.Close()
-	r, closeGz, err := maybeGzip(path, f)
-	if err != nil {
-		return nil, err
-	}
-	defer closeGz()
-	p, err := ParseEdgeList(r)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return p, nil
+	return parseFile(path, ParseEdgeList)
 }
 
 // newLineScanner scans the lines, at most 1 MiB each, of a text input;

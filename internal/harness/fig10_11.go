@@ -20,11 +20,7 @@ import (
 
 // Fig10Result holds one time per (algorithm, variant).
 type Fig10Result struct {
-	Entries []struct {
-		Algo    string
-		Variant string
-		Time    time.Duration
-	}
+	times map[algoBar]time.Duration
 }
 
 // Fig10Variants lists the three configurations, paper order.
@@ -56,7 +52,7 @@ func Fig10(o Options) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig10Result{}
+	res := &Fig10Result{times: map[algoBar]time.Duration{}}
 	for _, alg := range fig8Algorithms(g) {
 		for _, variant := range Fig10Variants() {
 			opts, err := fig10Opts(variant, o)
@@ -70,11 +66,7 @@ func Fig10(o Options) (*Fig10Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			res.Entries = append(res.Entries, struct {
-				Algo    string
-				Variant string
-				Time    time.Duration
-			}{alg.Name(), variant, run.Time})
+			res.times[algoBar{alg.Name(), variant}] = run.Time
 		}
 	}
 	return res, nil
@@ -82,12 +74,8 @@ func Fig10(o Options) (*Fig10Result, error) {
 
 // Entry finds one bar.
 func (r *Fig10Result) Entry(algo, variant string) (time.Duration, bool) {
-	for _, e := range r.Entries {
-		if e.Algo == algo && e.Variant == variant {
-			return e.Time, true
-		}
-	}
-	return 0, false
+	t, ok := r.times[algoBar{algo, variant}]
+	return t, ok
 }
 
 // String renders the figure.
@@ -114,17 +102,18 @@ func (r *Fig10Result) String() string {
 
 // Fig11aResult holds times with and without caching.
 type Fig11aResult struct {
-	Entries []struct {
-		Engine  string
-		Dataset gen.Dataset
-		Caching bool
-		Time    time.Duration
-	}
+	times map[fig11aKey]time.Duration
+}
+
+type fig11aKey struct {
+	engine  string
+	d       gen.Dataset
+	caching bool
 }
 
 // Fig11a measures ± caching.
 func Fig11a(o Options) (*Fig11aResult, error) {
-	res := &Fig11aResult{}
+	res := &Fig11aResult{times: map[fig11aKey]time.Duration{}}
 	engines := []struct {
 		name string
 		run  func(engine.Config) (*engine.Result, error)
@@ -148,12 +137,7 @@ func Fig11a(o Options) (*Fig11aResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				res.Entries = append(res.Entries, struct {
-					Engine  string
-					Dataset gen.Dataset
-					Caching bool
-					Time    time.Duration
-				}{eng.name, d, caching, run.Time})
+				res.times[fig11aKey{eng.name, d, caching}] = run.Time
 			}
 		}
 	}
@@ -162,12 +146,8 @@ func Fig11a(o Options) (*Fig11aResult, error) {
 
 // Entry finds a bar.
 func (r *Fig11aResult) Entry(engineName string, d gen.Dataset, caching bool) (time.Duration, bool) {
-	for _, e := range r.Entries {
-		if e.Engine == engineName && e.Dataset == d && e.Caching == caching {
-			return e.Time, true
-		}
-	}
-	return 0, false
+	t, ok := r.times[fig11aKey{engineName, d, caching}]
+	return t, ok
 }
 
 // String renders the figure.
@@ -177,11 +157,10 @@ func (r *Fig11aResult) String() string {
 		"Engine", "Orkut", "Orkut+Cache", "Syn4m", "Syn4m+Cache")
 	for _, eng := range []string{"GraphX", "PowerGraph"} {
 		fmt.Fprintf(&b, "%-16s", eng)
-		for _, cell := range []struct {
-			d gen.Dataset
-			c bool
-		}{{gen.Orkut, false}, {gen.Orkut, true}, {gen.Syn4m, false}, {gen.Syn4m, true}} {
-			t, _ := r.Entry(eng, cell.d, cell.c)
+		for _, k := range []fig11aKey{
+			{d: gen.Orkut}, {d: gen.Orkut, caching: true}, {d: gen.Syn4m}, {d: gen.Syn4m, caching: true},
+		} {
+			t, _ := r.Entry(eng, k.d, k.caching)
 			fmt.Fprintf(&b, "%-16s", seconds(t))
 		}
 		b.WriteString("\n")

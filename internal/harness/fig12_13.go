@@ -215,13 +215,10 @@ func (r *Fig12Result) String() string {
 
 // Fig13Result holds the two bars with their init/compute split.
 type Fig13Result struct {
-	Entries []struct {
-		Mode     string
-		InitTime time.Duration
-		CompTime time.Duration
-		Total    time.Duration
-	}
+	bars map[string]fig13Bar // by mode
 }
+
+type fig13Bar struct{ init, comp time.Duration }
 
 // fig13Iterations matches the paper's 11-iteration comparison.
 const fig13Iterations = 11
@@ -233,8 +230,7 @@ func Fig13(o Options) (*Fig13Result, error) {
 		return nil, err
 	}
 	alg := algos.NewSSSPBF(algos.DefaultSources(g.NumVertices()))
-	res := &Fig13Result{}
-	var daemonComp time.Duration
+	res := &Fig13Result{bars: map[string]fig13Bar{}}
 	for _, raw := range []bool{false, true} {
 		opts := gxplug.GPUOptions(o.Scale, 1)
 		opts.RawCall = raw
@@ -245,40 +241,23 @@ func Fig13(o Options) (*Fig13Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		mode := "Daemon"
-		init := run.AgentStats[0].DeviceInit
-		comp := run.Time
-		if raw {
-			mode = "Raw call"
-			// Both modes do identical computation; everything the raw-call
-			// run pays beyond the daemon run's computation is repeated
-			// device initialization.
-			comp = daemonComp
-			init = run.Time - daemonComp
-			if init < 0 {
-				init = 0
-			}
-		} else {
-			daemonComp = comp
+		if !raw {
+			res.bars["Daemon"] = fig13Bar{run.AgentStats[0].DeviceInit, run.Time}
+			continue
 		}
-		res.Entries = append(res.Entries, struct {
-			Mode     string
-			InitTime time.Duration
-			CompTime time.Duration
-			Total    time.Duration
-		}{mode, init, comp, init + comp})
+		// Both modes do identical computation; everything the raw-call
+		// run pays beyond the daemon run's computation is repeated device
+		// initialization.
+		comp := res.bars["Daemon"].comp
+		res.bars["Raw call"] = fig13Bar{max(run.Time-comp, 0), comp}
 	}
 	return res, nil
 }
 
 // Entry finds a mode's bar.
 func (r *Fig13Result) Entry(mode string) (init, comp, total time.Duration, ok bool) {
-	for _, e := range r.Entries {
-		if e.Mode == mode {
-			return e.InitTime, e.CompTime, e.Total, true
-		}
-	}
-	return 0, 0, 0, false
+	e, ok := r.bars[mode]
+	return e.init, e.comp, e.init + e.comp, ok
 }
 
 // String renders the bars.
@@ -286,9 +265,9 @@ func (r *Fig13Result) String() string {
 	var b strings.Builder
 	header(&b, fmt.Sprintf("Fig 13: Runtime Isolation (SSSP-BF, %d iterations)", fig13Iterations),
 		"Mode", "GPU Init", "Comp Time", "Total")
-	for _, e := range r.Entries {
-		fmt.Fprintf(&b, "%-16s%-16s%-16s%-16s\n",
-			e.Mode, seconds(e.InitTime), seconds(e.CompTime), seconds(e.Total))
+	for _, mode := range []string{"Daemon", "Raw call"} {
+		init, comp, total, _ := r.Entry(mode)
+		fmt.Fprintf(&b, "%-16s%-16s%-16s%-16s\n", mode, seconds(init), seconds(comp), seconds(total))
 	}
 	_, _, daemon, _ := r.Entry("Daemon")
 	_, _, raw, _ := r.Entry("Raw call")

@@ -18,12 +18,12 @@ import (
 
 // Fig14Result holds ratios per (engine, algorithm, nodes).
 type Fig14Result struct {
-	Entries []struct {
-		Engine string
-		Algo   string
-		Nodes  int
-		Ratio  float64
-	}
+	ratios map[fig14Key]float64
+}
+
+type fig14Key struct {
+	engine, algo string
+	nodes        int
 }
 
 // Fig14Nodes are the x-axis points.
@@ -42,7 +42,7 @@ func Fig14(o Options) (*Fig14Result, error) {
 		{"PowerGraph", powergraph.Run},
 		{"GraphX", graphx.Run},
 	}
-	res := &Fig14Result{}
+	res := &Fig14Result{ratios: map[fig14Key]float64{}}
 	for _, eng := range engines {
 		for _, alg := range fig8Algorithms(g) {
 			for _, nodes := range Fig14Nodes() {
@@ -59,12 +59,7 @@ func Fig14(o Options) (*Fig14Result, error) {
 				if total > 0 {
 					ratio = float64(run.MiddlewareTime) / float64(total)
 				}
-				res.Entries = append(res.Entries, struct {
-					Engine string
-					Algo   string
-					Nodes  int
-					Ratio  float64
-				}{eng.name, alg.Name(), nodes, ratio})
+				res.ratios[fig14Key{eng.name, alg.Name(), nodes}] = ratio
 			}
 		}
 	}
@@ -73,12 +68,8 @@ func Fig14(o Options) (*Fig14Result, error) {
 
 // Entry finds one ratio.
 func (r *Fig14Result) Entry(engineName, algo string, nodes int) (float64, bool) {
-	for _, e := range r.Entries {
-		if e.Engine == engineName && e.Algo == algo && e.Nodes == nodes {
-			return e.Ratio, true
-		}
-	}
-	return 0, false
+	ratio, ok := r.ratios[fig14Key{engineName, algo, nodes}]
+	return ratio, ok
 }
 
 // String renders one block per engine.

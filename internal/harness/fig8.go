@@ -55,7 +55,14 @@ type Fig8Cell struct {
 
 // Fig8Result holds the full grid.
 type Fig8Result struct {
-	Cells []Fig8Cell
+	datasets []gen.Dataset // the datasets run, in order
+	cells    map[fig8Key]Fig8Cell
+}
+
+type fig8Key struct {
+	d    gen.Dataset
+	algo string
+	sys  Fig8System
 }
 
 // fig8Nodes is the paper's physical cluster size.
@@ -119,7 +126,7 @@ func Fig8(o Options, datasets []gen.Dataset) (*Fig8Result, error) {
 	if datasets == nil {
 		datasets = Fig8Datasets()
 	}
-	res := &Fig8Result{}
+	res := &Fig8Result{datasets: datasets, cells: map[fig8Key]Fig8Cell{}}
 	for _, d := range datasets {
 		g, err := load(d, o)
 		if err != nil {
@@ -134,7 +141,7 @@ func Fig8(o Options, datasets []gen.Dataset) (*Fig8Result, error) {
 				} else {
 					cell.Time = t
 				}
-				res.Cells = append(res.Cells, cell)
+				res.cells[fig8Key{d, cell.Algo, sys}] = cell
 			}
 		}
 	}
@@ -143,12 +150,8 @@ func Fig8(o Options, datasets []gen.Dataset) (*Fig8Result, error) {
 
 // Cell finds one grid entry.
 func (r *Fig8Result) Cell(d gen.Dataset, algo string, sys Fig8System) (Fig8Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Dataset == d && c.Algo == algo && c.System == sys {
-			return c, true
-		}
-	}
-	return Fig8Cell{}, false
+	c, ok := r.cells[fig8Key{d, algo, sys}]
+	return c, ok
 }
 
 // Speedup returns the acceleration ratio of sys over the matching native
@@ -169,20 +172,7 @@ func (r *Fig8Result) Speedup(d gen.Dataset, algo string, sys Fig8System) float64
 // String renders one block per dataset, matching the Fig 8 subfigures.
 func (r *Fig8Result) String() string {
 	var b strings.Builder
-	// Render the datasets actually present, in first-appearance order, so
-	// runs restricted to non-canonical datasets (gxbench -dataset) still
-	// print.
-	var datasets []gen.Dataset
-	for _, c := range r.Cells {
-		seen := false
-		for _, d := range datasets {
-			seen = seen || d == c.Dataset
-		}
-		if !seen {
-			datasets = append(datasets, c.Dataset)
-		}
-	}
-	for _, d := range datasets {
+	for _, d := range r.datasets {
 		header(&b, fmt.Sprintf("Fig 8: CompTime(s) @ %s", d),
 			"System", "LP", "SSSP-BF", "PageRank")
 		for _, sys := range Fig8Systems() {

@@ -33,9 +33,30 @@ type Fig9Entry struct {
 	Status string
 }
 
+// cell renders the point as the figure prints it: its failure marker,
+// else its time.
+func (e Fig9Entry) cell() string {
+	if e.Status != "" {
+		return e.Status
+	}
+	return seconds(e.Time)
+}
+
+// fig9Key locates a Fig 9a–9c point; each subfigure leaves the axes it
+// does not sweep at their zero values.
+type fig9Key struct {
+	d      gen.Dataset
+	algo   string
+	system string
+	gpus   int
+}
+
+// fig9Systems are the compared systems of Fig 9a and 9b, figure order.
+var fig9Systems = []string{"GX-Plug+PowerGraph", "Lux", "Gunrock"}
+
 // Fig9aResult is the Orkut scalability sweep.
 type Fig9aResult struct {
-	Entries []Fig9Entry
+	entries map[fig9Key]Fig9Entry
 }
 
 // fig9GPUCounts are the x-axis points of Fig 9a/9c.
@@ -120,10 +141,10 @@ func Fig9a(o Options) (*Fig9aResult, error) {
 		return nil, err
 	}
 	pr := algos.NewPageRank()
-	res := &Fig9aResult{}
+	res := &Fig9aResult{entries: map[fig9Key]Fig9Entry{}}
 	for _, gpus := range fig9GPUCounts() {
-		for _, sys := range []string{"GX-Plug+PowerGraph", "Lux", "Gunrock"} {
-			res.Entries = append(res.Entries, fig9Point(sys, g, pr, gpus, fig9PRIters, o))
+		for _, sys := range fig9Systems {
+			res.entries[fig9Key{system: sys, gpus: gpus}] = fig9Point(sys, g, pr, gpus, fig9PRIters, o)
 		}
 	}
 	return res, nil
@@ -131,12 +152,8 @@ func Fig9a(o Options) (*Fig9aResult, error) {
 
 // Entry finds a point.
 func (r *Fig9aResult) Entry(system string, gpus int) (Fig9Entry, bool) {
-	for _, e := range r.Entries {
-		if e.System == system && e.GPUs == gpus {
-			return e, true
-		}
-	}
-	return Fig9Entry{}, false
+	e, ok := r.entries[fig9Key{system: system, gpus: gpus}]
+	return e, ok
 }
 
 // String renders the sweep.
@@ -144,15 +161,11 @@ func (r *Fig9aResult) String() string {
 	var b strings.Builder
 	header(&b, "Fig 9a: PageRank @ Orkut, time vs #GPUs",
 		"System", "1 GPU", "2 GPUs", "4 GPUs", "12 GPUs")
-	for _, sys := range []string{"GX-Plug+PowerGraph", "Lux", "Gunrock"} {
+	for _, sys := range fig9Systems {
 		fmt.Fprintf(&b, "%-16s", sys)
 		for _, gpus := range fig9GPUCounts() {
 			e, _ := r.Entry(sys, gpus)
-			if e.Status != "" {
-				fmt.Fprintf(&b, "%-16s", e.Status)
-			} else {
-				fmt.Fprintf(&b, "%-16s", seconds(e.Time))
-			}
+			fmt.Fprintf(&b, "%-16s", e.cell())
 		}
 		b.WriteString("\n")
 	}
@@ -161,15 +174,12 @@ func (r *Fig9aResult) String() string {
 
 // Fig9bResult holds the large-graph cells.
 type Fig9bResult struct {
-	Entries []struct {
-		Dataset gen.Dataset
-		Fig9Entry
-	}
+	entries map[fig9Key]Fig9Entry
 }
 
 // Fig9b runs Twitter and UK-2007 at 4 and 12 GPUs.
 func Fig9b(o Options) (*Fig9bResult, error) {
-	res := &Fig9bResult{}
+	res := &Fig9bResult{entries: map[fig9Key]Fig9Entry{}}
 	for _, d := range []gen.Dataset{gen.Twitter, gen.UK2007} {
 		g, err := load(d, o)
 		if err != nil {
@@ -177,12 +187,8 @@ func Fig9b(o Options) (*Fig9bResult, error) {
 		}
 		pr := algos.NewPageRank()
 		for _, gpus := range []int{4, 12} {
-			for _, sys := range []string{"GX-Plug+PowerGraph", "Lux", "Gunrock"} {
-				e := fig9Point(sys, g, pr, gpus, fig9PRIters, o)
-				res.Entries = append(res.Entries, struct {
-					Dataset gen.Dataset
-					Fig9Entry
-				}{d, e})
+			for _, sys := range fig9Systems {
+				res.entries[fig9Key{d: d, system: sys, gpus: gpus}] = fig9Point(sys, g, pr, gpus, fig9PRIters, o)
 			}
 		}
 	}
@@ -191,12 +197,8 @@ func Fig9b(o Options) (*Fig9bResult, error) {
 
 // Entry finds a cell.
 func (r *Fig9bResult) Entry(d gen.Dataset, system string, gpus int) (Fig9Entry, bool) {
-	for _, e := range r.Entries {
-		if e.Dataset == d && e.System == system && e.GPUs == gpus {
-			return e.Fig9Entry, true
-		}
-	}
-	return Fig9Entry{}, false
+	e, ok := r.entries[fig9Key{d: d, system: system, gpus: gpus}]
+	return e, ok
 }
 
 // String renders the cells.
@@ -204,17 +206,13 @@ func (r *Fig9bResult) String() string {
 	var b strings.Builder
 	header(&b, "Fig 9b: PageRank @ Twitter & UK-2007",
 		"System", "TW@4", "TW@12", "UK@4", "UK@12")
-	for _, sys := range []string{"GX-Plug+PowerGraph", "Lux", "Gunrock"} {
+	for _, sys := range fig9Systems {
 		fmt.Fprintf(&b, "%-16s", sys)
-		for _, cell := range [][2]interface{}{
-			{gen.Twitter, 4}, {gen.Twitter, 12}, {gen.UK2007, 4}, {gen.UK2007, 12},
+		for _, k := range []fig9Key{
+			{d: gen.Twitter, gpus: 4}, {d: gen.Twitter, gpus: 12}, {d: gen.UK2007, gpus: 4}, {d: gen.UK2007, gpus: 12},
 		} {
-			e, _ := r.Entry(cell[0].(gen.Dataset), sys, cell[1].(int))
-			if e.Status != "" {
-				fmt.Fprintf(&b, "%-16s", e.Status)
-			} else {
-				fmt.Fprintf(&b, "%-16s", seconds(e.Time))
-			}
+			e, _ := r.Entry(k.d, sys, k.gpus)
+			fmt.Fprintf(&b, "%-16s", e.cell())
 		}
 		b.WriteString("\n")
 	}
@@ -226,10 +224,7 @@ func (r *Fig9bResult) String() string {
 
 // Fig9cResult is the per-algorithm GPU scaling of GX-Plug+PowerGraph.
 type Fig9cResult struct {
-	Entries []struct {
-		Algo string
-		Fig9Entry
-	}
+	entries map[fig9Key]Fig9Entry
 }
 
 // Fig9c sweeps GPU counts for LP, SSSP-BF and PageRank on Orkut.
@@ -239,20 +234,10 @@ func Fig9c(o Options) (*Fig9cResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig9cResult{}
+	res := &Fig9cResult{entries: map[fig9Key]Fig9Entry{}}
 	for _, alg := range fig8Algorithms(g) {
 		for _, gpus := range fig9GPUCounts() {
-			t, err := runGXPlugGPUs(g, alg, gpus, fig8MaxIter(alg), o)
-			e := Fig9Entry{System: "GX-Plug+PowerGraph", GPUs: gpus}
-			if err != nil {
-				e.Status = statusOf(err)
-			} else {
-				e.Time = t
-			}
-			res.Entries = append(res.Entries, struct {
-				Algo string
-				Fig9Entry
-			}{alg.Name(), e})
+			res.entries[fig9Key{algo: alg.Name(), gpus: gpus}] = fig9Point("GX-Plug+PowerGraph", g, alg, gpus, fig8MaxIter(alg), o)
 		}
 	}
 	return res, nil
@@ -260,12 +245,8 @@ func Fig9c(o Options) (*Fig9cResult, error) {
 
 // Entry finds a point.
 func (r *Fig9cResult) Entry(algo string, gpus int) (Fig9Entry, bool) {
-	for _, e := range r.Entries {
-		if e.Algo == algo && e.GPUs == gpus {
-			return e.Fig9Entry, true
-		}
-	}
-	return Fig9Entry{}, false
+	e, ok := r.entries[fig9Key{algo: algo, gpus: gpus}]
+	return e, ok
 }
 
 // String renders the sweep.
@@ -277,11 +258,7 @@ func (r *Fig9cResult) String() string {
 		fmt.Fprintf(&b, "%-16s", algo)
 		for _, gpus := range fig9GPUCounts() {
 			e, _ := r.Entry(algo, gpus)
-			if e.Status != "" {
-				fmt.Fprintf(&b, "%-16s", e.Status)
-			} else {
-				fmt.Fprintf(&b, "%-16s", seconds(e.Time))
-			}
+			fmt.Fprintf(&b, "%-16s", e.cell())
 		}
 		b.WriteString("\n")
 	}
@@ -293,12 +270,12 @@ func (r *Fig9cResult) String() string {
 
 // Fig9dResult is the daemon mix & match experiment.
 type Fig9dResult struct {
-	Entries []struct {
-		Algo  string
-		Combo string
-		Time  time.Duration
-	}
+	times map[algoBar]time.Duration
 }
+
+// algoBar locates one bar of a figure grouped by algorithm: Fig 9d's
+// daemon combination or Fig 10's pipeline variant.
+type algoBar struct{ algo, config string }
 
 // Fig9dCombos lists the paper's 4-daemon combinations in increasing
 // compute power: 2 GPUs + 2 CPUs, 3 GPUs + one double-width CPU, 4 GPUs.
@@ -329,7 +306,7 @@ func Fig9d(o Options) (*Fig9dResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig9dResult{}
+	res := &Fig9dResult{times: map[algoBar]time.Duration{}}
 	for _, alg := range fig8Algorithms(g) {
 		for _, combo := range Fig9dCombos() {
 			devs, err := fig9dDevices(combo, o)
@@ -345,11 +322,7 @@ func Fig9d(o Options) (*Fig9dResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			res.Entries = append(res.Entries, struct {
-				Algo  string
-				Combo string
-				Time  time.Duration
-			}{alg.Name(), combo, run.Time})
+			res.times[algoBar{alg.Name(), combo}] = run.Time
 		}
 	}
 	return res, nil
@@ -357,12 +330,8 @@ func Fig9d(o Options) (*Fig9dResult, error) {
 
 // Entry finds a point.
 func (r *Fig9dResult) Entry(algo, combo string) (time.Duration, bool) {
-	for _, e := range r.Entries {
-		if e.Algo == algo && e.Combo == combo {
-			return e.Time, true
-		}
-	}
-	return 0, false
+	t, ok := r.times[algoBar{algo, combo}]
+	return t, ok
 }
 
 // String renders the grid.

@@ -208,6 +208,35 @@ func TestServeHostileBatchFailsTheJob(t *testing.T) {
 	}
 }
 
+// TestServeNegativeCycleFinishes: SSSP over a graph with a negative
+// cycle used to relax forever on gxd's only executor worker, so no later
+// job was ever served. It now stops within V+1 supersteps.
+func TestServeNegativeCycleFinishes(t *testing.T) {
+	path := t.TempDir() + "/neg.el"
+	if err := os.WriteFile(path, []byte("0 1 1\n1 2 -2\n2 1 -2\n2 3 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, client := startServer(t, Options{})
+	body := fmt.Sprintf(`{"engine": "powergraph", "algorithm": "sssp", "dataset": "file:%s", "nodes": 2}`, path)
+	reply, err := client.Submit([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := client.Result(reply.ID, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed != 0 || res.Supersteps > 5 {
+		t.Fatalf("negative cycle: %d failed, %d supersteps", res.Failed, res.Supersteps)
+	}
+	if reply, err = client.Submit([]byte(suiteBody)); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = client.Result(reply.ID, true); err != nil || res.Failed != 0 {
+		t.Fatalf("job after the negative cycle: %v, %+v", err, res)
+	}
+}
+
 // TestServeRejections pins the HTTP error contract: malformed bodies,
 // invalid scenarios, unknown jobs, wrong methods, not-done results.
 func TestServeRejections(t *testing.T) {
